@@ -46,16 +46,26 @@ race:
 	$(GO) test -race ./...
 
 ## chaos: fault-injection smoke — the transport robustness suite under
-## -race, a 3-broker fabric simcluster run that kills the busiest
+## -race; a 3-broker fabric simcluster run that kills the busiest
 ## broker mid-run and must rebalance live and conserve every snapshot
-## (emitted == archived + spooled, zero duplicates past dedup), and the
-## storage restart audit that SIGKILLs the segment store mid-ingest and
-## mid-compaction and must recover every synced point on reopen.
+## (emitted == archived + spooled per host, zero duplicates past dedup);
+## a fabric-of-one simcluster run through a broker outage and mid-frame
+## resets that must conserve every snapshot with per-host order intact;
+## and the storage restart audit that SIGKILLs the segment store
+## mid-ingest and mid-compaction and must recover every synced point on
+## reopen.
 chaos:
 	$(GO) test -run Chaos -race ./...
 	@dir="$$(mktemp -d)"; rc=0; \
 	$(GO) run -race ./cmd/simcluster -mode daemon -nodes 12 -days 0.5 \
 		-brokers 3 -chaos-kill-broker -out "$$dir" -telemetry off \
+		> "$$dir/run.log" 2>&1 || rc=$$?; \
+	grep -E '^simcluster (fabric|chaos):' "$$dir/run.log"; \
+	[ "$$rc" -eq 0 ] || tail -5 "$$dir/run.log"; \
+	rm -rf "$$dir"; exit $$rc
+	@dir="$$(mktemp -d)"; rc=0; \
+	$(GO) run -race ./cmd/simcluster -mode daemon -nodes 12 -days 0.5 \
+		-chaos -out "$$dir" -telemetry off \
 		> "$$dir/run.log" 2>&1 || rc=$$?; \
 	grep -E '^simcluster (fabric|chaos):' "$$dir/run.log"; \
 	[ "$$rc" -eq 0 ] || tail -5 "$$dir/run.log"; \

@@ -11,6 +11,7 @@ import (
 	"gostats/internal/broker"
 	"gostats/internal/chip"
 	"gostats/internal/collect"
+	"gostats/internal/fabric"
 	"gostats/internal/faultnet"
 	"gostats/internal/hwsim"
 	"gostats/internal/model"
@@ -22,13 +23,16 @@ import (
 )
 
 // TestChaosBrokerOutageConservesSnapshots drives the full daemon-mode
-// pipeline — collectors -> reliable publishers -> broker -> listener ->
-// store — through a fault-injecting network that tears connections
-// mid-frame, then hits the fleet with a hard broker outage spanning
-// several collection rounds. The invariant under test is the PR's
-// robustness guarantee: every snapshot a node collects is either
-// archived centrally or still sits in that node's durable spool;
-// outages and resets cost latency and duplicates, never data.
+// pipeline — collectors -> node publishers -> one standalone broker (a
+// fabric of one) -> consumer group -> listener -> store — through a
+// fault-injecting network that tears connections mid-frame, then hits
+// the fleet with a hard broker outage spanning several collection
+// rounds. The invariant under test is the transport's robustness
+// guarantee: every snapshot a node collects is either archived
+// centrally or still sits in that node's durable spool; outages and
+// resets cost latency and duplicates, never data — and with the only
+// broker never marked dead, recovery waits on nothing slower than the
+// breaker.
 func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	// Provenance tracing rides the same run: stamps must survive the
@@ -51,13 +55,26 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 	fnet := faultnet.New(faultnet.Faults{Seed: 11, ResetAfterBytes: 4 << 10})
 
 	pol := broker.Policy{
-		MaxAttempts:      3,
 		BackoffMin:       time.Millisecond,
 		BackoffMax:       10 * time.Millisecond,
 		BreakerThreshold: 3,
 		BreakerWindow:    25 * time.Millisecond,
 		BreakerMaxWindow: 100 * time.Millisecond,
 	}
+
+	// The standalone broker runs as a fabric of one: its map built from
+	// the address alone, exactly as the daemons bootstrap it. Every node
+	// publisher shares the view and the pooled connection.
+	m, err := fabric.Bootstrap([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := fabric.NewView(m, pol, reg)
+	pool := fabric.NewClientPool(pol)
+	pool.Dialer = fnet.Dialer(func(a string) (net.Conn, error) {
+		return net.DialTimeout("tcp", a, time.Second)
+	})
+	defer pool.Close()
 
 	cfg := chip.StampedeNode()
 	const (
@@ -70,7 +87,7 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 	type nodeRT struct {
 		daemon *collect.DaemonAgent
 		node   *hwsim.Node
-		pub    *broker.ReliablePublisher
+		pub    *fabric.Publisher
 		sp     *spool.Spool
 	}
 	nodes := make([]*nodeRT, nNodes)
@@ -84,13 +101,9 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 		col := collect.New(hw)
 		col.Metrics = reg
 		col.Trace = rec
-		pub := broker.NewReliablePublisher(addr, broker.StatsQueue)
-		pub.Policy = pol
+		pub := fabric.NewPublisher(view, pool)
 		pub.Metrics = reg
 		pub.Trace = rec
-		pub.Dialer = fnet.Dialer(func(a string) (net.Conn, error) {
-			return net.DialTimeout("tcp", a, time.Second)
-		})
 		sp, err := spool.Open(filepath.Join(spoolRoot, host), col.Header(),
 			spool.Options{Metrics: reg})
 		if err != nil {
@@ -102,11 +115,7 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 		defer sp.Close()
 	}
 
-	// Central consumer, recording everything it archives.
-	cons, err := broker.DialConsumer(addr, broker.StatsQueue)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Central consumer group, recording everything it archives.
 	store, err := rawfile.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +126,6 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 	duplicates := 0
 	var disorder []string
 	l := &realtime.Listener{
-		Cons:    cons,
 		Monitor: realtime.NewMonitor(cfg.Registry(), realtime.DefaultRules()),
 		Store:   store,
 		Metrics: reg,
@@ -143,8 +151,12 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 			}
 		},
 	}
-	runErr := make(chan error, 1)
-	go func() { runErr <- l.Run() }()
+	g := fabric.NewGroup(view)
+	g.Handle = l.HandleBody
+	g.Metrics = reg
+	g.Logf = t.Logf
+	g.Start()
+	defer g.Stop() // idempotent; joins the consumers if an assertion fails first
 
 	emitted := map[string]bool{}
 	now := 0.0
@@ -206,9 +218,9 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 	if len(disorder) > 0 {
 		t.Errorf("per-host delivery order violated: %v", disorder)
 	}
-	var st broker.TransportStats
+	var st fabric.PublisherStats
 	for _, rt := range nodes {
-		ps := rt.pub.TransportStats()
+		ps := rt.pub.Stats()
 		st.Published += ps.Published
 		st.Redials += ps.Redials
 		st.Dropped += ps.Dropped
@@ -228,10 +240,10 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 	// The node-side robustness telemetry is visible exactly where a
 	// fleet operator would look for it.
 	vals := telemetry.ParseExposition(reg.Exposition())
-	if got := vals[`gostats_publish_spooled_total{queue="gostats.raw"}`]; got != float64(st.Spooled) {
+	if got := vals[`gostats_publish_spooled_total{queue="fabric"}`]; got != float64(st.Spooled) {
 		t.Errorf("spooled metric = %g, want %d", got, st.Spooled)
 	}
-	if got := vals[`gostats_publish_replayed_total{queue="gostats.raw"}`]; got != float64(st.Replayed) {
+	if got := vals[`gostats_publish_replayed_total{queue="fabric"}`]; got != float64(st.Replayed) {
 		t.Errorf("replayed metric = %g, want %d", got, st.Replayed)
 	}
 	for _, rt := range nodes {
@@ -276,8 +288,8 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 		}
 	}
 
-	l.Shutdown()
-	if err := <-runErr; err != nil {
+	g.Stop()
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,27 +1,25 @@
 // Command listend is the daemon-mode central consumer (Fig 2): it drains
-// the broker's raw-stats queue, archives every snapshot into the central
-// store as it arrives, runs the online threshold monitor, and prints
-// alerts for the system administrator (§VI-B).
+// the brokers' raw-stats partition queues, archives every snapshot into
+// the central store as it arrives, runs the online threshold monitor,
+// and prints alerts for the system administrator (§VI-B).
 //
 // Usage:
 //
-//	listend -broker 127.0.0.1:5672 -store ./central [-arch stampede]
-//	        [-codec binary] [-telemetry 127.0.0.1:9102]
+//	listend -brokers 127.0.0.1:5672 -store ./central [-arch stampede]
+//	        [-group-index 0 -group-count 1] [-codec binary]
+//	        [-telemetry 127.0.0.1:9102]
 //	        [-data-dir ./tsdb -hot-window 2h -retain-raw 48h -retain-10m 720h]
 //
-// Fabric (multi-broker) mode:
-//
-//	listend -brokers host1:5672,host2:5672,host3:5672 -store ./central
-//	        [-group-index 0 -group-count 1]
-//
-// With -brokers set, listend is one member of a partition-consumer
-// group: it bootstraps the partition map from the first reachable
-// broker, consumes its share of partitions (those where
-// p % group-count == group-index) from every owner broker in parallel,
-// deduplicates replicated frames by (host, sequence), and rebalances
-// live when a broker dies or rejoins. A single consume-loop death
-// restarts that partition's consumer with backoff; only repeated
-// failures against a broker the map still considers alive are fatal.
+// -brokers lists the broker addresses, one or many; listend has a single
+// transport either way. It is one member of a partition-consumer group:
+// it bootstraps the partition map from the first broker that serves one
+// (a lone standalone brokerd runs as a fabric of one), consumes its
+// share of partitions (those where p % group-count == group-index) from
+// every owner broker in parallel, deduplicates replicated frames by
+// (host, sequence), and rebalances live when a broker dies or rejoins.
+// A single consume-loop death restarts that partition's consumer with
+// backoff; only repeated failures against a broker the map still
+// considers alive are fatal.
 //
 // With -data-dir set, every consumed snapshot is also folded into a
 // durable time-series store: a RAM hot set in front of crash-safe
@@ -32,13 +30,12 @@
 // ingest is at-least-once end to end, and kill -9 loses at most the
 // unsynced tail of the active segments.
 //
-// On SIGINT/SIGTERM the consumer shuts down gracefully: the in-flight
-// message is fully archived and acknowledged before the connection
-// closes, so interrupting listend never forces a redelivery or loses a
-// snapshot. With -telemetry set, it serves its own ops endpoint:
-// /metrics (snapshots consumed, drain lag, store-write latency, alerts,
-// fabric partition ownership and replication lag), /healthz,
-// /debug/vars and /debug/pprof.
+// On SIGINT/SIGTERM the consumers stop, the in-flight messages are
+// fully archived and acknowledged, and the store is flushed before
+// exit. With -telemetry set, it serves its own ops endpoint: /metrics
+// (snapshots consumed, drain lag, store-write latency, alerts, fabric
+// partition ownership and replication lag), /healthz, /debug/vars and
+// /debug/pprof.
 package main
 
 import (
@@ -64,9 +61,8 @@ import (
 )
 
 func main() {
-	brokerAddr := flag.String("broker", "127.0.0.1:5672", "broker address (single-broker mode)")
-	brokersList := flag.String("brokers", "",
-		"comma-separated fabric broker addresses (enables partition-group mode)")
+	brokersList := flag.String("brokers", "127.0.0.1:5672",
+		"comma-separated broker addresses: one standalone broker, or every fabric member")
 	groupIndex := flag.Int("group-index", 0, "this member's index within the listener group")
 	groupCount := flag.Int("group-count", 1, "total members in the listener group")
 	storeDir := flag.String("store", "central", "central raw store directory")
@@ -155,89 +151,17 @@ func main() {
 		log.Printf("listend: durable time-series store at %s (hot window %s)", *dataDir, hotWindow)
 	}
 
-	if *brokersList != "" {
-		runFabric(l, ops, *brokersList, *groupIndex, *groupCount, *probeEvery, *storeDir)
-		return
-	}
-
-	cons, err := broker.DialConsumer(*brokerAddr, broker.StatsQueue)
-	if err != nil {
-		if ops != nil {
-			ops.SetHealth("broker", err)
-		}
-		log.Fatalf("listend: dial broker: %v", err)
-	}
-	if ops != nil {
-		ops.SetHealth("broker", nil)
-	}
-	l.Cons = cons
-
-	// Graceful shutdown through the shared daemon lifecycle: stop
-	// consuming, let the in-flight snapshot be archived and acked, then
-	// exit. Every archived snapshot is written synchronously and Run
-	// drains the staged pipeline on return, so when Run returns the
-	// store is flushed.
-	log.Printf("listend: consuming %s from %s into %s", broker.StatsQueue, *brokerAddr, *storeDir)
-	_, err = pipeline.Daemon{
-		Body: func(ctx context.Context) error { return l.Run() },
-		Stop: func(s os.Signal) {
-			log.Printf("listend: %s: finishing in-flight message and shutting down", s)
-			if ops != nil {
-				ops.SetHealth("broker", fmt.Errorf("shutting down on %s", s))
-			}
-			l.Shutdown()
-		},
-	}.Run()
-	if err != nil {
-		log.Fatalf("listend: consume loop for queue %q: %v", broker.StatsQueue, err)
-	}
-	if !l.ShutdownRequested() {
-		// Run returned "cleanly" but nobody asked it to stop: the broker
-		// closed the connection for good. Exiting zero here would let a
-		// supervisor believe the consumer is fine while the queue backs
-		// up on a dead pipeline.
-		log.Fatalf("listend: consume loop for queue %q ended unexpectedly (broker closed the connection); %d snapshots processed",
-			broker.StatsQueue, l.Processed())
-	}
-	log.Printf("listend: stopped cleanly; %d snapshots processed and flushed to %s",
-		l.Processed(), *storeDir)
-}
-
-// bootstrapMap fetches the partition map from the first fabric broker
-// that answers.
-func bootstrapMap(brokers []string) (fabric.Map, error) {
-	var lastErr error
-	for _, addr := range brokers {
-		c, err := broker.DialTimeout(addr, 2*time.Second)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		_, payload, err := c.FetchMap()
-		c.Close()
-		if err != nil {
-			lastErr = fmt.Errorf("broker %s: %w", addr, err)
-			continue
-		}
-		return fabric.DecodeMap(payload)
-	}
-	return fabric.Map{}, fmt.Errorf("no fabric broker served a partition map: %w", lastErr)
-}
-
-// runFabric is partition-group mode: consume this member's share of
-// partitions from every owner broker, dedup, rebalance live.
-func runFabric(l *realtime.Listener, ops *telemetry.OpsServer, brokersList string, index, count int, probeEvery time.Duration, storeDir string) {
-	brokers := strings.Split(brokersList, ",")
+	brokers := strings.Split(*brokersList, ",")
 	for i := range brokers {
 		brokers[i] = strings.TrimSpace(brokers[i])
 	}
-	if count <= 0 {
-		count = 1
+	if *groupCount <= 0 {
+		*groupCount = 1
 	}
-	if index < 0 || index >= count {
-		log.Fatalf("listend: -group-index %d out of range for -group-count %d", index, count)
+	if *groupIndex < 0 || *groupIndex >= *groupCount {
+		log.Fatalf("listend: -group-index %d out of range for -group-count %d", *groupIndex, *groupCount)
 	}
-	m, err := bootstrapMap(brokers)
+	m, err := fabric.Bootstrap(brokers)
 	if err != nil {
 		if ops != nil {
 			ops.SetHealth("broker", err)
@@ -248,15 +172,15 @@ func runFabric(l *realtime.Listener, ops *telemetry.OpsServer, brokersList strin
 		ops.SetHealth("broker", nil)
 	}
 	view := fabric.NewView(m, broker.DefaultPolicy(), telemetry.Default())
-	view.StartProber(probeEvery)
+	view.StartProber(*probeEvery)
 	defer view.Close()
 
 	g := fabric.NewGroup(view)
-	g.Index, g.Count = index, count
+	g.Index, g.Count = *groupIndex, *groupCount
 	g.Handle = l.HandleBody
 	g.Start()
-	log.Printf("listend: fabric group member %d/%d consuming %d partitions across %d brokers into %s (map v%d)",
-		index, count, m.Partitions, len(m.Brokers), storeDir, m.Version)
+	log.Printf("listend: group member %d/%d consuming %d partitions across %d brokers into %s (map v%d)",
+		*groupIndex, *groupCount, m.Partitions, len(m.Brokers), *storeDir, m.Version)
 
 	_, derr := pipeline.Daemon{
 		Body: func(ctx context.Context) error {

@@ -37,27 +37,28 @@
 // to print a fleet overhead summary against the paper's ~0.09 s per
 // collection and <0.02% utilization budget (§III).
 //
-// With -chaos (daemon mode only), the whole broker transport runs
-// through a fault-injecting network: connections are torn mid-frame on
-// a seeded schedule and a hard broker outage of -chaos-outage simulated
-// seconds hits mid-run. Every node publishes through a durable on-disk
-// spool, and at exit the run asserts end-to-end snapshot conservation —
-// every snapshot a node emitted was either archived centrally or still
-// sits in a node spool, with per-host delivery order preserved. Any
-// loss exits non-zero.
+// With -chaos or -brokers N > 1 (daemon mode only), every node runs
+// the deployed node transport: its own fabric publisher backed by its
+// own durable on-disk spool, all sharing one partition map and one
+// connection pool, consumed by a partition-group listener that
+// deduplicates by (host, sequence) before archiving. At exit the run
+// audits conservation per host — every snapshot a node emitted was
+// archived centrally under that node or still sits in its spool, and
+// nothing duplicated past dedup — and any loss or misattribution exits
+// non-zero.
 //
-// With -brokers N > 1 (daemon mode only), the run goes through the
-// partitioned fabric instead of a single broker: N in-process brokers
-// share a consistent-hash partition map, every snapshot is published
-// to all replica owners of its host's partition, and a partition-group
-// consumer drains every partition from every owner in parallel,
-// deduplicating replicated frames by (host, sequence) before archiving.
+// -chaos runs a fabric of one broker through a fault-injecting network:
+// pooled connections are torn mid-frame on a seeded schedule and a hard
+// broker outage of -chaos-outage simulated seconds hits mid-run. With a
+// single owner per partition, per-host delivery order must hold too.
+//
+// -brokers N > 1 runs N in-process brokers sharing a consistent-hash
+// partition map; every snapshot is published to all replica owners of
+// its host's partition and drained from every owner in parallel.
 // -chaos-kill-broker then kills the busiest broker outright at
 // -chaos-kill-at simulated seconds: the run must rebalance live
 // (breakers trip, the map version bumps, spooled snapshots replay to
-// the surviving owners) and still conserve every snapshot — emitted ==
-// archived + spooled, zero duplicates past dedup — or it exits
-// non-zero.
+// the surviving owners) and still conserve every snapshot.
 //
 // With -data-dir (daemon mode only), the listener also folds every
 // snapshot into a durable time-series store: a RAM hot set over
@@ -181,7 +182,7 @@ func main() {
 		runKillStoreAudit(*out)
 		return
 	}
-	fabricMode := *fabricBrokers > 1
+	fabricMode := *fabricBrokers > 1 || *chaos
 	if *chaos && *mode != "daemon" {
 		log.Fatalf("simcluster: -chaos requires -mode daemon")
 	}
@@ -191,8 +192,8 @@ func main() {
 	if fabricMode && *mode != "daemon" {
 		log.Fatalf("simcluster: -brokers > 1 requires -mode daemon")
 	}
-	if *chaos && fabricMode {
-		log.Fatalf("simcluster: -chaos is the single-broker fault schedule; use -chaos-kill-broker with -brokers > 1")
+	if *chaos && *fabricBrokers > 1 {
+		log.Fatalf("simcluster: -chaos is the fabric-of-one fault schedule; use -chaos-kill-broker with -brokers > 1")
 	}
 	if *chaosKillBroker && *fabricBrokers < 2 {
 		log.Fatalf("simcluster: -chaos-kill-broker needs -brokers >= 2 so a survivor owns every partition")
@@ -271,7 +272,6 @@ func main() {
 
 	var srv *broker.Server
 	var listener *realtime.Listener
-	var ctl *chaosController
 	var ledger *wireLedger
 	var rec *trace.Recorder
 	var watcher *watch.Watcher
@@ -279,10 +279,9 @@ func main() {
 	var watchEvents *os.File
 	var srvs []*broker.Server
 	var view *fabric.View
-	var fpub *fabric.Publisher
+	var pool *fabric.ClientPool
 	var fgroup *fabric.Group
-	var fsp *spool.Spool
-	var fctl *fabricController
+	var audit *transportAudit
 	var victimAddr string
 	var coldStore *segstore.Store
 	var tdb *tsdb.DB
@@ -306,12 +305,6 @@ func main() {
 		var addr string
 		if !fabricMode {
 			srv = broker.NewServer()
-			if *chaos {
-				// Exercise the server-side deadline plumbing under faults.
-				srv.IdleTimeout = 30 * time.Second
-				srv.AckTimeout = 10 * time.Second
-				srv.WriteTimeout = 10 * time.Second
-			}
 			var err error
 			addr, err = srv.Listen("127.0.0.1:0")
 			if err != nil {
@@ -358,15 +351,22 @@ func main() {
 				EndGrace: etl.DefaultEndGrace, Trace: rec, OnSnapshot: watcher.Feed}
 		}
 		if fabricMode {
-			// A static-membership fabric: every broker serves the same
-			// versioned partition map, publishers confirm against every
-			// replica owner, and one shared View rebalances publisher and
-			// consumer routing together when a broker dies.
+			// A static-membership fabric (of one broker under -chaos):
+			// every broker serves the same versioned partition map,
+			// publishers confirm against every replica owner, and one
+			// shared View rebalances publisher and consumer routing
+			// together when a broker dies.
 			fabricPol := chaosPolicy()
 			addrs := make([]string, *fabricBrokers)
 			srvs = make([]*broker.Server, *fabricBrokers)
 			for i := range srvs {
 				srvs[i] = broker.NewServer()
+				if *chaos {
+					// Exercise the server-side deadline plumbing under faults.
+					srvs[i].IdleTimeout = 30 * time.Second
+					srvs[i].AckTimeout = 10 * time.Second
+					srvs[i].WriteTimeout = 10 * time.Second
+				}
 				a, err := srvs[i].Listen("127.0.0.1:0")
 				if err != nil {
 					log.Fatalf("simcluster: %v", err)
@@ -381,38 +381,46 @@ func main() {
 			if rec != nil {
 				rec.PartitionOf = m.PartitionOf
 			}
-			pool := fabric.NewClientPool(fabricPol)
+			pool = fabric.NewClientPool(fabricPol)
 			pool.Codec = runCodec
-			fpub = fabric.NewPublisher(view, pool)
-			fpub.Codec = runCodec
-			fpub.Registry = reg
-			fpub.Trace = rec
-			fctl = &fabricController{
-				emitted:   map[string]bool{},
-				collected: map[string]bool{},
-				lastSeen:  map[string]float64{},
+			audit = &transportAudit{
+				strictOrder: len(addrs) == 1,
+				emitted:     map[string]bool{},
+				collected:   map[string]bool{},
+				lastSeen:    map[string]float64{},
+			}
+			if *chaos {
+				// The outage window is driven by simulated snapshot time
+				// so it scales with -days: it opens just before the third
+				// collection round and covers -chaos-outage sim-seconds.
+				faults := faultnet.Faults{Seed: *seed, ResetAfterBytes: 32 << 10}
+				audit.net = faultnet.New(faults)
+				audit.start, audit.end = 900, 900+*chaosOutage
+				pool.Dialer = audit.net.Dialer(func(a string) (net.Conn, error) {
+					return net.DialTimeout("tcp", a, 2*time.Second)
+				})
+				fmt.Printf("simcluster chaos: faults %s, outage t=[%.0f,%.0f)\n",
+					faults, audit.start, audit.end)
 			}
 			fmt.Printf("simcluster fabric: %d brokers, %d partitions, replication %d\n",
 				len(addrs), *fabricPartitions, *fabricReplication)
-			// One publisher (and one durable spool) is shared by every
-			// node sink: the engine emits serially and the fabric routes
-			// by the host inside each snapshot, so per-node transports
-			// would only multiply connections.
-			var spoolOnce sync.Once
-			var spoolErr error
+			// One publisher and one durable spool per node, exactly as
+			// each node daemon runs; the shared pool keeps it to one
+			// connection per broker however many nodes publish.
 			eng.NewSink = func(n *hwsim.Node, col *collect.Collector) (cluster.Sink, error) {
 				col.Trace = rec
-				spoolOnce.Do(func() {
-					fsp, spoolErr = spool.Open(filepath.Join(*out, "fabricspool"),
-						col.Header(), spool.Options{Codec: runCodec})
-					if spoolErr == nil {
-						fpub.AttachSpool(fsp)
-					}
-				})
-				if spoolErr != nil {
-					return nil, spoolErr
+				pub := fabric.NewPublisher(view, pool)
+				pub.Codec = runCodec
+				pub.Registry = reg
+				pub.Trace = rec
+				sp, err := spool.Open(filepath.Join(*out, "nodespool", n.Host()),
+					col.Header(), spool.Options{Codec: runCodec})
+				if err != nil {
+					return nil, err
 				}
-				return fabricSink{ctl: fctl, pub: fpub}, nil
+				pub.AttachSpool(sp)
+				audit.track(pub, sp)
+				return auditSink{audit: audit, pub: pub}, nil
 			}
 			if *chaosKillBroker {
 				// The victim is the broker owning the most partitions as
@@ -435,34 +443,6 @@ func main() {
 					}
 					return nil
 				}
-			}
-		} else if *chaos {
-			// The outage window is driven by simulated snapshot time so
-			// it scales with -days: it opens just before the third
-			// collection round and covers -chaos-outage sim-seconds.
-			ctl = newChaosController(
-				faultnet.New(faultnet.Faults{Seed: *seed, ResetAfterBytes: 32 << 10}),
-				900, 900+*chaosOutage)
-			fmt.Printf("simcluster chaos: faults %s, outage t=[%.0f,%.0f)\n",
-				faultnet.Faults{Seed: *seed, ResetAfterBytes: 32 << 10}, ctl.start, ctl.end)
-			eng.NewSink = func(n *hwsim.Node, col *collect.Collector) (cluster.Sink, error) {
-				col.Trace = rec
-				pub := broker.NewReliablePublisher(addr, broker.StatsQueue)
-				pub.Policy = chaosPolicy()
-				pub.Codec = runCodec
-				pub.Registry = reg
-				pub.Trace = rec
-				pub.Dialer = ctl.net.Dialer(func(a string) (net.Conn, error) {
-					return net.DialTimeout("tcp", a, 2*time.Second)
-				})
-				sp, err := spool.Open(filepath.Join(*out, "nodespool", n.Host()),
-					col.Header(), spool.Options{Codec: runCodec})
-				if err != nil {
-					return nil, err
-				}
-				pub.AttachSpool(sp)
-				ctl.track(pub, sp)
-				return chaosSink{ctl: ctl, pub: pub}, nil
 			}
 		} else {
 			eng.NewSink = func(n *hwsim.Node, col *collect.Collector) (cluster.Sink, error) {
@@ -502,11 +482,8 @@ func main() {
 		listener.OnDecoded = ledger.observe
 		listener.OnSnapshot = func(s model.Snapshot) {
 			ledger.sample(s)
-			if ctl != nil {
-				ctl.collect(s)
-			}
-			if fctl != nil {
-				fctl.collect(s)
+			if audit != nil {
+				audit.collect(s)
 			}
 			if liveAsm != nil {
 				liveAsm.Feed(s)
@@ -541,12 +518,14 @@ func main() {
 	if err := eng.Run(span); err != nil {
 		log.Fatalf("simcluster: %v", err)
 	}
-	if ctl != nil {
-		// Let the node drainers finish replaying their spools before
-		// eng.Close stops the publishers; anything still spooled after
-		// the timeout is accounted for in the conservation check.
-		ctl.waitDrained(60 * time.Second)
+	if audit != nil {
+		// Let the node drainers replay what the outage or kill stranded,
+		// and the group archive every emitted snapshot, before eng.Close
+		// stops the publishers; anything still spooled after the timeout
+		// is accounted for in the conservation report.
+		audit.waitCaughtUp(120 * time.Second)
 	}
+	wall := time.Since(runStart).Seconds()
 	if err := eng.Close(); err != nil {
 		log.Fatalf("simcluster: %v", err)
 	}
@@ -558,18 +537,6 @@ func main() {
 			}
 		}
 	} else if fabricMode {
-		// Let the spool drainer replay what the kill stranded, then wait
-		// for the consumer group to archive every emitted snapshot; the
-		// deadline leaves any shortfall to the conservation report.
-		deadline := time.Now().Add(120 * time.Second)
-		for time.Now().Before(deadline) {
-			if (fsp == nil || fsp.Depth() == 0) && fctl.caughtUp() {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		wall := time.Since(runStart).Seconds()
-		pst := fpub.Stats()
 		gst := fgroup.Stats()
 		ledger.print()
 		fgroup.Stop()
@@ -578,18 +545,23 @@ func main() {
 		if err := listener.Close(); err != nil {
 			log.Fatalf("simcluster: listener close: %v", err)
 		}
-		if err := fpub.Close(); err != nil {
-			log.Fatalf("simcluster: publisher close: %v", err)
-		}
 		for _, s := range srvs {
 			s.Close()
 		}
+		pool.Close()
 		view.Close()
-		archived := fctl.archivedCount()
+		archived := audit.archivedCount()
 		fmt.Printf("simcluster fabric: %d snapshots archived through %d brokers in %.2fs wall = %.0f snap/s\n",
 			archived, len(srvs), wall, float64(archived)/wall)
-		if err := fctl.report(fsp, pst, gst, view.Version(), victimAddr); err != nil {
+		if err := audit.report(gst, view.Version(), victimAddr); err != nil {
 			log.Fatalf("simcluster: %v", err)
+		}
+		if rec != nil && *chaos {
+			// The outage stalled delivery; once the spools drained,
+			// every host's freshness gauge must have recovered.
+			if err := assertFreshnessRecovered(rec, eng.Nodes(), 120); err != nil {
+				log.Fatalf("simcluster: %v", err)
+			}
 		}
 	} else {
 		// The simulation outruns the archiver: wait until the listener
@@ -609,19 +581,6 @@ func main() {
 		srv.Close()
 		if err := <-listenDone; err != nil {
 			log.Fatalf("simcluster: listener: %v", err)
-		}
-		if ctl != nil {
-			// Non-zero exit on any conservation or ordering violation.
-			if err := ctl.report(); err != nil {
-				log.Fatalf("simcluster: %v", err)
-			}
-			if rec != nil {
-				// The outage stalled delivery; once the spools drained,
-				// every host's freshness gauge must have recovered.
-				if err := assertFreshnessRecovered(rec, eng.Nodes(), 120); err != nil {
-					log.Fatalf("simcluster: %v", err)
-				}
-			}
 		}
 	}
 
@@ -1213,12 +1172,11 @@ type daemonSink struct {
 func (s daemonSink) Handle(snap model.Snapshot) error { return s.pub.Publish(snap) }
 func (s daemonSink) Close() error                     { return s.client.Close() }
 
-// chaosPolicy is the transport policy for chaos runs: production shape,
-// compressed delays, so a simulated multi-round outage resolves in wall
-// milliseconds.
+// chaosPolicy is the transport policy for fabric runs: production
+// shape, compressed delays, so a simulated multi-round outage resolves
+// in wall milliseconds.
 func chaosPolicy() broker.Policy {
 	return broker.Policy{
-		MaxAttempts:      4,
 		DialTimeout:      2 * time.Second,
 		WriteTimeout:     5 * time.Second,
 		AckTimeout:       5 * time.Second,
@@ -1239,13 +1197,17 @@ func snapKey(s model.Snapshot) string {
 	return fmt.Sprintf("%s@%.3f#%s", s.Host, s.Time, s.Mark)
 }
 
-// chaosController owns the fault schedule and the conservation ledger of
-// a chaos run: every snapshot a node emits is recorded on the way into
-// the transport, every snapshot the listener archives on the way out,
-// and whatever the outage stranded must still sit in a node spool.
-type chaosController struct {
-	net        *faultnet.Network
-	start, end float64 // outage window in simulated seconds
+// transportAudit is the conservation ledger of a fabric run, and under
+// -chaos its fault schedule: every snapshot a node emits is booked on
+// the way into its publisher, every first archive on the way out of the
+// deduplicating consumer group, and whatever an outage or broker kill
+// stranded must still sit in that node's spool. Because the group
+// dedups by (host, sequence) before the listener runs, a duplicate
+// reaching collect is a dedup failure, not a tolerated retry.
+type transportAudit struct {
+	net         *faultnet.Network // nil without -chaos
+	start, end  float64           // outage window in simulated seconds
+	strictOrder bool              // one owner per partition: per-host order must hold
 
 	mu         sync.Mutex
 	started    bool
@@ -1255,248 +1217,180 @@ type chaosController struct {
 	lastSeen   map[string]float64 // per-host max first-occurrence time
 	duplicates int
 	disorder   []string
-	pubs       []*broker.ReliablePublisher
+	pubs       []*fabric.Publisher
 	spools     []*spool.Spool
 }
 
-func newChaosController(n *faultnet.Network, start, end float64) *chaosController {
-	return &chaosController{
-		net:       n,
-		start:     start,
-		end:       end,
-		emitted:   map[string]bool{},
-		collected: map[string]bool{},
-		lastSeen:  map[string]float64{},
-	}
-}
-
-func (c *chaosController) track(pub *broker.ReliablePublisher, sp *spool.Spool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.pubs = append(c.pubs, pub)
-	c.spools = append(c.spools, sp)
+func (a *transportAudit) track(pub *fabric.Publisher, sp *spool.Spool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.pubs = append(a.pubs, pub)
+	a.spools = append(a.spools, sp)
 }
 
 // observe runs before each node publish: it books the snapshot as
 // emitted and drives the outage gate off simulated time, so the window
 // hits the same collection rounds regardless of wall-clock speed.
-func (c *chaosController) observe(s model.Snapshot) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.emitted[snapKey(s)] = true
-	if !c.started && s.Time >= c.start {
-		c.started = true
-		c.net.StartOutage()
+func (a *transportAudit) observe(s model.Snapshot) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.emitted[snapKey(s)] = true
+	if a.net == nil {
+		return
+	}
+	if !a.started && s.Time >= a.start {
+		a.started = true
+		a.net.StartOutage()
 		fmt.Printf("simcluster chaos: broker outage begins at t=%.0f\n", s.Time)
 	}
-	if c.started && !c.stopped && s.Time >= c.end {
-		c.stopped = true
-		c.net.StopOutage()
+	if a.started && !a.stopped && s.Time >= a.end {
+		a.stopped = true
+		a.net.StopOutage()
 		fmt.Printf("simcluster chaos: broker outage ends at t=%.0f\n", s.Time)
 	}
 }
 
-// collect runs on the listener for every archived snapshot. Duplicates
-// (confirmed-publish retries) are counted but only the first occurrence
-// participates in the per-host ordering check: nodes publish in time
-// order and spool replay is FIFO, so first deliveries must arrive
-// non-decreasing per host.
-func (c *chaosController) collect(s model.Snapshot) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// collect books one archived snapshot. Only first occurrences take part
+// in the per-host ordering check: nodes publish in time order and spool
+// replay is FIFO, so through one owner per partition first deliveries
+// arrive non-decreasing per host. Replica owners drain in parallel, so
+// with replication inversions are reported but tolerated.
+func (a *transportAudit) collect(s model.Snapshot) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	k := snapKey(s)
-	if c.collected[k] {
-		c.duplicates++
+	if a.collected[k] {
+		a.duplicates++
 		return
 	}
-	c.collected[k] = true
-	if last, ok := c.lastSeen[s.Host]; ok && s.Time < last {
-		c.disorder = append(c.disorder,
+	a.collected[k] = true
+	if last, ok := a.lastSeen[s.Host]; ok && s.Time < last {
+		a.disorder = append(a.disorder,
 			fmt.Sprintf("%s: t=%.0f delivered after t=%.0f", s.Host, s.Time, last))
 	} else {
-		c.lastSeen[s.Host] = s.Time
+		a.lastSeen[s.Host] = s.Time
 	}
 }
 
-// waitDrained blocks until every node spool has replayed its backlog,
-// or the timeout passes (leftovers then count as spool-resident in the
-// conservation check, not as loss).
-func (c *chaosController) waitDrained(timeout time.Duration) {
+// waitCaughtUp blocks until every node spool is empty and every emitted
+// snapshot is archived, or the timeout passes (the shortfall is then
+// the report's to explain).
+func (a *transportAudit) waitCaughtUp(timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
-		depth := 0
-		c.mu.Lock()
-		for _, sp := range c.spools {
-			depth += sp.Depth()
+		a.mu.Lock()
+		done := len(a.collected) >= len(a.emitted)
+		for _, sp := range a.spools {
+			done = done && sp.Depth() == 0
 		}
-		c.mu.Unlock()
-		if depth == 0 {
+		a.mu.Unlock()
+		if done {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
 }
 
-// report enumerates what the outage stranded, checks conservation
-// (emitted == archived ∪ still-spooled) and per-host ordering, prints
-// the ledger, and returns an error on any violation.
-func (c *chaosController) report() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// The publishers are closed (their drainers stopped); whatever is
-	// left in the spools is durable, replayable data — enumerate it.
+func (a *transportAudit) archivedCount() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.collected)
+}
+
+// report enumerates what the spools still hold, checks conservation per
+// host — emitted == archived + still spooled, every archive filed under
+// the host that emitted it — plus zero duplicates past dedup, ordering
+// where it must hold, and (after a broker kill) a rebalanced map. It
+// prints the ledgers and returns an error on any violation. The
+// publishers must be closed (their drainers stopped).
+func (a *transportAudit) report(gst fabric.GroupStats, mapVersion uint64, victim string) error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
 	spoolResident := map[string]bool{}
-	for _, sp := range c.spools {
+	for _, sp := range a.spools {
 		_, err := sp.Drain(func(s model.Snapshot) error {
 			spoolResident[snapKey(s)] = true
 			return nil
 		})
 		if err != nil {
-			return fmt.Errorf("chaos: reading spool remainder: %w", err)
+			return fmt.Errorf("fabric: reading spool remainder: %w", err)
 		}
 		sp.Close()
 	}
-	var st broker.TransportStats
-	for _, pub := range c.pubs {
-		ps := pub.TransportStats()
+	var st fabric.PublisherStats
+	for _, pub := range a.pubs {
+		ps := pub.Stats()
 		st.Published += ps.Published
 		st.Redials += ps.Redials
-		st.Dropped += ps.Dropped
 		st.Spooled += ps.Spooled
 		st.Replayed += ps.Replayed
+		st.Rerouted += ps.Rerouted
+		st.Dropped += ps.Dropped
 		st.BytesOnWire += ps.BytesOnWire
 	}
+
+	// Attribution: per host, what it emitted against what arrived filed
+	// under it. An archive no node emitted is data filed under the wrong
+	// host.
+	type tally struct{ emitted, archived, spooled, foreign int }
+	hosts := map[string]*tally{}
+	hostOf := func(k string) *tally {
+		h := k[:strings.LastIndexByte(k, '@')]
+		if hosts[h] == nil {
+			hosts[h] = &tally{}
+		}
+		return hosts[h]
+	}
 	var missing []string
-	for k := range c.emitted {
-		if !c.collected[k] && !spoolResident[k] {
+	for k := range a.emitted {
+		t := hostOf(k)
+		t.emitted++
+		switch {
+		case a.collected[k]:
+			t.archived++
+		case spoolResident[k]:
+			t.spooled++
+		default:
 			missing = append(missing, k)
 		}
 	}
+	for k := range a.collected {
+		if !a.emitted[k] {
+			hostOf(k).foreign++
+		}
+	}
+	var off []string
+	for h, t := range hosts {
+		if t.archived+t.spooled != t.emitted || t.foreign > 0 {
+			off = append(off, fmt.Sprintf("%s (emitted %d, archived %d, spooled %d, misfiled %d)",
+				h, t.emitted, t.archived, t.spooled, t.foreign))
+		}
+	}
 	sort.Strings(missing)
-	fmt.Printf("simcluster chaos: emitted=%d archived=%d spool_remaining=%d duplicates=%d missing=%d\n",
-		len(c.emitted), len(c.collected), len(spoolResident), c.duplicates, len(missing))
+	sort.Strings(off)
+
+	fmt.Printf("simcluster fabric: emitted=%d archived=%d spool_remaining=%d dup_past_dedup=%d missing=%d hosts=%d hosts_off=%d order_inversions=%d\n",
+		len(a.emitted), len(a.collected), len(spoolResident), a.duplicates, len(missing),
+		len(hosts), len(off), len(a.disorder))
 	delivered := st.Published + st.Replayed
 	perSnap := 0.0
 	if delivered > 0 {
 		perSnap = float64(st.BytesOnWire) / float64(delivered)
 	}
-	fmt.Printf("simcluster chaos: transport published=%d redials=%d spooled=%d replayed=%d dropped=%d bytes_on_wire=%d (%.0f B/snap); faults %+v\n",
-		st.Published, st.Redials, st.Spooled, st.Replayed, st.Dropped,
-		st.BytesOnWire, perSnap, c.net.Stats())
-	if len(missing) > 0 {
-		n := len(missing)
-		if n > 10 {
-			missing = missing[:10]
-		}
-		return fmt.Errorf("chaos: %d snapshots lost (e.g. %v)", n, missing)
-	}
-	if len(c.disorder) > 0 {
-		return fmt.Errorf("chaos: %d per-host ordering violations (e.g. %s)",
-			len(c.disorder), c.disorder[0])
-	}
-	fmt.Println("simcluster chaos: conservation holds — zero snapshots lost")
-	return nil
-}
-
-// chaosSink publishes through the fault domain with a durable spool
-// fallback, booking every snapshot with the controller first.
-type chaosSink struct {
-	ctl *chaosController
-	pub *broker.ReliablePublisher
-}
-
-func (s chaosSink) Handle(snap model.Snapshot) error {
-	s.ctl.observe(snap)
-	return s.pub.Publish(snap)
-}
-
-// Close stops the publisher (and its drainer); the spool stays open for
-// the controller's final accounting.
-func (s chaosSink) Close() error { return s.pub.Close() }
-
-// fabricController is the conservation ledger of a fabric run: every
-// snapshot emitted into the shared publisher, every first archive out
-// of the deduplicating consumer group. Because the group dedups by
-// (host, sequence) before the listener runs, any duplicate reaching
-// collect is a dedup failure, not a tolerated retry.
-type fabricController struct {
-	mu         sync.Mutex
-	emitted    map[string]bool
-	collected  map[string]bool
-	lastSeen   map[string]float64
-	duplicates int
-	disorder   []string
-}
-
-func (c *fabricController) observe(s model.Snapshot) {
-	c.mu.Lock()
-	c.emitted[snapKey(s)] = true
-	c.mu.Unlock()
-}
-
-// collect books one archived snapshot. Per-host order inversions are
-// tracked but tolerated: a host's partition is drained from replica
-// owners in parallel, so first occurrences can interleave when a
-// replay lands behind live traffic.
-func (c *fabricController) collect(s model.Snapshot) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := snapKey(s)
-	if c.collected[k] {
-		c.duplicates++
-		return
-	}
-	c.collected[k] = true
-	if last, ok := c.lastSeen[s.Host]; ok && s.Time < last {
-		c.disorder = append(c.disorder,
-			fmt.Sprintf("%s: t=%.0f delivered after t=%.0f", s.Host, s.Time, last))
-	} else {
-		c.lastSeen[s.Host] = s.Time
-	}
-}
-
-// caughtUp reports whether every emitted snapshot has been archived.
-func (c *fabricController) caughtUp() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.collected) >= len(c.emitted)
-}
-
-func (c *fabricController) archivedCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.collected)
-}
-
-// report checks fabric conservation — emitted == archived + still
-// spooled, zero duplicates past dedup — prints the transport and group
-// ledgers, and (after a broker kill) verifies the map rebalanced.
-func (c *fabricController) report(sp *spool.Spool, pst fabric.PublisherStats, gst fabric.GroupStats, mapVersion uint64, victim string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	spoolResident := map[string]bool{}
-	if sp != nil {
-		if _, err := sp.Drain(func(s model.Snapshot) error {
-			spoolResident[snapKey(s)] = true
-			return nil
-		}); err != nil {
-			return fmt.Errorf("fabric: reading spool remainder: %w", err)
-		}
-		sp.Close()
-	}
-	var missing []string
-	for k := range c.emitted {
-		if !c.collected[k] && !spoolResident[k] {
-			missing = append(missing, k)
-		}
-	}
-	sort.Strings(missing)
-	fmt.Printf("simcluster fabric: emitted=%d archived=%d spool_remaining=%d dup_past_dedup=%d missing=%d\n",
-		len(c.emitted), len(c.collected), len(spoolResident), c.duplicates, len(missing))
-	fmt.Printf("simcluster fabric: publisher published=%d spooled=%d replayed=%d rerouted=%d dropped=%d bytes_on_wire=%d\n",
-		pst.Published, pst.Spooled, pst.Replayed, pst.Rerouted, pst.Dropped, pst.BytesOnWire)
+	fmt.Printf("simcluster fabric: publisher published=%d redials=%d spooled=%d replayed=%d rerouted=%d dropped=%d bytes_on_wire=%d (%.0f B/snap)\n",
+		st.Published, st.Redials, st.Spooled, st.Replayed, st.Rerouted, st.Dropped, st.BytesOnWire, perSnap)
 	fmt.Printf("simcluster fabric: group delivered=%d handled=%d deduped=%d consumer_restarts=%d\n",
 		gst.Delivered, gst.Handled, gst.Deduped, gst.Restarts)
+	if a.net != nil {
+		fmt.Printf("simcluster chaos: faults %+v\n", a.net.Stats())
+	}
+	if len(off) > 0 {
+		n := len(off)
+		if n > 5 {
+			off = off[:5]
+		}
+		return fmt.Errorf("fabric: attribution off on %d hosts: %s", n, strings.Join(off, "; "))
+	}
 	if len(missing) > 0 {
 		n := len(missing)
 		if n > 10 {
@@ -1504,8 +1398,8 @@ func (c *fabricController) report(sp *spool.Spool, pst fabric.PublisherStats, gs
 		}
 		return fmt.Errorf("fabric: %d snapshots lost (e.g. %v)", n, missing)
 	}
-	if c.duplicates > 0 {
-		return fmt.Errorf("fabric: %d duplicate snapshots got past (host, seq) dedup", c.duplicates)
+	if a.duplicates > 0 {
+		return fmt.Errorf("fabric: %d duplicate snapshots got past (host, seq) dedup", a.duplicates)
 	}
 	if victim != "" {
 		if mapVersion < 2 {
@@ -1513,25 +1407,29 @@ func (c *fabricController) report(sp *spool.Spool, pst fabric.PublisherStats, gs
 		}
 		fmt.Printf("simcluster fabric: rebalanced off killed broker %s (map now v%d)\n", victim, mapVersion)
 	}
-	if len(c.disorder) > 0 {
+	if len(a.disorder) > 0 {
+		if a.strictOrder {
+			return fmt.Errorf("fabric: %d per-host ordering violations (e.g. %s)",
+				len(a.disorder), a.disorder[0])
+		}
 		fmt.Printf("simcluster fabric: %d per-host order inversions tolerated across replicated delivery (e.g. %s)\n",
-			len(c.disorder), c.disorder[0])
+			len(a.disorder), a.disorder[0])
 	}
-	fmt.Println("simcluster fabric: conservation holds — every emitted snapshot archived or spooled")
+	fmt.Printf("simcluster fabric: conservation holds — every host's snapshots archived under it or still in its spool\n")
 	return nil
 }
 
-// fabricSink books each snapshot with the conservation ledger and hands
-// it to the shared replicated publisher. Close is a no-op: the shared
-// publisher outlives every sink and is closed once after the drain.
-type fabricSink struct {
-	ctl *fabricController
-	pub *fabric.Publisher
+// auditSink books each snapshot with the ledger and hands it to the
+// node's own publisher; Close stops the publisher's drainer (the spool
+// stays open for the final accounting).
+type auditSink struct {
+	audit *transportAudit
+	pub   *fabric.Publisher
 }
 
-func (s fabricSink) Handle(snap model.Snapshot) error {
-	s.ctl.observe(snap)
+func (s auditSink) Handle(snap model.Snapshot) error {
+	s.audit.observe(snap)
 	return s.pub.Publish(snap)
 }
 
-func (s fabricSink) Close() error { return nil }
+func (s auditSink) Close() error { return s.pub.Close() }

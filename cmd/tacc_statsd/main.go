@@ -7,29 +7,27 @@
 //
 // Usage:
 //
-//	tacc_statsd -broker 127.0.0.1:5672 [-host c401-101] [-job 4001]
+//	tacc_statsd -brokers 127.0.0.1:5672 [-host c401-101] [-job 4001]
 //	            [-workload wrf|storm|idle] [-interval 600] [-speedup 600]
 //	            [-ticks 12] [-codec binary] [-telemetry 127.0.0.1:9101]
 //	            [-spool /var/spool/gostats] [-spool-max-bytes N]
 //	            [-spool-max-age SECONDS] [-spool-sync]
 //
-// Fabric (multi-broker) mode:
-//
-//	tacc_statsd -brokers host1:5672,host2:5672,host3:5672 ...
-//
-// With -brokers set, the daemon publishes through the partitioned
-// fabric instead of a single broker: it bootstraps the partition map
-// from the first reachable broker, routes each snapshot to its host's
+// -brokers lists the broker addresses, one or many; the daemon has a
+// single transport either way. It bootstraps the partition map from the
+// first broker that serves one, routes each snapshot to its host's
 // partition, and requires confirms from every replica owner before an
-// interval counts as delivered. A dead owner trips a breaker, the map
-// rebalances, and spooled snapshots replay to the partition's current
-// owners.
+// interval counts as delivered. A lone standalone brokerd (no -peers)
+// is run as a fabric of one: sixteen partition queues on that broker,
+// one owner each. A dead owner trips a breaker, the map rebalances
+// across the survivors, and spooled snapshots replay to the partition's
+// current owners; the last live broker is never routed around — its
+// breaker probes it back into service.
 //
-// With -spool set, snapshots the broker cannot accept are written to a
-// crash-safe on-disk spool and replayed in order when the broker comes
-// back — a broker outage costs latency, not data. Without it, an
-// undeliverable snapshot is dropped after the publish attempts are
-// exhausted.
+// With -spool set, snapshots the brokers cannot accept are written to a
+// crash-safe on-disk spool and replayed in order when they come back —
+// a broker outage costs latency, not data. Without it, an undeliverable
+// snapshot is dropped after the publish retry rounds are exhausted.
 //
 // With -telemetry set, the daemon serves its own ops endpoint: /metrics
 // (collection cost, publish latency, redials), /healthz (collector and
@@ -68,37 +66,6 @@ type tick struct {
 	body         []byte
 }
 
-// publisher is what both transports (single-broker reliable publisher
-// and fabric publisher) provide the staged pipeline.
-type publisher interface {
-	collect.Publisher
-	Encode(s *model.Snapshot) ([]byte, error)
-	PublishEncoded(s model.Snapshot, body []byte) error
-	AttachSpool(sp *spool.Spool)
-	Close() error
-}
-
-// bootstrapMap fetches the partition map from the first fabric broker
-// that answers.
-func bootstrapMap(brokers []string) (fabric.Map, error) {
-	var lastErr error
-	for _, addr := range brokers {
-		c, err := broker.DialTimeout(addr, 2*time.Second)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		_, payload, err := c.FetchMap()
-		c.Close()
-		if err != nil {
-			lastErr = fmt.Errorf("broker %s: %w", addr, err)
-			continue
-		}
-		return fabric.DecodeMap(payload)
-	}
-	return fabric.Map{}, fmt.Errorf("no fabric broker served a partition map: %w", lastErr)
-}
-
 func pickModel(name, owner string) (workload.Model, error) {
 	switch name {
 	case "wrf":
@@ -113,9 +80,8 @@ func pickModel(name, owner string) (workload.Model, error) {
 }
 
 func main() {
-	brokerAddr := flag.String("broker", "127.0.0.1:5672", "broker address (single-broker mode)")
-	brokersList := flag.String("brokers", "",
-		"comma-separated fabric broker addresses (enables partitioned publish mode)")
+	brokersList := flag.String("brokers", "127.0.0.1:5672",
+		"comma-separated broker addresses: one standalone broker, or every fabric member")
 	host := flag.String("host", "c401-101", "hostname of the simulated node")
 	job := flag.String("job", "4001", "job id to label collections with")
 	wl := flag.String("workload", "wrf", "workload: wrf, storm, idle")
@@ -165,34 +131,25 @@ func main() {
 	// restarts. Without a spool a dead broker costs at most the current
 	// interval's sample; with one, the sample waits on disk instead.
 	col := collect.New(node)
-	var pub publisher
-	target := *brokerAddr
-	if *brokersList != "" {
-		brokers := strings.Split(*brokersList, ",")
-		for i := range brokers {
-			brokers[i] = strings.TrimSpace(brokers[i])
-		}
-		m, err := bootstrapMap(brokers)
-		if err != nil {
-			log.Fatalf("tacc_statsd: %v", err)
-		}
-		view := fabric.NewView(m, broker.DefaultPolicy(), telemetry.Default())
-		view.StartProber(2 * time.Second)
-		defer view.Close()
-		pool := fabric.NewClientPool(broker.DefaultPolicy())
-		pool.Codec = wireCodec
-		fp := fabric.NewPublisher(view, pool)
-		fp.Codec = wireCodec
-		fp.Registry = chip.StampedeNode().Registry()
-		pub = fp
-		target = fmt.Sprintf("fabric[%s] (%d partitions, replication %d)",
-			*brokersList, m.Partitions, m.Replication)
-	} else {
-		rp := broker.NewReliablePublisher(*brokerAddr, broker.StatsQueue)
-		rp.Codec = wireCodec
-		rp.Registry = chip.StampedeNode().Registry()
-		pub = rp
+	brokers := strings.Split(*brokersList, ",")
+	for i := range brokers {
+		brokers[i] = strings.TrimSpace(brokers[i])
 	}
+	m, err := fabric.Bootstrap(brokers)
+	if err != nil {
+		log.Fatalf("tacc_statsd: %v", err)
+	}
+	view := fabric.NewView(m, broker.DefaultPolicy(), telemetry.Default())
+	view.StartProber(2 * time.Second)
+	defer view.Close()
+	pool := fabric.NewClientPool(broker.DefaultPolicy())
+	pool.Codec = wireCodec
+	defer pool.Close()
+	pub := fabric.NewPublisher(view, pool)
+	pub.Codec = wireCodec
+	pub.Registry = chip.StampedeNode().Registry()
+	target := fmt.Sprintf("%s (%d partitions, replication %d)",
+		strings.Join(m.Brokers, ","), m.Partitions, m.Replication)
 	if *spoolDir != "" {
 		sp, err := spool.Open(*spoolDir, col.Header(), spool.Options{
 			MaxBytes: *spoolMax,

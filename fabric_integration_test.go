@@ -31,7 +31,6 @@ import (
 func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	pol := broker.Policy{
-		MaxAttempts:      2,
 		DialTimeout:      time.Second,
 		BackoffMin:       time.Millisecond,
 		BackoffMax:       10 * time.Millisecond,
@@ -70,10 +69,7 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 
 	cfg := chip.StampedeNode()
 	pool := fabric.NewClientPool(pol)
-	pub := fabric.NewPublisher(view, pool)
-	pub.Registry = cfg.Registry()
-	pub.Metrics = reg
-	defer pub.Close()
+	defer pool.Close()
 
 	const (
 		nNodes   = 3
@@ -84,8 +80,10 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 	type nodeRT struct {
 		daemon *collect.DaemonAgent
 		node   *hwsim.Node
+		pub    *fabric.Publisher
 	}
 	nodes := make([]*nodeRT, nNodes)
+	spoolRoot := t.TempDir()
 	for i := range nodes {
 		hw, err := hwsim.NewNode(fmt.Sprintf("c401-%03d", i+1), cfg, int64(30+i))
 		if err != nil {
@@ -93,18 +91,32 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 		}
 		col := collect.New(hw)
 		col.Metrics = reg
-		if i == 0 {
-			// One shared spool backs the shared publisher; the snapshots
-			// inside carry their own hosts.
-			sp, err := spool.Open(filepath.Join(t.TempDir(), "spool"), col.Header(),
-				spool.Options{Metrics: reg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			pub.AttachSpool(sp)
-			defer sp.Close()
+		// Each node runs its own publisher over its own spool, sharing
+		// the view and the connection pool.
+		pub := fabric.NewPublisher(view, pool)
+		pub.Registry = cfg.Registry()
+		pub.Metrics = reg
+		sp, err := spool.Open(filepath.Join(spoolRoot, hw.Host()), col.Header(),
+			spool.Options{Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
 		}
-		nodes[i] = &nodeRT{daemon: collect.NewDaemonAgent(col, pub), node: hw}
+		pub.AttachSpool(sp)
+		defer sp.Close()
+		defer pub.Close()
+		nodes[i] = &nodeRT{daemon: collect.NewDaemonAgent(col, pub), node: hw, pub: pub}
+	}
+	// pubStats sums the node publishers' ledgers.
+	pubStats := func() fabric.PublisherStats {
+		var st fabric.PublisherStats
+		for _, rt := range nodes {
+			ps := rt.pub.Stats()
+			st.Published += ps.Published
+			st.Spooled += ps.Spooled
+			st.Replayed += ps.Replayed
+			st.Dropped += ps.Dropped
+		}
+		return st
 	}
 
 	// Partition-group consumer feeding the central archiver, recording
@@ -166,7 +178,7 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 	// group must archive every distinct snapshot.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		st := pub.Stats()
+		st := pubStats()
 		mu.Lock()
 		got := len(collected)
 		mu.Unlock()
@@ -207,7 +219,7 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 		}
 	}
 
-	pst := pub.Stats()
+	pst := pubStats()
 	if pst.Dropped != 0 {
 		t.Errorf("publisher dropped %d snapshots: %+v", pst.Dropped, pst)
 	}

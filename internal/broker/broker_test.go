@@ -237,6 +237,14 @@ func TestBrokerTelemetry(t *testing.T) {
 	if got := vals["gostats_broker_connections"]; got < 1 {
 		t.Errorf("connections = %g, want >= 1", got)
 	}
+	// The server observes a delivery frame's encode time after the write
+	// returns, so the consumer can hold the third message a moment
+	// before its observation lands; wait for it rather than race it.
+	deadline := time.Now().Add(2 * time.Second)
+	for vals["gostats_broker_frame_encode_seconds_count"] < 3 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		vals = telemetry.ParseExposition(reg.Exposition())
+	}
 	if vals["gostats_broker_frame_encode_seconds_count"] < 3 {
 		t.Errorf("encode histogram count = %g", vals["gostats_broker_frame_encode_seconds_count"])
 	}
@@ -524,109 +532,5 @@ func TestQueueUnitRequeueFront(t *testing.T) {
 	m2, _, _ := q.pop()
 	if string(m2.body) != "a" {
 		t.Errorf("requeue not at front: %q", m2.body)
-	}
-}
-
-func TestReliablePublisherSurvivesBrokerRestart(t *testing.T) {
-	srv1 := NewServer()
-	addr, err := srv1.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pub := NewReliablePublisher(addr, "q")
-	pub.Policy = fastPolicy()
-	defer pub.Close()
-
-	if err := pub.PublishBytes([]byte("before")); err != nil {
-		t.Fatal(err)
-	}
-	c1, err := DialConsumer(addr, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b, _ := c1.Next(); string(b) != "before" {
-		t.Fatalf("got %q", b)
-	}
-	c1.Close()
-	srv1.Close()
-
-	// Broker down: publishes eventually drop (the TCP buffer may absorb
-	// the first few writes before the peer reset surfaces).
-	sawDrop := false
-	for i := 0; i < 20 && !sawDrop; i++ {
-		if err := pub.PublishBytes([]byte("lost")); err != nil {
-			sawDrop = true
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !sawDrop {
-		t.Fatal("publisher never noticed the dead broker")
-	}
-
-	// Broker restarts on the same address; the publisher redials.
-	srv2 := NewServer()
-	if _, err := srv2.Listen(addr); err != nil {
-		t.Fatalf("rebind %s: %v", addr, err)
-	}
-	defer srv2.Close()
-	var perr error
-	for i := 0; i < 50; i++ {
-		if perr = pub.PublishBytes([]byte("after")); perr == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if perr != nil {
-		t.Fatalf("publish after restart: %v", perr)
-	}
-	c2, err := DialConsumer(addr, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	got := make(chan []byte, 1)
-	go func() {
-		if b, err := c2.Next(); err == nil {
-			got <- b
-		}
-	}()
-	select {
-	case b := <-got:
-		if string(b) != "after" && string(b) != "lost" {
-			t.Errorf("unexpected message %q", b)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("no message after restart")
-	}
-	published, redials, dropped := pub.Stats()
-	if published < 2 || redials < 1 || dropped < 1 {
-		t.Errorf("stats = %d/%d/%d, want >=2/>=1/>=1", published, redials, dropped)
-	}
-}
-
-func TestReliablePublisherSnapshot(t *testing.T) {
-	srv := NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	pub := NewReliablePublisher(addr, StatsQueue)
-	defer pub.Close()
-	if err := pub.Publish(model.Snapshot{Time: 5, Host: "n1"}); err != nil {
-		t.Fatal(err)
-	}
-	cons, err := DialConsumer(addr, StatsQueue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cons.Close()
-	b, err := cons.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap, err := DecodeSnapshot(b)
-	if err != nil || snap.Host != "n1" {
-		t.Errorf("snap = %+v err = %v", snap, err)
 	}
 }

@@ -15,11 +15,6 @@ import (
 // a dead broker from costing more than one probe per backoff window.
 // The zero value of any field means "use the default below".
 type Policy struct {
-	// MaxAttempts bounds dial+send tries per message. A failed dial
-	// consumes exactly one attempt and is followed by a backoff sleep —
-	// a down broker costs bounded time, not three dials in microseconds.
-	MaxAttempts int
-
 	// DialTimeout bounds a single broker dial.
 	DialTimeout time.Duration
 
@@ -51,7 +46,6 @@ type Policy struct {
 // DefaultPolicy returns the production defaults.
 func DefaultPolicy() Policy {
 	return Policy{
-		MaxAttempts:      3,
 		DialTimeout:      2 * time.Second,
 		WriteTimeout:     5 * time.Second,
 		AckTimeout:       5 * time.Second,
@@ -68,9 +62,6 @@ func DefaultPolicy() Policy {
 // withDefaults fills zero fields from DefaultPolicy.
 func (p Policy) withDefaults() Policy {
 	d := DefaultPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
 	if p.DialTimeout <= 0 {
 		p.DialTimeout = d.DialTimeout
 	}

@@ -2,118 +2,13 @@ package broker
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"gostats/internal/chip"
-	"gostats/internal/faultnet"
-	"gostats/internal/model"
-	"gostats/internal/rawfile"
-	"gostats/internal/schema"
-	"gostats/internal/spool"
 	"gostats/internal/telemetry"
 )
-
-// fastPolicy shrinks every delay so robustness tests run in
-// milliseconds instead of the production seconds.
-func fastPolicy() Policy {
-	return Policy{
-		MaxAttempts:      3,
-		DialTimeout:      time.Second,
-		WriteTimeout:     time.Second,
-		AckTimeout:       time.Second,
-		BackoffMin:       time.Millisecond,
-		BackoffMax:       5 * time.Millisecond,
-		BackoffFactor:    2,
-		Jitter:           0.2,
-		BreakerThreshold: 3,
-		BreakerWindow:    20 * time.Millisecond,
-		BreakerMaxWindow: 50 * time.Millisecond,
-	}
-}
-
-// tcpDial is the plain base dialer faultnet wraps in these tests.
-func tcpDial(addr string) (net.Conn, error) {
-	return net.DialTimeout("tcp", addr, time.Second)
-}
-
-// robustSpool opens a throwaway spool sharing the publisher's registry.
-func robustSpool(t *testing.T, reg *telemetry.Registry) *spool.Spool {
-	t.Helper()
-	h := rawfile.Header{Hostname: "n1", Arch: "sandybridge", Registry: chip.StampedeNode().Registry()}
-	sp, err := spool.Open(t.TempDir(), h, spool.Options{Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sp.Close() })
-	return sp
-}
-
-// robustSnap builds a snapshot whose records fit the StampedeNode
-// schema, so it survives a spool round-trip.
-func robustSnap(tm float64) model.Snapshot {
-	return model.Snapshot{
-		Time: tm,
-		Host: "n1",
-		Records: []model.Record{
-			{Class: schema.ClassCPU, Instance: "0", Values: []uint64{1, 2, 3, 4, 5, 6, 7}},
-		},
-	}
-}
-
-// TestPublishBackoffAccounting pins the satellite fix: a failed dial
-// consumes exactly one attempt and every retry is preceded by a backoff
-// sleep, so a dead broker costs bounded time instead of burning the
-// whole attempt budget in microseconds.
-func TestPublishBackoffAccounting(t *testing.T) {
-	pub := NewReliablePublisher("unreachable:0", "q")
-	pol := fastPolicy()
-	pol.BackoffMin = 10 * time.Millisecond
-	pol.BackoffMax = 40 * time.Millisecond
-	pub.Policy = pol
-	pub.Metrics = telemetry.NewRegistry()
-	var dials int32
-	pub.Dialer = func(string) (net.Conn, error) {
-		atomic.AddInt32(&dials, 1)
-		return nil, errors.New("connection refused")
-	}
-
-	start := time.Now()
-	err := pub.PublishBytes([]byte("x"))
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("publish to dead broker succeeded")
-	}
-	if got := atomic.LoadInt32(&dials); got != 3 {
-		t.Errorf("dials = %d, want exactly MaxAttempts=3", got)
-	}
-	// Two retries follow the first failure: backoff(1)+backoff(2) =
-	// 10ms+20ms, minus at most 20%% jitter each.
-	if elapsed < 20*time.Millisecond {
-		t.Errorf("3 attempts took %s, want >= 20ms of backoff", elapsed)
-	}
-
-	// Three consecutive failures opened the breaker: the next publish
-	// fails fast with zero dials and zero sleeps.
-	start = time.Now()
-	err = pub.PublishBytes([]byte("y"))
-	if !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("err = %v, want ErrCircuitOpen", err)
-	}
-	if got := atomic.LoadInt32(&dials); got != 3 {
-		t.Errorf("open breaker dialed anyway: dials = %d", got)
-	}
-	if fast := time.Since(start); fast > pol.BackoffMin {
-		t.Errorf("fail-fast took %s", fast)
-	}
-	if _, _, dropped := pub.Stats(); dropped != 2 {
-		t.Errorf("dropped = %d, want 2", dropped)
-	}
-}
 
 // TestBreakerHalfOpenProbe drives the breaker state machine with an
 // injected clock: open after the threshold, one probe per window, and
@@ -160,178 +55,6 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 	b.Success()
 	if b.State() != BreakerClosed || !b.Allow() {
 		t.Fatal("successful probe did not close the circuit")
-	}
-}
-
-// TestPublisherSpoolFallbackAndReplay pins the tentpole guarantee: a
-// broker outage diverts snapshots to the durable spool instead of
-// dropping them, and the background drainer replays the backlog in
-// order once the broker is back.
-func TestPublisherSpoolFallbackAndReplay(t *testing.T) {
-	srv := NewServer()
-	srv.Metrics = telemetry.NewRegistry()
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	n := faultnet.New(faultnet.Faults{Seed: 1})
-	reg := telemetry.NewRegistry()
-	pub := NewReliablePublisher(addr, StatsQueue)
-	pub.Policy = fastPolicy()
-	pub.Metrics = reg
-	pub.Dialer = n.Dialer(tcpDial)
-	pub.AttachSpool(robustSpool(t, reg))
-	defer pub.Close()
-
-	if err := pub.Publish(robustSnap(1)); err != nil {
-		t.Fatal(err)
-	}
-
-	n.StartOutage()
-	for tm := 2.0; tm <= 3; tm++ {
-		// Spooled, not dropped: the publish "succeeds" durably.
-		if err := pub.Publish(robustSnap(tm)); err != nil {
-			t.Fatalf("publish during outage: %v", err)
-		}
-	}
-	st := pub.TransportStats()
-	if st.Spooled != 2 || st.Dropped != 0 {
-		t.Fatalf("during outage: %+v", st)
-	}
-
-	n.StopOutage()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st = pub.TransportStats()
-		if st.Replayed == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("backlog never replayed: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	cons, err := DialConsumer(addr, StatsQueue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cons.Close()
-	var times []float64
-	seen := map[float64]bool{}
-	for len(times) < 3 {
-		b, err := cons.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := DecodeSnapshot(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !seen[s.Time] { // confirmed publish may duplicate, never lose
-			seen[s.Time] = true
-			times = append(times, s.Time)
-		}
-	}
-	if fmt.Sprint(times) != "[1 2 3]" {
-		t.Errorf("delivery order = %v, want [1 2 3]", times)
-	}
-
-	vals := telemetry.ParseExposition(reg.Exposition())
-	if got := vals[`gostats_publish_spooled_total{queue="gostats.raw"}`]; got != 2 {
-		t.Errorf("spooled counter = %g", got)
-	}
-	if got := vals[`gostats_publish_replayed_total{queue="gostats.raw"}`]; got != 2 {
-		t.Errorf("replayed counter = %g", got)
-	}
-	if got := vals[`gostats_publish_breaker_state{queue="gostats.raw"}`]; got != BreakerClosed {
-		t.Errorf("breaker state = %g after recovery", got)
-	}
-}
-
-// TestChaosMidFrameResetNoLoss hammers the publisher through a network
-// that tears connections mid-frame and asserts snapshot conservation:
-// with confirmed publishes and the spool fallback, every snapshot is
-// delivered at least once — resets cost duplicates, never loss.
-func TestChaosMidFrameResetNoLoss(t *testing.T) {
-	srv := NewServer()
-	srv.Metrics = telemetry.NewRegistry()
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	n := faultnet.New(faultnet.Faults{Seed: 7, ResetAfterBytes: 900})
-	reg := telemetry.NewRegistry()
-	pub := NewReliablePublisher(addr, StatsQueue)
-	pol := fastPolicy()
-	pol.MaxAttempts = 5
-	pub.Policy = pol
-	pub.Metrics = reg
-	pub.Dialer = n.Dialer(tcpDial)
-	pub.AttachSpool(robustSpool(t, reg))
-	defer pub.Close()
-
-	const total = 40
-	for i := 1; i <= total; i++ {
-		if err := pub.Publish(robustSnap(float64(i))); err != nil {
-			t.Fatalf("snapshot %d lost: %v", i, err)
-		}
-	}
-
-	// Every snapshot must end up delivered (live or replayed).
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		st := pub.TransportStats()
-		if st.Published+st.Replayed >= total {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("delivery stalled: %+v (faults %+v)", st, n.Stats())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if st := pub.TransportStats(); st.Dropped != 0 {
-		t.Fatalf("dropped %d snapshots: %+v", st.Dropped, st)
-	}
-	if n.Stats().Resets == 0 {
-		t.Fatal("fault schedule injected no resets; test proves nothing")
-	}
-
-	// Collect until all distinct snapshots arrive; duplicates are legal.
-	cons, err := DialConsumer(addr, StatsQueue)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cons.Close()
-	seen := map[float64]bool{}
-	got := make(chan model.Snapshot)
-	go func() {
-		for {
-			b, err := cons.Next()
-			if err != nil {
-				close(got)
-				return
-			}
-			if s, err := DecodeSnapshot(b); err == nil {
-				got <- s
-			}
-		}
-	}()
-	timeout := time.After(15 * time.Second)
-	for len(seen) < total {
-		select {
-		case s, ok := <-got:
-			if !ok {
-				t.Fatalf("consumer died with %d/%d collected", len(seen), total)
-			}
-			seen[s.Time] = true
-		case <-timeout:
-			t.Fatalf("collected %d/%d before timeout", len(seen), total)
-		}
 	}
 }
 

@@ -232,7 +232,7 @@ func NewDaemonAgent(col *Collector, pub Publisher) *DaemonAgent {
 // Tick collects and publishes. A publish failure is returned to the
 // caller; what it costs depends on the publisher. A bare publisher
 // drops this tick's data (the failure envelope of the original
-// deployment), while broker.ReliablePublisher with an attached spool
+// deployment), while the node publisher (fabric.Publisher) with a spool
 // diverts it to disk and replays it later, so the error then means the
 // spool itself failed.
 func (a *DaemonAgent) Tick(now float64, jobIDs []string, mark string) error {

@@ -1,10 +1,13 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,7 +24,6 @@ import (
 // backoffs, a 3-failure breaker.
 func fastPolicy() broker.Policy {
 	return broker.Policy{
-		MaxAttempts:      3,
 		DialTimeout:      200 * time.Millisecond,
 		WriteTimeout:     time.Second,
 		AckTimeout:       time.Second,
@@ -255,6 +257,54 @@ func TestViewMarkDeadBumpsVersionAndNotifies(t *testing.T) {
 	}
 }
 
+// TestViewNeverMarksLastBrokerDead pins the outage-recovery rule: the
+// last live broker stays routable, so its breaker's half-open probe —
+// not the revival prober — decides when traffic resumes.
+func TestViewNeverMarksLastBrokerDead(t *testing.T) {
+	v := NewView(NewMap([]string{"a:1", "b:1"}, 8, 2), fastPolicy(), telemetry.NewRegistry())
+	if !v.MarkDead("a:1") {
+		t.Fatal("MarkDead of one of two live brokers reported no change")
+	}
+	if v.MarkDead("b:1") {
+		t.Fatal("MarkDead removed the last live broker")
+	}
+	if _, owners := v.Snapshot().OwnersOfHost("nid00001"); fmt.Sprint(owners) != "[b:1]" {
+		t.Fatalf("owners = %v, want the surviving broker", owners)
+	}
+}
+
+// TestBootstrapFabricOrStandalone pins how daemons resolve their map: a
+// fabric member serves the cluster's map, and a lone standalone broker
+// becomes a fabric of one with one owner per partition.
+func TestBootstrapFabricOrStandalone(t *testing.T) {
+	tc := startCluster(t, 3, 8, 2)
+	m, err := Bootstrap(tc.addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Partitions != 8 || m.Replication != 2 || len(m.Brokers) != 3 {
+		t.Fatalf("fabric bootstrap = %+v, want the served 3-broker map", m)
+	}
+
+	srv := broker.NewServer()
+	srv.Metrics = telemetry.NewRegistry()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	m, err = Bootstrap([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m, NewMap([]string{addr}, DefaultPartitions, 1)) {
+		t.Fatalf("standalone bootstrap = %+v, want a fabric of one", m)
+	}
+	if _, err := Bootstrap([]string{addr, addr}); !errors.Is(err, broker.ErrNoMap) {
+		t.Fatalf("two standalone addresses: err = %v, want ErrNoMap (a list names fabric members)", err)
+	}
+}
+
 // TestDedupBounded covers first-writer-wins and FIFO eviction.
 func TestDedupBounded(t *testing.T) {
 	d := NewDedup(3)
@@ -425,6 +475,93 @@ func TestPublisherFailoverSpoolsAndReroutes(t *testing.T) {
 		if !found {
 			t.Fatalf("rerouted frame missing on new owner %s: %v", o, got)
 		}
+	}
+}
+
+// TestSpoolReplayKeepsHostAttribution forces every publish into the
+// spool regardless of timing — the pool refuses to dial the owner while
+// the publishes run — then lets two hosts' publishers replay. Every
+// snapshot must come back filed under the host that emitted it, with
+// nothing for dedup to drop: each frame is delivered once, and a replay
+// misfiled under another host would collide with that host's identities.
+func TestSpoolReplayKeepsHostAttribution(t *testing.T) {
+	tc := startCluster(t, 1, 8, 1)
+	reg := telemetry.NewRegistry()
+	var refuse atomic.Bool
+	refuse.Store(true)
+	pool := NewClientPool(fastPolicy())
+	pool.Dialer = func(addr string) (net.Conn, error) {
+		if refuse.Load() {
+			return nil, errors.New("connection refused")
+		}
+		return net.DialTimeout("tcp", addr, time.Second)
+	}
+	defer pool.Close()
+
+	var mu sync.Mutex
+	handled := make(map[string][]float64)
+	g := NewGroup(tc.view)
+	g.Metrics = reg
+	g.Handle = func(body []byte) error {
+		s, _, err := broker.DecodeSnapshotWire(body, nil)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		handled[s.Host] = append(handled[s.Host], s.Time)
+		mu.Unlock()
+		return nil
+	}
+	g.Start()
+	defer g.Stop()
+
+	const rounds = 4
+	hosts := []string{"nid00001", "nid00002"}
+	pubs := make([]*Publisher, len(hosts))
+	for i, h := range hosts {
+		pubs[i] = NewPublisher(tc.view, pool)
+		pubs[i].Metrics = reg
+		pubs[i].AttachSpool(fabricSpool(t, h, reg))
+		defer pubs[i].Close()
+	}
+	for r := 0; r < rounds; r++ {
+		for i, h := range hosts {
+			if err := pubs[i].Publish(fabricSnap(h, 100.0+float64(r))); err != nil {
+				t.Fatalf("publish %s round %d: %v", h, r, err)
+			}
+		}
+	}
+	for i, h := range hosts {
+		if st := pubs[i].Stats(); st.Spooled != rounds || st.Published != 0 {
+			t.Fatalf("%s: every publish should have spooled while the owner refused: %+v", h, st)
+		}
+	}
+
+	refuse.Store(false)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		done := g.Stats().Handled >= uint64(rounds*len(hosts))
+		for _, p := range pubs {
+			done = done && p.Stats().Replayed == rounds
+		}
+		if done {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replay incomplete: group %+v, publishers %+v / %+v",
+				g.Stats(), pubs[0].Stats(), pubs[1].Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, h := range hosts {
+		if got := fmt.Sprint(handled[h]); got != "[100 101 102 103]" {
+			t.Errorf("host %s archived %s, want [100 101 102 103] in order", h, got)
+		}
+	}
+	if st := g.Stats(); st.Deduped != 0 {
+		t.Errorf("dedup dropped %d frames; replays collided across hosts: %+v", st.Deduped, st)
 	}
 }
 

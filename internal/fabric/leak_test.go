@@ -10,7 +10,7 @@ import (
 )
 
 // TestFabricLifecycleJoinsWorkers pins the goroutine-hygiene contract
-// for the fabric transport: view prober, publisher spool drainer (whose
+// for the fabric transport: view prober, publisher spool drainers (whose
 // backoff used to leak sleeper goroutines past Close), client pool, and
 // the partition consumer group must all join their workers on Stop /
 // Close. Teardown is explicit — t.Cleanup would run after the leak
@@ -37,18 +37,22 @@ func TestFabricLifecycleJoinsWorkers(t *testing.T) {
 		srv.MapProvider = view.Provider()
 	}
 
+	// One publisher and spool per host, sharing the view and pool.
 	pool := NewClientPool(fastPolicy())
-	pub := NewPublisher(view, pool)
-	pub.Metrics = telemetry.NewRegistry()
-	pub.AttachSpool(fabricSpool(t, "nid00001", telemetry.NewRegistry()))
+	hosts := []string{"nid00001", "nid00002", "nid00003", "nid00004"}
+	pubs := make([]*Publisher, len(hosts))
+	for i, h := range hosts {
+		pubs[i] = NewPublisher(view, pool)
+		pubs[i].Metrics = telemetry.NewRegistry()
+		pubs[i].AttachSpool(fabricSpool(t, h, telemetry.NewRegistry()))
+	}
 
 	g := NewGroup(view)
 	g.Handle = func(body []byte) error { return nil }
 	g.Start()
 
-	hosts := []string{"nid00001", "nid00002", "nid00003", "nid00004"}
 	for i, h := range hosts {
-		if err := pub.Publish(fabricSnap(h, 100.0+float64(i))); err != nil {
+		if err := pubs[i].Publish(fabricSnap(h, 100.0+float64(i))); err != nil {
 			t.Fatalf("publish %s: %v", h, err)
 		}
 	}
@@ -61,8 +65,10 @@ func TestFabricLifecycleJoinsWorkers(t *testing.T) {
 	}
 
 	g.Stop()
-	if err := pub.Close(); err != nil {
-		t.Fatalf("publisher close: %v", err)
+	for _, pub := range pubs {
+		if err := pub.Close(); err != nil {
+			t.Fatalf("publisher close: %v", err)
+		}
 	}
 	pool.Close()
 	view.Close()

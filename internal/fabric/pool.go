@@ -28,27 +28,29 @@ type ClientPool struct {
 
 	mu      sync.Mutex
 	clients map[string]*broker.Client
+	dialed  map[string]bool // addresses ever connected, to tell a redial from a first dial
 	closed  bool
 }
 
 // NewClientPool builds a pool dialing under pol's deadlines (zero
 // fields take defaults).
 func NewClientPool(pol broker.Policy) *ClientPool {
-	return &ClientPool{pol: pol, clients: make(map[string]*broker.Client)}
+	return &ClientPool{pol: pol, clients: make(map[string]*broker.Client), dialed: make(map[string]bool)}
 }
 
 // Get returns the live shared client for addr, dialing if needed.
-func (cp *ClientPool) Get(addr string) (*broker.Client, error) {
+// redialed reports that this call reconnected to an address whose
+// earlier connection was lost — the publisher's reconnect count.
+func (cp *ClientPool) Get(addr string) (c *broker.Client, redialed bool, err error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	if cp.closed {
-		return nil, broker.ErrClosed
+		return nil, false, broker.ErrClosed
 	}
 	if c, ok := cp.clients[addr]; ok {
-		return c, nil
+		return c, false, nil
 	}
 	var conn net.Conn
-	var err error
 	if cp.Dialer != nil {
 		conn, err = cp.Dialer(addr)
 	} else {
@@ -59,9 +61,9 @@ func (cp *ClientPool) Get(addr string) (*broker.Client, error) {
 		conn, err = net.DialTimeout("tcp", addr, to)
 	}
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	c := broker.NewClientConn(conn)
+	c = broker.NewClientConn(conn)
 	pol := cp.pol
 	if pol.WriteTimeout <= 0 || pol.AckTimeout <= 0 {
 		d := broker.DefaultPolicy()
@@ -76,21 +78,27 @@ func (cp *ClientPool) Get(addr string) (*broker.Client, error) {
 	c.AckTimeout = pol.AckTimeout
 	c.Codec = cp.Codec
 	cp.clients[addr] = c
-	return c, nil
+	redialed = cp.dialed[addr]
+	cp.dialed[addr] = true
+	return c, redialed, nil
 }
 
 // Invalidate closes and forgets the pooled client for addr (it failed;
-// the next Get redials). Invalidating a client another Get already
-// replaced is harmless.
-func (cp *ClientPool) Invalidate(addr string, c *broker.Client) {
+// the next Get redials). Invalidating a client another caller already
+// retired or replaced is harmless; retired reports whether this call was
+// the one that retired it — every publisher sharing a connection fails
+// when it breaks, and only the first should count that as one failure.
+func (cp *ClientPool) Invalidate(addr string, c *broker.Client) (retired bool) {
 	cp.mu.Lock()
 	if cur, ok := cp.clients[addr]; ok && cur == c {
 		delete(cp.clients, addr)
+		retired = true
 	}
 	cp.mu.Unlock()
 	if c != nil {
 		c.Close()
 	}
+	return retired
 }
 
 // Close closes every pooled connection; further Gets fail.

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -15,23 +16,29 @@ import (
 	"gostats/internal/trace"
 )
 
-// publisherMetrics are the fabric publish telemetry series. They reuse
-// the node-transport series names with queue="fabric" so dashboards
-// built for the single-broker publisher keep working, plus the
-// fabric-specific reroute counter.
+// publisherMetrics are the node publish telemetry series, labelled
+// queue="fabric" whatever the broker count, plus the fabric-specific
+// reroute counter. Breaker state is per broker and lives on the View.
 type publisherMetrics struct {
-	published   *telemetry.Counter
-	spooled     *telemetry.Counter
-	replayed    *telemetry.Counter
-	rerouted    *telemetry.Counter
-	dropped     *telemetry.Counter
-	bytesOnWire *telemetry.Counter
+	publishSeconds *telemetry.Histogram
+	published      *telemetry.Counter
+	reconnects     *telemetry.Counter
+	spooled        *telemetry.Counter
+	replayed       *telemetry.Counter
+	rerouted       *telemetry.Counter
+	dropped        *telemetry.Counter
+	bytesOnWire    *telemetry.Counter
 }
 
 func newPublisherMetrics(reg *telemetry.Registry) *publisherMetrics {
 	return &publisherMetrics{
+		publishSeconds: reg.Histogram("gostats_publish_seconds",
+			"Time to publish one snapshot to every owner broker, including retry rounds and redials.",
+			telemetry.LatencyBuckets, "queue", "fabric"),
 		published: reg.Counter("gostats_publish_total",
 			"Snapshots successfully published to the broker.", "queue", "fabric"),
+		reconnects: reg.Counter("gostats_publish_reconnects_total",
+			"Broker redials after a dropped connection.", "queue", "fabric"),
 		spooled: reg.Counter("gostats_publish_spooled_total",
 			"Snapshots diverted to the durable spool after publish failure.",
 			"queue", "fabric"),
@@ -52,6 +59,7 @@ func newPublisherMetrics(reg *telemetry.Registry) *publisherMetrics {
 // PublisherStats are the lifetime counters of one fabric Publisher.
 type PublisherStats struct {
 	Published   int   // snapshots confirmed by every owner (live path)
+	Redials     int   // reconnects to a broker after a dropped connection
 	Spooled     int   // snapshots diverted to the durable spool
 	Replayed    int   // spooled snapshots later delivered by the drainer
 	Rerouted    int   // replays that went to a different owner set than spooled against
@@ -59,20 +67,27 @@ type PublisherStats struct {
 	BytesOnWire int64 // encoded bytes delivered (each replica copy counted)
 }
 
-// Publisher is the fabric-mode snapshot publisher: it resolves each
-// snapshot's host to a partition and publishes the frame — stamped with
-// its (host, seq) dedup identity — to every owner broker with confirmed
-// delivery. A publish only succeeds when ALL current owners confirm:
-// accepting fewer would let the one confirming broker die with the only
-// copy, which is exactly the loss the replication factor exists to
-// prevent. Anything short of full confirmation lands in the durable
-// spool, whose drainer replays through the *current* map — frames
-// spooled against a dead broker drain to the partition's new owners.
+// Publisher is the node daemon's snapshot publisher — the one transport
+// of daemon mode, whether the fabric has one broker or many. It serves
+// exactly one host: it resolves the host to a partition and publishes
+// each frame — stamped with its (host, seq) dedup identity — to every
+// owner broker with confirmed delivery. Many publishers (one per host)
+// may share one View and one ClientPool, which pools the connections.
+//
+// A publish only succeeds when ALL current owners confirm: accepting
+// fewer would let the one confirming broker die with the only copy,
+// which is exactly the loss the replication factor exists to prevent.
+// Anything short of full confirmation lands in the host's durable
+// spool, whose drainer replays in order through the *current* map —
+// frames spooled against a dead broker drain to the partition's new
+// owners.
 //
 // Failure handling is per broker: each owner is guarded by the shared
-// View's circuit breaker, and a breaker opening marks the broker dead
-// in the View, bumping the map version and rebalancing ownership for
-// every participant sharing it.
+// View's circuit breaker, which fails publishes fast while the broker
+// is down (one probe per breaker window, no dials in between). A
+// breaker opening marks the broker dead in the View, bumping the map
+// version and rebalancing ownership for every participant sharing it —
+// unless it is the last live broker, which the breaker alone gates.
 type Publisher struct {
 	view *View
 	pool *ClientPool
@@ -90,8 +105,9 @@ type Publisher struct {
 	Metrics *telemetry.Registry
 
 	// RetryRounds is how many times one publish recomputes owners and
-	// retries after a partial failure (default 2). Owners that already
-	// confirmed may receive the frame again; dedup absorbs that.
+	// retries after a failure (default 2), with the policy backoff
+	// before each round. Owners that already confirmed may receive the
+	// frame again; dedup absorbs that.
 	RetryRounds int
 
 	mu  sync.Mutex
@@ -104,6 +120,7 @@ type Publisher struct {
 	drainDone chan struct{}
 
 	published   int
+	redials     int
 	spooled     int
 	replayed    int
 	rerouted    int
@@ -129,9 +146,12 @@ func (p *Publisher) metrics() *publisherMetrics {
 	return p.met
 }
 
-// AttachSpool arms the durable fallback (see ReliablePublisher: same
-// contract — call before the first publish, publisher does not close
-// the spool).
+// AttachSpool arms the durable fallback: snapshots that cannot be
+// delivered are appended to sp instead of dropped, and a background
+// drainer replays the backlog in order whenever the owners are back.
+// sp must be this publisher's host's own spool (spool.Append refuses
+// other hosts). Call before the first publish; the publisher does not
+// close the spool.
 func (p *Publisher) AttachSpool(sp *spool.Spool) {
 	p.mu.Lock()
 	if p.sp != nil || sp == nil {
@@ -164,7 +184,15 @@ func ownersFingerprint(owners []string) string {
 // spool record must remember for the reroute counter (by the time the
 // frame spools, the failing owner may already be marked dead and the
 // map rebalanced).
+//
+// When every failing owner's circuit is open and the map did not move,
+// no retry round can succeed before the breaker window ends: the
+// publish fails fast instead of sleeping through the rounds.
 func (p *Publisher) publishReplicated(body []byte, host string, seq uint64) (fp, firstFP string, err error) {
+	p.mu.Lock()
+	timer := p.metrics().publishSeconds.Start()
+	p.mu.Unlock()
+	defer timer.Stop()
 	rounds := p.RetryRounds
 	if rounds <= 0 {
 		rounds = 2
@@ -184,15 +212,19 @@ func (p *Publisher) publishReplicated(body []byte, host string, seq uint64) (fp,
 			continue
 		}
 		queue := PartitionQueue(part)
-		allOK := true
+		allOK, allOpen := true, true
 		for _, owner := range owners {
 			if err := p.publishOne(owner, queue, body, host, seq); err != nil {
 				lastErr = fmt.Errorf("fabric: broker %s partition %d: %w", owner, part, err)
 				allOK = false
+				allOpen = allOpen && errors.Is(err, broker.ErrCircuitOpen)
 			}
 		}
 		if allOK {
 			return ownersFingerprint(owners), firstFP, nil
+		}
+		if allOpen && p.view.Version() == m.Version {
+			break
 		}
 		// Partial confirms are not success: a confirmed-then-dead owner
 		// would hold the only copy. Retry the full owner set under the
@@ -210,14 +242,24 @@ func (p *Publisher) publishOne(owner, queue string, body []byte, host string, se
 		}
 		return broker.ErrCircuitOpen
 	}
-	c, err := p.pool.Get(owner)
+	c, redialed, err := p.pool.Get(owner)
 	if err != nil {
 		p.brokerFailed(owner, br)
 		return err
 	}
+	if redialed {
+		p.mu.Lock()
+		p.redials++
+		p.metrics().reconnects.Inc()
+		p.mu.Unlock()
+	}
 	if err := c.PublishConfirmedSeq(queue, body, host, seq); err != nil {
-		p.pool.Invalidate(owner, c)
-		p.brokerFailed(owner, br)
+		// One lost connection is one broker failure, however many
+		// publishers sharing it were mid-exchange: counting each would
+		// trip the shared breaker on a single reset.
+		if p.pool.Invalidate(owner, c) {
+			p.brokerFailed(owner, br)
+		}
 		return err
 	}
 	if br != nil {
@@ -258,7 +300,9 @@ func (p *Publisher) adoptNewer(c *broker.Client) {
 }
 
 // Publish implements collect.Publisher: one snapshot, replicated to
-// every owner of its host's partition. With a spool attached, a
+// every owner of its host's partition. Without a spool, a snapshot
+// that cannot reach full replication is dropped and counted — the
+// daemon never blocks a collection cycle on a dead broker. With one, a
 // snapshot that cannot reach full replication — or that arrives while
 // a backlog is still replaying, so per-host ordering holds — is
 // spooled instead of dropped.
@@ -373,13 +417,15 @@ func (p *Publisher) drainLoop() {
 		case <-wake:
 		case <-retry:
 		}
+		// Backoff grows only across rounds that make no progress: a
+		// round that replayed something before failing proves the path
+		// works, so the next one retries promptly.
 		n, err := p.sp.Drain(p.replayOne)
-		if err != nil {
-			failures++
-			continue
-		}
 		if n > 0 {
 			failures = 0
+		}
+		if err != nil {
+			failures++
 		}
 	}
 }
@@ -432,6 +478,7 @@ func (p *Publisher) Stats() PublisherStats {
 	defer p.mu.Unlock()
 	return PublisherStats{
 		Published:   p.published,
+		Redials:     p.redials,
 		Spooled:     p.spooled,
 		Replayed:    p.replayed,
 		Rerouted:    p.rerouted,

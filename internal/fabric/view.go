@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"errors"
+	"fmt"
 	"net"
 	"sort"
 	"sync"
@@ -56,15 +58,25 @@ func NewView(m Map, pol broker.Policy, reg *telemetry.Registry) *View {
 		failovers: make(map[string]*telemetry.Counter, len(m.Brokers)),
 		owned:     make(map[string]*telemetry.Gauge, len(m.Brokers)),
 	}
-	for _, b := range m.Brokers {
-		v.breakers[b] = broker.NewBreaker(pol, nil)
-		v.failovers[b] = reg.Counter("gostats_fabric_failovers_total",
-			"Times this broker was marked dead and its partitions failed over.", "broker", b)
-		v.owned[b] = reg.Gauge("gostats_fabric_partitions_owned",
-			"Partitions this broker is the primary owner of under the current map.", "broker", b)
-	}
+	v.addMembersLocked()
 	v.updateGaugesLocked()
 	return v
+}
+
+// addMembersLocked creates the breaker and per-broker series for every
+// member not yet known; callers hold v.mu (or own v exclusively).
+func (v *View) addMembersLocked() {
+	for _, b := range v.m.Brokers {
+		if v.breakers[b] != nil {
+			continue
+		}
+		v.breakers[b] = broker.NewBreaker(v.pol, v.reg.Gauge("gostats_publish_breaker_state",
+			"Circuit breaker guarding this broker (0=closed, 1=open, 2=half-open).", "broker", b))
+		v.failovers[b] = v.reg.Counter("gostats_fabric_failovers_total",
+			"Times this broker was marked dead and its partitions failed over.", "broker", b)
+		v.owned[b] = v.reg.Gauge("gostats_fabric_partitions_owned",
+			"Partitions this broker is the primary owner of under the current map.", "broker", b)
+	}
 }
 
 // updateGaugesLocked refreshes the version and ownership gauges from
@@ -126,8 +138,12 @@ func (v *View) Breaker(addr string) *broker.Breaker {
 
 // MarkDead records addr as down: it is removed from every partition's
 // owner set and the map version bumps so all routing recomputes. No-op
-// for an unknown or already-dead address. Reports whether the map
-// changed.
+// for an unknown or already-dead address, and for the last live
+// broker: with nowhere to fail over to, routing stays on it and its
+// breaker alone gates traffic — the half-open probe resumes delivery
+// the moment it answers, instead of waiting on the revival prober (a
+// fabric of one recovers from an outage at breaker speed). Reports
+// whether the map changed.
 func (v *View) MarkDead(addr string) bool {
 	v.mu.Lock()
 	known := false
@@ -137,7 +153,7 @@ func (v *View) MarkDead(addr string) bool {
 			break
 		}
 	}
-	if !known || v.m.IsDead(addr) {
+	if !known || v.m.IsDead(addr) || len(v.m.Alive()) <= 1 {
 		v.mu.Unlock()
 		return false
 	}
@@ -193,15 +209,7 @@ func (v *View) Adopt(m Map) bool {
 		return false
 	}
 	v.m = m.Clone()
-	for _, b := range v.m.Brokers {
-		if v.breakers[b] == nil {
-			v.breakers[b] = broker.NewBreaker(v.pol, nil)
-			v.failovers[b] = v.reg.Counter("gostats_fabric_failovers_total",
-				"Times this broker was marked dead and its partitions failed over.", "broker", b)
-			v.owned[b] = v.reg.Gauge("gostats_fabric_partitions_owned",
-				"Partitions this broker is the primary owner of under the current map.", "broker", b)
-		}
-	}
+	v.addMembersLocked()
 	v.updateGaugesLocked()
 	fire := v.notifyLocked()
 	v.mu.Unlock()
@@ -217,6 +225,43 @@ func (v *View) Provider() func() (uint64, []byte) {
 		m := v.Snapshot()
 		return m.Version, m.Encode()
 	}
+}
+
+// Bootstrap resolves the partition map a daemon routes by from the
+// broker addresses it was given, asking each in turn. A fabric member
+// serves its map; the first answer wins. A single address that is a
+// standalone broker (brokerd without -peers answers ErrNoMap) or that
+// cannot be reached yet runs as a fabric of one: the map is built here,
+// NewMap([addr], DefaultPartitions, 1), because a standalone broker does
+// not know the address it is reached at — and a node daemon must be
+// able to start, and spool, while its only broker is down. List every
+// member of a multi-broker fabric: a lone member that is down at start
+// is indistinguishable from a standalone broker.
+func Bootstrap(brokers []string) (Map, error) {
+	var lastErr error
+	for _, addr := range brokers {
+		c, err := broker.DialTimeout(addr, broker.DefaultPolicy().DialTimeout)
+		if err == nil {
+			var payload []byte
+			_, payload, err = c.FetchMap()
+			c.Close()
+			if err == nil {
+				return DecodeMap(payload)
+			}
+		}
+		if len(brokers) == 1 && (errors.Is(err, broker.ErrNoMap) || isDialError(err)) {
+			return NewMap(brokers, DefaultPartitions, 1), nil
+		}
+		lastErr = fmt.Errorf("broker %s: %w", addr, err)
+	}
+	return Map{}, fmt.Errorf("fabric: no broker served a partition map: %w", lastErr)
+}
+
+// isDialError reports whether err is a failure to connect at all (as
+// opposed to a broker that answered wrongly).
+func isDialError(err error) bool {
+	var op *net.OpError
+	return errors.As(err, &op) && op.Op == "dial"
 }
 
 // dial opens a probe connection under the policy dial deadline.

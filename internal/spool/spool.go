@@ -1,5 +1,5 @@
 // Package spool implements the node-side write-ahead spool of daemon
-// mode: a crash-safe, size- and age-capped on-disk buffer the reliable
+// mode: a crash-safe, size- and age-capped on-disk buffer the node
 // publisher falls back to when the broker is unreachable, so a
 // collector-network outage costs nothing instead of a data point per
 // interval.
@@ -359,8 +359,18 @@ func (s *Spool) activeLocked() *segment {
 	return s.segs[len(s.segs)-1]
 }
 
-// Append durably spools one snapshot.
+// ErrHostMismatch is returned by Append for a snapshot whose Host is
+// not the spool header's Hostname. A spool belongs to exactly one host:
+// its segments are codec streams under one header, so a replayed frame
+// comes back stamped with the header's host, and a foreign snapshot
+// would be filed — and deduplicated — under the wrong node.
+var ErrHostMismatch = errors.New("spool: snapshot host differs from the spool's host")
+
+// Append durably spools one snapshot of the spool's own host.
 func (s *Spool) Append(snap model.Snapshot) error {
+	if snap.Host != s.header.Hostname {
+		return fmt.Errorf("%w: %q into the spool of %q", ErrHostMismatch, snap.Host, s.header.Hostname)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {

@@ -301,6 +301,29 @@ func TestClosedSpoolRefusesWork(t *testing.T) {
 	}
 }
 
+// TestAppendRejectsForeignHost pins the one-spool-per-host contract: a
+// snapshot from another host is refused with ErrHostMismatch and never
+// reaches disk, so a replay cannot refile it under the spool's host.
+func TestAppendRejectsForeignHost(t *testing.T) {
+	s, err := Open(t.TempDir(), testHeader(), testOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mustAppend(t, s, 1)
+	foreign := testSnap(2)
+	foreign.Host = "c401-102"
+	if err := s.Append(foreign); !errors.Is(err, ErrHostMismatch) {
+		t.Fatalf("foreign append err = %v, want ErrHostMismatch", err)
+	}
+	if d := s.Depth(); d != 1 {
+		t.Errorf("depth = %d after a refused append, want 1", d)
+	}
+	if got := drainAll(t, s); fmt.Sprint(got) != "[1]" {
+		t.Errorf("drained %v, want [1]", got)
+	}
+}
+
 // TestBinaryCrashRecoveryFrameGranularity is the v2 twin of
 // TestCrashRecoveryTornTail: a binary spool killed mid-frame must come
 // back with the torn frame cut and every complete frame replaying

@@ -1,6 +1,7 @@
 package gostats
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"gostats/internal/broker"
 	"gostats/internal/chip"
 	"gostats/internal/collect"
+	"gostats/internal/fabric"
 	"gostats/internal/hwsim"
 	"gostats/internal/model"
 	"gostats/internal/portal"
@@ -19,8 +21,9 @@ import (
 )
 
 // TestSelfTelemetryEndToEnd drives the daemon-mode pipeline — collector
-// -> reliable publisher -> broker -> listener -> store, plus the portal
-// — with every component wired to ONE registry, then scrapes the real
+// -> node publisher -> standalone broker (a fabric of one) -> consumer
+// group -> listener -> store, plus the portal — with every component
+// wired to ONE registry, then scrapes the real
 // ops HTTP endpoint and checks the monitor's self-description: the
 // collection-cost histogram holding the paper's 0.09 s budget, the
 // broker queue counters, the listener drain lag, and the portal request
@@ -37,24 +40,29 @@ func TestSelfTelemetryEndToEnd(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Node daemon: collector + redialing publisher.
+	// Node daemon: collector + redialing publisher, routed by the
+	// fabric-of-one map the daemons bootstrap from a standalone broker.
+	m, err := fabric.Bootstrap([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := fabric.NewView(m, broker.Policy{}, reg)
+	pool := fabric.NewClientPool(broker.Policy{})
+	defer pool.Close()
 	cfg := chip.StampedeNode()
 	node, err := hwsim.NewNode("c401-101", cfg, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
+	queue := fabric.PartitionQueue(m.PartitionOf(node.Host()))
 	col := collect.New(node)
 	col.Metrics = reg
-	pub := broker.NewReliablePublisher(addr, broker.StatsQueue)
+	pub := fabric.NewPublisher(view, pool)
 	pub.Metrics = reg
 	defer pub.Close()
 	daemon := collect.NewDaemonAgent(col, pub)
 
-	// Central consumer archiving to the store.
-	cons, err := broker.DialConsumer(addr, broker.StatsQueue)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Central consumer group archiving to the store.
 	store, err := rawfile.NewStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +71,6 @@ func TestSelfTelemetryEndToEnd(t *testing.T) {
 	done := make(chan struct{})
 	var seen int
 	l := &realtime.Listener{
-		Cons:    cons,
 		Monitor: realtime.NewMonitor(cfg.Registry(), realtime.DefaultRules()),
 		Store:   store,
 		Headers: func(host string) rawfile.Header { return col.Header() },
@@ -74,8 +81,11 @@ func TestSelfTelemetryEndToEnd(t *testing.T) {
 			}
 		},
 	}
-	runErr := make(chan error, 1)
-	go func() { runErr <- l.Run() }()
+	g := fabric.NewGroup(view)
+	g.Handle = l.HandleBody
+	g.Metrics = reg
+	g.Start()
+	defer g.Stop() // idempotent; joins the consumers if an assertion fails first
 
 	now := 0.0
 	for i := 0; i < want; i++ {
@@ -114,11 +124,11 @@ func TestSelfTelemetryEndToEnd(t *testing.T) {
 		`gostats_collect_seconds_bucket{le="0.09"}`,
 		"gostats_collect_seconds_sum",
 		`gostats_collect_records_total{class="cpu"}`,
-		`gostats_broker_queue_depth{queue="gostats.raw"}`,
-		`gostats_broker_published_total{queue="gostats.raw"}`,
-		`gostats_broker_redelivered_total{queue="gostats.raw"}`,
+		fmt.Sprintf("gostats_broker_queue_depth{queue=%q}", queue),
+		fmt.Sprintf("gostats_broker_published_total{queue=%q}", queue),
+		fmt.Sprintf("gostats_broker_redelivered_total{queue=%q}", queue),
 		"gostats_broker_connections",
-		`gostats_publish_seconds_count{queue="gostats.raw"}`,
+		`gostats_publish_seconds_count{queue="fabric"}`,
 		"gostats_listen_snapshots_total",
 		"gostats_listen_drain_lag_seconds",
 		"gostats_listen_store_write_seconds_count",
@@ -140,7 +150,7 @@ func TestSelfTelemetryEndToEnd(t *testing.T) {
 	if mean <= 0 || mean > 0.09 {
 		t.Errorf("mean collection cost = %g s, want (0, 0.09]", mean)
 	}
-	if got := vals[`gostats_broker_published_total{queue="gostats.raw"}`]; got != want {
+	if got := vals[fmt.Sprintf("gostats_broker_published_total{queue=%q}", queue)]; got != want {
 		t.Errorf("published = %g, want %d", got, want)
 	}
 	if got := vals[`gostats_portal_requests_total{route="/jobs",status="200"}`]; got != 1 {
@@ -153,11 +163,11 @@ func TestSelfTelemetryEndToEnd(t *testing.T) {
 	}
 
 	// Graceful drain to finish: nothing lost, nothing redelivered.
-	l.Shutdown()
-	if err := <-runErr; err != nil {
+	g.Stop()
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if qs := srv.QueueCounts(broker.StatsQueue); qs.Redelivered != 0 {
+	if qs := srv.QueueCounts(queue); qs.Redelivered != 0 {
 		t.Errorf("redelivered = %d, want 0", qs.Redelivered)
 	}
 }
