@@ -119,3 +119,5 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryDecode -fuzztime=300x ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzParseRecover -fuzztime=300x ./internal/rawfile/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDecode -fuzztime=300x ./internal/segstore/
+	$(GO) test -run='^$$' -fuzz=FuzzScan -fuzztime=300x ./internal/framelog/
+	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=300x ./internal/reldb/

@@ -10,8 +10,8 @@
 //     the previous snapshot and written as zigzag varints — monotone
 //     counters sampled every few minutes produce small deltas, so most
 //     values fit in one or two bytes;
-//   - every frame carries a CRC-32C, making crash recovery exact at
-//     frame granularity.
+//   - frames and the preamble are internal/framelog's, so crash
+//     recovery is exact at frame granularity.
 //
 // A header frame resets all decoder state (string table, delta bases),
 // which is what makes appending to an existing file safe: a
@@ -22,10 +22,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"gostats/internal/framelog"
 	"gostats/internal/model"
 	"gostats/internal/schema"
 )
@@ -48,17 +48,6 @@ const (
 	// reason; real streams hold a few hundred instance names.
 	maxStringTable = 1 << 20
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// zigzag encoding maps small signed deltas to small unsigned varints.
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
 
 // binEncoder implements SnapshotEncoder for codec v2.
 type binEncoder struct {
@@ -102,8 +91,7 @@ func (e *binEncoder) WriteHeader() error {
 	e.prevVals = make(map[uint64][]uint64)
 
 	if !e.continuation {
-		pre := append(append([]byte(nil), binMagic[:]...), byte(V2Binary))
-		if _, err := e.w.Write(pre); err != nil {
+		if _, err := e.w.Write(framelog.AppendPreamble(nil, binMagic, uint64(V2Binary))); err != nil {
 			e.err = err
 			return err
 		}
@@ -111,12 +99,12 @@ func (e *binEncoder) WriteHeader() error {
 
 	classes := e.header.Registry.Classes()
 	e.buf = e.buf[:0]
-	e.buf = appendString(e.buf, e.header.Hostname)
-	e.buf = appendString(e.buf, e.header.Arch)
+	e.buf = framelog.AppendString(e.buf, e.header.Hostname)
+	e.buf = framelog.AppendString(e.buf, e.header.Arch)
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(classes)))
 	for i, c := range classes {
 		e.classIdx[c] = uint64(i)
-		e.buf = appendString(e.buf, e.header.Registry.Get(c).Line())
+		e.buf = framelog.AppendString(e.buf, e.header.Registry.Get(c).Line())
 	}
 	return e.writeFrame(frameHeader, e.buf)
 }
@@ -128,7 +116,7 @@ func (e *binEncoder) WriteSnapshot(s model.Snapshot) error {
 	}
 	ms := int64(math.Round(s.Time * 1000))
 	e.buf = e.buf[:0]
-	e.buf = binary.AppendUvarint(e.buf, zigzag(ms-e.prevMs))
+	e.buf = binary.AppendVarint(e.buf, ms-e.prevMs)
 	e.prevMs = ms
 
 	jobs := sortedJobIDs(s.JobIDs)
@@ -136,7 +124,7 @@ func (e *binEncoder) WriteSnapshot(s model.Snapshot) error {
 	for _, j := range jobs {
 		e.putStringRef(j)
 	}
-	e.buf = appendString(e.buf, s.Mark)
+	e.buf = framelog.AppendString(e.buf, s.Mark)
 
 	e.buf = binary.AppendUvarint(e.buf, uint64(len(s.Records)))
 	for _, r := range s.Records {
@@ -161,7 +149,7 @@ func (e *binEncoder) WriteSnapshot(s model.Snapshot) error {
 			e.prevVals[key] = prev
 		}
 		for i, v := range r.Values {
-			e.buf = binary.AppendUvarint(e.buf, zigzag(int64(v-prev[i])))
+			e.buf = binary.AppendVarint(e.buf, int64(v-prev[i]))
 			prev[i] = v
 		}
 	}
@@ -183,7 +171,7 @@ func appendTrace(b []byte, tr []model.StageStamp) []byte {
 	prev := int64(0)
 	for _, ts := range tr {
 		b = binary.AppendUvarint(b, uint64(ts.Stage))
-		b = binary.AppendUvarint(b, zigzag(ts.UnixNs-prev))
+		b = binary.AppendVarint(b, ts.UnixNs-prev)
 		prev = ts.UnixNs
 	}
 	return b
@@ -191,19 +179,19 @@ func appendTrace(b []byte, tr []model.StageStamp) []byte {
 
 // readTrace parses the optional provenance section when payload bytes
 // remain past the record list.
-func readTrace(c *byteCursor) ([]model.StageStamp, error) {
-	n, err := c.count(2)
+func readTrace(c *framelog.Cursor) ([]model.StageStamp, error) {
+	n, err := c.Count(2)
 	if err != nil {
 		return nil, fmt.Errorf("trace stamp count: %w", err)
 	}
 	out := make([]model.StageStamp, 0, n)
 	prev := int64(0)
 	for i := 0; i < n; i++ {
-		st, err := c.uvarint()
+		st, err := c.Uvarint()
 		if err != nil {
 			return nil, fmt.Errorf("trace stage: %w", err)
 		}
-		d, err := c.varint()
+		d, err := c.Varint()
 		if err != nil {
 			return nil, fmt.Errorf("trace timestamp: %w", err)
 		}
@@ -223,7 +211,7 @@ func (e *binEncoder) putStringRef(s string) uint64 {
 	ref := uint64(len(e.strIndex))
 	e.strIndex[s] = ref
 	e.buf = binary.AppendUvarint(e.buf, ref)
-	e.buf = appendString(e.buf, s)
+	e.buf = framelog.AppendString(e.buf, s)
 	return ref
 }
 
@@ -233,10 +221,7 @@ func (e *binEncoder) writeFrame(typ byte, payload []byte) error {
 	if e.err != nil {
 		return e.err
 	}
-	e.out = append(e.out[:0], typ)
-	e.out = binary.AppendUvarint(e.out, uint64(len(payload)))
-	e.out = append(e.out, payload...)
-	e.out = binary.LittleEndian.AppendUint32(e.out, crc32.Checksum(payload, crcTable))
+	e.out = framelog.Append(e.out[:0], typ, payload)
 	if _, err := e.w.Write(e.out); err != nil {
 		e.err = err
 	}
@@ -260,22 +245,22 @@ type binState struct {
 
 // applyHeader parses a header frame payload and resets all state.
 func (st *binState) applyHeader(payload []byte) error {
-	c := byteCursor{b: payload}
-	host, err := c.str()
+	c := framelog.Cursor{B: payload}
+	host, err := c.Str()
 	if err != nil {
 		return fmt.Errorf("codec: header hostname: %w", err)
 	}
-	arch, err := c.str()
+	arch, err := c.Str()
 	if err != nil {
 		return fmt.Errorf("codec: header arch: %w", err)
 	}
-	n, err := c.count(2)
+	n, err := c.Count(2)
 	if err != nil {
 		return fmt.Errorf("codec: header schema count: %w", err)
 	}
 	schemas := make([]*schema.Schema, 0, n)
 	for i := 0; i < n; i++ {
-		line, err := c.str()
+		line, err := c.Str()
 		if err != nil {
 			return fmt.Errorf("codec: header schema line %d: %w", i, err)
 		}
@@ -303,30 +288,30 @@ func (st *binState) applySnapshot(payload []byte) (model.Snapshot, error) {
 	if st.classes == nil {
 		return zero, fmt.Errorf("codec: snapshot frame before header")
 	}
-	c := byteCursor{b: payload}
-	dt, err := c.varint()
+	c := framelog.Cursor{B: payload}
+	dt, err := c.Varint()
 	if err != nil {
 		return zero, fmt.Errorf("codec: snapshot time: %w", err)
 	}
 	st.prevMs += dt
 	s := model.Snapshot{Time: float64(st.prevMs) / 1000, Host: st.h.Hostname}
 
-	njobs, err := c.count(1)
+	njobs, err := c.Count(1)
 	if err != nil {
 		return zero, fmt.Errorf("codec: job count: %w", err)
 	}
 	for i := 0; i < njobs; i++ {
-		j, err := st.stringRef(&c)
+		j, _, err := st.stringRef(&c)
 		if err != nil {
 			return zero, fmt.Errorf("codec: job id: %w", err)
 		}
 		s.JobIDs = append(s.JobIDs, j)
 	}
-	if s.Mark, err = c.str(); err != nil {
+	if s.Mark, err = c.Str(); err != nil {
 		return zero, fmt.Errorf("codec: mark: %w", err)
 	}
 
-	nrec, err := c.count(3)
+	nrec, err := c.Count(3)
 	if err != nil {
 		return zero, fmt.Errorf("codec: record count: %w", err)
 	}
@@ -334,7 +319,7 @@ func (st *binState) applySnapshot(payload []byte) (model.Snapshot, error) {
 		s.Records = make([]model.Record, 0, nrec)
 	}
 	for i := 0; i < nrec; i++ {
-		ci, err := c.uvarint()
+		ci, err := c.Uvarint()
 		if err != nil {
 			return zero, fmt.Errorf("codec: record class: %w", err)
 		}
@@ -342,11 +327,11 @@ func (st *binState) applySnapshot(payload []byte) (model.Snapshot, error) {
 			return zero, fmt.Errorf("codec: record class ref %d out of range", ci)
 		}
 		sch := st.classes[ci]
-		inst, instRef, err := st.stringRefIdx(&c)
+		inst, instRef, err := st.stringRef(&c)
 		if err != nil {
 			return zero, fmt.Errorf("codec: record instance: %w", err)
 		}
-		nvals, err := c.count(1)
+		nvals, err := c.Count(1)
 		if err != nil {
 			return zero, fmt.Errorf("codec: value count: %w", err)
 		}
@@ -371,7 +356,7 @@ func (st *binState) applySnapshot(payload []byte) (model.Snapshot, error) {
 		vals := st.arena[:nvals:nvals]
 		st.arena = st.arena[nvals:]
 		for k := 0; k < nvals; k++ {
-			d, err := c.varint()
+			d, err := c.Varint()
 			if err != nil {
 				return zero, fmt.Errorf("codec: value delta: %w", err)
 			}
@@ -380,24 +365,19 @@ func (st *binState) applySnapshot(payload []byte) (model.Snapshot, error) {
 		}
 		s.Records = append(s.Records, model.Record{Class: sch.Class, Instance: inst, Values: vals})
 	}
-	if c.off != len(c.b) {
+	if c.Len() != 0 {
 		if s.Trace, err = readTrace(&c); err != nil {
 			return zero, fmt.Errorf("codec: %w", err)
 		}
 	}
-	if c.off != len(c.b) {
-		return zero, fmt.Errorf("codec: %d trailing bytes in snapshot frame", len(c.b)-c.off)
+	if c.Len() != 0 {
+		return zero, fmt.Errorf("codec: %d trailing bytes in snapshot frame", c.Len())
 	}
 	return s, nil
 }
 
-func (st *binState) stringRef(c *byteCursor) (string, error) {
-	s, _, err := st.stringRefIdx(c)
-	return s, err
-}
-
-func (st *binState) stringRefIdx(c *byteCursor) (string, uint64, error) {
-	ref, err := c.uvarint()
+func (st *binState) stringRef(c *framelog.Cursor) (string, uint64, error) {
+	ref, err := c.Uvarint()
 	if err != nil {
 		return "", 0, err
 	}
@@ -410,7 +390,7 @@ func (st *binState) stringRefIdx(c *byteCursor) (string, uint64, error) {
 	if len(st.strTable) >= maxStringTable {
 		return "", 0, fmt.Errorf("string table overflow")
 	}
-	s, err := c.str()
+	s, err := c.Str()
 	if err != nil {
 		return "", 0, err
 	}
@@ -418,174 +398,95 @@ func (st *binState) stringRefIdx(c *byteCursor) (string, uint64, error) {
 	return s, ref, nil
 }
 
-// byteCursor is a bounds-checked reader over a frame payload.
-type byteCursor struct {
-	b   []byte
-	off int
-}
-
-func (c *byteCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("truncated varint at offset %d", c.off)
-	}
-	c.off += n
-	return v, nil
-}
-
-func (c *byteCursor) varint() (int64, error) {
-	u, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	return unzigzag(u), nil
-}
-
-// count reads an element count and sanity-checks it against the bytes
-// remaining (each element occupies at least minBytes), so a corrupt
-// count cannot drive a huge allocation.
-func (c *byteCursor) count(minBytes int) (int, error) {
-	v, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(c.b)-c.off)/uint64(minBytes)+1 {
-		return 0, fmt.Errorf("count %d exceeds frame size", v)
-	}
-	return int(v), nil
-}
-
-func (c *byteCursor) str() (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(c.b)-c.off) {
-		return "", fmt.Errorf("string length %d exceeds frame size", n)
-	}
-	s := string(c.b[c.off : c.off+int(n)])
-	c.off += int(n)
-	return s, nil
-}
-
 // binDecoder implements SnapshotDecoder for codec v2.
 type binDecoder struct {
 	r   *bufio.Reader
 	st  binState
-	buf []byte // reused frame payload buffer; apply* copies everything out
+	buf []byte // reused frame buffer; apply copies everything out
 	err error
 }
 
 func newBinaryDecoder(r *bufio.Reader) (*binDecoder, error) {
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("codec: short binary preamble: %w", err)
+	pre, err := r.Peek(len(binMagic) + binary.MaxVarintLen64) // short only for a tiny stream
+	if err != nil && err != io.EOF {
+		return nil, fmt.Errorf("codec: binary preamble: %w", err)
 	}
-	ver, err := binary.ReadUvarint(r)
+	n, err := checkBinPreamble(pre)
 	if err != nil {
-		return nil, fmt.Errorf("codec: binary version: %w", err)
+		return nil, err
 	}
-	if Version(ver) != V2Binary {
-		return nil, fmt.Errorf("codec: unsupported binary version %d", ver)
-	}
+	r.Discard(n) // n <= len(pre): the bytes are buffered
 	d := &binDecoder{r: r}
-	// Consume frames until the first header so Header() is valid
-	// immediately; a snapshot frame before any header is an error.
-	for {
-		typ, payload, err := d.readFrame()
-		if err != nil {
-			if err == io.EOF {
-				return nil, fmt.Errorf("codec: binary stream has no header frame")
-			}
-			return nil, err
-		}
-		switch typ {
-		case frameHeader:
-			if err := d.st.applyHeader(payload); err != nil {
-				return nil, err
-			}
-			return d, nil
-		case frameSnapshot:
-			return nil, fmt.Errorf("codec: snapshot frame before header")
-		default:
-			// Unknown frame types are forward-compatible noise.
-		}
+	// Consume the first frame so Header() is valid immediately.
+	typ, payload, err := d.readFrame()
+	if err == io.EOF {
+		return nil, fmt.Errorf("codec: binary stream has no header frame")
 	}
+	if err != nil {
+		return nil, err
+	}
+	if typ != frameHeader {
+		return nil, fmt.Errorf("codec: binary stream starts with a %q frame, not a header", typ)
+	}
+	if err := d.st.applyHeader(payload); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// checkBinPreamble returns the offset of a v2 stream's first frame.
+func checkBinPreamble(data []byte) (int, error) {
+	n, pre := framelog.CheckPreamble(data, binMagic, uint64(V2Binary))
+	if pre != framelog.PreambleOK {
+		return 0, fmt.Errorf("codec: %s binary preamble", pre)
+	}
+	return n, nil
 }
 
 func (d *binDecoder) Version() Version { return V2Binary }
 func (d *binDecoder) Header() Header   { return d.st.h }
 
-// readFrame reads one CRC-verified frame. io.EOF at a frame boundary is
-// a clean end of stream.
+// readFrame reads one CRC-verified frame into the decoder's reused
+// buffer. io.EOF at a frame boundary is a clean end of stream.
 func (d *binDecoder) readFrame() (byte, []byte, error) {
-	typ, err := d.r.ReadByte()
-	if err != nil {
-		if err == io.EOF {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, err
+	typ, payload, err := framelog.ReadFrame(d.r, d.buf, maxFramePayload)
+	d.buf = payload
+	if err != nil && err != io.EOF {
+		err = fmt.Errorf("codec: %w", err)
 	}
-	n, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return 0, nil, fmt.Errorf("codec: truncated frame length: %w", eofToUnexpected(err))
-	}
-	if n > maxFramePayload {
-		return 0, nil, fmt.Errorf("codec: frame payload %d exceeds limit", n)
-	}
-	if uint64(cap(d.buf)) < n {
-		d.buf = make([]byte, n)
-	}
-	payload := d.buf[:n]
-	if _, err := io.ReadFull(d.r, payload); err != nil {
-		return 0, nil, fmt.Errorf("codec: truncated frame payload: %w", eofToUnexpected(err))
-	}
-	var crc [4]byte
-	if _, err := io.ReadFull(d.r, crc[:]); err != nil {
-		return 0, nil, fmt.Errorf("codec: truncated frame CRC: %w", eofToUnexpected(err))
-	}
-	if got := crc32.Checksum(payload, crcTable); got != binary.LittleEndian.Uint32(crc[:]) {
-		return 0, nil, fmt.Errorf("codec: frame CRC mismatch")
-	}
-	return typ, payload, nil
+	return typ, payload, err
 }
 
-func eofToUnexpected(err error) error {
-	if err == io.EOF {
-		return io.ErrUnexpectedEOF
+// apply decodes one frame into the stream state, returning the snapshot
+// when the frame holds one. Any other frame type is damage: v2 has only
+// ever written header and snapshot frames.
+func (st *binState) apply(typ byte, payload []byte) (model.Snapshot, bool, error) {
+	switch typ {
+	case frameHeader:
+		return model.Snapshot{}, false, st.applyHeader(payload)
+	case frameSnapshot:
+		s, err := st.applySnapshot(payload)
+		return s, err == nil, err
 	}
-	return err
+	return model.Snapshot{}, false, fmt.Errorf("codec: unknown frame type %q", typ)
 }
 
-// Next returns the next snapshot frame, handling mid-stream header
-// frames (appended continuations) and skipping unknown frame types.
+// Next returns the next snapshot frame, applying mid-stream header
+// frames (appended continuations) on the way.
 func (d *binDecoder) Next() (model.Snapshot, error) {
-	if d.err != nil {
-		return model.Snapshot{}, d.err
-	}
-	for {
-		typ, payload, err := d.readFrame()
-		if err != nil {
-			d.err = err
-			return model.Snapshot{}, err
+	for d.err == nil {
+		var typ byte
+		var payload []byte
+		if typ, payload, d.err = d.readFrame(); d.err != nil {
+			break
 		}
-		switch typ {
-		case frameHeader:
-			if err := d.st.applyHeader(payload); err != nil {
-				d.err = err
-				return model.Snapshot{}, err
-			}
-		case frameSnapshot:
-			s, err := d.st.applySnapshot(payload)
-			if err != nil {
-				d.err = err
-				return model.Snapshot{}, err
-			}
+		var s model.Snapshot
+		var ok bool
+		if s, ok, d.err = d.st.apply(typ, payload); ok {
 			return s, nil
-		default:
-			// Skip unknown frame types.
 		}
 	}
+	return model.Snapshot{}, d.err
 }
 
 // recoverBinary scans a damaged binary stream frame by frame, keeping
@@ -593,63 +494,20 @@ func (d *binDecoder) Next() (model.Snapshot, error) {
 // does not decode. Frames are atomic, so recovered snapshots are always
 // whole — there is no partial-last-snapshot case as in the text codec.
 func recoverBinary(data []byte) (*Stream, []byte, error) {
-	if len(data) < len(binMagic)+1 {
-		return nil, data, fmt.Errorf("codec: short binary preamble")
+	off, err := checkBinPreamble(data)
+	if err != nil {
+		return nil, data, err
 	}
-	ver, vn := binary.Uvarint(data[len(binMagic):])
-	if vn <= 0 || Version(ver) != V2Binary {
-		return nil, data, fmt.Errorf("codec: unsupported binary version")
-	}
-	off := len(binMagic) + vn
 	st := &Stream{Version: V2Binary}
 	var state binState
-	sawHeader := false
-	var damage error
-
-	good := off
-	for off < len(data) {
-		typ := data[off]
-		pos := off + 1
-		n, un := binary.Uvarint(data[pos:])
-		if un <= 0 {
-			damage = fmt.Errorf("codec: truncated frame length at offset %d", pos)
-			break
-		}
-		pos += un
-		if n > maxFramePayload || uint64(len(data)-pos) < n+4 {
-			damage = fmt.Errorf("codec: truncated frame at offset %d", off)
-			break
-		}
-		payload := data[pos : pos+int(n)]
-		pos += int(n)
-		want := binary.LittleEndian.Uint32(data[pos : pos+4])
-		pos += 4
-		if crc32.Checksum(payload, crcTable) != want {
-			damage = fmt.Errorf("codec: frame CRC mismatch at offset %d", off)
-			break
-		}
-		switch typ {
-		case frameHeader:
-			if err := state.applyHeader(payload); err != nil {
-				damage = err
-				break
-			}
-			sawHeader = true
-		case frameSnapshot:
-			s, err := state.applySnapshot(payload)
-			if err != nil {
-				damage = err
-				break
-			}
+	good, damage := framelog.Scan(data, off, maxFramePayload, func(f framelog.Frame) error {
+		s, ok, err := state.apply(f.Type, f.Payload)
+		if ok {
 			st.Snapshots = append(st.Snapshots, s)
 		}
-		if damage != nil {
-			break
-		}
-		off = pos
-		good = off
-	}
-	if !sawHeader {
+		return err
+	})
+	if state.classes == nil {
 		if damage == nil {
 			damage = fmt.Errorf("codec: binary stream has no header frame")
 		}

@@ -12,17 +12,14 @@
 // collection, the broker, the spool, the archiver, and the ETL each
 // grew independently.
 //
-// Codec v2 stream layout (see DESIGN.md §10 for the full byte spec):
-//
-//	magic "\x00GSB" | uvarint version
-//	frame*          where frame = type(1) | uvarint len | payload | crc32c
-//
-// Frame types: 'H' (header: hostname, arch, schema lines — resets all
-// decoder state, so appending to an existing file just writes a fresh
-// header frame) and 'S' (snapshot: delta-of-millis timestamp,
-// dictionary-encoded job ids and instances, class refs into the header's
-// schema order, and per-(class,instance) delta-encoded varint value
-// vectors). Every frame is CRC-guarded, so crash recovery is exact at
+// A codec v2 stream is an internal/framelog file (magic "\x00GSB",
+// version 2; DESIGN.md §10 has the full byte spec) with two frame
+// types: 'H' (header: hostname, arch, schema lines — resets all decoder
+// state, so appending to an existing file just writes a fresh header
+// frame) and 'S' (snapshot: delta-of-millis timestamp,
+// dictionary-encoded job ids and instances, class refs into the
+// header's schema order, and per-(class,instance) delta-encoded varint
+// value vectors). Frames are CRC-guarded, so crash recovery is exact at
 // frame granularity: a torn tail never yields a partial snapshot.
 package codec
 
@@ -230,7 +227,7 @@ func RecoverFrames(data []byte) (*Stream, []byte, error) {
 	if st == nil || err == nil {
 		return st, tail, err
 	}
-	if st.Version == V1Text && len(st.Snapshots) > 0 && TextTornInsideLastFrame(tail) {
+	if st.Version == V1Text && len(st.Snapshots) > 0 && textTornInsideLastFrame(tail) {
 		// The tear sits inside the last snapshot's own block: its write
 		// never completed, so it was never acknowledged.
 		st.Snapshots = st.Snapshots[:len(st.Snapshots)-1]

@@ -297,7 +297,7 @@ func TestTextRecoveryUnchanged(t *testing.T) {
 	if len(st.Snapshots) != len(snaps) {
 		t.Fatalf("RecoverPrefix kept %d snapshots, want %d (partial last)", len(st.Snapshots), len(snaps))
 	}
-	if !TextTornInsideLastFrame(tail) {
+	if !textTornInsideLastFrame(tail) {
 		t.Fatalf("tail %q should read as torn inside last frame", tail)
 	}
 

@@ -351,12 +351,12 @@ func recoverText(data []byte) (*Stream, []byte, error) {
 	return nil, data, perr
 }
 
-// TextTornInsideLastFrame reports whether a recovered text stream's torn
+// textTornInsideLastFrame reports whether a recovered text stream's torn
 // tail indicates the damage sits inside the final recovered snapshot's
 // block (record or mark lines torn: that snapshot's write never
 // completed) rather than at the start of a never-recovered next block
 // (tail begins with a timestamp fragment, which starts with a digit).
-func TextTornInsideLastFrame(tail []byte) bool {
+func textTornInsideLastFrame(tail []byte) bool {
 	t := strings.TrimLeft(string(tail), " \t\r\n")
 	return t != "" && (t[0] < '0' || t[0] > '9')
 }

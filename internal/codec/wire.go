@@ -25,10 +25,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"math"
 
+	"gostats/internal/framelog"
 	"gostats/internal/model"
 	"gostats/internal/schema"
 )
@@ -94,14 +94,14 @@ func encodeWireBinary(s model.Snapshot, reg *schema.Registry) ([]byte, error) {
 
 	payload := make([]byte, 0, 256)
 	payload = binary.LittleEndian.AppendUint64(payload, RegistryFingerprint(reg))
-	payload = appendString(payload, s.Host)
-	payload = binary.AppendUvarint(payload, zigzag(int64(math.Round(s.Time*1000))))
+	payload = framelog.AppendString(payload, s.Host)
+	payload = binary.AppendVarint(payload, int64(math.Round(s.Time*1000)))
 	jobs := sortedJobIDs(s.JobIDs)
 	payload = binary.AppendUvarint(payload, uint64(len(jobs)))
 	for _, j := range jobs {
-		payload = appendString(payload, j)
+		payload = framelog.AppendString(payload, j)
 	}
-	payload = appendString(payload, s.Mark)
+	payload = framelog.AppendString(payload, s.Mark)
 	payload = binary.AppendUvarint(payload, uint64(len(s.Records)))
 
 	prevByClass := make(map[uint64][]uint64)
@@ -111,7 +111,7 @@ func encodeWireBinary(s model.Snapshot, reg *schema.Registry) ([]byte, error) {
 			return nil, fmt.Errorf("codec: record for unknown class %q", r.Class)
 		}
 		payload = binary.AppendUvarint(payload, ci)
-		payload = appendString(payload, sanitizeInstance(r.Instance))
+		payload = framelog.AppendString(payload, sanitizeInstance(r.Instance))
 		payload = binary.AppendUvarint(payload, uint64(len(r.Values)))
 		prev := prevByClass[ci]
 		if prev == nil || len(prev) != len(r.Values) {
@@ -119,18 +119,15 @@ func encodeWireBinary(s model.Snapshot, reg *schema.Registry) ([]byte, error) {
 			prevByClass[ci] = prev
 		}
 		for i, v := range r.Values {
-			payload = binary.AppendUvarint(payload, zigzag(int64(v-prev[i])))
+			payload = binary.AppendVarint(payload, int64(v-prev[i]))
 			prev[i] = v
 		}
 	}
 	payload = appendTrace(payload, s.Trace)
 
-	out := make([]byte, 0, len(wireMagic)+1+len(payload)+4)
-	out = append(out, wireMagic[:]...)
-	out = binary.AppendUvarint(out, uint64(V2Binary))
+	out := framelog.AppendPreamble(make([]byte, 0, len(wireMagic)+1+len(payload)+4), wireMagic, uint64(V2Binary))
 	out = append(out, payload...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
-	return out, nil
+	return binary.LittleEndian.AppendUint32(out, framelog.Checksum(payload)), nil
 }
 
 // SniffWire reports the codec version of a wire message, or
@@ -172,60 +169,53 @@ func DecodeWire(data []byte, reg *schema.Registry) (model.Snapshot, Version, err
 
 func decodeWireBinary(data []byte, reg *schema.Registry) (model.Snapshot, error) {
 	var zero model.Snapshot
-	c := byteCursor{b: data, off: len(wireMagic)}
-	ver, err := c.uvarint()
-	if err != nil {
-		return zero, fmt.Errorf("codec: wire version: %w", err)
+	off, pre := framelog.CheckPreamble(data, wireMagic, uint64(V2Binary))
+	if pre != framelog.PreambleOK {
+		return zero, fmt.Errorf("codec: %s wire preamble", pre)
 	}
-	if Version(ver) != V2Binary {
-		return zero, fmt.Errorf("codec: unsupported wire version %d", ver)
-	}
-	if len(c.b)-c.off < 4 {
+	if len(data)-off < 4 {
 		return zero, fmt.Errorf("codec: wire message too short for CRC")
 	}
-	payload := c.b[c.off : len(c.b)-4]
-	want := binary.LittleEndian.Uint32(c.b[len(c.b)-4:])
-	if crc32.Checksum(payload, crcTable) != want {
+	payload := data[off : len(data)-4]
+	if framelog.Checksum(payload) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
 		return zero, fmt.Errorf("codec: wire CRC mismatch")
 	}
-	c = byteCursor{b: payload}
-
-	if len(c.b) < 8 {
+	if len(payload) < 8 {
 		return zero, fmt.Errorf("codec: wire message too short for fingerprint")
 	}
-	fp := binary.LittleEndian.Uint64(c.b[:8])
-	c.off = 8
+	fp := binary.LittleEndian.Uint64(payload)
+	c := framelog.Cursor{B: payload, Off: 8}
 	if have := RegistryFingerprint(reg); fp != have {
 		return zero, fmt.Errorf("%w: producer %016x, consumer %016x", ErrFingerprintMismatch, fp, have)
 	}
 	classes := reg.Classes()
 
-	host, err := c.str()
+	host, err := c.Str()
 	if err != nil {
 		return zero, fmt.Errorf("codec: wire hostname: %w", err)
 	}
-	ms, err := c.varint()
+	ms, err := c.Varint()
 	if err != nil {
 		return zero, fmt.Errorf("codec: wire time: %w", err)
 	}
 	s := model.Snapshot{Time: float64(ms) / 1000, Host: host}
 
-	njobs, err := c.count(1)
+	njobs, err := c.Count(1)
 	if err != nil {
 		return zero, fmt.Errorf("codec: wire job count: %w", err)
 	}
 	for i := 0; i < njobs; i++ {
-		j, err := c.str()
+		j, err := c.Str()
 		if err != nil {
 			return zero, fmt.Errorf("codec: wire job id: %w", err)
 		}
 		s.JobIDs = append(s.JobIDs, j)
 	}
-	if s.Mark, err = c.str(); err != nil {
+	if s.Mark, err = c.Str(); err != nil {
 		return zero, fmt.Errorf("codec: wire mark: %w", err)
 	}
 
-	nrec, err := c.count(3)
+	nrec, err := c.Count(3)
 	if err != nil {
 		return zero, fmt.Errorf("codec: wire record count: %w", err)
 	}
@@ -234,7 +224,7 @@ func decodeWireBinary(data []byte, reg *schema.Registry) (model.Snapshot, error)
 		s.Records = make([]model.Record, 0, nrec)
 	}
 	for i := 0; i < nrec; i++ {
-		ci, err := c.uvarint()
+		ci, err := c.Uvarint()
 		if err != nil {
 			return zero, fmt.Errorf("codec: wire record class: %w", err)
 		}
@@ -242,11 +232,11 @@ func decodeWireBinary(data []byte, reg *schema.Registry) (model.Snapshot, error)
 			return zero, fmt.Errorf("codec: wire record class ref %d out of range", ci)
 		}
 		sch := reg.Get(classes[ci])
-		inst, err := c.str()
+		inst, err := c.Str()
 		if err != nil {
 			return zero, fmt.Errorf("codec: wire record instance: %w", err)
 		}
-		nvals, err := c.count(1)
+		nvals, err := c.Count(1)
 		if err != nil {
 			return zero, fmt.Errorf("codec: wire value count: %w", err)
 		}
@@ -261,7 +251,7 @@ func decodeWireBinary(data []byte, reg *schema.Registry) (model.Snapshot, error)
 		}
 		vals := make([]uint64, nvals)
 		for k := 0; k < nvals; k++ {
-			d, err := c.varint()
+			d, err := c.Varint()
 			if err != nil {
 				return zero, fmt.Errorf("codec: wire value delta: %w", err)
 			}
@@ -270,13 +260,13 @@ func decodeWireBinary(data []byte, reg *schema.Registry) (model.Snapshot, error)
 		}
 		s.Records = append(s.Records, model.Record{Class: sch.Class, Instance: inst, Values: vals})
 	}
-	if c.off != len(c.b) {
+	if c.Len() != 0 {
 		if s.Trace, err = readTrace(&c); err != nil {
 			return zero, fmt.Errorf("codec: wire %w", err)
 		}
 	}
-	if c.off != len(c.b) {
-		return zero, fmt.Errorf("codec: %d trailing bytes in wire message", len(c.b)-c.off)
+	if c.Len() != 0 {
+		return zero, fmt.Errorf("codec: %d trailing bytes in wire message", c.Len())
 	}
 	return s, nil
 }

@@ -103,11 +103,3 @@ func ParseRecover(r io.Reader) (*File, []byte, error) {
 	st, tail, perr := codec.RecoverPrefix(data)
 	return fromStream(st), tail, perr
 }
-
-// TornTailInsideLastFrame reports whether a ParseRecover torn tail from
-// a text file indicates the damage sits inside the final recovered
-// frame's block (record or mark lines torn: that frame's write never
-// completed) rather than at the start of a never-recovered next frame.
-func TornTailInsideLastFrame(tail []byte) bool {
-	return codec.TextTornInsideLastFrame(tail)
-}

@@ -1,37 +1,34 @@
 // Journal: the crash-safe system of record for finalized jobs. Instead
 // of rewriting the whole table as a gob blob on a timer (the legacy
-// Save/Load export), every finalized JobRow is appended as one
-// CRC32C-guarded JSON frame the moment it exists; Open replays the log
-// (last write per JobID wins, torn tail truncated) and then continues
-// appending in place. A kill -9 at any instant loses at most rows whose
-// frames never reached the OS — rows whose append returned with Sync on
-// survive even power loss.
+// Save/Load export), every finalized JobRow is appended as one JSON
+// frame (an internal/framelog file: magic "\x00GSJ", version 1) the
+// moment it exists; Open replays the log (last write per JobID wins,
+// torn tail truncated) and then continues appending in place. A kill -9
+// at any instant loses at most rows whose frames never reached the OS —
+// rows whose append returned with Sync on survive even power loss.
 package reldb
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"gostats/internal/framelog"
 	"gostats/internal/fsutil"
 )
 
 // jnlMagic prefixes the journal file ("gostats journal").
-var jnlMagic = []byte{0x00, 'G', 'S', 'J', 1}
+var jnlMagic = [4]byte{0x00, 'G', 'S', 'J'}
 
 const (
+	jnlVersion  = 1
 	jnlFrameRow = 'J'
 	// jnlMaxPayload bounds one frame so a corrupt length can't drive a
 	// huge allocation during replay.
 	jnlMaxPayload = 1 << 24
 )
-
-var jnlCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // Journal is an append-only finalized-job log bound to a DB.
 type Journal struct {
@@ -49,49 +46,40 @@ type Journal struct {
 // OpenJournal replays path into db (creating the file if absent) and
 // returns a journal positioned to append. A torn final frame — the
 // signature of a crash mid-append — is truncated away; anything before
-// it is intact by CRC. With sync set, every Append fsyncs.
+// it is intact by CRC. With sync set, every Append fsyncs, and a
+// journal file OpenJournal creates has its directory entry fsynced.
 //
 // Header damage is handled separately from tail damage: a missing,
-// empty, or partial-magic file (a crash between create and the preamble
-// reaching disk) is rewritten from scratch with a fresh preamble, and a
-// file whose first bytes are neither the magic nor a prefix of it is
-// refused outright — it is not a journal, and truncating it would
-// destroy someone else's data. Appends only ever go to a file whose
-// preamble was verified or just rewritten.
+// empty, or partial-preamble file (a crash between create and the
+// preamble reaching disk) is rewritten from scratch with a fresh
+// preamble, and a file whose first bytes are neither the preamble nor a
+// prefix of it is refused outright — it is not a journal this version
+// reads, and truncating it would destroy someone else's data. Appends
+// only ever go to a file whose preamble was verified or just rewritten.
 func OpenJournal(path string, db *DB, sync bool) (*Journal, error) {
 	j := &Journal{path: path, sync: sync}
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
-	if len(data) < len(jnlMagic) || !bytes.Equal(data[:len(jnlMagic)], jnlMagic) {
-		if len(data) > 0 && !bytes.HasPrefix(jnlMagic, data) {
-			return nil, fmt.Errorf("reldb: %s is not a journal (bad magic); refusing to modify it", path)
-		}
-		f, cerr := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if cerr != nil {
-			return nil, cerr
-		}
-		if _, werr := f.Write(jnlMagic); werr != nil {
-			f.Close()
-			os.Remove(path)
-			return nil, werr
-		}
-		if sync {
-			if serr := f.Sync(); serr != nil {
-				f.Close()
-				return nil, serr
-			}
+	start, pre := framelog.CheckPreamble(data, jnlMagic, jnlVersion)
+	switch pre {
+	case framelog.PreambleForeign, framelog.PreambleVersion:
+		return nil, fmt.Errorf("reldb: %s is not a journal (%s preamble); refusing to modify it", path, pre)
+	case framelog.PreamblePartial:
+		f, n, err := framelog.Create(path, jnlMagic, jnlVersion, sync)
+		if err != nil {
+			return nil, err
 		}
 		if len(data) > 0 {
 			j.truncated++
 		}
 		j.f = f
-		j.off = int64(len(jnlMagic))
+		j.off = int64(n)
 		return j, nil
 	}
 
-	good, rows, derr := replay(data)
+	good, rows, derr := replay(data, start)
 	if derr != nil {
 		// Torn or damaged tail past a verified preamble: keep the valid
 		// prefix. This is the normal post-crash path, not an error.
@@ -113,48 +101,22 @@ func OpenJournal(path string, db *DB, sync bool) (*Journal, error) {
 	return j, nil
 }
 
-// replay decodes the journal, returning the valid prefix length, the
-// decoded rows in append order, and the damage error (nil when the
-// whole file decoded).
-func replay(data []byte) (good int, rows []*JobRow, damage error) {
-	if len(data) < len(jnlMagic) {
-		return 0, nil, fmt.Errorf("reldb: journal shorter than its magic")
-	}
-	for i, b := range jnlMagic {
-		if data[i] != b {
-			return 0, nil, fmt.Errorf("reldb: not a journal (bad magic)")
+// replay decodes the journal's frames from start, returning the valid
+// prefix length, the decoded rows in append order, and the damage error
+// (nil when the whole file decoded).
+func replay(data []byte, start int) (good int, rows []*JobRow, damage error) {
+	good, damage = framelog.Scan(data, start, jnlMaxPayload, func(f framelog.Frame) error {
+		if f.Type != jnlFrameRow {
+			return fmt.Errorf("reldb: unknown journal frame type %q at %d", f.Type, f.Off)
 		}
-	}
-	off := len(jnlMagic)
-	good = off
-	for off < len(data) {
-		typ := data[off]
-		pos := off + 1
-		n, un := binary.Uvarint(data[pos:])
-		if un <= 0 {
-			return good, rows, fmt.Errorf("reldb: torn frame length at %d", pos)
+		var row JobRow
+		if err := json.Unmarshal(f.Payload, &row); err != nil {
+			return fmt.Errorf("reldb: undecodable row frame at %d: %w", f.Off, err)
 		}
-		pos += un
-		if n > jnlMaxPayload || uint64(len(data)-pos) < n+4 {
-			return good, rows, fmt.Errorf("reldb: torn frame at %d", off)
-		}
-		payload := data[pos : pos+int(n)]
-		pos += int(n)
-		if crc32.Checksum(payload, jnlCRC) != binary.LittleEndian.Uint32(data[pos:pos+4]) {
-			return good, rows, fmt.Errorf("reldb: frame CRC mismatch at %d", off)
-		}
-		pos += 4
-		if typ == jnlFrameRow {
-			var row JobRow
-			if err := json.Unmarshal(payload, &row); err != nil {
-				return good, rows, fmt.Errorf("reldb: undecodable row frame at %d: %w", off, err)
-			}
-			rows = append(rows, &row)
-		}
-		off = pos
-		good = off
-	}
-	return good, rows, nil
+		rows = append(rows, &row)
+		return nil
+	})
+	return good, rows, damage
 }
 
 // Append writes one finalized row durably. The frame is handed to the
@@ -172,11 +134,7 @@ func (j *Journal) Append(row *JobRow) error {
 	if err != nil {
 		return fmt.Errorf("reldb: journal append: %w", err)
 	}
-	frame := make([]byte, 0, len(payload)+16)
-	frame = append(frame, jnlFrameRow)
-	frame = binary.AppendUvarint(frame, uint64(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, jnlCRC))
+	frame := framelog.Append(make([]byte, 0, len(payload)+16), jnlFrameRow, payload)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {

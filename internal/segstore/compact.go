@@ -189,7 +189,7 @@ func (s *Store) compactTierLocked(sh *shardState, tier int) error {
 		Tier: tier + 1, Shard: sh.id, Seq: seq,
 		CoverLo: used[0].seq, CoverHi: used[len(used)-1].seq,
 		BucketMs: int64(width * 1000),
-	})
+	}, false) // a tmp file: fsynced, renamed and directory-synced below
 	if err != nil {
 		return err
 	}

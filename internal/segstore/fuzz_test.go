@@ -15,7 +15,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	// Seed with a real segment plus mutations of its interesting offsets.
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.seg")
-	w, err := newSegWriter(path, Meta{Tier: tierRaw, Shard: 3, Seq: 42, CoverLo: 42, CoverHi: 42})
+	w, err := newSegWriter(path, Meta{Tier: tierRaw, Shard: 3, Seq: 42, CoverLo: 42, CoverHi: 42}, false)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	}
 	// A bucket-tier seed too, so tier>0 decode paths get coverage.
 	bpath := filepath.Join(dir, "bucket.seg")
-	bw, err := newSegWriter(bpath, Meta{Tier: tierMid, Shard: 0, Seq: 9, CoverLo: 1, CoverHi: 8, BucketMs: 600000})
+	bw, err := newSegWriter(bpath, Meta{Tier: tierMid, Shard: 0, Seq: 9, CoverLo: 1, CoverHi: 8, BucketMs: 600000}, false)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -8,15 +8,14 @@
 // size at frame start, and the distinct series refs the frame touches.
 // That is exactly the state a frame needs to be decoded in isolation —
 // the data frames themselves are unchanged, so segments written by
-// older binaries (no index frame) stay readable via the full-scan
-// path, and older binaries skip the index frame as unknown-type noise.
+// older binaries (no index frame) stay readable via the full-scan path.
 package segstore
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"os"
+
+	"gostats/internal/framelog"
 )
 
 // frameStat describes one data frame for the index: where it lives in
@@ -61,19 +60,16 @@ func encodeIndexPayload(series []Labels, frames []frameStat) []byte {
 	b := make([]byte, 0, 64+len(series)*32+len(frames)*24)
 	b = binary.AppendUvarint(b, uint64(len(series)))
 	for _, l := range series {
-		b = appendString(b, l.Host)
-		b = appendString(b, l.DevType)
-		b = appendString(b, l.Device)
-		b = appendString(b, l.Event)
+		b = appendLabels(b, l)
 	}
 	b = binary.AppendUvarint(b, uint64(len(frames)))
 	for i := range frames {
 		fs := &frames[i]
 		b = binary.AppendUvarint(b, uint64(fs.off))
 		b = binary.AppendUvarint(b, uint64(fs.size))
-		b = binary.AppendUvarint(b, zigzag(fs.firstMs))
-		b = binary.AppendUvarint(b, zigzag(fs.minMs))
-		b = binary.AppendUvarint(b, zigzag(fs.maxMs))
+		b = binary.AppendVarint(b, fs.firstMs)
+		b = binary.AppendVarint(b, fs.minMs)
+		b = binary.AppendVarint(b, fs.maxMs)
 		b = binary.AppendUvarint(b, fs.dictBase)
 		b = binary.AppendUvarint(b, uint64(len(fs.refs)))
 		prev := uint64(0)
@@ -90,8 +86,8 @@ func encodeIndexPayload(series []Labels, frames []frameStat) []byte {
 // payload is not a usable index (the caller degrades to a full scan);
 // they never invalidate the segment's data frames.
 func parseIndexPayload(payload []byte) (*segIndex, error) {
-	c := byteCursor{b: payload}
-	nSeries, err := c.count(4)
+	c := framelog.Cursor{B: payload}
+	nSeries, err := c.Count(4)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: index series count: %w", err)
 	}
@@ -99,22 +95,12 @@ func parseIndexPayload(payload []byte) (*segIndex, error) {
 		return nil, fmt.Errorf("segstore: index series table overflow")
 	}
 	ix := &segIndex{series: make([]Labels, nSeries)}
-	for i := 0; i < nSeries; i++ {
-		l := &ix.series[i]
-		if l.Host, err = c.str(); err != nil {
-			return nil, fmt.Errorf("segstore: index series: %w", err)
-		}
-		if l.DevType, err = c.str(); err != nil {
-			return nil, fmt.Errorf("segstore: index series: %w", err)
-		}
-		if l.Device, err = c.str(); err != nil {
-			return nil, fmt.Errorf("segstore: index series: %w", err)
-		}
-		if l.Event, err = c.str(); err != nil {
+	for i := range ix.series {
+		if ix.series[i], err = readLabels(&c); err != nil {
 			return nil, fmt.Errorf("segstore: index series: %w", err)
 		}
 	}
-	nFrames, err := c.count(7)
+	nFrames, err := c.Count(7)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: index frame count: %w", err)
 	}
@@ -122,34 +108,34 @@ func parseIndexPayload(payload []byte) (*segIndex, error) {
 	for i := 0; i < nFrames; i++ {
 		fs := &ix.frames[i]
 		var u uint64
-		if u, err = c.uvarint(); err == nil {
+		if u, err = c.Uvarint(); err == nil {
 			fs.off = int64(u)
-			u, err = c.uvarint()
+			u, err = c.Uvarint()
 		}
 		if err == nil {
 			fs.size = int64(u)
-			fs.firstMs, err = c.varint()
+			fs.firstMs, err = c.Varint()
 		}
 		if err == nil {
-			fs.minMs, err = c.varint()
+			fs.minMs, err = c.Varint()
 		}
 		if err == nil {
-			fs.maxMs, err = c.varint()
+			fs.maxMs, err = c.Varint()
 		}
 		if err == nil {
-			fs.dictBase, err = c.uvarint()
+			fs.dictBase, err = c.Uvarint()
 		}
 		if err != nil {
 			return nil, fmt.Errorf("segstore: index frame %d: %w", i, err)
 		}
-		nRefs, err := c.count(1)
+		nRefs, err := c.Count(1)
 		if err != nil {
 			return nil, fmt.Errorf("segstore: index frame %d refs: %w", i, err)
 		}
 		fs.refs = make([]uint64, nRefs)
 		prev := uint64(0)
 		for j := 0; j < nRefs; j++ {
-			d, err := c.uvarint()
+			d, err := c.Uvarint()
 			if err != nil {
 				return nil, fmt.Errorf("segstore: index frame %d refs: %w", i, err)
 			}
@@ -182,8 +168,8 @@ type decodedFrame struct {
 // its four label strings inline (they are consumed and checked against
 // the table), anything else is corruption.
 func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, series []Labels) (*decodedFrame, error) {
-	c := byteCursor{b: payload}
-	n, err := c.count(3)
+	c := framelog.Cursor{B: payload}
+	n, err := c.Count(3)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: frame entry count: %w", err)
 	}
@@ -194,86 +180,22 @@ func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, series []Labe
 	prevMs := fs.firstMs
 	introduced := fs.dictBase
 	for i := 0; i < n; i++ {
-		ref, err := c.uvarint()
+		ref, l, p, err := readEntry(&c, typ, introduced, &prevMs)
 		if err != nil {
-			return nil, fmt.Errorf("segstore: frame entry series: %w", err)
+			return nil, fmt.Errorf("segstore: frame entry %w", err)
 		}
-		if ref >= introduced {
-			if ref != introduced || ref >= uint64(len(series)) {
-				return nil, fmt.Errorf("segstore: frame ref %d outside table (introduced %d of %d)",
-					ref, introduced, len(series))
-			}
-			var l Labels
-			if l.Host, err = c.str(); err != nil {
-				return nil, err
-			}
-			if l.DevType, err = c.str(); err != nil {
-				return nil, err
-			}
-			if l.Device, err = c.str(); err != nil {
-				return nil, err
-			}
-			if l.Event, err = c.str(); err != nil {
-				return nil, err
-			}
-			if l != series[ref] {
+		if l != nil {
+			if ref >= uint64(len(series)) || *l != series[ref] {
 				return nil, fmt.Errorf("segstore: frame inline series %d disagrees with index", ref)
 			}
 			introduced++
 		}
-		dt, err := c.varint()
-		if err != nil {
-			return nil, fmt.Errorf("segstore: frame entry time: %w", err)
-		}
-		prevMs += dt
-		p := AggPoint{Time: float64(prevMs) / 1000}
-		if typ == framePoints {
-			v, err := c.float()
-			if err != nil {
-				return nil, fmt.Errorf("segstore: frame entry value: %w", err)
-			}
-			p.Count, p.Sum, p.Min, p.Max = 1, v, v, v
-		} else {
-			if p.Count, err = c.uvarint(); err != nil {
-				return nil, fmt.Errorf("segstore: frame bucket count: %w", err)
-			}
-			if p.Sum, err = c.float(); err != nil {
-				return nil, fmt.Errorf("segstore: frame bucket sum: %w", err)
-			}
-			if p.Min, err = c.float(); err != nil {
-				return nil, fmt.Errorf("segstore: frame bucket min: %w", err)
-			}
-			if p.Max, err = c.float(); err != nil {
-				return nil, fmt.Errorf("segstore: frame bucket max: %w", err)
-			}
-		}
 		df.refs = append(df.refs, uint32(ref))
 		df.pts = append(df.pts, p)
 	}
-	if c.off != len(c.b) {
-		return nil, fmt.Errorf("segstore: %d trailing bytes in frame", len(c.b)-c.off)
+	if c.Len() != 0 {
+		return nil, fmt.Errorf("segstore: %d trailing bytes in frame", c.Len())
 	}
 	df.mem = int64(len(df.pts))*44 + 64
 	return df, nil
-}
-
-// appendIndexFrame appends a complete index frame to an existing
-// segment file (the active-recovery path, where no segWriter is live)
-// and returns the number of bytes written.
-func appendIndexFrame(path string, ix *segIndex) (int64, error) {
-	payload := encodeIndexPayload(ix.series, ix.frames)
-	buf := make([]byte, 0, len(payload)+16)
-	buf = append(buf, frameIndex)
-	buf = binary.AppendUvarint(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return 0, err
-	}
-	n, werr := f.Write(buf)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return int64(n), werr
 }

@@ -14,9 +14,7 @@
 package segstore
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -24,6 +22,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"gostats/internal/framelog"
 )
 
 // scanParallelism is the per-shard decode fan-out.
@@ -295,15 +295,9 @@ func readFrameAt(f *os.File, expTyp byte, fs frameStat, series []Labels) (*decod
 	if _, err := f.ReadAt(buf, fs.off); err != nil {
 		return nil, err
 	}
-	typ := buf[0]
-	n, un := binary.Uvarint(buf[1:])
-	if un <= 0 || int64(1+un)+int64(n)+4 != fs.size {
-		return nil, fmt.Errorf("segstore: frame at offset %d disagrees with index", fs.off)
-	}
-	payload := buf[1+un : 1+un+int(n)]
-	want := binary.LittleEndian.Uint32(buf[fs.size-4:])
-	if crc32.Checksum(payload, crcTable) != want {
-		return nil, fmt.Errorf("segstore: frame CRC mismatch at offset %d", fs.off)
+	typ, payload, err := framelog.Decode(buf)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: indexed frame at offset %d: %w", fs.off, err)
 	}
 	if typ != expTyp {
 		return nil, fmt.Errorf("segstore: frame type %q at offset %d, want %q", typ, fs.off, expTyp)

@@ -1,17 +1,16 @@
 // Segment file codec: the on-disk unit of the durable store. A segment
-// is a stream of CRC32C-guarded frames in the codec-v2 framing idiom
-// (type byte, uvarint length, payload, checksum), so crash recovery is
-// exact at frame granularity — a torn tail never yields a partial
-// point, and a flipped byte anywhere is caught by the checksum of the
-// frame it lands in.
+// is an internal/framelog file (magic "\x00GSS", format version 1), so
+// crash recovery is exact at frame granularity. Frames:
 //
-// Layout:
-//
-//	magic "\x00GSS" | uvarint formatVersion (=1)
 //	'M' meta frame   — tier, seq, cover range, shard, bucket width
 //	'P' point frames — raw tier: (series ref, Δms, float64 value)*
 //	'B' bucket frames— downsampled tiers: (series ref, Δms, count,
 //	                   sum, min, max)*
+//	'I' index frame  — last frame of a sealed segment (index.go)
+//
+// Any other type, a second 'M', or an 'I' that is not the last frame is
+// damage: format 1 never wrote one, and the checksum does not cover the
+// type byte, so skipping it would silently drop the frame's points.
 //
 // Series labels are dictionary-encoded per file (a reference equal to
 // the table size introduces the four label strings inline) and
@@ -22,11 +21,13 @@ package segstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"sort"
+
+	"gostats/internal/framelog"
 )
 
 // segMagic prefixes every segment file. The leading NUL keeps it
@@ -48,11 +49,6 @@ const (
 	// maxSeriesTable bounds the per-file label dictionary.
 	maxSeriesTable = 1 << 20
 )
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // Labels is the tag tuple of one series — the same (host, device type,
 // device, event) layout the tsdb keys on.
@@ -107,11 +103,6 @@ type segData struct {
 	indexTail bool
 }
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 // segWriter appends frames to a segment file. Appends accumulate into a
 // pending frame buffer; flushFrame hands one complete frame to the OS
 // in a single write, so the frame is the atomic unit on disk.
@@ -138,23 +129,18 @@ type segWriter struct {
 }
 
 // newSegWriter creates path and writes the preamble and meta frame.
-func newSegWriter(path string, meta Meta) (*segWriter, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// With sync set the new file's directory entry is fsynced, so frames a
+// later sync() makes durable cannot vanish with it.
+func newSegWriter(path string, meta Meta, sync bool) (*segWriter, error) {
+	f, n, err := framelog.Create(path, segMagic, segFormatVersion, sync)
 	if err != nil {
 		return nil, err
 	}
 	w := &segWriter{
-		f: f, path: path, meta: meta,
+		f: f, path: path, meta: meta, bytes: int64(n),
 		refs:  make(map[Labels]uint64),
 		frefs: make(map[uint64]struct{}),
 	}
-	pre := append(append([]byte(nil), segMagic[:]...), byte(segFormatVersion))
-	if _, err := f.Write(pre); err != nil {
-		f.Close()
-		os.Remove(path)
-		return nil, err
-	}
-	w.bytes = int64(len(pre))
 	mp := make([]byte, 0, 32)
 	mp = binary.AppendUvarint(mp, uint64(meta.Tier))
 	mp = binary.AppendUvarint(mp, uint64(meta.Shard))
@@ -178,12 +164,46 @@ func (w *segWriter) putRef(l Labels) uint64 {
 	}
 	ref := uint64(len(w.refs))
 	w.refs[l] = ref
-	w.pending = binary.AppendUvarint(w.pending, ref)
-	w.pending = appendString(w.pending, l.Host)
-	w.pending = appendString(w.pending, l.DevType)
-	w.pending = appendString(w.pending, l.Device)
-	w.pending = appendString(w.pending, l.Event)
+	w.pending = appendLabels(binary.AppendUvarint(w.pending, ref), l)
 	return ref
+}
+
+// appendLabels appends a label tuple as its four strings.
+func appendLabels(b []byte, l Labels) []byte {
+	for _, s := range [...]string{l.Host, l.DevType, l.Device, l.Event} {
+		b = framelog.AppendString(b, s)
+	}
+	return b
+}
+
+// readLabels reads a label tuple written by appendLabels.
+func readLabels(c *framelog.Cursor) (l Labels, err error) {
+	for _, s := range [...]*string{&l.Host, &l.DevType, &l.Device, &l.Event} {
+		if *s, err = c.Str(); err != nil {
+			return Labels{}, err
+		}
+	}
+	return l, nil
+}
+
+// readValue reads one entry's value into p: a raw point's float64, or a
+// bucket's count, sum, min and max.
+func readValue(c *framelog.Cursor, typ byte, p *AggPoint) error {
+	if typ == framePoints {
+		v, err := c.Float()
+		p.Count, p.Sum, p.Min, p.Max = 1, v, v, v
+		return err
+	}
+	var err error
+	if p.Count, err = c.Uvarint(); err != nil {
+		return err
+	}
+	for _, f := range [...]*float64{&p.Sum, &p.Min, &p.Max} {
+		if *f, err = c.Float(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // add buffers one entry. Raw-tier segments store the single value; the
@@ -204,7 +224,7 @@ func (w *segWriter) add(l Labels, p AggPoint) {
 	if ms > w.fstat.maxMs {
 		w.fstat.maxMs = ms
 	}
-	w.pending = binary.AppendUvarint(w.pending, zigzag(ms-w.prevMs))
+	w.pending = binary.AppendVarint(w.pending, ms-w.prevMs)
 	w.prevMs = ms
 	if w.meta.Tier == tierRaw {
 		w.pending = binary.LittleEndian.AppendUint64(w.pending, math.Float64bits(p.Sum))
@@ -278,10 +298,7 @@ func (w *segWriter) writeIndex() (*segIndex, error) {
 }
 
 func (w *segWriter) writeFrame(typ byte, payload []byte) error {
-	w.out = append(w.out[:0], typ)
-	w.out = binary.AppendUvarint(w.out, uint64(len(payload)))
-	w.out = append(w.out, payload...)
-	w.out = binary.LittleEndian.AppendUint32(w.out, crc32.Checksum(payload, crcTable))
+	w.out = framelog.Append(w.out[:0], typ, payload)
 	n, err := w.f.Write(w.out)
 	w.bytes += int64(n)
 	return err
@@ -299,96 +316,33 @@ func (w *segWriter) close() error {
 	return err
 }
 
-// byteCursor is a bounds-checked reader over a frame payload.
-type byteCursor struct {
-	b   []byte
-	off int
-}
-
-func (c *byteCursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("truncated varint at offset %d", c.off)
+// readEntry reads one data-frame entry: its series ref, with the inline
+// label tuple when ref == dictSize (the entry introduces a new series),
+// its time advanced from *prevMs, and its value.
+func readEntry(c *framelog.Cursor, typ byte, dictSize uint64, prevMs *int64) (ref uint64, inline *Labels, p AggPoint, err error) {
+	if ref, err = c.Uvarint(); err != nil {
+		return 0, nil, p, fmt.Errorf("series: %w", err)
 	}
-	c.off += n
-	return v, nil
-}
-
-func (c *byteCursor) varint() (int64, error) {
-	u, err := c.uvarint()
+	if ref > dictSize {
+		return 0, nil, p, fmt.Errorf("series ref %d skips table size %d", ref, dictSize)
+	}
+	if ref == dictSize {
+		l, err := readLabels(c)
+		if err != nil {
+			return 0, nil, p, fmt.Errorf("series: %w", err)
+		}
+		inline = &l
+	}
+	dt, err := c.Varint()
 	if err != nil {
-		return 0, err
+		return 0, nil, p, fmt.Errorf("time: %w", err)
 	}
-	return unzigzag(u), nil
-}
-
-func (c *byteCursor) float() (float64, error) {
-	if len(c.b)-c.off < 8 {
-		return 0, fmt.Errorf("truncated float at offset %d", c.off)
+	*prevMs += dt
+	p.Time = float64(*prevMs) / 1000
+	if err := readValue(c, typ, &p); err != nil {
+		return 0, nil, p, fmt.Errorf("value: %w", err)
 	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(c.b[c.off:]))
-	c.off += 8
-	return v, nil
-}
-
-func (c *byteCursor) str() (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(c.b)-c.off) {
-		return "", fmt.Errorf("string length %d exceeds frame size", n)
-	}
-	s := string(c.b[c.off : c.off+int(n)])
-	c.off += int(n)
-	return s, nil
-}
-
-// count reads an element count sanity-checked against the remaining
-// payload bytes, so a corrupt count cannot drive a huge allocation.
-func (c *byteCursor) count(minBytes int) (int, error) {
-	v, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(len(c.b)-c.off)/uint64(minBytes)+1 {
-		return 0, fmt.Errorf("count %d exceeds frame size", v)
-	}
-	return int(v), nil
-}
-
-// readRef resolves a dictionary reference, adding an inline definition
-// to the table.
-func (d *segData) readRef(c *byteCursor) (int, error) {
-	ref, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if ref < uint64(len(d.series)) {
-		return int(ref), nil
-	}
-	if ref != uint64(len(d.series)) {
-		return 0, fmt.Errorf("series ref %d skips table size %d", ref, len(d.series))
-	}
-	if len(d.series) >= maxSeriesTable {
-		return 0, fmt.Errorf("series table overflow")
-	}
-	var l Labels
-	if l.Host, err = c.str(); err != nil {
-		return 0, err
-	}
-	if l.DevType, err = c.str(); err != nil {
-		return 0, err
-	}
-	if l.Device, err = c.str(); err != nil {
-		return 0, err
-	}
-	if l.Event, err = c.str(); err != nil {
-		return 0, err
-	}
-	d.series = append(d.series, l)
-	d.chunks = append(d.chunks, nil)
-	return int(ref), nil
+	return ref, inline, p, nil
 }
 
 // parseSegment decodes a segment. It returns the decoded prefix, the
@@ -397,103 +351,71 @@ func (d *segData) readRef(c *byteCursor) (int, error) {
 // the triple differently: strict opens quarantine on any damage, active
 // recovery truncates to goodLen and keeps the prefix.
 func parseSegment(data []byte) (*segData, int, error) {
-	if len(data) < len(segMagic)+1 {
-		return nil, 0, fmt.Errorf("segstore: short preamble")
+	start, pre := framelog.CheckPreamble(data, segMagic, segFormatVersion)
+	if pre != framelog.PreambleOK {
+		return nil, 0, fmt.Errorf("segstore: %s segment preamble", pre)
 	}
-	for i := range segMagic {
-		if data[i] != segMagic[i] {
-			return nil, 0, fmt.Errorf("segstore: bad magic")
-		}
-	}
-	ver, vn := binary.Uvarint(data[len(segMagic):])
-	if vn <= 0 || ver != segFormatVersion {
-		return nil, 0, fmt.Errorf("segstore: unsupported segment format %d", ver)
-	}
-	off := len(segMagic) + vn
 	d := &segData{}
 	var prevMs int64
 	sawMeta := false
-	var damage error
-
-	good := off
-	for off < len(data) {
-		typ := data[off]
-		pos := off + 1
-		n, un := binary.Uvarint(data[pos:])
-		if un <= 0 {
-			// The length varint ran off the end of the file: the frame is
-			// the file's last. Damage confined to a trailing index frame
-			// leaves the data prefix whole.
-			d.indexTail = typ == frameIndex
-			damage = fmt.Errorf("segstore: truncated frame length at offset %d", pos)
-			break
-		}
-		pos += un
-		if n > maxFramePayload || uint64(len(data)-pos) < n+4 {
-			d.indexTail = typ == frameIndex
-			damage = fmt.Errorf("segstore: truncated frame at offset %d", off)
-			break
-		}
-		payload := data[pos : pos+int(n)]
-		pos += int(n)
-		want := binary.LittleEndian.Uint32(data[pos : pos+4])
-		pos += 4
-		if crc32.Checksum(payload, crcTable) != want {
-			// Only a final index frame qualifies for the quarantine-free
-			// degrade: a CRC mismatch mid-file means data after it is
-			// unreachable and the segment really is damaged.
-			d.indexTail = typ == frameIndex && pos == len(data)
-			damage = fmt.Errorf("segstore: frame CRC mismatch at offset %d", off)
-			break
-		}
-		c := byteCursor{b: payload}
-		switch typ {
+	good, damage := framelog.Scan(data, start, maxFramePayload, func(f framelog.Frame) error {
+		c := framelog.Cursor{B: f.Payload}
+		switch f.Type {
 		case frameMeta:
-			damage = d.applyMeta(&c)
-			if damage == nil {
-				sawMeta = true
+			if sawMeta {
+				return fmt.Errorf("segstore: second meta frame at offset %d", f.Off)
 			}
+			if err := d.applyMeta(&c); err != nil {
+				return err
+			}
+			sawMeta = true
+			return nil
 		case framePoints, frameBucket:
 			if !sawMeta {
-				damage = fmt.Errorf("segstore: data frame before meta frame")
-				break
+				return fmt.Errorf("segstore: data frame before meta frame")
 			}
-			fs := frameStat{off: int64(off), size: int64(pos - off), firstMs: prevMs, dictBase: uint64(len(d.series))}
-			damage = d.applyData(&c, typ, &prevMs, &fs)
-			if damage == nil && len(fs.refs) > 0 {
+			fs := frameStat{off: int64(f.Off), size: int64(f.End - f.Off), firstMs: prevMs, dictBase: uint64(len(d.series))}
+			if err := d.applyData(&c, f.Type, &prevMs, &fs); err != nil {
+				return err
+			}
+			if len(fs.refs) > 0 {
 				d.frameStats = append(d.frameStats, fs)
 			}
+			return nil
 		case frameIndex:
-			// A CRC-valid frame whose payload fails to decode as an index
-			// is treated like an unknown frame type: the data frames stand
-			// on their own, the reader just loses the pread fast path.
+			if f.End != len(data) {
+				return fmt.Errorf("segstore: index frame at offset %d is not the last frame", f.Off)
+			}
+			// A CRC-valid index frame whose payload fails to decode costs
+			// only the pread fast path: the data frames stand on their own.
 			if sawMeta {
-				if ix, err := parseIndexPayload(payload); err == nil {
+				if ix, err := parseIndexPayload(f.Payload); err == nil {
 					d.index = ix
 				}
 			}
-		default:
-			// Unknown frame types are forward-compatible noise.
+			return nil
 		}
-		if damage != nil {
-			break
-		}
-		off = pos
-		good = off
+		return fmt.Errorf("segstore: unknown frame type %q at offset %d", f.Type, f.Off)
+	})
+	var dmg *framelog.Damage
+	if errors.As(damage, &dmg) {
+		// Damage confined to a final index frame leaves the data prefix
+		// whole, so the caller may keep the segment without its index.
+		d.indexTail = dmg.Type == frameIndex && dmg.AtEOF
 	}
 	if !sawMeta {
 		if damage == nil {
 			damage = fmt.Errorf("segstore: segment has no meta frame")
 		}
-		return nil, len(segMagic) + vn, damage
+		return nil, start, damage
 	}
 	return d, good, damage
 }
 
-func (d *segData) applyMeta(c *byteCursor) error {
+func (d *segData) applyMeta(c *framelog.Cursor) error {
 	vals := make([]uint64, 6)
 	for i := range vals {
-		v, err := c.uvarint()
+		v, err := c.Uvarint()
 		if err != nil {
 			return fmt.Errorf("segstore: meta frame: %w", err)
 		}
@@ -509,32 +431,34 @@ func (d *segData) applyMeta(c *byteCursor) error {
 	return nil
 }
 
-func (d *segData) applyData(c *byteCursor, typ byte, prevMs *int64, fs *frameStat) error {
+func (d *segData) applyData(c *framelog.Cursor, typ byte, prevMs *int64, fs *frameStat) error {
 	if typ == framePoints && d.meta.Tier != tierRaw {
 		return fmt.Errorf("segstore: point frame in tier-%d segment", d.meta.Tier)
 	}
 	if typ == frameBucket && d.meta.Tier == tierRaw {
 		return fmt.Errorf("segstore: bucket frame in raw segment")
 	}
-	n, err := c.count(3)
+	n, err := c.Count(3)
 	if err != nil {
 		return fmt.Errorf("segstore: entry count: %w", err)
 	}
-	seen := make(map[int]struct{}, 8)
+	seen := make(map[uint64]struct{}, 8)
 	for i := 0; i < n; i++ {
-		ref, err := d.readRef(c)
+		ref, l, p, err := readEntry(c, typ, uint64(len(d.series)), prevMs)
 		if err != nil {
-			return fmt.Errorf("segstore: entry series: %w", err)
+			return fmt.Errorf("segstore: entry %w", err)
+		}
+		if l != nil {
+			if len(d.series) >= maxSeriesTable {
+				return fmt.Errorf("segstore: series table overflow")
+			}
+			d.series = append(d.series, *l)
+			d.chunks = append(d.chunks, nil)
 		}
 		if _, ok := seen[ref]; !ok {
 			seen[ref] = struct{}{}
-			fs.refs = append(fs.refs, uint64(ref))
+			fs.refs = append(fs.refs, ref)
 		}
-		dt, err := c.varint()
-		if err != nil {
-			return fmt.Errorf("segstore: entry time: %w", err)
-		}
-		*prevMs += dt
 		if i == 0 {
 			fs.minMs, fs.maxMs = *prevMs, *prevMs
 		} else {
@@ -543,27 +467,6 @@ func (d *segData) applyData(c *byteCursor, typ byte, prevMs *int64, fs *frameSta
 			}
 			if *prevMs > fs.maxMs {
 				fs.maxMs = *prevMs
-			}
-		}
-		p := AggPoint{Time: float64(*prevMs) / 1000}
-		if typ == framePoints {
-			v, err := c.float()
-			if err != nil {
-				return fmt.Errorf("segstore: entry value: %w", err)
-			}
-			p.Count, p.Sum, p.Min, p.Max = 1, v, v, v
-		} else {
-			if p.Count, err = c.uvarint(); err != nil {
-				return fmt.Errorf("segstore: bucket count: %w", err)
-			}
-			if p.Sum, err = c.float(); err != nil {
-				return fmt.Errorf("segstore: bucket sum: %w", err)
-			}
-			if p.Min, err = c.float(); err != nil {
-				return fmt.Errorf("segstore: bucket min: %w", err)
-			}
-			if p.Max, err = c.float(); err != nil {
-				return fmt.Errorf("segstore: bucket max: %w", err)
 			}
 		}
 		d.chunks[ref] = append(d.chunks[ref], p)
@@ -580,8 +483,8 @@ func (d *segData) applyData(c *byteCursor, typ byte, prevMs *int64, fs *frameSta
 		d.entries++
 		d.count += p.Count
 	}
-	if c.off != len(c.b) {
-		return fmt.Errorf("segstore: %d trailing bytes in data frame", len(c.b)-c.off)
+	if c.Len() != 0 {
+		return fmt.Errorf("segstore: %d trailing bytes in data frame", c.Len())
 	}
 	sort.Slice(fs.refs, func(i, j int) bool { return fs.refs[i] < fs.refs[j] })
 	d.frames++

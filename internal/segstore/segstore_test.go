@@ -128,7 +128,7 @@ func TestSealRotationAndReopen(t *testing.T) {
 // (including the preamble+meta prefix and the final length).
 func buildFramedSegment(t *testing.T, path string, nframes int) (data []byte, bounds []int) {
 	t.Helper()
-	w, err := newSegWriter(path, Meta{Tier: tierRaw, Shard: 0, Seq: 7, CoverLo: 7, CoverHi: 7})
+	w, err := newSegWriter(path, Meta{Tier: tierRaw, Shard: 0, Seq: 7, CoverLo: 7, CoverHi: 7}, false)
 	if err != nil {
 		t.Fatalf("newSegWriter: %v", err)
 	}
@@ -218,53 +218,56 @@ func TestTornTailEveryBoundary(t *testing.T) {
 }
 
 // TestFlippedByteEveryFrame corrupts one byte inside each frame of a
-// sealed segment: Open must quarantine the file (never fail open, never
-// serve the bad data) and keep serving the rest of the store.
+// sealed segment — the frame's type byte, which the checksum does not
+// cover, and a byte mid-payload: Open must quarantine the file (never
+// fail open, never serve the bad data) and keep serving the rest of the
+// store.
 func TestFlippedByteEveryFrame(t *testing.T) {
 	base := t.TempDir()
 	data, bounds := buildFramedSegment(t, filepath.Join(base, "full.seg"), 6)
 	for fi := 0; fi+1 < len(bounds); fi++ {
-		mid := (bounds[fi] + bounds[fi+1]) / 2
-		corrupt := append([]byte(nil), data...)
-		corrupt[mid] ^= 0x40
-		dir := t.TempDir()
-		shdir := filepath.Join(dir, "shard-00")
-		if err := os.MkdirAll(shdir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(shdir, sealedName(tierRaw, 7)), corrupt, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// A healthy second segment must survive its neighbor's damage.
-		w, err := newSegWriter(filepath.Join(shdir, sealedName(tierRaw, 8)),
-			Meta{Tier: tierRaw, Shard: 0, Seq: 8, CoverLo: 8, CoverHi: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.add(Labels{Host: "h", DevType: "mem", Device: "-", Event: "free"},
-			AggPoint{Time: 500, Count: 1, Sum: 1, Min: 1, Max: 1})
-		if err := w.close(); err != nil {
-			t.Fatal(err)
-		}
+		for _, at := range []int{bounds[fi], (bounds[fi] + bounds[fi+1]) / 2} {
+			corrupt := append([]byte(nil), data...)
+			corrupt[at] ^= 0x40
+			dir := t.TempDir()
+			shdir := filepath.Join(dir, "shard-00")
+			if err := os.MkdirAll(shdir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(shdir, sealedName(tierRaw, 7)), corrupt, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// A healthy second segment must survive its neighbor's damage.
+			w, err := newSegWriter(filepath.Join(shdir, sealedName(tierRaw, 8)),
+				Meta{Tier: tierRaw, Shard: 0, Seq: 8, CoverLo: 8, CoverHi: 8}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.add(Labels{Host: "h", DevType: "mem", Device: "-", Event: "free"},
+				AggPoint{Time: 500, Count: 1, Sum: 1, Min: 1, Max: 1})
+			if err := w.close(); err != nil {
+				t.Fatal(err)
+			}
 
-		opts := testOpts()
-		opts.Shards = 1
-		s, err := Open(dir, opts)
-		if err != nil {
-			t.Fatalf("frame %d: Open failed instead of quarantining: %v", fi, err)
+			opts := testOpts()
+			opts.Shards = 1
+			s, err := Open(dir, opts)
+			if err != nil {
+				t.Fatalf("frame %d byte %d: Open failed instead of quarantining: %v", fi, at, err)
+			}
+			st := s.Stats()
+			if st.Quarantined != 1 {
+				t.Fatalf("frame %d byte %d: Quarantined = %d, want 1", fi, at, st.Quarantined)
+			}
+			if _, err := os.Stat(filepath.Join(shdir, sealedName(tierRaw, 7)+".bad")); err != nil {
+				t.Fatalf("frame %d byte %d: quarantined file missing: %v", fi, at, err)
+			}
+			n, _ := totalPoints(t, s, 0, math.Inf(1))
+			if n != 1 {
+				t.Fatalf("frame %d byte %d: healthy segment lost: %d points", fi, at, n)
+			}
+			s.Close()
 		}
-		st := s.Stats()
-		if st.Quarantined != 1 {
-			t.Fatalf("frame %d: Quarantined = %d, want 1", fi, st.Quarantined)
-		}
-		if _, err := os.Stat(filepath.Join(shdir, sealedName(tierRaw, 7)+".bad")); err != nil {
-			t.Fatalf("frame %d: quarantined file missing: %v", fi, err)
-		}
-		n, _ := totalPoints(t, s, 0, math.Inf(1))
-		if n != 1 {
-			t.Fatalf("frame %d: healthy segment lost: %d points", fi, n)
-		}
-		s.Close()
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"gostats/internal/framelog"
 	"gostats/internal/fsutil"
 	"gostats/internal/pipeline"
 	"gostats/internal/telemetry"
@@ -465,6 +466,10 @@ func (s *Store) recoverActive(sh *shardState, path string) error {
 		}
 		s.bumpTruncated()
 	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
 	// Give the recovered segment the index frame a normal seal would have
 	// written (unless a completed one survived the crash), so recovered
 	// segments serve the same pread fast path as cleanly sealed ones.
@@ -472,20 +477,18 @@ func (s *Store) recoverActive(sh *shardState, path string) error {
 	ix := d.index
 	if ix == nil {
 		ix = &segIndex{series: d.series, frames: d.frameStats}
-		n, err := appendIndexFrame(path, ix)
-		if err != nil {
-			return err
-		}
-		sealedBytes += n
+		n, werr := f.Write(framelog.Append(nil, frameIndex, encodeIndexPayload(ix.series, ix.frames)))
+		sealedBytes += int64(n)
+		err = werr
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return err
-	}
-	serr := f.Sync()
-	f.Close()
-	if serr != nil {
-		return serr
 	}
 	sealed := filepath.Join(sh.dir, sealedName(d.meta.Tier, d.meta.Seq))
 	if err := os.Rename(path, sealed); err != nil {
@@ -598,7 +601,7 @@ func (s *Store) openActiveLocked(sh *shardState) error {
 	sh.nextSeq++
 	w, err := newSegWriter(filepath.Join(sh.dir, activeName(seq)), Meta{
 		Tier: tierRaw, Shard: sh.id, Seq: seq, CoverLo: seq, CoverHi: seq,
-	})
+	}, s.opts.Sync)
 	if err != nil {
 		return err
 	}
