@@ -1030,6 +1030,37 @@ func BenchmarkSegstoreAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkIngestSnapshot measures the daemon-mode tsdb write path for
+// one snapshot of the reference job: deltas against the host's previous
+// snapshot, the RAM insert, and the write-through to a cold segment
+// store with its amortized eviction — what listend runs per message.
+// The job's stream repeats, shifted in time, for as long as b.N needs.
+func BenchmarkIngestSnapshot(b *testing.B) {
+	fixtures(b)
+	cs, err := segstore.Open(b.TempDir(), segstore.Options{
+		CompactRawAfter: -1, CompactMidAfter: -1, Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cs.Close()
+	db := tsdb.New()
+	if err := db.AttachCold(cs, 2*3600); err != nil {
+		b.Fatal(err)
+	}
+	ing := tsdb.NewIngester(db, fix.reg)
+	snaps := fix.run.Snapshots
+	span := snaps[len(snaps)-1].Time - snaps[0].Time + 600
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := snaps[i%len(snaps)]
+		s.Time += float64(i/len(snaps)) * span
+		if err := ing.Ingest(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSegstoreCompact measures one full compaction ladder — a day
 // of raw samples downsampled raw → 10m → 1h — and reports the on-disk
 // bytes per original point of each resulting tier, the storage trade

@@ -175,14 +175,16 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 	}
 
 	// Whatever the kill stranded must replay to the survivors, and the
-	// group must archive every distinct snapshot.
+	// group must archive every distinct snapshot. The group counts a
+	// frame as handled only after its handler returns, so wait for that
+	// count to catch up with the archive too.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
 		st := pubStats()
 		mu.Lock()
 		got := len(collected)
 		mu.Unlock()
-		if st.Spooled == st.Replayed+st.Dropped && got >= len(emitted) {
+		if st.Spooled == st.Replayed+st.Dropped && got >= len(emitted) && g.Stats().Handled >= uint64(got) {
 			break
 		}
 		if time.Now().After(deadline) {

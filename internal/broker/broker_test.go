@@ -400,6 +400,17 @@ func TestServerCloseUnblocksConsumers(t *testing.T) {
 	}
 }
 
+// TestQueueCreatedAfterCloseIsClosed: a subscribe the handler decoded
+// before Close closed its connection may name a queue that does not
+// exist yet; it must come back closed, or its consumer blocks Close.
+func TestQueueCreatedAfterCloseIsClosed(t *testing.T) {
+	s, _ := startServer(t)
+	s.Close()
+	if _, _, ok := s.getQueue("new-after-close").pop(); ok {
+		t.Fatal("queue created after Close accepts consumers")
+	}
+}
+
 func TestPublishAfterClientClose(t *testing.T) {
 	_, addr := startServer(t)
 	c, err := Dial(addr)

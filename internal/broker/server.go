@@ -258,7 +258,11 @@ func (s *Server) getQueue(name string) *queue {
 	defer s.mu.Unlock()
 	q := s.queues[name]
 	if q == nil {
-		q = &queue{met: newQueueMetrics(s.registry(), name)}
+		// Close closes the queues it finds. A subscribe already decoded
+		// when Close ran can still ask for a queue that did not exist;
+		// created open, its consumer would wait on it forever and Close
+		// would wait on that consumer.
+		q = &queue{met: newQueueMetrics(s.registry(), name), closed: s.closed}
 		s.queues[name] = q
 	}
 	return q

@@ -279,9 +279,11 @@ func TestListenerGracefulShutdown(t *testing.T) {
 	}
 	// Everything acked stays acked; the unconsumed remainder is intact on
 	// the broker for the next listener. The server decodes the final ack
-	// asynchronously, so poll for it.
+	// asynchronously, and requeues the prefetched but unprocessed message
+	// only once it sees the consumer's connection close, so poll for both.
 	deadline := time.Now().Add(2 * time.Second)
-	for int(srv.QueueCounts(broker.StatsQueue).Acked) != p && time.Now().Before(deadline) {
+	for (int(srv.QueueCounts(broker.StatsQueue).Acked) != p || srv.QueueDepth(broker.StatsQueue) != n-p) &&
+		time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if qs := srv.QueueCounts(broker.StatsQueue); int(qs.Acked) != p {

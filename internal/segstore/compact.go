@@ -98,7 +98,7 @@ func (s *Store) compactTierLocked(sh *shardState, tier int) error {
 		ref    int
 		bucket int64 // bucket start ms
 	}
-	var series []Labels
+	var series []Ref // the output's series, in first-seen order
 	refs := make(map[Labels]int)
 	acc := make(map[bkey]*AggPoint)
 	// An input that fails verification here (bit rot since its seal-time
@@ -137,7 +137,7 @@ func (s *Store) compactTierLocked(sh *shardState, tier int) error {
 			if !ok {
 				ref = len(series)
 				refs[l] = ref
-				series = append(series, l)
+				series = append(series, Ref{Labels: l})
 			}
 			for _, p := range d.chunks[i] {
 				b := int64(math.Floor(p.Time/width) * width * 1000)
@@ -194,7 +194,7 @@ func (s *Store) compactTierLocked(sh *shardState, tier int) error {
 		return err
 	}
 	for _, k := range keys {
-		w.add(series[k.ref], *acc[k])
+		w.add(&series[k.ref], *acc[k])
 		if len(w.pending) >= s.opts.FlushBytes {
 			if err := w.flushFrame(); err != nil {
 				w.close()

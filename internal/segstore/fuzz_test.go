@@ -21,7 +21,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	}
 	for i := 0; i < 5; i++ {
 		v := float64(i) * 1.5
-		w.add(Labels{Host: "fuzz", DevType: "cpu", Device: "cpu0", Event: "user"},
+		w.add(&Ref{Labels: Labels{Host: "fuzz", DevType: "cpu", Device: "cpu0", Event: "user"}},
 			AggPoint{Time: 100 + float64(i), Count: 1, Sum: v, Min: v, Max: v})
 		if i%2 == 1 {
 			if err := w.flushFrame(); err != nil {
@@ -49,7 +49,7 @@ func FuzzSegmentDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	bw.add(Labels{Host: "fuzz", DevType: "ib", Device: "mlx0", Event: "rx"},
+	bw.add(&Ref{Labels: Labels{Host: "fuzz", DevType: "ib", Device: "mlx0", Event: "rx"}},
 		AggPoint{Time: 600, Count: 20, Sum: 40, Min: 1, Max: 3})
 	if err := bw.close(); err != nil {
 		f.Fatal(err)

@@ -58,7 +58,7 @@ func TestGoldenSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, e := range g.entries {
-			w.add(e.l, e.p)
+			w.add(&Ref{Labels: e.l}, e.p)
 			if i%5 == 4 {
 				if err := w.flushFrame(); err != nil {
 					t.Fatal(err)

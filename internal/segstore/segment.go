@@ -25,7 +25,9 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
+	"sync/atomic"
 
 	"gostats/internal/framelog"
 )
@@ -103,15 +105,37 @@ type segData struct {
 	indexTail bool
 }
 
+// Ref is a caller-held handle on one series for the append path: the
+// series' labels plus the dictionary ref the active segment writer gave
+// it. The cached ref is keyed by the writer's epoch, a process-unique
+// number rather than a pointer, so a long-lived Ref never keeps a
+// sealed writer and its dictionary reachable; a Ref from an earlier
+// writer (after a seal, a reopen, or in another store) is simply looked
+// up again. A Ref must only be used under its shard's lock, which
+// AppendRow takes.
+type Ref struct {
+	Labels Labels
+	epoch  uint64
+	id     uint64
+}
+
+// writerEpochs numbers segment writers process-wide — a Ref outlives
+// its writer and may outlive its Store (a reopen), so epochs must not
+// repeat across Stores. Epoch 0 is never issued, so a zero Ref always
+// resolves through the dictionary.
+var writerEpochs atomic.Uint64
+
 // segWriter appends frames to a segment file. Appends accumulate into a
 // pending frame buffer; flushFrame hands one complete frame to the OS
 // in a single write, so the frame is the atomic unit on disk.
 type segWriter struct {
-	f    *os.File
-	path string
-	meta Meta
+	f     *os.File
+	path  string
+	meta  Meta
+	epoch uint64
 
-	refs    map[Labels]uint64
+	dict    map[Labels]uint64
+	series  []Labels // dictionary by ref
 	prevMs  int64
 	pending []byte // entries of the frame being built
 	nPend   int
@@ -123,9 +147,11 @@ type segWriter struct {
 	minT    float64
 	maxT    float64
 
-	frames []frameStat         // stats of flushed data frames
-	fstat  frameStat           // stats of the frame being built
-	frefs  map[uint64]struct{} // distinct refs in the frame being built
+	frames  []frameStat // stats of flushed data frames
+	fstat   frameStat   // stats of the frame being built
+	frameNo uint64      // number of the frame being built, from 1
+	stamp   []uint64    // by ref: the last frameNo the ref appeared in
+	frefs   []uint64    // distinct refs in the frame being built
 }
 
 // newSegWriter creates path and writes the preamble and meta frame.
@@ -138,8 +164,8 @@ func newSegWriter(path string, meta Meta, sync bool) (*segWriter, error) {
 	}
 	w := &segWriter{
 		f: f, path: path, meta: meta, bytes: int64(n),
-		refs:  make(map[Labels]uint64),
-		frefs: make(map[uint64]struct{}),
+		epoch: writerEpochs.Add(1),
+		dict:  make(map[Labels]uint64),
 	}
 	mp := make([]byte, 0, 32)
 	mp = binary.AppendUvarint(mp, uint64(meta.Tier))
@@ -156,16 +182,21 @@ func newSegWriter(path string, meta Meta, sync bool) (*segWriter, error) {
 	return w, nil
 }
 
-// putRef dictionary-encodes a label tuple into the pending buffer.
-func (w *segWriter) putRef(l Labels) uint64 {
-	if ref, ok := w.refs[l]; ok {
-		w.pending = binary.AppendUvarint(w.pending, ref)
-		return ref
+// resolve returns r's dictionary ref in this writer, adding the series
+// when it is new here (fresh reports that), and caches it in r.
+func (w *segWriter) resolve(r *Ref) (id uint64, fresh bool) {
+	if r.epoch == w.epoch {
+		return r.id, false
 	}
-	ref := uint64(len(w.refs))
-	w.refs[l] = ref
-	w.pending = appendLabels(binary.AppendUvarint(w.pending, ref), l)
-	return ref
+	id, ok := w.dict[r.Labels]
+	if !ok {
+		id = uint64(len(w.series))
+		w.dict[r.Labels] = id
+		w.series = append(w.series, r.Labels)
+		w.stamp = append(w.stamp, 0)
+	}
+	r.epoch, r.id = w.epoch, id
+	return id, !ok
 }
 
 // appendLabels appends a label tuple as its four strings.
@@ -206,18 +237,29 @@ func readValue(c *framelog.Cursor, typ byte, p *AggPoint) error {
 	return nil
 }
 
-// add buffers one entry. Raw-tier segments store the single value; the
-// downsampled tiers store the full (count, sum, min, max) bucket.
-func (w *segWriter) add(l Labels, p AggPoint) {
+// add buffers one entry for r's series: its dictionary ref (with the
+// four label strings inline when the entry introduces the series), its
+// time delta and its value. Raw-tier segments store the single value;
+// the downsampled tiers store the full (count, sum, min, max) bucket.
+// It is the writer's only entry encoder.
+func (w *segWriter) add(r *Ref, p AggPoint) {
 	ms := int64(math.Round(p.Time * 1000))
 	if w.nPend == 0 {
 		// Snapshot the decode context a standalone reader needs to enter
 		// this frame: the running delta base and the dictionary size.
-		w.fstat = frameStat{firstMs: w.prevMs, minMs: ms, maxMs: ms, dictBase: uint64(len(w.refs))}
-		clear(w.frefs)
+		w.fstat = frameStat{firstMs: w.prevMs, minMs: ms, maxMs: ms, dictBase: uint64(len(w.series))}
+		w.frameNo++
+		w.frefs = w.frefs[:0]
 	}
-	ref := w.putRef(l)
-	w.frefs[ref] = struct{}{}
+	id, fresh := w.resolve(r)
+	w.pending = binary.AppendUvarint(w.pending, id)
+	if fresh {
+		w.pending = appendLabels(w.pending, r.Labels)
+	}
+	if w.stamp[id] != w.frameNo {
+		w.stamp[id] = w.frameNo
+		w.frefs = append(w.frefs, id)
+	}
 	if ms < w.fstat.minMs {
 		w.fstat.minMs = ms
 	}
@@ -263,11 +305,8 @@ func (w *segWriter) flushFrame() error {
 	w.pending = w.pending[:0]
 	w.nPend = 0
 	fs := w.fstat
-	fs.refs = make([]uint64, 0, len(w.frefs))
-	for r := range w.frefs {
-		fs.refs = append(fs.refs, r)
-	}
-	sort.Slice(fs.refs, func(i, j int) bool { return fs.refs[i] < fs.refs[j] })
+	fs.refs = slices.Clone(w.frefs)
+	slices.Sort(fs.refs)
 	off := w.bytes
 	if err := w.writeFrame(typ, payload); err != nil {
 		return err
@@ -286,12 +325,10 @@ func (w *segWriter) writeIndex() (*segIndex, error) {
 	if err := w.flushFrame(); err != nil {
 		return nil, err
 	}
-	series := make([]Labels, len(w.refs))
-	for l, ref := range w.refs {
-		series[ref] = l
-	}
-	ix := &segIndex{series: series, frames: w.frames}
-	if err := w.writeFrame(frameIndex, encodeIndexPayload(series, w.frames)); err != nil {
+	// The index lives as long as the sealed segment: give it an
+	// exact-size copy of the dictionary, not the append-grown slice.
+	ix := &segIndex{series: slices.Clone(w.series), frames: w.frames}
+	if err := w.writeFrame(frameIndex, encodeIndexPayload(ix.series, w.frames)); err != nil {
 		return nil, err
 	}
 	return ix, nil

@@ -136,7 +136,7 @@ func buildFramedSegment(t *testing.T, path string, nframes int) (data []byte, bo
 	for i := 0; i < nframes; i++ {
 		l := Labels{Host: "h", DevType: "cpu", Device: fmt.Sprintf("c%d", i%3), Event: "user"}
 		v := float64(i)
-		w.add(l, AggPoint{Time: 100 + float64(i), Count: 1, Sum: v, Min: v, Max: v})
+		w.add(&Ref{Labels: l}, AggPoint{Time: 100 + float64(i), Count: 1, Sum: v, Min: v, Max: v})
 		if err := w.flushFrame(); err != nil {
 			t.Fatalf("flushFrame: %v", err)
 		}
@@ -243,7 +243,7 @@ func TestFlippedByteEveryFrame(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w.add(Labels{Host: "h", DevType: "mem", Device: "-", Event: "free"},
+			w.add(&Ref{Labels: Labels{Host: "h", DevType: "mem", Device: "-", Event: "free"}},
 				AggPoint{Time: 500, Count: 1, Sum: 1, Min: 1, Max: 1})
 			if err := w.close(); err != nil {
 				t.Fatal(err)

@@ -544,7 +544,7 @@ func (s *Store) bumpSeals() {
 	s.statMu.Unlock()
 }
 
-// ShardFor returns the shard index Append will route host to — the same
+// ShardFor returns the shard index AppendRow will route host to — the same
 // FNV-1a mapping tsdb uses, so the hot and cold halves of a series
 // always live in the same stripe number.
 func (s *Store) ShardFor(host string) int {
@@ -560,40 +560,62 @@ func (s *Store) ShardFor(host string) int {
 	return int(h % uint32(len(s.shards)))
 }
 
-// Append buffers one raw point into host's shard. The point is
-// crash-durable only after the frame holding it reaches the OS (Commit
-// or auto-flush) — and, against power loss, after an fsync (Options.Sync
-// or seal). Append never blocks on fsync; write errors stick to the
-// shard and surface on the next Commit.
+// Append buffers one raw point into host's shard: a row of one.
 func (s *Store) Append(p Point) {
-	sh := s.shards[s.ShardFor(p.Host)]
+	ref := Ref{Labels: p.Labels}
+	s.AppendRow(p.Host, p.Time, []*Ref{&ref}, []float64{p.Value})
+}
+
+// AppendRow buffers one row of raw points — vals[i] for refs[i]'s
+// series, every point at time t and of host — into host's shard under a
+// single lock. Each Ref caches its series' dictionary ref in the active
+// segment, so a caller that keeps its Refs across rows skips the label
+// lookup for every series the active segment has already seen. Frame
+// flushes and segment seals happen between points exactly as if the
+// points were appended one by one, so the bytes on disk do not depend on
+// how points are grouped into rows.
+//
+// A point is crash-durable only after the frame holding it reaches the
+// OS (Commit or auto-flush) — and, against power loss, after an fsync
+// (Options.Sync or seal). AppendRow never blocks on fsync; write errors
+// stick to the shard and surface on the next Commit.
+func (s *Store) AppendRow(host string, t float64, refs []*Ref, vals []float64) {
+	sh := s.shards[s.ShardFor(host)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.werr != nil {
+	n := 0
+	for i, r := range refs {
+		if sh.werr != nil {
+			break
+		}
+		if sh.w == nil {
+			if err := s.openActiveLocked(sh); err != nil {
+				sh.werr = err
+				break
+			}
+		}
+		v := vals[i]
+		sh.w.add(r, AggPoint{Time: t, Count: 1, Sum: v, Min: v, Max: v})
+		n++
+		if len(sh.w.pending) >= s.opts.FlushBytes {
+			if err := sh.w.flushFrame(); err != nil {
+				sh.werr = err
+				break
+			}
+		}
+		if sh.w.bytes+int64(len(sh.w.pending)) >= s.opts.SegmentBytes {
+			if err := s.sealActiveLocked(sh); err != nil {
+				sh.werr = err
+			}
+		}
+	}
+	if n == 0 {
 		return
 	}
-	if sh.w == nil {
-		if err := s.openActiveLocked(sh); err != nil {
-			sh.werr = err
-			return
-		}
+	if t > sh.newest {
+		sh.newest = t
 	}
-	sh.w.add(p.Labels, AggPoint{Time: p.Time, Count: 1, Sum: p.Value, Min: p.Value, Max: p.Value})
-	if p.Time > sh.newest {
-		sh.newest = p.Time
-	}
-	s.met.appended.Inc()
-	if len(sh.w.pending) >= s.opts.FlushBytes {
-		if err := sh.w.flushFrame(); err != nil {
-			sh.werr = err
-			return
-		}
-	}
-	if sh.w.bytes+int64(len(sh.w.pending)) >= s.opts.SegmentBytes {
-		if err := s.sealActiveLocked(sh); err != nil {
-			sh.werr = err
-		}
-	}
+	s.met.appended.Add(uint64(n))
 }
 
 func (s *Store) openActiveLocked(sh *shardState) error {

@@ -1,5 +1,5 @@
 // Cold storage attachment: an optional segstore behind the RAM-resident
-// hot shards. With a store attached, Put writes through to the durable
+// hot shards. With a store attached, every write goes through to the durable
 // segment log, CommitCold periodically flushes it and evicts RAM points
 // older than the hot window, and Do transparently merges cold segments
 // into query results — the half-open split [Start, boundary) from disk
@@ -30,11 +30,13 @@ func (db *DB) AttachCold(cs *segstore.Store, hotWindow float64) error {
 	}
 	db.cold = cs
 	db.hotWindow = hotWindow
+	newest := cs.Newest()
+	db.newest.Store(math.Float64bits(newest))
 	// Everything already in the store predates this process's RAM: the
 	// boundary starts just above the store's newest point (the cold
 	// range is half-open, so Nextafter keeps the newest point itself
 	// cold) and a restarted node serves its whole history from disk.
-	if newest := cs.Newest(); newest > 0 {
+	if newest > 0 {
 		b := math.Nextafter(newest, math.MaxFloat64)
 		for i := range db.shards {
 			db.shards[i].coldBoundary = b
@@ -62,13 +64,14 @@ func (db *DB) FlushCold() error {
 // (newest − hotWindow), setting the boundary in the same critical
 // section as the eviction so queries never see a gap or an overlap.
 // Call it on the ingest path; it is a fast no-op when no eviction is
-// due.
+// due: the cadence runs on the newest time the DB itself has written,
+// so the store is touched only when eviction is due.
 func (db *DB) CommitCold() error {
 	cs := db.cold
 	if cs == nil {
 		return nil
 	}
-	newest := cs.Newest()
+	newest := math.Float64frombits(db.newest.Load())
 	db.coldMu.Lock()
 	due := newest >= db.lastEvict+db.hotWindow/4
 	if due {
@@ -89,7 +92,7 @@ func (db *DB) CommitCold() error {
 		sh := &db.shards[i]
 		sh.mu.Lock()
 		// Eviction is only safe once the evicted points are out of
-		// process memory and owned by the OS/disk. Put appends to the
+		// process memory and owned by the OS/disk. putRow appends to the
 		// cold store under this same stripe lock, so flushing stripe i
 		// here — inside the critical section — guarantees every RAM
 		// point below the boundary is already in an OS-owned frame

@@ -16,6 +16,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -150,8 +151,8 @@ type shard struct {
 // tagKeys is the fixed posting-list key set.
 var tagKeys = [...]string{"host", "devtype", "device", "event"}
 
-// DB is the time-series database. Safe for concurrent use; Put and Do
-// on different shards never contend.
+// DB is the time-series database. Safe for concurrent use; writes and
+// Do on different shards never contend.
 type DB struct {
 	gen    atomic.Uint64
 	shards [numShards]shard
@@ -162,6 +163,10 @@ type DB struct {
 	hotWindow float64
 	coldMu    sync.Mutex
 	lastEvict float64
+	// newest is the math.Float64bits of the newest point time written
+	// since AttachCold (seeded with the store's newest): CommitCold's
+	// eviction clock, kept here so the no-op case touches no store lock.
+	newest atomic.Uint64
 }
 
 // New returns an empty DB.
@@ -176,16 +181,85 @@ func New() *DB {
 	return db
 }
 
-func (db *DB) shardFor(tags Tags) *shard {
-	return &db.shards[hostHash(tags.Host)%numShards]
+// handle is a caller-held resolution of one series for putRow: the RAM
+// series, nil until the handle's first write looks it up in the stripe,
+// and the cold store's Ref, whose labels are the series' tags. Series
+// are never removed from a stripe, so a resolved handle stays valid for
+// the life of its DB.
+type handle struct {
+	s    *series
+	cold segstore.Ref
 }
 
-// Put appends one point to the series labeled by tags. With a cold
-// store attached the point is also written through to the durable
-// segment log; cold-write errors are sticky and surface on CommitCold.
+func newHandle(tags Tags) handle {
+	return handle{cold: segstore.Ref{Labels: segstore.Labels(tags)}}
+}
+
+// row is one host's points at one time, as parallel slices: hs[i]
+// receives vals[i], and refs[i] is &hs[i].cold, the cold store's view.
+type row struct {
+	hs   []*handle
+	refs []*segstore.Ref
+	vals []float64
+}
+
+func (r *row) add(h *handle, v float64) {
+	r.hs = append(r.hs, h)
+	r.refs = append(r.refs, &h.cold)
+	r.vals = append(r.vals, v)
+}
+
+func (r *row) reset() {
+	r.hs, r.refs, r.vals = r.hs[:0], r.refs[:0], r.vals[:0]
+}
+
+// Put appends one point to the series labeled by tags: a row of one.
 func (db *DB) Put(tags Tags, t, v float64) {
-	sh := db.shardFor(tags)
+	h := newHandle(tags)
+	hs, refs, vals := [1]*handle{&h}, [1]*segstore.Ref{&h.cold}, [1]float64{v}
+	db.putRow(tags.Host, t, &row{hs: hs[:], refs: refs[:], vals: vals[:]})
+}
+
+// putRow appends one row of host's points, all at time t. Every point
+// of a row lives in host's stripe, so the row takes the stripe lock
+// once and resolves its series through the handles, consulting the
+// series map only on a handle's first write. With a cold store attached
+// the row is written through to the durable segment log inside the same
+// critical section; cold-write errors are sticky and surface on
+// CommitCold. The generation advances once per row.
+func (db *DB) putRow(host string, t float64, r *row) {
+	if len(r.hs) == 0 {
+		return
+	}
+	sh := &db.shards[hostHash(host)%numShards]
 	sh.mu.Lock()
+	for i, h := range r.hs {
+		if h.s == nil {
+			h.s = sh.seriesFor(Tags(h.cold.Labels))
+		}
+		h.s.put(DataPoint{Time: t, Value: r.vals[i]})
+	}
+	if db.cold != nil {
+		// Write through under the same stripe lock as the RAM inserts:
+		// CommitCold flushes and evicts under this lock too, so it can
+		// never observe a point in RAM that has not yet reached the cold
+		// store's pending frame (which would let eviction trim a point
+		// whose only durable copy is still in process memory).
+		db.cold.AppendRow(host, t, r.refs, r.vals)
+	}
+	sh.mu.Unlock()
+	for { // newest = max(newest, t)
+		old := db.newest.Load()
+		if t <= math.Float64frombits(old) || db.newest.CompareAndSwap(old, math.Float64bits(t)) {
+			break
+		}
+	}
+	db.gen.Add(1)
+}
+
+// seriesFor returns the series labeled tags, creating it (and its
+// posting-list entries) on first use. Caller holds the write lock.
+func (sh *shard) seriesFor(tags Tags) *series {
 	s := sh.series[tags]
 	if s == nil {
 		s = &series{}
@@ -195,25 +269,12 @@ func (db *DB) Put(tags Tags, t, v float64) {
 			sh.postings[key][val] = append(sh.postings[key][val], tags)
 		}
 	}
-	s.put(DataPoint{Time: t, Value: v})
-	if db.cold != nil {
-		// Write through under the same stripe lock as the RAM insert:
-		// CommitCold flushes and evicts under this lock too, so it can
-		// never observe a point in RAM that has not yet reached the cold
-		// store's pending frame (which would let eviction trim a point
-		// whose only durable copy is still in process memory).
-		db.cold.Append(segstore.Point{
-			Labels: segstore.Labels{Host: tags.Host, DevType: tags.DevType, Device: tags.Device, Event: tags.Event},
-			Time:   t,
-			Value:  v,
-		})
-	}
-	sh.mu.Unlock()
-	db.gen.Add(1)
+	return s
 }
 
-// Generation returns a counter that changes on every Put — the cheap
-// invalidation stamp read-side caches key on.
+// Generation returns a counter that advances once per write — one Put,
+// or one ingested snapshot's row — the cheap invalidation stamp
+// read-side caches key on.
 func (db *DB) Generation() uint64 { return db.gen.Load() }
 
 // NumSeries reports the number of distinct series.
