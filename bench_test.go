@@ -778,8 +778,9 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 }
 
 // BenchmarkWireCodec measures one self-contained broker message per
-// snapshot — encode plus decode — for the legacy gob framing and both
-// versioned codecs, reporting the per-message wire size.
+// snapshot for the legacy gob framing (encode plus decode) and, for
+// each versioned codec, encode and decode separately, reporting the
+// per-message wire size.
 func BenchmarkWireCodec(b *testing.B) {
 	snaps, _ := codecBenchStream(b)
 	s := snaps[len(snaps)/2]
@@ -801,22 +802,72 @@ func BenchmarkWireCodec(b *testing.B) {
 		b.ReportMetric(float64(len(body)), "bytes/snap")
 	})
 	for _, v := range []codec.Version{codec.V1Text, codec.V2Binary} {
-		b.Run(v.String(), func(b *testing.B) {
+		body, err := codec.EncodeWire(s, fix.reg, v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(v.String()+"/encode", func(b *testing.B) {
 			b.ReportAllocs()
-			body, err := codec.EncodeWire(s, fix.reg, v)
-			if err != nil {
-				b.Fatal(err)
-			}
 			for i := 0; i < b.N; i++ {
-				body, err = codec.EncodeWire(s, fix.reg, v)
-				if err != nil {
+				if _, err := codec.EncodeWire(s, fix.reg, v); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.ReportMetric(float64(len(body)), "bytes/snap")
+		})
+		b.Run(v.String()+"/decode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
 				if _, _, err := codec.DecodeWire(body, fix.reg); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(len(body)), "bytes/snap")
+		})
+	}
+}
+
+// BenchmarkArchiverAppend is the listener's archive step: one op is one
+// rawfile.Archiver.Append of a reference-host snapshot (encode, one
+// write, flush) into a per-(host, day) file the archiver keeps open.
+// After each pass over the host's snapshots the store is recreated
+// outside the timer, so the files stay small.
+func BenchmarkArchiverAppend(b *testing.B) {
+	snaps, header := codecBenchStream(b)
+	for _, v := range []codec.Version{codec.V1Text, codec.V2Binary} {
+		b.Run(v.String(), func(b *testing.B) {
+			base := b.TempDir()
+			var arch *rawfile.Archiver
+			reset := func(i int) {
+				if arch != nil {
+					if err := arch.Close(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				st, err := rawfile.NewStore(filepath.Join(base, strconv.Itoa(i)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				st.SetCodec(v)
+				arch = rawfile.NewArchiver(st, 0)
+			}
+			reset(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i > 0 && i%len(snaps) == 0 {
+					b.StopTimer()
+					reset(i)
+					b.StartTimer()
+				}
+				if err := arch.Append(header.Hostname, header, snaps[i%len(snaps)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			if err := arch.Close(); err != nil {
+				b.Fatal(err)
+			}
 		})
 	}
 }

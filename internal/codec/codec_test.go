@@ -3,11 +3,16 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
+	"gostats/internal/chip"
 	"gostats/internal/model"
 	"gostats/internal/schema"
 )
@@ -422,5 +427,114 @@ func TestDecoderRejectsGarbageAfterMagic(t *testing.T) {
 	bad := append(append([]byte(nil), binMagic[:]...), 0x02, frameSnapshot, 0x01, 0xff)
 	if _, err := DecodeAll(bytes.NewReader(bad)); err == nil {
 		t.Fatal("snapshot-before-header stream should fail")
+	}
+}
+
+// TestTextEncoderMatchesReference checks the append encoder against the
+// fmt encoder it replaced on random snapshots: awkward times, full-range
+// values, unsorted job ids, marks, traces and instance names the
+// encoder must sanitize, through both the file and the wire encoder.
+func TestTextEncoderMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	h := testHeader()
+	classes := h.Registry.Classes()
+	instances := []string{"", "0", "mlx4_0/1", "has space", "tab\tchar", "new\nline", "né", "bad\xffutf8", " "}
+	times := []float64{0, -1.5, 1451606400.0005, 1451606400.9995, 1e21, 123.456789, math.Inf(1), math.SmallestNonzeroFloat64}
+	for trial := 0; trial < 200; trial++ {
+		var snaps []model.Snapshot
+		for i := rng.Intn(4); i >= 0; i-- {
+			s := model.Snapshot{Host: "h", Time: times[rng.Intn(len(times))] + rng.Float64()*float64(rng.Intn(2))}
+			for j := rng.Intn(4); j > 0; j-- {
+				s.JobIDs = append(s.JobIDs, strconv.Itoa(rng.Intn(1000)))
+			}
+			if rng.Intn(2) == 0 {
+				s.Mark = "end " + strconv.Itoa(rng.Intn(1000))
+			}
+			if rng.Intn(2) == 0 {
+				s.Trace = []model.StageStamp{{Stage: model.StageCollect, UnixNs: rng.Int63()}, {Stage: model.StagePublish, UnixNs: -rng.Int63()}}
+			}
+			for r := rng.Intn(6); r > 0; r-- {
+				c := classes[rng.Intn(len(classes))]
+				vals := make([]uint64, h.Registry.Get(c).Len())
+				for k := range vals {
+					vals[k] = rng.Uint64() >> rng.Intn(64)
+				}
+				s.Records = append(s.Records, model.Record{Class: c, Instance: instances[rng.Intn(len(instances))], Values: vals})
+			}
+			snaps = append(snaps, s)
+		}
+		if got, want := encodeAll(t, h, V1Text, snaps), refEncodeText(h, snaps); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: stream\n got %q\nwant %q", trial, got, want)
+		}
+		wh := Header{Hostname: snaps[0].Host, Registry: h.Registry}
+		got, err := EncodeWire(snaps[0], h.Registry, V1Text)
+		if want := refEncodeText(wh, snaps[:1]); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: wire (err %v)\n got %q\nwant %q", trial, err, got, want)
+		}
+	}
+}
+
+// TestRegistryFingerprintUnchanged pins the fingerprint registries now
+// compute once to the hash the wire codec used to compute per message:
+// FNV-64a over the sorted schema lines, each newline-terminated.
+func TestRegistryFingerprintUnchanged(t *testing.T) {
+	old := func(reg *schema.Registry) uint64 {
+		h := fnv.New64a()
+		if reg != nil {
+			for _, c := range reg.Classes() {
+				h.Write([]byte(reg.Get(c).Line()))
+				h.Write([]byte{'\n'})
+			}
+		}
+		return h.Sum64()
+	}
+	empty, _ := schema.NewRegistry()
+	for _, reg := range []*schema.Registry{nil, empty, schema.DefaultRegistry(), otherRegistry(t)} {
+		if got, want := RegistryFingerprint(reg), old(reg); got != want {
+			t.Fatalf("fingerprint %016x, want %016x", got, want)
+		}
+	}
+}
+
+// TestRegistryBlocksReparse checks that every built-in registry's schema
+// block parses back to the same schemas. That is what makes reusing a
+// consumer's registry for a v1 wire header that matches its block byte
+// for byte equivalent to parsing the header.
+func TestRegistryBlocksReparse(t *testing.T) {
+	regs := []*schema.Registry{schema.DefaultRegistry()}
+	for _, a := range chip.Archs() {
+		d, err := chip.ByArch(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := chip.StampedeNode()
+		cfg.Desc = d
+		regs = append(regs, cfg.Registry())
+	}
+	regs = append(regs, chip.LargeMemNode().Registry(), chip.LonestarNode().Registry())
+	for _, reg := range regs {
+		var parsed []*schema.Schema
+		for _, line := range strings.SplitAfter(reg.Block(), "\n") {
+			if line == "" {
+				continue
+			}
+			s, err := schema.ParseLine(strings.TrimSuffix(line, "\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			parsed = append(parsed, s)
+		}
+		again, err := schema.NewRegistry(parsed...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range reg.Classes() {
+			if !reflect.DeepEqual(again.Get(c), reg.Get(c)) {
+				t.Fatalf("class %s: block re-parses to %+v, registry has %+v", c, again.Get(c), reg.Get(c))
+			}
+		}
+		if len(again.Classes()) != len(reg.Classes()) {
+			t.Fatalf("block re-parses to %d classes, registry has %d", len(again.Classes()), len(reg.Classes()))
+		}
 	}
 }

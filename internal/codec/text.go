@@ -12,15 +12,24 @@
 //	1451606400.000 4001,4002     timestamp line: time + job ids
 //	% begin 4001                 optional mark line
 //	cpu 0 183983 2944 ...        record lines: class instance values...
+//
+// Both directions work on byte slices: the encoder appends a whole
+// block into a reused buffer and hands it to the writer in one Write,
+// and one line parser (textParser) serves the streaming decoder, the
+// in-memory wire decoder and crash recovery.
 package codec
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
+	"unicode/utf8"
 
 	"gostats/internal/model"
 	"gostats/internal/schema"
@@ -29,6 +38,11 @@ import (
 // TextVersion is the version string the v1 text format carries on its
 // $gostats property line.
 const TextVersion = "2.0"
+
+// maxTextLine bounds one text line. The streaming decoder's Scanner
+// enforces it and the in-memory decoder checks it, so both report
+// bufio.ErrTooLong on the same input.
+const maxTextLine = 1 << 22
 
 // sanitizeInstance makes an instance name safe for the space-separated
 // text format. The binary codec applies the same normalization so the
@@ -52,19 +66,81 @@ func sortedJobIDs(ids []string) []string {
 		return nil
 	}
 	out := append([]string(nil), ids...)
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
-// textEncoder implements SnapshotEncoder for codec v1.
+// appendTextHeader appends the file header: properties, the registry's
+// schema block, and the blank line that ends the header.
+func appendTextHeader(b []byte, h Header) []byte {
+	b = append(b, "$gostats "+TextVersion+"\n$hostname "...)
+	b = append(b, h.Hostname...)
+	b = append(b, '\n')
+	if h.Arch != "" {
+		b = append(b, "$arch "...)
+		b = append(b, h.Arch...)
+		b = append(b, '\n')
+	}
+	if h.Registry != nil {
+		b = append(b, h.Registry.Block()...)
+	}
+	return append(b, '\n')
+}
+
+// appendTextBlock appends one collection block: the timestamp line
+// ("%.3f" time, sorted job ids or "-"), the optional mark and trace
+// lines, then one line per record.
+func appendTextBlock(b []byte, s model.Snapshot) []byte {
+	b = strconv.AppendFloat(b, s.Time, 'f', 3, 64)
+	b = append(b, ' ')
+	if ids := s.JobIDs; len(ids) == 0 {
+		b = append(b, '-')
+	} else {
+		if !slices.IsSorted(ids) {
+			ids = sortedJobIDs(ids)
+		}
+		for i, id := range ids {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, id...)
+		}
+	}
+	b = append(b, '\n')
+	if s.Mark != "" {
+		b = append(b, "% "...)
+		b = append(b, s.Mark...)
+		b = append(b, '\n')
+	}
+	if len(s.Trace) > 0 {
+		b = appendTraceLine(b, s.Trace)
+		b = append(b, '\n')
+	}
+	for _, r := range s.Records {
+		b = append(b, r.Class...)
+		b = append(b, ' ')
+		b = append(b, sanitizeInstance(r.Instance)...)
+		for _, v := range r.Values {
+			b = append(b, ' ')
+			b = strconv.AppendUint(b, v, 10)
+		}
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// textEncoder implements SnapshotEncoder for codec v1. Every call hands
+// the writer one complete header or block; a write error is sticky.
 type textEncoder struct {
-	w           *bufio.Writer
+	w           io.Writer
 	header      Header
 	wroteHeader bool
+	buf         []byte
+	err         error
 }
 
 func newTextEncoder(w io.Writer, h Header) *textEncoder {
-	return &textEncoder{w: bufio.NewWriter(w), header: h}
+	return &textEncoder{w: w, header: h}
 }
 
 // WriteHeader emits the file header.
@@ -73,200 +149,411 @@ func (e *textEncoder) WriteHeader() error {
 		return nil
 	}
 	e.wroteHeader = true
-	fmt.Fprintf(e.w, "$gostats %s\n", TextVersion)
-	fmt.Fprintf(e.w, "$hostname %s\n", e.header.Hostname)
-	if e.header.Arch != "" {
-		fmt.Fprintf(e.w, "$arch %s\n", e.header.Arch)
-	}
-	if e.header.Registry != nil {
-		for _, c := range e.header.Registry.Classes() {
-			fmt.Fprintln(e.w, e.header.Registry.Get(c).Line())
-		}
-	}
-	fmt.Fprintln(e.w)
-	return e.w.Flush()
+	return e.write(appendTextHeader(e.buf[:0], e.header))
 }
 
-// WriteSnapshot appends one collection block.
+// WriteSnapshot appends one collection block (after the header, on the
+// first call).
 func (e *textEncoder) WriteSnapshot(s model.Snapshot) error {
-	if err := e.WriteHeader(); err != nil {
-		return err
+	b := e.buf[:0]
+	if !e.wroteHeader {
+		e.wroteHeader = true
+		b = appendTextHeader(b, e.header)
 	}
-	jobs := "-"
-	if ids := sortedJobIDs(s.JobIDs); ids != nil {
-		jobs = strings.Join(ids, ",")
-	}
-	fmt.Fprintf(e.w, "%.3f %s\n", s.Time, jobs)
-	if s.Mark != "" {
-		fmt.Fprintf(e.w, "%% %s\n", s.Mark)
-	}
-	if len(s.Trace) > 0 {
-		e.w.WriteString(formatTraceLine(s.Trace))
-		e.w.WriteByte('\n')
-	}
-	for _, r := range s.Records {
-		fmt.Fprintf(e.w, "%s %s", r.Class, sanitizeInstance(r.Instance))
-		for _, v := range r.Values {
-			fmt.Fprintf(e.w, " %d", v)
-		}
-		fmt.Fprintln(e.w)
-	}
-	return e.w.Flush()
+	return e.write(appendTextBlock(b, s))
 }
 
-// Flush flushes buffered output.
-func (e *textEncoder) Flush() error { return e.w.Flush() }
+func (e *textEncoder) write(b []byte) error {
+	e.buf = b
+	if e.err != nil {
+		return e.err
+	}
+	n, err := e.w.Write(b)
+	if err == nil && n < len(b) {
+		err = io.ErrShortWrite
+	}
+	e.err = err
+	return err
+}
+
+// Flush reports the first write error; the encoder buffers nothing
+// between calls.
+func (e *textEncoder) Flush() error { return e.err }
+
+// textParser is the one v1 line parser. The streaming decoder feeds it
+// Scanner lines and the in-memory paths feed it lines sliced straight
+// out of their input; a line is only borrowed, so everything a returned
+// snapshot keeps is copied out of it.
+type textParser struct {
+	h       Header
+	lineNo  int
+	schemas []*schema.Schema // header schema lines parsed so far
+
+	open   bool           // a block has started and not been returned
+	cur    model.Snapshot // the open block, without its records
+	recs   []model.Record // the open block's records, Values unset
+	ends   []int          // end offset in vals of each record's values
+	vals   []uint64
+	fields [][]byte
+}
+
+// errorf formats a parse error at the current line.
+func (p *textParser) errorf(format string, args ...any) error {
+	return fmt.Errorf("rawfile: line %d: "+format, append([]any{p.lineNo}, args...)...)
+}
+
+var errTruncatedHeader = errors.New("rawfile: truncated header")
+
+// headerLine consumes one header line and reports whether it was the
+// blank line that ends the header, at which point p.h is complete.
+func (p *textParser) headerLine(line []byte) (done bool, err error) {
+	p.lineNo++
+	line = bytes.TrimRight(line, "\r")
+	switch {
+	case len(line) == 0:
+		reg, err := schema.NewRegistry(p.schemas...)
+		if err != nil {
+			return false, p.errorf("%w", err)
+		}
+		p.h.Registry = reg
+		return true, nil
+	case line[0] == '$':
+		key, val, ok := bytes.Cut(line[1:], []byte{' '})
+		if !ok {
+			return false, p.errorf("malformed property %q", line)
+		}
+		switch string(key) {
+		case "gostats":
+			if string(val) != TextVersion {
+				return false, fmt.Errorf("rawfile: unsupported version %q", val)
+			}
+		case "hostname":
+			p.h.Hostname = string(val)
+		case "arch":
+			p.h.Arch = string(val)
+		default:
+			// Unknown properties are forward-compatible noise.
+		}
+	case line[0] == '!':
+		s, err := schema.ParseLine(string(line))
+		if err != nil {
+			return false, p.errorf("%w", err)
+		}
+		p.schemas = append(p.schemas, s)
+	default:
+		return false, p.errorf("unexpected header line %q", line)
+	}
+	return false, nil
+}
+
+// bodyLine consumes one line after the header. A timestamp line starts
+// a new block and returns the previous one, if any.
+func (p *textParser) bodyLine(line []byte) (model.Snapshot, bool, error) {
+	var zero model.Snapshot
+	p.lineNo++
+	line = bytes.TrimRight(line, "\r")
+	switch {
+	case len(line) == 0:
+	case bytes.HasPrefix(line, []byte(tracePrefix)):
+		if !p.open {
+			return zero, false, p.errorf("trace before timestamp")
+		}
+		tr, err := parseTraceLine(string(line))
+		if err != nil {
+			return zero, false, p.errorf("%w", err)
+		}
+		p.cur.Trace = tr
+	case bytes.HasPrefix(line, []byte("% ")):
+		if !p.open {
+			return zero, false, p.errorf("mark before timestamp")
+		}
+		p.cur.Mark = string(line[2:])
+	default:
+		f := p.split(line)
+		if len(f) == 2 && f[0][0] >= '0' && f[0][0] <= '9' {
+			if t, err := strconv.ParseFloat(string(f[0]), 64); err == nil {
+				prev, ok := p.flush()
+				p.open = true
+				p.cur.Time, p.cur.Host = t, p.h.Hostname
+				if string(f[1]) != "-" {
+					p.cur.JobIDs = strings.Split(string(f[1]), ",")
+				}
+				return prev, ok, nil
+			}
+		}
+		if !p.open {
+			return zero, false, p.errorf("record before timestamp")
+		}
+		if len(f) < 2 {
+			return zero, false, p.errorf("short record %q", line)
+		}
+		sch := p.h.Registry.Get(schema.Class(f[0]))
+		if sch == nil {
+			return zero, false, p.errorf("record for unknown class %q", f[0])
+		}
+		vals := f[2:]
+		if len(vals) != sch.Len() {
+			return zero, false, p.errorf("class %q has %d values, schema wants %d",
+				f[0], len(vals), sch.Len())
+		}
+		for _, v := range vals {
+			u, ok := parseDigits(v)
+			if !ok {
+				var err error
+				if u, err = strconv.ParseUint(string(v), 10, 64); err != nil {
+					return zero, false, p.errorf("bad value %q: %w", v, err)
+				}
+			}
+			p.vals = append(p.vals, u)
+		}
+		p.recs = append(p.recs, model.Record{Class: sch.Class, Instance: string(f[1])})
+		p.ends = append(p.ends, len(p.vals))
+	}
+	return zero, false, nil
+}
+
+// flush closes the open block and returns it. Its records are copied
+// into an exact-size slice and their value slices carved out of one
+// array, each capacity-capped so a consumer's append cannot bleed into
+// the next record's values.
+func (p *textParser) flush() (model.Snapshot, bool) {
+	if !p.open {
+		return model.Snapshot{}, false
+	}
+	s := p.cur
+	p.open, p.cur = false, model.Snapshot{}
+	if len(p.recs) > 0 {
+		vals := make([]uint64, len(p.vals))
+		copy(vals, p.vals)
+		s.Records = make([]model.Record, len(p.recs))
+		start := 0
+		for i, r := range p.recs {
+			end := p.ends[i]
+			r.Values = vals[start:end:end]
+			s.Records[i] = r
+			start = end
+		}
+		clear(p.recs)
+		p.recs, p.ends, p.vals = p.recs[:0], p.ends[:0], p.vals[:0]
+	}
+	return s, true
+}
+
+// asciiSpace is the byte set strings.Fields splits ASCII text on.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// split returns the fields of line exactly as strings.Fields would. An
+// all-ASCII line is split in place into p's reused field slice; a line
+// with any other byte goes through strings.Fields itself (Unicode
+// spaces).
+func (p *textParser) split(line []byte) [][]byte {
+	f := p.fields[:0]
+	start := -1
+	for i, c := range line {
+		switch {
+		case c >= utf8.RuneSelf:
+			f = f[:0]
+			for _, s := range strings.Fields(string(line)) {
+				f = append(f, []byte(s))
+			}
+			p.fields = f
+			return f
+		case asciiSpace[c]:
+			if start >= 0 {
+				f = append(f, line[start:i])
+				start = -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		f = append(f, line[start:])
+	}
+	p.fields = f
+	return f
+}
+
+// parseDigits parses a plain decimal of at most 19 digits, which cannot
+// overflow a uint64. Anything else reports false, and the caller goes
+// to strconv.ParseUint for the value or the error.
+func parseDigits(b []byte) (uint64, bool) {
+	if len(b) == 0 || len(b) > 19 {
+		return 0, false
+	}
+	var n uint64
+	for _, c := range b {
+		d := c - '0'
+		if d > 9 {
+			return 0, false
+		}
+		n = n*10 + uint64(d)
+	}
+	return n, true
+}
 
 // textDecoder implements SnapshotDecoder for codec v1 as a streaming
 // line scanner: the header is consumed at construction, then Next
 // yields one snapshot per timestamp block without materializing the
 // whole file.
 type textDecoder struct {
-	sc     *bufio.Scanner
-	h      Header
-	lineNo int
-	cur    *model.Snapshot
-	err    error
+	sc  *bufio.Scanner
+	p   textParser
+	err error
 }
 
 func newTextDecoder(r io.Reader) (*textDecoder, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(make([]byte, 1<<16), maxTextLine)
 	d := &textDecoder{sc: sc}
-	var schemas []*schema.Schema
 	for sc.Scan() {
-		d.lineNo++
-		line := strings.TrimRight(sc.Text(), "\r")
-		switch {
-		case line == "":
-			reg, err := schema.NewRegistry(schemas...)
-			if err != nil {
-				return nil, fmt.Errorf("rawfile: line %d: %w", d.lineNo, err)
-			}
-			d.h.Registry = reg
+		done, err := d.p.headerLine(sc.Bytes())
+		if err != nil {
+			return nil, err
+		}
+		if done {
 			return d, nil
-		case strings.HasPrefix(line, "$"):
-			parts := strings.SplitN(line[1:], " ", 2)
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("rawfile: line %d: malformed property %q", d.lineNo, line)
-			}
-			switch parts[0] {
-			case "gostats":
-				if parts[1] != TextVersion {
-					return nil, fmt.Errorf("rawfile: unsupported version %q", parts[1])
-				}
-			case "hostname":
-				d.h.Hostname = parts[1]
-			case "arch":
-				d.h.Arch = parts[1]
-			default:
-				// Unknown properties are forward-compatible noise.
-			}
-		case strings.HasPrefix(line, "!"):
-			s, err := schema.ParseLine(line)
-			if err != nil {
-				return nil, fmt.Errorf("rawfile: line %d: %w", d.lineNo, err)
-			}
-			schemas = append(schemas, s)
-		default:
-			return nil, fmt.Errorf("rawfile: line %d: unexpected header line %q", d.lineNo, line)
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	return nil, fmt.Errorf("rawfile: truncated header")
+	return nil, errTruncatedHeader
 }
 
 func (d *textDecoder) Version() Version { return V1Text }
-func (d *textDecoder) Header() Header   { return d.h }
+func (d *textDecoder) Header() Header   { return d.p.h }
 
 // Next returns the next snapshot block, or io.EOF at a clean end.
 func (d *textDecoder) Next() (model.Snapshot, error) {
 	if d.err != nil {
 		return model.Snapshot{}, d.err
 	}
-	fail := func(format string, args ...interface{}) (model.Snapshot, error) {
-		d.err = fmt.Errorf(format, args...)
-		return model.Snapshot{}, d.err
-	}
 	for d.sc.Scan() {
-		d.lineNo++
-		line := strings.TrimRight(d.sc.Text(), "\r")
-		switch {
-		case line == "":
-			continue
-		case strings.HasPrefix(line, tracePrefix):
-			if d.cur == nil {
-				return fail("rawfile: line %d: trace before timestamp", d.lineNo)
-			}
-			tr, err := parseTraceLine(line)
-			if err != nil {
-				return fail("rawfile: line %d: %w", d.lineNo, err)
-			}
-			d.cur.Trace = tr
-		case strings.HasPrefix(line, "% "):
-			if d.cur == nil {
-				return fail("rawfile: line %d: mark before timestamp", d.lineNo)
-			}
-			d.cur.Mark = line[2:]
-		default:
-			fields := strings.Fields(line)
-			if len(fields) == 2 && isTimestamp(fields[0]) {
-				// Timestamp line: time jobids
-				t, err := strconv.ParseFloat(fields[0], 64)
-				if err != nil {
-					return fail("rawfile: line %d: bad timestamp: %w", d.lineNo, err)
-				}
-				snap := model.Snapshot{Time: t, Host: d.h.Hostname}
-				if fields[1] != "-" {
-					snap.JobIDs = strings.Split(fields[1], ",")
-				}
-				prev := d.cur
-				d.cur = &snap
-				if prev != nil {
-					return *prev, nil
-				}
-				continue
-			}
-			if d.cur == nil {
-				return fail("rawfile: line %d: record before timestamp", d.lineNo)
-			}
-			if len(fields) < 2 {
-				return fail("rawfile: line %d: short record %q", d.lineNo, line)
-			}
-			cls := schema.Class(fields[0])
-			sch := d.h.Registry.Get(cls)
-			if sch == nil {
-				return fail("rawfile: line %d: record for unknown class %q", d.lineNo, cls)
-			}
-			vals := fields[2:]
-			if len(vals) != sch.Len() {
-				return fail("rawfile: line %d: class %q has %d values, schema wants %d",
-					d.lineNo, cls, len(vals), sch.Len())
-			}
-			rec := model.Record{Class: cls, Instance: fields[1], Values: make([]uint64, len(vals))}
-			for i, v := range vals {
-				u, err := strconv.ParseUint(v, 10, 64)
-				if err != nil {
-					return fail("rawfile: line %d: bad value %q: %w", d.lineNo, v, err)
-				}
-				rec.Values[i] = u
-			}
-			d.cur.Records = append(d.cur.Records, rec)
+		s, ok, err := d.p.bodyLine(d.sc.Bytes())
+		if err != nil {
+			d.err = err
+			return model.Snapshot{}, err
+		}
+		if ok {
+			return s, nil
 		}
 	}
 	if err := d.sc.Err(); err != nil {
 		d.err = err
 		return model.Snapshot{}, err
 	}
-	if d.cur != nil {
-		out := *d.cur
-		d.cur = nil
-		return out, nil
+	if s, ok := d.p.flush(); ok {
+		return s, nil
 	}
 	d.err = io.EOF
 	return model.Snapshot{}, io.EOF
+}
+
+// textParsers recycles the in-memory decoder's scratch (fields, records,
+// values) across wire messages.
+var textParsers = sync.Pool{New: func() any { return new(textParser) }}
+
+// decodeTextBytes parses a whole in-memory v1 stream, calling fn with
+// each snapshot in order. A non-nil reg is the consumer's registry: a
+// header whose schema lines equal reg.Block() byte for byte, followed
+// by the blank line that ends the header, decodes against reg instead
+// of being parsed into a new registry. Any other header is parsed.
+func decodeTextBytes(data []byte, reg *schema.Registry, fn func(model.Snapshot)) (Header, error) {
+	p := textParsers.Get().(*textParser)
+	defer func() {
+		clear(p.recs)
+		clear(p.fields[:cap(p.fields)])
+		*p = textParser{recs: p.recs[:0], ends: p.ends[:0], vals: p.vals[:0], fields: p.fields[:0]}
+		textParsers.Put(p)
+	}()
+	for {
+		if len(data) == 0 {
+			return Header{}, errTruncatedHeader
+		}
+		if reg != nil && len(p.schemas) == 0 && data[0] == '!' {
+			if block := reg.Block(); len(data) > len(block) &&
+				string(data[:len(block)]) == block && data[len(block)] == '\n' {
+				p.lineNo += strings.Count(block, "\n") + 1
+				p.h.Registry = reg
+				data = data[len(block)+1:]
+				break
+			}
+		}
+		line, rest, err := cutLine(data)
+		if err != nil {
+			return Header{}, err
+		}
+		data = rest
+		done, err := p.headerLine(line)
+		if err != nil {
+			return Header{}, err
+		}
+		if done {
+			break
+		}
+	}
+	for len(data) > 0 {
+		line, rest, err := cutLine(data)
+		if err != nil {
+			return Header{}, err
+		}
+		s, ok, err := p.bodyLine(line)
+		if err != nil {
+			return Header{}, err
+		}
+		if ok {
+			fn(s)
+		}
+		data = rest
+	}
+	if s, ok := p.flush(); ok {
+		fn(s)
+	}
+	return p.h, nil
+}
+
+// cutLine splits off the first line of data, without its newline.
+func cutLine(data []byte) (line, rest []byte, err error) {
+	line = data
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		line, rest = data[:i], data[i+1:]
+	}
+	if len(line) >= maxTextLine {
+		return nil, nil, bufio.ErrTooLong
+	}
+	return line, rest, nil
+}
+
+// wireTextBufs recycles the scratch v1 wire messages are formatted in.
+var wireTextBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeWireText formats a v1 wire message, a one-snapshot text stream,
+// and returns it in an exact-size copy of the pooled scratch.
+func encodeWireText(s model.Snapshot, reg *schema.Registry) []byte {
+	bp := wireTextBufs.Get().(*[]byte)
+	*bp = appendTextBlock(appendTextHeader((*bp)[:0], Header{Hostname: s.Host, Registry: reg}), s)
+	out := bytes.Clone(*bp)
+	wireTextBufs.Put(bp)
+	return out
+}
+
+// decodeWireText decodes a v1 wire message: a one-snapshot text stream.
+func decodeWireText(data []byte, reg *schema.Registry) (model.Snapshot, error) {
+	var s model.Snapshot
+	n := 0
+	if _, err := decodeTextBytes(data, reg, func(x model.Snapshot) {
+		if n == 0 {
+			s = x
+		}
+		n++
+	}); err != nil {
+		return model.Snapshot{}, err
+	}
+	if n != 1 {
+		return model.Snapshot{}, fmt.Errorf("codec: wire message holds %d snapshots, want 1", n)
+	}
+	return s, nil
 }
 
 // tracePrefix marks the optional provenance line inside a snapshot
@@ -276,19 +563,18 @@ func (d *textDecoder) Next() (model.Snapshot, error) {
 // space after "%" keeps old "% <mark>" parsing unambiguous.
 const tracePrefix = "%trace "
 
-// formatTraceLine renders stamps as the v1 trace line (without newline).
-func formatTraceLine(tr []model.StageStamp) string {
-	var b strings.Builder
-	b.WriteString(tracePrefix)
+// appendTraceLine appends stamps as the v1 trace line (without newline).
+func appendTraceLine(b []byte, tr []model.StageStamp) []byte {
+	b = append(b, tracePrefix...)
 	for i, ts := range tr {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(ts.Stage.String())
-		b.WriteByte(':')
-		b.WriteString(strconv.FormatInt(ts.UnixNs, 10))
+		b = append(b, ts.Stage.String()...)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, ts.UnixNs, 10)
 	}
-	return b.String()
+	return b
 }
 
 // parseTraceLine decodes a "%trace" line. Stamps for stage names this
@@ -314,19 +600,17 @@ func parseTraceLine(line string) ([]model.StageStamp, error) {
 	return out, nil
 }
 
-// isTimestamp reports whether s looks like a "%.3f" epoch timestamp
-// rather than a class name.
-func isTimestamp(s string) bool {
-	if s == "" || (s[0] < '0' || s[0] > '9') {
-		return false
-	}
-	_, err := strconv.ParseFloat(s, 64)
-	return err == nil
-}
-
-// decodeAllText strict-parses a complete text stream from bytes.
+// decodeAllText strict-parses a complete in-memory text stream.
 func decodeAllText(data []byte) (*Stream, error) {
-	return DecodeAll(strings.NewReader(string(data)))
+	st := &Stream{Version: V1Text}
+	h, err := decodeTextBytes(data, nil, func(s model.Snapshot) {
+		st.Snapshots = append(st.Snapshots, s)
+	})
+	if err != nil {
+		return nil, err
+	}
+	st.Header = h
+	return st, nil
 }
 
 // recoverText recovers the intact prefix of a damaged text stream.
@@ -341,11 +625,17 @@ func recoverText(data []byte) (*Stream, []byte, error) {
 		return st, nil, nil
 	}
 	const maxBackoff = 1000
-	lines := strings.SplitAfter(string(data), "\n")
-	for k := len(lines) - 1; k >= 0 && k >= len(lines)-maxBackoff; k-- {
-		candidate := strings.Join(lines[:k], "")
-		if st, err := decodeAllText([]byte(candidate)); err == nil {
-			return st, []byte(strings.Join(lines[k:], "")), perr
+	end := len(data) + 1
+	for k := 0; k < maxBackoff && end > 0; k++ {
+		// Cut after the last newline before the previous cut (cut 0
+		// when there is none).
+		cut := bytes.LastIndexByte(data[:end-1], '\n') + 1
+		end = cut
+		if cut == len(data) {
+			continue // the whole input, which just failed
+		}
+		if st, err := decodeAllText(data[:cut]); err == nil {
+			return st, data[cut:], perr
 		}
 	}
 	return nil, data, perr
@@ -357,6 +647,6 @@ func recoverText(data []byte) (*Stream, []byte, error) {
 // completed) rather than at the start of a never-recovered next block
 // (tail begins with a timestamp fragment, which starts with a digit).
 func textTornInsideLastFrame(tail []byte) bool {
-	t := strings.TrimLeft(string(tail), " \t\r\n")
-	return t != "" && (t[0] < '0' || t[0] > '9')
+	t := bytes.TrimLeft(tail, " \t\r\n")
+	return len(t) != 0 && (t[0] < '0' || t[0] > '9')
 }

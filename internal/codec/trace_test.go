@@ -8,7 +8,7 @@ import (
 	"gostats/internal/model"
 )
 
-func tracedSnapshots(t *testing.T) []model.Snapshot {
+func tracedSnapshots(t testing.TB) []model.Snapshot {
 	t.Helper()
 	h := testHeader()
 	snaps := fixtureSnapshots(h.Registry)

@@ -25,7 +25,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"gostats/internal/framelog"
@@ -45,36 +44,26 @@ var ErrFingerprintMismatch = errors.New("codec: schema fingerprint mismatch")
 var ErrUnknownWire = errors.New("codec: unrecognized wire message")
 
 // RegistryFingerprint hashes a schema registry (FNV-64a over its sorted
-// schema lines) so producer and consumer can cheaply verify they agree
-// on record layout.
+// schema lines, i.e. its schema block) so producer and consumer can
+// cheaply verify they agree on record layout. The registry computes the
+// hash once, when it is built.
 func RegistryFingerprint(reg *schema.Registry) uint64 {
-	h := fnv.New64a()
-	if reg != nil {
-		for _, c := range reg.Classes() {
-			h.Write([]byte(reg.Get(c).Line()))
-			h.Write([]byte{'\n'})
-		}
+	if reg == nil {
+		return emptyFingerprint
 	}
-	return h.Sum64()
+	return reg.Fingerprint()
 }
+
+// emptyFingerprint is the FNV-64a hash of no bytes: the fingerprint of
+// an absent registry.
+const emptyFingerprint = 0xcbf29ce484222325
 
 // EncodeWire encodes one snapshot as a self-contained wire message in
 // the given codec version.
 func EncodeWire(s model.Snapshot, reg *schema.Registry, v Version) ([]byte, error) {
 	switch v {
 	case V1Text:
-		var buf bytes.Buffer
-		enc, err := NewEncoder(&buf, Header{Hostname: s.Host, Registry: reg}, V1Text)
-		if err != nil {
-			return nil, err
-		}
-		if err := enc.WriteSnapshot(s); err != nil {
-			return nil, err
-		}
-		if err := enc.Flush(); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
+		return encodeWireText(s, reg), nil
 	case V2Binary:
 		return encodeWireBinary(s, reg)
 	default:
@@ -154,14 +143,8 @@ func DecodeWire(data []byte, reg *schema.Registry) (model.Snapshot, Version, err
 		return zero, VersionUnknown, err
 	}
 	if v == V1Text {
-		st, err := DecodeAll(bytes.NewReader(data))
-		if err != nil {
-			return zero, V1Text, err
-		}
-		if len(st.Snapshots) != 1 {
-			return zero, V1Text, fmt.Errorf("codec: wire message holds %d snapshots, want 1", len(st.Snapshots))
-		}
-		return st.Snapshots[0], V1Text, nil
+		s, err := decodeWireText(data, reg)
+		return s, V1Text, err
 	}
 	s, err := decodeWireBinary(data, reg)
 	return s, V2Binary, err

@@ -530,8 +530,13 @@ type Archiver struct {
 	maxOpen int
 
 	mu   sync.Mutex
-	open map[string]*archFile
+	open map[archKey]*archFile
 	tick uint64 // LRU clock
+}
+
+type archKey struct {
+	host string
+	day  int64
 }
 
 type archFile struct {
@@ -546,13 +551,13 @@ func NewArchiver(st *Store, maxOpen int) *Archiver {
 	if maxOpen <= 0 {
 		maxOpen = 64
 	}
-	return &Archiver{st: st, maxOpen: maxOpen, open: make(map[string]*archFile)}
+	return &Archiver{st: st, maxOpen: maxOpen, open: make(map[archKey]*archFile)}
 }
 
 // Append archives one snapshot under the host's header.
 func (a *Archiver) Append(host string, h Header, s model.Snapshot) error {
 	day := int64(s.Time) / 86400
-	key := fmt.Sprintf("%s\x00%d", host, day)
+	key := archKey{host, day}
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -587,7 +592,7 @@ func (a *Archiver) Append(host string, h Header, s model.Snapshot) error {
 // evictLocked closes least-recently-used files beyond the cap.
 func (a *Archiver) evictLocked() {
 	for len(a.open) > a.maxOpen {
-		var oldestKey string
+		var oldestKey archKey
 		var oldest uint64 = math.MaxUint64
 		for k, af := range a.open {
 			if af.used < oldest {

@@ -12,7 +12,8 @@ package schema
 
 import (
 	"fmt"
-	"sort"
+	"hash/fnv"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -190,47 +191,71 @@ func RolloverDelta(prev, cur uint64, e EventDef) uint64 {
 }
 
 // Registry holds schemas keyed by class. A Registry is immutable after
-// construction and safe for concurrent use.
+// construction and safe for concurrent use; its sorted class list, its
+// rendered schema block and the block's fingerprint are computed once,
+// when it is built.
 type Registry struct {
 	byClass map[Class]*Schema
+	classes []Class // sorted
+	block   string
+	fp      uint64
 }
 
 // NewRegistry builds a registry from the given schemas. Duplicate classes
 // are an error.
 func NewRegistry(schemas ...*Schema) (*Registry, error) {
-	r := &Registry{byClass: make(map[Class]*Schema, len(schemas))}
+	byClass := make(map[Class]*Schema, len(schemas))
 	for _, s := range schemas {
-		if _, dup := r.byClass[s.Class]; dup {
+		if _, dup := byClass[s.Class]; dup {
 			return nil, fmt.Errorf("schema: duplicate class %q", s.Class)
 		}
-		r.byClass[s.Class] = s
+		byClass[s.Class] = s
 	}
-	return r, nil
+	return newRegistry(byClass), nil
+}
+
+func newRegistry(byClass map[Class]*Schema) *Registry {
+	r := &Registry{byClass: byClass, classes: make([]Class, 0, len(byClass))}
+	for c := range byClass {
+		r.classes = append(r.classes, c)
+	}
+	slices.Sort(r.classes)
+	var b strings.Builder
+	for _, c := range r.classes {
+		b.WriteString(byClass[c].Line())
+		b.WriteByte('\n')
+	}
+	r.block = b.String()
+	h := fnv.New64a()
+	h.Write([]byte(r.block))
+	r.fp = h.Sum64()
+	return r
 }
 
 // Get returns the schema for class, or nil.
 func (r *Registry) Get(c Class) *Schema { return r.byClass[c] }
 
 // Classes returns the registered classes in sorted order.
-func (r *Registry) Classes() []Class {
-	cs := make([]Class, 0, len(r.byClass))
-	for c := range r.byClass {
-		cs = append(cs, c)
-	}
-	sort.Slice(cs, func(i, j int) bool { return cs[i] < cs[j] })
-	return cs
-}
+func (r *Registry) Classes() []Class { return slices.Clone(r.classes) }
+
+// Block returns the registry's schema lines in sorted class order, each
+// followed by a newline: the schema section of a raw stats file header.
+func (r *Registry) Block() string { return r.block }
+
+// Fingerprint is the FNV-64a hash of Block: two registries with the
+// same record layout have the same fingerprint.
+func (r *Registry) Fingerprint() uint64 { return r.fp }
 
 // Merge returns a new registry containing the schemas of r plus extra.
 // Classes in extra override classes in r (used for per-architecture PMC
 // schemas layered over the base set).
 func (r *Registry) Merge(extra ...*Schema) *Registry {
-	out := &Registry{byClass: make(map[Class]*Schema, len(r.byClass)+len(extra))}
+	byClass := make(map[Class]*Schema, len(r.byClass)+len(extra))
 	for c, s := range r.byClass {
-		out.byClass[c] = s
+		byClass[c] = s
 	}
 	for _, s := range extra {
-		out.byClass[s.Class] = s
+		byClass[s.Class] = s
 	}
-	return out
+	return newRegistry(byClass)
 }

@@ -139,6 +139,7 @@ type segWriter struct {
 	prevMs  int64
 	pending []byte // entries of the frame being built
 	nPend   int
+	payload []byte // scratch frame payload: entry count + pending
 	out     []byte // scratch assembled frame
 
 	bytes   int64
@@ -299,16 +300,15 @@ func (w *segWriter) flushFrame() error {
 	if w.meta.Tier != tierRaw {
 		typ = frameBucket
 	}
-	payload := make([]byte, 0, len(w.pending)+4)
-	payload = binary.AppendUvarint(payload, uint64(w.nPend))
-	payload = append(payload, w.pending...)
+	w.payload = binary.AppendUvarint(w.payload[:0], uint64(w.nPend))
+	w.payload = append(w.payload, w.pending...)
 	w.pending = w.pending[:0]
 	w.nPend = 0
 	fs := w.fstat
 	fs.refs = slices.Clone(w.frefs)
 	slices.Sort(fs.refs)
 	off := w.bytes
-	if err := w.writeFrame(typ, payload); err != nil {
+	if err := w.writeFrame(typ, w.payload); err != nil {
 		return err
 	}
 	fs.off = off
