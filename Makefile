@@ -120,5 +120,6 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzTextDecode -fuzztime=300x ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzParseRecover -fuzztime=300x ./internal/rawfile/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDecode -fuzztime=300x ./internal/segstore/
+	$(GO) test -run='^$$' -fuzz=FuzzIndexedFrame -fuzztime=300x ./internal/segstore/
 	$(GO) test -run='^$$' -fuzz=FuzzScan -fuzztime=300x ./internal/framelog/
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=300x ./internal/reldb/

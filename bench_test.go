@@ -964,9 +964,10 @@ func coldBenchFill(b *testing.B, db *tsdb.DB, hosts, span, step int) {
 // BenchmarkTSDBColdQuery measures range queries against a day of data
 // whose hot set covers only the last two hours — the on-disk dataset is
 // an order of magnitude larger than RAM. "cold" aggregates 20 hours
-// served entirely from sealed segments via pread, "hot" the RAM-resident
-// tail, and "spanning" a window crossing the boundary. The bytes/point
-// metric is the raw tier's on-disk footprint.
+// served entirely from sealed segments via pread ("-host" for one host's
+// series, "-topn" ranking hosts over it), "hot" the RAM-resident tail,
+// and "spanning" a window crossing the boundary. The bytes/point metric
+// is the raw tier's on-disk footprint.
 func BenchmarkTSDBColdQuery(b *testing.B) {
 	cs, err := segstore.Open(b.TempDir(), segstore.Options{
 		CompactRawAfter: -1, CompactMidAfter: -1})
@@ -995,18 +996,33 @@ func BenchmarkTSDBColdQuery(b *testing.B) {
 
 	cases := []struct {
 		name       string
+		host       string
 		start, end float64
+		topN       bool
 	}{
-		{"cold-20h", 0, 20 * 3600},
-		{"spanning-4h", 20 * 3600, 24 * 3600},
-		{"hot-1h", 23 * 3600, 24 * 3600},
+		{name: "cold-20h", start: 0, end: 20 * 3600},
+		{name: "cold-20h-host", host: "n007", start: 0, end: 20 * 3600},
+		{name: "cold-20h-topn", start: 0, end: 20 * 3600, topN: true},
+		{name: "spanning-4h", start: 20 * 3600, end: 24 * 3600},
+		{name: "hot-1h", start: 23 * 3600, end: 24 * 3600},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
+			q := tsdb.Query{Host: c.host, DevType: "cpu", Event: "user",
+				Start: c.start, End: c.end, Downsample: 600, Aggregate: tsdb.Sum}
+			if c.topN {
+				q.GroupBy = []string{"host"}
+			}
 			for i := 0; i < b.N; i++ {
-				res, err := db.Do(tsdb.Query{DevType: "cpu", Event: "user",
-					Start: c.start, End: c.end, Downsample: 600, Aggregate: tsdb.Sum})
+				if c.topN {
+					top, err := db.TopN(q, 5, false)
+					if err != nil || len(top) != 5 {
+						b.Fatalf("top=%v err=%v", top, err)
+					}
+					continue
+				}
+				res, err := db.Do(q)
 				if err != nil || len(res) == 0 || len(res[0].Points) == 0 {
 					b.Fatalf("res=%v err=%v", res, err)
 				}

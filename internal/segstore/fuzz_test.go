@@ -1,9 +1,14 @@
 package segstore
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"gostats/internal/framelog"
 )
 
 // FuzzSegmentDecode throws arbitrary bytes at the segment reader. The
@@ -82,4 +87,143 @@ func FuzzSegmentDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzIndexedFrame throws arbitrary bytes at the index parser and the
+// standalone frame decoder. Every data frame the sequential decode
+// (parseSegment) accepted must also decode standalone from the context
+// parseSegment recorded for it, and the frames' series runs, joined in
+// file order, must be exactly the points parseSegment read. Then the
+// segment's own index, and the second input parsed as an index
+// payload, are applied to the segment's bytes: every frame they list is
+// decoded in isolation. Nothing may panic, and a listed frame whose
+// index entry matches the sequential decode's must decode identically.
+func FuzzIndexedFrame(f *testing.F) {
+	dir := f.TempDir()
+	for i, m := range []Meta{
+		{Tier: tierRaw, Shard: 1, Seq: 7, CoverLo: 7, CoverHi: 7},
+		{Tier: tierMid, Shard: 0, Seq: 9, CoverLo: 1, CoverHi: 8, BucketMs: 600000},
+	} {
+		path := filepath.Join(dir, fmt.Sprint(i))
+		w, err := newSegWriter(path, m, false)
+		if err != nil {
+			f.Fatal(err)
+		}
+		refs := make([]Ref, 4)
+		for j := range refs {
+			refs[j].Labels = Labels{Host: "fuzz", DevType: "cpu", Device: fmt.Sprint(j % 2), Event: fmt.Sprint("e", j/2)}
+		}
+		for j := 0; j < 24; j++ {
+			// Series enter mid-frame; times step back and repeat.
+			v := float64(j)
+			w.add(&refs[(j*j)%(1+j%4)], AggPoint{Time: float64(600 + (j*7)%11), Count: 1, Sum: v, Min: v, Max: v})
+			if j%5 == 4 {
+				if err := w.flushFrame(); err != nil {
+					f.Fatal(err)
+				}
+			}
+		}
+		ix, err := w.writeIndex()
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := w.close(); err != nil {
+			f.Fatal(err)
+		}
+		seg, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload := encodeIndexPayload(ix.series, ix.frames)
+		f.Add(seg, payload)
+		f.Add(seg, []byte{})
+		f.Add(seg[:len(seg)-len(payload)/2], payload)
+		for _, off := range []int{len(payload) / 3, len(payload) - 1} {
+			mut := append([]byte(nil), payload...)
+			mut[off] ^= 0x01
+			f.Add(seg, mut)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data, indexPayload []byte) {
+		other, _ := parseIndexPayload(indexPayload)
+		d, _, derr := parseSegment(data)
+		if d == nil {
+			return
+		}
+		// The sequential oracle: each accepted frame decoded standalone
+		// from its recorded context, runs joined per series.
+		seqFrames := make([]*decodedFrame, len(d.frameStats))
+		atFrame := make(map[int64]int, len(d.frameStats))
+		joined := make([][]AggPoint, len(d.series))
+		for i, fs := range d.frameStats {
+			df, err := decodeFrame(data, fs, d.series)
+			if err != nil {
+				t.Fatalf("frame at %d decoded sequentially but not standalone: %v", fs.off, err)
+			}
+			seqFrames[i], atFrame[fs.off] = df, i
+			for j, r := range df.refs {
+				joined[r] = append(joined[r], df.run(j)...)
+			}
+		}
+		for r, pts := range joined {
+			// Damage inside a frame leaves that frame's leading entries in
+			// d.chunks but no frame stats, so the joined runs are a prefix.
+			if len(pts) > len(d.chunks[r]) || !samePoints(pts, d.chunks[r][:len(pts)]) ||
+				(derr == nil && len(pts) != len(d.chunks[r])) {
+				t.Fatalf("series %d: standalone runs disagree with the sequential decode", r)
+			}
+		}
+		for _, ix := range []*segIndex{d.index, other} {
+			if ix == nil {
+				continue
+			}
+			for _, fs := range ix.frames {
+				df, err := decodeFrame(data, fs, ix.series)
+				if err != nil {
+					continue
+				}
+				i, ok := atFrame[fs.off]
+				if !ok || !reflect.DeepEqual(fs, d.frameStats[i]) {
+					continue
+				}
+				want := seqFrames[i]
+				if !reflect.DeepEqual(df.refs, want.refs) || !reflect.DeepEqual(df.start, want.start) || !samePoints(df.pts, want.pts) {
+					t.Fatalf("frame at %d: indexed decode disagrees with the sequential one", fs.off)
+				}
+			}
+		}
+	})
+}
+
+// decodeFrame locates the frame fs describes in a segment's bytes and
+// decodes it standalone.
+func decodeFrame(data []byte, fs frameStat, series []Labels) (*decodedFrame, error) {
+	if fs.off < 0 || fs.size < 0 || fs.off > int64(len(data)) || fs.size > int64(len(data))-fs.off {
+		return nil, fmt.Errorf("frame [%d,+%d) outside the segment", fs.off, fs.size)
+	}
+	typ, payload, err := framelog.Decode(data[fs.off : fs.off+fs.size])
+	if err != nil {
+		return nil, err
+	}
+	if typ != framePoints && typ != frameBucket {
+		return nil, fmt.Errorf("frame type %q", typ)
+	}
+	return decodeFrameStandalone(payload, typ, fs, series)
+}
+
+// samePoints compares points bit for bit, so NaN values compare equal.
+func samePoints(a, b []AggPoint) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	bits := math.Float64bits
+	for i := range a {
+		p, q := a[i], b[i]
+		if bits(p.Time) != bits(q.Time) || p.Count != q.Count || bits(p.Sum) != bits(q.Sum) ||
+			bits(p.Min) != bits(q.Min) || bits(p.Max) != bits(q.Max) {
+			return false
+		}
+	}
+	return true
 }

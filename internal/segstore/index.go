@@ -14,6 +14,8 @@ package segstore
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
+	"unsafe"
 
 	"gostats/internal/framelog"
 )
@@ -31,10 +33,15 @@ type frameStat struct {
 }
 
 // segIndex is the decoded index of one segment: the full label
-// dictionary plus the frame table.
+// dictionary plus the frame table, and a lazily built postings list.
 type segIndex struct {
 	series []Labels
 	frames []frameStat
+
+	// postings maps (device type, event) to its series refs, built on
+	// first use by refsFor.
+	postOnce sync.Once
+	postings map[devEvent][]uint32
 }
 
 // overlaps reports whether the frame may hold an entry in the half-open
@@ -44,15 +51,44 @@ func (fs *frameStat) overlaps(start, end float64) bool {
 	return float64(fs.minMs)/1000 < end && float64(fs.maxMs)/1000 >= start
 }
 
-// matchRefs returns the index refs whose labels match f (nil when none).
-func (ix *segIndex) matchRefs(f Filter) []uint64 {
-	var out []uint64
-	for i, l := range ix.series {
-		if f.match(l) {
-			out = append(out, uint64(i))
+// devEvent keys the postings list: one (device type, event) pair.
+type devEvent struct{ devType, event string }
+
+// refsFor returns the ascending refs of the series f matches. A filter
+// naming both a device type and an event starts from that pair's
+// postings list; any other filter matches the whole dictionary. The
+// result may alias the postings list and must not be modified.
+func (ix *segIndex) refsFor(f Filter) []uint32 {
+	var out []uint32
+	if f.DevType == "" || f.Event == "" {
+		for i, l := range ix.series {
+			if f.match(l) {
+				out = append(out, uint32(i))
+			}
+		}
+		return out
+	}
+	ix.postOnce.Do(ix.buildPostings)
+	cand := ix.postings[devEvent{f.DevType, f.Event}]
+	if f.Host == "" && f.Device == "" {
+		return cand
+	}
+	for _, r := range cand {
+		if f.match(ix.series[r]) {
+			out = append(out, r)
 		}
 	}
 	return out
+}
+
+// buildPostings groups the dictionary's refs by (device type, event),
+// each list ascending because refs are visited in order.
+func (ix *segIndex) buildPostings() {
+	ix.postings = make(map[devEvent][]uint32)
+	for i, l := range ix.series {
+		k := devEvent{l.DevType, l.Event}
+		ix.postings[k] = append(ix.postings[k], uint32(i))
+	}
 }
 
 // encodeIndexPayload renders the index frame payload.
@@ -152,13 +188,22 @@ func parseIndexPayload(payload []byte) (*segIndex, error) {
 	return ix, nil
 }
 
-// decodedFrame is one data frame decoded in isolation: parallel
-// ref/point arrays plus an approximate memory footprint for the block
-// cache's byte accounting.
+// decodedFrame is one data frame decoded in isolation and laid out
+// series-major: refs holds the frame's distinct series refs ascending,
+// and series refs[i]'s points are pts[start[i]:start[i+1]] in append
+// order. A scan that wants a few series copies their runs and never
+// touches the rest of the frame. mem is the footprint the block cache
+// charges for it.
 type decodedFrame struct {
-	refs []uint32
-	pts  []AggPoint
-	mem  int64
+	refs  []uint32
+	start []int32
+	pts   []AggPoint
+	mem   int64
+}
+
+// run returns the points of series refs[i].
+func (df *decodedFrame) run(i int) []AggPoint {
+	return df.pts[df.start[i]:df.start[i+1]]
 }
 
 // decodeFrameStandalone decodes one data frame's payload without any
@@ -166,17 +211,34 @@ type decodedFrame struct {
 // the table size when the frame was written: refs below it are plain
 // back-references, the ref equal to the running table size introduces
 // its four label strings inline (they are consumed and checked against
-// the table), anything else is corruption.
+// the table), anything else is corruption. The entries are then stable
+// counting-sorted into series-major order, keyed on the index's sorted,
+// distinct refs for the frame; an entry whose series the index does not
+// list, or a listed series with no entry, means the index disagrees
+// with the frame.
 func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, series []Labels) (*decodedFrame, error) {
 	c := framelog.Cursor{B: payload}
 	n, err := c.Count(3)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: frame entry count: %w", err)
 	}
-	df := &decodedFrame{
-		refs: make([]uint32, 0, n),
-		pts:  make([]AggPoint, 0, n),
+	k := len(fs.refs)
+	if k == 0 || k > n {
+		return nil, fmt.Errorf("segstore: index lists %d series for a frame of %d entries", k, n)
 	}
+	// slotOf[ref-lo] is 1 + the ref's position in fs.refs, 0 for a ref
+	// the index does not list. Refs are bounded by the series table.
+	lo, hi := fs.refs[0], fs.refs[k-1]
+	if hi >= uint64(len(series)) {
+		return nil, fmt.Errorf("segstore: index ref %d exceeds series table %d", hi, len(series))
+	}
+	slotOf := make([]int32, hi-lo+1)
+	for i, r := range fs.refs {
+		slotOf[r-lo] = int32(i + 1)
+	}
+	ent := make([]AggPoint, n)
+	slot := make([]int32, n)
+	start := make([]int32, k+1)
 	prevMs := fs.firstMs
 	introduced := fs.dictBase
 	for i := 0; i < n; i++ {
@@ -190,12 +252,33 @@ func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, series []Labe
 			}
 			introduced++
 		}
-		df.refs = append(df.refs, uint32(ref))
-		df.pts = append(df.pts, p)
+		if ref < lo || ref > hi || slotOf[ref-lo] == 0 {
+			return nil, fmt.Errorf("segstore: frame series %d missing from index", ref)
+		}
+		s := slotOf[ref-lo] - 1
+		slot[i] = s
+		ent[i] = p
+		start[s+1]++
 	}
 	if c.Len() != 0 {
 		return nil, fmt.Errorf("segstore: %d trailing bytes in frame", c.Len())
 	}
-	df.mem = int64(len(df.pts))*44 + 64
+	df := &decodedFrame{refs: make([]uint32, k), start: start, pts: make([]AggPoint, n)}
+	for i, r := range fs.refs {
+		df.refs[i] = uint32(r)
+		if start[i+1] == 0 {
+			return nil, fmt.Errorf("segstore: index series %d absent from frame", r)
+		}
+		start[i+1] += start[i]
+	}
+	// Scatter in entry order, so each series keeps its append order.
+	next := make([]int32, k)
+	copy(next, start)
+	for i, p := range ent {
+		s := slot[i]
+		df.pts[next[s]] = p
+		next[s]++
+	}
+	df.mem = int64(n)*int64(unsafe.Sizeof(AggPoint{})) + int64(2*k+1)*4 + 96
 	return df, nil
 }

@@ -14,12 +14,13 @@
 package segstore
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -54,13 +55,18 @@ type scanTarget struct {
 func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesChunk, error) {
 	sh := s.shards[shard]
 	sh.mu.Lock()
+	// Targets are taken coarsest tier first, by seq within a tier (each
+	// sh.sealed list is seq-sorted), and joined in that order with the
+	// active segment last. Compaction moves older data up the tiers, so
+	// the join is usually already time-ordered, and points with equal
+	// times always meet the stable sort below in the same order.
 	var targets []scanTarget
 	closeAll := func() {
 		for _, t := range targets {
 			t.f.Close()
 		}
 	}
-	for t := 0; t < numTiers; t++ {
+	for t := numTiers - 1; t >= 0; t-- {
 		for _, info := range sh.sealed[t] {
 			if info.minT < end && info.maxT >= start {
 				fh, err := os.Open(info.path)
@@ -92,17 +98,15 @@ func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesChun
 	sh.mu.Unlock()
 	defer closeAll()
 
-	// Accumulate per-series *parts* (one slice per contributing segment)
-	// and concatenate exactly once at the end — appending points across
-	// segments into a single growing slice re-copies the prefix on every
-	// growth, which dominates a cache-warm scan.
-	acc := make(map[Labels][][]AggPoint)
+	// parts[i] is target i's result; the last slot is the active
+	// segment's.
+	parts := make([][]SeriesChunk, len(targets)+1)
 	if activeData != nil {
 		// The active prefix is all complete frames (writes happen under
 		// the shard lock we just held), so damage here is impossible; be
 		// tolerant anyway, matching recovery's treatment of actives.
 		if d, _, _ := parseSegment(activeData); d != nil {
-			mergeSegData(acc, d, f, start, end)
+			parts[len(targets)] = segChunks(d, f, start, end)
 		}
 	}
 
@@ -120,13 +124,13 @@ func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesChun
 		for w := 0; w < k; w++ {
 			go func() {
 				defer wg.Done()
-				local := make(map[Labels][][]AggPoint)
 				for !failed.Load() {
 					i := int(next.Add(1))
 					if i >= len(targets) {
 						break
 					}
-					if err := s.scanSegment(shard, targets[i], f, start, end, local); err != nil {
+					part, err := s.scanSegment(shard, targets[i], f, start, end)
+					if err != nil {
 						failed.Store(true)
 						mu.Lock()
 						if first == nil {
@@ -135,12 +139,8 @@ func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesChun
 						mu.Unlock()
 						break
 					}
+					parts[i] = part
 				}
-				mu.Lock()
-				for l, parts := range local {
-					acc[l] = append(acc[l], parts...)
-				}
-				mu.Unlock()
 			}()
 		}
 		wg.Wait()
@@ -149,93 +149,100 @@ func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesChun
 		}
 	}
 
+	// Join each series' parts once at the end — appending points across
+	// segments into one growing slice re-copies the prefix on every
+	// growth, which dominates a cache-warm scan.
+	acc := make(map[Labels][][]AggPoint)
+	for _, part := range parts {
+		for _, c := range part {
+			acc[c.Labels] = append(acc[c.Labels], c.Points)
+		}
+	}
 	out := make([]SeriesChunk, 0, len(acc))
-	for l, parts := range acc {
-		n := 0
-		for _, p := range parts {
-			n += len(p)
+	for l, ps := range acc {
+		// Every part is freshly allocated, so a lone part is used as is.
+		pts := ps[0]
+		if len(ps) > 1 {
+			n := 0
+			for _, p := range ps {
+				n += len(p)
+			}
+			pts = make([]AggPoint, 0, n)
+			for _, p := range ps {
+				pts = append(pts, p...)
+			}
 		}
-		pts := make([]AggPoint, 0, n)
-		for _, p := range parts {
-			pts = append(pts, p...)
+		if !slices.IsSortedFunc(pts, byTime) {
+			slices.SortStableFunc(pts, byTime)
 		}
-		sort.Slice(pts, func(i, j int) bool { return pts[i].Time < pts[j].Time })
 		out = append(out, SeriesChunk{Labels: l, Points: pts})
 	}
 	sortChunks(out)
 	return out, nil
 }
 
-// scanSegment decodes one sealed segment into acc: the indexed pread
-// path when possible, the whole-file scan otherwise.
-func (s *Store) scanSegment(shard int, t scanTarget, f Filter, start, end float64, acc map[Labels][][]AggPoint) error {
+// byTime orders points by time, for the join's sortedness check and
+// stable sort.
+func byTime(a, b AggPoint) int { return cmp.Compare(a.Time, b.Time) }
+
+// scanSegment reads one sealed segment's matching points: the indexed
+// pread path when possible, the whole-file scan otherwise.
+func (s *Store) scanSegment(shard int, t scanTarget, f Filter, start, end float64) ([]SeriesChunk, error) {
 	if t.info.index != nil {
 		if part, ok := s.scanIndexed(shard, t, f, start, end); ok {
 			s.met.idxHits.Inc()
-			for l, pts := range part {
-				acc[l] = append(acc[l], pts)
-			}
-			return nil
+			return part, nil
 		}
 		// Index unusable at read time: degrade to the full scan below.
 	}
 	s.met.idxFullscans.Inc()
 	st, err := t.f.Stat()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	data := make([]byte, st.Size())
 	if _, err := io.ReadFull(io.NewSectionReader(t.f, 0, st.Size()), data); err != nil {
-		return err
+		return nil, err
 	}
 	d, _, derr := parseSegment(data)
 	if derr != nil && (d == nil || !d.indexTail) {
-		return fmt.Errorf("segstore: sealed segment %s unreadable mid-run: %w", filepath.Base(t.info.path), derr)
+		return nil, fmt.Errorf("segstore: sealed segment %s unreadable mid-run: %w", filepath.Base(t.info.path), derr)
 	}
-	mergeSegData(acc, d, f, start, end)
-	return nil
+	return segChunks(d, f, start, end), nil
 }
 
 // scanIndexed serves a query from index-selected frames through the
 // block cache. ok=false means the index could not be used (a pread or
 // decode failure) and the caller should fall back to a full scan; the
 // partial result is discarded so nothing is double-counted.
-func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float64) (map[Labels][]AggPoint, bool) {
+//
+// The wanted refs and each frame's refs are both ascending, so one
+// merge walk per frame finds the series-major runs to copy; the rest of
+// the frame is never touched.
+func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float64) ([]SeriesChunk, bool) {
 	info, ix := t.info, t.info.index
-	want := make([]bool, len(ix.series))
-	any := false
-	for i, l := range ix.series {
-		if f.match(l) {
-			want[i] = true
-			any = true
-		}
+	want := ix.refsFor(f)
+	if len(want) == 0 {
+		return nil, true
 	}
-	out := make(map[Labels][]AggPoint)
-	if !any {
-		return out, true
-	}
-	// Resolve the matching frames through the block cache first, then
-	// count matches per series ref so the output slices are allocated at
-	// exact capacity — append-doubling and per-point map hashing both
-	// dominate a cache-warm scan otherwise.
 	expTyp := byte(framePoints)
 	if info.tier != tierRaw {
 		expTyp = frameBucket
 	}
-	var dfs []*decodedFrame
+	// A run is one wanted series' points in one frame; whole marks a
+	// frame lying entirely inside the window, whose runs need no
+	// per-point test. Runs are counted first so every output slice is
+	// allocated at exact capacity.
+	type run struct {
+		pts   []AggPoint
+		w     int
+		whole bool
+	}
+	var runs []run
+	counts := make([]int, len(want))
 	for fi := range ix.frames {
 		fs := &ix.frames[fi]
-		if !fs.overlaps(start, end) {
-			continue
-		}
-		hit := false
-		for _, r := range fs.refs {
-			if r < uint64(len(want)) && want[r] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
+		if !fs.overlaps(start, end) || !intersects(want, fs.refs) {
 			continue
 		}
 		key := blockKey{shard: shard, tier: info.tier, seq: info.seq, off: fs.off}
@@ -246,43 +253,74 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 			s.opts.Logf("segstore: %s: indexed read failed (%v); degrading to full scan", filepath.Base(info.path), err)
 			return nil, false
 		}
-		dfs = append(dfs, df)
-	}
-	counts := make([]int, len(ix.series))
-	for _, df := range dfs {
-		for j, ref := range df.refs {
-			if int(ref) < len(want) && want[ref] {
-				p := df.pts[j]
-				if p.Time >= start && p.Time < end {
-					counts[ref]++
+		whole := float64(fs.minMs)/1000 >= start && float64(fs.maxMs)/1000 < end
+		for w, i := 0, 0; w < len(want) && i < len(df.refs); {
+			switch {
+			case want[w] < df.refs[i]:
+				w++
+			case want[w] > df.refs[i]:
+				i++
+			default:
+				r := run{pts: df.run(i), w: w, whole: whole}
+				n := len(r.pts)
+				if !whole {
+					n = 0
+					for _, p := range r.pts {
+						if p.Time >= start && p.Time < end {
+							n++
+						}
+					}
 				}
+				if n > 0 {
+					counts[w] += n
+					runs = append(runs, r)
+				}
+				w++
+				i++
 			}
 		}
 	}
-	byRef := make([][]AggPoint, len(ix.series))
-	for ref, n := range counts {
+	byWant := make([][]AggPoint, len(want))
+	nSeries := 0
+	for w, n := range counts {
 		if n > 0 {
-			byRef[ref] = make([]AggPoint, 0, n)
+			byWant[w] = make([]AggPoint, 0, n)
+			nSeries++
 		}
 	}
-	for _, df := range dfs {
-		for j, ref := range df.refs {
-			if int(ref) < len(want) && want[ref] {
-				p := df.pts[j]
-				if p.Time >= start && p.Time < end {
-					byRef[ref] = append(byRef[ref], p)
-				}
+	for _, r := range runs {
+		if r.whole {
+			byWant[r.w] = append(byWant[r.w], r.pts...)
+			continue
+		}
+		for _, p := range r.pts {
+			if p.Time >= start && p.Time < end {
+				byWant[r.w] = append(byWant[r.w], p)
 			}
 		}
 	}
-	// Series refs are unique per label, so the accumulated slices can be
-	// handed to the map without copying.
-	for ref, pts := range byRef {
+	out := make([]SeriesChunk, 0, nSeries)
+	for w, pts := range byWant {
 		if len(pts) > 0 {
-			out[ix.series[ref]] = pts
+			out = append(out, SeriesChunk{Labels: ix.series[want[w]], Points: pts})
 		}
 	}
 	return out, true
+}
+
+// intersects reports whether the ascending ref lists share a ref.
+func intersects(want []uint32, refs []uint64) bool {
+	for w, i := 0, 0; w < len(want) && i < len(refs); {
+		switch {
+		case uint64(want[w]) < refs[i]:
+			w++
+		case uint64(want[w]) > refs[i]:
+			i++
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // readFrameAt preads one frame and decodes it in isolation, verifying
@@ -305,9 +343,10 @@ func readFrameAt(f *os.File, expTyp byte, fs frameStat, series []Labels) (*decod
 	return decodeFrameStandalone(payload, typ, fs, series)
 }
 
-// mergeSegData filters a fully decoded segment into acc, one part per
-// matched series.
-func mergeSegData(acc map[Labels][][]AggPoint, d *segData, f Filter, start, end float64) {
+// segChunks filters a fully decoded segment, one chunk per matched
+// series with points in the window.
+func segChunks(d *segData, f Filter, start, end float64) []SeriesChunk {
+	var out []SeriesChunk
 	for i, l := range d.series {
 		if !f.match(l) {
 			continue
@@ -319,7 +358,8 @@ func mergeSegData(acc map[Labels][][]AggPoint, d *segData, f Filter, start, end 
 			}
 		}
 		if len(pts) > 0 {
-			acc[l] = append(acc[l], pts)
+			out = append(out, SeriesChunk{Labels: l, Points: pts})
 		}
 	}
+	return out
 }
