@@ -79,12 +79,20 @@ chaos:
 
 ## watchparity: end-to-end detection audit — a simcluster -watch run must
 ## hit the online/post-hoc flag parity floor (exits non-zero below 95%),
-## with provenance tracing live on every hop.
+## with provenance tracing live on every hop; then the same run on a
+## 3-broker fabric, whose cross-owner delivery skew the live assembler
+## must absorb. Both runs fail if any job is finalized twice.
 watchparity:
 	@dir="$$(mktemp -d)"; rc=0; \
 	$(GO) run ./cmd/simcluster -mode daemon -nodes 8 -days 0.5 -watch \
 		-out "$$dir" -telemetry off > "$$dir/run.log" 2>&1 || rc=$$?; \
 	grep -E '^simcluster watch:' "$$dir/run.log"; \
+	[ "$$rc" -eq 0 ] || tail -5 "$$dir/run.log"; \
+	rm -rf "$$dir"; exit $$rc
+	@dir="$$(mktemp -d)"; rc=0; \
+	$(GO) run ./cmd/simcluster -mode daemon -nodes 8 -days 0.5 -watch \
+		-brokers 3 -out "$$dir" -telemetry off > "$$dir/run.log" 2>&1 || rc=$$?; \
+	grep -E '^simcluster (fabric|watch):' "$$dir/run.log"; \
 	[ "$$rc" -eq 0 ] || tail -5 "$$dir/run.log"; \
 	rm -rf "$$dir"; exit $$rc
 

@@ -23,8 +23,6 @@ import (
 	"net/http"
 
 	"gostats/internal/chip"
-	"gostats/internal/jobmap"
-	"gostats/internal/model"
 	"gostats/internal/portal"
 	"gostats/internal/rawfile"
 	"gostats/internal/reldb"
@@ -76,13 +74,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("portal: %v", err)
 		}
-		series = func(jobID string) (*model.JobData, error) {
-			m, err := jobmap.FromStore(store)
-			if err != nil {
-				return nil, err
-			}
-			return m.Jobs()[jobID], nil
-		}
+		series = portal.StoreSeries(store)
 	}
 	srv := portal.NewServer(db, reg, series)
 	if *xaltPath != "" {

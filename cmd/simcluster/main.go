@@ -76,8 +76,9 @@
 // With -watch (daemon mode only), every snapshot carries provenance
 // stamps from collect through store-ingest (per-stage latency
 // histograms and per-host freshness land on /metrics), and an online
-// watcher runs off the live assembler's snapshot tap, raising job
-// flags mid-run. After the post-hoc ETL the run audits the online
+// watcher observes the live assembler, raising job flags mid-run. After
+// the post-hoc ETL the run reports how many jobs the live assembler
+// finalized (any job finalized twice exits non-zero), audits the online
 // flags against the batch sweep and reports parity plus the median
 // detection latency; parity below -watch-min-parity exits non-zero.
 // Combined with -chaos, the run also asserts that per-host freshness
@@ -96,6 +97,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -170,7 +172,7 @@ func main() {
 	portalReaders := flag.Int("portal-readers", 0,
 		"concurrent /api/v1 readers to drive after ETL against the versioned query API (0 = off)")
 	watchMode := flag.Bool("watch", false,
-		"daemon mode only: trace provenance end to end and run the online job watcher, auditing its flags against the post-hoc ETL")
+		"daemon mode only: trace provenance end to end and run the online job watcher on a live assembler, auditing that it finalizes each job exactly once and that its flags match the post-hoc ETL")
 	watchMinParity := flag.Float64("watch-min-parity", 0.95,
 		"minimum online/post-hoc flag parity (fraction of jobs with identical flag sets) before a -watch run fails")
 	flag.Parse()
@@ -315,27 +317,26 @@ func main() {
 			// Stage histograms and freshness gauges land in the default
 			// registry so the ops endpoint's /metrics carries them.
 			rec = trace.NewRecorder(telemetry.Default())
-			metaByJob := make(map[string]watch.JobMeta, len(specs))
-			for _, sp := range specs {
-				metaByJob[sp.JobID] = watch.JobMeta{Queue: sp.Queue, Nodes: sp.Nodes}
-			}
 			watchEvents, err = os.Create(filepath.Join(*out, "watch_events.jsonl"))
 			if err != nil {
 				log.Fatalf("simcluster: %v", err)
 			}
+			// The live assembler mirrors the nightly ETL over the delivered
+			// stream and joins the submitted specs as scheduler meta; its
+			// rows go only to the watcher (the post-hoc ETL stays
+			// authoritative). Broker delivery is per-host FIFO but
+			// cross-host skew can reach a collection interval, so
+			// finalization is held back that long for lagging tails to
+			// fold in.
+			liveMeta := make(map[string]etl.Meta, len(specs))
+			for _, sp := range specs {
+				liveMeta[sp.JobID] = etl.MetaFromSpec(sp)
+			}
+			liveAsm = &etl.Assembler{Registry: reg, Meta: liveMeta,
+				EndGrace: etl.DefaultEndGrace, Lateness: collectInterval, Trace: rec}
 			watcher = &watch.Watcher{
-				Registry:   reg,
 				Thresholds: flagging.DefaultThresholds(),
-				EndGrace:   etl.DefaultEndGrace,
-				// Broker delivery is per-host FIFO but cross-host skew can
-				// reach a collection interval; hold finalization back that
-				// long so lagging tails fold in before the final verdict.
-				Lateness: collectInterval,
-				Meta: func(id string) (watch.JobMeta, bool) {
-					m, ok := metaByJob[id]
-					return m, ok
-				},
-				EventLog: watchEvents,
+				EventLog:   watchEvents,
 				Notify: func(e watch.Event) {
 					if e.Kind == "flag_raised" {
 						fmt.Printf("WATCH flag %s raised on job %s at t=%.0f\n",
@@ -343,12 +344,7 @@ func main() {
 					}
 				},
 			}
-			// The live assembler mirrors the nightly ETL over the delivered
-			// stream; its row output is discarded (the post-hoc ETL stays
-			// authoritative) — it exists to stamp the assemble hop and to
-			// drive the watcher off its snapshot tap.
-			liveAsm = &etl.Assembler{Registry: reg, DB: reldb.New(),
-				EndGrace: etl.DefaultEndGrace, Trace: rec, OnSnapshot: watcher.Feed}
+			watcher.Attach(liveAsm)
 		}
 		if fabricMode {
 			// A static-membership fabric (of one broker under -chaos):
@@ -614,8 +610,11 @@ func main() {
 		*mode, *nodes, *days, eng.Started, eng.Finished, len(ids), dbPath)
 	fmt.Printf("simcluster: browse with: portal -db %s -store %s\n", dbPath, filepath.Join(*out, "central"))
 	if watcher != nil {
-		watcher.Flush()
+		liveAsm.Flush()
 		if err := watchEvents.Close(); err != nil {
+			log.Fatalf("simcluster: %v", err)
+		}
+		if err := auditExactlyOnce(liveAsm); err != nil {
 			log.Fatalf("simcluster: %v", err)
 		}
 		if err := auditWatch(watcher, db, rec, *watchMinParity); err != nil {
@@ -643,6 +642,25 @@ func main() {
 			st.TierSegments[0], st.TierBytes[0], st.TierPoints[0])
 	}
 	printOverheadSummary(ops, *nodes, span)
+}
+
+// auditExactlyOnce prints what the live assembler finalized and fails
+// the run if any job was finalized more than once — a late sample or
+// mark must be dropped, never reopen a finalized job.
+func auditExactlyOnce(a *etl.Assembler) error {
+	ids := a.IngestedIDs() // sorted, one entry per finalization
+	var twice []string
+	for i := 1; i < len(ids); i++ {
+		if ids[i] == ids[i-1] {
+			twice = append(twice, ids[i])
+		}
+	}
+	fmt.Printf("simcluster watch: live assembler finalized %d rows for %d distinct jobs; %d late drops, %d jobs skipped\n",
+		len(ids), len(ids)-len(twice), a.LateDrops(), a.Skipped())
+	if len(twice) > 0 {
+		return fmt.Errorf("watch audit: jobs finalized more than once: %v", slices.Compact(twice))
+	}
+	return nil
 }
 
 // auditWatch compares the online watcher's final flag sets against the

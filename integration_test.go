@@ -15,7 +15,6 @@ import (
 	"gostats/internal/etl"
 	"gostats/internal/flagging"
 	"gostats/internal/hwsim"
-	"gostats/internal/jobmap"
 	"gostats/internal/lustresim"
 	"gostats/internal/model"
 	"gostats/internal/portal"
@@ -158,14 +157,7 @@ func TestEndToEndCronDeployment(t *testing.T) {
 	}
 
 	// The portal serves it all, with Fig 5 plots from the raw archive.
-	series := func(jobID string) (*model.JobData, error) {
-		m, err := jobmap.FromStore(store)
-		if err != nil {
-			return nil, err
-		}
-		return m.Jobs()[jobID], nil
-	}
-	srv := portal.NewServer(db, reg, series)
+	srv := portal.NewServer(db, reg, portal.StoreSeries(store))
 	srv.XALT = xdb
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -25,6 +25,8 @@ import (
 type etlMetrics struct {
 	jobsMapped   *telemetry.Counter
 	rowsIngested *telemetry.Counter
+	jobsSkipped  *telemetry.Counter
+	lateDrops    *telemetry.Counter
 	batchSeconds *telemetry.Histogram
 }
 
@@ -34,6 +36,10 @@ func newETLMetrics(reg *telemetry.Registry) *etlMetrics {
 			"Jobs assembled from the raw store by the job mapper."),
 		rowsIngested: reg.Counter("gostats_etl_rows_ingested_total",
 			"Job rows reduced and inserted into the relational store."),
+		jobsSkipped: reg.Counter("gostats_etl_jobs_skipped_total",
+			"Jobs too thin to reduce (single sample) dropped at finalize."),
+		lateDrops: reg.Counter("gostats_etl_late_drops_total",
+			"Samples or marks arriving after their job finalized, dropped. Non-zero means delivery skew exceeded the lateness window."),
 		batchSeconds: reg.Histogram("gostats_etl_batch_seconds",
 			"Wall time of one store-ingest batch (map + reduce + insert).",
 			[]float64{0.01, 0.05, 0.1, 0.5, 1, 5, 15, 60, 300}),
@@ -199,31 +205,6 @@ func IngestStoreJournaled(st *rawfile.Store, reg *schema.Registry, meta map[stri
 	}
 	a.Flush()
 	return a.IngestedIDs(), a.Err()
-}
-
-// observedSpan returns the earliest and latest sample times across a
-// job's hosts.
-func observedSpan(jd *model.JobData) (first, last float64) {
-	started := false
-	for _, hd := range jd.Hosts {
-		for _, byInst := range hd.Series {
-			for _, s := range byInst {
-				if len(s.Samples) == 0 {
-					continue
-				}
-				f := s.Samples[0].Time
-				l := s.Samples[len(s.Samples)-1].Time
-				if !started || f < first {
-					first = f
-				}
-				if !started || l > last {
-					last = l
-				}
-				started = true
-			}
-		}
-	}
-	return first, last
 }
 
 // DefaultNodeConfig is the node type fleets run on unless a spec says

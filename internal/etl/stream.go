@@ -2,7 +2,9 @@ package etl
 
 import (
 	"sort"
+	"strings"
 
+	"gostats/internal/collect"
 	"gostats/internal/core"
 	"gostats/internal/model"
 	"gostats/internal/reldb"
@@ -34,7 +36,11 @@ const DefaultEndGrace = 600
 //     forever, the streaming path closes it out.
 //
 // Both triggers are evaluated against stream time, not wall time, so a
-// historical replay behaves identically to a live tail. Flush finalizes
+// historical replay behaves identically to a live tail, and both are
+// held back by the Lateness window so cross-host delivery skew cannot
+// truncate a job. A finalized job stays finalized: its id is tombstoned,
+// and any sample or mark that still arrives for it is dropped and
+// counted rather than starting a second, truncated row. Flush finalizes
 // everything left (batch end-of-input).
 //
 // Not safe for concurrent use; the listener serializes messages anyway.
@@ -59,12 +65,23 @@ type Assembler struct {
 	// IdleTimeout, when > 0, finalizes a job with no end mark once the
 	// watermark is this far past its last sample.
 	IdleTimeout float64
+	// Lateness holds both finalize triggers back by this many stream
+	// seconds past the watermark. Live broker delivery is only
+	// approximately time-ordered — per-host FIFO, but cross-host skew of
+	// up to about a collection interval — and a job finalized before a
+	// lagging host's tail samples arrive would be reduced over a
+	// truncated series. Set it to one collection interval for live
+	// streams; zero is correct for time-ordered input (Store.Walk, tests).
+	// Arrivals later than the window are dropped (LateDrops).
+	Lateness float64
 
 	// OnRow, if set, observes every finalized row (tests, metrics).
 	OnRow func(*reldb.JobRow)
 
 	// OnSnapshot, if set, observes every fed snapshot after it has been
-	// folded in — the tap the online watch stage hangs off.
+	// folded in and before the triggers it fired are swept, so every
+	// job it touched is still in flight — the tap the online watch stage
+	// hangs off.
 	OnSnapshot func(model.Snapshot)
 
 	// Trace, if set, stamps the assemble hop on every fed snapshot.
@@ -74,9 +91,11 @@ type Assembler struct {
 	Metrics *telemetry.Registry
 
 	jobs      map[string]*jobState
+	done      map[string]bool // finalized ids: late arrivals must not resurrect them
 	watermark float64
 	ingested  []string
 	skipped   int
+	late      int
 	jnlErr    error
 	met       *etlMetrics
 }
@@ -94,6 +113,7 @@ type jobState struct {
 func (a *Assembler) init() {
 	if a.jobs == nil {
 		a.jobs = make(map[string]*jobState)
+		a.done = make(map[string]bool)
 	}
 	if a.met == nil {
 		reg := a.Metrics
@@ -104,9 +124,16 @@ func (a *Assembler) init() {
 	}
 }
 
+// job returns id's in-flight state, creating it on first sight, or nil
+// — counting a late drop — when id has already been finalized.
 func (a *Assembler) job(id string) *jobState {
 	js := a.jobs[id]
 	if js == nil {
+		if a.done[id] {
+			a.late++
+			a.met.lateDrops.Inc()
+			return nil
+		}
 		js = &jobState{jd: model.NewJobData(id)}
 		a.jobs[id] = js
 		a.met.jobsMapped.Inc()
@@ -117,49 +144,62 @@ func (a *Assembler) job(id string) *jobState {
 // Feed folds one snapshot into every job it is labeled with, records
 // begin/end marks, advances the watermark, and finalizes any job whose
 // trigger fired. Snapshots must arrive in globally non-decreasing time
-// order for the idle trigger to be meaningful (Store.Walk and the live
-// stream both provide this); out-of-order samples are still folded
-// correctly, they just cannot un-fire a timeout.
+// order, up to the Lateness window, for the idle trigger to be
+// meaningful (Store.Walk and the live stream both provide this);
+// out-of-order samples are still folded correctly, they just cannot
+// un-fire a timeout.
 func (a *Assembler) Feed(s model.Snapshot) {
 	a.init()
 	a.Trace.Stamp(&s, model.StageAssemble)
 	for _, id := range s.JobIDs {
-		js := a.job(id)
-		h := js.jd.Host(s.Host)
-		for _, r := range s.Records {
-			h.Append(s.Time, r)
-		}
-		if s.Time > js.lastSeen {
-			js.lastSeen = s.Time
+		if js := a.job(id); js != nil {
+			js.jd.AddSnapshot(s)
+			if s.Time > js.lastSeen {
+				js.lastSeen = s.Time
+			}
 		}
 	}
-	switch {
-	case len(s.Mark) > 6 && s.Mark[:6] == "begin ":
-		js := a.job(s.Mark[6:])
-		js.begin, js.haveBegin = s.Time, true
-	case len(s.Mark) > 4 && s.Mark[:4] == "end ":
-		js := a.job(s.Mark[4:])
-		js.end, js.haveEnd = s.Time, true
+	switch kind, id := jobMark(s.Mark); kind {
+	case collect.MarkBegin:
+		if js := a.job(id); js != nil {
+			js.begin, js.haveBegin = s.Time, true
+		}
+	case collect.MarkEnd:
+		if js := a.job(id); js != nil {
+			js.end, js.haveEnd = s.Time, true
+		}
 	}
 	if s.Time > a.watermark {
 		a.watermark = s.Time
 	}
-	a.sweep()
 	if a.OnSnapshot != nil {
 		a.OnSnapshot(s)
 	}
+	a.sweep()
+}
+
+// jobMark splits a job-lifecycle mark ("begin 4001", see
+// collect.JobMark) into its kind and job id; both are empty for any
+// other mark.
+func jobMark(mark string) (kind, id string) {
+	kind, id, _ = strings.Cut(mark, " ")
+	if id == "" || (kind != collect.MarkBegin && kind != collect.MarkEnd) {
+		return "", ""
+	}
+	return kind, id
 }
 
 // sweep finalizes every job whose end-mark or idle trigger has fired at
-// the current watermark.
+// the current watermark, held back by the lateness window.
 func (a *Assembler) sweep() {
+	mark := a.watermark - a.Lateness
 	var due []string
 	for id, js := range a.jobs {
 		switch {
-		case js.haveEnd && a.watermark >= js.end+a.EndGrace:
+		case js.haveEnd && mark >= js.end+a.EndGrace:
 			due = append(due, id)
 		case a.IdleTimeout > 0 && js.lastSeen > 0 &&
-			a.watermark-js.lastSeen >= a.IdleTimeout:
+			mark-js.lastSeen >= a.IdleTimeout:
 			due = append(due, id)
 		}
 	}
@@ -169,17 +209,15 @@ func (a *Assembler) sweep() {
 	}
 }
 
-// finalize reduces one job to its row, joins metadata, inserts, and
-// forgets the accumulated state. Jobs too thin to reduce (a single
-// sample — the node died between ticks) are dropped, as in the batch
-// path.
-func (a *Assembler) finalize(id string) {
-	js := a.jobs[id]
-	delete(a.jobs, id)
+// row reduces one accumulated job to its relational row: Table I
+// metrics, the scheduler-meta join (Nodes falls back to the observed
+// hosts), and the begin/end span, or the observed sample span when a
+// mark is missing. Finalize and Running both build rows here. Jobs too
+// thin to reduce (a single sample) return core's error.
+func (a *Assembler) row(id string, js *jobState) (*reldb.JobRow, error) {
 	sum, err := core.Compute(js.jd, a.Registry)
 	if err != nil {
-		a.skipped++
-		return
+		return nil, err
 	}
 	row := &reldb.JobRow{JobID: id, Hosts: js.jd.HostNames(), Metrics: *sum}
 	if js.haveBegin && js.haveEnd {
@@ -198,6 +236,62 @@ func (a *Assembler) finalize(id string) {
 	}
 	if row.Nodes == 0 {
 		row.Nodes = len(js.jd.Hosts)
+	}
+	return row, nil
+}
+
+// observedSpan returns the earliest and latest sample times across a
+// job's hosts.
+func observedSpan(jd *model.JobData) (first, last float64) {
+	started := false
+	for _, hd := range jd.Hosts {
+		for _, byInst := range hd.Series {
+			for _, s := range byInst {
+				if len(s.Samples) == 0 {
+					continue
+				}
+				f := s.Samples[0].Time
+				l := s.Samples[len(s.Samples)-1].Time
+				if !started || f < first {
+					first = f
+				}
+				if !started || l > last {
+					last = l
+				}
+				started = true
+			}
+		}
+	}
+	return first, last
+}
+
+// Running builds the provisional row of a job still running —
+// accumulating, its end mark not yet seen — exactly as finalize would
+// build it now, without finalizing it. ok is false for any other id; a
+// running job still too thin to reduce gives ok with a nil row. It is
+// the online watcher's read-only view of in-flight jobs.
+func (a *Assembler) Running(id string) (row *reldb.JobRow, ok bool) {
+	js := a.jobs[id]
+	if js == nil || js.haveEnd {
+		return nil, false
+	}
+	row, _ = a.row(id, js)
+	return row, true
+}
+
+// finalize reduces one job to its row, inserts it, forgets the
+// accumulated state and tombstones the id. Jobs too thin to reduce (a
+// single sample — the node died between ticks) are dropped, as in the
+// batch path.
+func (a *Assembler) finalize(id string) {
+	js := a.jobs[id]
+	delete(a.jobs, id)
+	a.done[id] = true
+	row, err := a.row(id, js)
+	if err != nil {
+		a.skipped++
+		a.met.jobsSkipped.Inc()
+		return
 	}
 	if a.DB != nil {
 		a.DB.Insert(row)
@@ -238,6 +332,9 @@ func (a *Assembler) Pending() int { return len(a.jobs) }
 // are still inserted in memory but the durable log is incomplete.
 func (a *Assembler) Err() error { return a.jnlErr }
 
+// Watermark reports the stream time: the latest snapshot time fed.
+func (a *Assembler) Watermark() float64 { return a.watermark }
+
 // IngestedIDs returns every finalized job id so far, sorted.
 func (a *Assembler) IngestedIDs() []string {
 	ids := append([]string(nil), a.ingested...)
@@ -247,3 +344,7 @@ func (a *Assembler) IngestedIDs() []string {
 
 // Skipped reports jobs dropped because they were too thin to reduce.
 func (a *Assembler) Skipped() int { return a.skipped }
+
+// LateDrops reports samples and marks dropped because their job had
+// already finalized; non-zero means delivery skew exceeded Lateness.
+func (a *Assembler) LateDrops() int { return a.late }

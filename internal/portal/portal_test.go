@@ -10,10 +10,14 @@ import (
 
 	"gostats/internal/chip"
 	"gostats/internal/cluster"
+	"gostats/internal/collect"
 	"gostats/internal/core"
 	"gostats/internal/etl"
+	"gostats/internal/hwsim"
 	"gostats/internal/model"
+	"gostats/internal/rawfile"
 	"gostats/internal/reldb"
+	"gostats/internal/schema"
 	"gostats/internal/stats"
 	"gostats/internal/telemetry"
 	"gostats/internal/trace"
@@ -397,5 +401,56 @@ func TestAPILag(t *testing.T) {
 		if h.FreshnessSeconds <= 0 || h.NewestOriginUnixNs == 0 {
 			t.Errorf("host %s freshness = %+v", h.Host, h)
 		}
+	}
+}
+
+// StoreSeries resolves a job's plots from a cron-mode raw store: collect
+// on two nodes, spool, sync, then fold the job's labeled snapshots.
+func TestStoreSeries(t *testing.T) {
+	st, err := rawfile.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, host := range []string{"c401-101", "c401-102"} {
+		n, err := hwsim.NewNode(host, chip.StampedeNode(), int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		agent, err := collect.NewCronAgent(collect.New(n), t.TempDir()+"/"+host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := agent.Tick(100, []string{"77"}, collect.JobMark(collect.MarkBegin, "77")); err != nil {
+			t.Fatal(err)
+		}
+		n.Advance(600, hwsim.Demand{CPUUserFrac: 0.5, IPC: 1})
+		if err := agent.Tick(700, []string{"77"}, collect.JobMark(collect.MarkEnd, "77")); err != nil {
+			t.Fatal(err)
+		}
+		if err := agent.Tick(1300, nil, ""); err != nil {
+			t.Fatal(err)
+		}
+		if err := agent.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.SyncFrom(host, agent.Logger.Dir()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	series := StoreSeries(st)
+	jd, err := series("77")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jd == nil || len(jd.Hosts) != 2 {
+		t.Fatalf("job 77 series = %+v", jd)
+	}
+	for host, hd := range jd.Hosts {
+		if n := len(hd.Series[schema.ClassCPU]["0"].Samples); n != 2 {
+			t.Errorf("host %s: %d cpu samples, want 2 (unlabeled tick excluded)", host, n)
+		}
+	}
+	if jd, err := series("78"); err != nil || jd != nil {
+		t.Errorf("unknown job = %+v, %v; want nil", jd, err)
 	}
 }

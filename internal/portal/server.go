@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"html/template"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	"gostats/internal/core"
 	"gostats/internal/flagging"
 	"gostats/internal/model"
+	"gostats/internal/rawfile"
 	"gostats/internal/reldb"
 	"gostats/internal/schema"
 	"gostats/internal/telemetry"
@@ -31,6 +33,28 @@ import (
 // SeriesSource resolves the assembled per-host series of a job for the
 // detail page plots; nil means plots are unavailable (metadata only).
 type SeriesSource func(jobID string) (*model.JobData, error)
+
+// StoreSeries resolves a job's series from a central raw store: one
+// lenient Store.Walk folding every snapshot labeled with the job id (a
+// shared node's snapshots count for each of its jobs). A job with no
+// archived samples resolves to nil.
+func StoreSeries(st *rawfile.Store) SeriesSource {
+	return func(jobID string) (*model.JobData, error) {
+		jd := model.NewJobData(jobID)
+		if _, err := st.Walk(func(s model.Snapshot) error {
+			if slices.Contains(s.JobIDs, jobID) {
+				jd.AddSnapshot(s)
+			}
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		if len(jd.Hosts) == 0 {
+			return nil, nil
+		}
+		return jd, nil
+	}
+}
 
 // Server is the portal.
 type Server struct {

@@ -314,35 +314,6 @@ func (s *Store) AppendHost(host string, h Header, snaps ...model.Snapshot) error
 	return nil
 }
 
-// ReadHostLenient is ReadHost but recovers the intact prefix of damaged
-// files (ParseLenient) instead of failing the whole host. It returns the
-// snapshots plus the count of files that needed recovery.
-func (s *Store) ReadHostLenient(host string) ([]model.Snapshot, int, error) {
-	files, err := s.hostFiles(host)
-	if err != nil {
-		return nil, 0, err
-	}
-	var snaps []model.Snapshot
-	recovered := 0
-	for _, path := range files {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, recovered, err
-		}
-		parsed, perr := ParseLenient(f)
-		f.Close()
-		if parsed == nil {
-			return nil, recovered, fmt.Errorf("rawfile: %s/%s unrecoverable: %w", host, filepath.Base(path), perr)
-		}
-		if perr != nil {
-			recovered++
-		}
-		snaps = append(snaps, parsed.Snapshots...)
-	}
-	sort.SliceStable(snaps, func(i, j int) bool { return snaps[i].Time < snaps[j].Time })
-	return snaps, recovered, nil
-}
-
 // hostIter streams one host's archive in time order without holding
 // more than one decoded snapshot (plus, after recovering a damaged
 // file, that file's remainder) in memory.
@@ -464,9 +435,10 @@ func (h *walkHeap) Pop() interface{} {
 
 // Walk streams every snapshot in the store to fn in global time order
 // (a k-way merge across hosts), decoding incrementally instead of
-// materializing whole hosts. Damaged files are recovered leniently like
-// ReadHostLenient; recovered reports how many needed it. A non-nil
-// error from fn aborts the walk.
+// materializing whole hosts. It is the store's one lenient reader: a
+// damaged file yields its intact prefix instead of failing the walk,
+// and recovered reports how many files needed that. A non-nil error
+// from fn aborts the walk.
 func (s *Store) Walk(fn func(model.Snapshot) error) (recovered int, err error) {
 	hosts, err := s.Hosts()
 	if err != nil {

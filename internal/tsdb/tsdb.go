@@ -13,16 +13,12 @@
 package tsdb
 
 import (
-	"encoding/gob"
 	"fmt"
-	"io"
 	"math"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"gostats/internal/fsutil"
 	"gostats/internal/segstore"
 )
 
@@ -687,58 +683,4 @@ func (b *bucket) result(a Agg) float64 {
 		return b.min
 	}
 	return 0
-}
-
-// SaveSnapshot and LoadSnapshot persist the database (gob). The paper's
-// OpenTSDB is durable; this store keeps that property through explicit
-// checkpoints, which is what the nightly ETL needs.
-
-// persisted is the gob-encodable image of the DB.
-type persisted struct {
-	Tags   []Tags
-	Points [][]DataPoint
-}
-
-// Save writes the database to path atomically: the image lands in a
-// temp file that is fsynced and renamed over path, so a crash mid-save
-// can never corrupt the previous snapshot. (With a cold store attached
-// this exports the RAM-resident hot set only — the legacy export path;
-// the segment store is the durable system of record.)
-func (db *DB) Save(path string) error {
-	img := persisted{}
-	for i := range db.shards {
-		sh := &db.shards[i]
-		sh.mu.RLock()
-		for t, s := range sh.series {
-			img.Tags = append(img.Tags, t)
-			img.Points = append(img.Points, append([]DataPoint(nil), s.points...))
-		}
-		sh.mu.RUnlock()
-	}
-	return fsutil.WriteAtomic(path, func(w io.Writer) error {
-		if err := gob.NewEncoder(w).Encode(img); err != nil {
-			return fmt.Errorf("tsdb: save: %w", err)
-		}
-		return nil
-	})
-}
-
-// Load reads a database written by Save.
-func Load(path string) (*DB, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var img persisted
-	if err := gob.NewDecoder(f).Decode(&img); err != nil {
-		return nil, fmt.Errorf("tsdb: load: %w", err)
-	}
-	db := New()
-	for i, t := range img.Tags {
-		for _, p := range img.Points[i] {
-			db.Put(t, p.Time, p.Value)
-		}
-	}
-	return db, nil
 }

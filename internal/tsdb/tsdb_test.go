@@ -257,31 +257,3 @@ func TestInterferenceScenario(t *testing.T) {
 		t.Errorf("storm rate = %v", reqs[0].Points)
 	}
 }
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	db := New()
-	put(db, "a", "mdc", "m0", "reqs", DataPoint{10, 100}, DataPoint{20, 200})
-	put(db, "b", "cpu", "0", "user", DataPoint{10, 1})
-	dir := t.TempDir()
-	path := dir + "/tsdb.gob"
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumSeries() != 2 {
-		t.Fatalf("series = %d", got.NumSeries())
-	}
-	res, err := got.Do(Query{Host: "a", Event: "reqs", Aggregate: Sum})
-	if err != nil || len(res) != 1 || len(res[0].Points) != 2 {
-		t.Fatalf("res = %+v err = %v", res, err)
-	}
-	if res[0].Points[1] != (DataPoint{20, 200}) {
-		t.Errorf("points = %v", res[0].Points)
-	}
-	if _, err := Load(dir + "/missing.gob"); err == nil {
-		t.Error("missing file loaded")
-	}
-}

@@ -1,12 +1,12 @@
 // Package watch is the online job-flagging stage: the same screening
 // rules internal/flagging applies to finished rows, evaluated
-// incrementally against jobs that are still running. It hangs off the
-// live snapshot stream (etl.Assembler's OnSnapshot tap, or any other
-// decoded-snapshot source), accumulates per-job series exactly as the
-// batch assembler does, and re-evaluates each job's provisional metrics
-// on a stream-time cadence — so a job spinning on idle nodes or
-// hammering the metadata server is flagged minutes into its run, not
-// after the nightly ETL.
+// incrementally against jobs that are still running. It is an observer
+// of an etl.Assembler, the one place snapshots are folded into jobs: on
+// the assembler's snapshot tap it re-evaluates each running job's
+// provisional row on a stream-time cadence — so a job spinning on idle
+// nodes or hammering the metadata server is flagged minutes into its
+// run, not after the nightly ETL — and on its row tap it takes the final
+// verdict from exactly the row the assembler finalized.
 //
 // Alerts route two ways: telemetry counters
 // (gostats_watch_flags_raised_total, by flag) for dashboards, and a
@@ -20,15 +20,13 @@ package watch
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"time"
 
-	"gostats/internal/core"
+	"gostats/internal/etl"
 	"gostats/internal/flagging"
 	"gostats/internal/model"
 	"gostats/internal/reldb"
-	"gostats/internal/schema"
 	"gostats/internal/telemetry"
 )
 
@@ -36,14 +34,6 @@ import (
 // running job's provisional metrics are re-evaluated: one canonical
 // collection interval, so every new sample batch triggers one check.
 const DefaultCheckEvery = 600
-
-// JobMeta is the scheduler metadata the watcher needs for queue- and
-// size-dependent flags. It is deliberately tiny — the watcher runs
-// while the job runs, before full accounting exists.
-type JobMeta struct {
-	Queue string
-	Nodes int
-}
 
 // Event is one structured alert emitted by the watcher.
 type Event struct {
@@ -77,8 +67,6 @@ type watchMetrics struct {
 	watched   *telemetry.Counter
 	finalized *telemetry.Counter
 	checks    *telemetry.Counter
-	skipped   *telemetry.Counter
-	late      *telemetry.Counter
 	byFlag    map[string]*telemetry.Counter
 }
 
@@ -91,10 +79,6 @@ func newWatchMetrics(reg *telemetry.Registry) *watchMetrics {
 			"Jobs the online watcher finalized."),
 		checks: reg.Counter("gostats_watch_checks_total",
 			"Mid-run provisional metric evaluations performed."),
-		skipped: reg.Counter("gostats_watch_jobs_skipped_total",
-			"Jobs too thin to reduce (single sample) dropped at finalize."),
-		late: reg.Counter("gostats_watch_late_drops_total",
-			"Samples or marks arriving after their job finalized, dropped. Non-zero means delivery skew exceeded the lateness window."),
 		byFlag: make(map[string]*telemetry.Counter),
 	}
 }
@@ -109,47 +93,23 @@ func (m *watchMetrics) flagCounter(flag string) *telemetry.Counter {
 	return c
 }
 
-// jobWatch is one running job's accumulated state.
+// jobWatch is the watcher's own state for one job; the series live in
+// the assembler.
 type jobWatch struct {
-	jd        *model.JobData
-	begin     float64
-	end       float64
-	haveBegin bool
-	haveEnd   bool
-	lastSeen  float64
 	lastCheck float64
 	raised    map[string]float64 // flag -> stream time first fired
 }
 
-// Watcher screens the live snapshot stream. Feed must be called from a
-// single goroutine (the listener serializes snapshots); the read-side
-// accessors are safe to call concurrently with Feed.
+// Watcher screens the jobs an etl.Assembler is folding. It runs inside
+// the assembler's Feed (one goroutine); Results is safe to call
+// concurrently with it.
 type Watcher struct {
-	// Registry reduces provisional series to Table I metrics.
-	Registry *schema.Registry
 	// Thresholds tune the flag set; zero value is not usable — callers
 	// pass flagging.DefaultThresholds() or a test-specific set.
 	Thresholds flagging.Thresholds
-	// Meta, if set, supplies scheduler metadata for queue/size-dependent
-	// flags. Jobs it does not know fall back to Nodes = observed hosts
-	// and an empty queue, matching the batch path's meta-less default.
-	Meta func(jobID string) (JobMeta, bool)
-
 	// CheckEvery is the stream-time cadence between provisional
 	// evaluations of one job (default DefaultCheckEvery).
 	CheckEvery float64
-	// EndGrace and IdleTimeout are the finalize triggers, identical in
-	// meaning to etl.Assembler's.
-	EndGrace    float64
-	IdleTimeout float64
-	// Lateness holds finalize triggers back by this many stream seconds
-	// past the watermark. Live broker delivery is only approximately
-	// time-ordered — per-host FIFO, but cross-host skew of up to about a
-	// collection interval — and a job finalized before a lagging host's
-	// tail samples arrive would be reduced over a truncated series. Set
-	// it to one collection interval for live streams; zero is correct
-	// for time-ordered input (archives, tests).
-	Lateness float64
 
 	// EventLog, if set, receives one JSON line per event.
 	EventLog io.Writer
@@ -158,22 +118,22 @@ type Watcher struct {
 	// Metrics selects the telemetry registry; nil uses Default().
 	Metrics *telemetry.Registry
 
-	mu        sync.Mutex
-	flags     []flagging.Flag
-	jobs      map[string]*jobWatch
-	done      map[string]bool // finalized ids: late arrivals must not resurrect them
-	watermark float64
-	results   map[string]Result
-	skipped   int
-	met       *watchMetrics
+	mu      sync.Mutex
+	asm     *etl.Assembler
+	flags   []flagging.Flag
+	jobs    map[string]*jobWatch
+	results map[string]Result
+	met     *watchMetrics
 }
 
-func (w *Watcher) init() {
-	if w.jobs != nil {
-		return
-	}
+// Attach makes w an observer of a, taking over a's OnSnapshot and OnRow
+// hooks: mid-run checks run on every fed snapshot, verdicts on every
+// finalized row, and flushing a flushes w. Set w's fields first.
+func (w *Watcher) Attach(a *etl.Assembler) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.asm = a
 	w.jobs = make(map[string]*jobWatch)
-	w.done = make(map[string]bool)
 	w.results = make(map[string]Result)
 	w.flags = flagging.Default(w.Thresholds)
 	if w.CheckEvery <= 0 {
@@ -184,156 +144,74 @@ func (w *Watcher) init() {
 		reg = telemetry.Default()
 	}
 	w.met = newWatchMetrics(reg)
+	a.OnSnapshot = w.observe
+	a.OnRow = w.final
 }
 
 func (w *Watcher) job(id string) *jobWatch {
-	js := w.jobs[id]
-	if js == nil {
-		js = &jobWatch{jd: model.NewJobData(id), raised: make(map[string]float64)}
-		w.jobs[id] = js
+	jw := w.jobs[id]
+	if jw == nil {
+		jw = &jobWatch{raised: make(map[string]float64)}
+		w.jobs[id] = jw
 		w.met.watched.Inc()
 	}
-	return js
+	return jw
 }
 
-// Feed folds one snapshot into every job it is labeled with, runs due
-// provisional checks, and finalizes jobs whose end-mark or idle trigger
-// fired — the same accumulation and trigger rules as etl.Assembler, so
-// the final flag set is computed over exactly the series the batch ETL
-// would assemble.
-func (w *Watcher) Feed(s model.Snapshot) {
+// observe runs the due provisional checks for every running job the
+// snapshot is labeled with. Jobs still too thin to reduce raise nothing
+// — they get rechecked on the next cadence tick.
+func (w *Watcher) observe(s model.Snapshot) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.init()
 	for _, id := range s.JobIDs {
-		if w.done[id] {
-			w.met.late.Inc()
+		last := 0.0
+		if jw := w.jobs[id]; jw != nil {
+			last = jw.lastCheck
+		}
+		if s.Time-last < w.CheckEvery {
 			continue
 		}
-		js := w.job(id)
-		h := js.jd.Host(s.Host)
-		for _, r := range s.Records {
-			h.Append(s.Time, r)
-		}
-		if s.Time > js.lastSeen {
-			js.lastSeen = s.Time
-		}
-	}
-	switch {
-	case len(s.Mark) > 6 && s.Mark[:6] == "begin ":
-		if id := s.Mark[6:]; w.done[id] {
-			w.met.late.Inc()
-		} else {
-			js := w.job(id)
-			js.begin, js.haveBegin = s.Time, true
-		}
-	case len(s.Mark) > 4 && s.Mark[:4] == "end ":
-		if id := s.Mark[4:]; w.done[id] {
-			w.met.late.Inc()
-		} else {
-			js := w.job(id)
-			js.end, js.haveEnd = s.Time, true
-		}
-	}
-	if s.Time > w.watermark {
-		w.watermark = s.Time
-	}
-	for _, id := range s.JobIDs {
-		js := w.jobs[id]
-		if js == nil || js.haveEnd || s.Time-js.lastCheck < w.CheckEvery {
+		row, running := w.asm.Running(id)
+		if !running {
 			continue
 		}
-		js.lastCheck = s.Time
-		w.check(id, js, s.Time)
-	}
-	w.sweepLocked()
-}
-
-// check evaluates one running job's provisional metrics and raises any
-// newly fired flags. Jobs still too thin to reduce are silently skipped
-// — they get rechecked on the next cadence tick.
-func (w *Watcher) check(id string, js *jobWatch, streamTime float64) {
-	w.met.checks.Inc()
-	row, err := w.provisionalRow(id, js)
-	if err != nil {
-		return
-	}
-	for _, flag := range flagging.Evaluate(w.flags, row) {
-		if _, already := js.raised[flag]; already {
+		jw := w.job(id)
+		jw.lastCheck = s.Time
+		w.met.checks.Inc()
+		if row == nil {
 			continue
 		}
-		js.raised[flag] = streamTime
-		w.met.flagCounter(flag).Inc()
-		w.emit(Event{Kind: "flag_raised", JobID: id, Flag: flag, StreamTime: streamTime,
-			WallUnixNs: time.Now().UnixNano()})
-	}
-}
-
-// provisionalRow reduces the job's accumulated series into a row the
-// flag tests can run against, joining whatever metadata exists now.
-func (w *Watcher) provisionalRow(id string, js *jobWatch) (*reldb.JobRow, error) {
-	sum, err := core.Compute(js.jd, w.Registry)
-	if err != nil {
-		return nil, err
-	}
-	row := &reldb.JobRow{JobID: id, Hosts: js.jd.HostNames(), Metrics: *sum}
-	if w.Meta != nil {
-		if md, ok := w.Meta(id); ok {
-			row.Queue, row.Nodes = md.Queue, md.Nodes
+		for _, flag := range flagging.Evaluate(w.flags, row) {
+			if _, already := jw.raised[flag]; already {
+				continue
+			}
+			jw.raised[flag] = s.Time
+			w.met.flagCounter(flag).Inc()
+			w.emit(Event{Kind: "flag_raised", JobID: id, Flag: flag, StreamTime: s.Time,
+				WallUnixNs: time.Now().UnixNano()})
 		}
 	}
-	if row.Nodes == 0 {
-		row.Nodes = len(js.jd.Hosts)
-	}
-	return row, nil
 }
 
-// sweepLocked finalizes every job whose trigger fired at the current
-// watermark, held back by the lateness window; w.mu is held.
-func (w *Watcher) sweepLocked() {
-	mark := w.watermark - w.Lateness
-	var due []string
-	for id, js := range w.jobs {
-		switch {
-		case js.haveEnd && mark >= js.end+w.EndGrace:
-			due = append(due, id)
-		case w.IdleTimeout > 0 && js.lastSeen > 0 &&
-			mark-js.lastSeen >= w.IdleTimeout:
-			due = append(due, id)
-		}
-	}
-	sort.Strings(due)
-	for _, id := range due {
-		w.finalize(id)
-	}
-}
-
-// finalize computes the job's final flag set over its complete series
-// and records the Result. Thin jobs are dropped, as in the batch path.
-func (w *Watcher) finalize(id string) {
-	js := w.jobs[id]
-	delete(w.jobs, id)
-	w.done[id] = true
-	row, err := w.provisionalRow(id, js)
-	if err != nil {
-		w.skipped++
-		w.met.skipped.Inc()
-		return
-	}
-	final := flagging.Evaluate(w.flags, row)
-	start, end := js.begin, js.end
-	if !js.haveBegin || !js.haveEnd {
-		start, end = observedSpan(js.jd)
-	}
-	res := Result{JobID: id, Flags: final, Raised: js.raised, Start: start, End: end}
-	w.results[id] = res
+// final records the verdict on one finalized row: its flag set over the
+// complete series, plus the mid-run raises.
+func (w *Watcher) final(row *reldb.JobRow) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	jw := w.job(row.JobID)
+	delete(w.jobs, row.JobID)
+	flags := flagging.Evaluate(w.flags, row)
+	w.results[row.JobID] = Result{JobID: row.JobID, Flags: flags, Raised: jw.raised,
+		Start: row.StartTime, End: row.EndTime}
 	w.met.finalized.Inc()
-	w.emit(Event{Kind: "job_final", JobID: id, Flags: final, StreamTime: w.watermark,
-		WallUnixNs: time.Now().UnixNano()})
+	w.emit(Event{Kind: "job_final", JobID: row.JobID, Flags: flags,
+		StreamTime: w.asm.Watermark(), WallUnixNs: time.Now().UnixNano()})
 }
 
-// emit routes one event to the log and the hook; w.mu is held (Feed is
-// single-goroutine, so the ordering of log lines matches event order).
+// emit routes one event to the log and the hook; w.mu is held (the
+// assembler's Feed is single-goroutine, so the ordering of log lines
+// matches event order).
 func (w *Watcher) emit(e Event) {
 	if w.EventLog != nil {
 		if b, err := json.Marshal(e); err == nil {
@@ -342,21 +220,6 @@ func (w *Watcher) emit(e Event) {
 	}
 	if w.Notify != nil {
 		w.Notify(e)
-	}
-}
-
-// Flush finalizes every job still in flight (end of stream).
-func (w *Watcher) Flush() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.init()
-	ids := make([]string, 0, len(w.jobs))
-	for id := range w.jobs {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		w.finalize(id)
 	}
 }
 
@@ -369,43 +232,4 @@ func (w *Watcher) Results() map[string]Result {
 		out[id] = r
 	}
 	return out
-}
-
-// Pending reports jobs still accumulating.
-func (w *Watcher) Pending() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.jobs)
-}
-
-// Skipped reports jobs dropped as too thin to reduce.
-func (w *Watcher) Skipped() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.skipped
-}
-
-// observedSpan bounds the job by its earliest and latest samples (used
-// when begin/end marks never arrived).
-func observedSpan(jd *model.JobData) (float64, float64) {
-	first, last := 0.0, 0.0
-	seen := false
-	for _, hd := range jd.Hosts {
-		for _, byInst := range hd.Series {
-			for _, s := range byInst {
-				if len(s.Samples) == 0 {
-					continue
-				}
-				f, l := s.Samples[0].Time, s.Samples[len(s.Samples)-1].Time
-				if !seen || f < first {
-					first = f
-				}
-				if !seen || l > last {
-					last = l
-				}
-				seen = true
-			}
-		}
-	}
-	return first, last
 }

@@ -3,6 +3,7 @@ package watch_test
 import (
 	"bytes"
 	"encoding/json"
+	"os"
 	"reflect"
 	"sort"
 	"testing"
@@ -88,6 +89,66 @@ func parityFixture(t *testing.T) []model.Snapshot {
 	return snaps
 }
 
+// watchStream feeds stream through an assembler (with the given
+// lateness and scheduler meta) that the watcher observes, then flushes
+// the assembler, which flushes the watcher.
+func watchStream(t *testing.T, stream []model.Snapshot, lateness float64, meta map[string]etl.Meta, events *bytes.Buffer) (*watch.Watcher, *etl.Assembler) {
+	t.Helper()
+	reg := telemetry.NewRegistry()
+	a := &etl.Assembler{Registry: chip.StampedeNode().Registry(), Meta: meta,
+		EndGrace: etl.DefaultEndGrace, Lateness: lateness, Metrics: reg}
+	w := &watch.Watcher{Thresholds: flagging.DefaultThresholds(), Metrics: reg}
+	if events != nil {
+		w.EventLog = events
+	}
+	w.Attach(a)
+	for _, s := range stream {
+		a.Feed(s)
+	}
+	a.Flush()
+	return w, a
+}
+
+// skewedFixture is the parity fixture with c2's snapshots delivered one
+// tick behind c1's — the broker's cross-host skew.
+func skewedFixture(t *testing.T) []model.Snapshot {
+	snaps := parityFixture(t)
+	var c1s, c2s []model.Snapshot
+	for _, s := range snaps {
+		if s.Host == "c1" {
+			c1s = append(c1s, s)
+		} else {
+			c2s = append(c2s, s)
+		}
+	}
+	var skewed []model.Snapshot
+	for i, s := range c1s {
+		skewed = append(skewed, s)
+		if i > 0 {
+			skewed = append(skewed, c2s[i-1])
+		}
+	}
+	skewed = append(skewed, c2s[len(c1s)-1:]...)
+	if len(skewed) != len(snaps) {
+		t.Fatalf("skewed stream has %d snapshots, want %d", len(skewed), len(snaps))
+	}
+	return skewed
+}
+
+// decodeEvents parses a JSON-lines event log.
+func decodeEvents(t *testing.T, log *bytes.Buffer) []watch.Event {
+	t.Helper()
+	var out []watch.Event
+	for _, line := range bytes.Split(bytes.TrimSpace(log.Bytes()), []byte("\n")) {
+		var e watch.Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("bad event line %q: %v", line, err)
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
 // TestOnlineFlagsMatchPostHoc is the flag-parity fixture: online watch
 // flags over the live stream must exactly match the post-hoc batch
 // sweep over the same data — same jobs, same flag sets. Run under
@@ -112,12 +173,7 @@ func TestOnlineFlagsMatchPostHoc(t *testing.T) {
 
 	// Online path: the watcher over the identical stream.
 	var events bytes.Buffer
-	w := &watch.Watcher{Registry: reg, Thresholds: thr, EndGrace: etl.DefaultEndGrace,
-		EventLog: &events, Metrics: telemetry.NewRegistry()}
-	for _, s := range snaps {
-		w.Feed(s)
-	}
-	w.Flush()
+	w, _ := watchStream(t, snaps, 0, nil, &events)
 	results := w.Results()
 
 	if len(results) != rep.Total {
@@ -149,11 +205,7 @@ func TestOnlineFlagsMatchPostHoc(t *testing.T) {
 
 	// The event log is structured JSON lines covering raises and finals.
 	var raises, finals int
-	for _, line := range bytes.Split(bytes.TrimSpace(events.Bytes()), []byte("\n")) {
-		var e watch.Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			t.Fatalf("bad event line %q: %v", line, err)
-		}
+	for _, e := range decodeEvents(t, &events) {
 		switch e.Kind {
 		case "flag_raised":
 			raises++
@@ -168,26 +220,78 @@ func TestOnlineFlagsMatchPostHoc(t *testing.T) {
 	}
 }
 
-// A watcher with no Meta must fall back to observed hosts for Nodes
-// (idle_nodes needs Nodes > 1) while a Meta hook can override queue
-// membership for largemem_waste.
+// goldenRun is one recorded watcher run: verdicts, and each job's event
+// sequence without wall-clock stamps.
+type goldenRun struct {
+	Results map[string]watch.Result  `json:"results"`
+	Events  map[string][]goldenEvent `json:"events"`
+}
+
+type goldenEvent struct {
+	Kind       string   `json:"kind"`
+	Flag       string   `json:"flag,omitempty"`
+	Flags      []string `json:"flags,omitempty"`
+	StreamTime float64  `json:"stream_time"`
+}
+
+// TestVerdictsMatchGolden pins the watcher's observable output on the
+// parity fixture — Results (flags, raise times, span) and every job's
+// event sequence — ordered, skewed with a lateness window, and skewed
+// without one. testdata/parity_golden.json was recorded from the
+// standalone watcher that kept its own copy of every job's series,
+// before it became an observer of the assembler; the two must agree.
+func TestVerdictsMatchGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/parity_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]goldenRun
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]struct {
+		stream   []model.Snapshot
+		lateness float64
+	}{
+		"ordered":        {parityFixture(t), 0},
+		"skewed":         {skewedFixture(t), 600},
+		"skewed_no_late": {skewedFixture(t), 0},
+	}
+	for name, c := range cases {
+		var events bytes.Buffer
+		w, _ := watchStream(t, c.stream, c.lateness, nil, &events)
+		got := goldenRun{Results: w.Results(), Events: map[string][]goldenEvent{}}
+		for _, e := range decodeEvents(t, &events) {
+			got.Events[e.JobID] = append(got.Events[e.JobID],
+				goldenEvent{Kind: e.Kind, Flag: e.Flag, Flags: e.Flags, StreamTime: e.StreamTime})
+		}
+		// Compare through JSON so nil and empty collections match the
+		// recorded encoding.
+		b, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var norm goldenRun
+		if err := json.Unmarshal(b, &norm); err != nil {
+			t.Fatal(err)
+		}
+		want, ok := golden[name]
+		if !ok {
+			t.Fatalf("golden has no %q run", name)
+		}
+		if !reflect.DeepEqual(norm, want) {
+			t.Errorf("%s: watcher output diverged from golden\ngot  %s\nwant %+v", name, b, want)
+		}
+	}
+}
+
+// A job without scheduler meta must fall back to observed hosts for
+// Nodes (idle_nodes needs Nodes > 1), while the assembler's etl.Meta
+// join can override queue membership for largemem_waste.
 func TestWatcherMetaJoin(t *testing.T) {
 	snaps := parityFixture(t)
-	reg := chip.StampedeNode().Registry()
-	thr := flagging.DefaultThresholds()
-
-	w := &watch.Watcher{Registry: reg, Thresholds: thr, EndGrace: etl.DefaultEndGrace,
-		Metrics: telemetry.NewRegistry(),
-		Meta: func(id string) (watch.JobMeta, bool) {
-			if id == "12" {
-				return watch.JobMeta{Queue: "largemem", Nodes: 1}, true
-			}
-			return watch.JobMeta{}, false
-		}}
-	for _, s := range snaps {
-		w.Feed(s)
-	}
-	w.Flush()
+	meta := map[string]etl.Meta{"12": {Queue: "largemem", Nodes: 1}}
+	w, _ := watchStream(t, snaps, 0, meta, nil)
 	res := w.Results()
 	found := false
 	for _, f := range res["12"].Flags {
@@ -198,34 +302,30 @@ func TestWatcherMetaJoin(t *testing.T) {
 	if !found {
 		t.Errorf("job 12 in largemem queue should raise largemem_waste: %+v", res["12"])
 	}
+	found = false
+	for _, f := range res["10"].Flags {
+		if f == "idle_nodes" {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("meta-less two-node job 10 should raise idle_nodes: %+v", res["10"])
+	}
 }
 
 // TestLatenessAbsorbsDeliverySkew replays the parity fixture with one
 // host's deliveries lagging a full tick — the broker's cross-host skew.
-// Without a lateness window the watcher would finalize jobs before the
-// lagging host's tail samples (or end marks) arrive, resurrect them,
-// and report degenerate flag sets. With Lateness of one interval the
-// results must match the time-ordered feed exactly, with one final per
-// job.
+// Without a lateness window the assembler would finalize jobs before
+// the lagging host's tail samples (or end marks) arrive, and the
+// watcher would report degenerate flag sets. With Lateness of one
+// interval the results must match the time-ordered feed exactly, with
+// one final per job.
 func TestLatenessAbsorbsDeliverySkew(t *testing.T) {
-	snaps := parityFixture(t)
-	reg := chip.StampedeNode().Registry()
-	thr := flagging.DefaultThresholds()
-
 	run := func(stream []model.Snapshot, lateness float64) (map[string]watch.Result, map[string]int) {
 		var events bytes.Buffer
-		w := &watch.Watcher{Registry: reg, Thresholds: thr, EndGrace: etl.DefaultEndGrace,
-			Lateness: lateness, EventLog: &events, Metrics: telemetry.NewRegistry()}
-		for _, s := range stream {
-			w.Feed(s)
-		}
-		w.Flush()
+		w, _ := watchStream(t, stream, lateness, nil, &events)
 		finals := map[string]int{}
-		for _, line := range bytes.Split(bytes.TrimSpace(events.Bytes()), []byte("\n")) {
-			var e watch.Event
-			if err := json.Unmarshal(line, &e); err != nil {
-				t.Fatalf("bad event line %q: %v", line, err)
-			}
+		for _, e := range decodeEvents(t, &events) {
 			if e.Kind == "job_final" {
 				finals[e.JobID]++
 			}
@@ -233,29 +333,8 @@ func TestLatenessAbsorbsDeliverySkew(t *testing.T) {
 		return w.Results(), finals
 	}
 
-	// Skew: c2's snapshots are delivered one tick behind c1's.
-	var c1s, c2s []model.Snapshot
-	for _, s := range snaps {
-		if s.Host == "c1" {
-			c1s = append(c1s, s)
-		} else {
-			c2s = append(c2s, s)
-		}
-	}
-	var skewed []model.Snapshot
-	for i, s := range c1s {
-		skewed = append(skewed, s)
-		if i > 0 {
-			skewed = append(skewed, c2s[i-1])
-		}
-	}
-	skewed = append(skewed, c2s[len(c1s)-1:]...)
-	if len(skewed) != len(snaps) {
-		t.Fatalf("skewed stream has %d snapshots, want %d", len(skewed), len(snaps))
-	}
-
-	ordered, orderedFinals := run(snaps, 0)
-	got, finals := run(skewed, 600)
+	ordered, orderedFinals := run(parityFixture(t), 0)
+	got, finals := run(skewedFixture(t), 600)
 	if len(got) != len(ordered) {
 		t.Fatalf("skewed feed finalized %d jobs, ordered %d", len(got), len(ordered))
 	}
