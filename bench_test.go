@@ -981,9 +981,10 @@ func BenchmarkTSDBColdQuery(b *testing.B) {
 	}
 	const hosts, span, step = 32, 24 * 3600, 30
 	coldBenchFill(b, db, hosts, span, step)
-	// Seal every shard so the cold window genuinely reads sealed,
-	// indexed segments — the steady state of data past the hot window —
-	// rather than re-parsing still-active segment tails.
+	// Seal every shard so the cold window reads sealed segments through
+	// their seal-time indexes and the block cache — the steady state of
+	// data past the hot window. BenchmarkTSDBActiveQuery covers the
+	// unsealed case.
 	if err := cs.Seal(); err != nil {
 		b.Fatal(err)
 	}
@@ -1028,6 +1029,47 @@ func BenchmarkTSDBColdQuery(b *testing.B) {
 				}
 			}
 			b.ReportMetric(bytesPerPt, "diskB/pt")
+		})
+	}
+}
+
+// BenchmarkTSDBActiveQuery measures the cold half of a query crossing
+// the hot window's boundary while the data below it still sits in
+// unsealed active segments — the state of a daemon whose segments have
+// not yet filled. The same day of data as BenchmarkTSDBColdQuery is
+// left unsealed, so the 4 h window reads 2 h from the RAM hot set and 2
+// h from the active segments' flushed frames ("-host" for one host's
+// series).
+func BenchmarkTSDBActiveQuery(b *testing.B) {
+	cs, err := segstore.Open(b.TempDir(), segstore.Options{
+		CompactRawAfter: -1, CompactMidAfter: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cs.Close()
+	db := tsdb.New()
+	if err := db.AttachCold(cs, 2*3600); err != nil {
+		b.Fatal(err)
+	}
+	const hosts, span, step = 32, 24 * 3600, 30
+	coldBenchFill(b, db, hosts, span, step)
+	if st := cs.Stats(); st.TierSegments[0] != 0 {
+		b.Fatalf("fill sealed %d segments; want every point in active segments", st.TierSegments[0])
+	}
+	for _, c := range []struct{ name, host string }{
+		{name: "active-4h-host", host: "n007"},
+		{name: "active-4h"},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			q := tsdb.Query{Host: c.host, DevType: "cpu", Event: "user",
+				Start: 20 * 3600, End: 24 * 3600, Downsample: 600, Aggregate: tsdb.Sum}
+			for i := 0; i < b.N; i++ {
+				res, err := db.Do(q)
+				if err != nil || len(res) == 0 || len(res[0].Points) == 0 {
+					b.Fatalf("res=%v err=%v", res, err)
+				}
+			}
 		})
 	}
 }

@@ -59,23 +59,30 @@ type devEvent struct{ devType, event string }
 // postings list; any other filter matches the whole dictionary. The
 // result may alias the postings list and must not be modified.
 func (ix *segIndex) refsFor(f Filter) []uint32 {
-	var out []uint32
 	if f.DevType == "" || f.Event == "" {
-		for i, l := range ix.series {
-			if f.match(l) {
-				out = append(out, uint32(i))
-			}
-		}
-		return out
+		return matchRefs(ix.series, f)
 	}
 	ix.postOnce.Do(ix.buildPostings)
 	cand := ix.postings[devEvent{f.DevType, f.Event}]
 	if f.Host == "" && f.Device == "" {
 		return cand
 	}
+	var out []uint32
 	for _, r := range cand {
 		if f.match(ix.series[r]) {
 			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// matchRefs returns the ascending refs of the series in a dictionary
+// that f matches.
+func matchRefs(series []Labels, f Filter) []uint32 {
+	var out []uint32
+	for i, l := range series {
+		if f.match(l) {
+			out = append(out, uint32(i))
 		}
 	}
 	return out

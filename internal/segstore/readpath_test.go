@@ -311,6 +311,12 @@ func frameWindows(s *Store, rng *rand.Rand) [][2]float64 {
 			}
 		}
 	}
+	return windowsOn(frames, rng)
+}
+
+// windowsOn returns query windows that start and end exactly on the
+// time extents of frames picked at random from frames.
+func windowsOn(frames []frameStat, rng *rand.Rand) [][2]float64 {
 	var out [][2]float64
 	for i := 0; i < 6 && len(frames) > 0; i++ {
 		fs := frames[rng.Intn(len(frames))]

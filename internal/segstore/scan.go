@@ -1,20 +1,27 @@
-// The read path. ScanShard snapshots the segments overlapping a query
-// under the shard lock — opening an fd per sealed segment, so the bytes
-// stay reachable even if compaction or retention unlinks a file mid-read
-// — then decodes them outside the lock with K-way parallelism.
+// The read path. ScanShard captures the segments overlapping a query
+// under the shard lock, then decodes them outside it with K-way
+// parallelism. A sealed segment is captured as an fd, so its bytes stay
+// reachable even if compaction or retention unlinks the file mid-read.
+// The active segment is captured as its writer's running index: an fd
+// on the file, length-capped views of the dictionary and frame table
+// (the writer only appends past their ends), and a copy of the pending
+// frame's entries. A read never flushes, so the bytes on disk depend
+// only on the write stream.
 //
-// Indexed segments take the fast path: the seal-time index selects only
-// the frames whose time extent and series refs intersect the query,
-// each selected frame is pread and decoded through the shared block
-// cache, and everything else on disk is never touched. Segments without
-// a usable index (sealed by older binaries, or with a damaged index
-// frame) fall back to the PR 8 whole-file scan; any error on the
-// indexed path also degrades to the full scan rather than failing the
-// query.
+// Indexed segments take the fast path: the index selects only the
+// frames whose time extent and series refs intersect the query, each
+// selected frame is pread and decoded in isolation, and everything else
+// on disk is never touched. Sealed frames go through the shared block
+// cache; the active segment's frames and its pending entries are
+// decoded per read. Sealed segments without a usable index (sealed by
+// older binaries, or with a damaged index frame) fall back to the PR 8
+// whole-file scan, and any error on a sealed segment's indexed path
+// also degrades to the full scan rather than failing the query.
 package segstore
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
@@ -42,11 +49,36 @@ func scanParallelism(n int) int {
 	return k
 }
 
-// scanTarget is one sealed segment captured for reading outside the
-// shard lock.
+// scanTarget is one segment captured for reading outside the shard
+// lock. For the active segment, info carries the writer's running index
+// and pending holds the unflushed entries as a frame payload (entry
+// count first) described by pfs.
 type scanTarget struct {
-	f    *os.File
-	info *segInfo
+	f       *os.File
+	info    *segInfo
+	active  bool
+	pending []byte
+	pfs     frameStat
+}
+
+// activeTarget captures what a read of [start, end) needs from the
+// active segment. Caller holds the shard lock.
+func activeTarget(w *segWriter, start, end float64) (scanTarget, error) {
+	fh, err := os.Open(w.path)
+	if err != nil {
+		return scanTarget{}, err
+	}
+	ns, nf := len(w.series), len(w.frames)
+	t := scanTarget{f: fh, active: true, info: &segInfo{
+		path: w.path, tier: w.meta.Tier, seq: w.meta.Seq,
+		index: &segIndex{series: w.series[:ns:ns], frames: w.frames[:nf:nf]},
+	}}
+	if w.nPend > 0 && w.fstat.overlaps(start, end) {
+		t.pending = w.appendPayload(make([]byte, 0, binary.MaxVarintLen64+len(w.pending)))
+		t.pfs = w.fstat
+		t.pfs.refs = slices.Clone(w.frefs) // sorted outside the lock
+	}
+	return t, nil
 }
 
 // ScanShard scans one shard only — the entry point for a sharded hot
@@ -79,37 +111,22 @@ func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesChun
 			}
 		}
 	}
-	// The active segment is the one file that grows and gets renamed, so
-	// its bytes are copied out under the lock; decode happens outside.
-	var activeData []byte
-	if sh.w != nil && sh.werr == nil {
-		if err := sh.w.flushFrame(); err != nil {
-			sh.werr = err
-		} else if sh.w.minT < end && sh.w.maxT >= start && sh.w.entries > 0 {
-			data, err := os.ReadFile(sh.w.path)
-			if err != nil {
-				closeAll()
-				sh.mu.Unlock()
-				return nil, err
-			}
-			activeData = data
+	// A sticky write error does not hide the active segment: its
+	// recorded frames reached the file and its pending entries are in
+	// memory, so reads serve both; the error surfaces on Commit.
+	if w := sh.w; w != nil && w.entries > 0 && w.minT < end && w.maxT >= start {
+		t, err := activeTarget(w, start, end)
+		if err != nil {
+			closeAll()
+			sh.mu.Unlock()
+			return nil, err
 		}
+		targets = append(targets, t)
 	}
 	sh.mu.Unlock()
 	defer closeAll()
 
-	// parts[i] is target i's result; the last slot is the active
-	// segment's.
-	parts := make([][]SeriesChunk, len(targets)+1)
-	if activeData != nil {
-		// The active prefix is all complete frames (writes happen under
-		// the shard lock we just held), so damage here is impossible; be
-		// tolerant anyway, matching recovery's treatment of actives.
-		if d, _, _ := parseSegment(activeData); d != nil {
-			parts[len(targets)] = segChunks(d, f, start, end)
-		}
-	}
-
+	parts := make([][]SeriesChunk, len(targets))
 	if len(targets) > 0 {
 		var (
 			mu     sync.Mutex
@@ -185,15 +202,21 @@ func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesChun
 // stable sort.
 func byTime(a, b AggPoint) int { return cmp.Compare(a.Time, b.Time) }
 
-// scanSegment reads one sealed segment's matching points: the indexed
-// pread path when possible, the whole-file scan otherwise.
+// scanSegment reads one segment's matching points: the indexed pread
+// path when possible, the whole-file scan of a sealed segment otherwise.
 func (s *Store) scanSegment(shard int, t scanTarget, f Filter, start, end float64) ([]SeriesChunk, error) {
 	if t.info.index != nil {
-		if part, ok := s.scanIndexed(shard, t, f, start, end); ok {
+		part, err := s.scanIndexed(shard, t, f, start, end)
+		if err == nil {
 			s.met.idxHits.Inc()
 			return part, nil
 		}
+		if t.active {
+			// The writer's index is the only way into the active segment.
+			return nil, fmt.Errorf("segstore: active segment %s: %w", filepath.Base(t.info.path), err)
+		}
 		// Index unusable at read time: degrade to the full scan below.
+		s.opts.Logf("segstore: %s: indexed read failed (%v); degrading to full scan", filepath.Base(t.info.path), err)
 	}
 	s.met.idxFullscans.Inc()
 	st, err := t.f.Stat()
@@ -211,23 +234,37 @@ func (s *Store) scanSegment(shard int, t scanTarget, f Filter, start, end float6
 	return segChunks(d, f, start, end), nil
 }
 
-// scanIndexed serves a query from index-selected frames through the
-// block cache. ok=false means the index could not be used (a pread or
-// decode failure) and the caller should fall back to a full scan; the
-// partial result is discarded so nothing is double-counted.
+// scanIndexed serves a query from index-selected frames — through the
+// block cache for a sealed segment, decoded per read for the active
+// one, whose pending entries count as one more frame after the flushed
+// ones. An error means the index could not be used (a pread or decode
+// failure); the partial result is discarded so nothing is
+// double-counted.
 //
 // The wanted refs and each frame's refs are both ascending, so one
 // merge walk per frame finds the series-major runs to copy; the rest of
 // the frame is never touched.
-func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float64) ([]SeriesChunk, bool) {
+func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float64) ([]SeriesChunk, error) {
 	info, ix := t.info, t.info.index
-	want := ix.refsFor(f)
+	var want []uint32
+	if t.active {
+		// A postings list built for a dictionary that grows with every
+		// write would serve one query; a linear match is cheaper.
+		want = matchRefs(ix.series, f)
+	} else {
+		want = ix.refsFor(f)
+	}
 	if len(want) == 0 {
-		return nil, true
+		return nil, nil
 	}
 	expTyp := byte(framePoints)
 	if info.tier != tierRaw {
 		expTyp = frameBucket
+	}
+	nFrames := len(ix.frames)
+	if t.pending != nil {
+		slices.Sort(t.pfs.refs)
+		nFrames++
 	}
 	// A run is one wanted series' points in one frame; whole marks a
 	// frame lying entirely inside the window, whose runs need no
@@ -240,18 +277,31 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 	}
 	var runs []run
 	counts := make([]int, len(want))
-	for fi := range ix.frames {
-		fs := &ix.frames[fi]
+	for fi := 0; fi < nFrames; fi++ {
+		fs := &t.pfs
+		if fi < len(ix.frames) {
+			fs = &ix.frames[fi]
+		}
 		if !fs.overlaps(start, end) || !intersects(want, fs.refs) {
 			continue
 		}
-		key := blockKey{shard: shard, tier: info.tier, seq: info.seq, off: fs.off}
-		df, err := s.blocks.get(key, func() (*decodedFrame, error) {
-			return readFrameAt(t.f, expTyp, *fs, ix.series)
-		})
+		var df *decodedFrame
+		var err error
+		switch {
+		case !t.active:
+			key := blockKey{shard: shard, tier: info.tier, seq: info.seq, off: fs.off}
+			df, err = s.blocks.get(key, func() (*decodedFrame, error) {
+				return readFrameAt(t.f, expTyp, *fs, ix.series)
+			})
+		case fi == len(ix.frames):
+			df, err = decodeFrameStandalone(t.pending, expTyp, *fs, ix.series)
+		default:
+			// Caching the active segment's frames saves no CPU and costs
+			// resident memory, so they are decoded per read.
+			df, err = readFrameAt(t.f, expTyp, *fs, ix.series)
+		}
 		if err != nil {
-			s.opts.Logf("segstore: %s: indexed read failed (%v); degrading to full scan", filepath.Base(info.path), err)
-			return nil, false
+			return nil, err
 		}
 		whole := float64(fs.minMs)/1000 >= start && float64(fs.maxMs)/1000 < end
 		for w, i := 0, 0; w < len(want) && i < len(df.refs); {
@@ -305,7 +355,7 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 			out = append(out, SeriesChunk{Labels: ix.series[want[w]], Points: pts})
 		}
 	}
-	return out, true
+	return out, nil
 }
 
 // intersects reports whether the ascending ref lists share a ref.

@@ -291,7 +291,8 @@ func (w *segWriter) add(r *Ref, p AggPoint) {
 }
 
 // flushFrame writes the pending entries as one complete frame and
-// records its index stats.
+// records its index stats. The entries leave the pending buffer only
+// once their frame is written, so a failed write keeps them readable.
 func (w *segWriter) flushFrame() error {
 	if w.nPend == 0 {
 		return nil
@@ -300,21 +301,27 @@ func (w *segWriter) flushFrame() error {
 	if w.meta.Tier != tierRaw {
 		typ = frameBucket
 	}
-	w.payload = binary.AppendUvarint(w.payload[:0], uint64(w.nPend))
-	w.payload = append(w.payload, w.pending...)
+	w.payload = w.appendPayload(w.payload[:0])
+	off := w.bytes
+	if err := w.writeFrame(typ, w.payload); err != nil {
+		return err
+	}
 	w.pending = w.pending[:0]
 	w.nPend = 0
 	fs := w.fstat
 	fs.refs = slices.Clone(w.frefs)
 	slices.Sort(fs.refs)
-	off := w.bytes
-	if err := w.writeFrame(typ, w.payload); err != nil {
-		return err
-	}
 	fs.off = off
 	fs.size = w.bytes - off
 	w.frames = append(w.frames, fs)
 	return nil
+}
+
+// appendPayload appends the pending entries to b as a data frame
+// payload: the entry count, then the entries.
+func (w *segWriter) appendPayload(b []byte) []byte {
+	b = binary.AppendUvarint(b, uint64(w.nPend))
+	return append(b, w.pending...)
 }
 
 // writeIndex flushes the pending frame and appends the segment's index

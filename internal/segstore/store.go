@@ -282,7 +282,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.met.dropped = reg.Counter("gostats_segstore_retention_dropped_total",
 		"Points dropped by retention windows.")
 	s.met.idxHits = reg.Counter("gostats_segstore_index_hits_total",
-		"Sealed-segment scans served via the seal-time frame index.")
+		"Segment scans served via a frame index: a sealed segment's, or the active segment's running one.")
 	s.met.idxFullscans = reg.Counter("gostats_segstore_index_fullscans_total",
 		"Sealed-segment scans that fell back to a whole-file decode.")
 	s.met.bcHits = reg.Counter("gostats_segstore_blockcache_hits_total",
@@ -736,9 +736,11 @@ func (s *Store) Seal() error {
 
 // Scan returns every stored point matching f in the half-open window
 // [start, end), one chunk per series, each chunk sorted by time.
-// Sealed segments are read back from disk; the active segment's flushed
-// and pending entries are included so a standalone Store is always
-// query-consistent with what was appended.
+// Sealed segments are read back from disk through their indexes; the
+// active segment is read through its writer's running index — flushed
+// frames by pread, pending entries from a copy of the frame being
+// built — so a standalone Store is always query-consistent with what
+// was appended, even after a write error. A scan never flushes.
 func (s *Store) Scan(f Filter, start, end float64) ([]SeriesChunk, error) {
 	if f.Host != "" {
 		return s.ScanShard(s.ShardFor(f.Host), f, start, end)
