@@ -131,3 +131,4 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzIndexedFrame -fuzztime=300x ./internal/segstore/
 	$(GO) test -run='^$$' -fuzz=FuzzScan -fuzztime=300x ./internal/framelog/
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=300x ./internal/reldb/
+	$(GO) test -run='^$$' -fuzz=FuzzLRU -fuzztime=300x ./internal/lru/

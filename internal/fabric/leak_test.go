@@ -78,3 +78,34 @@ func TestFabricLifecycleJoinsWorkers(t *testing.T) {
 		}
 	}
 }
+
+// TestPublisherCloseRightAfterAttachSpool closes publishers the moment
+// their spool is attached, before the drainer goroutine has had a
+// chance to run. Close must still stop and join it: the drainer used to
+// read its stop channel from the publisher once scheduled, found it
+// already cleared by Close, and blocked forever while Close waited.
+func TestPublisherCloseRightAfterAttachSpool(t *testing.T) {
+	defer leakcheck.Check(t)()
+	view := NewView(NewMap([]string{"127.0.0.1:1"}, 8, 1), fastPolicy(), telemetry.NewRegistry())
+	defer view.Close()
+	pool := NewClientPool(fastPolicy())
+	defer pool.Close()
+	sp := fabricSpool(t, "nid00001", telemetry.NewRegistry())
+	for i := 0; i < 500; i++ {
+		pub := NewPublisher(view, pool)
+		pub.Metrics = telemetry.NewRegistry()
+		closed := make(chan error, 1)
+		go func() {
+			pub.AttachSpool(sp)
+			closed <- pub.Close()
+		}()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatalf("publisher %d: Close: %v", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("publisher %d: Close did not return within 5s of AttachSpool", i)
+		}
+	}
+}

@@ -159,11 +159,12 @@ func (p *Publisher) AttachSpool(sp *spool.Spool) {
 		return
 	}
 	p.sp = sp
-	p.drainWake = make(chan struct{}, 1)
-	p.drainStop = make(chan struct{})
-	p.drainDone = make(chan struct{})
+	stop, wake, done := make(chan struct{}), make(chan struct{}, 1), make(chan struct{})
+	p.drainStop, p.drainWake, p.drainDone = stop, wake, done
 	p.mu.Unlock()
-	go p.drainLoop()
+	// The loop gets its channels here, not from p under the lock once it
+	// runs: a Close that got there first has already cleared drainStop.
+	go p.drainLoop(stop, wake, done)
 	if sp.Depth() > 0 {
 		p.wakeDrainer()
 	}
@@ -396,11 +397,9 @@ func (p *Publisher) wakeDrainer() {
 }
 
 // drainLoop replays the spool backlog whenever woken or on a backoff
-// schedule after a failed replay; exits on Close.
-func (p *Publisher) drainLoop() {
-	p.mu.Lock()
-	stop, wake, done := p.drainStop, p.drainWake, p.drainDone
-	p.mu.Unlock()
+// schedule after a failed replay; exits when stop closes, then closes
+// done.
+func (p *Publisher) drainLoop(stop, wake <-chan struct{}, done chan struct{}) {
 	defer close(done)
 	failures := 0
 	for {

@@ -2,26 +2,23 @@ package portal
 
 import (
 	"bytes"
+	"errors"
 	"net/http"
-	"sync"
+
+	"gostats/internal/lru"
 )
 
-// Cache is the portal's generation-stamped response cache. Entries are
-// keyed by route + canonical query string and stamped with the job
-// table's generation counter at render time; an Insert bumps the
-// generation, so every stale entry misses on its next lookup without
-// any explicit invalidation walk. Under steady browsing between ETL
+// Cache is the portal's generation-stamped response cache: one LRU of
+// rendered pages keyed by route + canonical query string. Each page
+// carries the generation of its backing data at render time, and a
+// lookup at any other generation drops it and renders afresh. An Insert
+// therefore invalidates without any walk, and a key never holds more
+// than one page, however fast its generation moves. Concurrent misses
+// of one key share a single render. Under steady browsing between ETL
 // loads — the portal's dominant regime — repeated queries are served
 // straight from memory.
 type Cache struct {
-	capacity int
-	mu       sync.Mutex
-	entries  map[string]*cacheEntry
-	order    []string // insertion order, for oldest-first eviction
-	// inflight collapses concurrent misses on one key to a single
-	// render: the first requester becomes the leader, the rest wait for
-	// its channel to close and re-check the cache.
-	inflight map[string]chan struct{}
+	pages *lru.Cache[string, *cacheEntry]
 }
 
 type cacheEntry struct {
@@ -35,72 +32,27 @@ func NewCache(capacity int) *Cache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Cache{
-		capacity: capacity,
-		entries:  make(map[string]*cacheEntry),
-		inflight: make(map[string]chan struct{}),
-	}
+	return &Cache{pages: lru.New[string, *cacheEntry](int64(capacity), nil, nil)}
 }
 
 // Len reports the number of live entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Cache) Len() int { return c.pages.Len() }
 
-// get returns the entry for key if it was rendered at generation gen.
-// A stale entry is dropped on sight.
-func (c *Cache) get(key string, gen uint64) (*cacheEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	if e.gen != gen {
-		delete(c.entries, key)
-		return nil, false
-	}
-	return e, true
-}
+// errUncacheable is what a non-200 render hands the requests waiting on
+// it; each then renders its own response.
+var errUncacheable = errors.New("portal: response not cacheable")
 
-// put stores an entry, evicting oldest-inserted keys over capacity.
-func (c *Cache) put(key string, e *cacheEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.entries[key]; !exists {
-		c.order = append(c.order, key)
-	}
-	c.entries[key] = e
-	for len(c.entries) > c.capacity && len(c.order) > 0 {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, victim)
-	}
-}
-
-// begin claims the render for key: the caller is the leader when the
-// returned channel is nil, otherwise a leader is already rendering and
-// the caller should wait for the channel to close and retry the lookup.
-func (c *Cache) begin(key string) chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ch, ok := c.inflight[key]; ok {
-		return ch
-	}
-	c.inflight[key] = make(chan struct{})
-	return nil
-}
-
-// done releases the leader's claim and wakes the waiters.
-func (c *Cache) done(key string) {
-	c.mu.Lock()
-	ch := c.inflight[key]
-	delete(c.inflight, key)
-	c.mu.Unlock()
-	if ch != nil {
-		close(ch)
+// get returns key's page rendered at generation gen, calling render on
+// a miss. hit reports that this caller did not render: the page was
+// cached, or shared from a concurrent render. A page of any other
+// generation is dropped, never returned.
+func (c *Cache) get(key string, gen uint64, render func() (*cacheEntry, error)) (*cacheEntry, bool, error) {
+	for {
+		e, hit, err := c.pages.Get(key, render)
+		if err != nil || e.gen == gen {
+			return e, hit, err
+		}
+		c.pages.Remove(key)
 	}
 }
 
@@ -110,10 +62,6 @@ type captureWriter struct {
 	header http.Header
 	status int
 	buf    bytes.Buffer
-}
-
-func newCaptureWriter() *captureWriter {
-	return &captureWriter{header: make(http.Header), status: http.StatusOK}
 }
 
 func (w *captureWriter) Header() http.Header { return w.header }
@@ -143,39 +91,36 @@ func (s *Server) cacheableGen(route string, gen func() uint64, h http.HandlerFun
 		}
 		reg := s.registry()
 		key := route + "?" + r.URL.Query().Encode() // Encode sorts params
-		var g uint64
-		for {
-			g = gen()
-			if e, ok := c.get(key, g); ok {
-				reg.Counter("gostats_portal_cache_hits_total",
-					"Portal response cache hits by route.", "route", route).Inc()
-				w.Header().Set("Content-Type", e.contentType)
-				w.Write(e.body)
-				return
+		g := gen()
+		var cw *captureWriter
+		e, hit, err := c.get(key, g, func() (*cacheEntry, error) {
+			cw = &captureWriter{header: make(http.Header), status: http.StatusOK}
+			h(cw, r)
+			if cw.status != http.StatusOK {
+				return nil, errUncacheable
 			}
-			ch := c.begin(key)
-			if ch == nil {
-				break // this request is the render leader
-			}
-			// Another request is rendering this key; wait it out and
-			// re-check — its entry is usually the hit we need.
-			<-ch
+			return &cacheEntry{gen: g, contentType: cw.header.Get("Content-Type"), body: cw.buf.Bytes()}, nil
+		})
+		if hit && err == nil {
+			reg.Counter("gostats_portal_cache_hits_total",
+				"Portal response cache hits by route.", "route", route).Inc()
+			w.Header().Set("Content-Type", e.contentType)
+			w.Write(e.body)
+			return
 		}
-		defer c.done(key)
 		reg.Counter("gostats_portal_cache_misses_total",
 			"Portal response cache misses by route.", "route", route).Inc()
-		cw := newCaptureWriter()
-		h(cw, r)
+		if cw == nil {
+			// The render this request waited on was not cacheable.
+			h(w, r)
+			return
+		}
 		for k, vs := range cw.header {
 			w.Header()[k] = vs
 		}
 		if cw.status != http.StatusOK {
 			w.WriteHeader(cw.status)
 		}
-		body := cw.buf.Bytes()
-		w.Write(body)
-		if cw.status == http.StatusOK {
-			c.put(key, &cacheEntry{gen: g, contentType: cw.header.Get("Content-Type"), body: body})
-		}
+		w.Write(cw.buf.Bytes())
 	}
 }

@@ -113,24 +113,51 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestCacheEviction(t *testing.T) {
 	c := NewCache(2)
+	put := func(key string, gen uint64) {
+		c.get(key, gen, func() (*cacheEntry, error) { return &cacheEntry{gen: gen, body: []byte("x")}, nil })
+	}
+	cached := func(key string, gen uint64) bool {
+		_, hit, _ := c.get(key, gen, func() (*cacheEntry, error) { return nil, errUncacheable })
+		return hit
+	}
 	for i := 0; i < 5; i++ {
-		c.put(fmt.Sprintf("k%d", i), &cacheEntry{gen: 1, body: []byte("x")})
+		put(fmt.Sprintf("k%d", i), 1)
 	}
 	if c.Len() != 2 {
 		t.Errorf("len = %d, want 2", c.Len())
 	}
-	if _, ok := c.get("k0", 1); ok {
+	if cached("k0", 1) {
 		t.Error("oldest entry survived eviction")
 	}
-	if _, ok := c.get("k4", 1); !ok {
+	if !cached("k4", 1) {
 		t.Error("newest entry evicted")
 	}
 	// Stale generation drops the entry.
-	if _, ok := c.get("k4", 2); ok {
+	if cached("k4", 2) {
 		t.Error("stale entry served")
 	}
-	if _, ok := c.get("k4", 1); ok {
+	if cached("k4", 1) {
 		t.Error("stale entry not dropped")
+	}
+}
+
+// TestCacheOnePagePerKeyUnderMovingGeneration renders the same URLs
+// while their generation moves on every request: each key must hold
+// one page, the current one, rather than one per generation.
+func TestCacheOnePagePerKeyUnderMovingGeneration(t *testing.T) {
+	c := NewCache(512)
+	for gen := uint64(1); gen <= 100; gen++ {
+		for k := 0; k < 3; k++ {
+			e, hit, err := c.get(fmt.Sprint("k", k), gen, func() (*cacheEntry, error) {
+				return &cacheEntry{gen: gen}, nil
+			})
+			if err != nil || hit || e.gen != gen {
+				t.Fatalf("gen %d key %d: entry gen %d hit=%v err=%v", gen, k, e.gen, hit, err)
+			}
+		}
+	}
+	if c.Len() != 3 {
+		t.Fatalf("cache holds %d pages for 3 keys", c.Len())
 	}
 }
 

@@ -14,12 +14,14 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"gostats/internal/lru"
 )
 
-// limiterMaxClients bounds the per-client bucket map. At the cap, idle
-// (fully refilled) buckets are swept first; if every client is active,
-// arbitrary buckets are dropped — a dropped active client restarts with
-// a fresh bucket, trading one extra burst for bounded memory.
+// limiterMaxClients bounds the number of client buckets. At the cap the
+// least recently seen client is forgotten; if it returns it starts with
+// a fresh bucket, trading one extra burst for bounded memory. A client
+// that keeps asking is never the one forgotten.
 const limiterMaxClients = 8192
 
 // Limiter is a per-client token bucket: each client may burst up to
@@ -29,8 +31,8 @@ type Limiter struct {
 	burst float64 // bucket capacity
 	now   func() time.Time
 
-	mu      sync.Mutex
-	clients map[string]*tokenBucket
+	mu      sync.Mutex // guards every bucket's fields
+	clients *lru.Cache[string, *tokenBucket]
 }
 
 type tokenBucket struct {
@@ -51,17 +53,8 @@ func NewLimiter(ratePerSec, burst float64) *Limiter {
 		rate:    ratePerSec,
 		burst:   burst,
 		now:     time.Now,
-		clients: make(map[string]*tokenBucket),
+		clients: lru.New[string, *tokenBucket](limiterMaxClients, nil, nil),
 	}
-}
-
-// refillLocked advances a bucket to now and returns its token count.
-func (l *Limiter) refillLocked(b *tokenBucket, now time.Time) float64 {
-	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens = math.Min(l.burst, b.tokens+dt*l.rate)
-		b.last = now
-	}
-	return b.tokens
 }
 
 // allow takes one token from key's bucket. When the bucket is empty it
@@ -70,35 +63,18 @@ func (l *Limiter) allow(key string) (bool, float64) {
 	now := l.now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	b, ok := l.clients[key]
-	if !ok {
-		if len(l.clients) >= limiterMaxClients {
-			l.sweepLocked(now)
-		}
-		b = &tokenBucket{tokens: l.burst, last: now}
-		l.clients[key] = b
+	b, _, _ := l.clients.Get(key, func() (*tokenBucket, error) {
+		return &tokenBucket{tokens: l.burst, last: now}, nil
+	})
+	if dt := now.Sub(b.last).Seconds(); dt > 0 {
+		b.tokens = math.Min(l.burst, b.tokens+dt*l.rate)
+		b.last = now
 	}
-	if l.refillLocked(b, now) >= 1 {
+	if b.tokens >= 1 {
 		b.tokens--
 		return true, 0
 	}
 	return false, (1 - b.tokens) / l.rate
-}
-
-// sweepLocked makes room in the client map: idle buckets first, then
-// arbitrary ones if every client is mid-burst.
-func (l *Limiter) sweepLocked(now time.Time) {
-	for k, b := range l.clients {
-		if l.refillLocked(b, now) >= l.burst {
-			delete(l.clients, k)
-		}
-	}
-	for k := range l.clients {
-		if len(l.clients) < limiterMaxClients {
-			break
-		}
-		delete(l.clients, k)
-	}
 }
 
 // clientKey identifies the requesting client: the X-Client-ID header

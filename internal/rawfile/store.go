@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"gostats/internal/codec"
+	"gostats/internal/lru"
 	"gostats/internal/model"
 )
 
@@ -498,12 +499,13 @@ func (s *Store) Walk(fn func(model.Snapshot) error) (recovered int, err error) {
 // append. Appends are flushed to the OS before returning, matching the
 // durability of the open-write-close path it replaces.
 type Archiver struct {
-	st      *Store
-	maxOpen int
+	st *Store
 
-	mu   sync.Mutex
-	open map[archKey]*archFile
-	tick uint64 // LRU clock
+	// mu serializes appends. The cache evicts (flushes and closes) a
+	// file only while opening another inside Append, so a file is never
+	// closed while it is being written.
+	mu    sync.Mutex
+	files *lru.Cache[archKey, *archFile]
 }
 
 type archKey struct {
@@ -512,18 +514,26 @@ type archKey struct {
 }
 
 type archFile struct {
-	f    *os.File
-	enc  codec.SnapshotEncoder
-	used uint64
+	f   *os.File
+	enc codec.SnapshotEncoder
+}
+
+func (af *archFile) close() error {
+	err := af.enc.Flush()
+	if cerr := af.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // NewArchiver returns an archiver over st holding at most maxOpen files
-// open (≤ 0 means a default of 64).
+// open (≤ 0 means a default of 64), closing the least recently used.
 func NewArchiver(st *Store, maxOpen int) *Archiver {
 	if maxOpen <= 0 {
 		maxOpen = 64
 	}
-	return &Archiver{st: st, maxOpen: maxOpen, open: make(map[archKey]*archFile)}
+	return &Archiver{st: st, files: lru.New(int64(maxOpen), nil,
+		func(_ archKey, af *archFile) { af.close() })}
 }
 
 // Append archives one snapshot under the host's header.
@@ -533,64 +543,37 @@ func (a *Archiver) Append(host string, h Header, s model.Snapshot) error {
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	// Stamp before any eviction runs: a freshly opened file must enter
-	// the cache as most-recently-used, or a full cache evicts (and
-	// closes) the very file this append is about to write.
-	a.tick++
-	af := a.open[key]
-	if af == nil {
+	af, _, err := a.files.Get(key, func() (*archFile, error) {
 		dir, err := a.st.HostDir(host)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		path := filepath.Join(dir, fmt.Sprintf("%d.raw", day*86400))
-		f, enc, err := openEncoder(path, h, a.st.codec)
+		f, enc, err := openEncoder(filepath.Join(dir, fmt.Sprintf("%d.raw", day*86400)), h, a.st.codec)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		af = &archFile{f: f, enc: enc, used: a.tick}
-		a.open[key] = af
-		a.evictLocked()
+		return &archFile{f: f, enc: enc}, nil
+	})
+	if err != nil {
+		return err
 	}
-	af.used = a.tick
 	if err := af.enc.WriteSnapshot(s); err != nil {
-		af.f.Close()
-		delete(a.open, key)
+		af.f.Close() // before the eviction's flush: drop what the failed write buffered
+		a.files.Remove(key)
 		return err
 	}
 	return af.enc.Flush()
 }
 
-// evictLocked closes least-recently-used files beyond the cap.
-func (a *Archiver) evictLocked() {
-	for len(a.open) > a.maxOpen {
-		var oldestKey archKey
-		var oldest uint64 = math.MaxUint64
-		for k, af := range a.open {
-			if af.used < oldest {
-				oldest, oldestKey = af.used, k
-			}
-		}
-		af := a.open[oldestKey]
-		af.enc.Flush()
-		af.f.Close()
-		delete(a.open, oldestKey)
-	}
-}
-
-// Close flushes and closes every cached file.
+// Close flushes and closes every cached file, returning the first error.
 func (a *Archiver) Close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var first error
-	for k, af := range a.open {
-		if err := af.enc.Flush(); err != nil && first == nil {
+	a.files.Drain(func(_ archKey, af *archFile) {
+		if err := af.close(); err != nil && first == nil {
 			first = err
 		}
-		if err := af.f.Close(); err != nil && first == nil {
-			first = err
-		}
-		delete(a.open, k)
-	}
+	})
 	return first
 }

@@ -345,3 +345,76 @@ func TestActiveScanConcurrentAppend(t *testing.T) {
 	}
 	check(func() ([]SeriesChunk, error) { return s.Scan(Filter{}, 0, math.Inf(1)) })
 }
+
+// TestActiveScanAfterFailedSeal fails each step of a seal in turn. The
+// points being sealed must stay readable after the failure — through
+// the still-active writer, or as the sealed segment once the rename has
+// landed — and after the store is reopened.
+func TestActiveScanAfterFailedSeal(t *testing.T) {
+	for _, step := range []string{"index", "sync", "close", "rename", "syncdir"} {
+		t.Run(step, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := testOpts()
+			opts.Shards = 1
+			opts.FlushBytes = 256
+			s, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []AggPoint
+			appendPts := func(from, to int) {
+				for i := from; i < to; i++ {
+					p := mkPoint("h1", i)
+					s.Append(p)
+					want = append(want, AggPoint{Time: p.Time, Count: 1, Sum: p.Value, Min: p.Value, Max: p.Value})
+				}
+			}
+			check := func(s *Store, when string) {
+				t.Helper()
+				got, err := s.Scan(Filter{Host: "h1"}, 0, math.Inf(1))
+				if err != nil {
+					t.Fatalf("%s: %v", when, err)
+				}
+				if len(got) != 1 || !reflect.DeepEqual(got[0].Points, want) {
+					n := 0
+					if len(got) == 1 {
+						n = len(got[0].Points)
+					}
+					t.Fatalf("%s: scan returned %d chunks, %d points; want %d points", when, len(got), n, len(want))
+				}
+			}
+			appendPts(0, 100)
+			if err := s.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			appendPts(100, 250) // several flushed frames plus pending entries
+			injected := fmt.Errorf("injected %s failure", step)
+			s.sealFault = func(at string) error {
+				if at == step {
+					return injected
+				}
+				return nil
+			}
+			if err := s.Seal(); err != injected {
+				t.Fatalf("Seal = %v, want the injected failure", err)
+			}
+			check(s, "after the failed seal")
+			if err := s.Commit(); err != injected {
+				t.Fatalf("Commit = %v, want the sticky seal failure", err)
+			}
+			s.Append(mkPoint("h1", 999)) // refused: the failure is sticky
+			check(s, "after an append refused by the sticky error")
+			s.Close()
+
+			s2, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if q := s2.Stats().Quarantined; q != 0 {
+				t.Fatalf("reopen quarantined %d segments", q)
+			}
+			check(s2, "after reopen")
+		})
+	}
+}

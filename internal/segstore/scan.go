@@ -34,6 +34,16 @@ import (
 	"gostats/internal/framelog"
 )
 
+// blockKey names a sealed frame in the block cache. Sealed segments are
+// immutable and sequence numbers never recycle within a store, so a
+// key's bytes never change under a cached frame: seq is the generation.
+type blockKey struct {
+	shard int
+	tier  int
+	seq   uint64
+	off   int64
+}
+
 // scanParallelism is the per-shard decode fan-out.
 func scanParallelism(n int) int {
 	k := runtime.GOMAXPROCS(0)
@@ -290,9 +300,15 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 		switch {
 		case !t.active:
 			key := blockKey{shard: shard, tier: info.tier, seq: info.seq, off: fs.off}
-			df, err = s.blocks.get(key, func() (*decodedFrame, error) {
+			var hit bool
+			df, hit, err = s.blocks.Get(key, func() (*decodedFrame, error) {
 				return readFrameAt(t.f, expTyp, *fs, ix.series)
 			})
+			if hit {
+				s.met.bcHits.Inc()
+			} else {
+				s.met.bcMisses.Inc()
+			}
 		case fi == len(ix.frames):
 			df, err = decodeFrameStandalone(t.pending, expTyp, *fs, ix.series)
 		default:

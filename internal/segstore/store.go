@@ -23,6 +23,7 @@ import (
 
 	"gostats/internal/framelog"
 	"gostats/internal/fsutil"
+	"gostats/internal/lru"
 	"gostats/internal/pipeline"
 	"gostats/internal/telemetry"
 )
@@ -238,12 +239,15 @@ type Store struct {
 	opts   Options
 	shards []*shardState
 	met    storeMetrics
-	blocks *blockCache
+	blocks *lru.Cache[blockKey, *decodedFrame]
 
 	statMu sync.Mutex
 	stats  Stats
 
 	bg *pipeline.Pipeline // background compaction (StartBackground)
+
+	// sealFault, set only by tests, fails the named seal step.
+	sealFault func(step string) error
 }
 
 // Open opens (creating if needed) the store rooted at dir and runs
@@ -291,7 +295,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		"Cold-frame reads that had to pread and decode the frame.")
 	s.met.bcEvicts = reg.Counter("gostats_segstore_blockcache_evictions_total",
 		"Decoded frames evicted from the block cache by its byte bound.")
-	s.blocks = newBlockCache(opts.BlockCacheBytes, s.met.bcHits, s.met.bcMisses, s.met.bcEvicts)
+	s.blocks = lru.New(opts.BlockCacheBytes,
+		func(df *decodedFrame) int64 { return df.mem },
+		func(blockKey, *decodedFrame) { s.met.bcEvicts.Inc() })
 
 	s.shards = make([]*shardState, opts.Shards)
 	for i := range s.shards {
@@ -604,9 +610,7 @@ func (s *Store) AppendRow(host string, t float64, refs []*Ref, vals []float64) {
 			}
 		}
 		if sh.w.bytes+int64(len(sh.w.pending)) >= s.opts.SegmentBytes {
-			if err := s.sealActiveLocked(sh); err != nil {
-				sh.werr = err
-			}
+			s.sealActiveLocked(sh) // a failure sticks to the shard
 		}
 	}
 	if n == 0 {
@@ -632,46 +636,62 @@ func (s *Store) openActiveLocked(sh *shardState) error {
 }
 
 // sealActiveLocked makes the active segment immutable and durable:
-// flush, fsync, close, rename to its tier name, directory fsync.
+// flush, index, fsync, close, rename to its tier name, directory fsync.
+// Until the rename lands the writer is the only way to its points, so a
+// failed step leaves it the shard's active writer with its file closed
+// and the error sticky: reads keep serving it through its frame index,
+// and the next Open seals it. A failed directory fsync after the rename
+// leaves the segment sealed.
 func (s *Store) sealActiveLocked(sh *shardState) error {
 	w := sh.w
 	if w == nil {
 		return nil
 	}
-	sh.w = nil
 	if w.entries == 0 {
+		sh.w = nil
 		w.close()
 		os.Remove(w.path)
 		return nil
 	}
 	ix, err := w.writeIndex()
-	if err != nil {
-		w.close()
-		return err
+	err = s.injected("index", err)
+	if err == nil {
+		err = s.injected("sync", w.sync())
 	}
-	if err := w.sync(); err != nil {
-		w.close()
-		return err
-	}
-	if err := w.close(); err != nil {
-		return err
+	if cerr := s.injected("close", w.f.Close()); err == nil {
+		err = cerr
 	}
 	sealed := filepath.Join(sh.dir, sealedName(w.meta.Tier, w.meta.Seq))
-	if err := os.Rename(w.path, sealed); err != nil {
-		return err
+	if err == nil {
+		if err = s.injected("rename", nil); err == nil {
+			err = os.Rename(w.path, sealed)
+		}
 	}
-	if err := fsutil.SyncDir(sh.dir); err != nil {
-		return err
+	if err == nil {
+		sh.w = nil
+		sh.sealed[w.meta.Tier] = append(sh.sealed[w.meta.Tier], &segInfo{
+			path: sealed, tier: w.meta.Tier, seq: w.meta.Seq,
+			coverLo: w.meta.CoverLo, coverHi: w.meta.CoverHi,
+			minT: w.minT, maxT: w.maxT,
+			bytes: w.bytes, entries: w.entries, count: w.count,
+			index: ix,
+		})
+		s.bumpSeals()
+		err = s.injected("syncdir", fsutil.SyncDir(sh.dir))
 	}
-	sh.sealed[w.meta.Tier] = append(sh.sealed[w.meta.Tier], &segInfo{
-		path: sealed, tier: w.meta.Tier, seq: w.meta.Seq,
-		coverLo: w.meta.CoverLo, coverHi: w.meta.CoverHi,
-		minT: w.minT, maxT: w.maxT,
-		bytes: w.bytes, entries: w.entries, count: w.count,
-		index: ix,
-	})
-	s.bumpSeals()
-	return nil
+	if err != nil && sh.werr == nil {
+		sh.werr = err
+	}
+	return err
+}
+
+// injected returns err, or else the failure a test injects at the named
+// seal step.
+func (s *Store) injected(step string, err error) error {
+	if err == nil && s.sealFault != nil {
+		err = s.sealFault(step)
+	}
+	return err
 }
 
 // commitShardLocked flushes one shard's pending frame to the OS (and
