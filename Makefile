@@ -4,7 +4,7 @@ GO ?= go
 ## the latest earlier BENCH_PR*.json automatically.
 BENCH_PR ?= 10
 
-.PHONY: check vet vuln staticcheck fmt build test race chaos watchparity apiload bench benchsmoke fuzzsmoke
+.PHONY: check vet vuln staticcheck fmt build test race chaos watchparity apiload bench benchsmoke fuzzsmoke loc
 
 ## check: everything CI runs — vet, vuln scan, static analysis, formatting, build, chaos smoke, tests under -race, watch parity audit, api load smoke, fuzz smoke, benchmark smoke
 check: vet vuln staticcheck fmt build chaos race watchparity apiload fuzzsmoke benchsmoke
@@ -132,3 +132,10 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzScan -fuzztime=300x ./internal/framelog/
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=300x ./internal/reldb/
 	$(GO) test -run='^$$' -fuzz=FuzzLRU -fuzztime=300x ./internal/lru/
+
+## loc: the non-blank, non-comment, non-test Go line count over cmd/,
+## internal/ and examples/ — the size a simplicity PR reports before and
+## after.
+loc:
+	@find cmd internal examples -name '*.go' ! -name '*_test.go' -exec cat {} + \
+		| grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'

@@ -1,0 +1,166 @@
+package gostats
+
+import (
+	"bytes"
+	"io"
+	"net"
+	"net/http"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"sync"
+	"syscall"
+	"testing"
+	"time"
+
+	"gostats/internal/telemetry"
+)
+
+// TestDeployedBinariesEndToEnd builds the shipped daemons and tools and
+// runs the daemon-mode deployment over real sockets: brokerd, listend
+// with a durable store, one tacc_statsd publishing a short job, a
+// graceful listend shutdown, the nightly jobetl into a journal, and the
+// portal serving that job back over HTTP.
+func TestDeployedBinariesEndToEnd(t *testing.T) {
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "bin")
+	build := exec.Command(goBin, "build", "-o", bin+string(filepath.Separator),
+		"./cmd/brokerd", "./cmd/tacc_statsd", "./cmd/listend", "./cmd/jobetl", "./cmd/portal")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	brokerAddr, opsAddr, portalAddr := freeAddr(t), freeAddr(t), freeAddr(t)
+	central := filepath.Join(dir, "central")
+	journal := filepath.Join(dir, "jobs.gsj")
+
+	startDaemon(t, filepath.Join(bin, "brokerd"), "-listen", brokerAddr)
+	waitDial(t, brokerAddr)
+
+	listend, listendOut := startDaemon(t, filepath.Join(bin, "listend"),
+		"-brokers", brokerAddr, "-store", central,
+		"-data-dir", filepath.Join(dir, "tsdb"), "-telemetry", opsAddr)
+
+	statsd := exec.Command(filepath.Join(bin, "tacc_statsd"),
+		"-brokers", brokerAddr, "-job", "4001", "-ticks", "6", "-speedup", "60000")
+	if out, err := statsd.CombinedOutput(); err != nil {
+		t.Fatalf("tacc_statsd: %v\n%s", err, out)
+	}
+	waitFor(t, "listend to archive 6 snapshots", func() bool {
+		body, code := fetch("http://" + opsAddr + "/metrics")
+		return code == http.StatusOK &&
+			telemetry.ParseExposition(body)["gostats_listen_snapshots_total"] == 6
+	})
+
+	if err := listend.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := listend.Wait(); err != nil {
+		t.Fatalf("listend exited with %v after SIGTERM\n%s", err, listendOut)
+	}
+	if !strings.Contains(listendOut.String(), "6 snapshots handled") {
+		t.Fatalf("listend did not report 6 snapshots handled:\n%s", listendOut)
+	}
+
+	etl := exec.Command(filepath.Join(bin, "jobetl"), "-store", central,
+		"-journal", journal, "-out", filepath.Join(dir, "jobs.gob"))
+	if out, err := etl.CombinedOutput(); err != nil {
+		t.Fatalf("jobetl: %v\n%s", err, out)
+	}
+
+	startDaemon(t, filepath.Join(bin, "portal"), "-journal", journal, "-store", central, "-listen", portalAddr)
+	waitDial(t, portalAddr)
+	body, code := fetch("http://" + portalAddr + "/api/v1/jobs")
+	if code != http.StatusOK || !strings.Contains(body, `"4001"`) {
+		t.Fatalf("GET /api/v1/jobs = %d, want job 4001 in:\n%s", code, body)
+	}
+	if _, code := fetch("http://" + portalAddr + "/job/4001"); code != http.StatusOK {
+		t.Fatalf("GET /job/4001 = %d, want 200", code)
+	}
+}
+
+// startDaemon launches a daemon whose output is captured; it is killed when
+// the test ends unless the test waited on it first.
+func startDaemon(t *testing.T, path string, args ...string) (*exec.Cmd, *syncBuffer) {
+	t.Helper()
+	out := &syncBuffer{}
+	cmd := exec.Command(path, args...)
+	cmd.Stdout, cmd.Stderr = out, out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if cmd.ProcessState == nil {
+			cmd.Process.Kill()
+			cmd.Wait()
+		}
+	})
+	return cmd, out
+}
+
+// freeAddr returns a loopback address nothing listens on right now.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+func waitDial(t *testing.T, addr string) {
+	t.Helper()
+	waitFor(t, addr+" to accept connections", func() bool {
+		c, err := net.DialTimeout("tcp", addr, 100*time.Millisecond)
+		if err == nil {
+			c.Close()
+		}
+		return err == nil
+	})
+}
+
+func waitFor(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !ok() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// fetch fetches url, returning the body and status (0 on a transport error).
+func fetch(url string) (string, int) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return "", 0
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return string(body), resp.StatusCode
+}
+
+// syncBuffer is a bytes.Buffer safe to fill from a child's output
+// copier while the test reads it.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}

@@ -15,9 +15,7 @@ import (
 	"gostats/internal/faultnet"
 	"gostats/internal/hwsim"
 	"gostats/internal/model"
-	"gostats/internal/rawfile"
-	"gostats/internal/realtime"
-	"gostats/internal/spool"
+	"gostats/internal/node"
 	"gostats/internal/telemetry"
 	"gostats/internal/trace"
 )
@@ -64,17 +62,16 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 
 	// The standalone broker runs as a fabric of one: its map built from
 	// the address alone, exactly as the daemons bootstrap it. Every node
-	// publisher shares the view and the pooled connection.
+	// agent shares the view; each dials its own connection through the
+	// fault domain.
 	m, err := fabric.Bootstrap([]string{addr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	view := fabric.NewView(m, pol, reg)
-	pool := fabric.NewClientPool(pol)
-	pool.Dialer = fnet.Dialer(func(a string) (net.Conn, error) {
+	dialer := fnet.Dialer(func(a string) (net.Conn, error) {
 		return net.DialTimeout("tcp", a, time.Second)
 	})
-	defer pool.Close()
 
 	cfg := chip.StampedeNode()
 	const (
@@ -87,8 +84,7 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 	type nodeRT struct {
 		daemon *collect.DaemonAgent
 		node   *hwsim.Node
-		pub    *fabric.Publisher
-		sp     *spool.Spool
+		agent  *node.Agent
 	}
 	nodes := make([]*nodeRT, nNodes)
 	spoolRoot := t.TempDir()
@@ -101,38 +97,29 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 		col := collect.New(hw)
 		col.Metrics = reg
 		col.Trace = rec
-		pub := fabric.NewPublisher(view, pool)
-		pub.Metrics = reg
-		pub.Trace = rec
-		sp, err := spool.Open(filepath.Join(spoolRoot, host), col.Header(),
-			spool.Options{Metrics: reg})
+		agent, err := node.NewAgent(view, node.AgentConfig{
+			Header:   col.Header(),
+			SpoolDir: filepath.Join(spoolRoot, host),
+			Trace:    rec,
+			Dialer:   dialer,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pub.AttachSpool(sp)
-		nodes[i] = &nodeRT{daemon: collect.NewDaemonAgent(col, pub), node: hw, pub: pub, sp: sp}
-		defer pub.Close()
-		defer sp.Close()
+		nodes[i] = &nodeRT{daemon: collect.NewDaemonAgent(col, agent), node: hw, agent: agent}
+		defer agent.Close()
 	}
 
 	// Central consumer group, recording everything it archives.
-	store, err := rawfile.NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	collected := map[string]bool{}
 	lastSeen := map[string]float64{}
 	duplicates := 0
 	var disorder []string
-	l := &realtime.Listener{
-		Monitor: realtime.NewMonitor(cfg.Registry(), realtime.DefaultRules()),
-		Store:   store,
-		Metrics: reg,
-		Trace:   rec,
-		Headers: func(host string) rawfile.Header {
-			return rawfile.Header{Hostname: host, Arch: "sandybridge", Registry: cfg.Registry()}
-		},
+	ing, err := node.NewIngest(view, node.IngestConfig{
+		StoreDir: t.TempDir(),
+		Fleet:    cfg,
+		Trace:    rec,
 		OnSnapshot: func(s model.Snapshot) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -150,13 +137,11 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 				lastSeen[s.Host] = s.Time
 			}
 		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g := fabric.NewGroup(view)
-	g.Handle = l.HandleBody
-	g.Metrics = reg
-	g.Logf = t.Logf
-	g.Start()
-	defer g.Stop() // idempotent; joins the consumers if an assertion fails first
+	defer ing.Close() // idempotent; joins the consumers if an assertion fails first
 
 	emitted := map[string]bool{}
 	now := 0.0
@@ -184,7 +169,7 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 	for {
 		depth := 0
 		for _, rt := range nodes {
-			depth += rt.sp.Depth()
+			depth += rt.agent.Spool.Depth()
 		}
 		if depth == 0 {
 			break
@@ -220,7 +205,7 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 	}
 	var st fabric.PublisherStats
 	for _, rt := range nodes {
-		ps := rt.pub.Stats()
+		ps := rt.agent.Stats()
 		st.Published += ps.Published
 		st.Redials += ps.Redials
 		st.Dropped += ps.Dropped
@@ -288,8 +273,7 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 		}
 	}
 
-	g.Stop()
-	if err := l.Close(); err != nil {
+	if err := ing.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

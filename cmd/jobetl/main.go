@@ -35,15 +35,9 @@ func main() {
 	journalPath := flag.String("journal", "", "crash-safe job journal to replay and append to (optional)")
 	flag.Parse()
 
-	var cfg = chip.StampedeNode()
-	switch *arch {
-	case "stampede":
-	case "lonestar":
-		cfg = chip.LonestarNode()
-	case "largemem":
-		cfg = chip.LargeMemNode()
-	default:
-		log.Fatalf("jobetl: unknown arch %q", *arch)
+	cfg, err := chip.Fleet(*arch)
+	if err != nil {
+		log.Fatalf("jobetl: %v", err)
 	}
 
 	store, err := rawfile.NewStore(*storeDir)

@@ -30,9 +30,13 @@
 // ingest is at-least-once end to end, and kill -9 loses at most the
 // unsynced tail of the active segments.
 //
-// On SIGINT/SIGTERM the consumers stop, the in-flight messages are
-// fully archived and acknowledged, and the store is flushed before
-// exit. With -telemetry set, it serves its own ops endpoint: /metrics
+// The process is one node.Ingest; this file only parses flags and
+// handles signals. On SIGINT/SIGTERM the consumers stop, the in-flight
+// messages are fully archived and acknowledged, and the archive and
+// segment store are flushed and sealed before exit; a failure there
+// exits non-zero. Archive headers carry the -arch fleet's chip
+// architecture, as the collector and cron mode write them. With
+// -telemetry set, it serves its own ops endpoint: /metrics
 // (snapshots consumed, drain lag, store-write latency, alerts, fabric
 // partition ownership and replication lag), /healthz, /debug/vars and
 // /debug/pprof.
@@ -51,13 +55,11 @@ import (
 	"gostats/internal/chip"
 	"gostats/internal/codec"
 	"gostats/internal/fabric"
+	"gostats/internal/node"
 	"gostats/internal/pipeline"
-	"gostats/internal/rawfile"
 	"gostats/internal/realtime"
-	"gostats/internal/schema"
 	"gostats/internal/segstore"
 	"gostats/internal/telemetry"
-	"gostats/internal/tsdb"
 )
 
 func main() {
@@ -66,7 +68,7 @@ func main() {
 	groupIndex := flag.Int("group-index", 0, "this member's index within the listener group")
 	groupCount := flag.Int("group-count", 1, "total members in the listener group")
 	storeDir := flag.String("store", "central", "central raw store directory")
-	arch := flag.String("arch", "stampede", "node type the fleet runs (schema source)")
+	arch := flag.String("arch", "stampede", "node type the fleet runs: stampede, lonestar, largemem, nehalem (schema and archive header source)")
 	codecName := flag.String("codec", "text", "archive codec for new store files: text (v1) or binary (v2)")
 	telemetryAddr := flag.String("telemetry", "", "ops endpoint address (empty = disabled)")
 	probeEvery := flag.Duration("probe-interval", 2*time.Second,
@@ -83,22 +85,13 @@ func main() {
 	if err != nil {
 		log.Fatalf("listend: %v", err)
 	}
-
-	var reg *schema.Registry
-	switch *arch {
-	case "stampede":
-		reg = chip.StampedeNode().Registry()
-	case "lonestar":
-		reg = chip.LonestarNode().Registry()
-	case "largemem":
-		reg = chip.LargeMemNode().Registry()
-	default:
-		log.Fatalf("listend: unknown arch %q", *arch)
+	fleet, err := chip.Fleet(*arch)
+	if err != nil {
+		log.Fatalf("listend: %v", err)
 	}
 
 	var ops *telemetry.OpsServer
 	if *telemetryAddr != "" {
-		var err error
 		ops, err = telemetry.Serve(*telemetryAddr, telemetry.Default())
 		if err != nil {
 			log.Fatalf("listend: %v", err)
@@ -108,58 +101,9 @@ func main() {
 		log.Printf("listend: telemetry at %s/metrics", ops.URL())
 	}
 
-	store, err := rawfile.NewStore(*storeDir)
-	if err != nil {
-		log.Fatalf("listend: %v", err)
-	}
-	store.SetCodec(archiveCodec)
-	mon := realtime.NewMonitor(reg, realtime.DefaultRules())
-	mon.Notify = func(a realtime.Alert) {
-		fmt.Printf("ALERT %s\n", a)
-	}
-	l := &realtime.Listener{
-		Monitor:  mon,
-		Store:    store,
-		Registry: reg,
-		Headers: func(host string) rawfile.Header {
-			return rawfile.Header{Hostname: host, Arch: *arch, Registry: reg}
-		},
-	}
-
-	if *dataDir != "" {
-		cs, err := segstore.Open(*dataDir, segstore.Options{
-			Sync:       *syncEvery,
-			RetainRaw:  retainRaw.Seconds(),
-			RetainMid:  retainMid.Seconds(),
-			RetainHour: retainHour.Seconds(),
-		})
-		if err != nil {
-			log.Fatalf("listend: open segment store: %v", err)
-		}
-		st := cs.Stats()
-		if st.RecoveredPts > 0 || st.TornTruncated > 0 || st.Quarantined > 0 {
-			log.Printf("listend: segment store recovered %d active points (%d torn tails truncated, %d segments quarantined)",
-				st.RecoveredPts, st.TornTruncated, st.Quarantined)
-		}
-		tdb := tsdb.New()
-		if err := tdb.AttachCold(cs, hotWindow.Seconds()); err != nil {
-			log.Fatalf("listend: %v", err)
-		}
-		cs.StartBackground(time.Minute)
-		defer cs.Close()
-		l.Ingest = tsdb.NewIngester(tdb, reg)
-		log.Printf("listend: durable time-series store at %s (hot window %s)", *dataDir, hotWindow)
-	}
-
 	brokers := strings.Split(*brokersList, ",")
 	for i := range brokers {
 		brokers[i] = strings.TrimSpace(brokers[i])
-	}
-	if *groupCount <= 0 {
-		*groupCount = 1
-	}
-	if *groupIndex < 0 || *groupIndex >= *groupCount {
-		log.Fatalf("listend: -group-index %d out of range for -group-count %d", *groupIndex, *groupCount)
 	}
 	m, err := fabric.Bootstrap(brokers)
 	if err != nil {
@@ -175,10 +119,33 @@ func main() {
 	view.StartProber(*probeEvery)
 	defer view.Close()
 
-	g := fabric.NewGroup(view)
-	g.Index, g.Count = *groupIndex, *groupCount
-	g.Handle = l.HandleBody
-	g.Start()
+	n, err := node.NewIngest(view, node.IngestConfig{
+		StoreDir: *storeDir,
+		Codec:    archiveCodec,
+		Fleet:    fleet,
+		DataDir:  *dataDir,
+		Segments: segstore.Options{
+			Sync:       *syncEvery,
+			RetainRaw:  retainRaw.Seconds(),
+			RetainMid:  retainMid.Seconds(),
+			RetainHour: retainHour.Seconds(),
+		},
+		HotWindow:  hotWindow.Seconds(),
+		GroupIndex: *groupIndex,
+		GroupCount: *groupCount,
+		Notify:     func(a realtime.Alert) { fmt.Printf("ALERT %s\n", a) },
+	})
+	if err != nil {
+		log.Fatalf("listend: %v", err)
+	}
+	if n.Segments != nil {
+		st := n.Segments.Stats()
+		if st.RecoveredPts > 0 || st.TornTruncated > 0 || st.Quarantined > 0 {
+			log.Printf("listend: segment store recovered %d active points (%d torn tails truncated, %d segments quarantined)",
+				st.RecoveredPts, st.TornTruncated, st.Quarantined)
+		}
+		log.Printf("listend: durable time-series store at %s (hot window %s)", *dataDir, hotWindow)
+	}
 	log.Printf("listend: group member %d/%d consuming %d partitions across %d brokers into %s (map v%d)",
 		*groupIndex, *groupCount, m.Partitions, len(m.Brokers), *storeDir, m.Version)
 
@@ -187,17 +154,12 @@ func main() {
 			select {
 			case <-ctx.Done():
 				return nil
-			case err := <-g.Err():
+			case err := <-n.Err():
 				// A consumer died repeatedly against a broker the map
-				// still considers alive — the error names partition and
-				// broker.
+				// still considers alive, or a sink error poisoned the
+				// listener pipeline — either way nothing further can be
+				// archived, so exit with the error.
 				return err
-			case <-l.Fatal():
-				// A sink error poisoned the listener pipeline: every
-				// further delivery will be refused, so exit with the
-				// error instead of letting the group retry forever —
-				// the pre-pipeline contract (sink failure is fatal).
-				return l.FatalErr()
 			}
 		},
 		Stop: func(s os.Signal) {
@@ -207,12 +169,14 @@ func main() {
 			}
 		},
 	}.Run()
-	g.Stop()
-	l.Close()
+	cerr := n.Close()
+	st := n.Stats()
 	if derr != nil {
 		log.Fatalf("listend: %v", derr)
 	}
-	st := g.Stats()
+	if cerr != nil {
+		log.Fatalf("listend: shutdown: %v", cerr)
+	}
 	log.Printf("listend: stopped cleanly; %d snapshots handled (%d deduped, %d consumer restarts)",
 		st.Handled, st.Deduped, st.Restarts)
 }

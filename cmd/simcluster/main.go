@@ -37,15 +37,16 @@
 // to print a fleet overhead summary against the paper's ~0.09 s per
 // collection and <0.02% utilization budget (§III).
 //
-// With -chaos or -brokers N > 1 (daemon mode only), every node runs
-// the deployed node transport: its own fabric publisher backed by its
-// own durable on-disk spool, all sharing one partition map and one
-// connection pool, consumed by a partition-group listener that
-// deduplicates by (host, sequence) before archiving. At exit the run
-// audits conservation per host — every snapshot a node emitted was
-// archived centrally under that node or still sits in its spool, and
-// nothing duplicated past dedup — and any loss or misattribution exits
-// non-zero.
+// In daemon mode the run is always a fabric — of one in-process broker
+// by default, as the daemons run a lone brokerd — composed exactly as
+// the shipped daemons compose it: every simulated node is a node.Agent
+// (its own fabric publisher, connection pool and durable on-disk spool)
+// and the central side is one node.Ingest, a partition-group listener
+// that deduplicates by (host, sequence) before archiving. At exit every
+// daemon run audits conservation per host — every snapshot a node
+// emitted was archived centrally under that node or still sits in its
+// spool, and nothing duplicated past dedup — and any loss or
+// misattribution exits non-zero.
 //
 // -chaos runs a fabric of one broker through a fault-injecting network:
 // pooled connections are torn mid-frame on a seeded schedule and a hard
@@ -117,13 +118,13 @@ import (
 	"gostats/internal/hwsim"
 	"gostats/internal/lustresim"
 	"gostats/internal/model"
+	"gostats/internal/node"
 	"gostats/internal/portal"
 	"gostats/internal/rawfile"
 	"gostats/internal/realtime"
 	"gostats/internal/reldb"
 	"gostats/internal/schema"
 	"gostats/internal/segstore"
-	"gostats/internal/spool"
 	"gostats/internal/telemetry"
 	"gostats/internal/trace"
 	"gostats/internal/tsdb"
@@ -148,7 +149,7 @@ func main() {
 	chaosOutage := flag.Float64("chaos-outage", 1230,
 		"length of the injected broker outage (simulated seconds)")
 	fabricBrokers := flag.Int("brokers", 1,
-		"in-process brokers (daemon mode; >1 enables the partitioned fabric)")
+		"in-process brokers in the daemon-mode fabric (1 = a fabric of one)")
 	fabricPartitions := flag.Int("partitions", fabric.DefaultPartitions,
 		"fabric partition count")
 	fabricReplication := flag.Int("replication", fabric.DefaultReplication,
@@ -184,15 +185,8 @@ func main() {
 		runKillStoreAudit(*out)
 		return
 	}
-	fabricMode := *fabricBrokers > 1 || *chaos
-	if *chaos && *mode != "daemon" {
-		log.Fatalf("simcluster: -chaos requires -mode daemon")
-	}
-	if *watchMode && *mode != "daemon" {
-		log.Fatalf("simcluster: -watch requires -mode daemon")
-	}
-	if fabricMode && *mode != "daemon" {
-		log.Fatalf("simcluster: -brokers > 1 requires -mode daemon")
+	if *mode != "daemon" && (*chaos || *watchMode || *fabricBrokers > 1) {
+		log.Fatalf("simcluster: -chaos, -watch and -brokers > 1 require -mode daemon")
 	}
 	if *chaos && *fabricBrokers > 1 {
 		log.Fatalf("simcluster: -chaos is the fabric-of-one fault schedule; use -chaos-kill-broker with -brokers > 1")
@@ -272,8 +266,6 @@ func main() {
 		return acctW.Append(acct.FromSpec(spec, start, end, hosts))
 	}
 
-	var srv *broker.Server
-	var listener *realtime.Listener
 	var ledger *wireLedger
 	var rec *trace.Recorder
 	var watcher *watch.Watcher
@@ -281,13 +273,9 @@ func main() {
 	var watchEvents *os.File
 	var srvs []*broker.Server
 	var view *fabric.View
-	var pool *fabric.ClientPool
-	var fgroup *fabric.Group
+	var ing *node.Ingest
 	var audit *transportAudit
 	var victimAddr string
-	var coldStore *segstore.Store
-	var tdb *tsdb.DB
-	listenDone := make(chan error, 1)
 	switch *mode {
 	case "cron":
 		spoolOf := func(host string) string { return filepath.Join(*out, "spool", host) }
@@ -304,15 +292,6 @@ func main() {
 		}
 	case "daemon":
 		reg := chip.StampedeNode().Registry()
-		var addr string
-		if !fabricMode {
-			srv = broker.NewServer()
-			var err error
-			addr, err = srv.Listen("127.0.0.1:0")
-			if err != nil {
-				log.Fatalf("simcluster: %v", err)
-			}
-		}
 		if *watchMode {
 			// Stage histograms and freshness gauges land in the default
 			// registry so the ops endpoint's /metrics carries them.
@@ -346,162 +325,129 @@ func main() {
 			}
 			watcher.Attach(liveAsm)
 		}
-		if fabricMode {
-			// A static-membership fabric (of one broker under -chaos):
-			// every broker serves the same versioned partition map,
-			// publishers confirm against every replica owner, and one
-			// shared View rebalances publisher and consumer routing
-			// together when a broker dies.
-			fabricPol := chaosPolicy()
-			addrs := make([]string, *fabricBrokers)
-			srvs = make([]*broker.Server, *fabricBrokers)
-			for i := range srvs {
-				srvs[i] = broker.NewServer()
-				if *chaos {
-					// Exercise the server-side deadline plumbing under faults.
-					srvs[i].IdleTimeout = 30 * time.Second
-					srvs[i].AckTimeout = 10 * time.Second
-					srvs[i].WriteTimeout = 10 * time.Second
-				}
-				a, err := srvs[i].Listen("127.0.0.1:0")
-				if err != nil {
-					log.Fatalf("simcluster: %v", err)
-				}
-				addrs[i] = a
-			}
-			m := fabric.NewMap(addrs, *fabricPartitions, *fabricReplication)
-			view = fabric.NewView(m, fabricPol, telemetry.Default())
-			for _, s := range srvs {
-				s.MapProvider = view.Provider()
-			}
-			if rec != nil {
-				rec.PartitionOf = m.PartitionOf
-			}
-			pool = fabric.NewClientPool(fabricPol)
-			pool.Codec = runCodec
-			audit = &transportAudit{
-				strictOrder: len(addrs) == 1,
-				emitted:     map[string]bool{},
-				collected:   map[string]bool{},
-				lastSeen:    map[string]float64{},
-			}
+		// A static-membership fabric, of one broker unless -brokers says
+		// otherwise — the daemons likewise run a lone brokerd as a fabric
+		// of one: every broker serves the same versioned partition map,
+		// publishers confirm against every replica owner, and one shared
+		// View rebalances publisher and consumer routing together when a
+		// broker dies.
+		addrs := make([]string, *fabricBrokers)
+		srvs = make([]*broker.Server, *fabricBrokers)
+		for i := range srvs {
+			srvs[i] = broker.NewServer()
 			if *chaos {
-				// The outage window is driven by simulated snapshot time
-				// so it scales with -days: it opens just before the third
-				// collection round and covers -chaos-outage sim-seconds.
-				faults := faultnet.Faults{Seed: *seed, ResetAfterBytes: 32 << 10}
-				audit.net = faultnet.New(faults)
-				audit.start, audit.end = 900, 900+*chaosOutage
-				pool.Dialer = audit.net.Dialer(func(a string) (net.Conn, error) {
-					return net.DialTimeout("tcp", a, 2*time.Second)
-				})
-				fmt.Printf("simcluster chaos: faults %s, outage t=[%.0f,%.0f)\n",
-					faults, audit.start, audit.end)
+				// Exercise the server-side deadline plumbing under faults.
+				srvs[i].IdleTimeout = 30 * time.Second
+				srvs[i].AckTimeout = 10 * time.Second
+				srvs[i].WriteTimeout = 10 * time.Second
 			}
-			fmt.Printf("simcluster fabric: %d brokers, %d partitions, replication %d\n",
-				len(addrs), *fabricPartitions, *fabricReplication)
-			// One publisher and one durable spool per node, exactly as
-			// each node daemon runs; the shared pool keeps it to one
-			// connection per broker however many nodes publish.
-			eng.NewSink = func(n *hwsim.Node, col *collect.Collector) (cluster.Sink, error) {
-				col.Trace = rec
-				pub := fabric.NewPublisher(view, pool)
-				pub.Codec = runCodec
-				pub.Registry = reg
-				pub.Trace = rec
-				sp, err := spool.Open(filepath.Join(*out, "nodespool", n.Host()),
-					col.Header(), spool.Options{Codec: runCodec})
-				if err != nil {
-					return nil, err
-				}
-				pub.AttachSpool(sp)
-				audit.track(pub, sp)
-				return auditSink{audit: audit, pub: pub}, nil
+			a, err := srvs[i].Listen("127.0.0.1:0")
+			if err != nil {
+				log.Fatalf("simcluster: %v", err)
 			}
-			if *chaosKillBroker {
-				// The victim is the broker owning the most partitions as
-				// primary — the worst single loss the map allows.
-				counts := m.PrimaryCount()
-				victimIdx := 0
-				for i, a := range addrs {
-					if victimAddr == "" || counts[a] > counts[victimAddr] {
-						victimIdx, victimAddr = i, a
-					}
-				}
-				fmt.Printf("simcluster chaos: will kill broker %s (primary for %d partitions) at t=%.0f\n",
-					victimAddr, counts[victimAddr], *chaosKillAt)
-				killed := false
-				eng.OnTick = func(now float64) error {
-					if !killed && now >= *chaosKillAt {
-						killed = true
-						fmt.Printf("simcluster chaos: killing broker %s at t=%.0f\n", victimAddr, now)
-						return srvs[victimIdx].Close()
-					}
-					return nil
+			addrs[i] = a
+		}
+		m := fabric.NewMap(addrs, *fabricPartitions, *fabricReplication)
+		view = fabric.NewView(m, chaosPolicy(), telemetry.Default())
+		for _, s := range srvs {
+			s.MapProvider = view.Provider()
+		}
+		if rec != nil {
+			rec.PartitionOf = m.PartitionOf
+		}
+		audit = &transportAudit{
+			strictOrder: len(addrs) == 1,
+			emitted:     map[string]bool{},
+			collected:   map[string]bool{},
+			lastSeen:    map[string]float64{},
+		}
+		var dialer func(string) (net.Conn, error)
+		if *chaos {
+			// The outage window is driven by simulated snapshot time so
+			// it scales with -days: it opens just before the third
+			// collection round and covers -chaos-outage sim-seconds.
+			faults := faultnet.Faults{Seed: *seed, ResetAfterBytes: 32 << 10}
+			audit.net = faultnet.New(faults)
+			audit.start, audit.end = 900, 900+*chaosOutage
+			dialer = audit.net.Dialer(func(a string) (net.Conn, error) {
+				return net.DialTimeout("tcp", a, 2*time.Second)
+			})
+			fmt.Printf("simcluster chaos: faults %s, outage t=[%.0f,%.0f)\n",
+				faults, audit.start, audit.end)
+		}
+		fmt.Printf("simcluster fabric: %d brokers, %d partitions, replication %d\n",
+			len(addrs), *fabricPartitions, *fabricReplication)
+		// One agent — publisher, connection pool and durable spool — per
+		// node, exactly as each node daemon runs.
+		eng.NewSink = func(n *hwsim.Node, col *collect.Collector) (cluster.Sink, error) {
+			col.Trace = rec
+			agent, err := node.NewAgent(view, node.AgentConfig{
+				Header:   col.Header(),
+				Codec:    runCodec,
+				SpoolDir: filepath.Join(*out, "nodespool", n.Host()),
+				Trace:    rec,
+				Dialer:   dialer,
+			})
+			if err != nil {
+				return nil, err
+			}
+			audit.track(agent)
+			return auditSink{audit: audit, agent: agent}, nil
+		}
+		if *chaosKillBroker {
+			// The victim is the broker owning the most partitions as
+			// primary — the worst single loss the map allows.
+			counts := m.PrimaryCount()
+			victimIdx := 0
+			for i, a := range addrs {
+				if victimAddr == "" || counts[a] > counts[victimAddr] {
+					victimIdx, victimAddr = i, a
 				}
 			}
-		} else {
-			eng.NewSink = func(n *hwsim.Node, col *collect.Collector) (cluster.Sink, error) {
-				col.Trace = rec
-				client, err := broker.Dial(addr)
-				if err != nil {
-					return nil, err
+			fmt.Printf("simcluster chaos: will kill broker %s (primary for %d partitions) at t=%.0f\n",
+				victimAddr, counts[victimAddr], *chaosKillAt)
+			killed := false
+			eng.OnTick = func(now float64) error {
+				if !killed && now >= *chaosKillAt {
+					killed = true
+					fmt.Printf("simcluster chaos: killing broker %s at t=%.0f\n", victimAddr, now)
+					return srvs[victimIdx].Close()
 				}
-				return daemonSink{broker.SnapshotPublisher{
-					C: client, Codec: runCodec, Registry: reg, Trace: rec}, client}, nil
+				return nil
 			}
 		}
-		mon := realtime.NewMonitor(reg, realtime.DefaultRules())
-		mon.Notify = func(a realtime.Alert) { fmt.Printf("ALERT %s\n", a) }
-		listener = &realtime.Listener{
-			Monitor: mon, Store: store, Registry: reg, Trace: rec,
-			Headers: func(host string) rawfile.Header {
-				return rawfile.Header{Hostname: host, Arch: "sandybridge", Registry: reg}
-			},
-		}
-		if *dataDir != "" {
+		ledger = &wireLedger{reg: reg}
+		ing, err = node.NewIngest(view, node.IngestConfig{
+			StoreDir: store.Root(),
+			Codec:    runCodec,
+			Fleet:    chip.StampedeNode(),
+			DataDir:  *dataDir,
 			// Short simulated runs never fill the 1 MiB default, which
 			// would leave every point in unsealed active segments; a
 			// smaller segment keeps the sealed, indexed read path in play.
-			coldStore, err = segstore.Open(*dataDir, segstore.Options{SegmentBytes: 256 << 10})
-			if err != nil {
-				log.Fatalf("simcluster: open segment store: %v", err)
-			}
-			tdb = tsdb.New()
-			if err := tdb.AttachCold(coldStore, 2*3600); err != nil {
-				log.Fatalf("simcluster: %v", err)
-			}
-			listener.Ingest = tsdb.NewIngester(tdb, reg)
+			Segments:  segstore.Options{SegmentBytes: 256 << 10},
+			HotWindow: 2 * 3600,
+			Notify:    func(a realtime.Alert) { fmt.Printf("ALERT %s\n", a) },
+			Trace:     rec,
+			OnSnapshot: func(s model.Snapshot) {
+				ledger.sample(s)
+				audit.collect(s)
+				if liveAsm != nil {
+					liveAsm.Feed(s)
+				}
+			},
+		})
+		if err != nil {
+			log.Fatalf("simcluster: %v", err)
+		}
+		if *dataDir != "" {
 			fmt.Printf("simcluster: durable time-series store at %s\n", *dataDir)
 		}
-		ledger = &wireLedger{reg: reg}
-		listener.OnDecoded = ledger.observe
-		listener.OnSnapshot = func(s model.Snapshot) {
-			ledger.sample(s)
-			if audit != nil {
-				audit.collect(s)
-			}
-			if liveAsm != nil {
-				liveAsm.Feed(s)
-			}
-		}
-		if fabricMode {
-			fgroup = fabric.NewGroup(view)
-			fgroup.Handle = listener.HandleBody
-			fgroup.Start()
-			go func() {
-				if err := <-fgroup.Err(); err != nil {
-					log.Fatalf("simcluster: %v", err)
-				}
-			}()
-		} else {
-			cons, err := broker.DialConsumer(addr, broker.StatsQueue)
-			if err != nil {
+		go func() {
+			if err := <-ing.Err(); err != nil {
 				log.Fatalf("simcluster: %v", err)
 			}
-			listener.Cons = cons
-			go func() { listenDone <- listener.Run() }()
-		}
+		}()
 	default:
 		log.Fatalf("simcluster: unknown mode %q", *mode)
 	}
@@ -532,24 +478,21 @@ func main() {
 				log.Fatalf("simcluster: %v", err)
 			}
 		}
-	} else if fabricMode {
-		gst := fgroup.Stats()
-		ledger.print()
-		fgroup.Stop()
-		// Stop the listener's staged pipeline and flush the archiver —
-		// the group no longer feeds it.
-		if err := listener.Close(); err != nil {
-			log.Fatalf("simcluster: listener close: %v", err)
+	} else {
+		// Stop consuming and flush the archive; the segment store stays
+		// open for the query load below.
+		if err := ing.Stop(); err != nil {
+			log.Fatalf("simcluster: ingest stop: %v", err)
 		}
+		ledger.print()
 		for _, s := range srvs {
 			s.Close()
 		}
-		pool.Close()
 		view.Close()
-		archived := audit.archivedCount()
+		gst := ing.Stats()
 		fmt.Printf("simcluster fabric: %d snapshots archived through %d brokers in %.2fs wall = %.0f snap/s\n",
-			archived, len(srvs), wall, float64(archived)/wall)
-		if err := audit.report(gst, view.Version(), victimAddr); err != nil {
+			gst.Handled, len(srvs), wall, float64(gst.Handled)/wall)
+		if err := audit.report(gst, view.Version(), victimAddr, runCodec); err != nil {
 			log.Fatalf("simcluster: %v", err)
 		}
 		if rec != nil && *chaos {
@@ -558,25 +501,6 @@ func main() {
 			if err := assertFreshnessRecovered(rec, eng.Nodes(), 120); err != nil {
 				log.Fatalf("simcluster: %v", err)
 			}
-		}
-	} else {
-		// The simulation outruns the archiver: wait until the listener
-		// has consumed every published snapshot before shutting down.
-		deadline := time.Now().Add(120 * time.Second)
-		for time.Now().Before(deadline) {
-			if uint64(listener.Processed()) >= srv.QueueCounts(broker.StatsQueue).Published {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
-		qs := srv.QueueCounts(broker.StatsQueue)
-		fmt.Printf("simcluster: broker published=%d delivered=%d redelivered=%d acked=%d backlog=%d listener_processed=%d\n",
-			qs.Published, qs.Delivered, qs.Redelivered, qs.Acked,
-			srv.QueueDepth(broker.StatsQueue), listener.Processed())
-		ledger.print()
-		srv.Close()
-		if err := <-listenDone; err != nil {
-			log.Fatalf("simcluster: listener: %v", err)
 		}
 	}
 
@@ -629,17 +553,23 @@ func main() {
 	// The /api/v1 load runs while the segment store is still open so
 	// cold time-range queries exercise the indexed read path.
 	if *portalReaders > 0 {
+		var tdb *tsdb.DB
+		if ing != nil {
+			tdb = ing.TSDB
+		}
 		if err := runAPILoad(db, tdb, *portalReaders, *portalRequests, span); err != nil {
 			log.Fatalf("simcluster: api load: %v", err)
 		}
 	}
-	if coldStore != nil {
-		if err := coldStore.Close(); err != nil {
-			log.Fatalf("simcluster: segment store close: %v", err)
+	if ing != nil {
+		if err := ing.Close(); err != nil {
+			log.Fatalf("simcluster: ingest close: %v", err)
 		}
-		st := coldStore.Stats()
-		fmt.Printf("simcluster store: sealed durable tsdb: %d raw segments (%d B), %d points archived\n",
-			st.TierSegments[0], st.TierBytes[0], st.TierPoints[0])
+		if ing.Segments != nil {
+			st := ing.Segments.Stats()
+			fmt.Printf("simcluster store: sealed durable tsdb: %d raw segments (%d B), %d points archived\n",
+				st.TierSegments[0], st.TierBytes[0], st.TierPoints[0])
+		}
 	}
 	printOverheadSummary(ops, *nodes, span)
 }
@@ -1110,16 +1040,14 @@ func printOverheadSummary(ops *telemetry.OpsServer, nodes int, spanSec float64) 
 		sum, float64(nodes)*spanSec, frac*100, budgetFraction*100, verdict(frac <= budgetFraction))
 }
 
-// wireLedger accounts the actual bytes-on-wire per snapshot and, from a
-// bounded sample of the decoded stream, what the same snapshots cost in
-// each codec — so one run shows the text/binary trade.
+// wireLedger accounts, from a bounded sample of the decoded stream,
+// what the same snapshots cost in each codec — so one run shows the
+// text/binary trade beside the actual bytes on wire the conservation
+// report prints from the publishers.
 type wireLedger struct {
 	reg *schema.Registry
 
 	mu        sync.Mutex
-	count     int64
-	bytes     int64
-	ver       codec.Version
 	sampled   int64
 	textBytes int64
 	binBytes  int64
@@ -1128,15 +1056,6 @@ type wireLedger struct {
 // wireSampleMax bounds the re-encoded comparison sample; beyond a few
 // hundred snapshots the per-codec averages are stable.
 const wireSampleMax = 256
-
-// observe books one delivered message's actual codec and size.
-func (l *wireLedger) observe(v codec.Version, wireBytes int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.count++
-	l.bytes += int64(wireBytes)
-	l.ver = v
-}
 
 // sample re-encodes one decoded snapshot in both codecs for the
 // comparative per-snapshot averages.
@@ -1156,19 +1075,10 @@ func (l *wireLedger) sample(s model.Snapshot) {
 	l.sampled++
 }
 
-// print emits the wire summary lines.
+// print emits the wire summary line.
 func (l *wireLedger) print() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.count == 0 {
-		return
-	}
-	name := "gob"
-	if l.ver != 0 {
-		name = l.ver.String()
-	}
-	fmt.Printf("simcluster wire: %d snapshots over codec %s, %d bytes on wire (%.0f B/snap)\n",
-		l.count, name, l.bytes, float64(l.bytes)/float64(l.count))
 	if l.sampled > 0 {
 		t := float64(l.textBytes) / float64(l.sampled)
 		b := float64(l.binBytes) / float64(l.sampled)
@@ -1182,30 +1092,14 @@ type cronSink struct{ logger *rawfile.NodeLogger }
 func (s cronSink) Handle(snap model.Snapshot) error { return s.logger.Log(snap) }
 func (s cronSink) Close() error                     { return s.logger.Close() }
 
-type daemonSink struct {
-	pub    broker.SnapshotPublisher
-	client *broker.Client
-}
-
-func (s daemonSink) Handle(snap model.Snapshot) error { return s.pub.Publish(snap) }
-func (s daemonSink) Close() error                     { return s.client.Close() }
-
 // chaosPolicy is the transport policy for fabric runs: production
 // shape, compressed delays, so a simulated multi-round outage resolves
 // in wall milliseconds.
 func chaosPolicy() broker.Policy {
-	return broker.Policy{
-		DialTimeout:      2 * time.Second,
-		WriteTimeout:     5 * time.Second,
-		AckTimeout:       5 * time.Second,
-		BackoffMin:       5 * time.Millisecond,
-		BackoffMax:       250 * time.Millisecond,
-		BackoffFactor:    2,
-		Jitter:           0.2,
-		BreakerThreshold: 3,
-		BreakerWindow:    100 * time.Millisecond,
-		BreakerMaxWindow: 2 * time.Second,
-	}
+	pol := broker.DefaultPolicy()
+	pol.BackoffMin, pol.BackoffMax = 5*time.Millisecond, 250*time.Millisecond
+	pol.BreakerWindow, pol.BreakerMaxWindow = 100*time.Millisecond, 2*time.Second
+	return pol
 }
 
 // snapKey identifies one snapshot for conservation accounting. Confirmed
@@ -1235,15 +1129,13 @@ type transportAudit struct {
 	lastSeen   map[string]float64 // per-host max first-occurrence time
 	duplicates int
 	disorder   []string
-	pubs       []*fabric.Publisher
-	spools     []*spool.Spool
+	agents     []*node.Agent
 }
 
-func (a *transportAudit) track(pub *fabric.Publisher, sp *spool.Spool) {
+func (a *transportAudit) track(agent *node.Agent) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.pubs = append(a.pubs, pub)
-	a.spools = append(a.spools, sp)
+	a.agents = append(a.agents, agent)
 }
 
 // observe runs before each node publish: it books the snapshot as
@@ -1298,8 +1190,8 @@ func (a *transportAudit) waitCaughtUp(timeout time.Duration) {
 	for time.Now().Before(deadline) {
 		a.mu.Lock()
 		done := len(a.collected) >= len(a.emitted)
-		for _, sp := range a.spools {
-			done = done && sp.Depth() == 0
+		for _, ag := range a.agents {
+			done = done && ag.Spool.Depth() == 0
 		}
 		a.mu.Unlock()
 		if done {
@@ -1309,35 +1201,32 @@ func (a *transportAudit) waitCaughtUp(timeout time.Duration) {
 	}
 }
 
-func (a *transportAudit) archivedCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.collected)
-}
-
 // report enumerates what the spools still hold, checks conservation per
 // host — emitted == archived + still spooled, every archive filed under
 // the host that emitted it — plus zero duplicates past dedup, ordering
 // where it must hold, and (after a broker kill) a rebalanced map. It
 // prints the ledgers and returns an error on any violation. The
-// publishers must be closed (their drainers stopped).
-func (a *transportAudit) report(gst fabric.GroupStats, mapVersion uint64, victim string) error {
+// publishers must be stopped (their drainers idle); report closes the
+// agents once their spools are read.
+func (a *transportAudit) report(gst fabric.GroupStats, mapVersion uint64, victim string, wire codec.Version) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	spoolResident := map[string]bool{}
-	for _, sp := range a.spools {
-		_, err := sp.Drain(func(s model.Snapshot) error {
+	for _, ag := range a.agents {
+		_, err := ag.Spool.Drain(func(s model.Snapshot) error {
 			spoolResident[snapKey(s)] = true
 			return nil
 		})
 		if err != nil {
 			return fmt.Errorf("fabric: reading spool remainder: %w", err)
 		}
-		sp.Close()
+		if err := ag.Close(); err != nil {
+			return fmt.Errorf("fabric: closing agent: %w", err)
+		}
 	}
 	var st fabric.PublisherStats
-	for _, pub := range a.pubs {
-		ps := pub.Stats()
+	for _, ag := range a.agents {
+		ps := ag.Stats()
 		st.Published += ps.Published
 		st.Redials += ps.Redials
 		st.Spooled += ps.Spooled
@@ -1395,8 +1284,8 @@ func (a *transportAudit) report(gst fabric.GroupStats, mapVersion uint64, victim
 	if delivered > 0 {
 		perSnap = float64(st.BytesOnWire) / float64(delivered)
 	}
-	fmt.Printf("simcluster fabric: publisher published=%d redials=%d spooled=%d replayed=%d rerouted=%d dropped=%d bytes_on_wire=%d (%.0f B/snap)\n",
-		st.Published, st.Redials, st.Spooled, st.Replayed, st.Rerouted, st.Dropped, st.BytesOnWire, perSnap)
+	fmt.Printf("simcluster fabric: publisher published=%d redials=%d spooled=%d replayed=%d rerouted=%d dropped=%d bytes_on_wire=%d (%.0f B/snap, codec %s)\n",
+		st.Published, st.Redials, st.Spooled, st.Replayed, st.Rerouted, st.Dropped, st.BytesOnWire, perSnap, wire)
 	fmt.Printf("simcluster fabric: group delivered=%d handled=%d deduped=%d consumer_restarts=%d\n",
 		gst.Delivered, gst.Handled, gst.Deduped, gst.Restarts)
 	if a.net != nil {
@@ -1438,16 +1327,16 @@ func (a *transportAudit) report(gst fabric.GroupStats, mapVersion uint64, victim
 }
 
 // auditSink books each snapshot with the ledger and hands it to the
-// node's own publisher; Close stops the publisher's drainer (the spool
-// stays open for the final accounting).
+// node's own agent; Close stops the publisher's drainer (the spool
+// stays open for the final accounting, which closes the agent).
 type auditSink struct {
 	audit *transportAudit
-	pub   *fabric.Publisher
+	agent *node.Agent
 }
 
 func (s auditSink) Handle(snap model.Snapshot) error {
 	s.audit.observe(snap)
-	return s.pub.Publish(snap)
+	return s.agent.Publish(snap)
 }
 
-func (s auditSink) Close() error { return s.pub.Close() }
+func (s auditSink) Close() error { return s.agent.Publisher.Close() }

@@ -28,31 +28,6 @@ import (
 	"gostats/internal/rawfile"
 )
 
-func nodeConfig(arch string) (chip.NodeConfig, error) {
-	switch arch {
-	case "stampede":
-		return chip.StampedeNode(), nil
-	case "lonestar":
-		return chip.LonestarNode(), nil
-	case "largemem":
-		return chip.LargeMemNode(), nil
-	case "nehalem":
-		// A Ranger-era part: no uncore boxes, no RAPL, four programmable
-		// counters — the collector self-customizes to the reduced set.
-		d, err := chip.ByArch(chip.Nehalem)
-		if err != nil {
-			return chip.NodeConfig{}, err
-		}
-		return chip.NodeConfig{
-			Desc:     d,
-			Topo:     chip.Topology{Sockets: 2, CoresPerSocket: 4, ThreadsPerCore: 2},
-			MemBytes: 16 << 30,
-		}, nil
-	default:
-		return chip.NodeConfig{}, fmt.Errorf("unknown node type %q", arch)
-	}
-}
-
 func main() {
 	host := flag.String("host", "c401-101", "hostname of the simulated node")
 	arch := flag.String("arch", "stampede", "node type: stampede, lonestar, largemem, nehalem")
@@ -64,7 +39,7 @@ func main() {
 	spool := flag.String("spool", "", "append to this spool directory instead of stdout")
 	flag.Parse()
 
-	cfg, err := nodeConfig(*arch)
+	cfg, err := chip.Fleet(*arch)
 	if err != nil {
 		log.Fatalf("tacc_stats: %v", err)
 	}

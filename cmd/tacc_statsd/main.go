@@ -29,6 +29,9 @@
 // a broker outage costs latency, not data. Without it, an undeliverable
 // snapshot is dropped after the publish retry rounds are exhausted.
 //
+// The transport is one node.Agent; this file parses flags, handles
+// signals and runs the node-side stages (sample → encode → publish).
+//
 // With -telemetry set, the daemon serves its own ops endpoint: /metrics
 // (collection cost, publish latency, redials), /healthz (collector and
 // publisher readiness), /debug/vars and /debug/pprof.
@@ -51,6 +54,7 @@ import (
 	"gostats/internal/fabric"
 	"gostats/internal/hwsim"
 	"gostats/internal/model"
+	"gostats/internal/node"
 	"gostats/internal/pipeline"
 	"gostats/internal/spool"
 	"gostats/internal/telemetry"
@@ -106,7 +110,6 @@ func main() {
 
 	var ops *telemetry.OpsServer
 	if *telemetryAddr != "" {
-		var err error
 		ops, err = telemetry.Serve(*telemetryAddr, telemetry.Default())
 		if err != nil {
 			log.Fatalf("tacc_statsd: %v", err)
@@ -121,16 +124,16 @@ func main() {
 	if err != nil {
 		log.Fatalf("tacc_statsd: %v", err)
 	}
-	node, err := hwsim.NewNode(*host, chip.StampedeNode(), *seed)
+	hw, err := hwsim.NewNode(*host, chip.StampedeNode(), *seed)
 	if err != nil {
 		log.Fatalf("tacc_statsd: %v", err)
 	}
-	node.Advance(86400, hwsim.IdleDemand())
+	hw.Advance(86400, hwsim.IdleDemand())
 
 	// The daemon's publisher backs off and redials across broker
 	// restarts. Without a spool a dead broker costs at most the current
 	// interval's sample; with one, the sample waits on disk instead.
-	col := collect.New(node)
+	col := collect.New(hw)
 	brokers := strings.Split(*brokersList, ",")
 	for i := range brokers {
 		brokers[i] = strings.TrimSpace(brokers[i])
@@ -142,29 +145,20 @@ func main() {
 	view := fabric.NewView(m, broker.DefaultPolicy(), telemetry.Default())
 	view.StartProber(2 * time.Second)
 	defer view.Close()
-	pool := fabric.NewClientPool(broker.DefaultPolicy())
-	pool.Codec = wireCodec
-	defer pool.Close()
-	pub := fabric.NewPublisher(view, pool)
-	pub.Codec = wireCodec
-	pub.Registry = chip.StampedeNode().Registry()
 	target := fmt.Sprintf("%s (%d partitions, replication %d)",
 		strings.Join(m.Brokers, ","), m.Partitions, m.Replication)
+	agent, err := node.NewAgent(view, node.AgentConfig{
+		Header:   col.Header(),
+		Codec:    wireCodec,
+		SpoolDir: *spoolDir,
+		Spool:    spool.Options{MaxBytes: *spoolMax, MaxAge: *spoolAge, Sync: *spoolSync},
+	})
+	if err != nil {
+		log.Fatalf("tacc_statsd: %v", err)
+	}
 	if *spoolDir != "" {
-		sp, err := spool.Open(*spoolDir, col.Header(), spool.Options{
-			MaxBytes: *spoolMax,
-			MaxAge:   *spoolAge,
-			Sync:     *spoolSync,
-			Codec:    wireCodec,
-		})
-		if err != nil {
-			log.Fatalf("tacc_statsd: open spool: %v", err)
-		}
-		defer sp.Close()
-		pub.AttachSpool(sp)
 		log.Printf("tacc_statsd: spooling undeliverable snapshots under %s", *spoolDir)
 	}
-	defer pub.Close()
 
 	rng := rand.New(rand.NewSource(*seed))
 	runtime := float64(*ticks) * *interval
@@ -190,7 +184,7 @@ func main() {
 			if wmodel != nil {
 				d = wmodel.Demand(t.elapsed, runtime, 0, 1, rng)
 			}
-			node.Advance(*interval, d)
+			hw.Advance(*interval, d)
 			t.snap, _ = col.Collect(t.now, jobs, "")
 			return t, nil
 		})
@@ -204,7 +198,7 @@ func main() {
 			log.Printf("tacc_statsd: collect: publish from %s: %v (sample lost — exhausted attempts and no spool accepted it)", *host, err)
 		},
 	}, func(ctx context.Context, t *tick) (*tick, error) {
-		body, err := pub.Encode(&t.snap)
+		body, err := agent.Encode(&t.snap)
 		if err != nil {
 			return nil, err
 		}
@@ -221,7 +215,7 @@ func main() {
 			log.Printf("tacc_statsd: collect: publish from %s: %v (sample lost — exhausted attempts and no spool accepted it)", *host, err)
 		},
 	}, func(ctx context.Context, t *tick) error {
-		if err := pub.PublishEncoded(t.snap, t.body); err != nil {
+		if err := agent.PublishEncoded(t.snap, t.body); err != nil {
 			return err
 		}
 		if ops != nil {
@@ -279,6 +273,9 @@ func main() {
 	defer cancel()
 	if derr := p.Drain(dctx); derr != nil && err == nil {
 		err = derr
+	}
+	if cerr := agent.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	if err != nil {
 		log.Fatalf("tacc_statsd: %v", err)

@@ -2,7 +2,8 @@
 // broker, four node daemons publishing collections, and a central
 // listener that archives the stream and alerts the moment a metadata
 // storm starts (§VI-B) — the capability cron mode's day-old data cannot
-// provide.
+// provide. Both sides are the deployable nodes (internal/node) the
+// tacc_statsd and listend daemons run, over a fabric of one broker.
 //
 //	go run ./examples/realtime
 package main
@@ -17,8 +18,9 @@ import (
 	"gostats/internal/broker"
 	"gostats/internal/chip"
 	"gostats/internal/collect"
+	"gostats/internal/fabric"
 	"gostats/internal/hwsim"
-	"gostats/internal/rawfile"
+	"gostats/internal/node"
 	"gostats/internal/realtime"
 )
 
@@ -28,38 +30,31 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer srv.Close()
 	fmt.Printf("broker listening on %s\n", addr)
+	m, err := fabric.Bootstrap([]string{addr})
+	if err != nil {
+		log.Fatal(err)
+	}
+	view := fabric.NewView(m, broker.DefaultPolicy(), nil)
+	defer view.Close()
 
 	tmp, err := os.MkdirTemp("", "gostats-realtime")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(tmp)
-	store, err := rawfile.NewStore(filepath.Join(tmp, "central"))
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	cfg := chip.StampedeNode()
-	reg := cfg.Registry()
 
 	// Central listener with the online monitor.
-	cons, err := broker.DialConsumer(addr, broker.StatsQueue)
+	cfg := chip.StampedeNode()
+	ing, err := node.NewIngest(view, node.IngestConfig{
+		StoreDir: filepath.Join(tmp, "central"),
+		Fleet:    cfg,
+		Notify:   func(a realtime.Alert) { fmt.Printf("  >> ALERT %s\n", a) },
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon := realtime.NewMonitor(reg, realtime.DefaultRules())
-	mon.Notify = func(a realtime.Alert) {
-		fmt.Printf("  >> ALERT %s\n", a)
-	}
-	listener := &realtime.Listener{
-		Cons: cons, Monitor: mon, Store: store,
-		Headers: func(host string) rawfile.Header {
-			return rawfile.Header{Hostname: host, Arch: "sandybridge", Registry: reg}
-		},
-	}
-	done := make(chan error, 1)
-	go func() { done <- listener.Run() }()
 
 	// Four node daemons. Node 0 develops a metadata storm halfway in.
 	const nodes = 4
@@ -72,13 +67,14 @@ func main() {
 			log.Fatal(err)
 		}
 		n.Advance(86400, hwsim.IdleDemand())
-		client, err := broker.Dial(addr)
+		col := collect.New(n)
+		agent, err := node.NewAgent(view, node.AgentConfig{Header: col.Header()})
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer client.Close()
+		defer agent.Close()
 		sims[i] = n
-		daemons[i] = collect.NewDaemonAgent(collect.New(n), broker.SnapshotPublisher{C: client})
+		daemons[i] = collect.NewDaemonAgent(col, agent)
 	}
 
 	fmt.Printf("%d node daemons publishing %d collections each...\n", nodes, ticks)
@@ -97,23 +93,22 @@ func main() {
 			}
 		}
 	}
-	// Let the listener drain the queue before shutting the broker down.
+	// Let the listener archive every confirmed publish before stopping.
 	deadline := time.Now().Add(10 * time.Second)
-	for listener.Processed() < nodes*ticks && time.Now().Before(deadline) {
+	for ing.Stats().Handled < nodes*ticks && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	srv.Close()
-	if err := <-done; err != nil {
+	if err := ing.Close(); err != nil {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("\nlistener archived %d snapshots in real time\n", listener.Processed())
-	hosts, _ := store.Hosts()
+	fmt.Printf("\nlistener archived %d snapshots in real time\n", ing.Stats().Handled)
+	hosts, _ := ing.Store.Hosts()
 	for _, h := range hosts {
-		snaps, _ := store.ReadHost(h)
+		snaps, _ := ing.Store.ReadHost(h)
 		fmt.Printf("  %s: %d snapshots central\n", h, len(snaps))
 	}
-	alerts := mon.Alerts()
+	alerts := ing.Monitor.Alerts()
 	fmt.Printf("%d alerts raised; the first came %d collections after the storm began\n",
 		len(alerts), 1)
 	if len(alerts) == 0 {

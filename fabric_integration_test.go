@@ -13,9 +13,7 @@ import (
 	"gostats/internal/fabric"
 	"gostats/internal/hwsim"
 	"gostats/internal/model"
-	"gostats/internal/rawfile"
-	"gostats/internal/realtime"
-	"gostats/internal/spool"
+	"gostats/internal/node"
 	"gostats/internal/telemetry"
 )
 
@@ -68,8 +66,6 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 	}
 
 	cfg := chip.StampedeNode()
-	pool := fabric.NewClientPool(pol)
-	defer pool.Close()
 
 	const (
 		nNodes   = 3
@@ -80,7 +76,7 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 	type nodeRT struct {
 		daemon *collect.DaemonAgent
 		node   *hwsim.Node
-		pub    *fabric.Publisher
+		agent  *node.Agent
 	}
 	nodes := make([]*nodeRT, nNodes)
 	spoolRoot := t.TempDir()
@@ -91,26 +87,23 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 		}
 		col := collect.New(hw)
 		col.Metrics = reg
-		// Each node runs its own publisher over its own spool, sharing
-		// the view and the connection pool.
-		pub := fabric.NewPublisher(view, pool)
-		pub.Registry = cfg.Registry()
-		pub.Metrics = reg
-		sp, err := spool.Open(filepath.Join(spoolRoot, hw.Host()), col.Header(),
-			spool.Options{Metrics: reg})
+		// Each node runs its own agent — publisher, connection pool and
+		// spool — sharing the view.
+		agent, err := node.NewAgent(view, node.AgentConfig{
+			Header:   col.Header(),
+			SpoolDir: filepath.Join(spoolRoot, hw.Host()),
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pub.AttachSpool(sp)
-		defer sp.Close()
-		defer pub.Close()
-		nodes[i] = &nodeRT{daemon: collect.NewDaemonAgent(col, pub), node: hw, pub: pub}
+		defer agent.Close()
+		nodes[i] = &nodeRT{daemon: collect.NewDaemonAgent(col, agent), node: hw, agent: agent}
 	}
 	// pubStats sums the node publishers' ledgers.
 	pubStats := func() fabric.PublisherStats {
 		var st fabric.PublisherStats
 		for _, rt := range nodes {
-			ps := rt.pub.Stats()
+			ps := rt.agent.Stats()
 			st.Published += ps.Published
 			st.Spooled += ps.Spooled
 			st.Replayed += ps.Replayed
@@ -121,20 +114,12 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 
 	// Partition-group consumer feeding the central archiver, recording
 	// every first occurrence and flagging anything dedup let through.
-	store, err := rawfile.NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var mu sync.Mutex
 	collected := map[string]bool{}
 	duplicates := 0
-	l := &realtime.Listener{
-		Monitor: realtime.NewMonitor(cfg.Registry(), realtime.DefaultRules()),
-		Store:   store,
-		Metrics: reg,
-		Headers: func(host string) rawfile.Header {
-			return rawfile.Header{Hostname: host, Arch: "sandybridge", Registry: cfg.Registry()}
-		},
+	ing, err := node.NewIngest(view, node.IngestConfig{
+		StoreDir: t.TempDir(),
+		Fleet:    cfg,
 		OnSnapshot: func(s model.Snapshot) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -145,13 +130,11 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 			}
 			collected[k] = true
 		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	g := fabric.NewGroup(view)
-	g.Handle = l.HandleBody
-	g.Metrics = reg
-	g.Logf = t.Logf
-	g.Start()
-	defer g.Stop()
+	defer ing.Close()
 
 	emitted := map[string]bool{}
 	now := 0.0
@@ -184,7 +167,7 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 		mu.Lock()
 		got := len(collected)
 		mu.Unlock()
-		if st.Spooled == st.Replayed+st.Dropped && got >= len(emitted) && g.Stats().Handled >= uint64(got) {
+		if st.Spooled == st.Replayed+st.Dropped && got >= len(emitted) && ing.Stats().Handled >= uint64(got) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -225,7 +208,7 @@ func TestChaosBrokerKillRebalancesAndConserves(t *testing.T) {
 	if pst.Dropped != 0 {
 		t.Errorf("publisher dropped %d snapshots: %+v", pst.Dropped, pst)
 	}
-	gst := g.Stats()
+	gst := ing.Stats()
 	if gst.Deduped == 0 {
 		t.Errorf("replication factor 2 delivered no duplicate frames to dedup: %+v", gst)
 	}

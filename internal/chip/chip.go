@@ -104,6 +104,15 @@ func ByArch(a Arch) (Descriptor, error) {
 	return Descriptor{}, fmt.Errorf("chip: unknown architecture %q", a)
 }
 
+// mustArch is ByArch for an architecture in the detection table.
+func mustArch(a Arch) Descriptor {
+	d, err := ByArch(a)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
 // Archs lists the supported architectures in detection-table order.
 func Archs() []Arch {
 	out := make([]Arch, len(knownChips))
@@ -178,12 +187,8 @@ type NodeConfig struct {
 // StampedeNode returns the configuration of a Stampede compute node:
 // 2-socket 8-core Sandy Bridge, 32 GB, one Xeon Phi, IB + Lustre.
 func StampedeNode() NodeConfig {
-	d, err := ByArch(SandyBridge)
-	if err != nil {
-		panic(err)
-	}
 	return NodeConfig{
-		Desc:      d,
+		Desc:      mustArch(SandyBridge),
 		Topo:      Topology{Sockets: 2, CoresPerSocket: 8, ThreadsPerCore: 1},
 		HasIB:     true,
 		HasPhi:    true,
@@ -195,12 +200,8 @@ func StampedeNode() NodeConfig {
 // LargeMemNode returns the configuration of a Stampede largemem node:
 // 1 TB of RAM, 4-socket, no Phi.
 func LargeMemNode() NodeConfig {
-	d, err := ByArch(SandyBridge)
-	if err != nil {
-		panic(err)
-	}
 	return NodeConfig{
-		Desc:      d,
+		Desc:      mustArch(SandyBridge),
 		Topo:      Topology{Sockets: 4, CoresPerSocket: 8, ThreadsPerCore: 1},
 		HasIB:     true,
 		HasLustre: true,
@@ -212,16 +213,36 @@ func LargeMemNode() NodeConfig {
 // 2-socket 12-core Haswell with HyperThreading, 64 GB, Lustre via Aries
 // (modelled as IB for transport accounting).
 func LonestarNode() NodeConfig {
-	d, err := ByArch(Haswell)
-	if err != nil {
-		panic(err)
-	}
 	return NodeConfig{
-		Desc:      d,
+		Desc:      mustArch(Haswell),
 		Topo:      Topology{Sockets: 2, CoresPerSocket: 12, ThreadsPerCore: 2},
 		HasIB:     true,
 		HasLustre: true,
 		MemBytes:  64 << 30,
+	}
+}
+
+// Fleet returns the node configuration a fleet runs, by the name the
+// daemons and tools take on their -arch flag: stampede, lonestar,
+// largemem, or nehalem (a Ranger-era part: no uncore boxes, no RAPL,
+// four programmable counters — the collector self-customizes to the
+// reduced set).
+func Fleet(name string) (NodeConfig, error) {
+	switch name {
+	case "stampede":
+		return StampedeNode(), nil
+	case "lonestar":
+		return LonestarNode(), nil
+	case "largemem":
+		return LargeMemNode(), nil
+	case "nehalem":
+		return NodeConfig{
+			Desc:     mustArch(Nehalem),
+			Topo:     Topology{Sockets: 2, CoresPerSocket: 4, ThreadsPerCore: 2},
+			MemBytes: 16 << 30,
+		}, nil
+	default:
+		return NodeConfig{}, fmt.Errorf("chip: unknown node type %q", name)
 	}
 }
 

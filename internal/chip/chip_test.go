@@ -205,3 +205,39 @@ func TestVecWidthPerArchitecture(t *testing.T) {
 		}
 	}
 }
+
+// TestFleet: every fleet name the daemons and tools accept on -arch
+// resolves to one node configuration, and an unknown name is refused.
+func TestFleet(t *testing.T) {
+	want := map[string]Arch{
+		"stampede": SandyBridge, "largemem": SandyBridge,
+		"lonestar": Haswell, "nehalem": Nehalem,
+	}
+	for name, arch := range want {
+		cfg, err := Fleet(name)
+		if err != nil {
+			t.Fatalf("Fleet(%q): %v", name, err)
+		}
+		if cfg.Desc.Arch != arch {
+			t.Errorf("Fleet(%q) arch = %s, want %s", name, cfg.Desc.Arch, arch)
+		}
+		if err := cfg.Topo.Validate(); err != nil {
+			t.Errorf("Fleet(%q): %v", name, err)
+		}
+	}
+	if cfg, want := mustFleet(t, "stampede"), StampedeNode(); cfg.Topo != want.Topo || cfg.HasPhi != want.HasPhi || cfg.MemBytes != want.MemBytes {
+		t.Errorf("Fleet(stampede) = %+v, want StampedeNode() %+v", cfg, want)
+	}
+	if _, err := Fleet("ranger"); err == nil {
+		t.Error("Fleet accepted an unknown node type")
+	}
+}
+
+func mustFleet(t *testing.T, name string) NodeConfig {
+	t.Helper()
+	cfg, err := Fleet(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
+}

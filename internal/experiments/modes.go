@@ -4,17 +4,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"gostats/internal/broker"
 	"gostats/internal/chip"
 	"gostats/internal/cluster"
 	"gostats/internal/collect"
+	"gostats/internal/fabric"
 	"gostats/internal/hwsim"
 	"gostats/internal/model"
+	"gostats/internal/node"
 	"gostats/internal/rawfile"
-	"gostats/internal/realtime"
 	"gostats/internal/workload"
 )
 
@@ -179,17 +179,15 @@ func (s *cronSink) Close() error { return s.logger.Close() }
 
 // DaemonMode (E4) runs the Fig 2 pipeline: every collection published to
 // the broker and archived centrally in real time; the same node failure
-// loses nothing already collected.
+// loses nothing already collected. The broker runs as a fabric of one,
+// and both sides are composed by internal/node exactly as tacc_statsd
+// and listend compose them.
 func DaemonMode(sc Scale) (*Result, error) {
 	tmp, err := os.MkdirTemp("", "gostats-daemon")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(tmp)
-	store, err := rawfile.NewStore(filepath.Join(tmp, "central"))
-	if err != nil {
-		return nil, err
-	}
 
 	srv := broker.NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -197,46 +195,37 @@ func DaemonMode(sc Scale) (*Result, error) {
 		return nil, err
 	}
 	defer srv.Close()
+	m, err := fabric.Bootstrap([]string{addr})
+	if err != nil {
+		return nil, err
+	}
+	view := fabric.NewView(m, broker.DefaultPolicy(), nil)
+	defer view.Close()
+
+	ing, err := node.NewIngest(view, node.IngestConfig{
+		StoreDir: filepath.Join(tmp, "central"),
+		Fleet:    chip.StampedeNode(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer ing.Close()
 
 	eng, err := cluster.NewEngine(sc.Nodes, chip.StampedeNode(), sc.Interval, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	headers := map[string]rawfile.Header{}
-	var headersMu sync.Mutex
 	collected := 0
 	eng.NewSink = func(n *hwsim.Node, col *collect.Collector) (cluster.Sink, error) {
-		client, err := broker.Dial(addr)
+		agent, err := node.NewAgent(view, node.AgentConfig{Header: col.Header()})
 		if err != nil {
 			return nil, err
 		}
-		headersMu.Lock()
-		headers[n.Host()] = col.Header()
-		headersMu.Unlock()
-		pub := broker.SnapshotPublisher{C: client}
-		return &daemonSink{pub: pub, client: client, onPub: func() { collected++ }}, nil
+		return &daemonSink{agent: agent, onPub: func() { collected++ }}, nil
 	}
 	if err := eng.Start(); err != nil {
 		return nil, err
 	}
-
-	cons, err := broker.DialConsumer(addr, broker.StatsQueue)
-	if err != nil {
-		return nil, err
-	}
-	mon := realtime.NewMonitor(chip.StampedeNode().Registry(), realtime.DefaultRules())
-	listener := &realtime.Listener{
-		Cons:    cons,
-		Monitor: mon,
-		Store:   store,
-		Headers: func(host string) rawfile.Header {
-			headersMu.Lock()
-			defer headersMu.Unlock()
-			return headers[host]
-		},
-	}
-	listenDone := make(chan error, 1)
-	go func() { listenDone <- listener.Run() }()
 
 	eng.Submit(modeJobs(sc)...)
 	if err := eng.Run(0.6 * sc.SimSpan); err != nil {
@@ -250,22 +239,20 @@ func DaemonMode(sc Scale) (*Result, error) {
 	if err := eng.Close(); err != nil {
 		return nil, err
 	}
-	// Drain: the queue-depth reaching zero is not enough (a message can
-	// be in flight between the queue and the archive write), so wait
-	// until the listener has consumed everything published.
+	// Drain: a publish is confirmed once the broker holds it, so wait
+	// until the listener has archived everything published.
 	deadline := time.Now().Add(120 * time.Second)
-	for listener.Processed() < collected && time.Now().Before(deadline) {
+	for ing.Stats().Handled < uint64(collected) && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	srv.Close()
-	if err := <-listenDone; err != nil {
+	if err := ing.Close(); err != nil {
 		return nil, err
 	}
 
 	totalCentral := 0
 	victimCentral := 0
 	for _, host := range eng.Nodes() {
-		snaps, err := store.ReadHost(host)
+		snaps, err := ing.Store.ReadHost(host)
 		if err != nil {
 			continue
 		}
@@ -284,7 +271,7 @@ func DaemonMode(sc Scale) (*Result, error) {
 		{"mean data-availability lag", "real time (seconds)", "0 s simulated", "consumer keeps up with the stream"},
 		{"snapshots lost to node failure", "none already sent", fmt.Sprintf("%d", lost),
 			fmt.Sprintf("node %s died at 60%% of span; %d of its snapshots safe", victim, victimCentral)},
-		{"listener processed", "-", fmt.Sprintf("%d", listener.Processed()), ""},
+		{"listener processed", "-", fmt.Sprintf("%d", ing.Stats().Handled), ""},
 	}
 	if lost != 0 {
 		return nil, fmt.Errorf("daemon mode: lost %d snapshots, want 0", lost)
@@ -292,19 +279,18 @@ func DaemonMode(sc Scale) (*Result, error) {
 	return res, nil
 }
 
-// daemonSink adapts a broker publisher to the engine sink interface.
+// daemonSink adapts a node agent to the engine sink interface.
 type daemonSink struct {
-	pub    broker.SnapshotPublisher
-	client *broker.Client
-	onPub  func()
+	agent *node.Agent
+	onPub func()
 }
 
 func (s *daemonSink) Handle(snap model.Snapshot) error {
-	if err := s.pub.Publish(snap); err != nil {
+	if err := s.agent.Publish(snap); err != nil {
 		return err
 	}
 	s.onPub()
 	return nil
 }
 
-func (s *daemonSink) Close() error { return s.client.Close() }
+func (s *daemonSink) Close() error { return s.agent.Close() }

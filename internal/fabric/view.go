@@ -128,6 +128,14 @@ func (v *View) Version() uint64 {
 	return v.m.Version
 }
 
+// Policy returns the transport policy the View's breakers run under —
+// the one every participant sharing the View dials and backs off by.
+func (v *View) Policy() broker.Policy { return v.pol }
+
+// Metrics returns the registry the View's fabric telemetry lands in;
+// participants built over the View report there too.
+func (v *View) Metrics() *telemetry.Registry { return v.reg }
+
 // Breaker returns the circuit breaker guarding addr (nil for a broker
 // not in the membership).
 func (v *View) Breaker(addr string) *broker.Breaker {

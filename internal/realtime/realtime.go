@@ -193,9 +193,10 @@ func newListenMetrics(reg *telemetry.Registry) *listenMetrics {
 	}
 }
 
-// Listener drains a broker queue, fanning each decoded snapshot into the
-// monitor, the central store, and the time-series ingester (any of which
-// may be nil). It is the daemon-mode "listend" process.
+// Listener fans each decoded snapshot into the monitor, the central
+// store, and the time-series ingester (any of which may be nil). It is
+// the staged core of the daemon-mode "listend" process; internal/node
+// composes it behind a fabric group.
 type Listener struct {
 	Cons    *broker.Consumer
 	Monitor *Monitor
@@ -232,7 +233,6 @@ type Listener struct {
 	initOnce  sync.Once
 	met       *listenMetrics
 	arch      *rawfile.Archiver
-	archOwned bool    // arch was created here, so Close/Run tears it down
 	maxSeen   float64 // written only by the decode stage worker
 
 	// The staged runtime (see stages.go): decode → archive → ingest →
@@ -250,13 +250,12 @@ func (l *Listener) init() {
 			reg = telemetry.Default()
 		}
 		l.met = newListenMetrics(reg)
-		if l.Store != nil && l.arch == nil {
+		if l.Store != nil {
 			// Route archive writes through a cached-encoder archiver: the
 			// per-(host,day) file stays open across snapshots, so the binary
 			// codec's delta and dictionary state persists instead of being
 			// re-seeded by a fresh header every append.
 			l.arch = rawfile.NewArchiver(l.Store, 0)
-			l.archOwned = true
 		}
 		l.buildPipeline(reg)
 	})
@@ -266,14 +265,12 @@ func (l *Listener) init() {
 // to call while Run is executing.
 func (l *Listener) Processed() int { return int(l.processed.Load()) }
 
-// ShutdownRequested reports whether Shutdown has been called. A Run
-// that returns nil without a requested shutdown means the broker hung
-// up on its own — callers treating EOF as "clean exit" would otherwise
-// die silently with the queue still filling.
-func (l *Listener) ShutdownRequested() bool { return l.stopping.Load() }
-
-// Run consumes until the broker closes (io.EOF), Shutdown is called, or
-// a fatal error occurs. Each message is fully processed — archived,
+// Run consumes Cons until the broker closes (io.EOF), Shutdown is
+// called, or a fatal error occurs. It is not how the daemons consume —
+// they run a fabric group over HandleBody, composed by internal/node —
+// and stays only as the benchmark's serial-ack entry point (perfbench
+// drains one plain queue through it) until the benchmark composes the
+// node too. Each message is fully processed — archived,
 // monitored, ingested — BEFORE it is acknowledged, so a listener crash
 // mid-message costs a redelivery, never a lost snapshot. The processing
 // itself runs on the staged pipeline (stages.go); submitWait blocks
@@ -363,17 +360,17 @@ func (l *Listener) Shutdown() {
 }
 
 // Close drains the staged pipeline (flushing every queued snapshot
-// through its remaining sinks), then flushes and closes the archiver if
-// this listener created one. Run-based listeners do this when Run
-// returns; HandleBody-based transports (fabric groups) must call Close
-// after stopping the group. Idempotent.
+// through its remaining sinks), then flushes and closes the archiver.
+// Run-based listeners do this when Run returns; HandleBody-based
+// transports (fabric groups) must call Close after stopping the group.
+// Idempotent.
 func (l *Listener) Close() error {
 	l.inflight.Lock()
 	defer l.inflight.Unlock()
 	if l.pipe != nil {
 		l.drainPipeline()
 	}
-	if l.arch == nil || !l.archOwned {
+	if l.arch == nil {
 		return nil
 	}
 	err := l.arch.Close()
