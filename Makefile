@@ -132,6 +132,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzScan -fuzztime=300x ./internal/framelog/
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=300x ./internal/reldb/
 	$(GO) test -run='^$$' -fuzz=FuzzLRU -fuzztime=300x ./internal/lru/
+	$(GO) test -run='^$$' -fuzz=FuzzBrokerFrame -fuzztime=300x ./internal/broker/
 
 ## loc: the non-blank, non-comment, non-test Go line count over cmd/,
 ## internal/ and examples/ — the size a simplicity PR reports before and

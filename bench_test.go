@@ -185,7 +185,7 @@ func BenchmarkDaemonPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	agent := collect.NewDaemonAgent(collect.New(n), broker.SnapshotPublisher{C: client})
+	agent := collect.NewDaemonAgent(collect.New(n), broker.SnapshotPublisher{C: client, Registry: fix.reg})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -194,7 +194,7 @@ func BenchmarkDaemonPipeline(b *testing.B) {
 			if err != nil {
 				return
 			}
-			if _, err := broker.DecodeSnapshot(body); err != nil {
+			if _, _, err := broker.DecodeSnapshotWire(body, fix.reg); err != nil {
 				return
 			}
 		}
@@ -562,7 +562,7 @@ func BenchmarkBrokerBatching(b *testing.B) {
 	}
 
 	b.Run("snapshot-per-message", func(b *testing.B) {
-		body, err := broker.EncodeSnapshot(snap)
+		body, err := codec.EncodeWire(snap, fix.reg, codec.V1Text)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -575,7 +575,7 @@ func BenchmarkBrokerBatching(b *testing.B) {
 		for i, r := range snap.Records {
 			one := model.Snapshot{Time: snap.Time, Host: snap.Host, JobIDs: snap.JobIDs,
 				Records: []model.Record{r}}
-			body, err := broker.EncodeSnapshot(one)
+			body, err := codec.EncodeWire(one, fix.reg, codec.V1Text)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -778,29 +778,11 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 }
 
 // BenchmarkWireCodec measures one self-contained broker message per
-// snapshot for the legacy gob framing (encode plus decode) and, for
-// each versioned codec, encode and decode separately, reporting the
+// snapshot for each codec, encode and decode separately, reporting the
 // per-message wire size.
 func BenchmarkWireCodec(b *testing.B) {
 	snaps, _ := codecBenchStream(b)
 	s := snaps[len(snaps)/2]
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		body, err := broker.EncodeSnapshot(s)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			body, err = broker.EncodeSnapshot(s)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := broker.DecodeSnapshot(body); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(body)), "bytes/snap")
-	})
 	for _, v := range []codec.Version{codec.V1Text, codec.V2Binary} {
 		body, err := codec.EncodeWire(s, fix.reg, v)
 		if err != nil {

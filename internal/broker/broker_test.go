@@ -1,12 +1,14 @@
 package broker
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
 	"testing"
 	"time"
 
+	"gostats/internal/codec"
 	"gostats/internal/model"
 	"gostats/internal/schema"
 	"gostats/internal/telemetry"
@@ -433,36 +435,9 @@ func TestQueueDepthUnknown(t *testing.T) {
 	}
 }
 
-func TestSnapshotCodecRoundTrip(t *testing.T) {
-	s := model.Snapshot{
-		Time:   1451606400.5,
-		Host:   "c401-101",
-		JobIDs: []string{"1", "2"},
-		Mark:   "begin 1",
-		Records: []model.Record{
-			{Class: schema.ClassCPU, Instance: "0", Values: []uint64{1, 2, 3}},
-			{Class: schema.ClassIB, Instance: "mlx4_0/1", Values: []uint64{1 << 60}},
-		},
-	}
-	b, err := EncodeSnapshot(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeSnapshot(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Time != s.Time || got.Host != s.Host || got.Mark != s.Mark {
-		t.Errorf("meta = %+v", got)
-	}
-	if len(got.Records) != 2 || got.Records[1].Values[0] != 1<<60 {
-		t.Errorf("records = %+v", got.Records)
-	}
-}
-
 func TestDecodeSnapshotGarbage(t *testing.T) {
-	if _, err := DecodeSnapshot([]byte("not gob")); err == nil {
-		t.Error("garbage decoded")
+	if _, _, err := DecodeSnapshotWire([]byte("not gob"), nil); !errors.Is(err, codec.ErrUnknownWire) {
+		t.Errorf("garbage decoded: err = %v, want codec.ErrUnknownWire", err)
 	}
 }
 
@@ -475,7 +450,7 @@ func TestSnapshotPublisherOverNetwork(t *testing.T) {
 	defer client.Close()
 	p := SnapshotPublisher{C: client}
 	snap := model.Snapshot{Time: 7, Host: "n1", Records: []model.Record{
-		{Class: schema.ClassCPU, Instance: "0", Values: []uint64{42}},
+		{Class: schema.ClassCPU, Instance: "0", Values: []uint64{42, 0, 0, 0, 0, 0, 0}},
 	}}
 	if err := p.Publish(snap); err != nil {
 		t.Fatal(err)
@@ -489,7 +464,7 @@ func TestSnapshotPublisherOverNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSnapshot(b)
+	got, _, err := DecodeSnapshotWire(b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,6 @@
 package broker
 
 import (
-	"bytes"
-	"encoding/gob"
-	"errors"
-	"fmt"
-
 	"gostats/internal/codec"
 	"gostats/internal/model"
 	"gostats/internal/schema"
@@ -16,54 +11,25 @@ import (
 // collections to.
 const StatsQueue = "gostats.raw"
 
-// EncodeSnapshot serializes a snapshot in the legacy (v0) gob framing.
-func EncodeSnapshot(s model.Snapshot) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("broker: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSnapshot deserializes a legacy gob snapshot.
-func DecodeSnapshot(b []byte) (model.Snapshot, error) {
-	var s model.Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
-		return model.Snapshot{}, fmt.Errorf("broker: decode snapshot: %w", err)
-	}
-	return s, nil
-}
-
 // EncodeSnapshotWire serializes a snapshot for transport in the given
-// codec version; zero selects the legacy gob framing.
+// codec version (codec.V1Text or codec.V2Binary).
 func EncodeSnapshotWire(s model.Snapshot, reg *schema.Registry, v codec.Version) ([]byte, error) {
-	if v == 0 {
-		return EncodeSnapshot(s)
-	}
 	return codec.EncodeWire(s, reg, v)
 }
 
-// DecodeSnapshotWire deserializes a transport message of any vintage:
-// tagged codec messages (v1 text, v2 binary) decode against reg; bytes
-// that are neither fall back to legacy gob. The returned version is the
-// codec that matched (zero for gob), letting consumers account traffic
-// per codec in mixed-version fleets.
+// DecodeSnapshotWire deserializes a transport message: tagged codec
+// messages (v1 text, v2 binary) decode against reg, and bytes in neither
+// format are an error (codec.ErrUnknownWire). The returned version is
+// the codec that matched, letting consumers account traffic per codec in
+// mixed-version fleets.
 func DecodeSnapshotWire(b []byte, reg *schema.Registry) (model.Snapshot, codec.Version, error) {
-	s, v, err := codec.DecodeWire(b, reg)
-	if err == nil {
-		return s, v, nil
-	}
-	if errors.Is(err, codec.ErrUnknownWire) {
-		s, gerr := DecodeSnapshot(b)
-		return s, 0, gerr
-	}
-	return model.Snapshot{}, v, err
+	return codec.DecodeWire(b, reg)
 }
 
 // SnapshotPublisher adapts a Client to the collect.Publisher interface:
-// each snapshot becomes one message on StatsQueue. With a zero Codec it
-// publishes legacy gob; set Codec (and Registry) to publish the
-// versioned wire encodings.
+// each snapshot becomes one message on StatsQueue, in Codec against
+// Registry. A zero Codec publishes codec.V1Text and a nil Registry is
+// schema.DefaultRegistry(), the defaults a Listener decodes with.
 type SnapshotPublisher struct {
 	C        *Client
 	Codec    codec.Version
@@ -76,10 +42,17 @@ type SnapshotPublisher struct {
 // Publish implements collect.Publisher.
 func (p SnapshotPublisher) Publish(s model.Snapshot) error {
 	p.Trace.Stamp(&s, model.StagePublish)
-	b, err := EncodeSnapshotWire(s, p.Registry, p.Codec)
+	v, reg := p.Codec, p.Registry
+	if v == codec.VersionUnknown {
+		v = codec.V1Text
+	}
+	if reg == nil {
+		reg = schema.DefaultRegistry()
+	}
+	b, err := EncodeSnapshotWire(s, reg, v)
 	if err != nil {
 		return err
 	}
-	p.C.Codec = p.Codec
+	p.C.Codec = v
 	return p.C.Publish(StatsQueue, b)
 }

@@ -52,8 +52,8 @@ func TestServerRejectsCodecMismatch(t *testing.T) {
 	}
 }
 
-// An unpinned broker keeps accepting every codec, including legacy
-// producers that declare none — mixed fleets negotiate per message.
+// An unpinned broker keeps accepting every codec, including producers
+// that declare none — mixed fleets negotiate per message.
 func TestUnpinnedServerAcceptsAnyCodec(t *testing.T) {
 	_, addr := startServer(t)
 	for _, v := range []codec.Version{0, codec.V1Text, codec.V2Binary} {
@@ -71,14 +71,13 @@ func TestUnpinnedServerAcceptsAnyCodec(t *testing.T) {
 }
 
 // Snapshots published through the versioned wire encodings must decode
-// identically on the consumer side, and legacy gob bodies must keep
-// decoding through the same entry point.
+// identically on the consumer side.
 func TestSnapshotWireRoundTripThroughBroker(t *testing.T) {
 	_, addr := startServer(t)
 	reg := schema.DefaultRegistry()
 	want := wireSnapshot()
 
-	for _, v := range []codec.Version{0, codec.V1Text, codec.V2Binary} {
+	for _, v := range []codec.Version{codec.V1Text, codec.V2Binary} {
 		c, err := Dial(addr)
 		if err != nil {
 			t.Fatal(err)

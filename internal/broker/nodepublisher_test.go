@@ -223,7 +223,7 @@ func TestPublisherSpoolFallbackAndReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := broker.DecodeSnapshot(b)
+		s, _, err := broker.DecodeSnapshotWire(b, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestChaosMidFrameResetNoLoss(t *testing.T) {
 				close(got)
 				return
 			}
-			if s, err := broker.DecodeSnapshot(b); err == nil {
+			if s, _, err := broker.DecodeSnapshotWire(b, nil); err == nil {
 				got <- s
 			}
 		}
@@ -411,7 +411,7 @@ func TestNodePublisherSurvivesBrokerRestart(t *testing.T) {
 // mustTime decodes a snapshot message and returns its time.
 func mustTime(t *testing.T, b []byte) float64 {
 	t.Helper()
-	s, err := broker.DecodeSnapshot(b)
+	s, _, err := broker.DecodeSnapshotWire(b, nil)
 	if err != nil {
 		t.Fatalf("decode %q: %v", b, err)
 	}
@@ -441,7 +441,7 @@ func TestNodePublisherSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := broker.DecodeSnapshot(b)
+	snap, _, err := broker.DecodeSnapshotWire(b, nil)
 	if err != nil || snap.Host != "n1" {
 		t.Errorf("snap = %+v err = %v", snap, err)
 	}

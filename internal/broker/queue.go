@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"slices"
 	"sync"
 
 	"gostats/internal/telemetry"
@@ -10,6 +11,7 @@ import (
 // creation so the message path never takes a registry lookup.
 type queueMetrics struct {
 	depth       *telemetry.Gauge
+	inflight    *telemetry.Gauge
 	waiters     *telemetry.Gauge
 	published   *telemetry.Counter
 	delivered   *telemetry.Counter
@@ -20,7 +22,9 @@ type queueMetrics struct {
 func newQueueMetrics(reg *telemetry.Registry, name string) *queueMetrics {
 	return &queueMetrics{
 		depth: reg.Gauge("gostats_broker_queue_depth",
-			"Backlogged messages per queue.", "queue", name),
+			"Backlogged messages per queue (delivered but unacked ones are in gostats_broker_inflight).", "queue", name),
+		inflight: reg.Gauge("gostats_broker_inflight",
+			"Messages delivered to consumers and not yet acked or requeued, per queue.", "queue", name),
 		waiters: reg.Gauge("gostats_broker_consumer_waiters",
 			"Consumers blocked waiting for a message per queue. Zero with a non-zero queue depth means consumers cannot keep up.", "queue", name),
 		published: reg.Counter("gostats_broker_published_total",
@@ -28,7 +32,7 @@ func newQueueMetrics(reg *telemetry.Registry, name string) *queueMetrics {
 		delivered: reg.Counter("gostats_broker_delivered_total",
 			"Messages handed to consumers per queue (redeliveries included).", "queue", name),
 		redelivered: reg.Counter("gostats_broker_redelivered_total",
-			"Messages requeued after a consumer died holding them.", "queue", name),
+			"Messages requeued after a consumer died, failed an ack or stopped acking holding them.", "queue", name),
 		acked: reg.Counter("gostats_broker_acked_total",
 			"Messages acknowledged by consumers per queue.", "queue", name),
 	}
@@ -55,6 +59,7 @@ type queue struct {
 	delivered   uint64
 	redelivered uint64
 	acked       uint64
+	inflight    uint64
 
 	met *queueMetrics // bound by Server.getQueue; nil falls back to nopQueueMetrics
 }
@@ -81,52 +86,72 @@ func (q *queue) push(b item) bool {
 	}
 	q.published++
 	q.mets().published.Inc()
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.mets().waiters.Set(float64(len(q.waiters)))
-		// A waiter channel has capacity 1 and is only ever written once;
-		// a cancelled waiter is removed under the same lock, so if it is
-		// still in the list it is live.
-		w <- b
-		q.delivered++
-		q.mets().delivered.Inc()
-		return true
+	if !q.handOff(b) {
+		q.items = append(q.items, b)
+		q.mets().depth.Set(float64(len(q.items)))
 	}
-	q.items = append(q.items, b)
-	q.mets().depth.Set(float64(len(q.items)))
 	return true
 }
 
-// requeue returns a message to the FRONT of the queue (redelivery after a
-// consumer died holding it).
-func (q *queue) requeue(b item) {
+// handOff delivers b straight to the oldest waiting consumer, if there
+// is one; q.mu must be held.
+func (q *queue) handOff(b item) bool {
+	if len(q.waiters) == 0 {
+		return false
+	}
+	w := q.waiters[0]
+	q.waiters[0] = nil
+	q.waiters = q.waiters[1:]
+	q.mets().waiters.Set(float64(len(q.waiters)))
+	// A waiter channel has capacity 1 and is only ever written once; a
+	// cancelled waiter is removed under the same lock, so if it is still
+	// in the list it is live.
+	w <- b
+	q.delivered++
+	q.mets().delivered.Inc()
+	q.setInflight(q.inflight + 1)
+	return true
+}
+
+// setInflight updates the in-flight count and its gauge; q.mu must be
+// held.
+func (q *queue) setInflight(n uint64) {
+	q.inflight = n
+	q.mets().inflight.Set(float64(n))
+}
+
+// requeue returns messages a consumer held unacked to the FRONT of the
+// queue, in order (redelivery after it died, failed an ack or stopped
+// acking). Waiting consumers are served first, oldest message first.
+func (q *queue) requeue(items ...item) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.setInflight(q.inflight - uint64(len(items)))
 	if q.closed {
 		return
 	}
-	q.redelivered++
-	q.mets().redelivered.Inc()
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.mets().waiters.Set(float64(len(q.waiters)))
-		w <- b
-		q.delivered++
-		q.mets().delivered.Inc()
-		return
+	q.redelivered += uint64(len(items))
+	q.mets().redelivered.Add(uint64(len(items)))
+	q.putFront(items)
+}
+
+// putFront hands items to waiters, oldest first, and splices the rest in
+// front of the backlog in one move; q.mu must be held.
+func (q *queue) putFront(items []item) {
+	for len(items) > 0 && q.handOff(items[0]) {
+		items = items[1:]
 	}
-	q.items = append([]item{b}, q.items...)
+	q.items = slices.Insert(q.items, 0, items...)
 	q.mets().depth.Set(float64(len(q.items)))
 }
 
-// ack records a consumer acknowledgment.
-func (q *queue) ack() {
+// ack records a consumer acknowledging n deliveries.
+func (q *queue) ack(n int) {
 	q.mu.Lock()
-	q.acked++
+	q.acked += uint64(n)
+	q.setInflight(q.inflight - uint64(n))
 	q.mu.Unlock()
-	q.mets().acked.Inc()
+	q.mets().acked.Add(uint64(n))
 }
 
 // pop returns the next message immediately if one is queued; otherwise it
@@ -141,10 +166,12 @@ func (q *queue) pop() (msg item, waiter chan item, ok bool) {
 	}
 	if len(q.items) > 0 {
 		m := q.items[0]
+		q.items[0] = item{} // the backing array must not keep the body alive
 		q.items = q.items[1:]
 		q.delivered++
 		q.mets().delivered.Inc()
 		q.mets().depth.Set(float64(len(q.items)))
+		q.setInflight(q.inflight + 1)
 		return m, nil, true
 	}
 	w := make(chan item, 1)
@@ -170,9 +197,12 @@ func (q *queue) cancel(w chan item) {
 	// Not in the list: push may have delivered concurrently.
 	select {
 	case b := <-w:
-		q.requeue(b)
 		q.mu.Lock()
 		q.delivered-- // the delivery never reached a consumer
+		q.setInflight(q.inflight - 1)
+		if !q.closed {
+			q.putFront([]item{b})
+		}
 		q.mu.Unlock()
 	default:
 	}
@@ -209,5 +239,6 @@ func (q *queue) counts() QueueStats {
 		Delivered:   q.delivered,
 		Redelivered: q.redelivered,
 		Acked:       q.acked,
+		InFlight:    q.inflight,
 	}
 }

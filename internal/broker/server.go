@@ -6,75 +6,42 @@
 //
 //   - Named queues, created on first use.
 //   - Producers publish frames to a queue.
-//   - Consumers subscribe to a queue with prefetch 1: the server sends
-//     one message and waits for an ack before sending the next.
-//   - A consumer that disconnects holding an unacked message causes
-//     redelivery to the next consumer — collections survive consumer
-//     crashes, which is exactly why the deployment site asked for a
-//     broker instead of the filesystem.
+//   - Consumers subscribe to a queue with a prefetch window: the server
+//     keeps up to consumerWindow unacked messages in flight per
+//     connection, and the consumer acks cumulatively (one ack covers
+//     every delivery up to its number), like basic.qos with multiple
+//     acks.
+//   - A consumer that disconnects, fails an ack or stops acking holding
+//     unacked messages causes their redelivery, in order and ahead of
+//     the rest of the queue, to the next consumer — collections survive
+//     consumer crashes, which is exactly why the deployment site asked
+//     for a broker instead of the filesystem.
 //
-// The wire protocol is length-delimited gob frames over TCP.
+// The wire protocol is framelog frames over TCP (see wire.go).
 package broker
 
 import (
-	"encoding/gob"
+	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"sync"
 	"time"
 
 	"gostats/internal/codec"
+	"gostats/internal/framelog"
 	"gostats/internal/telemetry"
 )
-
-// frame is the single wire message type.
-type frame struct {
-	Op    string // "pub", "sub", "msg", "ack", "err", "map"
-	Queue string
-	Body  []byte
-	Err   string
-
-	// Code is a machine-readable error discriminator on "err" frames so
-	// clients can map server rejections to named errors.
-	Code string
-
-	// Codec declares the snapshot codec version of a publish's Body
-	// (codec.Version). Legacy producers gob-encode frames without the
-	// field, which decodes as 0 (unknown) — a server pinned to a wire
-	// version rejects those instead of misframing the queue.
-	Codec uint8
-
-	// Confirm asks the server to ack a publish once the message is
-	// enqueued. Fire-and-forget publishes can be torn mid-frame by a
-	// connection reset without the producer ever learning; a confirmed
-	// publish turns that silent loss into a retryable error (at the cost
-	// of possible duplicates — consumers must tolerate at-least-once).
-	Confirm bool
-
-	// Host and Seq identify the snapshot a publish carries for
-	// replicated-delivery dedup: a fabric publisher writes the same
-	// (Host, Seq) to every replica broker, and partition-group consumers
-	// drop all but the first delivery. Both ride the queue and come back
-	// on "msg" frames. Zero values mean "no dedup identity" (legacy
-	// single-broker publishes).
-	Host string
-	Seq  uint64
-
-	// MapV is the sender's fabric partition-map version. The server
-	// stamps it on publish acks and "map" replies so clients learn about
-	// membership changes on the paths they already exercise — the same
-	// piggyback pattern the codec handshake uses.
-	MapV uint64
-}
 
 // codeCodecMismatch marks the err frame a version-pinned server sends a
 // producer publishing a different codec.
 const codeCodecMismatch = "codec-mismatch"
 
 // codeNoMap marks the err frame a broker without fabric membership sends
-// back on a "map" request.
+// back on a map request.
 const codeNoMap = "no-map"
 
 // ErrNoMap is returned by FetchMap against a broker that is not a
@@ -85,14 +52,20 @@ var ErrNoMap = errors.New("broker: not a fabric member (no partition map)")
 // codec does not match the broker's pinned wire version.
 var ErrCodecMismatch = errors.New("broker: producer codec does not match broker wire version")
 
-// Frame op codes.
+// consumerWindow is how many unacked deliveries the server keeps in
+// flight on one consumer connection.
+const consumerWindow = 64
+
+// flushBytes is how much delivery data the server buffers before
+// writing it out even though more could follow.
+const flushBytes = 64 << 10
+
+// Read buffer sizes. A consumer's holds many deliveries, so that it can
+// see the next one is already there and defer its ack; the server's,
+// one per producer, holds a few publishes.
 const (
-	opPub = "pub"
-	opSub = "sub"
-	opMsg = "msg"
-	opAck = "ack"
-	opErr = "err"
-	opMap = "map"
+	consumerReadBuf = 64 << 10
+	serverReadBuf   = 16 << 10
 )
 
 // serverMetrics are the broker-wide telemetry series.
@@ -107,10 +80,10 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		conns: reg.Gauge("gostats_broker_connections",
 			"Open broker connections (producers and consumers)."),
 		encode: reg.Histogram("gostats_broker_frame_encode_seconds",
-			"Time to gob-encode and write one frame to a connection.",
+			"Time to frame one delivery into its connection's write buffer.",
 			telemetry.LatencyBuckets),
 		decode: reg.Histogram("gostats_broker_frame_decode_seconds",
-			"Time from a frame's first byte arriving to its gob decode completing.",
+			"Time from a producer frame's first byte arriving to its decode completing.",
 			telemetry.LatencyBuckets),
 	}
 }
@@ -127,19 +100,20 @@ type Server struct {
 	// pins a handler goroutine and a connection slot forever.
 	IdleTimeout time.Duration
 
-	// AckTimeout, when > 0, bounds how long the server waits for a
-	// consumer to ack a delivered message. On timeout the message is
-	// requeued for the next consumer and the stalled connection dropped.
+	// AckTimeout, when > 0, bounds how long a consumer may make no ack
+	// progress while deliveries are in flight to it. On timeout its
+	// unacked deliveries are requeued, in order, for the next consumer
+	// and the stalled connection dropped.
 	AckTimeout time.Duration
 
 	// WriteTimeout, when > 0, bounds writing one frame to a client.
 	WriteTimeout time.Duration
 
 	// WireVersion, when non-zero, pins the snapshot codec this broker
-	// accepts: a publish declaring any other codec (including legacy
-	// producers that declare none) is rejected with a codec-mismatch
-	// error frame and the connection dropped. Zero accepts everything —
-	// mixed fleets negotiate per message instead.
+	// accepts: a publish declaring any other codec (including none) is
+	// rejected with a codec-mismatch error frame and the connection
+	// dropped. Zero accepts everything — mixed fleets negotiate per
+	// message instead.
 	WireVersion codec.Version
 
 	// MapProvider, when set, makes this broker a fabric member: "map"
@@ -319,68 +293,104 @@ func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
 	fbt := &firstByteTimer{r: conn}
-	dec := gob.NewDecoder(fbt)
-	enc := gob.NewEncoder(conn)
+	r := bufio.NewReaderSize(fbt, serverReadBuf)
+	armRead(conn, s.IdleTimeout)
+	if !s.acceptPreamble(conn, r) {
+		return
+	}
+	fbt.lap() // the preamble is not a frame
 	met := s.metricsSnapshot()
 	for {
 		// A producer silent past IdleTimeout is dropped; it redials.
 		armRead(conn, s.IdleTimeout)
-		var f frame
-		if err := dec.Decode(&f); err != nil {
+		// Each frame gets its own buffer: a published body is queued as
+		// it was read, never aliasing a buffer the next read reuses.
+		typ, p, err := framelog.ReadFrame(r, nil, maxFramePayload)
+		if err != nil {
 			return
 		}
-		met.decode.Observe(fbt.lap().Seconds())
-		switch f.Op {
-		case opPub:
-			if f.Queue == "" {
-				armWrite(conn, s.WriteTimeout)
-				enc.Encode(frame{Op: opErr, Err: "publish without queue"})
+		switch typ {
+		case typePub:
+			f, err := parsePub(p)
+			met.decode.Observe(fbt.lap().Seconds())
+			switch {
+			case err != nil:
+				s.reply(conn, appendErr(nil, "", err.Error()))
 				return
-			}
-			if s.WireVersion != 0 && codec.Version(f.Codec) != s.WireVersion {
-				armWrite(conn, s.WriteTimeout)
-				enc.Encode(frame{Op: opErr, Code: codeCodecMismatch,
-					Err: fmt.Sprintf("producer codec %s, broker pinned to %s",
-						codec.Version(f.Codec), s.WireVersion)})
+			case f.Queue == "":
+				s.reply(conn, appendErr(nil, "", "publish without queue"))
+				return
+			case s.WireVersion != 0 && f.Codec != s.WireVersion:
+				s.reply(conn, appendErr(nil, codeCodecMismatch,
+					fmt.Sprintf("producer codec %s, broker pinned to %s", f.Codec, s.WireVersion)))
 				return
 			}
 			s.getQueue(f.Queue).push(item{body: f.Body, host: f.Host, seq: f.Seq})
-			if f.Confirm {
-				armWrite(conn, s.WriteTimeout)
-				if err := enc.Encode(frame{Op: opAck, MapV: s.mapVersion()}); err != nil {
-					return
-				}
-			}
-		case opMap:
-			armWrite(conn, s.WriteTimeout)
-			if s.MapProvider == nil {
-				if enc.Encode(frame{Op: opErr, Code: codeNoMap,
-					Err: "broker is not a fabric member (no partition map)"}) != nil {
-					return
-				}
-				continue
-			}
-			v, payload := s.MapProvider()
-			if err := enc.Encode(frame{Op: opMap, MapV: v, Body: payload}); err != nil {
+			if f.Confirm && s.reply(conn, appendAck(nil, s.mapVersion())) != nil {
 				return
 			}
-		case opSub:
-			if f.Queue == "" {
-				armWrite(conn, s.WriteTimeout)
-				enc.Encode(frame{Op: opErr, Err: "subscribe without queue"})
+		case typeMap:
+			_, _, err := parseMap(p)
+			met.decode.Observe(fbt.lap().Seconds())
+			var out []byte
+			switch {
+			case err != nil:
+				s.reply(conn, appendErr(nil, "", err.Error()))
+				return
+			case s.MapProvider == nil:
+				out = appendErr(nil, codeNoMap, "broker is not a fabric member (no partition map)")
+			default:
+				v, payload := s.MapProvider()
+				out = appendMap(nil, v, payload)
+			}
+			if s.reply(conn, out) != nil {
+				return
+			}
+		case typeSub:
+			q, err := parseStrings(p, 1)
+			met.decode.Observe(fbt.lap().Seconds())
+			if err == nil && q[0] == "" {
+				err = fmt.Errorf("subscribe without queue")
+			}
+			if err != nil {
+				s.reply(conn, appendErr(nil, "", err.Error()))
 				return
 			}
 			// Consumers legitimately idle while the queue is empty; the
-			// ack wait below is the bounded part.
+			// ack wait is the bounded part.
 			armRead(conn, 0)
-			s.consumerLoop(conn, enc, dec, s.getQueue(f.Queue))
+			s.consumerLoop(conn, r, s.getQueue(q[0]))
 			return
 		default:
-			armWrite(conn, s.WriteTimeout)
-			enc.Encode(frame{Op: opErr, Err: fmt.Sprintf("unexpected op %q", f.Op)})
+			s.reply(conn, appendErr(nil, "", fmt.Sprintf("unexpected frame type %q", typ)))
 			return
 		}
 	}
+}
+
+// acceptPreamble reads the client's preamble and answers with the
+// server's. A connection that opens with anything else — an old gob
+// client included — is refused, logged and counted by reason; one that
+// closes or idles out before sending a byte is just dropped.
+func (s *Server) acceptPreamble(conn net.Conn, r *bufio.Reader) bool {
+	p, heard, _ := readPreamble(r)
+	if p == framelog.PreambleOK {
+		return s.reply(conn, preamble) == nil
+	}
+	if heard {
+		log.Printf("broker: refused connection from %s: %s preamble", conn.RemoteAddr(), p)
+		s.registry().Counter("gostats_broker_handshake_refused_total",
+			"Connections refused because they did not open with the broker wire preamble, by reason.",
+			"reason", p.String()).Inc()
+	}
+	return false
+}
+
+// reply writes one or more whole frames to a connection.
+func (s *Server) reply(conn net.Conn, b []byte) error {
+	armWrite(conn, s.WriteTimeout)
+	_, err := conn.Write(b)
+	return err
 }
 
 // mapVersion returns the fabric map version to stamp on acks (0 when
@@ -393,39 +403,172 @@ func (s *Server) mapVersion() uint64 {
 	return v
 }
 
-// consumerLoop serves one subscribed connection with prefetch 1.
-func (s *Server) consumerLoop(conn net.Conn, enc *gob.Encoder, dec *gob.Decoder, q *queue) {
+// window is one consumer connection's unacked deliveries. Deliveries
+// are numbered from 1; slot n%consumerWindow holds delivery n while it
+// is in flight, for acked < n <= sent.
+type window struct {
+	mu    sync.Mutex
+	ring  [consumerWindow]item
+	acked uint64
+	sent  uint64
+
+	// space is signalled when an ack frees room; done is closed when
+	// the ack reader exits, which ends the connection.
+	space chan struct{}
+	done  chan struct{}
+}
+
+func (w *window) full() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.sent-w.acked == consumerWindow
+}
+
+// unacked returns the in-flight deliveries in delivery order.
+func (w *window) unacked() []item {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	out := make([]item, 0, w.sent-w.acked)
+	for n := w.acked + 1; n <= w.sent; n++ {
+		out = append(out, w.ring[n%consumerWindow])
+	}
+	return out
+}
+
+// consumerLoop serves one subscribed connection: it writes deliveries
+// while the window has room, and a second goroutine reads the
+// cumulative acks. Writes are buffered, but flushed before the loop
+// blocks on an empty queue or a full window, so a delivery never waits
+// in the buffer while nothing follows it. When either side fails — the
+// connection drops, an ack is malformed or out of range, or no ack
+// progress is made for AckTimeout while deliveries are in flight — the
+// connection is closed and every unacked delivery is requeued at the
+// front of the queue, in order.
+func (s *Server) consumerLoop(conn net.Conn, r *bufio.Reader, q *queue) {
 	met := s.metricsSnapshot()
+	w := &window{space: make(chan struct{}, 1), done: make(chan struct{})}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		s.readAcks(conn, r, q, w)
+	}()
+	defer func() {
+		conn.Close() // stops the ack reader
+		wg.Wait()
+		if un := w.unacked(); len(un) > 0 {
+			q.requeue(un...)
+		}
+	}()
+
+	var out []byte
+	var hb [64]byte
+	flush := func() bool {
+		if len(out) == 0 {
+			return true
+		}
+		armWrite(conn, s.WriteTimeout)
+		_, err := conn.Write(out)
+		out = out[:0]
+		return err == nil
+	}
 	for {
+		for w.full() {
+			if !flush() {
+				return
+			}
+			select {
+			case <-w.space:
+			case <-w.done:
+				return
+			}
+		}
 		msg, waiter, ok := q.pop()
 		if !ok {
 			return // queue closed
 		}
 		if waiter != nil {
-			m, open := <-waiter
-			if !open {
-				return // queue closed while waiting
+			if !flush() {
+				q.cancel(waiter)
+				return
 			}
-			msg = m
+			select {
+			case m, open := <-waiter:
+				if !open {
+					return // queue closed while waiting
+				}
+				msg = m
+			case <-w.done:
+				q.cancel(waiter)
+				return
+			}
 		}
-		armWrite(conn, s.WriteTimeout)
+		w.mu.Lock()
+		w.sent++
+		w.ring[w.sent%consumerWindow] = msg
+		if w.sent-w.acked == 1 && s.AckTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(s.AckTimeout))
+		}
+		w.mu.Unlock()
 		t := met.encode.Start()
-		if err := enc.Encode(frame{Op: opMsg, Body: msg.body, Host: msg.host, Seq: msg.seq}); err != nil {
-			q.requeue(msg)
-			return
-		}
+		m := Msg{Host: msg.host, Seq: msg.seq}
+		out = framelog.Append(out, typeMsg, m.appendHead(hb[:0]), msg.body)
 		t.Stop()
-		// A consumer that never acks would pin the message forever under
-		// prefetch 1; past AckTimeout it is requeued and the connection
-		// dropped (the deadline error poisons the decoder below).
-		armRead(conn, s.AckTimeout)
-		var ack frame
-		if err := dec.Decode(&ack); err != nil || ack.Op != opAck {
-			q.requeue(msg)
+		if len(out) >= flushBytes && !flush() {
 			return
 		}
-		q.ack()
 	}
+}
+
+// readAcks applies a consumer's cumulative acks to w until the
+// connection fails or the consumer breaks the protocol; either way it
+// closes the connection, so that the delivery loop stops too.
+func (s *Server) readAcks(conn net.Conn, r *bufio.Reader, q *queue, w *window) {
+	defer close(w.done)
+	defer conn.Close()
+	var buf []byte
+	for {
+		// An ack payload is one uvarint; anything longer is refused
+		// before it is allocated.
+		typ, p, err := framelog.ReadFrame(r, buf, binary.MaxVarintLen64)
+		if err != nil {
+			return
+		}
+		buf = p
+		if typ != typeAck {
+			return
+		}
+		n, err := parseUvarintPayload(p)
+		if err != nil || !s.applyAck(conn, q, w, n) {
+			return
+		}
+	}
+}
+
+// applyAck acks deliveries up to n, which must lie in (acked, sent].
+func (s *Server) applyAck(conn net.Conn, q *queue, w *window, n uint64) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if n <= w.acked || n > w.sent {
+		return false
+	}
+	for k := w.acked + 1; k <= n; k++ {
+		w.ring[k%consumerWindow] = item{} // release the body
+	}
+	q.ack(int(n - w.acked))
+	w.acked = n
+	if s.AckTimeout > 0 {
+		if w.sent > w.acked {
+			conn.SetReadDeadline(time.Now().Add(s.AckTimeout))
+		} else {
+			conn.SetReadDeadline(time.Time{})
+		}
+	}
+	select {
+	case w.space <- struct{}{}:
+	default:
+	}
+	return true
 }
 
 // QueueDepth reports the backlog of a queue (0 for unknown queues).
@@ -441,13 +584,15 @@ func (s *Server) QueueDepth(name string) int {
 
 // QueueStats are the lifetime counters of one queue. Delivered counts
 // every hand-off to a consumer, so a message redelivered once appears in
-// Delivered twice; Acked counts confirmed processing, so
-// Delivered - Acked is the in-flight (or lost-to-crash) balance.
+// Delivered twice; Acked counts confirmed processing. InFlight is the
+// number of messages delivered and not yet acked or requeued, so on a
+// quiesced queue Published == Acked + depth + InFlight.
 type QueueStats struct {
 	Published   uint64
 	Delivered   uint64
 	Redelivered uint64
 	Acked       uint64
+	InFlight    uint64
 }
 
 // QueueCounts reports a queue's lifetime counters (zero for unknown
@@ -488,278 +633,4 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	return nil
-}
-
-// ErrClosed is returned by client operations on a closed connection.
-var ErrClosed = errors.New("broker: connection closed")
-
-// Client is a broker connection for publishing.
-type Client struct {
-	// WriteTimeout, when > 0, bounds writing one publish frame.
-	WriteTimeout time.Duration
-	// AckTimeout, when > 0, bounds waiting for a PublishConfirmed ack.
-	AckTimeout time.Duration
-	// Codec declares the snapshot codec of published bodies in the
-	// handshake; a server pinned to a different WireVersion rejects the
-	// publish with ErrCodecMismatch. Zero declares "legacy" (gob).
-	Codec codec.Version
-
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-
-	// lastMapV is the newest fabric map version seen on an ack or map
-	// reply from this broker; fabric publishers compare it against their
-	// own view to decide when to refetch the partition map.
-	lastMapV uint64
-}
-
-// Dial connects to a broker for publishing.
-func Dial(addr string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewClientConn(conn), nil
-}
-
-// DialTimeout is Dial with a bounded connection attempt.
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	if timeout <= 0 {
-		return Dial(addr)
-	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	return NewClientConn(conn), nil
-}
-
-// NewClientConn wraps an established connection (possibly a fault-
-// injecting one) as a publishing client.
-func NewClientConn(conn net.Conn) *Client {
-	return &Client{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-}
-
-// Publish sends one message to the named queue, fire-and-forget: a
-// success return means the frame entered the local socket buffer, not
-// that the broker enqueued it. Use PublishConfirmed when that window
-// matters.
-func (c *Client) Publish(queueName string, body []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return ErrClosed
-	}
-	armWrite(c.conn, c.WriteTimeout)
-	if err := c.enc.Encode(frame{Op: opPub, Queue: queueName, Body: body, Codec: uint8(c.Codec)}); err != nil {
-		return fmt.Errorf("broker: publish: %w", err)
-	}
-	return nil
-}
-
-// PublishConfirmed sends one message and blocks until the broker
-// acknowledges enqueueing it. A reset mid-frame therefore surfaces as an
-// error the caller can retry instead of silent loss; the retry may
-// duplicate the message, so consumers must dedup or tolerate repeats.
-func (c *Client) PublishConfirmed(queueName string, body []byte) error {
-	return c.PublishConfirmedSeq(queueName, body, "", 0)
-}
-
-// PublishConfirmedSeq is PublishConfirmed with a (host, seq) dedup
-// identity attached to the message — the replicated-publish primitive:
-// a fabric publisher writes the same identity to every replica broker
-// and partition-group consumers keep only the first delivery.
-func (c *Client) PublishConfirmedSeq(queueName string, body []byte, host string, seq uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return ErrClosed
-	}
-	armWrite(c.conn, c.WriteTimeout)
-	if err := c.enc.Encode(frame{Op: opPub, Queue: queueName, Body: body,
-		Codec: uint8(c.Codec), Confirm: true, Host: host, Seq: seq}); err != nil {
-		return fmt.Errorf("broker: publish: %w", err)
-	}
-	armRead(c.conn, c.AckTimeout)
-	var f frame
-	if err := c.dec.Decode(&f); err != nil {
-		return fmt.Errorf("broker: publish confirm: %w", err)
-	}
-	switch f.Op {
-	case opAck:
-		if f.MapV > c.lastMapV {
-			c.lastMapV = f.MapV
-		}
-		return nil
-	case opErr:
-		if f.Code == codeCodecMismatch {
-			return fmt.Errorf("%w: %s", ErrCodecMismatch, f.Err)
-		}
-		return fmt.Errorf("broker: server error: %s", f.Err)
-	default:
-		return fmt.Errorf("broker: unexpected confirm frame %q", f.Op)
-	}
-}
-
-// MapVersion reports the newest fabric partition-map version this
-// client has seen on an ack or map reply (0 before any).
-func (c *Client) MapVersion() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastMapV
-}
-
-// FetchMap asks the broker for its current fabric partition map. The
-// payload is the opaque fabric encoding (internal/fabric decodes it);
-// ErrNoMap means the broker is not a fabric member.
-func (c *Client) FetchMap() (version uint64, payload []byte, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return 0, nil, ErrClosed
-	}
-	armWrite(c.conn, c.WriteTimeout)
-	if err := c.enc.Encode(frame{Op: opMap}); err != nil {
-		return 0, nil, fmt.Errorf("broker: fetch map: %w", err)
-	}
-	armRead(c.conn, c.AckTimeout)
-	var f frame
-	if err := c.dec.Decode(&f); err != nil {
-		return 0, nil, fmt.Errorf("broker: fetch map: %w", err)
-	}
-	switch f.Op {
-	case opMap:
-		if f.MapV > c.lastMapV {
-			c.lastMapV = f.MapV
-		}
-		return f.MapV, f.Body, nil
-	case opErr:
-		if f.Code == codeNoMap {
-			return 0, nil, ErrNoMap
-		}
-		return 0, nil, fmt.Errorf("broker: server error: %s", f.Err)
-	default:
-		return 0, nil, fmt.Errorf("broker: unexpected map frame %q", f.Op)
-	}
-}
-
-// Close closes the publishing connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
-
-// Consumer is a subscribed broker connection.
-type Consumer struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-// DialConsumer connects to a broker and subscribes to a queue.
-func DialConsumer(addr, queueName string) (*Consumer, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return NewConsumerConn(conn, queueName)
-}
-
-// NewConsumerConn subscribes an established connection (possibly a
-// fault-injecting one) to a queue.
-func NewConsumerConn(conn net.Conn, queueName string) (*Consumer, error) {
-	c := &Consumer{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}
-	if err := c.enc.Encode(frame{Op: opSub, Queue: queueName}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("broker: subscribe: %w", err)
-	}
-	return c, nil
-}
-
-// Next blocks for the next message and acknowledges it. It returns
-// io.EOF when the broker or connection shuts down cleanly; transport
-// faults surface as errors rather than being mistaken for shutdown.
-func (c *Consumer) Next() ([]byte, error) {
-	var f frame
-	if err := c.dec.Decode(&f); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || isConnReset(err) {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("broker: consume: %w", err)
-	}
-	switch f.Op {
-	case opMsg:
-		if err := c.enc.Encode(frame{Op: opAck}); err != nil {
-			return nil, fmt.Errorf("broker: ack: %w", err)
-		}
-		return f.Body, nil
-	case opErr:
-		return nil, fmt.Errorf("broker: server error: %s", f.Err)
-	default:
-		return nil, fmt.Errorf("broker: unexpected frame %q", f.Op)
-	}
-}
-
-// NextNoAck blocks for the next message WITHOUT acknowledging; the
-// caller must Ack (or disconnect, causing redelivery). This exposes the
-// at-least-once semantics for tests and crash-tolerant consumers.
-func (c *Consumer) NextNoAck() ([]byte, error) {
-	m, err := c.NextMsgNoAck()
-	return m.Body, err
-}
-
-// Msg is one delivered message with its replication-dedup identity.
-// Host/Seq are zero for messages published without one.
-type Msg struct {
-	Body []byte
-	Host string
-	Seq  uint64
-}
-
-// NextMsgNoAck is NextNoAck returning the full message envelope,
-// including the (host, seq) identity partition-group consumers dedup
-// replicated deliveries by.
-func (c *Consumer) NextMsgNoAck() (Msg, error) {
-	var f frame
-	if err := c.dec.Decode(&f); err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) || isConnReset(err) {
-			return Msg{}, io.EOF
-		}
-		return Msg{}, fmt.Errorf("broker: consume: %w", err)
-	}
-	switch f.Op {
-	case opMsg:
-		return Msg{Body: f.Body, Host: f.Host, Seq: f.Seq}, nil
-	case opErr:
-		return Msg{}, fmt.Errorf("broker: server error: %s", f.Err)
-	default:
-		return Msg{}, fmt.Errorf("broker: unexpected frame %q", f.Op)
-	}
-}
-
-// Ack acknowledges the message most recently returned by NextNoAck.
-func (c *Consumer) Ack() error {
-	if err := c.enc.Encode(frame{Op: opAck}); err != nil {
-		return fmt.Errorf("broker: ack: %w", err)
-	}
-	return nil
-}
-
-// Close closes the consumer connection. An unacked in-flight message is
-// redelivered to another consumer.
-func (c *Consumer) Close() error { return c.conn.Close() }
-
-// isConnReset reports whether the error is a peer reset/abort — the
-// normal signature of the broker (or the OS) tearing the socket down.
-func isConnReset(err error) bool {
-	var oe *net.OpError
-	return errors.As(err, &oe)
 }

@@ -38,8 +38,8 @@ import (
 type Version uint8
 
 const (
-	// VersionUnknown is the zero Version; encoders reject it, and wire
-	// helpers treat it as "legacy" (pre-codec gob messages).
+	// VersionUnknown is the zero Version; encoders reject it, and a
+	// broker publish declaring it declares no codec.
 	VersionUnknown Version = 0
 	// V1Text is the original line-oriented raw stats file format.
 	V1Text Version = 1

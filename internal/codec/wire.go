@@ -39,8 +39,7 @@ var wireMagic = [4]byte{0x00, 'G', 'S', 'W'}
 // against a different schema registry than the consumer's.
 var ErrFingerprintMismatch = errors.New("codec: schema fingerprint mismatch")
 
-// ErrUnknownWire reports bytes that are neither v1 nor v2 wire format;
-// the broker layer falls back to its legacy gob decoding on this error.
+// ErrUnknownWire reports bytes that are neither v1 nor v2 wire format.
 var ErrUnknownWire = errors.New("codec: unrecognized wire message")
 
 // RegistryFingerprint hashes a schema registry (FNV-64a over its sorted
@@ -120,7 +119,7 @@ func encodeWireBinary(s model.Snapshot, reg *schema.Registry) ([]byte, error) {
 }
 
 // SniffWire reports the codec version of a wire message, or
-// ErrUnknownWire for bytes in neither format (e.g. legacy gob).
+// ErrUnknownWire for bytes in neither format.
 func SniffWire(data []byte) (Version, error) {
 	if len(data) == 0 {
 		return VersionUnknown, ErrUnknownWire

@@ -63,7 +63,9 @@ func (cp *ClientPool) Get(addr string) (c *broker.Client, redialed bool, err err
 	if err != nil {
 		return nil, false, err
 	}
-	c = broker.NewClientConn(conn)
+	if c, err = broker.NewClientConn(conn); err != nil {
+		return nil, false, err
+	}
 	pol := cp.pol
 	if pol.WriteTimeout <= 0 || pol.AckTimeout <= 0 {
 		d := broker.DefaultPolicy()

@@ -92,8 +92,9 @@ type Publisher struct {
 	view *View
 	pool *ClientPool
 
-	// Codec/Registry select the wire encoding (zero codec = legacy gob).
-	// Set before the first publish.
+	// Codec/Registry select the wire encoding (NewPublisher sets
+	// codec.V1Text and schema.DefaultRegistry()). Set before the first
+	// publish.
 	Codec    codec.Version
 	Registry *schema.Registry
 
@@ -131,7 +132,8 @@ type Publisher struct {
 // NewPublisher builds a publisher routing through view, sharing
 // connections from pool.
 func NewPublisher(view *View, pool *ClientPool) *Publisher {
-	return &Publisher{view: view, pool: pool, spoolMeta: make(map[dedupKey]string)}
+	return &Publisher{view: view, pool: pool, spoolMeta: make(map[dedupKey]string),
+		Codec: codec.V1Text, Registry: schema.DefaultRegistry()}
 }
 
 // metrics resolves the telemetry series; callers hold p.mu.

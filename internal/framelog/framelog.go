@@ -40,13 +40,26 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Checksum is the CRC-32C every frame carries over its payload.
 func Checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
-// Append appends one complete frame to dst.
-func Append(dst []byte, typ byte, payload []byte) []byte {
+// Append appends one complete frame to dst. The payload is the
+// concatenation of parts, so a caller can frame a small header and a
+// large body without first copying them together.
+func Append(dst []byte, typ byte, parts ...[]byte) []byte {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	dst = append(dst, typ)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, Checksum(payload))
+	dst = binary.AppendUvarint(dst, uint64(n))
+	start := len(dst)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return binary.LittleEndian.AppendUint32(dst, Checksum(dst[start:]))
 }
+
+// UvarintLen is the length of v's minimal uvarint encoding, the only
+// one writers produce.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Frame is one checksum-verified frame found by Scan.
 type Frame struct {
@@ -134,7 +147,7 @@ func parseLen(b []byte) (n uint64, un int, bad Kind) {
 	switch {
 	case un == 0:
 		return 0, 0, TornLength
-	case un < 0 || un != (bits.Len64(n|1)+6)/7:
+	case un < 0 || un != UvarintLen(n):
 		return 0, 0, BadLength
 	}
 	return n, un, 0
@@ -166,15 +179,22 @@ func ReadFrame(r *bufio.Reader, buf []byte, maxPayload int) (typ byte, payload [
 	if err != nil {
 		return 0, buf, err
 	}
-	lb, perr := r.Peek(binary.MaxVarintLen64) // short only at the end of the stream
-	n, un, kind := parseLen(lb)
-	switch kind {
-	case TornLength:
-		return 0, buf, fmt.Errorf("framelog: %s: %w", kind, unexpected(perr))
-	case BadLength:
-		return 0, buf, fmt.Errorf("framelog: %s", kind)
+	// The length is read a byte at a time, never past its end: on a live
+	// stream the bytes after a short frame may not have been sent yet.
+	var lb [binary.MaxVarintLen64]byte
+	un := 0
+	for un == 0 || (lb[un-1] >= 0x80 && un < len(lb)) {
+		b, err := r.ReadByte()
+		if err != nil {
+			return 0, buf, fmt.Errorf("framelog: %s: %w", TornLength, unexpected(err))
+		}
+		lb[un] = b
+		un++
 	}
-	r.Discard(un) // un <= len(lb): the bytes are buffered
+	n, _, kind := parseLen(lb[:un])
+	if kind != 0 {
+		return 0, buf, fmt.Errorf("framelog: %s", BadLength)
+	}
 	if n > uint64(maxPayload) {
 		return 0, buf, fmt.Errorf("framelog: %s: %d-byte payload", Oversize, n)
 	}
@@ -190,6 +210,17 @@ func ReadFrame(r *bufio.Reader, buf []byte, maxPayload int) (typ byte, payload [
 		return 0, buf, fmt.Errorf("framelog: %s", BadChecksum)
 	}
 	return typ, payload, nil
+}
+
+// Buffered reports whether r already holds the whole of its next frame,
+// so that reading it cannot block.
+func Buffered(r *bufio.Reader) bool {
+	b, _ := r.Peek(r.Buffered()) // never blocks: only what is buffered
+	if len(b) < 2 {
+		return false
+	}
+	n, un, kind := parseLen(b[1:])
+	return kind == 0 && uint64(len(b)-1-un) >= n+4
 }
 
 func unexpected(err error) error {

@@ -203,7 +203,7 @@ type AgentConfig struct {
 	// the host whose spool this is and the schema the wire codec encodes
 	// against.
 	Header rawfile.Header
-	// Codec is the wire and spool codec.
+	// Codec is the wire and spool codec (zero is codec.V1Text).
 	Codec codec.Version
 	// SpoolDir, when set, opens a durable spool there: snapshots no
 	// broker accepts wait on disk and replay in order. Empty drops them.
@@ -229,18 +229,22 @@ type Agent struct {
 
 // NewAgent builds a host's publisher over view.
 func NewAgent(view *fabric.View, cfg AgentConfig) (*Agent, error) {
+	wire := cfg.Codec
+	if wire == codec.VersionUnknown {
+		wire = codec.V1Text
+	}
 	pool := fabric.NewClientPool(view.Policy())
-	pool.Codec = cfg.Codec
+	pool.Codec = wire
 	pool.Dialer = cfg.Dialer
 	pub := fabric.NewPublisher(view, pool)
-	pub.Codec = cfg.Codec
+	pub.Codec = wire
 	pub.Registry = cfg.Header.Registry
 	pub.Metrics = view.Metrics()
 	pub.Trace = cfg.Trace
 	a := &Agent{Publisher: pub, pool: pool}
 	if cfg.SpoolDir != "" {
 		opts := cfg.Spool
-		opts.Codec = cfg.Codec
+		opts.Codec = wire
 		opts.Metrics = view.Metrics()
 		sp, err := spool.Open(cfg.SpoolDir, cfg.Header, opts)
 		if err != nil {

@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"gostats/internal/broker"
+	"gostats/internal/codec"
 	"gostats/internal/leakcheck"
+	"gostats/internal/schema"
 	"gostats/internal/telemetry"
 )
 
@@ -26,7 +28,7 @@ func TestListenerLifecycleJoinsWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := broker.EncodeSnapshotWire(snapWithMDC(600, "n1", 100, "77"), nil, 0)
+	b, err := codec.EncodeWire(snapWithMDC(600, "n1", 100, "77"), schema.DefaultRegistry(), codec.V1Text)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -207,7 +207,7 @@ type Listener struct {
 	// Registry resolves classes when decoding versioned wire messages
 	// (the binary codec is dictionary-encoded against it, so the
 	// consumer must share the producer's schema). Nil uses
-	// schema.DefaultRegistry(); legacy gob messages decode either way.
+	// schema.DefaultRegistry().
 	Registry *schema.Registry
 
 	// OnDecoded, if set, observes the wire codec and encoded size of
@@ -292,6 +292,12 @@ func (l *Listener) Run() error {
 			return err
 		}
 		l.inflight.Lock()
+		if l.stopping.Load() {
+			// Read ahead of a Shutdown that has since closed the
+			// connection: left unacked, it is redelivered.
+			l.inflight.Unlock()
+			return nil
+		}
 		err = l.submitWait(body)
 		var ackErr error
 		if err == nil {

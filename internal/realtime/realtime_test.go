@@ -7,6 +7,7 @@ import (
 
 	"gostats/internal/broker"
 	"gostats/internal/chip"
+	"gostats/internal/codec"
 	"gostats/internal/collect"
 	"gostats/internal/hwsim"
 	"gostats/internal/model"
@@ -226,7 +227,7 @@ func TestListenerGracefulShutdown(t *testing.T) {
 	defer pub.Close()
 	const n = 5
 	for i := 0; i < n; i++ {
-		b, _ := broker.EncodeSnapshot(model.Snapshot{Time: float64(i), Host: "n1"})
+		b, _ := codec.EncodeWire(model.Snapshot{Time: float64(i), Host: "n1"}, nil, codec.V1Text)
 		pub.Publish(broker.StatsQueue, b)
 	}
 
@@ -307,7 +308,7 @@ func TestListenerTelemetry(t *testing.T) {
 	defer pub.Close()
 	pub.Publish(broker.StatsQueue, []byte("garbage"))
 	for i := 0; i < 3; i++ {
-		b, _ := broker.EncodeSnapshot(model.Snapshot{Time: float64(i), Host: "n1"})
+		b, _ := codec.EncodeWire(model.Snapshot{Time: float64(i), Host: "n1"}, nil, codec.V1Text)
 		pub.Publish(broker.StatsQueue, b)
 	}
 
@@ -356,7 +357,7 @@ func TestListenerSkipsCorruptMessages(t *testing.T) {
 	pub, _ := broker.Dial(addr)
 	defer pub.Close()
 	pub.Publish(broker.StatsQueue, []byte("garbage"))
-	good, _ := broker.EncodeSnapshot(model.Snapshot{Time: 1, Host: "n"})
+	good, _ := codec.EncodeWire(model.Snapshot{Time: 1, Host: "n"}, nil, codec.V1Text)
 	pub.Publish(broker.StatsQueue, good)
 
 	cons, err := broker.DialConsumer(addr, broker.StatsQueue)

@@ -8,9 +8,10 @@ import (
 	"testing"
 	"time"
 
-	"gostats/internal/broker"
+	"gostats/internal/codec"
 	"gostats/internal/leakcheck"
 	"gostats/internal/rawfile"
+	"gostats/internal/schema"
 	"gostats/internal/telemetry"
 )
 
@@ -46,7 +47,7 @@ func TestHandleBodyUnblocksOnFatalSinkError(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, hosts)
 	for i := 0; i < hosts; i++ {
-		b, err := broker.EncodeSnapshotWire(snapWithMDC(600, fmt.Sprintf("h%d", i), 10, "1"), nil, 0)
+		b, err := codec.EncodeWire(snapWithMDC(600, fmt.Sprintf("h%d", i), 10, "1"), schema.DefaultRegistry(), codec.V1Text)
 		if err != nil {
 			t.Fatal(err)
 		}
