@@ -4,10 +4,10 @@ GO ?= go
 ## the latest earlier BENCH_PR*.json automatically.
 BENCH_PR ?= 10
 
-.PHONY: check vet vuln staticcheck fmt build test race chaos watchparity apiload bench benchsmoke fuzzsmoke loc
+.PHONY: check vet vuln staticcheck fmt nogob build test race chaos watchparity apiload bench benchsmoke fuzzsmoke loc
 
-## check: everything CI runs — vet, vuln scan, static analysis, formatting, build, chaos smoke, tests under -race, watch parity audit, api load smoke, fuzz smoke, benchmark smoke
-check: vet vuln staticcheck fmt build chaos race watchparity apiload fuzzsmoke benchsmoke
+## check: everything CI runs — vet, vuln scan, static analysis, formatting, the no-gob gate, build, chaos smoke, tests under -race, watch parity audit, api load smoke, fuzz smoke, benchmark smoke
+check: vet vuln staticcheck fmt nogob build chaos race watchparity apiload fuzzsmoke benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -34,6 +34,16 @@ fmt:
 	@out="$$(gofmt -l .)"; \
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
+	fi
+
+## nogob: gob is gone from the broker wire and from every file format;
+## the one importer left is the test that proves an old gob client is
+## refused.
+nogob:
+	@out="$$(grep -rl --include='*.go' --exclude-dir=.git --exclude-dir=.bench_build \
+		'"encoding/gob"' . | grep -vx './wire_integration_test.go')"; \
+	if [ -n "$$out" ]; then \
+		echo "encoding/gob imported by:"; echo "$$out"; exit 1; \
 	fi
 
 build:

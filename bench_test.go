@@ -185,7 +185,13 @@ func BenchmarkDaemonPipeline(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	agent := collect.NewDaemonAgent(collect.New(n), broker.SnapshotPublisher{C: client, Registry: fix.reg})
+	agent := collect.NewDaemonAgent(collect.New(n), collect.PublisherFunc(func(s model.Snapshot) error {
+		body, err := broker.EncodeSnapshotWire(s, fix.reg, codec.V1Text)
+		if err != nil {
+			return err
+		}
+		return client.Publish(broker.StatsQueue, body)
+	}))
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

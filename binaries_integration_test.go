@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -19,8 +20,9 @@ import (
 // TestDeployedBinariesEndToEnd builds the shipped daemons and tools and
 // runs the daemon-mode deployment over real sockets: brokerd, listend
 // with a durable store, one tacc_statsd publishing a short job, a
-// graceful listend shutdown, the nightly jobetl into a journal, and the
-// portal serving that job back over HTTP.
+// graceful listend shutdown, the nightly jobetl into the job table
+// journal (twice: the rerun over an unchanged store must leave the file
+// byte-identical), and the portal serving that job back over HTTP.
 func TestDeployedBinariesEndToEnd(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -66,13 +68,21 @@ func TestDeployedBinariesEndToEnd(t *testing.T) {
 		t.Fatalf("listend did not report 6 snapshots handled:\n%s", listendOut)
 	}
 
-	etl := exec.Command(filepath.Join(bin, "jobetl"), "-store", central,
-		"-journal", journal, "-out", filepath.Join(dir, "jobs.gob"))
-	if out, err := etl.CombinedOutput(); err != nil {
-		t.Fatalf("jobetl: %v\n%s", err, out)
+	var tables [2][]byte
+	for i := range tables {
+		etl := exec.Command(filepath.Join(bin, "jobetl"), "-store", central, "-out", journal)
+		if out, err := etl.CombinedOutput(); err != nil {
+			t.Fatalf("jobetl run %d: %v\n%s", i+1, err, out)
+		}
+		if tables[i], err = os.ReadFile(journal); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(tables[0], tables[1]) {
+		t.Fatalf("jobetl rerun over an unchanged store changed %s: %d -> %d bytes", journal, len(tables[0]), len(tables[1]))
 	}
 
-	startDaemon(t, filepath.Join(bin, "portal"), "-journal", journal, "-store", central, "-listen", portalAddr)
+	startDaemon(t, filepath.Join(bin, "portal"), "-db", journal, "-store", central, "-listen", portalAddr)
 	waitDial(t, portalAddr)
 	body, code := fetch("http://" + portalAddr + "/api/v1/jobs")
 	if code != http.StatusOK || !strings.Contains(body, `"4001"`) {

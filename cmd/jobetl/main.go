@@ -1,18 +1,17 @@
 // Command jobetl is the nightly pipeline (§IV-A): it reads every host's
 // archived raw files from the central store, maps snapshots to jobs,
-// computes the Table I metrics for each complete job, and writes the job
-// table for the portal.
+// computes the Table I metrics for each complete job, and journals the
+// job table for the portal.
 //
 // Usage:
 //
-//	jobetl -store ./central -out jobs.gob [-acct accounting.log] [-arch stampede]
-//	       [-journal jobs.jnl]
+//	jobetl -store ./central -out jobs.gsj [-acct accounting.log] [-arch stampede]
 //
-// With -journal set, previously journaled rows are replayed before the
-// run and every finalized row is appended to the crash-safe journal as
-// it is produced; the gob written by -out becomes a derived export of
-// the same table. The journal survives kill -9 mid-run (losing at most
-// the row being appended); the gob is written atomically at the end.
+// The table at -out is a crash-safe journal: rows already in it are
+// replayed before the run, and every row is appended as it is
+// finalized, so a kill -9 mid-run loses at most the row being appended.
+// A row identical to the one already journaled is not written again,
+// so rerunning over an unchanged store leaves the file unchanged.
 package main
 
 import (
@@ -29,10 +28,9 @@ import (
 
 func main() {
 	storeDir := flag.String("store", "central", "central raw store directory")
-	out := flag.String("out", "jobs.gob", "output job table")
+	out := flag.String("out", "jobs.gsj", "job table journal to replay and append to")
 	acctPath := flag.String("acct", "", "scheduler accounting log to join metadata from")
 	arch := flag.String("arch", "stampede", "node type the fleet runs")
-	journalPath := flag.String("journal", "", "crash-safe job journal to replay and append to (optional)")
 	flag.Parse()
 
 	cfg, err := chip.Fleet(*arch)
@@ -56,27 +54,19 @@ func main() {
 		}
 	}
 	db := reldb.New()
-	var jnl *reldb.Journal
-	if *journalPath != "" {
-		jnl, err = reldb.OpenJournal(*journalPath, db, false)
-		if err != nil {
-			log.Fatalf("jobetl: %v", err)
-		}
-		if rows, trunc := jnl.Replayed(); rows > 0 || trunc > 0 {
-			fmt.Printf("jobetl: journal replayed %d rows (%d torn frames truncated)\n", rows, trunc)
-		}
+	jnl, err := reldb.OpenJournal(*out, db, false)
+	if err != nil {
+		log.Fatalf("jobetl: %v", err)
+	}
+	if rows, trunc := jnl.Replayed(); rows > 0 || trunc > 0 {
+		fmt.Printf("jobetl: journal replayed %d rows (%d torn frames truncated)\n", rows, trunc)
 	}
 	ids, err := etl.IngestStoreJournaled(store, cfg.Registry(), meta, db, jnl)
 	if err != nil {
 		log.Fatalf("jobetl: %v", err)
 	}
-	if jnl != nil {
-		if err := jnl.Close(); err != nil {
-			log.Fatalf("jobetl: journal close: %v", err)
-		}
-	}
-	if err := db.Save(*out); err != nil {
-		log.Fatalf("jobetl: %v", err)
+	if err := jnl.Close(); err != nil {
+		log.Fatalf("jobetl: journal close: %v", err)
 	}
 	fmt.Printf("jobetl: ingested %d jobs into %s\n", len(ids), *out)
 	for _, id := range ids {

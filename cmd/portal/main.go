@@ -3,17 +3,17 @@
 //
 // Usage:
 //
-//	portal -db jobs.gob [-listen :8080] [-store ./central]
+//	portal -db jobs.gsj [-listen :8080] [-store ./central]
 //	       [-telemetry 127.0.0.1:9103]
-//	portal -journal jobs.jnl [...]
 //
-// With -journal set, the job table is rebuilt by replaying the
-// crash-safe journal jobetl appends to (torn tails are truncated, the
-// newest finalization of each job wins) instead of loading the gob
-// export. With -store set, detail pages include the Fig 5 per-node
-// plots, assembled on demand from the raw archive. With -telemetry set,
-// the portal serves its own ops endpoint: /metrics (request count,
-// latency and status by route), /healthz, /debug/vars and /debug/pprof.
+// The job table is read from the journal jobetl appends to, without
+// modifying it: the newest finalization of each job wins, and a torn
+// tail (a jobetl run still appending, or killed mid-append) is left on
+// disk and ignored. With -store set, detail pages include the Fig 5
+// per-node plots, assembled on demand from the raw archive. With
+// -telemetry set, the portal serves its own ops endpoint: /metrics
+// (request count, latency and status by route), /healthz, /debug/vars
+// and /debug/pprof.
 package main
 
 import (
@@ -31,8 +31,7 @@ import (
 )
 
 func main() {
-	dbPath := flag.String("db", "jobs.gob", "job table written by jobetl")
-	journalPath := flag.String("journal", "", "rebuild the job table from this crash-safe journal instead of -db")
+	dbPath := flag.String("db", "jobs.gsj", "job table journaled by jobetl")
 	listen := flag.String("listen", "127.0.0.1:8080", "listen address")
 	storeDir := flag.String("store", "", "raw store for detail-page plots (optional)")
 	xaltPath := flag.String("xalt", "", "XALT environment store (optional)")
@@ -49,22 +48,9 @@ func main() {
 		fmt.Printf("portal: telemetry at %s/metrics\n", ops.URL())
 	}
 
-	var db *reldb.DB
-	if *journalPath != "" {
-		db = reldb.New()
-		jnl, err := reldb.OpenJournal(*journalPath, db, false)
-		if err != nil {
-			log.Fatalf("portal: %v", err)
-		}
-		rows, trunc := jnl.Replayed()
-		jnl.Close()
-		fmt.Printf("portal: replayed %d journal rows (%d torn frames truncated)\n", rows, trunc)
-	} else {
-		var err error
-		db, err = reldb.Load(*dbPath)
-		if err != nil {
-			log.Fatalf("portal: %v", err)
-		}
+	db, err := reldb.Load(*dbPath)
+	if err != nil {
+		log.Fatalf("portal: %v", err)
 	}
 	reg := chip.StampedeNode().Registry()
 

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	report -db jobs.gob -job 4000003 [-xalt xalt.jsonl]
-//	report -db jobs.gob -summary
+//	report -db jobs.gsj -job 4000003 [-xalt xalt.jsonl]
+//	report -db jobs.gsj -summary
 package main
 
 import (
@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	dbPath := flag.String("db", "jobs.gob", "job table written by jobetl")
+	dbPath := flag.String("db", "jobs.gsj", "job table journaled by jobetl")
 	jobID := flag.String("job", "", "job id to report on")
 	xaltPath := flag.String("xalt", "", "XALT environment store (optional)")
 	summary := flag.Bool("summary", false, "print the fleet summary instead")

@@ -517,13 +517,21 @@ func main() {
 	for _, r := range recs {
 		meta[r.JobID] = etl.MetaFromAcct(r)
 	}
+	// A fresh journal replaces whatever table an earlier run left.
+	dbPath := filepath.Join(*out, "jobs.gsj")
+	if err := os.Remove(dbPath); err != nil && !os.IsNotExist(err) {
+		log.Fatalf("simcluster: %v", err)
+	}
 	db := reldb.New()
-	ids, err := etl.IngestStore(store, chip.StampedeNode().Registry(), meta, db)
+	jnl, err := reldb.OpenJournal(dbPath, db, false)
 	if err != nil {
 		log.Fatalf("simcluster: %v", err)
 	}
-	dbPath := filepath.Join(*out, "jobs.gob")
-	if err := db.Save(dbPath); err != nil {
+	ids, err := etl.IngestStoreJournaled(store, chip.StampedeNode().Registry(), meta, db, jnl)
+	if err != nil {
+		log.Fatalf("simcluster: %v", err)
+	}
+	if err := jnl.Close(); err != nil {
 		log.Fatalf("simcluster: %v", err)
 	}
 	xaltPath := filepath.Join(*out, "xalt.jsonl")

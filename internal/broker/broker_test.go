@@ -441,18 +441,21 @@ func TestDecodeSnapshotGarbage(t *testing.T) {
 	}
 }
 
-func TestSnapshotPublisherOverNetwork(t *testing.T) {
+func TestPublishSnapshotOverNetwork(t *testing.T) {
 	_, addr := startServer(t)
 	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	p := SnapshotPublisher{C: client}
 	snap := model.Snapshot{Time: 7, Host: "n1", Records: []model.Record{
 		{Class: schema.ClassCPU, Instance: "0", Values: []uint64{42, 0, 0, 0, 0, 0, 0}},
 	}}
-	if err := p.Publish(snap); err != nil {
+	body, err := EncodeSnapshotWire(snap, schema.DefaultRegistry(), codec.V1Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Publish(StatsQueue, body); err != nil {
 		t.Fatal(err)
 	}
 	cons, err := DialConsumer(addr, StatsQueue)

@@ -4,7 +4,6 @@ import (
 	"gostats/internal/codec"
 	"gostats/internal/model"
 	"gostats/internal/schema"
-	"gostats/internal/trace"
 )
 
 // StatsQueue is the conventional queue name node daemons publish raw
@@ -24,35 +23,4 @@ func EncodeSnapshotWire(s model.Snapshot, reg *schema.Registry, v codec.Version)
 // mixed-version fleets.
 func DecodeSnapshotWire(b []byte, reg *schema.Registry) (model.Snapshot, codec.Version, error) {
 	return codec.DecodeWire(b, reg)
-}
-
-// SnapshotPublisher adapts a Client to the collect.Publisher interface:
-// each snapshot becomes one message on StatsQueue, in Codec against
-// Registry. A zero Codec publishes codec.V1Text and a nil Registry is
-// schema.DefaultRegistry(), the defaults a Listener decodes with.
-type SnapshotPublisher struct {
-	C        *Client
-	Codec    codec.Version
-	Registry *schema.Registry
-	// Trace, if set, stamps the publish hop into each snapshot's
-	// provenance trace before encoding.
-	Trace *trace.Recorder
-}
-
-// Publish implements collect.Publisher.
-func (p SnapshotPublisher) Publish(s model.Snapshot) error {
-	p.Trace.Stamp(&s, model.StagePublish)
-	v, reg := p.Codec, p.Registry
-	if v == codec.VersionUnknown {
-		v = codec.V1Text
-	}
-	if reg == nil {
-		reg = schema.DefaultRegistry()
-	}
-	b, err := EncodeSnapshotWire(s, reg, v)
-	if err != nil {
-		return err
-	}
-	p.C.Codec = v
-	return p.C.Publish(StatsQueue, b)
 }

@@ -82,8 +82,12 @@ func TestSnapshotWireRoundTripThroughBroker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pub := SnapshotPublisher{C: c, Codec: v, Registry: reg}
-		if err := pub.Publish(want); err != nil {
+		sent, err := EncodeSnapshotWire(want, reg, v)
+		if err != nil {
+			t.Fatalf("codec %v: encode: %v", v, err)
+		}
+		c.Codec = v
+		if err := c.Publish(StatsQueue, sent); err != nil {
 			t.Fatalf("codec %v: publish: %v", v, err)
 		}
 		c.Close()

@@ -219,9 +219,11 @@ func RecoverPrefix(data []byte) (*Stream, []byte, error) {
 
 // RecoverFrames is RecoverPrefix with frame-granularity guarantees for
 // every version: a snapshot whose own block was torn mid-write is
-// dropped whole rather than returned partially. This is the recovery
-// the write-ahead spool uses — an append that never returned must not
-// replay a truncated snapshot downstream.
+// dropped whole rather than returned partially, and the returned tail
+// is everything after the last whole snapshot. This is the recovery
+// the write-ahead spool and the archive's append path use — an append
+// that never returned must not replay a truncated snapshot downstream,
+// and new appends must follow the last whole one.
 func RecoverFrames(data []byte) (*Stream, []byte, error) {
 	st, tail, err := RecoverPrefix(data)
 	if st == nil || err == nil {
@@ -231,6 +233,7 @@ func RecoverFrames(data []byte) (*Stream, []byte, error) {
 		// The tear sits inside the last snapshot's own block: its write
 		// never completed, so it was never acknowledged.
 		st.Snapshots = st.Snapshots[:len(st.Snapshots)-1]
+		tail = data[textLastBlockStart(data[:len(data)-len(tail)]):]
 	}
 	return st, tail, err
 }

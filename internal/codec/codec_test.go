@@ -283,8 +283,9 @@ func TestBinaryCrashRecovery(t *testing.T) {
 }
 
 // TestTextRecoveryUnchanged pins the v1 recovery semantics the spool
-// depends on: a tail torn inside the last snapshot's block drops that
-// snapshot under RecoverFrames but keeps its complete records under
+// and the archive's append path depend on: a tail torn inside the last
+// snapshot's block drops that snapshot, and returns its bytes in the
+// tail, under RecoverFrames, but keeps its complete records under
 // RecoverPrefix.
 func TestTextRecoveryUnchanged(t *testing.T) {
 	h := testHeader()
@@ -306,12 +307,18 @@ func TestTextRecoveryUnchanged(t *testing.T) {
 		t.Fatalf("tail %q should read as torn inside last frame", tail)
 	}
 
-	stf, _, err := RecoverFrames(cut)
+	stf, ftail, err := RecoverFrames(cut)
 	if err == nil {
 		t.Fatal("expected damage error")
 	}
 	if len(stf.Snapshots) != len(snaps)-1 {
 		t.Fatalf("RecoverFrames kept %d snapshots, want %d", len(stf.Snapshots), len(snaps)-1)
+	}
+	// The tail starts where the dropped snapshot's block did, so the
+	// kept prefix is exactly the whole snapshots.
+	whole := encodeAll(t, h, V1Text, snaps[:len(snaps)-1])
+	if !bytes.Equal(cut[:len(cut)-len(ftail)], whole) {
+		t.Fatalf("RecoverFrames kept %d bytes, want the %d of the whole snapshots", len(cut)-len(ftail), len(whole))
 	}
 }
 

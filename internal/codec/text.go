@@ -650,3 +650,16 @@ func textTornInsideLastFrame(tail []byte) bool {
 	t := bytes.TrimLeft(tail, " \t\r\n")
 	return len(t) != 0 && (t[0] < '0' || t[0] > '9')
 }
+
+// textLastBlockStart returns the offset of the last block's timestamp
+// line in a text stream: the last line that starts with a digit.
+func textLastBlockStart(b []byte) int {
+	for end := len(b); end > 0; {
+		i := bytes.LastIndexByte(b[:end-1], '\n') + 1
+		if b[i] >= '0' && b[i] <= '9' {
+			return i
+		}
+		end = i
+	}
+	return 0
+}

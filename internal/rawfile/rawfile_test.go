@@ -2,12 +2,15 @@ package rawfile
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"gostats/internal/chip"
+	"gostats/internal/codec"
 	"gostats/internal/hwsim"
 	"gostats/internal/model"
 	"gostats/internal/schema"
@@ -424,6 +427,82 @@ func TestArchiverEvictionBeyondCapKeepsWriting(t *testing.T) {
 		}
 		if len(snaps) != 3 {
 			t.Errorf("%s archived %d snapshots, want 3", host, len(snaps))
+		}
+	}
+}
+
+// TestAppendAfterTornTail restarts each archive writer after a crash
+// that tore a snapshot mid-write: the new process must trim the torn
+// bytes before appending, so every acked snapshot stays readable.
+func TestAppendAfterTornTail(t *testing.T) {
+	writers := map[string]func(st *Store, h Header, s model.Snapshot) error{
+		"Archiver": func(st *Store, h Header, s model.Snapshot) error {
+			a := NewArchiver(st, 0)
+			if err := a.Append(h.Hostname, h, s); err != nil {
+				return err
+			}
+			return a.Close()
+		},
+		"AppendHost": func(st *Store, h Header, s model.Snapshot) error {
+			return st.AppendHost(h.Hostname, h, s)
+		},
+	}
+	h := testHeader()
+	for _, v := range []codec.Version{codec.V1Text, codec.V2Binary} {
+		for name, write := range writers {
+			// The torn snapshot's bytes as the crashed writer emitted them.
+			var torn bytes.Buffer
+			enc, err := codec.NewContinuation(&torn, h, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.WriteSnapshot(testSnapshot(1451606400 + 4*600)); err != nil {
+				t.Fatal(err)
+			}
+			for _, frac := range []int{25, 50, 90} {
+				cut := torn.Len() * frac / 100
+				dir := t.TempDir()
+				archive := func(times ...int) {
+					st, err := NewStore(dir) // a fresh process
+					if err != nil {
+						t.Fatal(err)
+					}
+					st.SetCodec(v)
+					for _, i := range times {
+						if err := write(st, h, testSnapshot(float64(1451606400+i*600))); err != nil {
+							t.Fatalf("%v %s: %v", v, name, err)
+						}
+					}
+				}
+				archive(1, 2, 3)
+				path := filepath.Join(dir, h.Hostname, "1451606400.raw")
+				f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(torn.Bytes()[:cut]); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+				archive(5, 6, 7)
+
+				st, err := NewStore(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []float64
+				recovered, err := st.Walk(func(s model.Snapshot) error {
+					got = append(got, s.Time-1451606400)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := []float64{600, 1200, 1800, 3000, 3600, 4200}
+				if !slices.Equal(got, want) || recovered != 0 {
+					t.Errorf("%v %s torn at %d%%: walked %v (%d files recovered), want %v", v, name, frac, got, recovered, want)
+				}
+			}
 		}
 	}
 }

@@ -17,13 +17,26 @@ import (
 	"gostats/internal/model"
 )
 
+// trimmedFiles remembers the archive files a writer has opened. The
+// first open of a file trims a torn tail; only a crash tears one, and
+// a crash ends the process that was writing, so each file is scanned
+// at most once per process however often a bounded cache reopens it.
+type trimmedFiles struct {
+	mu   sync.Mutex
+	done map[string]bool
+}
+
 // openEncoder opens path for appending in version v: an existing
 // non-empty file is continued in the codec it already holds (sniffed
 // from its first bytes), so mixed-version archives stay consistent; a
 // new file starts in v.
-func openEncoder(path string, h Header, v codec.Version) (*os.File, codec.SnapshotEncoder, error) {
+func (t *trimmedFiles) openEncoder(path string, h Header, v codec.Version) (*os.File, codec.SnapshotEncoder, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
+		return nil, nil, err
+	}
+	if err := t.trimOnce(f, path); err != nil {
+		f.Close()
 		return nil, nil, err
 	}
 	var prefix [8]byte
@@ -54,6 +67,39 @@ func openEncoder(path string, h Header, v codec.Version) (*os.File, codec.Snapsh
 	return f, enc, nil
 }
 
+// trimOnce trims a torn tail the first time this writer opens path: a
+// crash mid-append leaves part of a snapshot on disk, and every
+// snapshot appended after it would be unreadable. The file is cut back
+// to the end of its last whole snapshot, or emptied if it holds none.
+// A file in no known codec is left for openEncoder to refuse.
+func (t *trimmedFiles) trimOnce(f *os.File, path string) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done[path] {
+		return nil
+	}
+	data, err := io.ReadAll(f)
+	if err != nil {
+		return err
+	}
+	if _, serr := codec.Sniff(data); serr == nil {
+		if st, tail, damage := codec.RecoverFrames(data); damage != nil {
+			keep := len(data) - len(tail)
+			if st == nil || len(st.Snapshots) == 0 {
+				keep = 0
+			}
+			if err := f.Truncate(int64(keep)); err != nil {
+				return err
+			}
+		}
+	}
+	if t.done == nil {
+		t.done = make(map[string]bool)
+	}
+	t.done[path] = true
+	return nil
+}
+
 // NodeLogger is the cron-mode node-local log: snapshots append to a file
 // named by the day it was rotated in, under a per-node spool directory.
 // This reproduces the Fig 1 pipeline stage where data lives only on the
@@ -65,6 +111,7 @@ type NodeLogger struct {
 	day    int64 // current rotation day (unix days)
 	f      *os.File
 	w      codec.SnapshotEncoder
+	files  trimmedFiles
 }
 
 // NewNodeLogger creates (if needed) the spool directory and returns a
@@ -98,7 +145,7 @@ func (l *NodeLogger) Log(s model.Snapshot) error {
 		if err := l.Close(); err != nil {
 			return err
 		}
-		f, enc, err := openEncoder(l.fileForDay(day), l.header, l.codec)
+		f, enc, err := l.files.openEncoder(l.fileForDay(day), l.header, l.codec)
 		if err != nil {
 			return err
 		}
@@ -137,6 +184,7 @@ func (l *NodeLogger) Destroy() error {
 type Store struct {
 	root  string
 	codec codec.Version
+	files trimmedFiles
 }
 
 // NewStore creates (if needed) and opens a central store rooted at dir.
@@ -294,7 +342,7 @@ func (s *Store) AppendHost(host string, h Header, snaps ...model.Snapshot) error
 	}
 	for day, group := range byDay {
 		path := filepath.Join(dir, fmt.Sprintf("%d.raw", day*86400))
-		f, enc, err := openEncoder(path, h, s.codec)
+		f, enc, err := s.files.openEncoder(path, h, s.codec)
 		if err != nil {
 			return err
 		}
@@ -548,7 +596,7 @@ func (a *Archiver) Append(host string, h Header, s model.Snapshot) error {
 		if err != nil {
 			return nil, err
 		}
-		f, enc, err := openEncoder(filepath.Join(dir, fmt.Sprintf("%d.raw", day*86400)), h, a.st.codec)
+		f, enc, err := a.st.files.openEncoder(filepath.Join(dir, fmt.Sprintf("%d.raw", day*86400)), h, a.st.codec)
 		if err != nil {
 			return nil, err
 		}

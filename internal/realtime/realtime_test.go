@@ -124,7 +124,13 @@ func TestListenerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pub.Close()
-	daemon := collect.NewDaemonAgent(col, broker.SnapshotPublisher{C: pub})
+	daemon := collect.NewDaemonAgent(col, collect.PublisherFunc(func(s model.Snapshot) error {
+		body, err := broker.EncodeSnapshotWire(s, schema.DefaultRegistry(), codec.V1Text)
+		if err != nil {
+			return err
+		}
+		return pub.Publish(broker.StatsQueue, body)
+	}))
 
 	cons, err := broker.DialConsumer(addr, broker.StatsQueue)
 	if err != nil {

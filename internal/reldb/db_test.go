@@ -3,7 +3,6 @@ package reldb
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -312,28 +311,6 @@ func TestFieldsListing(t *testing.T) {
 	}
 	if _, err := Value(row("1", "u", "x", 1, 0, 0), "nope"); err == nil {
 		t.Error("Value on unknown field accepted")
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	db := seedDB(t)
-	path := filepath.Join(t.TempDir(), "jobs.gob")
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != db.Len() {
-		t.Fatalf("len = %d, want %d", got.Len(), db.Len())
-	}
-	r := got.Get("2")
-	if r == nil || r.Metrics.MetaDataRate != 500000 {
-		t.Errorf("row 2 = %+v", r)
-	}
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Error("load of missing file succeeded")
 	}
 }
 

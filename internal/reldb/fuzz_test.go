@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
-// FuzzJournalReplay opens arbitrary bytes as a journal. Open must never
-// panic; it either refuses the file and leaves it untouched, or repairs
-// it — and then repair is idempotent: a second open replays the same
-// rows, truncates nothing and leaves the file byte for byte as the
-// first open left it.
+// FuzzJournalReplay loads and opens arbitrary bytes as a journal.
+// Neither may panic. Load never modifies the file and returns exactly
+// the rows Open replays, and refuses exactly the files Open refuses.
+// Open either refuses the file and leaves it untouched, or repairs it —
+// and then repair is idempotent: a second open replays the same rows,
+// truncates nothing and leaves the file byte for byte as the first open
+// left it.
 func FuzzJournalReplay(f *testing.F) {
 	golden, err := os.ReadFile(filepath.Join("testdata", "journal-v1.gsj"))
 	if err != nil {
@@ -32,12 +35,23 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		j, err := OpenJournal(path, New(), false)
+		loaded, lerr := Load(path)
+		if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, data) {
+			t.Fatalf("Load modified the journal (read err %v)", rerr)
+		}
+		db := New()
+		j, err := OpenJournal(path, db, false)
+		if (lerr == nil) != (err == nil) {
+			t.Fatalf("Load err %v but OpenJournal err %v", lerr, err)
+		}
 		if err != nil {
 			if after, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(after, data) {
 				t.Fatalf("refused journal was modified (read err %v)", rerr)
 			}
 			return
+		}
+		if !reflect.DeepEqual(loaded.All(), db.All()) {
+			t.Fatalf("Load returned %d rows, OpenJournal replayed %d", loaded.Len(), db.Len())
 		}
 		rows, _ := j.Replayed()
 		if err := j.Close(); err != nil {

@@ -49,7 +49,7 @@ func TestGoldenJournal(t *testing.T) {
 	}
 
 	start, _ := framelog.CheckPreamble(want, jnlMagic, jnlVersion)
-	good, rows, derr := replay(want, start)
+	good, rows, derr := replay(want, start, nil)
 	if derr != nil || good != len(want) {
 		t.Fatalf("replay fixture: good %d of %d, err %v", good, len(want), derr)
 	}

@@ -1,11 +1,11 @@
-// Journal: the crash-safe system of record for finalized jobs. Instead
-// of rewriting the whole table as a gob blob on a timer (the legacy
-// Save/Load export), every finalized JobRow is appended as one JSON
-// frame (an internal/framelog file: magic "\x00GSJ", version 1) the
-// moment it exists; Open replays the log (last write per JobID wins,
-// torn tail truncated) and then continues appending in place. A kill -9
-// at any instant loses at most rows whose frames never reached the OS —
-// rows whose append returned with Sync on survive even power loss.
+// Journal: the job table's one on-disk format. Every finalized JobRow
+// is appended as one JSON frame (an internal/framelog file: magic
+// "\x00GSJ", version 1) the moment it exists; a reader replays the log
+// with the last write per JobID winning. Load reads a journal without
+// touching it; OpenJournal replays it, truncates a torn tail, and then
+// continues appending in place. A kill -9 at any instant loses at most
+// rows whose frames never reached the OS — rows whose append returned
+// with Sync on survive even power loss.
 package reldb
 
 import (
@@ -38,9 +38,57 @@ type Journal struct {
 	sync bool
 	off  int64 // durable end offset: preamble plus every acked frame
 	werr error // sticky write error; every Append fails after the first
+	// last holds the encoding of each JobID's newest frame, so an
+	// unchanged row is not journaled again.
+	last map[string]string
 
 	replayed  int // rows recovered at open
 	truncated int // torn-tail truncations at open
+}
+
+// jnlImage is one read of a journal file: its preamble, its size, the
+// end of its intact prefix, and the rows that prefix holds in append
+// order.
+type jnlImage struct {
+	pre  framelog.Preamble
+	size int
+	good int
+	rows []*JobRow
+}
+
+// readJournal reads and decodes path in a single scan, never modifying
+// it. A partial preamble (a crash before it reached disk) reads as an
+// empty journal. With last non-nil, it records each JobID's newest
+// frame encoding there.
+func readJournal(path string, last map[string]string) (*jnlImage, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	start, pre := framelog.CheckPreamble(data, jnlMagic, jnlVersion)
+	img := &jnlImage{pre: pre, size: len(data)}
+	if pre == framelog.PreambleOK {
+		img.good, img.rows, _ = replay(data, start, last)
+	}
+	return img, nil
+}
+
+// Load reads the job table journaled at path without modifying the
+// file, so it is safe while a writer is still appending. A torn or
+// damaged tail yields the intact prefix. A missing file is an error,
+// and so is a file that is not a journal (a jobs.gob from an older
+// release, say): the table must be rebuilt with jobetl.
+func Load(path string) (*DB, error) {
+	img, err := readJournal(path, nil)
+	if err != nil {
+		return nil, fmt.Errorf("reldb: load: %w", err)
+	}
+	if img.pre == framelog.PreambleForeign || img.pre == framelog.PreambleVersion {
+		return nil, fmt.Errorf("reldb: %s is not a job journal (%s preamble); rerun jobetl to rebuild the table", path, img.pre)
+	}
+	db := New()
+	db.Insert(img.rows...)
+	return db, nil
 }
 
 // OpenJournal replays path into db (creating the file if absent) and
@@ -57,21 +105,23 @@ type Journal struct {
 // reads, and truncating it would destroy someone else's data. Appends
 // only ever go to a file whose preamble was verified or just rewritten.
 func OpenJournal(path string, db *DB, sync bool) (*Journal, error) {
-	j := &Journal{path: path, sync: sync}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
+	j := &Journal{path: path, sync: sync, last: map[string]string{}}
+	img, err := readJournal(path, j.last)
+	if os.IsNotExist(err) {
+		img, err = &jnlImage{pre: framelog.PreamblePartial}, nil
+	}
+	if err != nil {
 		return nil, err
 	}
-	start, pre := framelog.CheckPreamble(data, jnlMagic, jnlVersion)
-	switch pre {
+	switch img.pre {
 	case framelog.PreambleForeign, framelog.PreambleVersion:
-		return nil, fmt.Errorf("reldb: %s is not a journal (%s preamble); refusing to modify it", path, pre)
+		return nil, fmt.Errorf("reldb: %s is not a journal (%s preamble); refusing to modify it", path, img.pre)
 	case framelog.PreamblePartial:
 		f, n, err := framelog.Create(path, jnlMagic, jnlVersion, sync)
 		if err != nil {
 			return nil, err
 		}
-		if len(data) > 0 {
+		if img.size > 0 {
 			j.truncated++
 		}
 		j.f = f
@@ -79,32 +129,30 @@ func OpenJournal(path string, db *DB, sync bool) (*Journal, error) {
 		return j, nil
 	}
 
-	good, rows, derr := replay(data, start)
-	if derr != nil {
+	if img.good < img.size {
 		// Torn or damaged tail past a verified preamble: keep the valid
 		// prefix. This is the normal post-crash path, not an error.
-		if err := os.Truncate(path, int64(good)); err != nil {
+		if err := os.Truncate(path, int64(img.good)); err != nil {
 			return nil, err
 		}
 		j.truncated++
 	}
-	for _, r := range rows {
-		db.Insert(r)
-	}
-	j.replayed = len(rows)
+	db.Insert(img.rows...)
+	j.replayed = len(img.rows)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	j.f = f
-	j.off = int64(good)
+	j.off = int64(img.good)
 	return j, nil
 }
 
 // replay decodes the journal's frames from start, returning the valid
 // prefix length, the decoded rows in append order, and the damage error
-// (nil when the whole file decoded).
-func replay(data []byte, start int) (good int, rows []*JobRow, damage error) {
+// (nil when the whole file decoded). With last non-nil, it records each
+// JobID's newest frame encoding there.
+func replay(data []byte, start int, last map[string]string) (good int, rows []*JobRow, damage error) {
 	good, damage = framelog.Scan(data, start, jnlMaxPayload, func(f framelog.Frame) error {
 		if f.Type != jnlFrameRow {
 			return fmt.Errorf("reldb: unknown journal frame type %q at %d", f.Type, f.Off)
@@ -114,6 +162,9 @@ func replay(data []byte, start int) (good int, rows []*JobRow, damage error) {
 			return fmt.Errorf("reldb: undecodable row frame at %d: %w", f.Off, err)
 		}
 		rows = append(rows, &row)
+		if last != nil {
+			last[row.JobID] = string(f.Payload)
+		}
 		return nil
 	})
 	return good, rows, damage
@@ -122,6 +173,9 @@ func replay(data []byte, start int) (good int, rows []*JobRow, damage error) {
 // Append writes one finalized row durably. The frame is handed to the
 // OS in a single write (and fsynced when the journal is sync-mode), so
 // a crash can tear at most the frame in flight — never a replayed row.
+// A row whose encoding is byte-identical to the newest one journaled
+// for its JobID is already on disk and writes nothing, so rerunning the
+// ETL over unchanged input leaves the file unchanged.
 //
 // Write errors are sticky: a failed frame write (short write, ENOSPC)
 // may leave a torn frame on disk, and replay stops at the first damage
@@ -134,7 +188,6 @@ func (j *Journal) Append(row *JobRow) error {
 	if err != nil {
 		return fmt.Errorf("reldb: journal append: %w", err)
 	}
-	frame := framelog.Append(make([]byte, 0, len(payload)+16), jnlFrameRow, payload)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
@@ -143,6 +196,10 @@ func (j *Journal) Append(row *JobRow) error {
 	if j.werr != nil {
 		return j.werr
 	}
+	if j.last[row.JobID] == string(payload) {
+		return nil
+	}
+	frame := framelog.Append(make([]byte, 0, len(payload)+16), jnlFrameRow, payload)
 	if _, err := j.f.Write(frame); err != nil {
 		j.werr = fmt.Errorf("reldb: journal append: %w", err)
 		j.f.Truncate(j.off)
@@ -155,6 +212,7 @@ func (j *Journal) Append(row *JobRow) error {
 			return j.werr
 		}
 	}
+	j.last[row.JobID] = string(payload)
 	return nil
 }
 

@@ -1,8 +1,11 @@
 package reldb
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -107,6 +110,14 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		torn := filepath.Join(t.TempDir(), "torn.jnl")
 		if err := os.WriteFile(torn, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
+		}
+		// Load reads the intact prefix and leaves the torn tail on disk.
+		loaded, err := Load(torn)
+		if err != nil || loaded.Len() != 4 {
+			t.Fatalf("cut %d: Load = %v rows (err %v), want 4", cut, loaded, err)
+		}
+		if after, err := os.ReadFile(torn); err != nil || !bytes.Equal(after, full[:cut]) {
+			t.Fatalf("cut %d: Load modified the journal (read err %v)", cut, err)
 		}
 		db2 := New()
 		j2, err := OpenJournal(torn, db2, false)
@@ -257,5 +268,94 @@ func TestJournalAppendErrorSticky(t *testing.T) {
 	}
 	if cerr := j.Close(); cerr == nil {
 		t.Fatal("Close swallowed the latched write error")
+	}
+}
+
+// TestJournalLoadRoundTrip journals a table and loads it back.
+func TestJournalLoadRoundTrip(t *testing.T) {
+	db := seedDB(t)
+	path := filepath.Join(t.TempDir(), "jobs.gsj")
+	j, err := OpenJournal(path, New(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range db.All() {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.All(), db.All()) {
+		t.Fatalf("loaded %d rows differ from the %d journaled", got.Len(), db.Len())
+	}
+	if r := got.Get("2"); r == nil || r.Metrics.MetaDataRate != 500000 {
+		t.Errorf("row 2 = %+v", r)
+	}
+}
+
+// Load refuses what is not a journal by name: a missing path, and a
+// jobs.gob table from an older release, which must be rebuilt.
+func TestLoadRefusesByName(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.gsj")
+	if _, err := Load(missing); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Errorf("Load(missing) = %v, want an error naming %s", err, missing)
+	}
+	gob := filepath.Join("testdata", "jobs-legacy.gob")
+	_, err := Load(gob)
+	if err == nil || !strings.Contains(err.Error(), gob) || !strings.Contains(err.Error(), "jobetl") {
+		t.Errorf("Load(gob) = %v, want an error naming %s and jobetl", err, gob)
+	}
+}
+
+// An unchanged row is not journaled again, a changed one always is,
+// and the newest encoding per JobID survives a reopen.
+func TestJournalSkipsUnchangedRow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jobs.gsj")
+	size := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	j, err := OpenJournal(path, New(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*JobRow{jrow("1", "u", 10), jrow("1", "u", 10), jrow("1", "u", 20), jrow("1", "u", 10)} {
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j, err = OpenJournal(path, New(), false); err != nil {
+		t.Fatal(err)
+	}
+	if rows, _ := j.Replayed(); rows != 3 {
+		t.Fatalf("replayed %d rows, want 3 (one duplicate skipped)", rows)
+	}
+	before := size()
+	if err := j.Append(jrow("1", "u", 10)); err != nil {
+		t.Fatal(err)
+	}
+	if size() != before {
+		t.Fatal("reopened journal re-appended the newest row")
+	}
+	if err := j.Append(jrow("1", "u", 20)); err != nil {
+		t.Fatal(err)
+	}
+	if size() == before {
+		t.Fatal("changed row was skipped")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"sync"
 
 	"gostats/internal/codec"
+	"gostats/internal/fsutil"
 	"gostats/internal/model"
 	"gostats/internal/rawfile"
 	"gostats/internal/telemetry"
@@ -218,7 +219,10 @@ func (s *Spool) recoverScan() error {
 	var seqs []int
 	for _, e := range entries {
 		var seq int
-		if n, err := fmt.Sscanf(e.Name(), "wal-%d.raw", &seq); n == 1 && err == nil {
+		n, err := fmt.Sscanf(e.Name(), "wal-%d.raw", &seq)
+		// A rewrite's temp file ("wal-N.raw.tmp-*") left by a crash is
+		// not a segment: the name must be exactly segPath's.
+		if n == 1 && err == nil && e.Name() == filepath.Base(segPath(s.dir, seq)) {
 			seqs = append(seqs, seq)
 		}
 	}
@@ -282,34 +286,18 @@ func (s *Spool) recoverScan() error {
 // rewriteSegment atomically replaces a segment file with just its intact
 // snapshots (torn-tail truncation), in the given codec.
 func (s *Spool) rewriteSegment(path string, v codec.Version, snaps []model.Snapshot) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w, err := codec.NewEncoder(f, s.header, v)
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	for _, snap := range snaps {
-		if err := w.WriteSnapshot(snap); err != nil {
-			f.Close()
-			os.Remove(tmp)
+	return fsutil.WriteAtomic(path, func(f io.Writer) error {
+		w, err := codec.NewEncoder(f, s.header, v)
+		if err != nil {
 			return err
 		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+		for _, snap := range snaps {
+			if err := w.WriteSnapshot(snap); err != nil {
+				return err
+			}
+		}
+		return w.Flush()
+	})
 }
 
 // Dir returns the spool directory.

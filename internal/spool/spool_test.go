@@ -171,6 +171,11 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if err := os.WriteFile(segs[0], data[:idx+len("30.000 -\ncpu 0 1 2")], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// An earlier crash mid-rewrite left the rewrite's temp file behind;
+	// it is not a segment and must not replay.
+	if err := os.WriteFile(segs[0]+".tmp-1", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	reopened, err := Open(dir, testHeader(), testOpts())
 	if err != nil {

@@ -8,11 +8,14 @@ package xalt
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"sort"
 	"strings"
 	"sync"
+
+	"gostats/internal/fsutil"
 )
 
 // Record is one job's captured environment.
@@ -81,7 +84,8 @@ func (db *DB) JobIDs() []string {
 	return ids
 }
 
-// Save writes the store as JSON lines.
+// Save replaces the file at path with the store as JSON lines,
+// atomically.
 func (db *DB) Save(path string) error {
 	db.mu.RLock()
 	ids := make([]string, 0, len(db.recs))
@@ -95,18 +99,15 @@ func (db *DB) Save(path string) error {
 	}
 	db.mu.RUnlock()
 
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	for _, r := range recs {
-		if err := enc.Encode(r); err != nil {
-			f.Close()
-			return fmt.Errorf("xalt: save: %w", err)
+	return fsutil.WriteAtomic(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		for _, r := range recs {
+			if err := enc.Encode(r); err != nil {
+				return fmt.Errorf("xalt: save: %w", err)
+			}
 		}
-	}
-	return f.Close()
+		return nil
+	})
 }
 
 // Load reads a store written by Save.
