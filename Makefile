@@ -4,10 +4,10 @@ GO ?= go
 ## the latest earlier BENCH_PR*.json automatically.
 BENCH_PR ?= 10
 
-.PHONY: check vet vuln staticcheck fmt nogob build test race chaos watchparity apiload bench benchsmoke fuzzsmoke loc
+.PHONY: check vet vuln staticcheck fmt nogob build perfbench test race chaos watchparity apiload bench benchsmoke fuzzsmoke loc
 
-## check: everything CI runs — vet, vuln scan, static analysis, formatting, the no-gob gate, build, chaos smoke, tests under -race, watch parity audit, api load smoke, fuzz smoke, benchmark smoke
-check: vet vuln staticcheck fmt nogob build chaos race watchparity apiload fuzzsmoke benchsmoke
+## check: everything CI runs — vet, vuln scan, static analysis, formatting, the no-gob gate, build, benchmark harness build, chaos smoke, tests under -race, watch parity audit, api load smoke, fuzz smoke, benchmark smoke
+check: vet vuln staticcheck fmt nogob build perfbench chaos race watchparity apiload fuzzsmoke benchsmoke
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +48,14 @@ nogob:
 
 build:
 	$(GO) build ./...
+
+## perfbench: vet and short-test the benchmark harness. It is a separate
+## module, so `go build ./...` never compiles it; this catches an
+## internal API change before the benchmark run does. Offline, like
+## perfbench/run.sh.
+perfbench:
+	cd perfbench && export GOFLAGS=-mod=mod GOPROXY=off GOWORK=off && \
+		$(GO) vet ./... && $(GO) test -short ./...
 
 test:
 	$(GO) test ./...
@@ -143,6 +151,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=300x ./internal/reldb/
 	$(GO) test -run='^$$' -fuzz=FuzzLRU -fuzztime=300x ./internal/lru/
 	$(GO) test -run='^$$' -fuzz=FuzzBrokerFrame -fuzztime=300x ./internal/broker/
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeMap -fuzztime=300x ./internal/fabric/
 
 ## loc: the non-blank, non-comment, non-test Go line count over cmd/,
 ## internal/ and examples/ — the size a simplicity PR reports before and

@@ -196,8 +196,8 @@ func BenchmarkDaemonPipeline(b *testing.B) {
 	go func() {
 		defer close(done)
 		for {
-			body, err := cons.Next()
-			if err != nil {
+			body, err := cons.NextNoAck()
+			if err != nil || cons.Ack() != nil {
 				return
 			}
 			if _, _, err := broker.DecodeSnapshotWire(body, fix.reg); err != nil {
@@ -372,7 +372,7 @@ func BenchmarkFleetSimulation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := etl.BuildRow(run, fix.reg); err != nil {
+		if _, err := etl.BuildRow(run, fix.reg, core.VecWidth); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -574,7 +574,12 @@ func BenchmarkBrokerBatching(b *testing.B) {
 		}
 		run(b,
 			func(pub *broker.Client) error { return pub.Publish(broker.StatsQueue, body) },
-			func(cons *broker.Consumer) error { _, err := cons.Next(); return err })
+			func(cons *broker.Consumer) error {
+				if _, err := cons.NextNoAck(); err != nil {
+					return err
+				}
+				return cons.Ack()
+			})
 	})
 	b.Run("record-per-message", func(b *testing.B) {
 		bodies := make([][]byte, len(snap.Records))
@@ -598,57 +603,15 @@ func BenchmarkBrokerBatching(b *testing.B) {
 			},
 			func(cons *broker.Consumer) error {
 				for range bodies {
-					if _, err := cons.Next(); err != nil {
+					if _, err := cons.NextNoAck(); err != nil {
+						return err
+					}
+					if err := cons.Ack(); err != nil {
 						return err
 					}
 				}
 				return nil
 			})
-	})
-}
-
-// BenchmarkQueryIndexVsScan compares a threshold query with and without
-// the sorted secondary index.
-func BenchmarkQueryIndexVsScan(b *testing.B) {
-	mkdb := func() *reldb.DB {
-		db := reldb.New()
-		for i := 0; i < 20000; i++ {
-			db.Insert(&reldb.JobRow{
-				JobID: fmt.Sprint(i), User: "u", Exe: "x", Queue: "normal", Status: "COMPLETED",
-				Nodes: 2, StartTime: 0, EndTime: float64(600 + i),
-				Metrics: core.Summary{MetaDataRate: float64(i % 10000)},
-			})
-		}
-		return db
-	}
-	filter := reldb.F("metadatarate__gte", 9990.0)
-	b.Run("scan", func(b *testing.B) {
-		db := mkdb()
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rows, err := db.Query(filter)
-			if err != nil || len(rows) == 0 {
-				b.Fatalf("rows=%d err=%v", len(rows), err)
-			}
-		}
-	})
-	b.Run("indexed", func(b *testing.B) {
-		db := mkdb()
-		if err := db.CreateIndex("metadatarate"); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := db.Query(filter); err != nil { // build the index
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rows, err := db.Query(filter)
-			if err != nil || len(rows) == 0 {
-				b.Fatalf("rows=%d err=%v", len(rows), err)
-			}
-		}
 	})
 }
 
@@ -1248,43 +1211,5 @@ func BenchmarkPipelineStageHop(b *testing.B) {
 	defer cancel()
 	if err := p.Drain(ctx); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkPipelineFanOut measures 8-way key-affinity fan-out
-// throughput: items for 64 keys routed across 8 workers with per-key
-// order preserved — the shape a multi-broker ingest stage would use.
-func BenchmarkPipelineFanOut(b *testing.B) {
-	type item struct{ key int }
-	var handled atomic.Int64
-	p := pipeline.New("bench-fan", telemetry.NewRegistry())
-	keys := make([]string, 64)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("host%02d", i)
-	}
-	sink := pipeline.AddSink(p, "fan", pipeline.Options[item]{
-		Workers: 8,
-		Queue:   256,
-		Key:     func(it item) string { return keys[it.key] },
-	}, func(ctx context.Context, it item) error {
-		handled.Add(1)
-		return nil
-	})
-	p.Start()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sink.Submit(context.Background(), item{key: i & 63}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := p.Drain(ctx); err != nil {
-		b.Fatal(err)
-	}
-	if handled.Load() != int64(b.N) {
-		b.Fatalf("handled %d of %d", handled.Load(), b.N)
 	}
 }

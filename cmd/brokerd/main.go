@@ -46,12 +46,15 @@ func main() {
 	peers := flag.String("peers", "",
 		"comma-separated fabric membership, including this broker's own advertised address (empty = standalone)")
 	partitions := flag.Int("partitions", fabric.DefaultPartitions,
-		"fabric partition count (must match across the cluster)")
+		fmt.Sprintf("fabric partition count, 1 to %d (must match across the cluster)", fabric.MaxPartitions))
 	replication := flag.Int("replication", fabric.DefaultReplication,
 		"fabric publish replication factor")
 	probeEvery := flag.Duration("probe-interval", 2*time.Second,
 		"how often to probe dead fabric peers for revival")
 	flag.Parse()
+	if *partitions < 1 || *partitions > fabric.MaxPartitions {
+		log.Fatalf("brokerd: -partitions %d outside [1, %d]", *partitions, fabric.MaxPartitions)
+	}
 
 	srv := broker.NewServer()
 	srv.IdleTimeout = *idleTimeout
@@ -77,6 +80,9 @@ func main() {
 			log.Fatalf("brokerd: -peers %q must include this broker's own address %q", *peers, *listen)
 		}
 		m := fabric.NewMap(members, *partitions, *replication)
+		if err := m.Validate(); err != nil {
+			log.Fatalf("brokerd: -peers %q: %v", *peers, err)
+		}
 		view := fabric.NewView(m, broker.DefaultPolicy(), telemetry.Default())
 		srv.MapProvider = view.Provider()
 		view.StartProber(*probeEvery)

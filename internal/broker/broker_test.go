@@ -25,6 +25,18 @@ func startServer(t *testing.T) (*Server, string) {
 	return s, addr
 }
 
+// nextAcked takes the next delivery and acknowledges it at once.
+func nextAcked(c *Consumer) ([]byte, error) {
+	b, err := c.NextNoAck()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Ack(); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
 func TestPublishConsumeOrder(t *testing.T) {
 	_, addr := startServer(t)
 	pub, err := Dial(addr)
@@ -43,7 +55,7 @@ func TestPublishConsumeOrder(t *testing.T) {
 	}
 	defer cons.Close()
 	for i := 0; i < 10; i++ {
-		b, err := cons.Next()
+		b, err := nextAcked(cons)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +75,7 @@ func TestConsumerBlocksUntilPublish(t *testing.T) {
 
 	got := make(chan []byte, 1)
 	go func() {
-		b, err := cons.Next()
+		b, err := nextAcked(cons)
 		if err == nil {
 			got <- b
 		}
@@ -124,7 +136,7 @@ func TestUnackedMessageRedelivered(t *testing.T) {
 	defer c2.Close()
 	done := make(chan []byte, 1)
 	go func() {
-		if b, err := c2.Next(); err == nil {
+		if b, err := nextAcked(c2); err == nil {
 			done <- b
 		}
 	}()
@@ -180,7 +192,7 @@ func TestRedeliveryCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if b, err := c2.Next(); err != nil || string(b) != "crashy" {
+	if b, err := nextAcked(c2); err != nil || string(b) != "crashy" {
 		t.Fatalf("redelivery = %q, %v", b, err)
 	}
 	for s.QueueCounts("q").Acked == 0 && time.Now().Before(deadline) {
@@ -220,7 +232,7 @@ func TestBrokerTelemetry(t *testing.T) {
 	}
 	defer cons.Close()
 	for i := 0; i < 3; i++ {
-		if _, err := cons.Next(); err != nil {
+		if _, err := nextAcked(cons); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -264,7 +276,7 @@ func TestMultipleQueuesIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ca.Close()
-	if b, _ := ca.Next(); string(b) != "for-a" {
+	if b, _ := nextAcked(ca); string(b) != "for-a" {
 		t.Errorf("queue a got %q", b)
 	}
 	cb, err := DialConsumer(addr, "b")
@@ -272,7 +284,7 @@ func TestMultipleQueuesIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cb.Close()
-	if b, _ := cb.Next(); string(b) != "for-b" {
+	if b, _ := nextAcked(cb); string(b) != "for-b" {
 		t.Errorf("queue b got %q", b)
 	}
 }
@@ -307,7 +319,7 @@ func TestManyProducersOneConsumer(t *testing.T) {
 	defer cons.Close()
 	seen := map[string]bool{}
 	for i := 0; i < producers*perProducer; i++ {
-		b, err := cons.Next()
+		b, err := nextAcked(cons)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +364,7 @@ func TestCompetingConsumersShareWork(t *testing.T) {
 		defer c.Close()
 		go func() {
 			for {
-				b, err := c.Next()
+				b, err := nextAcked(c)
 				if err != nil {
 					return
 				}
@@ -387,7 +399,7 @@ func TestServerCloseUnblocksConsumers(t *testing.T) {
 	}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := cons.Next()
+		_, err := nextAcked(cons)
 		errCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -463,7 +475,7 @@ func TestPublishSnapshotOverNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cons.Close()
-	b, err := cons.Next()
+	b, err := nextAcked(cons)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ var ErrClosed = errors.New("broker: connection closed")
 type Client struct {
 	// WriteTimeout, when > 0, bounds writing one publish frame.
 	WriteTimeout time.Duration
-	// AckTimeout, when > 0, bounds waiting for a PublishConfirmed ack.
+	// AckTimeout, when > 0, bounds waiting for a PublishConfirmedSeq ack.
 	AckTimeout time.Duration
 	// Codec declares the snapshot codec of published bodies; a server
 	// pinned to a different WireVersion rejects the publish with
@@ -76,7 +76,7 @@ func NewClientConn(conn net.Conn) (*Client, error) {
 
 // Publish sends one message to the named queue, fire-and-forget: a
 // success return means the frame entered the local socket buffer, not
-// that the broker enqueued it. Use PublishConfirmed when that window
+// that the broker enqueued it. Use PublishConfirmedSeq when that window
 // matters.
 func (c *Client) Publish(queueName string, body []byte) error {
 	c.mu.Lock()
@@ -98,18 +98,15 @@ func (c *Client) writePub(f pubFrame) error {
 	return nil
 }
 
-// PublishConfirmed sends one message and blocks until the broker
+// PublishConfirmedSeq sends one message and blocks until the broker
 // acknowledges enqueueing it. A reset mid-frame therefore surfaces as an
 // error the caller can retry instead of silent loss; the retry may
 // duplicate the message, so consumers must dedup or tolerate repeats.
-func (c *Client) PublishConfirmed(queueName string, body []byte) error {
-	return c.PublishConfirmedSeq(queueName, body, "", 0)
-}
-
-// PublishConfirmedSeq is PublishConfirmed with a (host, seq) dedup
-// identity attached to the message — the replicated-publish primitive:
-// a fabric publisher writes the same identity to every replica broker
-// and partition-group consumers keep only the first delivery.
+// The (host, seq) dedup identity travels with the message — the
+// replicated-publish primitive: a fabric publisher writes the same
+// identity to every replica broker and partition-group consumers keep
+// only the first delivery. An empty host and zero seq publish without
+// one.
 func (c *Client) PublishConfirmedSeq(queueName string, body []byte, host string, seq uint64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -249,23 +246,11 @@ func NewConsumerConn(conn net.Conn, queueName string) (*Consumer, error) {
 	return c, nil
 }
 
-// Next blocks for the next message and acknowledges it. It returns
-// io.EOF when the broker or connection shuts down cleanly; transport
-// faults surface as errors rather than being mistaken for shutdown.
-func (c *Consumer) Next() ([]byte, error) {
-	m, err := c.NextMsgNoAck()
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Ack(); err != nil {
-		return nil, err
-	}
-	return m.Body, nil
-}
-
 // NextNoAck blocks for the next message WITHOUT acknowledging; the
-// caller must Ack (or disconnect, causing redelivery). This exposes the
-// at-least-once semantics for tests and crash-tolerant consumers.
+// caller must Ack (or disconnect, causing redelivery), which gives
+// consumers at-least-once delivery. It returns io.EOF when the broker or
+// connection shuts down cleanly; transport faults surface as errors
+// rather than being mistaken for shutdown.
 func (c *Consumer) NextNoAck() ([]byte, error) {
 	m, err := c.NextMsgNoAck()
 	return m.Body, err

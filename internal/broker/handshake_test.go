@@ -34,7 +34,7 @@ func TestServerRejectsCodecMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Codec = v
-		err = c.PublishConfirmed("q", []byte("body"))
+		err = c.PublishConfirmedSeq("q", []byte("body"), "", 0)
 		c.Close()
 		if !errors.Is(err, ErrCodecMismatch) {
 			t.Fatalf("codec %v: err = %v, want ErrCodecMismatch", v, err)
@@ -47,7 +47,7 @@ func TestServerRejectsCodecMismatch(t *testing.T) {
 	}
 	defer c.Close()
 	c.Codec = codec.V2Binary
-	if err := c.PublishConfirmed("q", []byte("body")); err != nil {
+	if err := c.PublishConfirmedSeq("q", []byte("body"), "", 0); err != nil {
 		t.Fatalf("matching codec rejected: %v", err)
 	}
 }
@@ -62,7 +62,7 @@ func TestUnpinnedServerAcceptsAnyCodec(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.Codec = v
-		err = c.PublishConfirmed("q", []byte("body"))
+		err = c.PublishConfirmedSeq("q", []byte("body"), "", 0)
 		c.Close()
 		if err != nil {
 			t.Fatalf("codec %v rejected by unpinned server: %v", v, err)
@@ -96,7 +96,7 @@ func TestSnapshotWireRoundTripThroughBroker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := cons.Next()
+		body, err := nextAcked(cons)
 		cons.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -35,11 +35,22 @@ func fastPolicy() broker.Policy {
 		BackoffMin:       time.Millisecond,
 		BackoffMax:       5 * time.Millisecond,
 		BackoffFactor:    2,
-		Jitter:           0.2,
 		BreakerThreshold: 3,
 		BreakerWindow:    20 * time.Millisecond,
 		BreakerMaxWindow: 50 * time.Millisecond,
 	}
+}
+
+// nextAcked takes the next delivery and acknowledges it at once.
+func nextAcked(c *broker.Consumer) ([]byte, error) {
+	b, err := c.NextNoAck()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.Ack(); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // tcpDial is the plain base dialer faultnet wraps in these tests.
@@ -219,7 +230,7 @@ func TestPublisherSpoolFallbackAndReplay(t *testing.T) {
 	var times []float64
 	seen := map[float64]bool{}
 	for len(times) < 3 {
-		b, err := cons.Next()
+		b, err := nextAcked(cons)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,7 +315,7 @@ func TestChaosMidFrameResetNoLoss(t *testing.T) {
 	got := make(chan model.Snapshot)
 	go func() {
 		for {
-			b, err := cons.Next()
+			b, err := nextAcked(cons)
 			if err != nil {
 				close(got)
 				return
@@ -348,7 +359,7 @@ func TestNodePublisherSurvivesBrokerRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, _ := c1.Next(); mustTime(t, b) != 1 {
+	if b, _ := nextAcked(c1); mustTime(t, b) != 1 {
 		t.Fatalf("got %q", b)
 	}
 	c1.Close()
@@ -390,7 +401,7 @@ func TestNodePublisherSurvivesBrokerRestart(t *testing.T) {
 	defer c2.Close()
 	got := make(chan []byte, 1)
 	go func() {
-		if b, err := c2.Next(); err == nil {
+		if b, err := nextAcked(c2); err == nil {
 			got <- b
 		}
 	}()
@@ -437,7 +448,7 @@ func TestNodePublisherSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cons.Close()
-	b, err := cons.Next()
+	b, err := nextAcked(cons)
 	if err != nil {
 		t.Fatal(err)
 	}

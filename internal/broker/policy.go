@@ -2,7 +2,6 @@ package broker
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -10,8 +9,8 @@ import (
 )
 
 // Policy bundles the transport-robustness knobs shared by the publisher
-// and consumer paths: per-operation deadlines, jittered exponential
-// backoff between retries, and the circuit-breaker thresholds that keep
+// and consumer paths: per-operation deadlines, exponential backoff
+// between retries, and the circuit-breaker thresholds that keep
 // a dead broker from costing more than one probe per backoff window.
 // The zero value of any field means "use the default below".
 type Policy struct {
@@ -26,13 +25,10 @@ type Policy struct {
 	AckTimeout time.Duration
 
 	// BackoffMin is the delay before the first retry; each further retry
-	// multiplies it by BackoffFactor up to BackoffMax, then ±Jitter
-	// fraction of it is added so a fleet of nodes doesn't redial a
-	// recovering broker in lockstep.
+	// multiplies it by BackoffFactor up to BackoffMax.
 	BackoffMin    time.Duration
 	BackoffMax    time.Duration
 	BackoffFactor float64
-	Jitter        float64
 
 	// BreakerThreshold is the consecutive-failure count that opens the
 	// circuit; BreakerWindow is how long it stays open before admitting
@@ -52,7 +48,6 @@ func DefaultPolicy() Policy {
 		BackoffMin:       50 * time.Millisecond,
 		BackoffMax:       5 * time.Second,
 		BackoffFactor:    2,
-		Jitter:           0.2,
 		BreakerThreshold: 3,
 		BreakerWindow:    500 * time.Millisecond,
 		BreakerMaxWindow: 30 * time.Second,
@@ -80,9 +75,6 @@ func (p Policy) withDefaults() Policy {
 	if p.BackoffFactor < 1 {
 		p.BackoffFactor = d.BackoffFactor
 	}
-	if p.Jitter <= 0 {
-		p.Jitter = d.Jitter
-	}
 	if p.BreakerThreshold <= 0 {
 		p.BreakerThreshold = d.BreakerThreshold
 	}
@@ -95,9 +87,9 @@ func (p Policy) withDefaults() Policy {
 	return p
 }
 
-// Backoff returns the jittered delay to sleep before retry number
-// attempt (1 = first retry). rng may be nil for an unjittered delay.
-func (p Policy) Backoff(attempt int, rng *rand.Rand) time.Duration {
+// Backoff returns the delay to sleep before retry number attempt
+// (1 = first retry).
+func (p Policy) Backoff(attempt int) time.Duration {
 	p = p.withDefaults()
 	d := float64(p.BackoffMin)
 	for i := 1; i < attempt; i++ {
@@ -106,12 +98,6 @@ func (p Policy) Backoff(attempt int, rng *rand.Rand) time.Duration {
 			d = float64(p.BackoffMax)
 			break
 		}
-	}
-	if rng != nil && p.Jitter > 0 {
-		d += d * p.Jitter * (2*rng.Float64() - 1)
-	}
-	if d < 0 {
-		d = 0
 	}
 	return time.Duration(d)
 }

@@ -92,7 +92,7 @@ func TestServerIdleTimeoutDropsSilentProducer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.PublishConfirmed("q", []byte("alive")); err != nil {
+	if err := c.PublishConfirmedSeq("q", []byte("alive"), "", 0); err != nil {
 		t.Fatalf("active producer rejected: %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestServerAckTimeoutRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.PublishConfirmed("q", []byte("m1")); err != nil {
+	if err := c.PublishConfirmedSeq("q", []byte("m1"), "", 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,7 +137,7 @@ func TestServerAckTimeoutRequeues(t *testing.T) {
 	defer healthy.Close()
 	done := make(chan []byte, 1)
 	go func() {
-		if b, err := healthy.Next(); err == nil {
+		if b, err := nextAcked(healthy); err == nil {
 			done <- b
 		}
 	}()

@@ -23,7 +23,7 @@ func publishN(t *testing.T, addr, q string, from, to int) {
 	}
 	defer c.Close()
 	for i := from; i < to; i++ {
-		if err := c.PublishConfirmed(q, []byte(strconv.Itoa(i))); err != nil {
+		if err := c.PublishConfirmedSeq(q, []byte(strconv.Itoa(i)), "", 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,7 +49,7 @@ func waitCounts(t *testing.T, s *Server, q string, ok func(QueueStats) bool) Que
 func expectBodies(t *testing.T, c *Consumer, from, to int) {
 	t.Helper()
 	for i := from; i < to; i++ {
-		b, err := c.Next()
+		b, err := nextAcked(c)
 		if err != nil {
 			t.Fatalf("delivery %d: %v", i, err)
 		}
@@ -361,7 +361,7 @@ func TestConsumerCloseWritesDeferredAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, err := c.Next(); err != nil || len(b) != 1 || b[0] != 0 {
+	if b, err := nextAcked(c); err != nil || len(b) != 1 || b[0] != 0 {
 		t.Fatalf("Next = %v, %v", b, err)
 	}
 	c.Close()

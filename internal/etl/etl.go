@@ -46,15 +46,10 @@ func newETLMetrics(reg *telemetry.Registry) *etlMetrics {
 	}
 }
 
-// BuildRow reduces one job run to its database row using the default
-// (AVX) vector width.
-func BuildRow(run *cluster.JobRun, reg *schema.Registry) (*reldb.JobRow, error) {
-	return BuildRowWith(run, reg, core.VecWidth)
-}
-
-// BuildRowWith is BuildRow with the architecture's vector width (see
-// chip.Descriptor.VecWidth).
-func BuildRowWith(run *cluster.JobRun, reg *schema.Registry, vecWidth int) (*reldb.JobRow, error) {
+// BuildRow reduces one job run to its database row, computing vector
+// metrics at the architecture's vector width (chip.Descriptor.VecWidth;
+// core.VecWidth is the AVX default).
+func BuildRow(run *cluster.JobRun, reg *schema.Registry, vecWidth int) (*reldb.JobRow, error) {
 	sum, err := core.ComputeWith(run.JobData(), reg, vecWidth)
 	if err != nil {
 		return nil, err
@@ -115,7 +110,7 @@ func RunFleet(specs []workload.Spec, cfg chip.NodeConfig, interval float64, seed
 					mu.Unlock()
 					continue
 				}
-				row, err := BuildRowWith(run, reg, cfg.Desc.VecWidth)
+				row, err := BuildRow(run, reg, cfg.Desc.VecWidth)
 				if err != nil {
 					mu.Lock()
 					stats.Failed++

@@ -22,11 +22,12 @@ func spec(id string, nodes int, runtime float64) workload.Spec {
 }
 
 func TestBuildRow(t *testing.T) {
-	run, err := cluster.RunJob(spec("100", 2, 1800), chip.StampedeNode(), 600, 1)
+	cfg := chip.StampedeNode()
+	run, err := cluster.RunJob(spec("100", 2, 1800), cfg, 600, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := BuildRow(run, chip.StampedeNode().Registry())
+	row, err := BuildRow(run, cfg.Registry(), cfg.Desc.VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}

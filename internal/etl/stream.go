@@ -24,20 +24,16 @@ const DefaultEndGrace = 600
 // into a relational row the moment the stream says it is over, without
 // ever materializing whole raw files.
 //
-// A job finalizes when:
+// A job finalizes when its "% end <id>" mark has been seen and the
+// stream watermark (the maximum snapshot time observed) has advanced
+// past the end time by EndGrace — the grace window lets straggler hosts
+// of a multi-node job flush their last samples before the row is
+// reduced. A job that never gets an end mark (its node died, or the
+// scheduler never delivered the epilog) stays in flight until Flush.
 //
-//   - its "% end <id>" mark has been seen and the stream watermark (the
-//     maximum snapshot time observed) has advanced past the end time by
-//     EndGrace — the grace window lets straggler hosts of a multi-node
-//     job flush their last samples before the row is reduced; or
-//   - the watermark has advanced IdleTimeout past the job's last sample
-//     with no end mark — the job's node died, or the scheduler never
-//     delivered the epilog; cron mode would have carried such a job
-//     forever, the streaming path closes it out.
-//
-// Both triggers are evaluated against stream time, not wall time, so a
-// historical replay behaves identically to a live tail, and both are
-// held back by the Lateness window so cross-host delivery skew cannot
+// The trigger is evaluated against stream time, not wall time, so a
+// historical replay behaves identically to a live tail, and it is held
+// back by the Lateness window so cross-host delivery skew cannot
 // truncate a job. A finalized job stays finalized: its id is tombstoned,
 // and any sample or mark that still arrives for it is dropped and
 // counted rather than starting a second, truncated row. Flush finalizes
@@ -62,10 +58,7 @@ type Assembler struct {
 	// job's end mark before the row is reduced. Zero finalizes on the
 	// first snapshot after the mark.
 	EndGrace float64
-	// IdleTimeout, when > 0, finalizes a job with no end mark once the
-	// watermark is this far past its last sample.
-	IdleTimeout float64
-	// Lateness holds both finalize triggers back by this many stream
+	// Lateness holds the finalize trigger back by this many stream
 	// seconds past the watermark. Live broker delivery is only
 	// approximately time-ordered — per-host FIFO, but cross-host skew of
 	// up to about a collection interval — and a job finalized before a
@@ -79,7 +72,7 @@ type Assembler struct {
 	OnRow func(*reldb.JobRow)
 
 	// OnSnapshot, if set, observes every fed snapshot after it has been
-	// folded in and before the triggers it fired are swept, so every
+	// folded in and before the trigger it fired is swept, so every
 	// job it touched is still in flight — the tap the online watch stage
 	// hangs off.
 	OnSnapshot func(model.Snapshot)
@@ -107,7 +100,6 @@ type jobState struct {
 	end       float64
 	haveBegin bool
 	haveEnd   bool
-	lastSeen  float64 // max snapshot time labeled with this job
 }
 
 func (a *Assembler) init() {
@@ -144,19 +136,15 @@ func (a *Assembler) job(id string) *jobState {
 // Feed folds one snapshot into every job it is labeled with, records
 // begin/end marks, advances the watermark, and finalizes any job whose
 // trigger fired. Snapshots must arrive in globally non-decreasing time
-// order, up to the Lateness window, for the idle trigger to be
-// meaningful (Store.Walk and the live stream both provide this);
-// out-of-order samples are still folded correctly, they just cannot
-// un-fire a timeout.
+// order, up to the Lateness window (Store.Walk and the live stream both
+// provide this); a sample later than that may find its job finalized
+// and be dropped.
 func (a *Assembler) Feed(s model.Snapshot) {
 	a.init()
 	a.Trace.Stamp(&s, model.StageAssemble)
 	for _, id := range s.JobIDs {
 		if js := a.job(id); js != nil {
 			js.jd.AddSnapshot(s)
-			if s.Time > js.lastSeen {
-				js.lastSeen = s.Time
-			}
 		}
 	}
 	switch kind, id := jobMark(s.Mark); kind {
@@ -189,17 +177,13 @@ func jobMark(mark string) (kind, id string) {
 	return kind, id
 }
 
-// sweep finalizes every job whose end-mark or idle trigger has fired at
-// the current watermark, held back by the lateness window.
+// sweep finalizes every job whose end-mark trigger has fired at the
+// current watermark, held back by the lateness window.
 func (a *Assembler) sweep() {
 	mark := a.watermark - a.Lateness
 	var due []string
 	for id, js := range a.jobs {
-		switch {
-		case js.haveEnd && mark >= js.end+a.EndGrace:
-			due = append(due, id)
-		case a.IdleTimeout > 0 && js.lastSeen > 0 &&
-			mark-js.lastSeen >= a.IdleTimeout:
+		if js.haveEnd && mark >= js.end+a.EndGrace {
 			due = append(due, id)
 		}
 	}

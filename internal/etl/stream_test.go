@@ -76,30 +76,11 @@ func TestAssemblerFinalizesOnEndMark(t *testing.T) {
 	if got := a.IngestedIDs(); !reflect.DeepEqual(got, []string{"7", "8"}) {
 		t.Fatalf("ingested = %v", got)
 	}
-}
-
-// A job with no end mark must finalize once the stream runs IdleTimeout
-// past its last sample — stream time, not wall time.
-func TestAssemblerIdleTimeout(t *testing.T) {
-	snaps := streamFixture(t)
-	reg := chip.StampedeNode().Registry()
-	db := reldb.New()
-	a := &Assembler{Registry: reg, DB: db, EndGrace: 600, IdleTimeout: 3600}
-	for _, s := range snaps {
-		a.Feed(s)
-	}
-	// Job 8's last sample is t=2400; the t=6600 snapshot puts the
-	// watermark 4200 > 3600 past it, closing the job without a mark.
-	if a.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0 after idle timeout", a.Pending())
-	}
-	row := db.Get("8")
-	if row == nil {
-		t.Fatal("idle job not ingested")
-	}
-	// No end mark: bounds fall back to the observed sample span.
-	if row.StartTime != 1800 || row.EndTime != 2400 {
-		t.Fatalf("idle job bounds = %g/%g", row.StartTime, row.EndTime)
+	// Job 8 never got an end mark: Flush closes it over the observed
+	// sample span, still marked running.
+	row = db.Get("8")
+	if row == nil || row.StartTime != 1800 || row.EndTime != 2400 {
+		t.Fatalf("unended job bounds = %+v", row)
 	}
 	if row.Status != "RUNNING" {
 		t.Fatalf("status = %q", row.Status)

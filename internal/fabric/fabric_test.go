@@ -30,7 +30,6 @@ func fastPolicy() broker.Policy {
 		BackoffMin:       time.Millisecond,
 		BackoffMax:       5 * time.Millisecond,
 		BackoffFactor:    2,
-		Jitter:           0.2,
 		BreakerThreshold: 3,
 		BreakerWindow:    20 * time.Millisecond,
 		BreakerMaxWindow: 50 * time.Millisecond,

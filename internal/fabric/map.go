@@ -33,8 +33,10 @@ package fabric
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -48,6 +50,12 @@ const (
 	// publishers, and listener groups (the map carries it, so anything
 	// bootstrapping from a broker inherits the right value).
 	DefaultPartitions = 16
+
+	// MaxPartitions bounds the partition count of any map. A listener
+	// starts one consumer per owned partition and owner broker, so a
+	// map from the network with more partitions is refused rather than
+	// trusted.
+	MaxPartitions = 1024
 
 	// DefaultReplication is the publish replication factor when unset.
 	// 2 survives any single broker death with zero loss.
@@ -221,17 +229,44 @@ func (m Map) Encode() []byte {
 	return b
 }
 
-// DecodeMap parses a handshake map payload.
+// DecodeMap parses a handshake map payload. The payload arrives from
+// the network, so a map that fails Validate is refused.
 func DecodeMap(b []byte) (Map, error) {
 	var m Map
 	if err := json.Unmarshal(b, &m); err != nil {
 		return Map{}, fmt.Errorf("fabric: decode map: %w", err)
 	}
-	if m.Partitions <= 0 || len(m.Brokers) == 0 {
-		return Map{}, fmt.Errorf("fabric: decode map: invalid map (partitions=%d, brokers=%d)",
-			m.Partitions, len(m.Brokers))
+	if err := m.Validate(); err != nil {
+		return Map{}, fmt.Errorf("fabric: decode map: %w", err)
 	}
 	return m, nil
+}
+
+// Validate reports why m is not a map a fabric can route by: a
+// partition count outside [1, MaxPartitions], a replication factor
+// below 1, no brokers, brokers unsorted or duplicated, or a dead entry
+// that is not a member.
+func (m Map) Validate() error {
+	if m.Partitions < 1 || m.Partitions > MaxPartitions {
+		return fmt.Errorf("partitions %d outside [1, %d]", m.Partitions, MaxPartitions)
+	}
+	if m.Replication < 1 {
+		return fmt.Errorf("replication %d below 1", m.Replication)
+	}
+	if len(m.Brokers) == 0 {
+		return errors.New("no brokers")
+	}
+	for i := 1; i < len(m.Brokers); i++ {
+		if m.Brokers[i-1] >= m.Brokers[i] {
+			return fmt.Errorf("brokers not sorted and unique at %q", m.Brokers[i])
+		}
+	}
+	for _, d := range m.Dead {
+		if _, ok := slices.BinarySearch(m.Brokers, d); !ok {
+			return fmt.Errorf("dead broker %q is not a member", d)
+		}
+	}
+	return nil
 }
 
 // PartitionQueue is the broker queue name for one partition's raw

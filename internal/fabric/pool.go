@@ -118,7 +118,7 @@ func (cp *ClientPool) Close() {
 // backoffDelay is the policy backoff for retry attempt n, bounded so
 // fabric retry rounds never stall a caller for long.
 func backoffDelay(pol broker.Policy, attempt int) time.Duration {
-	d := pol.Backoff(attempt, nil)
+	d := pol.Backoff(attempt)
 	if d > 2*time.Second {
 		d = 2 * time.Second
 	}

@@ -223,7 +223,7 @@ func (n *Node) advanceCPU(dt float64, d Demand, topo chip.Topology) {
 	iWait := b.sch.MustIndex(schema.EvCPUIOWait)
 	jiffies := dt * 100 // centiseconds
 	for i := range b.instances {
-		// Jitter per core, then renormalize so per-core fractions sum to 1.
+		// Perturb each core, then renormalize so per-core fractions sum to 1.
 		u := clamp01(n.jitter(d.CPUUserFrac, 0.06))
 		s := clamp01(n.jitter(d.CPUSysFrac, 0.06))
 		w := clamp01(n.jitter(d.CPUIOWaitFrac, 0.06))

@@ -13,8 +13,6 @@ import (
 // SIGINT/SIGTERM, run the body, and on the first signal call Stop and
 // cancel the body's context so it can drain and exit.
 type Daemon struct {
-	// Signals overrides the default set (SIGINT, SIGTERM).
-	Signals []os.Signal
 	// Body is the daemon's blocking work; its context is cancelled when
 	// the first signal arrives. Nil means "just wait for a signal".
 	Body func(ctx context.Context) error
@@ -31,12 +29,8 @@ type Daemon struct {
 // wedged drain never needs SIGKILL. It returns the signal (nil if Body
 // exited on its own) and Body's error.
 func (d Daemon) Run() (os.Signal, error) {
-	sigs := d.Signals
-	if len(sigs) == 0 {
-		sigs = []os.Signal{os.Interrupt, syscall.SIGTERM}
-	}
 	ch := make(chan os.Signal, 2)
-	signal.Notify(ch, sigs...)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(ch)
 
 	ctx, cancel := context.WithCancel(context.Background())

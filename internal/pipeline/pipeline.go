@@ -1,12 +1,12 @@
 // Package pipeline is the typed stage runtime the daemons run on: a
 // pipeline is a set of sources feeding a chain of stages, each stage a
-// bounded queue drained by worker goroutines. The framework owns what
-// every daemon used to hand-roll — queue bounds and backpressure,
-// worker fan-out with optional key affinity (per-key FIFO order is
-// preserved, which the conservation audit depends on), per-stage retry
-// and dead-letter policy, and a graceful drain that stops the graph in
-// topological order: sources first, then each stage in registration
-// order, flushing in-flight items rather than dropping them.
+// bounded queue drained by one worker goroutine. The framework owns
+// what every daemon used to hand-roll — queue bounds and backpressure,
+// FIFO order through every stage (which the conservation audit depends
+// on), a per-stage dead-letter policy, and a graceful drain that stops
+// the graph in topological order: sources first, then each stage in
+// registration order, flushing in-flight items rather than dropping
+// them.
 //
 // Every stage exports depth/inflight/processed/failure gauges and a
 // drain-duration gauge on the telemetry registry, so backpressure is
@@ -195,7 +195,7 @@ func (p *Pipeline) Start() {
 
 // Drain shuts the pipeline down in topological order: sources are
 // cancelled and joined first, then each stage (in registration order)
-// has its intake closed and its workers joined, flushing queued items
+// has its intake closed and its worker joined, flushing queued items
 // downstream before the next stage closes. ctx bounds the whole drain;
 // when it expires the pipeline is failed and remaining items are dead-
 // lettered through each stage's OnFailure hook. Drain is idempotent —

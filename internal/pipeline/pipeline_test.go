@@ -133,95 +133,7 @@ func TestBackpressurePropagates(t *testing.T) {
 	}
 }
 
-// TestKeyAffinityOrdering: under 8-way fan-out with key routing, items
-// sharing a key must stay FIFO even though different keys interleave.
-func TestKeyAffinityOrdering(t *testing.T) {
-	defer leakcheck.Check(t)()
-	p := New("aff", telemetry.NewRegistry())
-
-	type item struct {
-		key string
-		seq int
-	}
-	var mu sync.Mutex
-	perKey := map[string][]int{}
-	sink := AddSink(p, "fan", Options[item]{
-		Workers: 8,
-		Queue:   16,
-		Key:     func(it item) string { return it.key },
-	}, func(ctx context.Context, it item) error {
-		mu.Lock()
-		perKey[it.key] = append(perKey[it.key], it.seq)
-		mu.Unlock()
-		return nil
-	})
-	p.Start()
-
-	const keys, each = 32, 200
-	for seq := 0; seq < each; seq++ {
-		for k := 0; k < keys; k++ {
-			it := item{key: fmt.Sprintf("host%02d", k), seq: seq}
-			if err := sink.Submit(context.Background(), it); err != nil {
-				t.Fatalf("submit: %v", err)
-			}
-		}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := p.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if len(perKey) != keys {
-		t.Fatalf("saw %d keys, want %d", len(perKey), keys)
-	}
-	for k, seqs := range perKey {
-		if len(seqs) != each {
-			t.Fatalf("key %s saw %d items, want %d", k, len(seqs), each)
-		}
-		for i, s := range seqs {
-			if s != i {
-				t.Fatalf("key %s out of order at %d: got seq %d", k, i, s)
-			}
-		}
-	}
-}
-
-// TestErrorPolicyRetrySucceeds: a handler that fails twice under
-// Retries: 3 must end up processed, with the retries counted.
-func TestErrorPolicyRetrySucceeds(t *testing.T) {
-	defer leakcheck.Check(t)()
-	reg := telemetry.NewRegistry()
-	p := New("retry", reg)
-
-	var calls atomic.Int64
-	done := make(chan struct{})
-	sink := AddSink(p, "flaky", Options[int]{Retries: 3}, func(ctx context.Context, v int) error {
-		if calls.Add(1) <= 2 {
-			return errors.New("transient")
-		}
-		close(done)
-		return nil
-	})
-	p.Start()
-	if err := sink.Submit(context.Background(), 7); err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	<-done
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := p.Drain(ctx); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if c := calls.Load(); c != 3 {
-		t.Fatalf("handler ran %d times, want 3", c)
-	}
-	if v := reg.Counter("gostats_pipeline_stage_retries_total", "",
-		"pipeline", "retry", "stage", "flaky").Value(); v != 2 {
-		t.Fatalf("retries_total = %d, want 2", v)
-	}
-}
-
-// TestErrorPolicyDropDeadLetters: DropOnError must hand the exhausted
+// TestErrorPolicyDropDeadLetters: DropOnError must hand the failed
 // item to OnFailure and keep the pipeline alive for later items.
 func TestErrorPolicyDropDeadLetters(t *testing.T) {
 	defer leakcheck.Check(t)()
@@ -231,8 +143,7 @@ func TestErrorPolicyDropDeadLetters(t *testing.T) {
 	var dead []int
 	var okItems []int
 	sink := AddSink(p, "lossy", Options[int]{
-		Retries: 1,
-		Mode:    DropOnError,
+		Mode: DropOnError,
 		OnFailure: func(v int, err error) {
 			mu.Lock()
 			dead = append(dead, v)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -13,7 +12,7 @@ import (
 
 // Handler transforms one item. Returning Skip acknowledges the item
 // without emitting downstream; any other error triggers the stage's
-// retry/failure policy. ctx is the pipeline context — handlers doing
+// failure policy. ctx is the pipeline context — handlers doing
 // blocking work should honour it so a fatal teardown can unwind them.
 type Handler[In, Out any] func(ctx context.Context, in In) (Out, error)
 
@@ -30,8 +29,7 @@ type Inlet[T any] interface {
 	TrySubmit(item T) bool
 }
 
-// FailureMode says what a stage does with an item whose retries are
-// exhausted.
+// FailureMode says what a stage does with an item its handler failed.
 type FailureMode int
 
 const (
@@ -43,22 +41,12 @@ const (
 	DropOnError
 )
 
-// Options configures one stage.
+// Options configures one stage. Every stage runs one worker, so items
+// leave it in the order they were submitted.
 type Options[In any] struct {
-	// Workers is the fan-out width; 0 or 1 means a single worker (and
-	// strict FIFO over the whole stage).
-	Workers int
-	// Queue is the bounded intake depth per queue; 0 means 1.
+	// Queue is the bounded intake depth; 0 means 1.
 	Queue int
-	// Key, with Workers > 1, routes items to per-worker queues by key
-	// hash so items sharing a key keep FIFO order across the fan-out.
-	// Nil means all workers share one queue (no ordering guarantee).
-	Key func(In) string
-	// Retries is how many times a failed handler call is retried
-	// (0 = fail immediately), sleeping Backoff between attempts.
-	Retries int
-	Backoff time.Duration
-	// Mode picks what happens after retries are exhausted.
+	// Mode picks what happens when the handler fails.
 	Mode FailureMode
 	// OnFailure observes every abandoned item (dead-letter hook). It
 	// also receives items swept out of the queue when a fatal teardown
@@ -72,7 +60,6 @@ type stageMetrics struct {
 	inflight  *telemetry.Gauge
 	processed *telemetry.Counter
 	failures  *telemetry.Counter
-	retries   *telemetry.Counter
 	drain     *telemetry.Gauge
 }
 
@@ -86,16 +73,14 @@ func newStageMetrics(reg *telemetry.Registry, pipeline, stage string) stageMetri
 		processed: reg.Counter("gostats_pipeline_stage_processed_total",
 			"Items the stage handled successfully (including skips).", l...),
 		failures: reg.Counter("gostats_pipeline_stage_failures_total",
-			"Items abandoned after the stage's retry budget.", l...),
-		retries: reg.Counter("gostats_pipeline_stage_retries_total",
-			"Handler retry attempts.", l...),
+			"Items the stage abandoned.", l...),
 		drain: reg.Gauge("gostats_pipeline_stage_drain_seconds",
 			"Seconds the last graceful drain spent flushing this stage.",
 			"pipeline", pipeline, "stage", stage),
 	}
 }
 
-// Stage is one bounded, workered step. Build with AddStage/AddSink.
+// Stage is one bounded, single-worker step. Build with AddStage/AddSink.
 type Stage[In, Out any] struct {
 	p    *Pipeline
 	name string
@@ -103,7 +88,7 @@ type Stage[In, Out any] struct {
 	opt  Options[In]
 	next Inlet[Out]
 
-	queues []chan In
+	queue  chan In
 	intake sync.RWMutex // guards closed against in-flight Submits
 	closed bool
 	wg     sync.WaitGroup
@@ -114,23 +99,13 @@ type Stage[In, Out any] struct {
 // first: registration order is the drain order). Free function because
 // Go methods cannot introduce type parameters.
 func AddStage[In, Out any](p *Pipeline, name string, opt Options[In], fn Handler[In, Out]) *Stage[In, Out] {
-	if opt.Workers <= 0 {
-		opt.Workers = 1
-	}
 	if opt.Queue <= 0 {
 		opt.Queue = 1
 	}
 	s := &Stage[In, Out]{
 		p: p, name: name, fn: fn, opt: opt,
-		met: newStageMetrics(p.reg, p.name, name),
-	}
-	nq := 1
-	if opt.Key != nil && opt.Workers > 1 {
-		nq = opt.Workers // per-worker queues, routed by key hash
-	}
-	s.queues = make([]chan In, nq)
-	for i := range s.queues {
-		s.queues[i] = make(chan In, opt.Queue)
+		queue: make(chan In, opt.Queue),
+		met:   newStageMetrics(p.reg, p.name, name),
 	}
 	p.mu.Lock()
 	p.stages = append(p.stages, s)
@@ -156,50 +131,32 @@ func (s *Stage[In, Out]) To(next Inlet[Out]) { s.next = next }
 func (s *Stage[In, Out]) nodeName() string { return s.name }
 
 func (s *Stage[In, Out]) start() {
-	for i := 0; i < s.opt.Workers; i++ {
-		q := s.queues[0]
-		if len(s.queues) > 1 {
-			q = s.queues[i]
-		}
-		s.wg.Add(1)
-		go s.worker(q)
-	}
-}
-
-// queueFor routes an item to its queue: the key hash picks a worker
-// when key-affinity fan-out is on, otherwise the single shared queue.
-func (s *Stage[In, Out]) queueFor(item In) chan In {
-	if len(s.queues) == 1 {
-		return s.queues[0]
-	}
-	h := fnv.New32a()
-	h.Write([]byte(s.opt.Key(item)))
-	return s.queues[h.Sum32()%uint32(len(s.queues))]
+	s.wg.Add(1)
+	go s.worker()
 }
 
 // Submit implements Inlet. The intake read-lock makes Submit-vs-close
 // safe: drain takes the write lock, flips closed, and only then closes
-// the channels, so no Submit can send on a closed channel.
+// the channel, so no Submit can send on a closed channel.
 func (s *Stage[In, Out]) Submit(ctx context.Context, item In) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	q := s.queueFor(item)
 	s.intake.RLock()
 	defer s.intake.RUnlock()
-	// A failed pipeline's workers have exited; accepting the item would
+	// A failed pipeline's worker has exited; accepting the item would
 	// strand it (and its submitter) in the queue until the drain sweep.
 	if s.closed || s.p.ctx.Err() != nil {
 		return ErrStopped
 	}
 	select {
-	case q <- item:
+	case s.queue <- item:
 		s.met.depth.Add(1)
 		return nil
 	default:
 	}
 	select {
-	case q <- item:
+	case s.queue <- item:
 		s.met.depth.Add(1)
 		return nil
 	case <-ctx.Done():
@@ -211,14 +168,13 @@ func (s *Stage[In, Out]) Submit(ctx context.Context, item In) error {
 
 // TrySubmit implements Inlet.
 func (s *Stage[In, Out]) TrySubmit(item In) bool {
-	q := s.queueFor(item)
 	s.intake.RLock()
 	defer s.intake.RUnlock()
 	if s.closed || s.p.ctx.Err() != nil {
 		return false
 	}
 	select {
-	case q <- item:
+	case s.queue <- item:
 		s.met.depth.Add(1)
 		return true
 	default:
@@ -229,10 +185,10 @@ func (s *Stage[In, Out]) TrySubmit(item In) bool {
 // Depth reports items currently queued (tests, ops).
 func (s *Stage[In, Out]) Depth() int { return int(s.met.depth.Value()) }
 
-// worker drains one queue until it is closed and empty (graceful
+// worker drains the queue until it is closed and empty (graceful
 // flush) or the pipeline context dies (fatal abort; leftovers are
 // swept by drainNode).
-func (s *Stage[In, Out]) worker(q chan In) {
+func (s *Stage[In, Out]) worker() {
 	defer s.wg.Done()
 	for {
 		// Priority check: once the pipeline is failed, stop pulling work
@@ -244,7 +200,7 @@ func (s *Stage[In, Out]) worker(q chan In) {
 		default:
 		}
 		select {
-		case item, ok := <-q:
+		case item, ok := <-s.queue:
 			if !ok {
 				return
 			}
@@ -256,31 +212,12 @@ func (s *Stage[In, Out]) worker(q chan In) {
 	}
 }
 
-// handle runs one item through the handler with the stage's retry
-// budget, then forwards or abandons it.
+// handle runs one item through the handler, then forwards or abandons
+// it.
 func (s *Stage[In, Out]) handle(item In) {
 	s.met.inflight.Add(1)
 	defer s.met.inflight.Add(-1)
-	var out Out
-	var err error
-	for attempt := 0; ; attempt++ {
-		out, err = s.fn(s.p.ctx, item)
-		if err == nil || errors.Is(err, Skip) {
-			break
-		}
-		if attempt >= s.opt.Retries || s.p.ctx.Err() != nil {
-			break
-		}
-		s.met.retries.Inc()
-		if s.opt.Backoff > 0 {
-			t := time.NewTimer(s.opt.Backoff)
-			select {
-			case <-t.C:
-			case <-s.p.ctx.Done():
-				t.Stop()
-			}
-		}
-	}
+	out, err := s.fn(s.p.ctx, item)
 	switch {
 	case err == nil:
 		s.met.processed.Inc()
@@ -307,7 +244,7 @@ func (s *Stage[In, Out]) abandon(item In, err error) {
 	}
 }
 
-// drainNode closes the intake, joins the workers, and sweeps whatever
+// drainNode closes the intake, joins the worker, and sweeps whatever
 // a fatal abort left behind into OnFailure so no item vanishes without
 // a trace.
 func (s *Stage[In, Out]) drainNode(ctx context.Context) {
@@ -317,9 +254,7 @@ func (s *Stage[In, Out]) drainNode(ctx context.Context) {
 	s.closed = true
 	s.intake.Unlock()
 	if !already {
-		for _, q := range s.queues {
-			close(q)
-		}
+		close(s.queue)
 	}
 	done := make(chan struct{})
 	go func() {
@@ -330,18 +265,16 @@ func (s *Stage[In, Out]) drainNode(ctx context.Context) {
 	case <-done:
 	case <-ctx.Done():
 		// Flush budget exhausted: fail the pipeline so blocked handlers
-		// and submits unwind, then join the workers for real.
+		// and submits unwind, then join the worker for real.
 		s.p.fail(fmt.Errorf("pipeline %s: drain of stage %s: %w",
 			s.p.name, s.name, context.Cause(ctx)))
 		<-done
 	}
-	for _, q := range s.queues {
-		for item := range q {
-			s.met.depth.Add(-1)
-			s.met.failures.Inc()
-			if s.opt.OnFailure != nil {
-				s.opt.OnFailure(item, ErrStopped)
-			}
+	for item := range s.queue {
+		s.met.depth.Add(-1)
+		s.met.failures.Inc()
+		if s.opt.OnFailure != nil {
+			s.opt.OnFailure(item, ErrStopped)
 		}
 	}
 	s.met.drain.Set(time.Since(t0).Seconds())

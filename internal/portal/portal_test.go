@@ -43,7 +43,7 @@ func buildPortal(t *testing.T) (*Server, string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row, err := etl.BuildRow(run, cfg.Registry())
+		row, err := etl.BuildRow(run, cfg.Registry(), cfg.Desc.VecWidth)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -49,13 +49,6 @@ func toFloat(v interface{}) (float64, error) {
 	}
 }
 
-// index is a sorted projection of one numeric field for range scans.
-// Both arrays are immutable once built; a rebuild installs a fresh pair.
-type index struct {
-	vals []float64 // sorted
-	rows []*JobRow // parallel to vals
-}
-
 // colcache holds columnar projections of numeric fields, built lazily
 // per requested field against one table generation. Columns are
 // immutable once built.
@@ -65,22 +58,20 @@ type colcache struct {
 }
 
 // DB is the in-memory job table. All methods are safe for concurrent
-// use. Reads snapshot the row slice, indexes and columns under one lock
+// use. Reads snapshot the row slice and columns under one lock
 // acquisition and then scan lock-free: Insert never mutates a published
 // slice in place (replacement copies the row slice first).
 type DB struct {
-	mu      sync.RWMutex
-	gen     uint64 // bumped by every Insert; stamps caches
-	rows    []*JobRow
-	byID    map[string]*JobRow
-	indexes map[string]*index // field name -> index (rebuilt lazily)
-	ixGen   uint64            // generation the indexes were built at
-	cc      *colcache
+	mu   sync.RWMutex
+	gen  uint64 // bumped by every Insert; stamps caches
+	rows []*JobRow
+	byID map[string]*JobRow
+	cc   *colcache
 }
 
 // New returns an empty DB.
 func New() *DB {
-	return &DB{byID: make(map[string]*JobRow), indexes: make(map[string]*index)}
+	return &DB{byID: make(map[string]*JobRow)}
 }
 
 // Insert adds or replaces rows by job id.
@@ -130,44 +121,6 @@ func (db *DB) Get(jobID string) *JobRow {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.byID[jobID]
-}
-
-// CreateIndex builds (and keeps maintaining) a sorted index on a numeric
-// field, accelerating single-field range queries.
-func (db *DB) CreateIndex(fieldName string) error {
-	name := strings.ToLower(fieldName)
-	col, ok := fields[name]
-	if !ok || col.kind != kindNum {
-		return fmt.Errorf("reldb: cannot index field %q", fieldName)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.indexes[name] = nil // built lazily on next query
-	return nil
-}
-
-// buildIndexLocked (re)builds one index. Caller holds the write lock.
-func (db *DB) buildIndexLocked(name string) *index {
-	col := fields[name]
-	ix := &index{
-		vals: make([]float64, len(db.rows)),
-		rows: make([]*JobRow, len(db.rows)),
-	}
-	order := make([]int, len(db.rows))
-	for i := range order {
-		order[i] = i
-	}
-	keys := make([]float64, len(db.rows))
-	for i, r := range db.rows {
-		keys[i] = col.num(r)
-	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	for i, o := range order {
-		ix.vals[i] = keys[o]
-		ix.rows[i] = db.rows[o]
-	}
-	db.indexes[name] = ix
-	return ix
 }
 
 // colLocked returns the columnar projection for one numeric field at the

@@ -3,7 +3,6 @@ package reldb
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -25,16 +24,12 @@ const (
 	opLTE
 )
 
-// isRange reports whether the op can be served by a sorted index.
-func (op cmpOp) isRange() bool { return op >= opGT }
-
 // numPred is a compiled numeric predicate: one comparison against one
 // column.
 type numPred struct {
 	name string
 	op   cmpOp
 	want float64
-	num  func(*JobRow) float64
 	col  []float64 // columnar projection; attached at plan time
 }
 
@@ -121,82 +116,44 @@ func compileFilters(filters []Filter) ([]cfilter, error) {
 		default:
 			return nil, fmt.Errorf("reldb: numeric field %q does not support op %q", name, op)
 		}
-		out = append(out, cfilter{isNum: true, num: numPred{name: name, op: c, want: want, num: col.num}})
+		out = append(out, cfilter{isNum: true, num: numPred{name: name, op: c, want: want}})
 	}
 	return out, nil
 }
 
-// scanView is one coherent snapshot of everything a scan needs: the row
-// slice, the index slice serving one range filter (when available), and
-// columnar projections for the remaining numeric predicates. All parts
-// are immutable once captured — Insert replaces rather than mutates them
-// — so the scan itself runs without holding any lock.
-type scanView struct {
-	rows  []*JobRow
-	ix    *index
-	ixPos int // position in the compiled filter list served by ix; -1 = none
-}
-
-// acquire captures a scanView under one lock acquisition, rebuilding
-// stale indexes and columns first when the table changed. This closes
-// the historical race where the index snapshot and the row snapshot were
-// taken under separate lock acquisitions.
-func (db *DB) acquire(cfs []cfilter) scanView {
+// acquire returns the row slice and attaches a columnar projection to
+// every numeric predicate, all captured under one lock acquisition and
+// rebuilding stale columns first when the table changed. Every part is
+// immutable once captured — Insert replaces rather than mutates — so the
+// scan itself runs without holding any lock.
+func (db *DB) acquire(cfs []cfilter) []*JobRow {
 	db.mu.RLock()
-	v, ok := db.viewLocked(cfs, false)
+	rows, ok := db.viewLocked(cfs, false)
 	db.mu.RUnlock()
 	if ok {
-		return v
+		return rows
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	v, _ = db.viewLocked(cfs, true)
-	return v
+	rows, _ = db.viewLocked(cfs, true)
+	return rows
 }
 
-// viewLocked assembles a scanView from current state. With build unset it
-// only reads (caller holds RLock) and reports ok=false when a rebuild is
-// required; with build set (caller holds the write lock) it rebuilds
-// whatever is stale.
-func (db *DB) viewLocked(cfs []cfilter, build bool) (scanView, bool) {
-	v := scanView{rows: db.rows, ixPos: -1}
-	for i := range cfs {
-		if !cfs[i].isNum || !cfs[i].num.op.isRange() {
-			continue
-		}
-		ix, declared := db.indexes[cfs[i].num.name]
-		if !declared {
-			continue
-		}
-		if ix == nil || db.ixGen != db.gen {
-			if !build {
-				return scanView{}, false
-			}
-			for n := range db.indexes {
-				db.buildIndexLocked(n)
-			}
-			db.ixGen = db.gen
-			ix = db.indexes[cfs[i].num.name]
-		}
-		v.ix, v.ixPos = ix, i
-		break
-	}
-	if v.ixPos >= 0 {
-		// Index candidates are value-ordered, not row-ordered, so the
-		// residual predicates run on accessors rather than columns.
-		return v, true
-	}
+// viewLocked attaches current columns to cfs. With build unset it only
+// reads (caller holds RLock) and reports ok=false when a column must be
+// built; with build set (caller holds the write lock) it builds them.
+func (db *DB) viewLocked(cfs []cfilter, build bool) ([]*JobRow, bool) {
 	for i := range cfs {
 		if !cfs[i].isNum {
 			continue
 		}
 		col, ok := db.colLocked(cfs[i].num.name, build)
 		if !ok {
-			return scanView{}, false
+			return nil, false
 		}
 		cfs[i].num.col = col
 	}
-	return v, true
+	return db.rows, true
 }
 
 // parallelScanMin is the table size below which a scan stays on the
@@ -250,43 +207,14 @@ func scanChunks(n int, fn func(lo, hi int) []*JobRow) []*JobRow {
 }
 
 // Query returns the rows matching every filter (AND semantics), in
-// insertion order. With a range filter on an indexed field the sorted
-// index narrows the candidate set (in index order) before residual
-// filtering; otherwise numeric predicates scan columnar projections in
-// parallel across row shards.
+// insertion order. Numeric predicates scan columnar projections, in
+// parallel across row shards on large tables.
 func (db *DB) Query(filters ...Filter) ([]*JobRow, error) {
 	cfs, err := compileFilters(filters)
 	if err != nil {
 		return nil, err
 	}
-	v := db.acquire(cfs)
-
-	if v.ixPos >= 0 {
-		candidates := v.ix.slice(cfs[v.ixPos].num.op, cfs[v.ixPos].num.want)
-		var nums []numPred
-		var strs []strPred
-		for i := range cfs {
-			if i == v.ixPos {
-				continue
-			}
-			if cfs[i].isNum {
-				nums = append(nums, cfs[i].num)
-			} else {
-				strs = append(strs, cfs[i].str)
-			}
-		}
-		return scanChunks(len(candidates), func(lo, hi int) []*JobRow {
-			var out []*JobRow
-			for i := lo; i < hi; i++ {
-				r := candidates[i]
-				if matchRow(r, nums, strs) {
-					out = append(out, r)
-				}
-			}
-			return out
-		}), nil
-	}
-
+	rows := db.acquire(cfs)
 	var nums []numPred
 	var strs []strPred
 	for i := range cfs {
@@ -296,7 +224,6 @@ func (db *DB) Query(filters ...Filter) ([]*JobRow, error) {
 			strs = append(strs, cfs[i].str)
 		}
 	}
-	rows := v.rows
 	return scanChunks(len(rows), func(lo, hi int) []*JobRow {
 		var out []*JobRow
 	scan:
@@ -316,42 +243,4 @@ func (db *DB) Query(filters ...Filter) ([]*JobRow, error) {
 		}
 		return out
 	}), nil
-}
-
-// matchRow evaluates residual predicates via accessors (the index path,
-// where candidates are not positionally aligned with columns).
-func matchRow(r *JobRow, nums []numPred, strs []strPred) bool {
-	for k := range nums {
-		if !nums[k].matchVal(nums[k].num(r)) {
-			return false
-		}
-	}
-	for k := range strs {
-		if !strs[k].match(r) {
-			return false
-		}
-	}
-	return true
-}
-
-// slice returns the index rows satisfying op against want. The backing
-// arrays are immutable once built, so slicing needs no lock.
-func (ix *index) slice(op cmpOp, want float64) []*JobRow {
-	k := sort.SearchFloat64s(ix.vals, want)
-	switch op {
-	case opGT:
-		for k < len(ix.vals) && ix.vals[k] == want {
-			k++
-		}
-		return ix.rows[k:]
-	case opGTE:
-		return ix.rows[k:]
-	case opLT:
-		return ix.rows[:k]
-	default: // opLTE
-		for k < len(ix.vals) && ix.vals[k] == want {
-			k++
-		}
-		return ix.rows[:k]
-	}
 }

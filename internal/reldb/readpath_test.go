@@ -207,15 +207,12 @@ func TestGeneration(t *testing.T) {
 
 // ---- concurrent readers + writers ----
 
-// TestConcurrentQueryInsert drives indexed and scan queries, aggregates
-// and Stats from many goroutines while writers insert and replace rows.
-// Run under -race this exercises the coherent-snapshot guarantee that
-// replaced the old two-lock index path.
+// TestConcurrentQueryInsert drives queries, aggregates and Stats from
+// many goroutines while writers insert and replace rows. Run under -race
+// this exercises the coherent snapshot of rows and columns each read
+// takes.
 func TestConcurrentQueryInsert(t *testing.T) {
 	db := New()
-	if err := db.CreateIndex("runtime"); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 500; i++ {
 		db.Insert(row(fmt.Sprint(i), "u", "x", float64(i), 0.5, float64(i)))
 	}

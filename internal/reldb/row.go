@@ -1,8 +1,7 @@
 // Package reldb is gostats' relational job store — the PostgreSQL +
 // Django-ORM substitute of §IV. It holds one row per job (metadata plus
-// every Table I metric), supports Django-style "field__op" filters, the
-// aggregation functions the §V-B analyses use (Avg/Count/Max/Min), and
-// optional sorted secondary indexes for threshold queries.
+// every Table I metric), supports Django-style "field__op" filters and
+// the aggregation functions the §V-B analyses use (Avg/Count/Max/Min).
 package reldb
 
 import (

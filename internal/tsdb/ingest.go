@@ -24,10 +24,6 @@ type Ingester struct {
 	reg   *schema.Registry
 	hosts map[string]*hostState
 	row   row
-	// Classes restricts ingestion to the listed device classes (nil =
-	// all). The realtime pipeline typically ingests the Lustre and CPU
-	// classes it alerts on rather than every PMC.
-	Classes map[schema.Class]bool
 }
 
 // recKey identifies a record within a snapshot.
@@ -81,9 +77,6 @@ func (ing *Ingester) Ingest(s model.Snapshot) error {
 	r.reset()
 	for j, rec := range s.Records {
 		next[j] = append(next[j][:0], rec.Values...)
-		if ing.Classes != nil && !ing.Classes[rec.Class] {
-			continue
-		}
 		sch := ing.reg.Get(rec.Class)
 		if sch == nil || len(rec.Values) != sch.Len() {
 			continue

@@ -186,34 +186,6 @@ func TestIngesterRatesAndGauges(t *testing.T) {
 	}
 }
 
-func TestIngesterClassFilter(t *testing.T) {
-	reg := schema.DefaultRegistry()
-	db := New()
-	ing := NewIngester(db, reg)
-	ing.Classes = map[schema.Class]bool{schema.ClassMDC: true}
-	s := model.Snapshot{Time: 0, Host: "n1", Records: []model.Record{
-		{Class: schema.ClassMDC, Instance: "m0", Values: []uint64{1, 1}},
-		{Class: schema.ClassMem, Instance: "0", Values: []uint64{1, 1, 1, 1, 1}},
-	}}
-	ing.Ingest(s)
-	if db.NumSeries() != 0 { // counters produce no point on first sample
-		t.Errorf("series = %d", db.NumSeries())
-	}
-	s2 := s.Clone()
-	s2.Time = 600
-	s2.Records[0].Values = []uint64{601, 601}
-	ing.Ingest(s2)
-	// Only MDC series should exist.
-	res, _ := db.Do(Query{DevType: "mem", Aggregate: Sum})
-	if len(res) != 0 {
-		t.Error("filtered class was ingested")
-	}
-	res, _ = db.Do(Query{DevType: "mdc", Event: "reqs", Aggregate: Sum})
-	if len(res) != 1 {
-		t.Error("allowed class missing")
-	}
-}
-
 func TestIngesterSkipsMalformedRecords(t *testing.T) {
 	reg := schema.DefaultRegistry()
 	db := New()

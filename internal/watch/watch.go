@@ -107,9 +107,6 @@ type Watcher struct {
 	// Thresholds tune the flag set; zero value is not usable — callers
 	// pass flagging.DefaultThresholds() or a test-specific set.
 	Thresholds flagging.Thresholds
-	// CheckEvery is the stream-time cadence between provisional
-	// evaluations of one job (default DefaultCheckEvery).
-	CheckEvery float64
 
 	// EventLog, if set, receives one JSON line per event.
 	EventLog io.Writer
@@ -136,9 +133,6 @@ func (w *Watcher) Attach(a *etl.Assembler) {
 	w.jobs = make(map[string]*jobWatch)
 	w.results = make(map[string]Result)
 	w.flags = flagging.Default(w.Thresholds)
-	if w.CheckEvery <= 0 {
-		w.CheckEvery = DefaultCheckEvery
-	}
 	reg := w.Metrics
 	if reg == nil {
 		reg = telemetry.Default()
@@ -169,7 +163,7 @@ func (w *Watcher) observe(s model.Snapshot) {
 		if jw := w.jobs[id]; jw != nil {
 			last = jw.lastCheck
 		}
-		if s.Time-last < w.CheckEvery {
+		if s.Time-last < DefaultCheckEvery {
 			continue
 		}
 		row, running := w.asm.Running(id)
