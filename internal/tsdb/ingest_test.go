@@ -214,72 +214,74 @@ func readTree(t *testing.T, dir string) map[string][]byte {
 // identical.
 func TestRowIngestMatchesPerPointReference(t *testing.T) {
 	reg := diffRegistry(t)
-	base := t.TempDir()
-	refDB, refCS, refMet := coldDiffDB(t, filepath.Join(base, "ref"))
-	rowDB, rowCS, rowMet := coldDiffDB(t, filepath.Join(base, "row"))
-	ref := &refIngester{db: refDB, reg: reg, prev: make(map[string]model.Snapshot)}
-	row := NewIngester(rowDB, reg)
-	for _, s := range diffStream(reg, 7, 60) {
-		if err := ref.Ingest(s); err != nil {
-			t.Fatalf("reference ingest: %v", err)
-		}
-		if err := row.Ingest(s); err != nil {
-			t.Fatalf("row ingest: %v", err)
-		}
-	}
-	if rowDB.NumSeries() == 0 || rowDB.NumSeries() != refDB.NumSeries() {
-		t.Fatalf("series: row %d, reference %d", rowDB.NumSeries(), refDB.NumSeries())
-	}
-	all := []string{"host", "devtype", "device", "event"}
-	queries := []Query{
-		{GroupBy: all, Aggregate: Sum},
-		{GroupBy: []string{"host", "devtype"}, Aggregate: Max, Downsample: 1800},
-		{DevType: "pmc", GroupBy: []string{"device", "event"}, Aggregate: Avg},
-		{Host: "c401-101", DevType: "cpu", GroupBy: []string{"device"}, Aggregate: Min},
-	}
-	for _, q := range queries {
-		want, err := refDB.Do(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rowDB.Do(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("Do(%+v): row ingest differs from the reference (%d vs %d groups)", q, len(got), len(want))
-		}
-		for _, bottom := range []bool{false, true} {
-			wantTop, _ := refDB.TopN(q, 5, bottom)
-			gotTop, _ := rowDB.TopN(q, 5, bottom)
-			if !reflect.DeepEqual(gotTop, wantTop) {
-				t.Fatalf("TopN(%+v, bottom=%v): %v, want %v", q, bottom, gotTop, wantTop)
+	t.Run("all-classes", func(t *testing.T) {
+		base := t.TempDir()
+		refDB, refCS, refMet := coldDiffDB(t, filepath.Join(base, "ref"))
+		rowDB, rowCS, rowMet := coldDiffDB(t, filepath.Join(base, "row"))
+		ref := &refIngester{db: refDB, reg: reg, prev: make(map[string]model.Snapshot)}
+		row := NewIngester(rowDB, reg)
+		for _, s := range diffStream(reg, 7, 60) {
+			if err := ref.Ingest(s); err != nil {
+				t.Fatalf("reference ingest: %v", err)
+			}
+			if err := row.Ingest(s); err != nil {
+				t.Fatalf("row ingest: %v", err)
 			}
 		}
-	}
-	if got, want := rowDB.Latest(Query{}), refDB.Latest(Query{}); len(want) == 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("Latest differs: %d vs %d gauges", len(got), len(want))
-	}
-
-	if err := refCS.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rowCS.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	wantFiles, gotFiles := readTree(t, filepath.Join(base, "ref")), readTree(t, filepath.Join(base, "row"))
-	if len(wantFiles) < 3 || len(gotFiles) != len(wantFiles) {
-		t.Fatalf("segment files: row %d, reference %d", len(gotFiles), len(wantFiles))
-	}
-	for name, want := range wantFiles {
-		if !bytes.Equal(gotFiles[name], want) {
-			t.Fatalf("%s: row ingest wrote different bytes (%d vs %d)", name, len(gotFiles[name]), len(want))
+		if rowDB.NumSeries() == 0 || rowDB.NumSeries() != refDB.NumSeries() {
+			t.Fatalf("series: row %d, reference %d", rowDB.NumSeries(), refDB.NumSeries())
 		}
-	}
-	const appended = "gostats_segstore_appended_total"
-	if got, want := rowMet.Counter(appended, "").Value(), refMet.Counter(appended, "").Value(); got != want || want == 0 {
-		t.Fatalf("%s: row %d, reference %d", appended, got, want)
-	}
+		all := []string{"host", "devtype", "device", "event"}
+		queries := []Query{
+			{GroupBy: all, Aggregate: Sum},
+			{GroupBy: []string{"host", "devtype"}, Aggregate: Max, Downsample: 1800},
+			{DevType: "pmc", GroupBy: []string{"device", "event"}, Aggregate: Avg},
+			{Host: "c401-101", DevType: "cpu", GroupBy: []string{"device"}, Aggregate: Min},
+		}
+		for _, q := range queries {
+			want, err := refDB.Do(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := rowDB.Do(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !reflect.DeepEqual(got, want) {
+				t.Fatalf("Do(%+v): row ingest differs from the reference (%d vs %d groups)", q, len(got), len(want))
+			}
+			for _, bottom := range []bool{false, true} {
+				wantTop, _ := refDB.TopN(q, 5, bottom)
+				gotTop, _ := rowDB.TopN(q, 5, bottom)
+				if !reflect.DeepEqual(gotTop, wantTop) {
+					t.Fatalf("TopN(%+v, bottom=%v): %v, want %v", q, bottom, gotTop, wantTop)
+				}
+			}
+		}
+		if got, want := rowDB.Latest(Query{}), refDB.Latest(Query{}); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("Latest differs: %d vs %d gauges", len(got), len(want))
+		}
+
+		if err := refCS.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		if err := rowCS.Seal(); err != nil {
+			t.Fatal(err)
+		}
+		wantFiles, gotFiles := readTree(t, filepath.Join(base, "ref")), readTree(t, filepath.Join(base, "row"))
+		if len(wantFiles) < 3 || len(gotFiles) != len(wantFiles) {
+			t.Fatalf("segment files: row %d, reference %d", len(gotFiles), len(wantFiles))
+		}
+		for name, want := range wantFiles {
+			if !bytes.Equal(gotFiles[name], want) {
+				t.Fatalf("%s: row ingest wrote different bytes (%d vs %d)", name, len(gotFiles[name]), len(want))
+			}
+		}
+		const appended = "gostats_segstore_appended_total"
+		if got, want := rowMet.Counter(appended, "").Value(), refMet.Counter(appended, "").Value(); got != want || want == 0 {
+			t.Fatalf("%s: row %d, reference %d", appended, got, want)
+		}
+	})
 }
 
 // TestRowIngestConcurrentReaders ingests rows for several hosts, each
