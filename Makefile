@@ -144,7 +144,7 @@ benchsmoke:
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz=FuzzBinaryDecode -fuzztime=300x ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzTextDecode -fuzztime=300x ./internal/codec/
-	$(GO) test -run='^$$' -fuzz=FuzzParseRecover -fuzztime=300x ./internal/rawfile/
+	$(GO) test -run='^$$' -fuzz=FuzzRecover -fuzztime=300x ./internal/codec/
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentDecode -fuzztime=300x ./internal/segstore/
 	$(GO) test -run='^$$' -fuzz=FuzzIndexedFrame -fuzztime=300x ./internal/segstore/
 	$(GO) test -run='^$$' -fuzz=FuzzScan -fuzztime=300x ./internal/framelog/

@@ -662,11 +662,14 @@ func BenchmarkRawfileRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
-		w := rawfile.NewWriter(&buf, header)
+		w, err := codec.NewEncoder(&buf, header, codec.V1Text)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if err := w.WriteSnapshot(snap); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := rawfile.Parse(&buf); err != nil {
+		if _, err := codec.DecodeAll(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"gostats/internal/chip"
+	"gostats/internal/codec"
 	"gostats/internal/collect"
 	"gostats/internal/hwsim"
 	"gostats/internal/rawfile"
@@ -76,7 +77,10 @@ func main() {
 			len(snap.Records), *spool, cost)
 		return
 	}
-	w := rawfile.NewWriter(os.Stdout, col.Header())
+	w, err := codec.NewEncoder(os.Stdout, col.Header(), codec.V1Text)
+	if err != nil {
+		log.Fatalf("tacc_stats: %v", err)
+	}
 	if err := w.WriteSnapshot(snap); err != nil {
 		log.Fatalf("tacc_stats: %v", err)
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"testing"
 
 	"gostats/internal/chip"
@@ -334,5 +335,47 @@ func TestEngineSharedFSInterferenceOrderIsDeterministic(t *testing.T) {
 	}
 	if run() != run() {
 		t.Error("shared-FS runs nondeterministic")
+	}
+}
+
+func TestEngineSameSeedSameStream(t *testing.T) {
+	// Eight jobs end in one step: their end marks and job-end hook calls
+	// must come out in one order, so that one seed gives one stream.
+	run := func() []string {
+		e, err := NewEngine(8, chip.StampedeNode(), 600, 13)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.FS = lustresim.New(lustresim.DefaultConfig())
+		var stream []string
+		e.NewSink = func(n *hwsim.Node, c *collect.Collector) (Sink, error) {
+			return SinkFunc(func(s model.Snapshot) error {
+				stream = append(stream, fmt.Sprint(s))
+				return nil
+			}), nil
+		}
+		e.OnJobEnd = func(spec workload.Spec, start, end float64, hosts []string) error {
+			stream = append(stream, fmt.Sprint("job end ", spec.JobID, hosts))
+			return nil
+		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8; i++ {
+			e.Submit(wrfSpec(fmt.Sprint("j", i), 1, 1800))
+		}
+		if err := e.Run(3600); err != nil {
+			t.Fatal(err)
+		}
+		return stream
+	}
+	a, b := run(), run()
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			t.Fatalf("streams of one seed differ at item %d:\n%.120s\n%.120s", i, a[i], b[i])
+		}
+	}
+	if len(a) != len(b) {
+		t.Fatalf("streams of one seed hold %d and %d items", len(a), len(b))
 	}
 }

@@ -206,9 +206,10 @@ func (e *Engine) Step() error {
 	next := e.Clock + e.Interval
 
 	// 1. End jobs finishing within this step (epilog at job end time;
-	//    quantized to the step boundary for simplicity).
-	for id, job := range e.active {
-		if job.end <= next {
+	//    quantized to the step boundary for simplicity), in id order so
+	//    one seed always gives one stream.
+	for _, id := range e.ActiveJobs() {
+		if job := e.active[id]; job.end <= next {
 			// Advance the tail of the job before the epilog.
 			tail := job.end - e.Clock
 			if tail > 0 {
@@ -286,12 +287,7 @@ func (e *Engine) Step() error {
 		d  hwsim.Demand
 	}
 	var plan []pending
-	ids := make([]string, 0, len(e.active))
-	for id := range e.active {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids) // deterministic demand-draw order
-	for _, id := range ids {
+	for _, id := range e.ActiveJobs() { // deterministic demand-draw order
 		job := e.active[id]
 		elapsed := e.Clock - job.start
 		if elapsed < 0 {

@@ -489,18 +489,17 @@ func (d *binDecoder) Next() (model.Snapshot, error) {
 	return model.Snapshot{}, d.err
 }
 
-// recoverBinary scans a damaged binary stream frame by frame, keeping
-// everything up to the first frame that fails its CRC, truncates, or
-// does not decode. Frames are atomic, so recovered snapshots are always
-// whole — there is no partial-last-snapshot case as in the text codec.
-func recoverBinary(data []byte) (*Stream, []byte, error) {
+// recoverBinary is Recover for a v2 stream: one framelog.Scan, which
+// stops at the first frame that fails its CRC, is torn, or does not
+// decode.
+func recoverBinary(data []byte) (*Stream, int, error) {
 	off, err := checkBinPreamble(data)
 	if err != nil {
-		return nil, data, err
+		return nil, 0, err
 	}
 	st := &Stream{Version: V2Binary}
 	var state binState
-	good, damage := framelog.Scan(data, off, maxFramePayload, func(f framelog.Frame) error {
+	keep, damage := framelog.Scan(data, off, maxFramePayload, func(f framelog.Frame) error {
 		s, ok, err := state.apply(f.Type, f.Payload)
 		if ok {
 			st.Snapshots = append(st.Snapshots, s)
@@ -511,11 +510,8 @@ func recoverBinary(data []byte) (*Stream, []byte, error) {
 		if damage == nil {
 			damage = fmt.Errorf("codec: binary stream has no header frame")
 		}
-		return nil, data, damage
+		return nil, 0, damage
 	}
 	st.Header = state.h
-	if damage == nil {
-		return st, nil, nil
-	}
-	return st, data[good:], damage
+	return st, keep, damage
 }

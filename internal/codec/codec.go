@@ -19,8 +19,8 @@
 // frame) and 'S' (snapshot: delta-of-millis timestamp,
 // dictionary-encoded job ids and instances, class refs into the
 // header's schema order, and per-(class,instance) delta-encoded varint
-// value vectors). Frames are CRC-guarded, so crash recovery is exact at
-// frame granularity: a torn tail never yields a partial snapshot.
+// value vectors). Frames are CRC-guarded; Recover states the one crash
+// recovery rule both codecs follow.
 package codec
 
 import (
@@ -200,40 +200,26 @@ func DecodeAll(r io.Reader) (*Stream, error) {
 	return st, nil
 }
 
-// RecoverPrefix parses as much of a damaged stream as possible: the
-// intact prefix, the torn tail bytes that were discarded (nil for an
-// undamaged stream), and the error describing the damage. For text
-// streams the last snapshot may be partial (its complete record lines
-// survive); binary frames are atomic, so recovered snapshots are always
-// whole.
-func RecoverPrefix(data []byte) (*Stream, []byte, error) {
+// Recover is the one recovery rule for a damaged snapshot stream of
+// either codec. It returns the whole snapshots before the first damage,
+// the byte length keep of the prefix that holds them (header included),
+// and the damage: nil for an intact stream, whose keep is len(data). A
+// stream damaged in or before its header keeps nothing: st is nil and
+// keep is 0. Cutting the stream to keep and appending is always safe.
+//
+// A binary snapshot is one CRC-guarded frame. A text snapshot is a
+// block of lines with no end marker, so it is whole unless the damage
+// lies inside it: damage on the line that starts the next block (a torn
+// timestamp line begins with a digit) keeps the block before it. The
+// streaming decoders yield exactly these snapshots before they return
+// the damage.
+func Recover(data []byte) (st *Stream, keep int, damage error) {
 	v, err := Sniff(data)
 	if err != nil {
-		return nil, data, err
+		return nil, 0, err
 	}
 	if v == V1Text {
 		return recoverText(data)
 	}
 	return recoverBinary(data)
-}
-
-// RecoverFrames is RecoverPrefix with frame-granularity guarantees for
-// every version: a snapshot whose own block was torn mid-write is
-// dropped whole rather than returned partially, and the returned tail
-// is everything after the last whole snapshot. This is the recovery
-// the write-ahead spool and the archive's append path use — an append
-// that never returned must not replay a truncated snapshot downstream,
-// and new appends must follow the last whole one.
-func RecoverFrames(data []byte) (*Stream, []byte, error) {
-	st, tail, err := RecoverPrefix(data)
-	if st == nil || err == nil {
-		return st, tail, err
-	}
-	if st.Version == V1Text && len(st.Snapshots) > 0 && textTornInsideLastFrame(tail) {
-		// The tear sits inside the last snapshot's own block: its write
-		// never completed, so it was never acknowledged.
-		st.Snapshots = st.Snapshots[:len(st.Snapshots)-1]
-		tail = data[textLastBlockStart(data[:len(data)-len(tail)]):]
-	}
-	return st, tail, err
 }

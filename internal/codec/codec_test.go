@@ -235,7 +235,7 @@ func TestContinuation(t *testing.T) {
 }
 
 // TestBinaryCrashRecovery truncates a binary stream at every byte
-// offset and verifies RecoverFrames always yields a whole-frame prefix:
+// offset and verifies Recover always yields a whole-frame prefix:
 // each recovered snapshot is complete and identical to the original.
 func TestBinaryCrashRecovery(t *testing.T) {
 	h := testHeader()
@@ -250,7 +250,7 @@ func TestBinaryCrashRecovery(t *testing.T) {
 		// A cut exactly at a frame boundary is indistinguishable from a
 		// clean end of stream, so rerr may be nil there; what recovery
 		// must never do is yield a partial or corrupted snapshot.
-		st, _, _ := RecoverFrames(data[:cut])
+		st, _, _ := Recover(data[:cut])
 		if st == nil {
 			continue // header never recovered — acceptable for early cuts
 		}
@@ -269,7 +269,7 @@ func TestBinaryCrashRecovery(t *testing.T) {
 	// preceding frame boundary, not yield garbage.
 	corrupt := append([]byte(nil), data...)
 	corrupt[len(corrupt)-10] ^= 0x40
-	st, _, rerr := RecoverFrames(corrupt)
+	st, _, rerr := Recover(corrupt)
 	if rerr == nil {
 		t.Fatal("bit flip went undetected")
 	}
@@ -284,9 +284,8 @@ func TestBinaryCrashRecovery(t *testing.T) {
 
 // TestTextRecoveryUnchanged pins the v1 recovery semantics the spool
 // and the archive's append path depend on: a tail torn inside the last
-// snapshot's block drops that snapshot, and returns its bytes in the
-// tail, under RecoverFrames, but keeps its complete records under
-// RecoverPrefix.
+// snapshot's block drops that snapshot, and keep ends where its block
+// began, so the kept prefix is exactly the whole snapshots.
 func TestTextRecoveryUnchanged(t *testing.T) {
 	h := testHeader()
 	snaps := fixtureSnapshots(h.Registry)
@@ -296,29 +295,25 @@ func TestTextRecoveryUnchanged(t *testing.T) {
 	idx := bytes.LastIndexByte(bytes.TrimRight(data, "\n"), ' ')
 	cut := data[:idx]
 
-	st, tail, err := RecoverPrefix(cut)
+	st, keep, err := Recover(cut)
 	if err == nil {
 		t.Fatal("expected damage error")
 	}
-	if len(st.Snapshots) != len(snaps) {
-		t.Fatalf("RecoverPrefix kept %d snapshots, want %d (partial last)", len(st.Snapshots), len(snaps))
+	if len(st.Snapshots) != len(snaps)-1 {
+		t.Fatalf("Recover kept %d snapshots, want %d", len(st.Snapshots), len(snaps)-1)
 	}
-	if !textTornInsideLastFrame(tail) {
-		t.Fatalf("tail %q should read as torn inside last frame", tail)
+	whole := encodeAll(t, h, V1Text, snaps[:len(snaps)-1])
+	if !bytes.Equal(cut[:keep], whole) {
+		t.Fatalf("Recover kept %d bytes, want the %d of the whole snapshots", keep, len(whole))
 	}
 
-	stf, ftail, err := RecoverFrames(cut)
-	if err == nil {
-		t.Fatal("expected damage error")
-	}
-	if len(stf.Snapshots) != len(snaps)-1 {
-		t.Fatalf("RecoverFrames kept %d snapshots, want %d", len(stf.Snapshots), len(snaps)-1)
-	}
-	// The tail starts where the dropped snapshot's block did, so the
-	// kept prefix is exactly the whole snapshots.
-	whole := encodeAll(t, h, V1Text, snaps[:len(snaps)-1])
-	if !bytes.Equal(cut[:len(cut)-len(ftail)], whole) {
-		t.Fatalf("RecoverFrames kept %d bytes, want the %d of the whole snapshots", len(cut)-len(ftail), len(whole))
+	// A tear inside the next block's timestamp line keeps every block
+	// before it whole.
+	ts := bytes.LastIndex(data, []byte("\n"+strconv.FormatFloat(snaps[len(snaps)-1].Time, 'f', 3, 64))) + 1
+	st, keep, err = Recover(data[:ts+4])
+	if err == nil || len(st.Snapshots) != len(snaps)-1 || keep != ts {
+		t.Fatalf("torn timestamp line: kept %d snapshots in %d bytes (err %v), want %d in %d",
+			len(st.Snapshots), keep, err, len(snaps)-1, ts)
 	}
 }
 

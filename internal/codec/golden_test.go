@@ -75,8 +75,8 @@ func TestGoldenFormats(t *testing.T) {
 	if !reflect.DeepEqual(st.Snapshots, wantSnaps) {
 		t.Fatalf("stream fixture decoded to %+v, want %+v", st.Snapshots, wantSnaps)
 	}
-	if rec, tail, err := RecoverPrefix(fixture); err != nil || tail != nil || len(rec.Snapshots) != len(wantSnaps) {
-		t.Fatalf("recover stream fixture: %d snapshots, %d tail bytes, err %v", len(rec.Snapshots), len(tail), err)
+	if rec, keep, err := Recover(fixture); err != nil || keep != len(fixture) || !reflect.DeepEqual(rec.Snapshots, wantSnaps) {
+		t.Fatalf("recover stream fixture: %d snapshots, kept %d of %d bytes, err %v", len(rec.Snapshots), keep, len(fixture), err)
 	}
 
 	h := testHeader()
@@ -183,10 +183,10 @@ func TestGoldenTextFormats(t *testing.T) {
 	}
 	got, err := DecodeAll(bytes.NewReader(stream))
 	sameStream(t, "DecodeAll", got, err, want, nil)
-	got, tail, err := RecoverPrefix(stream)
-	sameStream(t, "RecoverPrefix", got, err, want, nil)
-	if tail != nil {
-		t.Fatalf("RecoverPrefix of an intact stream left a %d-byte tail", len(tail))
+	got, keep, err := Recover(stream)
+	sameStream(t, "Recover", got, err, want, nil)
+	if keep != len(stream) {
+		t.Fatalf("Recover of an intact stream kept %d of %d bytes", keep, len(stream))
 	}
 
 	wire, err := os.ReadFile(filepath.Join("testdata", "wire-v1.txt"))

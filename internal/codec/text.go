@@ -16,7 +16,7 @@
 // Both directions work on byte slices: the encoder appends a whole
 // block into a reused buffer and hands it to the writer in one Write,
 // and one line parser (textParser) serves the streaming decoder, the
-// in-memory wire decoder and crash recovery.
+// in-memory wire decoder and Recover.
 package codec
 
 import (
@@ -339,6 +339,18 @@ func (p *textParser) flush() (model.Snapshot, bool) {
 	return s, true
 }
 
+// damaged closes the parse at a line that failed. The open block is
+// whole, and returned, only when the failed line begins the next block:
+// a timestamp line starts with a digit, and the encoder writes a block
+// in one piece, so a torn timestamp line means the block before it was
+// written in full.
+func (p *textParser) damaged(line []byte) (model.Snapshot, bool) {
+	if len(line) == 0 || line[0] < '0' || line[0] > '9' {
+		return model.Snapshot{}, false
+	}
+	return p.flush()
+}
+
 // asciiSpace is the byte set strings.Fields splits ASCII text on.
 var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
@@ -424,16 +436,20 @@ func newTextDecoder(r io.Reader) (*textDecoder, error) {
 func (d *textDecoder) Version() Version { return V1Text }
 func (d *textDecoder) Header() Header   { return d.p.h }
 
-// Next returns the next snapshot block, or io.EOF at a clean end.
+// Next returns the next snapshot block, or io.EOF at a clean end. On
+// damage it yields the whole snapshots Recover keeps, then the error.
 func (d *textDecoder) Next() (model.Snapshot, error) {
 	if d.err != nil {
 		return model.Snapshot{}, d.err
 	}
 	for d.sc.Scan() {
-		s, ok, err := d.p.bodyLine(d.sc.Bytes())
+		line := d.sc.Bytes()
+		s, ok, err := d.p.bodyLine(line)
 		if err != nil {
 			d.err = err
-			return model.Snapshot{}, err
+			if s, ok = d.p.damaged(line); !ok {
+				return model.Snapshot{}, err
+			}
 		}
 		if ok {
 			return s, nil
@@ -455,11 +471,14 @@ func (d *textDecoder) Next() (model.Snapshot, error) {
 var textParsers = sync.Pool{New: func() any { return new(textParser) }}
 
 // decodeTextBytes parses a whole in-memory v1 stream, calling fn with
-// each snapshot in order. A non-nil reg is the consumer's registry: a
-// header whose schema lines equal reg.Block() byte for byte, followed
-// by the blank line that ends the header, decodes against reg instead
-// of being parsed into a new registry. Any other header is parsed.
-func decodeTextBytes(data []byte, reg *schema.Registry, fn func(model.Snapshot)) (Header, error) {
+// each snapshot in order. On damage fn sees only the whole snapshots
+// before it (Recover's rule); keep is the byte length of the prefix
+// that holds them, 0 when the header is damaged, and len(data) when
+// nothing is. A non-nil reg is the consumer's registry: a header whose
+// schema lines equal reg.Block() byte for byte, followed by the blank
+// line that ends the header, decodes against reg instead of being
+// parsed into a new registry. Any other header is parsed.
+func decodeTextBytes(data []byte, reg *schema.Registry, fn func(model.Snapshot)) (h Header, keep int, err error) {
 	p := textParsers.Get().(*textParser)
 	defer func() {
 		clear(p.recs)
@@ -467,50 +486,58 @@ func decodeTextBytes(data []byte, reg *schema.Registry, fn func(model.Snapshot))
 		*p = textParser{recs: p.recs[:0], ends: p.ends[:0], vals: p.vals[:0], fields: p.fields[:0]}
 		textParsers.Put(p)
 	}()
+	rest := data
 	for {
-		if len(data) == 0 {
-			return Header{}, errTruncatedHeader
+		if len(rest) == 0 {
+			return Header{}, 0, errTruncatedHeader
 		}
-		if reg != nil && len(p.schemas) == 0 && data[0] == '!' {
-			if block := reg.Block(); len(data) > len(block) &&
-				string(data[:len(block)]) == block && data[len(block)] == '\n' {
+		if reg != nil && len(p.schemas) == 0 && rest[0] == '!' {
+			if block := reg.Block(); len(rest) > len(block) &&
+				string(rest[:len(block)]) == block && rest[len(block)] == '\n' {
 				p.lineNo += strings.Count(block, "\n") + 1
 				p.h.Registry = reg
-				data = data[len(block)+1:]
+				rest = rest[len(block)+1:]
 				break
 			}
 		}
-		line, rest, err := cutLine(data)
+		line, next, err := cutLine(rest)
 		if err != nil {
-			return Header{}, err
+			return Header{}, 0, err
 		}
-		data = rest
+		rest = next
 		done, err := p.headerLine(line)
 		if err != nil {
-			return Header{}, err
+			return Header{}, 0, err
 		}
 		if done {
 			break
 		}
 	}
-	for len(data) > 0 {
-		line, rest, err := cutLine(data)
-		if err != nil {
-			return Header{}, err
+	keep = len(data) - len(rest)
+	for len(rest) > 0 {
+		off := len(data) - len(rest)
+		line, next, err := cutLine(rest)
+		var s model.Snapshot
+		var ok bool
+		if err == nil {
+			s, ok, err = p.bodyLine(line)
 		}
-		s, ok, err := p.bodyLine(line)
 		if err != nil {
-			return Header{}, err
+			s, ok = p.damaged(line)
 		}
 		if ok {
 			fn(s)
+			keep = off // the block just closed ends where this line starts
 		}
-		data = rest
+		if err != nil {
+			return p.h, keep, err
+		}
+		rest = next
 	}
 	if s, ok := p.flush(); ok {
 		fn(s)
 	}
-	return p.h, nil
+	return p.h, len(data), nil
 }
 
 // cutLine splits off the first line of data, without its newline.
@@ -542,7 +569,7 @@ func encodeWireText(s model.Snapshot, reg *schema.Registry) []byte {
 func decodeWireText(data []byte, reg *schema.Registry) (model.Snapshot, error) {
 	var s model.Snapshot
 	n := 0
-	if _, err := decodeTextBytes(data, reg, func(x model.Snapshot) {
+	if _, _, err := decodeTextBytes(data, reg, func(x model.Snapshot) {
 		if n == 0 {
 			s = x
 		}
@@ -600,66 +627,16 @@ func parseTraceLine(line string) ([]model.StageStamp, error) {
 	return out, nil
 }
 
-// decodeAllText strict-parses a complete in-memory text stream.
-func decodeAllText(data []byte) (*Stream, error) {
+// recoverText is Recover for a v1 stream: one forward pass of the line
+// parser the streaming decoder runs.
+func recoverText(data []byte) (*Stream, int, error) {
 	st := &Stream{Version: V1Text}
-	h, err := decodeTextBytes(data, nil, func(s model.Snapshot) {
+	h, keep, err := decodeTextBytes(data, nil, func(s model.Snapshot) {
 		st.Snapshots = append(st.Snapshots, s)
 	})
-	if err != nil {
-		return nil, err
+	if keep == 0 {
+		return nil, 0, err
 	}
 	st.Header = h
-	return st, nil
-}
-
-// recoverText recovers the intact prefix of a damaged text stream.
-// Truncation damage sits at the end of the file: walk back from the
-// tail dropping one line at a time until the remainder parses. The scan
-// is bounded — if the last maxBackoff lines don't contain the damage
-// boundary, the file is corrupt beyond end-truncation and we give up
-// rather than scan quadratically.
-func recoverText(data []byte) (*Stream, []byte, error) {
-	st, perr := decodeAllText(data)
-	if perr == nil {
-		return st, nil, nil
-	}
-	const maxBackoff = 1000
-	end := len(data) + 1
-	for k := 0; k < maxBackoff && end > 0; k++ {
-		// Cut after the last newline before the previous cut (cut 0
-		// when there is none).
-		cut := bytes.LastIndexByte(data[:end-1], '\n') + 1
-		end = cut
-		if cut == len(data) {
-			continue // the whole input, which just failed
-		}
-		if st, err := decodeAllText(data[:cut]); err == nil {
-			return st, data[cut:], perr
-		}
-	}
-	return nil, data, perr
-}
-
-// textTornInsideLastFrame reports whether a recovered text stream's torn
-// tail indicates the damage sits inside the final recovered snapshot's
-// block (record or mark lines torn: that snapshot's write never
-// completed) rather than at the start of a never-recovered next block
-// (tail begins with a timestamp fragment, which starts with a digit).
-func textTornInsideLastFrame(tail []byte) bool {
-	t := bytes.TrimLeft(tail, " \t\r\n")
-	return len(t) != 0 && (t[0] < '0' || t[0] > '9')
-}
-
-// textLastBlockStart returns the offset of the last block's timestamp
-// line in a text stream: the last line that starts with a digit.
-func textLastBlockStart(b []byte) int {
-	for end := len(b); end > 0; {
-		i := bytes.LastIndexByte(b[:end-1], '\n') + 1
-		if b[i] >= '0' && b[i] <= '9' {
-			return i
-		}
-		end = i
-	}
-	return 0
+	return st, keep, err
 }

@@ -237,22 +237,6 @@ func refDecodeAll(data []byte) (*Stream, error) {
 	return st, nil
 }
 
-func refRecoverText(data []byte) (*Stream, []byte, error) {
-	st, perr := refDecodeAll(data)
-	if perr == nil {
-		return st, nil, nil
-	}
-	const maxBackoff = 1000
-	lines := strings.SplitAfter(string(data), "\n")
-	for k := len(lines) - 1; k >= 0 && k >= len(lines)-maxBackoff; k-- {
-		candidate := strings.Join(lines[:k], "")
-		if st, err := refDecodeAll([]byte(candidate)); err == nil {
-			return st, []byte(strings.Join(lines[k:], "")), perr
-		}
-	}
-	return nil, data, perr
-}
-
 func refDecodeWireText(data []byte) (model.Snapshot, error) {
 	st, err := refDecodeAll(data)
 	if err != nil {

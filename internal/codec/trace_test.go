@@ -93,7 +93,7 @@ func TestTraceSurvivesCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cut := 0; cut < len(data); cut++ {
-		st, _, _ := RecoverFrames(data[:cut])
+		st, _, _ := Recover(data[:cut])
 		if st == nil {
 			continue
 		}
@@ -112,7 +112,7 @@ func TestTraceSurvivesCrashRecovery(t *testing.T) {
 	if idx < 0 {
 		t.Fatal("text stream has no trace line")
 	}
-	st, _, _ := RecoverFrames(tdata[:idx+10])
+	st, _, _ := Recover(tdata[:idx+10])
 	if st != nil {
 		for _, got := range st.Snapshots {
 			if got.Trace != nil && !reflect.DeepEqual(got.Trace, full.Snapshots[0].Trace) {

@@ -10,12 +10,12 @@ import (
 
 	"gostats/internal/broker"
 	"gostats/internal/chip"
+	"gostats/internal/codec"
 	"gostats/internal/collect"
 	"gostats/internal/fabric"
 	"gostats/internal/hwsim"
 	"gostats/internal/leakcheck"
 	"gostats/internal/model"
-	"gostats/internal/rawfile"
 	"gostats/internal/telemetry"
 )
 
@@ -162,7 +162,7 @@ func TestArchiveHeaderMatchesCollector(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw, err := rawfile.Parse(f)
+		raw, err := codec.DecodeAll(f)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,8 @@ package rawfile
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -24,6 +26,16 @@ func testHeader() Header {
 	}
 }
 
+// textEncoder returns a v1 text encoder, the codec node loggers write.
+func textEncoder(t testing.TB, w io.Writer, h Header) codec.SnapshotEncoder {
+	t.Helper()
+	enc, err := codec.NewEncoder(w, h, codec.V1Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
 func testSnapshot(t float64, jobs ...string) model.Snapshot {
 	return model.Snapshot{
 		Time:   t,
@@ -39,7 +51,7 @@ func testSnapshot(t float64, jobs ...string) model.Snapshot {
 
 func TestWriteParseRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, testHeader())
+	w := textEncoder(t, &buf, testHeader())
 	s1 := testSnapshot(1451606400, "4001", "4002")
 	s2 := testSnapshot(1451607000, "4001")
 	s2.Mark = "end 4002"
@@ -50,7 +62,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	f, err := Parse(&buf)
+	f, err := codec.DecodeAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,14 +92,14 @@ func TestWriteParseRoundTrip(t *testing.T) {
 
 func TestWriteNoJobs(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, testHeader())
+	w := textEncoder(t, &buf, testHeader())
 	s := testSnapshot(100)
 	s.JobIDs = nil
 	if err := w.WriteSnapshot(s); err != nil {
 		t.Fatal(err)
 	}
 	text := buf.String()
-	f, err := Parse(strings.NewReader(text))
+	f, err := codec.DecodeAll(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +113,7 @@ func TestWriteNoJobs(t *testing.T) {
 
 func TestInstanceSanitization(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf, testHeader())
+	w := textEncoder(t, &buf, testHeader())
 	s := model.Snapshot{Time: 1, Records: []model.Record{
 		{Class: schema.ClassPS, Instance: "12/u1/my prog", Values: make([]uint64, schema.PSSchema().Len())},
 		{Class: schema.ClassLnet, Instance: "", Values: []uint64{0, 0}},
@@ -109,7 +121,7 @@ func TestInstanceSanitization(t *testing.T) {
 	if err := w.WriteSnapshot(s); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Parse(&buf)
+	f, err := codec.DecodeAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +147,7 @@ func TestParseErrors(t *testing.T) {
 		"bad value":      "$gostats 2.0\n!cpu a,E\n\n1.0 -\ncpu 0 xyz\n",
 	}
 	for name, text := range cases {
-		if _, err := Parse(strings.NewReader(text)); err == nil {
+		if _, err := codec.DecodeAll(strings.NewReader(text)); err == nil {
 			t.Errorf("%s: accepted %q", name, text)
 		}
 	}
@@ -143,7 +155,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestParseTolerantOfBlankLinesAndUnknownProps(t *testing.T) {
 	text := "$gostats 2.0\n$hostname h\n$future stuff\n!cpu a,E\n\n1.0 77\n\ncpu 0 5\n\n2.0 -\ncpu 0 9\n"
-	f, err := Parse(strings.NewReader(text))
+	f, err := codec.DecodeAll(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +182,11 @@ func TestRoundTripFullNode(t *testing.T) {
 	snap := model.Snapshot{Time: 1451606400, Host: n.Host(), JobIDs: []string{"1"}, Records: n.ReadAll()}
 
 	var buf bytes.Buffer
-	w := NewWriter(&buf, Header{Hostname: n.Host(), Arch: "sandybridge", Registry: n.Registry()})
+	w := textEncoder(t, &buf, Header{Hostname: n.Host(), Arch: "sandybridge", Registry: n.Registry()})
 	if err := w.WriteSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	f, err := Parse(&buf)
+	f, err := codec.DecodeAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,14 +223,14 @@ func TestQuickValueRoundTrip(t *testing.T) {
 			tm = 1
 		}
 		var buf bytes.Buffer
-		w := NewWriter(&buf, Header{Hostname: "h", Registry: reg})
+		w := textEncoder(t, &buf, Header{Hostname: "h", Registry: reg})
 		err := w.WriteSnapshot(model.Snapshot{Time: tm, Records: []model.Record{
 			{Class: "t", Instance: "0", Values: []uint64{a, b, c}},
 		}})
 		if err != nil {
 			return false
 		}
-		parsed, err := Parse(&buf)
+		parsed, err := codec.DecodeAll(&buf)
 		if err != nil || len(parsed.Snapshots) != 1 {
 			return false
 		}
@@ -331,64 +343,103 @@ func TestStoreAppendHost(t *testing.T) {
 	}
 }
 
-func TestParseLenientRecoversTruncatedFile(t *testing.T) {
+// writeDay writes snaps as host's archive file for the day of t0 and
+// returns its path and the byte offset where each snapshot starts.
+func writeDay(t *testing.T, dir string, v codec.Version, snaps []model.Snapshot) (string, []int) {
+	t.Helper()
+	h := testHeader()
 	var buf bytes.Buffer
-	w := NewWriter(&buf, testHeader())
-	for i := 0; i < 3; i++ {
-		if err := w.WriteSnapshot(testSnapshot(float64(100+600*i), "7")); err != nil {
+	enc, err := codec.NewEncoder(&buf, h, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.WriteHeader(); err != nil {
+		t.Fatal(err)
+	}
+	var offs []int
+	for _, s := range snaps {
+		offs = append(offs, buf.Len())
+		if err := enc.WriteSnapshot(s); err != nil {
 			t.Fatal(err)
 		}
 	}
-	full := buf.String()
-
-	// Cut the file mid-record-line (power loss during flush).
-	cut := strings.LastIndex(full, "cpu 1")
-	if cut < 0 {
-		t.Fatal("fixture missing cpu record")
-	}
-	damaged := full[:cut+7] // partial values on the last line
-
-	if _, err := Parse(strings.NewReader(damaged)); err == nil {
-		t.Fatal("strict parse accepted damaged file")
-	}
-	f, err := ParseLenient(strings.NewReader(damaged))
-	if err == nil {
-		t.Fatal("lenient parse should still report the damage")
-	}
-	if f == nil {
-		t.Fatal("lenient parse recovered nothing")
-	}
-	// The first two snapshots are intact; the third lost its tail but
-	// its complete records survive.
-	if len(f.Snapshots) != 3 {
-		t.Fatalf("recovered %d snapshots, want 3", len(f.Snapshots))
-	}
-	if len(f.Snapshots[2].Records) >= len(f.Snapshots[1].Records) {
-		t.Error("damaged snapshot should have fewer records than intact ones")
-	}
-	if f.Snapshots[0].Time != 100 || f.Snapshots[1].Time != 700 {
-		t.Errorf("times = %v %v", f.Snapshots[0].Time, f.Snapshots[1].Time)
-	}
-}
-
-func TestParseLenientIntactFile(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, testHeader())
-	if err := w.WriteSnapshot(testSnapshot(100, "7")); err != nil {
+	path := filepath.Join(dir, h.Hostname, fmt.Sprintf("%d.raw", int64(snaps[0].Time)/86400*86400))
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	f, err := ParseLenient(&buf)
-	if err != nil {
-		t.Fatalf("intact file reported damage: %v", err)
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if len(f.Snapshots) != 1 {
-		t.Fatalf("snapshots = %d", len(f.Snapshots))
+	return path, offs
+}
+
+func TestReadHostRecoversTruncatedFile(t *testing.T) {
+	dir := t.TempDir()
+	snaps := []model.Snapshot{testSnapshot(100, "7"), testSnapshot(700, "7"), testSnapshot(1300, "7")}
+	path, _ := writeDay(t, dir, codec.V1Text, snaps)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut the file mid-record-line (power loss during flush): the third
+	// snapshot is torn, so only the first two are whole.
+	cut := bytes.LastIndex(full, []byte("cpu 1")) + 7
+	if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := codec.DecodeAll(bytes.NewReader(full[:cut])); err == nil {
+		t.Fatal("strict decode accepted damaged file")
+	}
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.ReadHost(testHeader().Hostname)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].Time != 100 || got[1].Time != 700 || len(got[1].Records) != 3 {
+		t.Fatalf("read %d snapshots %+v, want the whole ones at 100 and 700", len(got), got)
 	}
 }
 
-func TestParseLenientHopelessFile(t *testing.T) {
-	if _, err := ParseLenient(strings.NewReader("$gostats 9.9\n")); err == nil {
-		t.Error("unusable file accepted")
+func TestTrimLeavesIntactFile(t *testing.T) {
+	path, _ := writeDay(t, t.TempDir(), codec.V2Binary, []model.Snapshot{testSnapshot(100, "7")})
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, cut, err := Trim(path)
+	if err != nil || cut || st == nil || len(st.Snapshots) != 1 {
+		t.Fatalf("Trim of an intact file: stream %v, cut %v, err %v", st, cut, err)
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("Trim changed an intact file")
+	}
+}
+
+func TestTrimHopelessFile(t *testing.T) {
+	dir := t.TempDir()
+	torn := filepath.Join(dir, "torn.raw")
+	if err := os.WriteFile(torn, []byte("$gostats 9.9\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, cut, err := Trim(torn); err != nil || !cut || st != nil {
+		t.Fatalf("Trim of a damaged header: stream %v, cut %v, err %v", st, cut, err)
+	}
+	if fi, err := os.Stat(torn); err != nil || fi.Size() != 0 {
+		t.Fatalf("damaged header not emptied: %v %v", fi, err)
+	}
+	// A file in no known codec is not a snapshot file: left alone.
+	foreign := filepath.Join(dir, "notes.txt")
+	if err := os.WriteFile(foreign, []byte("not a raw file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, cut, err := Trim(foreign); err != nil || cut || st != nil {
+		t.Fatalf("Trim of a foreign file: stream %v, cut %v, err %v", st, cut, err)
+	}
+	if data, _ := os.ReadFile(foreign); string(data) != "not a raw file" {
+		t.Fatalf("foreign file changed to %q", data)
 	}
 }
 
@@ -431,22 +482,44 @@ func TestArchiverEvictionBeyondCapKeepsWriting(t *testing.T) {
 	}
 }
 
+// writers are the two archive write paths, each opening the day file as
+// a fresh writer would.
+var writers = map[string]func(st *Store, h Header, s model.Snapshot) error{
+	"Archiver": func(st *Store, h Header, s model.Snapshot) error {
+		a := NewArchiver(st, 0)
+		if err := a.Append(h.Hostname, h, s); err != nil {
+			return err
+		}
+		return a.Close()
+	},
+	"AppendHost": func(st *Store, h Header, s model.Snapshot) error {
+		return st.AppendHost(h.Hostname, h, s)
+	},
+}
+
+// walkTimes walks the store at dir, returning the snapshot times
+// (relative to the day) and how many files were recovered.
+func walkTimes(t *testing.T, dir string) ([]float64, int) {
+	t.Helper()
+	st, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []float64
+	recovered, err := st.Walk(func(s model.Snapshot) error {
+		got = append(got, s.Time-1451606400)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got, recovered
+}
+
 // TestAppendAfterTornTail restarts each archive writer after a crash
 // that tore a snapshot mid-write: the new process must trim the torn
 // bytes before appending, so every acked snapshot stays readable.
 func TestAppendAfterTornTail(t *testing.T) {
-	writers := map[string]func(st *Store, h Header, s model.Snapshot) error{
-		"Archiver": func(st *Store, h Header, s model.Snapshot) error {
-			a := NewArchiver(st, 0)
-			if err := a.Append(h.Hostname, h, s); err != nil {
-				return err
-			}
-			return a.Close()
-		},
-		"AppendHost": func(st *Store, h Header, s model.Snapshot) error {
-			return st.AppendHost(h.Hostname, h, s)
-		},
-	}
 	h := testHeader()
 	for _, v := range []codec.Version{codec.V1Text, codec.V2Binary} {
 		for name, write := range writers {
@@ -486,22 +559,58 @@ func TestAppendAfterTornTail(t *testing.T) {
 				f.Close()
 				archive(5, 6, 7)
 
-				st, err := NewStore(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got []float64
-				recovered, err := st.Walk(func(s model.Snapshot) error {
-					got = append(got, s.Time-1451606400)
-					return nil
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
+				got, recovered := walkTimes(t, dir)
 				want := []float64{600, 1200, 1800, 3000, 3600, 4200}
 				if !slices.Equal(got, want) || recovered != 0 {
 					t.Errorf("%v %s torn at %d%%: walked %v (%d files recovered), want %v", v, name, frac, got, recovered, want)
 				}
+			}
+		}
+	}
+}
+
+// TestAppendAfterFarFromTailDamage damages one snapshot early in a day
+// file followed by over a thousand more lines: Walk keeps the whole
+// snapshots before the damage, and a writer that reopens the file cuts
+// it there and appends after them.
+func TestAppendAfterFarFromTailDamage(t *testing.T) {
+	h := testHeader()
+	var snaps []model.Snapshot
+	for i := range 280 { // 4 lines each in the text codec
+		snaps = append(snaps, testSnapshot(float64(1451606400+60*i)))
+	}
+	for _, v := range []codec.Version{codec.V1Text, codec.V2Binary} {
+		for name, write := range writers {
+			dir := t.TempDir()
+			path, offs := writeDay(t, dir, v, snaps)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v == codec.V1Text { // a bad value in the 4th snapshot
+				i := offs[3] + bytes.Index(data[offs[3]:], []byte(" 100 ")) + 1
+				data[i] = 'x'
+			} else { // a bad CRC on the 4th snapshot's frame
+				data[(offs[3]+offs[4])/2] ^= 0x40
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			got, recovered := walkTimes(t, dir)
+			if want := []float64{0, 60, 120}; !slices.Equal(got, want) || recovered != 1 {
+				t.Fatalf("%v %s: walked %v (%d files recovered), want %v (1)", v, name, got, recovered, want)
+			}
+			st, err := NewStore(dir) // a fresh process
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := write(st, h, testSnapshot(1451606400+86000)); err != nil {
+				t.Fatalf("%v %s: %v", v, name, err)
+			}
+			got, recovered = walkTimes(t, dir)
+			if want := []float64{0, 60, 120, 86000}; !slices.Equal(got, want) || recovered != 0 {
+				t.Errorf("%v %s after append: walked %v (%d files recovered), want %v", v, name, got, recovered, want)
 			}
 		}
 	}

@@ -31,12 +31,11 @@ type trimmedFiles struct {
 // from its first bytes), so mixed-version archives stay consistent; a
 // new file starts in v.
 func (t *trimmedFiles) openEncoder(path string, h Header, v codec.Version) (*os.File, codec.SnapshotEncoder, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
+	if err := t.trimOnce(path); err != nil {
 		return nil, nil, err
 	}
-	if err := t.trimOnce(f, path); err != nil {
-		f.Close()
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
 		return nil, nil, err
 	}
 	var prefix [8]byte
@@ -67,31 +66,17 @@ func (t *trimmedFiles) openEncoder(path string, h Header, v codec.Version) (*os.
 	return f, enc, nil
 }
 
-// trimOnce trims a torn tail the first time this writer opens path: a
+// trimOnce trims path (Trim) the first time this writer opens it: a
 // crash mid-append leaves part of a snapshot on disk, and every
-// snapshot appended after it would be unreadable. The file is cut back
-// to the end of its last whole snapshot, or emptied if it holds none.
-// A file in no known codec is left for openEncoder to refuse.
-func (t *trimmedFiles) trimOnce(f *os.File, path string) error {
+// snapshot appended after it would be unreadable.
+func (t *trimmedFiles) trimOnce(path string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.done[path] {
 		return nil
 	}
-	data, err := io.ReadAll(f)
-	if err != nil {
+	if _, _, err := Trim(path); err != nil {
 		return err
-	}
-	if _, serr := codec.Sniff(data); serr == nil {
-		if st, tail, damage := codec.RecoverFrames(data); damage != nil {
-			keep := len(data) - len(tail)
-			if st == nil || len(st.Snapshots) == 0 {
-				keep = 0
-			}
-			if err := f.Truncate(int64(keep)); err != nil {
-				return err
-			}
-		}
 	}
 	if t.done == nil {
 		t.done = make(map[string]bool)
@@ -303,25 +288,26 @@ func (s *Store) hostFiles(host string) ([]string, error) {
 	return out, nil
 }
 
-// ReadHost parses every raw file archived for a host, returning all
-// snapshots in time order.
+// ReadHost reads every raw file archived for a host, returning all
+// snapshots in time order. Like Walk, it keeps each file's whole
+// snapshots before its first damage (codec.Recover).
 func (s *Store) ReadHost(host string) ([]model.Snapshot, error) {
 	files, err := s.hostFiles(host)
 	if err != nil {
 		return nil, err
 	}
+	it := &hostIter{host: host, files: files}
+	defer it.closeFile()
 	var snaps []model.Snapshot
-	for _, path := range files {
-		f, err := os.Open(path)
+	for {
+		ok, err := it.next()
 		if err != nil {
 			return nil, err
 		}
-		parsed, err := Parse(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("rawfile: %s/%s: %w", host, filepath.Base(path), err)
+		if !ok {
+			break
 		}
-		snaps = append(snaps, parsed.Snapshots...)
+		snaps = append(snaps, it.cur)
 	}
 	sort.SliceStable(snaps, func(i, j int) bool { return snaps[i].Time < snaps[j].Time })
 	return snaps, nil
@@ -363,21 +349,17 @@ func (s *Store) AppendHost(host string, h Header, snaps ...model.Snapshot) error
 	return nil
 }
 
-// hostIter streams one host's archive in time order without holding
-// more than one decoded snapshot (plus, after recovering a damaged
-// file, that file's remainder) in memory.
+// hostIter streams one host's archive in file order, holding one
+// decoded snapshot at a time. A file's decoder stops at its first
+// damage, having yielded the whole snapshots before it
+// (codec.Recover's rule).
 type hostIter struct {
-	host  string
-	files []string
-	fi    int
-	f     *os.File
-	dec   codec.SnapshotDecoder
-	// pending holds the rest of a leniently recovered file after a
-	// streaming decode error; emitted counts snapshots already streamed
-	// from the current file so recovery can skip them.
-	pending   []model.Snapshot
-	emitted   int
-	recovered bool
+	host      string
+	files     []string
+	fi        int
+	f         *os.File
+	dec       codec.SnapshotDecoder
+	recovered int // files cut short by damage
 	cur       model.Snapshot
 }
 
@@ -387,78 +369,39 @@ func (it *hostIter) closeFile() {
 		it.f = nil
 	}
 	it.dec = nil
-	it.emitted = 0
 }
 
 // next advances to the following snapshot; ok reports whether one is
 // available in it.cur.
 func (it *hostIter) next() (ok bool, err error) {
 	for {
-		if len(it.pending) > 0 {
-			it.cur = it.pending[0]
-			it.pending = it.pending[1:]
-			return true, nil
-		}
 		if it.dec == nil {
 			if it.fi >= len(it.files) {
 				return false, nil
 			}
-			path := it.files[it.fi]
+			f, err := os.Open(it.files[it.fi])
 			it.fi++
-			f, err := os.Open(path)
 			if err != nil {
 				return false, err
 			}
-			dec, derr := codec.NewDecoder(f)
-			if derr != nil {
+			dec, err := codec.NewDecoder(f)
+			if err != nil {
 				f.Close()
-				if it.recoverFile(path) {
-					continue
-				}
-				return false, fmt.Errorf("rawfile: %s unrecoverable: %w", path, derr)
+				it.recovered++
+				continue
 			}
 			it.f, it.dec = f, dec
 		}
 		s, err := it.dec.Next()
-		if err == io.EOF {
-			it.closeFile()
-			continue
+		if err == nil {
+			it.cur = s
+			return true, nil
 		}
-		if err != nil {
-			path := it.files[it.fi-1]
-			emitted := it.emitted
-			it.closeFile()
-			if it.recoverFileSkip(path, emitted) {
-				continue
-			}
-			return false, fmt.Errorf("rawfile: %s unrecoverable: %w", path, err)
+		if err != io.EOF {
+			it.recovered++
 		}
-		it.emitted++
-		it.cur = s
-		return true, nil
+		it.closeFile()
 	}
-}
-
-func (it *hostIter) recoverFile(path string) bool { return it.recoverFileSkip(path, 0) }
-
-// recoverFileSkip re-reads a damaged file leniently and queues its
-// snapshots past the first skip already-emitted ones. Recovery returns
-// the same intact prefix the streaming decoder already walked, so a
-// count-based skip is exact.
-func (it *hostIter) recoverFileSkip(path string, skip int) bool {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false
-	}
-	st, _, _ := codec.RecoverPrefix(data)
-	if st == nil {
-		return false
-	}
-	it.recovered = true
-	if skip < len(st.Snapshots) {
-		it.pending = st.Snapshots[skip:]
-	}
-	return true
 }
 
 // walkHeap merges per-host iterators by snapshot time (host name breaks
@@ -484,27 +427,30 @@ func (h *walkHeap) Pop() interface{} {
 
 // Walk streams every snapshot in the store to fn in global time order
 // (a k-way merge across hosts), decoding incrementally instead of
-// materializing whole hosts. It is the store's one lenient reader: a
-// damaged file yields its intact prefix instead of failing the walk,
-// and recovered reports how many files needed that. A non-nil error
-// from fn aborts the walk.
+// materializing whole hosts. A damaged file yields its whole snapshots
+// before the damage instead of failing the walk, and recovered reports
+// how many files were cut short so. A non-nil error from fn aborts the
+// walk.
 func (s *Store) Walk(fn func(model.Snapshot) error) (recovered int, err error) {
 	hosts, err := s.Hosts()
 	if err != nil {
 		return 0, err
 	}
-	h := make(walkHeap, 0, len(hosts))
-	defer func() {
-		for _, it := range h {
+	its := make([]*hostIter, 0, len(hosts))
+	defer func() { // on every return, after the return values are set
+		for _, it := range its {
 			it.closeFile()
+			recovered += it.recovered
 		}
 	}()
+	h := make(walkHeap, 0, len(hosts))
 	for _, host := range hosts {
 		files, err := s.hostFiles(host)
 		if err != nil {
 			return 0, err
 		}
 		it := &hostIter{host: host, files: files}
+		its = append(its, it)
 		ok, err := it.next()
 		if err != nil {
 			return 0, err
@@ -512,24 +458,16 @@ func (s *Store) Walk(fn func(model.Snapshot) error) (recovered int, err error) {
 		if ok {
 			h = append(h, it)
 		}
-		if it.recovered {
-			recovered++
-			it.recovered = false
-		}
 	}
 	heap.Init(&h)
 	for h.Len() > 0 {
 		it := h[0]
 		if err := fn(it.cur); err != nil {
-			return recovered, err
+			return 0, err
 		}
 		ok, err := it.next()
-		if it.recovered {
-			recovered++
-			it.recovered = false
-		}
 		if err != nil {
-			return recovered, err
+			return 0, err
 		}
 		if ok {
 			heap.Fix(&h, 0)
@@ -537,7 +475,7 @@ func (s *Store) Walk(fn func(model.Snapshot) error) (recovered int, err error) {
 			heap.Pop(&h)
 		}
 	}
-	return recovered, nil
+	return 0, nil
 }
 
 // Archiver appends snapshots to the store through a bounded cache of

@@ -6,10 +6,10 @@
 //
 // The design fuses the paper's own cron-mode node-local log into the
 // daemon path: spool segments ARE raw stats streams (internal/codec
-// framing, text or binary per Options.Codec), so the torn-tail recovery
-// machinery is shared with cron mode, and in the worst case an operator
-// can rsync a stuck spool into the central store by hand — exactly the
-// Fig 1 escape hatch. Text segments stay human-inspectable; binary
+// framing, text or binary per Options.Codec), so they recover by the
+// same rule as cron mode's files (rawfile.Trim), and in the worst case
+// an operator can rsync a stuck spool into the central store by hand —
+// exactly the Fig 1 escape hatch. Text segments stay human-inspectable; binary
 // segments trade that for size and CRC-guarded frames.
 //
 // Layout and guarantees:
@@ -20,9 +20,9 @@
 //   - Every append is flushed to the OS before returning (optionally
 //     fsync'd with Options.Sync), so a daemon crash loses at most the
 //     snapshot being written, never an acknowledged one.
-//   - Open performs a recovery scan: each segment is parsed leniently,
-//     a torn tail (crash mid-frame) is truncated away, and an
-//     unparseable segment is dropped. Complete frames always survive.
+//   - Open performs a recovery scan: each segment is cut back to its
+//     whole snapshots before the first damage (rawfile.Trim), and a
+//     segment left with none is dropped.
 //   - Drain replays spooled snapshots strictly oldest-first. A segment
 //     file is deleted only after every snapshot in it has replayed, so a
 //     crash mid-drain redelivers the head segment on the next run:
@@ -43,7 +43,6 @@ import (
 	"sync"
 
 	"gostats/internal/codec"
-	"gostats/internal/fsutil"
 	"gostats/internal/model"
 	"gostats/internal/rawfile"
 	"gostats/internal/telemetry"
@@ -220,8 +219,7 @@ func (s *Spool) recoverScan() error {
 	for _, e := range entries {
 		var seq int
 		n, err := fmt.Sscanf(e.Name(), "wal-%d.raw", &seq)
-		// A rewrite's temp file ("wal-N.raw.tmp-*") left by a crash is
-		// not a segment: the name must be exactly segPath's.
+		// Only exact segPath names are segments ("wal-N.raw.tmp" is not).
 		if n == 1 && err == nil && e.Name() == filepath.Base(segPath(s.dir, seq)) {
 			seqs = append(seqs, seq)
 		}
@@ -229,42 +227,25 @@ func (s *Spool) recoverScan() error {
 	sort.Ints(seqs)
 	for _, seq := range seqs {
 		path := segPath(s.dir, seq)
-		data, err := os.ReadFile(path)
+		// A snapshot whose own frame was torn mid-write never had its
+		// Append return, so it was never acknowledged: Trim drops it
+		// whole rather than replaying part of it downstream.
+		st, cut, err := rawfile.Trim(path)
 		if err != nil {
 			return err
 		}
-		// Frame-granularity recovery: a snapshot whose own frame was torn
-		// mid-write never had its Append return, so it was never
-		// acknowledged — RecoverFrames drops it whole (for v1 text by
-		// inspecting the torn tail; v2 binary frames are atomic) rather
-		// than replaying a partial snapshot downstream.
-		parsed, _, perr := codec.RecoverFrames(data)
-		snaps := []model.Snapshot(nil)
-		segCodec := s.opts.Codec
-		if parsed != nil {
-			snaps = parsed.Snapshots
-			segCodec = parsed.Version
-		}
-		if len(snaps) == 0 {
-			// Nothing recoverable (torn header or empty): drop the file.
-			if rerr := os.Remove(path); rerr != nil {
-				return rerr
-			}
-			if perr != nil {
-				s.torn++
-				s.met.truncated.Inc()
-			}
-			continue
-		}
-		if perr != nil {
-			// Torn tail: rewrite the intact prefix in place, keeping the
-			// codec the segment was originally written in.
-			if err := s.rewriteSegment(path, segCodec, snaps); err != nil {
-				return err
-			}
+		if cut || st == nil {
 			s.torn++
 			s.met.truncated.Inc()
 		}
+		if st == nil || len(st.Snapshots) == 0 {
+			// Nothing recoverable (torn header or empty): drop the file.
+			if err := os.Remove(path); err != nil {
+				return err
+			}
+			continue
+		}
+		snaps := st.Snapshots
 		fi, err := os.Stat(path)
 		if err != nil {
 			return err
@@ -281,23 +262,6 @@ func (s *Spool) recoverScan() error {
 		}
 	}
 	return nil
-}
-
-// rewriteSegment atomically replaces a segment file with just its intact
-// snapshots (torn-tail truncation), in the given codec.
-func (s *Spool) rewriteSegment(path string, v codec.Version, snaps []model.Snapshot) error {
-	return fsutil.WriteAtomic(path, func(f io.Writer) error {
-		w, err := codec.NewEncoder(f, s.header, v)
-		if err != nil {
-			return err
-		}
-		for _, snap := range snaps {
-			if err := w.WriteSnapshot(snap); err != nil {
-				return err
-			}
-		}
-		return w.Flush()
-	})
 }
 
 // Dir returns the spool directory.
@@ -551,13 +515,12 @@ func (s *Spool) Drain(fn func(model.Snapshot) error) (int, error) {
 			}
 		}
 		if seg.cache == nil {
-			f, err := os.Open(seg.path)
+			data, err := os.ReadFile(seg.path)
 			if err != nil {
 				s.mu.Unlock()
 				return n, err
 			}
-			parsed, perr := rawfile.ParseLenient(f)
-			f.Close()
+			parsed, _, perr := codec.Recover(data)
 			if parsed == nil {
 				// Unreadable on disk now despite the recovery scan; count
 				// the remainder lost rather than wedging the drain forever.

@@ -1,6 +1,7 @@
 package spool
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -171,8 +172,8 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if err := os.WriteFile(segs[0], data[:idx+len("30.000 -\ncpu 0 1 2")], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// An earlier crash mid-rewrite left the rewrite's temp file behind;
-	// it is not a segment and must not replay.
+	// A file named like a segment plus a suffix (older releases left
+	// rewrite temp files so) is not a segment and must not replay.
 	if err := os.WriteFile(segs[0]+".tmp-1", data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -397,5 +398,52 @@ func TestMixedCodecSegmentsReplayInOrder(t *testing.T) {
 	got := drainAll(t, up)
 	if fmt.Sprint(got) != "[1 2 3 4]" {
 		t.Fatalf("mixed-codec replay = %v, want [1 2 3 4]", got)
+	}
+}
+
+// TestDrainAfterTornWrite appends the block of t=400 to the active
+// segment behind the spool's back, torn inside its last record line as
+// a failed short write leaves it: Drain replays only the whole
+// snapshots, the same ones a reopen's recovery scan would keep.
+func TestDrainAfterTornWrite(t *testing.T) {
+	for _, v := range []codec.Version{codec.V1Text, codec.V2Binary} {
+		dir := t.TempDir()
+		opts := testOpts()
+		opts.Codec = v
+		s, err := Open(dir, testHeader(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustAppend(t, s, 100, 200, 300)
+
+		var block bytes.Buffer
+		enc, err := codec.NewContinuation(&block, testHeader(), v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.WriteSnapshot(testSnap(400)); err != nil {
+			t.Fatal(err)
+		}
+		torn := block.Bytes()[:block.Len()-3]
+		if v == codec.V1Text { // cut before the last value: 1 of 2 records whole
+			torn = block.Bytes()[:bytes.LastIndexByte(block.Bytes(), ' ')]
+		}
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.raw"))
+		if err != nil || len(segs) != 1 {
+			t.Fatalf("segments = %v (%v)", segs, err)
+		}
+		f, err := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(torn); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		if got := drainAll(t, s); fmt.Sprint(got) != "[100 200 300]" {
+			t.Errorf("%v: drained %v, want [100 200 300]", v, got)
+		}
+		s.Close()
 	}
 }
