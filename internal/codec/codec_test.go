@@ -317,6 +317,49 @@ func TestTextRecoveryUnchanged(t *testing.T) {
 	}
 }
 
+// TestTextTornLastLine: a stream cut inside its last line is damaged
+// even when what is left of the line parses. Dropping the fixture's
+// final newline and the 2 before it would read the value 212 as 21;
+// both decoders must instead keep only the whole snapshots before the
+// torn block.
+func TestTextTornLastLine(t *testing.T) {
+	h := testHeader()
+	snaps := fixtureSnapshots(h.Registry)
+	data := encodeAll(t, h, V1Text, snaps)
+	if !bytes.HasSuffix(data, []byte(" 212\n")) {
+		t.Fatalf("fixture tail changed: %q", data[len(data)-20:])
+	}
+	whole := encodeAll(t, h, V1Text, snaps[:len(snaps)-1])
+	for _, cut := range [][]byte{data[:len(data)-1], data[:len(data)-2]} {
+		st, keep, err := Recover(cut)
+		if err == nil || keep != len(whole) || len(st.Snapshots) != len(snaps)-1 {
+			t.Fatalf("cut to %d of %d bytes: kept %d snapshots in %d bytes (err %v), want %d in %d",
+				len(cut), len(data), len(st.Snapshots), keep, err, len(snaps)-1, len(whole))
+		}
+		d, err := NewDecoder(bytes.NewReader(cut))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for ; ; n++ {
+			if _, err = d.Next(); err != nil {
+				break
+			}
+		}
+		if err == io.EOF || n != len(snaps)-1 {
+			t.Fatalf("cut to %d bytes: streamed %d snapshots then %v, want %d then damage", len(cut), n, err, len(snaps)-1)
+		}
+	}
+	// A header cut inside a line is a truncated header for both.
+	cut := data[:bytes.IndexByte(data, '\n')+5]
+	if _, keep, err := Recover(cut); err != errTruncatedHeader || keep != 0 {
+		t.Fatalf("torn header: kept %d bytes, err %v", keep, err)
+	}
+	if _, err := NewDecoder(bytes.NewReader(cut)); err != errTruncatedHeader {
+		t.Fatalf("torn header: streaming decoder err %v", err)
+	}
+}
+
 func TestStreamingDecoderNext(t *testing.T) {
 	h := testHeader()
 	snaps := fixtureSnapshots(h.Registry)

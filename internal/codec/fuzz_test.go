@@ -117,6 +117,7 @@ func FuzzRecover(f *testing.F) {
 	f.Add(text[:bytes.LastIndexByte(bytes.TrimRight(text, "\n"), ' ')]) // inside a record
 	f.Add(text[:lastTS+5])                                              // at a timestamp line
 	f.Add(text[:20])                                                    // in the header
+	f.Add(text[:len(text)-2])                                           // in the last line: 212 reads as 21
 	f.Add(bytes.Replace(text, []byte(" 157 "), []byte(" x57 "), 1))     // mid-stream
 	bin := encode(V2Binary)
 	f.Add(bin)

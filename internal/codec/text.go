@@ -204,6 +204,17 @@ func (p *textParser) errorf(format string, args ...any) error {
 
 var errTruncatedHeader = errors.New("rawfile: truncated header")
 
+// errNoNewline marks a last line with no newline after it.
+var errNoNewline = errors.New("codec: line has no newline")
+
+// torn is the damage of a stream that ends inside a line. The encoder
+// ends every line with a newline, so a last line without one was cut
+// short, however well what is left of it parses.
+func (p *textParser) torn() error {
+	p.lineNo++
+	return p.errorf("stream ends inside a line")
+}
+
 // headerLine consumes one header line and reports whether it was the
 // blank line that ends the header, at which point p.h is complete.
 func (p *textParser) headerLine(line []byte) (done bool, err error) {
@@ -409,16 +420,25 @@ func parseDigits(b []byte) (uint64, bool) {
 // yields one snapshot per timestamp block without materializing the
 // whole file.
 type textDecoder struct {
-	sc  *bufio.Scanner
-	p   textParser
-	err error
+	sc   *bufio.Scanner
+	p    textParser
+	err  error
+	torn bool // the scanned line is the stream's last and has no newline
 }
 
 func newTextDecoder(r io.Reader) (*textDecoder, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), maxTextLine)
 	d := &textDecoder{sc: sc}
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		d.torn = atEOF && adv == len(data) && adv > 0 && data[adv-1] != '\n'
+		return adv, tok, err
+	})
 	for sc.Scan() {
+		if d.torn {
+			return nil, errTruncatedHeader
+		}
 		done, err := d.p.headerLine(sc.Bytes())
 		if err != nil {
 			return nil, err
@@ -444,7 +464,14 @@ func (d *textDecoder) Next() (model.Snapshot, error) {
 	}
 	for d.sc.Scan() {
 		line := d.sc.Bytes()
-		s, ok, err := d.p.bodyLine(line)
+		var s model.Snapshot
+		var ok bool
+		var err error
+		if d.torn {
+			err = d.p.torn()
+		} else {
+			s, ok, err = d.p.bodyLine(line)
+		}
 		if err != nil {
 			d.err = err
 			if s, ok = d.p.damaged(line); !ok {
@@ -501,6 +528,9 @@ func decodeTextBytes(data []byte, reg *schema.Registry, fn func(model.Snapshot))
 			}
 		}
 		line, next, err := cutLine(rest)
+		if err == errNoNewline {
+			err = errTruncatedHeader
+		}
 		if err != nil {
 			return Header{}, 0, err
 		}
@@ -519,8 +549,11 @@ func decodeTextBytes(data []byte, reg *schema.Registry, fn func(model.Snapshot))
 		line, next, err := cutLine(rest)
 		var s model.Snapshot
 		var ok bool
-		if err == nil {
+		switch err {
+		case nil:
 			s, ok, err = p.bodyLine(line)
+		case errNoNewline:
+			err = p.torn()
 		}
 		if err != nil {
 			s, ok = p.damaged(line)
@@ -540,14 +573,19 @@ func decodeTextBytes(data []byte, reg *schema.Registry, fn func(model.Snapshot))
 	return p.h, len(data), nil
 }
 
-// cutLine splits off the first line of data, without its newline.
+// cutLine splits off the first line of data, without its newline. A
+// line that no newline ends comes back with errNoNewline.
 func cutLine(data []byte) (line, rest []byte, err error) {
+	i := bytes.IndexByte(data, '\n')
 	line = data
-	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+	if i >= 0 {
 		line, rest = data[:i], data[i+1:]
 	}
 	if len(line) >= maxTextLine {
 		return nil, nil, bufio.ErrTooLong
+	}
+	if i < 0 {
+		return line, nil, errNoNewline
 	}
 	return line, rest, nil
 }

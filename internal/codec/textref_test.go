@@ -68,15 +68,25 @@ type refTextDecoder struct {
 	lineNo int
 	cur    *model.Snapshot
 	err    error
+	torn   bool
 }
 
 func newRefTextDecoder(r io.Reader) (*refTextDecoder, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	d := &refTextDecoder{sc: sc}
+	// A last line with no newline was cut short: damage.
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		d.torn = atEOF && adv == len(data) && adv > 0 && data[adv-1] != '\n'
+		return adv, tok, err
+	})
 	var schemas []*schema.Schema
 	for sc.Scan() {
 		d.lineNo++
+		if d.torn {
+			return nil, fmt.Errorf("rawfile: truncated header")
+		}
 		line := strings.TrimRight(sc.Text(), "\r")
 		switch {
 		case line == "":
@@ -129,6 +139,8 @@ func (d *refTextDecoder) Next() (model.Snapshot, error) {
 		d.lineNo++
 		line := strings.TrimRight(d.sc.Text(), "\r")
 		switch {
+		case d.torn:
+			return fail("rawfile: line %d: stream ends inside a line", d.lineNo)
 		case line == "":
 			continue
 		case strings.HasPrefix(line, tracePrefix):

@@ -34,9 +34,18 @@ func activeOracle(t *testing.T, sh *shardState, f Filter, start, end float64) []
 	if derr != nil {
 		t.Fatalf("oracle parse: %v", derr)
 	}
-	out := segChunks(d, f, start, end)
-	for _, c := range out {
-		slices.SortStableFunc(c.Points, byTime)
+	var out []SeriesChunk
+	for i, l := range d.series {
+		var pts []AggPoint
+		for _, p := range d.chunks[i] {
+			if f.match(l) && p.Time >= start && p.Time < end {
+				pts = append(pts, p)
+			}
+		}
+		if len(pts) > 0 {
+			slices.SortStableFunc(pts, byTime)
+			out = append(out, SeriesChunk{Labels: l, Points: pts})
+		}
 	}
 	return out
 }
@@ -325,7 +334,7 @@ func TestActiveScanConcurrentAppend(t *testing.T) {
 			for !stop.Load() {
 				check(func() ([]SeriesChunk, error) { return s.Scan(Filter{}, 0, math.Inf(1)) })
 				check(func() ([]SeriesChunk, error) {
-					return s.ScanShard(s.ShardFor(host), Filter{Host: host, DevType: "cpu", Event: "user"}, 0, math.Inf(1))
+					return s.Scan(Filter{Host: host, DevType: "cpu", Event: "user"}, 0, math.Inf(1))
 				})
 			}
 		}()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gostats/internal/framelog"
@@ -98,6 +99,10 @@ func FuzzSegmentDecode(f *testing.F) {
 // payload, are applied to the segment's bytes: every frame they list is
 // decoded in isolation. Nothing may panic, and a listed frame whose
 // index entry matches the sequential decode's must decode identically.
+// Every frame is also decoded selectively, for the refs whose bits are
+// set in wantBits and the window [lo/10, hi/10) seconds: it must fail
+// exactly when the full decode fails, and yield exactly the full
+// decode's runs of those refs cut to the window.
 func FuzzIndexedFrame(f *testing.F) {
 	dir := f.TempDir()
 	for i, m := range []Meta{
@@ -135,17 +140,26 @@ func FuzzIndexedFrame(f *testing.F) {
 			f.Fatal(err)
 		}
 		payload := encodeIndexPayload(ix.series, ix.frames)
-		f.Add(seg, payload)
-		f.Add(seg, []byte{})
-		f.Add(seg[:len(seg)-len(payload)/2], payload)
+		all, one := []byte{0xff}, []byte{0x04}
+		f.Add(seg, payload, all, int16(0), int16(32000))
+		f.Add(seg, payload, one, int16(6030), int16(6075))
+		f.Add(seg, payload, []byte{0x09}, int16(6000), int16(6100))
+		f.Add(seg, []byte{}, all, int16(6045), int16(6046))
+		f.Add(seg[:len(seg)-len(payload)/2], payload, one, int16(0), int16(32000))
 		for _, off := range []int{len(payload) / 3, len(payload) - 1} {
 			mut := append([]byte(nil), payload...)
 			mut[off] ^= 0x01
-			f.Add(seg, mut)
+			f.Add(seg, mut, all, int16(6020), int16(6080))
 		}
 	}
 
-	f.Fuzz(func(t *testing.T, data, indexPayload []byte) {
+	f.Fuzz(func(t *testing.T, data, indexPayload, wantBits []byte, lo, hi int16) {
+		sel := &frameSel{start: float64(lo) / 10, end: float64(hi) / 10}
+		for r := 0; r < 8*len(wantBits); r++ {
+			if wantBits[r/8]&(1<<(r%8)) != 0 {
+				sel.want = append(sel.want, uint32(r))
+			}
+		}
 		other, _ := parseIndexPayload(indexPayload)
 		d, _, derr := parseSegment(data)
 		if d == nil {
@@ -157,13 +171,14 @@ func FuzzIndexedFrame(f *testing.F) {
 		atFrame := make(map[int64]int, len(d.frameStats))
 		joined := make([][]AggPoint, len(d.series))
 		for i, fs := range d.frameStats {
-			df, err := decodeFrame(data, fs, d.series)
+			df, err := decodeFrame(t, data, fs, d.series, sel)
 			if err != nil {
 				t.Fatalf("frame at %d decoded sequentially but not standalone: %v", fs.off, err)
 			}
 			seqFrames[i], atFrame[fs.off] = df, i
 			for j, r := range df.refs {
-				joined[r] = append(joined[r], df.run(j)...)
+				run, _ := df.run(j)
+				joined[r] = append(joined[r], run...)
 			}
 		}
 		for r, pts := range joined {
@@ -179,7 +194,7 @@ func FuzzIndexedFrame(f *testing.F) {
 				continue
 			}
 			for _, fs := range ix.frames {
-				df, err := decodeFrame(data, fs, ix.series)
+				df, err := decodeFrame(t, data, fs, ix.series, sel)
 				if err != nil {
 					continue
 				}
@@ -197,8 +212,12 @@ func FuzzIndexedFrame(f *testing.F) {
 }
 
 // decodeFrame locates the frame fs describes in a segment's bytes and
-// decodes it standalone.
-func decodeFrame(data []byte, fs frameStat, series []Labels) (*decodedFrame, error) {
+// decodes it standalone in full. It also decodes it for sel and fails t
+// unless that decode errs exactly when the full one does and keeps, of
+// each series, the full run's in-window points if sel wants the series
+// and none otherwise, flagged sorted exactly when they are.
+func decodeFrame(t *testing.T, data []byte, fs frameStat, series []Labels, sel *frameSel) (*decodedFrame, error) {
+	t.Helper()
 	if fs.off < 0 || fs.size < 0 || fs.off > int64(len(data)) || fs.size > int64(len(data))-fs.off {
 		return nil, fmt.Errorf("frame [%d,+%d) outside the segment", fs.off, fs.size)
 	}
@@ -209,7 +228,33 @@ func decodeFrame(data []byte, fs frameStat, series []Labels) (*decodedFrame, err
 	if typ != framePoints && typ != frameBucket {
 		return nil, fmt.Errorf("frame type %q", typ)
 	}
-	return decodeFrameStandalone(payload, typ, fs, series)
+	df, err := decodeFrameStandalone(payload, typ, fs, series, nil)
+	part, perr := decodeFrameStandalone(payload, typ, fs, series, sel)
+	if (err == nil) != (perr == nil) {
+		t.Fatalf("frame at %d: full decode error %v, selective decode error %v", fs.off, err, perr)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if !reflect.DeepEqual(part.refs, df.refs) {
+		t.Fatalf("frame at %d: selective refs %v, full %v", fs.off, part.refs, df.refs)
+	}
+	for i, r := range df.refs {
+		full, _ := df.run(i)
+		var want []AggPoint
+		if slices.Contains(sel.want, uint32(r)) {
+			for _, p := range full {
+				if p.Time >= sel.start && p.Time < sel.end {
+					want = append(want, p)
+				}
+			}
+		}
+		got, sorted := part.run(i)
+		if !samePoints(got, want) || sorted != slices.IsSortedFunc(got, byTime) {
+			t.Fatalf("frame at %d: series %d selective run %v (sorted %v), want %v", fs.off, r, got, sorted, want)
+		}
+	}
+	return df, nil
 }
 
 // samePoints compares points bit for bit, so NaN values compare equal.

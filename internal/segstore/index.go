@@ -14,6 +14,7 @@ package segstore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -196,21 +197,33 @@ func parseIndexPayload(payload []byte) (*segIndex, error) {
 }
 
 // decodedFrame is one data frame decoded in isolation and laid out
-// series-major: refs holds the frame's distinct series refs ascending,
-// and series refs[i]'s points are pts[start[i]:start[i+1]] in append
-// order. A scan that wants a few series copies their runs and never
-// touches the rest of the frame. mem is the footprint the block cache
-// charges for it.
+// series-major: refs holds the frame's distinct series refs ascending
+// (the index's own list), and series refs[i]'s points are
+// pts[start[i]:start[i+1]] in append order, time-sorted unless
+// unsorted[i]. A scan hands out sub-slices of these runs and never
+// touches the rest of the frame, so a frame in the block cache is
+// shared by every reader and must never be written. mem is the
+// footprint the block cache charges for it.
 type decodedFrame struct {
-	refs  []uint32
-	start []int32
-	pts   []AggPoint
-	mem   int64
+	refs     []uint64
+	start    []int32
+	unsorted []bool
+	pts      []AggPoint
+	mem      int64
 }
 
-// run returns the points of series refs[i].
-func (df *decodedFrame) run(i int) []AggPoint {
-	return df.pts[df.start[i]:df.start[i+1]]
+// run returns the points of series refs[i] and whether they are
+// time-sorted.
+func (df *decodedFrame) run(i int) ([]AggPoint, bool) {
+	return df.pts[df.start[i]:df.start[i+1]], !df.unsorted[i]
+}
+
+// frameSel narrows a frame decode to the entries of the ascending refs
+// in want whose times lie in [start, end). A nil *frameSel keeps every
+// entry.
+type frameSel struct {
+	want       []uint32
+	start, end float64
 }
 
 // decodeFrameStandalone decodes one data frame's payload without any
@@ -218,12 +231,18 @@ func (df *decodedFrame) run(i int) []AggPoint {
 // the table size when the frame was written: refs below it are plain
 // back-references, the ref equal to the running table size introduces
 // its four label strings inline (they are consumed and checked against
-// the table), anything else is corruption. The entries are then stable
-// counting-sorted into series-major order, keyed on the index's sorted,
-// distinct refs for the frame; an entry whose series the index does not
-// list, or a listed series with no entry, means the index disagrees
-// with the frame.
-func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, series []Labels) (*decodedFrame, error) {
+// the table), anything else is corruption. The kept entries are then
+// stable counting-sorted into series-major order, keyed on the index's
+// sorted, distinct refs for the frame; an entry whose series the index
+// does not list, or a listed series with no entry, means the index
+// disagrees with the frame.
+//
+// A non-nil sel keeps only the entries it selects, so a frame read once
+// for one query is never laid out in full. Every entry is still parsed
+// and checked (the time deltas chain through all of them), so a
+// selective decode fails exactly when the full one does, and its runs
+// are the full decode's runs cut to the window.
+func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, series []Labels, sel *frameSel) (*decodedFrame, error) {
 	c := framelog.Cursor{B: payload}
 	n, err := c.Count(3)
 	if err != nil {
@@ -233,8 +252,9 @@ func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, series []Labe
 	if k == 0 || k > n {
 		return nil, fmt.Errorf("segstore: index lists %d series for a frame of %d entries", k, n)
 	}
-	// slotOf[ref-lo] is 1 + the ref's position in fs.refs, 0 for a ref
-	// the index does not list. Refs are bounded by the series table.
+	// slotOf[ref-lo] is ±(1 + the ref's position in fs.refs), negated
+	// once the frame has shown an entry of the ref, and 0 for a ref the
+	// index does not list. Refs are bounded by the series table.
 	lo, hi := fs.refs[0], fs.refs[k-1]
 	if hi >= uint64(len(series)) {
 		return nil, fmt.Errorf("segstore: index ref %d exceeds series table %d", hi, len(series))
@@ -243,8 +263,30 @@ func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, series []Labe
 	for i, r := range fs.refs {
 		slotOf[r-lo] = int32(i + 1)
 	}
-	ent := make([]AggPoint, n)
-	slot := make([]int32, n)
+	// keep marks the selected slots; nil keeps them all. Entries are
+	// spread over a frame's series and its time extent about evenly, so
+	// the kept share of both sizes the kept entries. With one slot kept
+	// (only), the kept entries are its run as they stand.
+	var keep []bool
+	kept, only, size := k, 0, n
+	if sel != nil {
+		keep = make([]bool, k)
+		kept = 0
+		for w, i, ok := nextCommon(sel.want, fs.refs, 0, 0); ok; w, i, ok = nextCommon(sel.want, fs.refs, w+1, i+1) {
+			keep[i] = true
+			kept, only = kept+1, i
+		}
+		frac := 1.0
+		if span := float64(fs.maxMs-fs.minMs) / 1000; span > 0 {
+			frac = (min(sel.end, float64(fs.maxMs)/1000) - max(sel.start, float64(fs.minMs)/1000)) / span
+		}
+		size = min(n, int(float64(n*kept/k)*max(frac, 0))+kept)
+	}
+	ent := make([]AggPoint, 0, size)
+	var slot []int32
+	if kept > 1 {
+		slot = make([]int32, 0, size)
+	}
 	start := make([]int32, k+1)
 	prevMs := fs.firstMs
 	introduced := fs.dictBase
@@ -262,30 +304,104 @@ func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, series []Labe
 		if ref < lo || ref > hi || slotOf[ref-lo] == 0 {
 			return nil, fmt.Errorf("segstore: frame series %d missing from index", ref)
 		}
-		s := slotOf[ref-lo] - 1
-		slot[i] = s
-		ent[i] = p
+		v := slotOf[ref-lo]
+		if v > 0 {
+			slotOf[ref-lo] = -v
+		} else {
+			v = -v
+		}
+		s := v - 1
+		if keep != nil && (!keep[s] || p.Time < sel.start || p.Time >= sel.end) {
+			continue
+		}
+		if kept > 1 {
+			slot = append(slot, s)
+		}
+		ent = append(ent, p)
 		start[s+1]++
 	}
 	if c.Len() != 0 {
 		return nil, fmt.Errorf("segstore: %d trailing bytes in frame", c.Len())
 	}
-	df := &decodedFrame{refs: make([]uint32, k), start: start, pts: make([]AggPoint, n)}
+	df := &decodedFrame{refs: fs.refs, start: start, unsorted: make([]bool, k)}
 	for i, r := range fs.refs {
-		df.refs[i] = uint32(r)
-		if start[i+1] == 0 {
+		if slotOf[r-lo] > 0 {
 			return nil, fmt.Errorf("segstore: index series %d absent from frame", r)
 		}
 		start[i+1] += start[i]
 	}
-	// Scatter in entry order, so each series keeps its append order.
-	next := make([]int32, k)
-	copy(next, start)
-	for i, p := range ent {
-		s := slot[i]
-		df.pts[next[s]] = p
-		next[s]++
+	if kept == 1 {
+		df.pts = ent
+		df.unsorted[only] = !slices.IsSortedFunc(ent, byTime)
+	} else {
+		// Scatter in entry order, so each series keeps its append order.
+		df.pts = make([]AggPoint, len(ent))
+		next := make([]int32, k)
+		copy(next, start)
+		for i, p := range ent {
+			s := slot[i]
+			j := next[s]
+			if j > start[s] && p.Time < df.pts[j-1].Time {
+				df.unsorted[s] = true
+			}
+			df.pts[j] = p
+			next[s]++
+		}
 	}
-	df.mem = int64(n)*int64(unsafe.Sizeof(AggPoint{})) + int64(2*k+1)*4 + 96
+	df.mem = int64(cap(df.pts))*int64(unsafe.Sizeof(AggPoint{})) + int64(k+1)*4 + int64(k) + 96
 	return df, nil
+}
+
+// gallop returns the least index i >= lo with s[i] >= x, or len(s),
+// probing lo, lo+1, lo+3, lo+7, ... and then bisecting the last step:
+// O(log d) for an answer d places on.
+func gallop[T uint32 | uint64](s []T, lo int, x uint64) int {
+	if lo >= len(s) || uint64(s[lo]) >= x {
+		return lo
+	}
+	// Invariant: s[lo] < x, and hi == len(s) or s[hi] >= x.
+	step := 1
+	hi := lo + step
+	for hi < len(s) && uint64(s[hi]) < x {
+		lo = hi
+		step <<= 1
+		hi = lo + step
+	}
+	if hi > len(s) {
+		hi = len(s)
+	}
+	for lo+1 < hi {
+		m := int(uint(lo+hi) >> 1)
+		if uint64(s[m]) < x {
+			lo = m
+		} else {
+			hi = m
+		}
+	}
+	return hi
+}
+
+// nextCommon returns the first positions w' >= w, i' >= i of a ref both
+// ascending lists hold, galloping in whichever list is behind, so a few
+// wanted refs cost O(|want|·log|refs|) against a long frame list rather
+// than a walk over it. ok is false when the lists share no further ref.
+func nextCommon(want []uint32, refs []uint64, w, i int) (int, int, bool) {
+	for w < len(want) && i < len(refs) {
+		a, b := uint64(want[w]), refs[i]
+		switch {
+		case a < b:
+			w = gallop(want, w+1, b)
+		case a > b:
+			i = gallop(refs, i+1, a)
+		default:
+			return w, i, true
+		}
+	}
+	return w, i, false
+}
+
+// intersects reports whether the ascending ref lists share a ref.
+func intersects(want []uint32, refs []uint64) bool {
+	_, _, ok := nextCommon(want, refs, 0, 0)
+	return ok
 }

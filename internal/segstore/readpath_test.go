@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -528,14 +529,14 @@ func TestSeriesMajorDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		df, err := decodeFrameStandalone(payload, typ, fs, ix.series)
+		df, err := decodeFrameStandalone(payload, typ, fs, ix.series, nil)
 		if err != nil {
 			t.Fatalf("frame at %d: %v", fs.off, err)
 		}
 		// The entry-order decode, regrouped by ref.
 		c := framelog.Cursor{B: payload}
 		n, _ := c.Count(3)
-		byRef := map[uint32][]AggPoint{}
+		byRef := map[uint64][]AggPoint{}
 		prevMs, dict := fs.firstMs, fs.dictBase
 		for i := 0; i < n; i++ {
 			ref, l, p, err := readEntry(&c, typ, dict, &prevMs)
@@ -545,7 +546,7 @@ func TestSeriesMajorDecode(t *testing.T) {
 			if l != nil {
 				dict++
 			}
-			byRef[uint32(ref)] = append(byRef[uint32(ref)], p)
+			byRef[ref] = append(byRef[ref], p)
 		}
 		if len(df.refs) != len(byRef) || len(df.start) != len(df.refs)+1 || len(df.pts) != n {
 			t.Fatalf("frame at %d: %d refs, %d starts, %d points; want %d refs, %d points",
@@ -555,8 +556,12 @@ func TestSeriesMajorDecode(t *testing.T) {
 			if i > 0 && df.refs[i-1] >= r {
 				t.Fatalf("frame at %d: refs not ascending: %v", fs.off, df.refs)
 			}
-			if !reflect.DeepEqual(df.run(i), byRef[r]) {
-				t.Fatalf("frame at %d: series %d run %v, want %v", fs.off, r, df.run(i), byRef[r])
+			run, sorted := df.run(i)
+			if !reflect.DeepEqual(run, byRef[r]) {
+				t.Fatalf("frame at %d: series %d run %v, want %v", fs.off, r, run, byRef[r])
+			}
+			if sorted != slices.IsSortedFunc(run, byTime) {
+				t.Fatalf("frame at %d: series %d run marked sorted=%v: %v", fs.off, r, sorted, run)
 			}
 		}
 	}

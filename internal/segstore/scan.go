@@ -11,12 +11,15 @@
 // Indexed segments take the fast path: the index selects only the
 // frames whose time extent and series refs intersect the query, each
 // selected frame is pread and decoded in isolation, and everything else
-// on disk is never touched. Sealed frames go through the shared block
-// cache; the active segment's frames and its pending entries are
-// decoded per read. Sealed segments without a usable index (sealed by
-// older binaries, or with a damaged index frame) fall back to the PR 8
-// whole-file scan, and any error on a sealed segment's indexed path
-// also degrades to the full scan rather than failing the query.
+// on disk is never touched. Sealed frames are decoded whole into the
+// shared block cache, and a scan borrows the wanted series' runs from
+// the cached frame without copying them; the active segment's frames
+// and its pending entries are decoded per read, keeping only the
+// wanted series' in-window points. Sealed segments without a usable
+// index (sealed by older binaries, or with a damaged index frame) fall
+// back to the whole-file scan, and any error on a sealed segment's
+// indexed path also degrades to the full scan rather than failing the
+// query.
 package segstore
 
 import (
@@ -94,7 +97,12 @@ func activeTarget(w *segWriter, start, end float64) (scanTarget, error) {
 // ScanShard scans one shard only — the entry point for a sharded hot
 // store that merges its stripe i with cold stripe i under its own
 // per-shard boundary. Safe for any number of concurrent callers.
-func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesChunk, error) {
+//
+// Each series comes back as runs that, concatenated, are its points in
+// [start, end) sorted by time. The runs alias frames in the block
+// cache, which other readers share: they are read-only. Store.Scan
+// returns caller-owned copies.
+func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesRuns, error) {
 	sh := s.shards[shard]
 	sh.mu.Lock()
 	// Targets are taken coarsest tier first, by seq within a tier (each
@@ -136,7 +144,7 @@ func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesChun
 	sh.mu.Unlock()
 	defer closeAll()
 
-	parts := make([][]SeriesChunk, len(targets))
+	parts := make([]segRuns, len(targets))
 	if len(targets) > 0 {
 		var (
 			mu     sync.Mutex
@@ -175,46 +183,100 @@ func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesChun
 			return nil, first
 		}
 	}
-
-	// Join each series' parts once at the end — appending points across
-	// segments into one growing slice re-copies the prefix on every
-	// growth, which dominates a cache-warm scan.
-	acc := make(map[Labels][][]AggPoint)
-	for _, part := range parts {
-		for _, c := range part {
-			acc[c.Labels] = append(acc[c.Labels], c.Points)
-		}
-	}
-	out := make([]SeriesChunk, 0, len(acc))
-	for l, ps := range acc {
-		// Every part is freshly allocated, so a lone part is used as is.
-		pts := ps[0]
-		if len(ps) > 1 {
-			n := 0
-			for _, p := range ps {
-				n += len(p)
-			}
-			pts = make([]AggPoint, 0, n)
-			for _, p := range ps {
-				pts = append(pts, p...)
-			}
-		}
-		if !slices.IsSortedFunc(pts, byTime) {
-			slices.SortStableFunc(pts, byTime)
-		}
-		out = append(out, SeriesChunk{Labels: l, Points: pts})
-	}
-	sortChunks(out)
-	return out, nil
+	return joinRuns(parts), nil
 }
 
-// byTime orders points by time, for the join's sortedness check and
-// stable sort.
+// joinRuns gathers each series' runs from the segments' parts in part
+// order, frame order within a part. A series whose runs are not
+// time-ordered end to end is flattened and stable-sorted into one run,
+// so equal times keep their join order.
+func joinRuns(parts []segRuns) []SeriesRuns {
+	// Number the series in first-seen order and count their runs, so
+	// every series' run list is carved from one backing array. Each
+	// run's w is rewritten from its part's want position to that number.
+	idOf := make(map[Labels]int32)
+	var counts []int32
+	total := 0
+	for pi := range parts {
+		p := &parts[pi]
+		ids := make([]int32, len(p.want))
+		for i := range ids {
+			ids[i] = -1
+		}
+		for ri := range p.runs {
+			r := &p.runs[ri]
+			id := ids[r.w]
+			if id < 0 {
+				l := p.series[p.want[r.w]]
+				var ok bool
+				if id, ok = idOf[l]; !ok {
+					id = int32(len(counts))
+					idOf[l] = id
+					counts = append(counts, 0)
+				}
+				ids[r.w] = id
+			}
+			r.w = id
+			counts[id]++
+			total++
+		}
+	}
+	out := make([]SeriesRuns, len(counts))
+	for l, id := range idOf {
+		out[id].Labels = l
+	}
+	backing := make([][]AggPoint, total)
+	off := int32(0)
+	for id, n := range counts {
+		out[id].Runs = backing[off : off : off+n]
+		off += n
+	}
+	unordered := make([]bool, len(out))
+	for pi := range parts {
+		for _, r := range parts[pi].runs {
+			o := &out[r.w]
+			if n := len(o.Runs); !r.sorted || (n > 0 && r.pts[0].Time < o.Runs[n-1][len(o.Runs[n-1])-1].Time) {
+				unordered[r.w] = true
+			}
+			o.Runs = append(o.Runs, r.pts)
+		}
+	}
+	for id := range out {
+		if !unordered[id] {
+			continue
+		}
+		o := &out[id]
+		pts := slices.Concat(o.Runs...)
+		slices.SortStableFunc(pts, byTime)
+		o.Runs = append(o.Runs[:0], pts)
+	}
+	slices.SortFunc(out, func(a, b SeriesRuns) int { return compareLabels(a.Labels, b.Labels) })
+	return out
+}
+
+// byTime orders points by time, for the join's stable sort.
 func byTime(a, b AggPoint) int { return cmp.Compare(a.Time, b.Time) }
+
+// segRuns is one segment's share of a scan: the wanted series' runs in
+// frame order. A run names its series by its position w in want, whose
+// refs index series.
+type segRuns struct {
+	series []Labels
+	want   []uint32
+	runs   []wantRun
+}
+
+// wantRun is one wanted series' non-empty points in one frame (or in a
+// whole segment, on the full-scan path), cut to the query window.
+type wantRun struct {
+	w      int32
+	sorted bool
+	pts    []AggPoint
+}
 
 // scanSegment reads one segment's matching points: the indexed pread
 // path when possible, the whole-file scan of a sealed segment otherwise.
-func (s *Store) scanSegment(shard int, t scanTarget, f Filter, start, end float64) ([]SeriesChunk, error) {
+func (s *Store) scanSegment(shard int, t scanTarget, f Filter, start, end float64) (segRuns, error) {
 	if t.info.index != nil {
 		part, err := s.scanIndexed(shard, t, f, start, end)
 		if err == nil {
@@ -223,7 +285,7 @@ func (s *Store) scanSegment(shard int, t scanTarget, f Filter, start, end float6
 		}
 		if t.active {
 			// The writer's index is the only way into the active segment.
-			return nil, fmt.Errorf("segstore: active segment %s: %w", filepath.Base(t.info.path), err)
+			return segRuns{}, fmt.Errorf("segstore: active segment %s: %w", filepath.Base(t.info.path), err)
 		}
 		// Index unusable at read time: degrade to the full scan below.
 		s.opts.Logf("segstore: %s: indexed read failed (%v); degrading to full scan", filepath.Base(t.info.path), err)
@@ -231,15 +293,15 @@ func (s *Store) scanSegment(shard int, t scanTarget, f Filter, start, end float6
 	s.met.idxFullscans.Inc()
 	st, err := t.f.Stat()
 	if err != nil {
-		return nil, err
+		return segRuns{}, err
 	}
 	data := make([]byte, st.Size())
 	if _, err := io.ReadFull(io.NewSectionReader(t.f, 0, st.Size()), data); err != nil {
-		return nil, err
+		return segRuns{}, err
 	}
 	d, _, derr := parseSegment(data)
 	if derr != nil && (d == nil || !d.indexTail) {
-		return nil, fmt.Errorf("segstore: sealed segment %s unreadable mid-run: %w", filepath.Base(t.info.path), derr)
+		return segRuns{}, fmt.Errorf("segstore: sealed segment %s unreadable mid-run: %w", filepath.Base(t.info.path), derr)
 	}
 	return segChunks(d, f, start, end), nil
 }
@@ -251,10 +313,12 @@ func (s *Store) scanSegment(shard int, t scanTarget, f Filter, start, end float6
 // failure); the partial result is discarded so nothing is
 // double-counted.
 //
-// The wanted refs and each frame's refs are both ascending, so one
-// merge walk per frame finds the series-major runs to copy; the rest of
-// the frame is never touched.
-func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float64) ([]SeriesChunk, error) {
+// A cached frame's runs are handed out as sub-slices: whole when the
+// frame lies inside the window, cut by binary search when a sorted run
+// straddles an edge, and copied only when an unsorted one does. The
+// active segment's frames are decoded selectively, keeping only the
+// wanted series' in-window points.
+func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float64) (segRuns, error) {
 	info, ix := t.info, t.info.index
 	var want []uint32
 	if t.active {
@@ -264,8 +328,9 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 	} else {
 		want = ix.refsFor(f)
 	}
+	out := segRuns{series: ix.series, want: want}
 	if len(want) == 0 {
-		return nil, nil
+		return out, nil
 	}
 	expTyp := byte(framePoints)
 	if info.tier != tierRaw {
@@ -276,17 +341,7 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 		slices.Sort(t.pfs.refs)
 		nFrames++
 	}
-	// A run is one wanted series' points in one frame; whole marks a
-	// frame lying entirely inside the window, whose runs need no
-	// per-point test. Runs are counted first so every output slice is
-	// allocated at exact capacity.
-	type run struct {
-		pts   []AggPoint
-		w     int
-		whole bool
-	}
-	var runs []run
-	counts := make([]int, len(want))
+	sel := &frameSel{want: want, start: start, end: end}
 	for fi := 0; fi < nFrames; fi++ {
 		fs := &t.pfs
 		if fi < len(ix.frames) {
@@ -295,6 +350,9 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 		if !fs.overlaps(start, end) || !intersects(want, fs.refs) {
 			continue
 		}
+		// whole marks a frame lying entirely inside the window, whose
+		// runs need no cut; a selective decode has cut them already.
+		whole := float64(fs.minMs)/1000 >= start && float64(fs.maxMs)/1000 < end
 		var df *decodedFrame
 		var err error
 		switch {
@@ -302,7 +360,7 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 			key := blockKey{shard: shard, tier: info.tier, seq: info.seq, off: fs.off}
 			var hit bool
 			df, hit, err = s.blocks.Get(key, func() (*decodedFrame, error) {
-				return readFrameAt(t.f, expTyp, *fs, ix.series)
+				return readFrameAt(t.f, expTyp, *fs, ix.series, nil)
 			})
 			if hit {
 				s.met.bcHits.Inc()
@@ -310,88 +368,54 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 				s.met.bcMisses.Inc()
 			}
 		case fi == len(ix.frames):
-			df, err = decodeFrameStandalone(t.pending, expTyp, *fs, ix.series)
+			df, err = decodeFrameStandalone(t.pending, expTyp, *fs, ix.series, sel)
+			whole = true
 		default:
-			// Caching the active segment's frames saves no CPU and costs
-			// resident memory, so they are decoded per read.
-			df, err = readFrameAt(t.f, expTyp, *fs, ix.series)
+			df, err = readFrameAt(t.f, expTyp, *fs, ix.series, sel)
+			whole = true
 		}
 		if err != nil {
-			return nil, err
+			return segRuns{}, err
 		}
-		whole := float64(fs.minMs)/1000 >= start && float64(fs.maxMs)/1000 < end
-		for w, i := 0, 0; w < len(want) && i < len(df.refs); {
-			switch {
-			case want[w] < df.refs[i]:
-				w++
-			case want[w] > df.refs[i]:
-				i++
-			default:
-				r := run{pts: df.run(i), w: w, whole: whole}
-				n := len(r.pts)
-				if !whole {
-					n = 0
-					for _, p := range r.pts {
-						if p.Time >= start && p.Time < end {
-							n++
-						}
-					}
-				}
-				if n > 0 {
-					counts[w] += n
-					runs = append(runs, r)
-				}
-				w++
-				i++
+		for w, i, ok := nextCommon(want, df.refs, 0, 0); ok; w, i, ok = nextCommon(want, df.refs, w+1, i+1) {
+			pts, sorted := df.run(i)
+			if !whole {
+				pts, sorted = cutRun(pts, sorted, start, end)
 			}
-		}
-	}
-	byWant := make([][]AggPoint, len(want))
-	nSeries := 0
-	for w, n := range counts {
-		if n > 0 {
-			byWant[w] = make([]AggPoint, 0, n)
-			nSeries++
-		}
-	}
-	for _, r := range runs {
-		if r.whole {
-			byWant[r.w] = append(byWant[r.w], r.pts...)
-			continue
-		}
-		for _, p := range r.pts {
-			if p.Time >= start && p.Time < end {
-				byWant[r.w] = append(byWant[r.w], p)
+			if len(pts) > 0 {
+				out.runs = append(out.runs, wantRun{w: int32(w), sorted: sorted, pts: pts})
 			}
-		}
-	}
-	out := make([]SeriesChunk, 0, nSeries)
-	for w, pts := range byWant {
-		if len(pts) > 0 {
-			out = append(out, SeriesChunk{Labels: ix.series[want[w]], Points: pts})
 		}
 	}
 	return out, nil
 }
 
-// intersects reports whether the ascending ref lists share a ref.
-func intersects(want []uint32, refs []uint64) bool {
-	for w, i := 0, 0; w < len(want) && i < len(refs); {
-		switch {
-		case uint64(want[w]) < refs[i]:
-			w++
-		case uint64(want[w]) > refs[i]:
-			i++
-		default:
-			return true
+// cutRun returns the points of a run in [start, end): a sub-slice when
+// the run is sorted, else a filtered copy in run order, with whether
+// the result is sorted.
+func cutRun(pts []AggPoint, sorted bool, start, end float64) ([]AggPoint, bool) {
+	if sorted {
+		lo, _ := slices.BinarySearchFunc(pts, start, timeCmp)
+		hi, _ := slices.BinarySearchFunc(pts[lo:], end, timeCmp)
+		return pts[lo : lo+hi], true
+	}
+	var out []AggPoint
+	for _, p := range pts {
+		if p.Time >= start && p.Time < end {
+			out = append(out, p)
 		}
 	}
-	return false
+	return out, slices.IsSortedFunc(out, byTime)
 }
 
+// timeCmp orders a point against a time, for binary searches by time:
+// the least index whose time is >= t.
+func timeCmp(p AggPoint, t float64) int { return cmp.Compare(p.Time, t) }
+
 // readFrameAt preads one frame and decodes it in isolation, verifying
-// the framing and checksum against what the index claims.
-func readFrameAt(f *os.File, expTyp byte, fs frameStat, series []Labels) (*decodedFrame, error) {
+// the framing and checksum against what the index claims; sel narrows
+// the decode as decodeFrameStandalone describes.
+func readFrameAt(f *os.File, expTyp byte, fs frameStat, series []Labels, sel *frameSel) (*decodedFrame, error) {
 	if fs.size < 6 || fs.size > maxFramePayload+16 {
 		return nil, fmt.Errorf("segstore: indexed frame size %d out of range", fs.size)
 	}
@@ -406,13 +430,13 @@ func readFrameAt(f *os.File, expTyp byte, fs frameStat, series []Labels) (*decod
 	if typ != expTyp {
 		return nil, fmt.Errorf("segstore: frame type %q at offset %d, want %q", typ, fs.off, expTyp)
 	}
-	return decodeFrameStandalone(payload, typ, fs, series)
+	return decodeFrameStandalone(payload, typ, fs, series, sel)
 }
 
-// segChunks filters a fully decoded segment, one chunk per matched
-// series with points in the window.
-func segChunks(d *segData, f Filter, start, end float64) []SeriesChunk {
-	var out []SeriesChunk
+// segChunks filters a fully decoded segment: one run per matched series
+// with points in the window.
+func segChunks(d *segData, f Filter, start, end float64) segRuns {
+	out := segRuns{series: d.series}
 	for i, l := range d.series {
 		if !f.match(l) {
 			continue
@@ -424,7 +448,8 @@ func segChunks(d *segData, f Filter, start, end float64) []SeriesChunk {
 			}
 		}
 		if len(pts) > 0 {
-			out = append(out, SeriesChunk{Labels: l, Points: pts})
+			out.runs = append(out.runs, wantRun{w: int32(len(out.want)), sorted: slices.IsSortedFunc(pts, byTime), pts: pts})
+			out.want = append(out.want, uint32(i))
 		}
 	}
 	return out

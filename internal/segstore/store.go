@@ -16,6 +16,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -78,6 +79,15 @@ func (f Filter) match(l Labels) bool {
 type SeriesChunk struct {
 	Labels Labels
 	Points []AggPoint
+}
+
+// SeriesRuns is one series' points within a scanned time range as
+// consecutive runs: concatenated, they are the points sorted by time.
+// The runs borrow the store's decoded frames, which other readers
+// share, so they must never be written to.
+type SeriesRuns struct {
+	Labels Labels
+	Runs   [][]AggPoint
 }
 
 // Options tunes a Store. The zero value is usable: 32 shards (matching
@@ -755,23 +765,28 @@ func (s *Store) Seal() error {
 }
 
 // Scan returns every stored point matching f in the half-open window
-// [start, end), one chunk per series, each chunk sorted by time.
-// Sealed segments are read back from disk through their indexes; the
-// active segment is read through its writer's running index — flushed
-// frames by pread, pending entries from a copy of the frame being
-// built — so a standalone Store is always query-consistent with what
-// was appended, even after a write error. A scan never flushes.
+// [start, end), one chunk per series, each chunk sorted by time and
+// owned by the caller. Sealed segments are read back from disk through
+// their indexes; the active segment is read through its writer's
+// running index — flushed frames by pread, pending entries from a copy
+// of the frame being built — so a standalone Store is always
+// query-consistent with what was appended, even after a write error. A
+// scan never flushes.
 func (s *Store) Scan(f Filter, start, end float64) ([]SeriesChunk, error) {
+	first, last := 0, len(s.shards)
 	if f.Host != "" {
-		return s.ScanShard(s.ShardFor(f.Host), f, start, end)
+		first = s.ShardFor(f.Host)
+		last = first + 1
 	}
 	var out []SeriesChunk
-	for i := range s.shards {
-		chunks, err := s.ScanShard(i, f, start, end)
+	for i := first; i < last; i++ {
+		series, err := s.ScanShard(i, f, start, end)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, chunks...)
+		for _, r := range series {
+			out = append(out, SeriesChunk{Labels: r.Labels, Points: slices.Concat(r.Runs...)})
+		}
 	}
 	sortChunks(out)
 	return out, nil
@@ -782,19 +797,22 @@ func (s *Store) Scan(f Filter, start, end float64) ([]SeriesChunk, error) {
 func (s *Store) NumShards() int { return len(s.shards) }
 
 func sortChunks(out []SeriesChunk) {
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Labels, out[j].Labels
-		if a.Host != b.Host {
-			return a.Host < b.Host
-		}
-		if a.DevType != b.DevType {
-			return a.DevType < b.DevType
-		}
-		if a.Device != b.Device {
-			return a.Device < b.Device
-		}
-		return a.Event < b.Event
-	})
+	slices.SortFunc(out, func(a, b SeriesChunk) int { return compareLabels(a.Labels, b.Labels) })
+}
+
+// compareLabels orders label tuples by host, device type, device, then
+// event.
+func compareLabels(a, b Labels) int {
+	if c := strings.Compare(a.Host, b.Host); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.DevType, b.DevType); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Device, b.Device); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Event, b.Event)
 }
 
 // Newest returns the newest point time the store has seen (0 if empty).

@@ -357,11 +357,12 @@ type matchRef struct {
 	lo, hi int
 }
 
-// coldRef is one matched cold series: a direct reference to the chunk
-// the segment scan built for this query (never shared, so no copy).
+// coldRef is one matched cold series: the runs the segment scan
+// returned, borrowed read-only from the store's decoded frames and
+// folded in order, so no point is copied.
 type coldRef struct {
 	tags Tags
-	pts  []segstore.AggPoint
+	runs [][]segstore.AggPoint
 }
 
 // groupAcc accumulates one group's (time -> bucket) cells. With a
@@ -420,10 +421,14 @@ func (db *DB) Do(q Query) ([]Result, error) {
 		if cs != nil && boundary > hotStart {
 			hotStart = boundary
 		}
+		// A window ending below the boundary holds no RAM point, but
+		// its matching series still open their (empty) groups.
+		coldOnly := q.End > 0 && hotStart > q.End
 		for _, tags := range sh.matchingSeries(q) {
-			r := sh.series[tags].rangePoints(hotStart, q.End)
 			lo := len(pts)
-			pts = append(pts, r...)
+			if !coldOnly {
+				pts = append(pts, sh.series[tags].rangePoints(hotStart, q.End)...)
+			}
 			refs = append(refs, matchRef{tags: tags, lo: lo, hi: len(pts)})
 		}
 		sh.mu.RUnlock()
@@ -439,7 +444,7 @@ func (db *DB) Do(q Query) ([]Result, error) {
 	}
 	if len(jobs) > 0 {
 		filter := segstore.Filter{Host: q.Host, DevType: q.DevType, Device: q.Device, Event: q.Event}
-		chunksByJob := make([][]segstore.SeriesChunk, len(jobs))
+		chunksByJob := make([][]segstore.SeriesRuns, len(jobs))
 		errs := make([]error, len(jobs))
 		if len(jobs) == 1 {
 			chunksByJob[0], errs[0] = cs.ScanShard(jobs[0].shard, filter, q.Start, jobs[0].end)
@@ -469,17 +474,15 @@ func (db *DB) Do(q Query) ([]Result, error) {
 			}
 			nChunks += len(chunksByJob[ji])
 		}
-		// Each chunk's points are freshly built per scan, so they can be
-		// referenced directly — no flat merge copy.
 		coldRefs = make([]coldRef, 0, nChunks)
 		for ji := range jobs {
 			for _, c := range chunksByJob[ji] {
-				if len(c.Points) == 0 {
+				if len(c.Runs) == 0 {
 					continue
 				}
 				coldRefs = append(coldRefs, coldRef{
 					tags: Tags{Host: c.Labels.Host, DevType: c.Labels.DevType, Device: c.Labels.Device, Event: c.Labels.Event},
-					pts:  c.Points,
+					runs: c.Runs,
 				})
 			}
 		}
@@ -515,7 +518,8 @@ func (db *DB) Do(q Query) ([]Result, error) {
 			span(int64(pts[ref.lo].Time/q.Downsample), int64(pts[ref.hi-1].Time/q.Downsample))
 		}
 		for _, ref := range coldRefs {
-			span(int64(ref.pts[0].Time/q.Downsample), int64(ref.pts[len(ref.pts)-1].Time/q.Downsample))
+			first, last := ref.runs[0], ref.runs[len(ref.runs)-1]
+			span(int64(first[0].Time/q.Downsample), int64(last[len(last)-1].Time/q.Downsample))
 		}
 		if !first && hi-lo+1 <= maxFlatBuckets {
 			useFlat, base, width = true, lo, int(hi-lo+1)
@@ -588,8 +592,10 @@ func (db *DB) Do(q Query) ([]Result, error) {
 	}
 	for _, ref := range coldRefs {
 		acc := lookup(ref.tags)
-		for _, p := range ref.pts {
-			cell(acc, p.Time).merge(p)
+		for _, run := range ref.runs {
+			for _, p := range run {
+				cell(acc, p.Time).merge(p)
+			}
 		}
 	}
 
