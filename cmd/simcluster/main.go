@@ -989,13 +989,20 @@ func runAPILoad(db *reldb.DB, tdb *tsdb.DB, readers, total int, span float64) er
 		return fmt.Errorf("api load: limiter counter %v disagrees with observed 429s %d", rl, limited.Load())
 	}
 	// The cold-read path's own telemetry (index hits vs full scans,
-	// block-cache effectiveness) lands in the default registry.
+	// block-cache effectiveness) lands in the default registry. Far
+	// under the file cache's budget, each sealed segment the store has
+	// held is opened at most once: a cache-warm query makes no open.
 	if tdb != nil {
 		sv := telemetry.ParseExposition(telemetry.Default().Exposition())
-		fmt.Printf("simcluster api-load: segment index hits=%.0f fullscans=%.0f; block cache hits=%.0f misses=%.0f evictions=%.0f\n",
+		st := tdb.Cold().Stats()
+		held := st.Seals + st.Compactions + st.Loaded
+		fmt.Printf("simcluster api-load: segment index hits=%.0f fullscans=%.0f; block cache hits=%.0f misses=%.0f evictions=%.0f; file opens=%d of %d sealed segments\n",
 			sv["gostats_segstore_index_hits_total"], sv["gostats_segstore_index_fullscans_total"],
 			sv["gostats_segstore_blockcache_hits_total"], sv["gostats_segstore_blockcache_misses_total"],
-			sv["gostats_segstore_blockcache_evictions_total"])
+			sv["gostats_segstore_blockcache_evictions_total"], st.FileOpens, held)
+		if st.FileOpens > held {
+			return fmt.Errorf("api load: %d sealed-segment opens for %d sealed segments held", st.FileOpens, held)
+		}
 	}
 	return nil
 }

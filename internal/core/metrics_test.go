@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -459,5 +460,29 @@ func TestComputeWithArchVectorWidth(t *testing.T) {
 	// VecPercent is width-independent.
 	if math.Abs(sRight.VecPercent-0.6) > 0.05 {
 		t.Errorf("VecPercent = %g", sRight.VecPercent)
+	}
+}
+
+// TestRateSumsInstancesInNameOrder pins the order rate folds a class's
+// instances in. One delta of 2^60 beside eight of 128 sums to 2^60 when
+// the large one comes first (each 128 is half an ulp and rounds away)
+// and to 2^60+1024 when it comes last, so a fold in map order returns
+// different bits from call to call.
+func TestRateSumsInstancesInNameOrder(t *testing.T) {
+	hd := model.NewJobData("order").Host("h")
+	deltas := map[string]uint64{"a-big": 1 << 60}
+	for i := 0; i < 8; i++ {
+		deltas[fmt.Sprintf("s%d", i)] = 128
+	}
+	for inst, d := range deltas {
+		hd.Append(0, model.Record{Class: schema.ClassMDC, Instance: inst, Values: []uint64{0, 0}})
+		hd.Append(1, model.Record{Class: schema.ClassMDC, Instance: inst, Values: []uint64{d, 0}})
+	}
+	h := newHostReducer(hd, schema.DefaultRegistry())
+	want := float64(1 << 60)
+	for i := 0; i < 30; i++ {
+		if got := h.rate(schema.ClassMDC, schema.EvMDCReqs); got != want {
+			t.Fatalf("call %d: rate = %v, want %v (instances folded out of name order)", i, got, want)
+		}
 	}
 }

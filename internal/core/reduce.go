@@ -46,8 +46,9 @@ func (h *hostReducer) eventDef(c schema.Class, ev string) (schema.EventDef, int,
 }
 
 // rate returns the host's average rate of change for a cumulative event,
-// summed over the class's instances: sum(deltas)/duration. Absent
-// devices yield 0.
+// summed over the class's instances in name order, so the sum's bits
+// never depend on map order: sum(deltas)/duration. Absent devices
+// yield 0.
 func (h *hostReducer) rate(c schema.Class, ev string) float64 {
 	def, idx, ok := h.eventDef(c, ev)
 	if !ok {
@@ -56,7 +57,8 @@ func (h *hostReducer) rate(c schema.Class, ev string) float64 {
 	byInst := h.hd.Series[c]
 	total := 0.0
 	dur := 0.0
-	for _, s := range byInst {
+	for _, inst := range h.hd.Instances(c) {
+		s := byInst[inst]
 		if len(s.Samples) < 2 {
 			continue
 		}

@@ -2,8 +2,8 @@
 // the least recently used leave once the total exceeds a budget, and a
 // missing key is loaded once however many callers ask for it at the
 // same time. The portal's response pages, the segment store's decoded
-// frames, the raw archiver's open files and the rate limiter's client
-// buckets all live in one.
+// frames and open segment files, the raw archiver's open files and the
+// rate limiter's client buckets all live in one.
 package lru
 
 import (

@@ -61,6 +61,7 @@ func (s *Store) retentionLocked(sh *shardState) error {
 				if err := os.Remove(info.path); err != nil {
 					return err
 				}
+				s.forget(sh, info)
 				s.met.dropped.Add(info.count)
 				s.statMu.Lock()
 				s.stats.Dropped += info.count
@@ -128,6 +129,7 @@ func (s *Store) compactTierLocked(sh *shardState, tier int) error {
 		}
 		if err != nil {
 			s.quarantine(info.path, fmt.Errorf("compaction input: %w", err))
+			s.forget(sh, info)
 			dropped = info
 			break
 		}
@@ -232,6 +234,7 @@ func (s *Store) compactTierLocked(sh *shardState, tier int) error {
 	// above, so `used` is exactly its current prefix.)
 	for _, info := range used {
 		os.Remove(info.path)
+		s.forget(sh, info)
 	}
 	sh.sealed[tier] = append(sh.sealed[tier][:0], sh.sealed[tier][len(used):]...)
 	sh.sealed[tier+1] = append(sh.sealed[tier+1], &segInfo{

@@ -1,12 +1,23 @@
 // The read path. ScanShard captures the segments overlapping a query
-// under the shard lock, then decodes them outside it with K-way
-// parallelism. A sealed segment is captured as an fd, so its bytes stay
-// reachable even if compaction or retention unlinks the file mid-read.
-// The active segment is captured as its writer's running index: an fd
-// on the file, length-capped views of the dictionary and frame table
-// (the writer only appends past their ends), and a copy of the pending
-// frame's entries. A read never flushes, so the bytes on disk depend
-// only on the write stream.
+// under the shard lock, then decodes them outside it. A sealed segment
+// is captured as a held reference on its read handle: the handle's fd
+// lives in the store's file cache, one bounded LRU keyed by (shard,
+// seq), so a cache-warm scan makes no open or close system call. The
+// cache holds one reference while the handle is resident and each
+// capturing scan holds one while it reads; the fd closes when the last
+// is dropped. Eviction, and Remove when retention, compaction or
+// quarantine takes a segment out of the directory, drop only the
+// cache's reference, so a scan never loses a segment that is unlinked
+// mid-read. The active segment is captured as its writer's running
+// index: an fd on the file, opened per read, length-capped views of
+// the dictionary and frame table (the writer only appends past their
+// ends), and a copy of the pending frame's entries. A read never
+// flushes, so the bytes on disk depend only on the write stream.
+//
+// The captured segments are decoded by a fixed set of workers pulling
+// target indexes off an atomic counter: the calling goroutine plus at
+// most scanParallelism−1 more, so a scan with one target starts no
+// goroutine at all.
 //
 // Indexed segments take the fast path: the index selects only the
 // frames whose time extent and series refs intersect the query, each
@@ -62,12 +73,85 @@ func scanParallelism(n int) int {
 	return k
 }
 
+// maxOpenSegments bounds the file cache: the sealed-segment read
+// handles kept open between scans, across every shard.
+const maxOpenSegments = 256
+
+// fileKey names a sealed segment in the file cache. Sequence numbers
+// never recycle within a shard, so a key never names two files.
+type fileKey struct {
+	shard int
+	seq   uint64
+}
+
+// segFile is a refcounted read handle on a segment file. Every holder
+// owns one reference, and the last release closes the fd. Holders only
+// ReadAt and Stat it, which are safe to share.
+type segFile struct {
+	f    *os.File
+	refs atomic.Int32
+}
+
+// acquire takes one more reference unless the handle is already
+// closed, which happens only once nothing held it.
+func (h *segFile) acquire() bool {
+	for {
+		n := h.refs.Load()
+		if n == 0 {
+			return false
+		}
+		if h.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
+func (h *segFile) release() {
+	if h.refs.Add(-1) == 0 {
+		h.f.Close()
+	}
+}
+
+// dropHandle drops the file cache's reference on a handle leaving it.
+func (s *Store) dropHandle(_ fileKey, h *segFile) {
+	s.met.openFiles.Add(-1)
+	h.release()
+}
+
+// openSealed returns a held reference on info's read handle, opening
+// the file on a cache miss. Caller holds the shard lock, so retention,
+// compaction and quarantine cannot take the segment away meanwhile.
+func (s *Store) openSealed(shard int, info *segInfo) (*segFile, error) {
+	k := fileKey{shard: shard, seq: info.seq}
+	for {
+		h, hit, err := s.files.Get(k, func() (*segFile, error) {
+			f, err := os.Open(info.path)
+			if err != nil {
+				return nil, err
+			}
+			s.bumpFileOpens()
+			s.met.openFiles.Add(1)
+			h := &segFile{f: f}
+			h.refs.Store(2) // the cache's and this caller's
+			return h, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		// A resident handle can be evicted, and closed, between Get and
+		// acquire; the next Get then opens the file afresh.
+		if !hit || h.acquire() {
+			return h, nil
+		}
+	}
+}
+
 // scanTarget is one segment captured for reading outside the shard
-// lock. For the active segment, info carries the writer's running index
-// and pending holds the unflushed entries as a frame payload (entry
-// count first) described by pfs.
+// lock, holding a reference on its handle. For the active segment, info
+// carries the writer's running index and pending holds the unflushed
+// entries as a frame payload (entry count first) described by pfs.
 type scanTarget struct {
-	f       *os.File
+	h       *segFile
 	info    *segInfo
 	active  bool
 	pending []byte
@@ -75,14 +159,16 @@ type scanTarget struct {
 }
 
 // activeTarget captures what a read of [start, end) needs from the
-// active segment. Caller holds the shard lock.
+// active segment, on a handle of its own. Caller holds the shard lock.
 func activeTarget(w *segWriter, start, end float64) (scanTarget, error) {
 	fh, err := os.Open(w.path)
 	if err != nil {
 		return scanTarget{}, err
 	}
+	h := &segFile{f: fh}
+	h.refs.Store(1)
 	ns, nf := len(w.series), len(w.frames)
-	t := scanTarget{f: fh, active: true, info: &segInfo{
+	t := scanTarget{h: h, active: true, info: &segInfo{
 		path: w.path, tier: w.meta.Tier, seq: w.meta.Seq,
 		index: &segIndex{series: w.series[:ns:ns], frames: w.frames[:nf:nf]},
 	}}
@@ -111,21 +197,21 @@ func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesRuns
 	// the join is usually already time-ordered, and points with equal
 	// times always meet the stable sort below in the same order.
 	var targets []scanTarget
-	closeAll := func() {
+	releaseAll := func() {
 		for _, t := range targets {
-			t.f.Close()
+			t.h.release()
 		}
 	}
 	for t := numTiers - 1; t >= 0; t-- {
 		for _, info := range sh.sealed[t] {
 			if info.minT < end && info.maxT >= start {
-				fh, err := os.Open(info.path)
+				h, err := s.openSealed(shard, info)
 				if err != nil {
-					closeAll()
+					releaseAll()
 					sh.mu.Unlock()
 					return nil, err
 				}
-				targets = append(targets, scanTarget{f: fh, info: info})
+				targets = append(targets, scanTarget{h: h, info: info})
 			}
 		}
 	}
@@ -135,53 +221,56 @@ func (s *Store) ScanShard(shard int, f Filter, start, end float64) ([]SeriesRuns
 	if w := sh.w; w != nil && w.entries > 0 && w.minT < end && w.maxT >= start {
 		t, err := activeTarget(w, start, end)
 		if err != nil {
-			closeAll()
+			releaseAll()
 			sh.mu.Unlock()
 			return nil, err
 		}
 		targets = append(targets, t)
 	}
 	sh.mu.Unlock()
-	defer closeAll()
+	defer releaseAll()
 
 	parts := make([]segRuns, len(targets))
-	if len(targets) > 0 {
-		var (
-			mu     sync.Mutex
-			first  error
-			failed atomic.Bool
-			next   atomic.Int64
-			wg     sync.WaitGroup
-		)
-		next.Store(-1)
-		k := scanParallelism(len(targets))
-		wg.Add(k)
-		for w := 0; w < k; w++ {
-			go func() {
-				defer wg.Done()
-				for !failed.Load() {
-					i := int(next.Add(1))
-					if i >= len(targets) {
-						break
-					}
-					part, err := s.scanSegment(shard, targets[i], f, start, end)
-					if err != nil {
-						failed.Store(true)
-						mu.Lock()
-						if first == nil {
-							first = err
-						}
-						mu.Unlock()
-						break
-					}
-					parts[i] = part
+	var (
+		mu     sync.Mutex
+		first  error
+		failed atomic.Bool
+		next   atomic.Int64
+		wg     sync.WaitGroup
+	)
+	next.Store(-1)
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1))
+			if i >= len(targets) {
+				return
+			}
+			part, err := s.scanSegment(shard, targets[i], f, start, end)
+			if err != nil {
+				failed.Store(true)
+				mu.Lock()
+				if first == nil {
+					first = err
 				}
-			}()
+				mu.Unlock()
+				return
+			}
+			parts[i] = part
 		}
-		wg.Wait()
-		if first != nil {
-			return nil, first
-		}
+	}
+	// The calling goroutine is one of the workers.
+	k := scanParallelism(len(targets))
+	wg.Add(k - 1)
+	for w := 1; w < k; w++ {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	if first != nil {
+		return nil, first
 	}
 	return joinRuns(parts), nil
 }
@@ -291,12 +380,12 @@ func (s *Store) scanSegment(shard int, t scanTarget, f Filter, start, end float6
 		s.opts.Logf("segstore: %s: indexed read failed (%v); degrading to full scan", filepath.Base(t.info.path), err)
 	}
 	s.met.idxFullscans.Inc()
-	st, err := t.f.Stat()
+	st, err := t.h.f.Stat()
 	if err != nil {
 		return segRuns{}, err
 	}
 	data := make([]byte, st.Size())
-	if _, err := io.ReadFull(io.NewSectionReader(t.f, 0, st.Size()), data); err != nil {
+	if _, err := io.ReadFull(io.NewSectionReader(t.h.f, 0, st.Size()), data); err != nil {
 		return segRuns{}, err
 	}
 	d, _, derr := parseSegment(data)
@@ -360,7 +449,7 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 			key := blockKey{shard: shard, tier: info.tier, seq: info.seq, off: fs.off}
 			var hit bool
 			df, hit, err = s.blocks.Get(key, func() (*decodedFrame, error) {
-				return readFrameAt(t.f, expTyp, *fs, ix.series, nil)
+				return readFrameAt(t.h.f, expTyp, *fs, ix.series, nil)
 			})
 			if hit {
 				s.met.bcHits.Inc()
@@ -371,7 +460,7 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 			df, err = decodeFrameStandalone(t.pending, expTyp, *fs, ix.series, sel)
 			whole = true
 		default:
-			df, err = readFrameAt(t.f, expTyp, *fs, ix.series, sel)
+			df, err = readFrameAt(t.h.f, expTyp, *fs, ix.series, sel)
 			whole = true
 		}
 		if err != nil {

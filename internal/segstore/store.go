@@ -225,6 +225,8 @@ type storeMetrics struct {
 	bcHits       *telemetry.Counter
 	bcMisses     *telemetry.Counter
 	bcEvicts     *telemetry.Counter
+	openFiles    *telemetry.Gauge
+	fileOpens    *telemetry.Counter
 }
 
 // Stats is a point-in-time snapshot of store state for audits and tests.
@@ -240,6 +242,10 @@ type Stats struct {
 	TornTruncated uint64 // active segments truncated at a torn tail
 	Quarantined   uint64 // sealed segments renamed .bad at Open
 	Dropped       uint64 // points dropped by retention
+	// Loaded counts the sealed segments found intact at Open. With Seals
+	// and Compactions it is every sealed segment the store has held.
+	Loaded    uint64
+	FileOpens uint64 // sealed segments opened for reading by scans
 }
 
 // Store is the crash-safe segment store. Safe for concurrent use;
@@ -250,6 +256,7 @@ type Store struct {
 	shards []*shardState
 	met    storeMetrics
 	blocks *lru.Cache[blockKey, *decodedFrame]
+	files  *lru.Cache[fileKey, *segFile]
 
 	statMu sync.Mutex
 	stats  Stats
@@ -308,6 +315,11 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.blocks = lru.New(opts.BlockCacheBytes,
 		func(df *decodedFrame) int64 { return df.mem },
 		func(blockKey, *decodedFrame) { s.met.bcEvicts.Inc() })
+	s.met.openFiles = reg.Gauge("gostats_segstore_open_files",
+		"Sealed-segment read handles resident in the file cache.")
+	s.met.fileOpens = reg.Counter("gostats_segstore_file_opens_total",
+		"Sealed segments opened for reading by scans (file-cache misses).")
+	s.files = lru.New(maxOpenSegments, nil, s.dropHandle)
 
 	s.shards = make([]*shardState, opts.Shards)
 	for i := range s.shards {
@@ -372,6 +384,9 @@ func (s *Store) recoverShard(sh *shardState) error {
 				continue
 			}
 			sh.sealed[tier] = append(sh.sealed[tier], info)
+			s.statMu.Lock()
+			s.stats.Loaded++
+			s.statMu.Unlock()
 		}
 	}
 	for t := 0; t < numTiers; t++ {
@@ -551,6 +566,21 @@ func (s *Store) bumpTruncated() {
 	s.statMu.Lock()
 	s.stats.TornTruncated++
 	s.statMu.Unlock()
+}
+
+func (s *Store) bumpFileOpens() {
+	s.met.fileOpens.Inc()
+	s.statMu.Lock()
+	s.stats.FileOpens++
+	s.statMu.Unlock()
+}
+
+// forget drops a sealed segment's read handle from the file cache once
+// retention, compaction or quarantine has taken it out of the shard's
+// directory. Scans that captured it keep their references and read on.
+// Caller holds the shard lock.
+func (s *Store) forget(sh *shardState, info *segInfo) {
+	s.files.Remove(fileKey{shard: sh.id, seq: info.seq})
 }
 
 func (s *Store) bumpSeals() {
@@ -901,7 +931,9 @@ func (s *Store) StartBackground(interval time.Duration) {
 
 // Close stops background compaction (draining any in-flight pass, so
 // no compaction runs concurrently with the seal), flushes and seals
-// every active segment, and leaves the store fully durable on disk.
+// every active segment, leaves the store fully durable on disk, and
+// drops the file cache's handles: once no scan holds one, the store
+// has no fd open.
 func (s *Store) Close() error {
 	if s.bg != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -909,5 +941,7 @@ func (s *Store) Close() error {
 		cancel()
 		s.bg = nil
 	}
-	return s.Seal()
+	err := s.Seal()
+	s.files.Drain(s.dropHandle)
+	return err
 }

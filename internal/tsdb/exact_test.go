@@ -151,8 +151,10 @@ func sameBits(t *testing.T, label string, want, got []Result) {
 // by point reference answers. The store holds sealed raw, compacted and
 // active segments (flushed frames and a pending one); values carry
 // fractions so any change in summation order shows; late points put
-// unsorted runs inside frames and behind sealed data; and the windows
-// straddle frame, segment and hot/cold boundaries or lie wholly cold.
+// unsorted runs inside frames and behind sealed data; the windows
+// straddle frame, segment and hot/cold boundaries or lie wholly cold or
+// wholly hot; and the filters include none at all, which folds every
+// series of a stripe, and an event-only one.
 func TestDoExactAgainstFlatMerge(t *testing.T) {
 	cs, err := segstore.Open(t.TempDir(), segstore.Options{
 		Shards:          numShards,
@@ -184,6 +186,7 @@ func TestDoExactAgainstFlatMerge(t *testing.T) {
 			for _, d := range devs {
 				db.Put(Tags{Host: h, DevType: "cpu", Device: d, Event: "user"}, float64(tm), rng.Float64()*100)
 			}
+			db.Put(Tags{Host: h, DevType: "mem", Device: "0", Event: "used"}, float64(tm), rng.Float64()*1000)
 			if tm%1800 == 900 {
 				// A late point, five minutes back.
 				db.Put(Tags{Host: h, DevType: "cpu", Device: "0", Event: "user"}, float64(tm-300)+0.5, rng.Float64()*100)
@@ -217,6 +220,8 @@ func TestDoExactAgainstFlatMerge(t *testing.T) {
 		{boundary - 5400.5, span},                // across the hot/cold boundary
 		{boundary - 1, boundary + 1},             // just around it
 		{span - 1800, 0},                         // hot only
+		{boundary, 0},                            // hot only, from the boundary
+		{boundary + 600.5, span - 60},            // hot only, closed
 		{999, 1001},                              // the very late points
 		{6*3600 - 0.5, 6*3600 + 0.5},             // the compaction edge
 		{float64(rng.Intn(span)), float64(span)}, // a random start
@@ -227,49 +232,56 @@ func TestDoExactAgainstFlatMerge(t *testing.T) {
 	}
 	aggs := []Agg{Sum, Avg, Max, Min}
 	groupings := [][]string{nil, {"host"}, {"device"}}
+	filters := []Query{{DevType: "cpu"}, {}, {Event: "used"}}
 	n := 0
 	for _, w := range windows {
-		for _, host := range []string{"", hosts[3]} {
-			for _, gb := range groupings {
-				for ai, agg := range aggs {
-					q := Query{Host: host, DevType: "cpu", Start: w[0], End: w[1], GroupBy: gb, Aggregate: agg,
-						Downsample: []float64{0, 600, 1800, 3600}[(ai+n)%4]}
-					n++
-					label := fmt.Sprintf("%+v", q)
-					got, err := db.Do(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameBits(t, label, refDo(t, db, q), got)
-
-					for _, bottom := range []bool{false, true} {
-						top, err := db.TopN(q, 3, bottom)
+		for fi, filter := range filters {
+			for _, host := range []string{"", hosts[3]} {
+				if fi > 0 && host != "" {
+					continue // one pinned host is covered with the devtype filter
+				}
+				for _, gb := range groupings {
+					for ai, agg := range aggs {
+						q := filter
+						q.Host, q.Start, q.End, q.GroupBy, q.Aggregate = host, w[0], w[1], gb, agg
+						q.Downsample = []float64{0, 600, 1800, 3600}[(ai+n)%4]
+						n++
+						label := fmt.Sprintf("%+v", q)
+						got, err := db.Do(q)
 						if err != nil {
 							t.Fatal(err)
 						}
-						qq := q
-						qq.Downsample = rankAllWindow
-						var ranked []Ranked
-						for _, r := range refDo(t, db, qq) {
-							if len(r.Points) > 0 {
-								ranked = append(ranked, Ranked{Group: r.Group, Value: r.Points[0].Value})
+						sameBits(t, label, refDo(t, db, q), got)
+
+						for _, bottom := range []bool{false, true} {
+							top, err := db.TopN(q, 3, bottom)
+							if err != nil {
+								t.Fatal(err)
 							}
-						}
-						sort.SliceStable(ranked, func(i, j int) bool {
-							a, b := ranked[i], ranked[j]
-							if a.Value != b.Value {
-								return a.Value > b.Value != bottom
+							qq := q
+							qq.Downsample = rankAllWindow
+							var ranked []Ranked
+							for _, r := range refDo(t, db, qq) {
+								if len(r.Points) > 0 {
+									ranked = append(ranked, Ranked{Group: r.Group, Value: r.Points[0].Value})
+								}
 							}
-							return groupKey(a.Group, gb) < groupKey(b.Group, gb)
-						})
-						ranked = ranked[:min(3, len(ranked))]
-						if len(top) != len(ranked) {
-							t.Fatalf("%s TopN(bottom=%v): %d entries, reference %d", label, bottom, len(top), len(ranked))
-						}
-						for i := range top {
-							if !reflect.DeepEqual(top[i].Group, ranked[i].Group) ||
-								math.Float64bits(top[i].Value) != math.Float64bits(ranked[i].Value) {
-								t.Fatalf("%s TopN(bottom=%v) #%d: %+v, reference %+v", label, bottom, i, top[i], ranked[i])
+							sort.SliceStable(ranked, func(i, j int) bool {
+								a, b := ranked[i], ranked[j]
+								if a.Value != b.Value {
+									return a.Value > b.Value != bottom
+								}
+								return groupKey(a.Group, gb) < groupKey(b.Group, gb)
+							})
+							ranked = ranked[:min(3, len(ranked))]
+							if len(top) != len(ranked) {
+								t.Fatalf("%s TopN(bottom=%v): %d entries, reference %d", label, bottom, len(top), len(ranked))
+							}
+							for i := range top {
+								if !reflect.DeepEqual(top[i].Group, ranked[i].Group) ||
+									math.Float64bits(top[i].Value) != math.Float64bits(ranked[i].Value) {
+									t.Fatalf("%s TopN(bottom=%v) #%d: %+v, reference %+v", label, bottom, i, top[i], ranked[i])
+								}
 							}
 						}
 					}
@@ -285,5 +297,31 @@ func TestDoExactAgainstFlatMerge(t *testing.T) {
 	}
 	if len(res) != len(devs) {
 		t.Fatalf("cold-only window: %d groups, want %d", len(res), len(devs))
+	}
+}
+
+// TestDoSumWithoutFilterIsOneAnswer pins the fold order of a query with
+// no tag filter, which folds every series of a stripe into one bucket:
+// 200 series of one host at one time, summed 50 times, must give one
+// sum. Folded in map order they give several.
+func TestDoSumWithoutFilterIsOneAnswer(t *testing.T) {
+	db := New()
+	rng := rand.New(rand.NewSource(5))
+	for d := 0; d < 200; d++ {
+		db.Put(Tags{Host: "h", DevType: "cpu", Device: fmt.Sprint(d), Event: "user"}, 60, rng.Float64()*100)
+	}
+	sums := map[uint64]int{}
+	for i := 0; i < 50; i++ {
+		res, err := db.Do(Query{Aggregate: Sum})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || len(res[0].Points) != 1 {
+			t.Fatalf("got %+v, want one group of one point", res)
+		}
+		sums[math.Float64bits(res[0].Points[0].Value)]++
+	}
+	if len(sums) != 1 {
+		t.Fatalf("50 identical queries gave %d distinct sums: %v", len(sums), sums)
 	}
 }

@@ -308,8 +308,10 @@ type Result struct {
 }
 
 // matchingSeries selects this shard's tag tuples matching the query's
-// filters, using the smallest applicable posting list. Caller holds the
-// shard's read lock.
+// filters, using the smallest applicable posting list, in the list's
+// insertion order; with no filter, every host's list in host order. One
+// input gives one fold order, so one answer. Caller holds the shard's
+// read lock.
 func (sh *shard) matchingSeries(q Query) []Tags {
 	filters := [...]struct{ key, val string }{
 		{"host", q.Host}, {"devtype", q.DevType}, {"device", q.Device}, {"event", q.Event},
@@ -329,9 +331,15 @@ func (sh *shard) matchingSeries(q Query) []Tags {
 	if bestLen >= 0 {
 		cands = sh.postings[bestKey][bestVal]
 	} else {
+		byHost := sh.postings["host"]
+		hosts := make([]string, 0, len(byHost))
+		for h := range byHost {
+			hosts = append(hosts, h)
+		}
+		sort.Strings(hosts)
 		cands = make([]Tags, 0, len(sh.series))
-		for t := range sh.series {
-			cands = append(cands, t)
+		for _, h := range hosts {
+			cands = append(cands, byHost[h]...)
 		}
 	}
 	var out []Tags
@@ -379,6 +387,9 @@ type groupAcc struct {
 	buckets []bucket
 	times   []float64
 }
+
+// maxColdWorkers bounds Do's per-shard cold-scan fan-out.
+const maxColdWorkers = 4
 
 // maxFlatBuckets bounds the flat accumulator's memory for sparse series
 // spanning huge time ranges; beyond it the map path takes over.
@@ -446,25 +457,39 @@ func (db *DB) Do(q Query) ([]Result, error) {
 		filter := segstore.Filter{Host: q.Host, DevType: q.DevType, Device: q.Device, Event: q.Event}
 		chunksByJob := make([][]segstore.SeriesRuns, len(jobs))
 		errs := make([]error, len(jobs))
-		if len(jobs) == 1 {
-			chunksByJob[0], errs[0] = cs.ScanShard(jobs[0].shard, filter, q.Start, jobs[0].end)
-		} else {
-			// Wildcard-host queries fan the per-shard cold scans out in
-			// parallel; each scan is itself parallel across its segments,
-			// so the outer width stays modest.
-			sem := make(chan struct{}, 4)
-			var wg sync.WaitGroup
-			wg.Add(len(jobs))
-			for ji := range jobs {
-				go func(ji int) {
-					defer wg.Done()
-					sem <- struct{}{}
-					defer func() { <-sem }()
-					chunksByJob[ji], errs[ji] = cs.ScanShard(jobs[ji].shard, filter, q.Start, jobs[ji].end)
-				}(ji)
+		// Wildcard-host queries spread the per-shard cold scans over a
+		// few workers pulling job indexes off a counter, the calling
+		// goroutine among them; each scan is itself parallel across its
+		// segments, so the outer width stays modest. Results land by job
+		// index, so the schedule never changes the fold order.
+		var (
+			failed atomic.Bool
+			next   atomic.Int64
+			wg     sync.WaitGroup
+		)
+		next.Store(-1)
+		work := func() {
+			for !failed.Load() {
+				ji := int(next.Add(1))
+				if ji >= len(jobs) {
+					return
+				}
+				chunksByJob[ji], errs[ji] = cs.ScanShard(jobs[ji].shard, filter, q.Start, jobs[ji].end)
+				if errs[ji] != nil {
+					failed.Store(true)
+				}
 			}
-			wg.Wait()
 		}
+		k := min(maxColdWorkers, len(jobs))
+		wg.Add(k - 1)
+		for w := 1; w < k; w++ {
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		work()
+		wg.Wait()
 		nChunks := 0
 		for ji := range jobs {
 			if err := errs[ji]; err != nil {
