@@ -963,7 +963,7 @@ func runAPILoad(db *reldb.DB, tdb *tsdb.DB, readers, total int, span float64) er
 		return err
 	}
 	if len(durs) == 0 {
-		return fmt.Errorf("api load: every request was rate limited")
+		return fmt.Errorf("every request was rate limited")
 	}
 
 	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
@@ -986,7 +986,7 @@ func runAPILoad(db *reldb.DB, tdb *tsdb.DB, readers, total int, span float64) er
 			hits, misses, 100*hits/(hits+misses))
 	}
 	if rl := vals["gostats_portal_ratelimited_total"]; rl != float64(limited.Load()) {
-		return fmt.Errorf("api load: limiter counter %v disagrees with observed 429s %d", rl, limited.Load())
+		return fmt.Errorf("limiter counter %v disagrees with observed 429s %d", rl, limited.Load())
 	}
 	// The cold-read path's own telemetry (index hits vs full scans,
 	// block-cache effectiveness) lands in the default registry. Far
@@ -1001,7 +1001,7 @@ func runAPILoad(db *reldb.DB, tdb *tsdb.DB, readers, total int, span float64) er
 			sv["gostats_segstore_blockcache_hits_total"], sv["gostats_segstore_blockcache_misses_total"],
 			sv["gostats_segstore_blockcache_evictions_total"], st.FileOpens, held)
 		if st.FileOpens > held {
-			return fmt.Errorf("api load: %d sealed-segment opens for %d sealed segments held", st.FileOpens, held)
+			return fmt.Errorf("%d sealed-segment opens for %d sealed segments held", st.FileOpens, held)
 		}
 	}
 	return nil

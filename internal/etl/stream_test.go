@@ -1,6 +1,8 @@
 package etl
 
 import (
+	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -310,6 +312,84 @@ func TestJobMark(t *testing.T) {
 	} {
 		if kind, id := jobMark(mark); kind != want[0] || id != want[1] {
 			t.Errorf("jobMark(%q) = %q, %q; want %q, %q", mark, kind, id, want[0], want[1])
+		}
+	}
+}
+
+// TestAssemblerCrossHostFoldIsOrderFree pins the assembler's cross-host
+// folds: a four-node job delivered with its hosts interleaved three
+// ways per tick (name order, reversed, shuffled) reduces to one row, bit
+// for bit. core folds hosts in name order and each host's samples in
+// arrival order, which the broker keeps per host, so the interleaving
+// across hosts cannot reach the sums.
+func TestAssemblerCrossHostFoldIsOrderFree(t *testing.T) {
+	cfg := chip.StampedeNode()
+	hosts := []string{"c1", "c2", "c3", "c4"}
+	cols := make([]*collect.Collector, len(hosts))
+	nodes := make([]*hwsim.Node, len(hosts))
+	for i, h := range hosts {
+		n, err := hwsim.NewNode(h, cfg, int64(10+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes[i], cols[i] = n, collect.New(n)
+	}
+	var ticks [][]model.Snapshot
+	for at := 0.0; at <= 4800; at += 600 {
+		var tick []model.Snapshot
+		for i, col := range cols {
+			mark := ""
+			switch {
+			case i == 0 && at == 0:
+				mark = collect.JobMark(collect.MarkBegin, "20")
+			case i == 0 && at == 3600:
+				mark = collect.JobMark(collect.MarkEnd, "20")
+			}
+			var jobs []string
+			if at <= 3600 {
+				jobs = []string{"20"}
+			}
+			s, _ := col.Collect(at, jobs, mark)
+			tick = append(tick, s)
+			nodes[i].Advance(600, hwsim.Demand{CPUUserFrac: 0.3 + 0.15*float64(i), IPC: 0.7 + 0.3*float64(i),
+				LoadRate: 1e9 / float64(i+1), L1HitFrac: 0.9, MDCReqRate: 3.7 * float64(i+1)})
+		}
+		ticks = append(ticks, tick)
+	}
+	rng := rand.New(rand.NewSource(7))
+	feed := func(order func(k int) []int) []model.Snapshot {
+		var out []model.Snapshot
+		for k, tick := range ticks {
+			for _, i := range order(k) {
+				out = append(out, tick[i])
+			}
+		}
+		return out
+	}
+	orders := map[string]func(int) []int{
+		"name":     func(int) []int { return []int{0, 1, 2, 3} },
+		"reversed": func(int) []int { return []int{3, 2, 1, 0} },
+		"shuffled": func(int) []int { return rng.Perm(len(hosts)) },
+	}
+	var want *reldb.JobRow
+	for _, name := range []string{"name", "reversed", "shuffled"} {
+		_, db, _ := assemble(t, feed(orders[name]), 600)
+		got := db.Get("20")
+		if got == nil {
+			t.Fatalf("%s order: job 20 not assembled", name)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		w, g := reflect.ValueOf(want.Metrics), reflect.ValueOf(got.Metrics)
+		for f := 0; f < w.NumField(); f++ {
+			if w.Field(f).Kind() != reflect.Float64 {
+				continue
+			}
+			if math.Float64bits(w.Field(f).Float()) != math.Float64bits(g.Field(f).Float()) {
+				t.Errorf("%s order: %s = %v, name order gives %v", name, w.Type().Field(f).Name, g.Field(f).Float(), w.Field(f).Float())
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -155,7 +156,10 @@ func (db *DB) Count(filters ...Filter) (int, error) {
 }
 
 // Avg aggregates the mean of a numeric field over the filtered rows
-// (Django's Avg()). An empty selection yields 0.
+// (Django's Avg()). An empty selection yields 0. The sum folds in job-id
+// order, so its bits do not depend on the order rows were inserted in
+// (a live assembler finalizes jobs in the order their hosts' samples
+// happen to arrive).
 func (db *DB) Avg(fieldName string, filters ...Filter) (float64, error) {
 	rows, err := db.Query(filters...)
 	if err != nil {
@@ -164,6 +168,8 @@ func (db *DB) Avg(fieldName string, filters ...Filter) (float64, error) {
 	if len(rows) == 0 {
 		return 0, nil
 	}
+	// Query's result is a fresh slice, the caller's to reorder.
+	slices.SortFunc(rows, func(a, b *JobRow) int { return strings.Compare(a.JobID, b.JobID) })
 	sum := 0.0
 	for _, r := range rows {
 		v, err := Value(r, fieldName)

@@ -1,6 +1,9 @@
 package reldb
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"gostats/internal/core"
@@ -175,6 +178,37 @@ func TestAggregates(t *testing.T) {
 	}
 	if _, err := db.Avg("exe"); err == nil {
 		t.Error("avg over string field accepted")
+	}
+}
+
+// TestAvgIsInsertionOrderIndependent pins Avg's fold order: one row
+// set inserted forwards and backwards gives one mean, bit for bit. The
+// values carry fractions across several magnitudes, so summing in
+// insertion order gives two different means.
+func TestAvgIsInsertionOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	rows := make([]*JobRow, 200)
+	for i := range rows {
+		rows[i] = &JobRow{JobID: fmt.Sprintf("%04d", i), Exe: "wrf.exe"}
+		rows[i].Metrics.CPUUsage = rng.Float64() * math.Pow(10, float64(rng.Intn(12)-6))
+	}
+	fwd, back := New(), New()
+	for i := range rows {
+		fwd.Insert(rows[i])
+		back.Insert(rows[len(rows)-1-i])
+	}
+	for _, filters := range [][]Filter{nil, {F("exe", "wrf.exe")}} {
+		a, err := fwd.Avg("cpu_usage", filters...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := back.Avg("cpu_usage", filters...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("filters %v: Avg %v inserted forwards, %v backwards", filters, a, b)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Cold storage attachment: an optional segstore behind the RAM-resident
 // hot shards. With a store attached, every write goes through to the durable
-// segment log, CommitCold periodically flushes it and evicts RAM points
-// older than the hot window, and Do transparently merges cold segments
+// segment log, CommitCold periodically flushes it and drops the RAM host
+// rows older than the hot window, and Do transparently merges cold segments
 // into query results — the half-open split [Start, boundary) from disk
 // and [boundary, End] from RAM means no point is ever counted twice and
 // none is ever missed.
@@ -10,7 +10,6 @@ package tsdb
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"gostats/internal/segstore"
 )
@@ -60,9 +59,10 @@ func (db *DB) FlushCold() error {
 
 // CommitCold advances the hot/cold boundary: amortized to run once per
 // quarter hot-window of ingested time, it flushes each stripe's cold
-// shard and only then evicts that stripe's RAM points older than
-// (newest − hotWindow), setting the boundary in the same critical
-// section as the eviction so queries never see a gap or an overlap.
+// shard and only then drops that stripe's host rows older than
+// (newest − hotWindow), one binary search per host, setting the boundary
+// in the same critical section as the eviction so queries never see a
+// gap or an overlap.
 // Call it on the ingest path; it is a fast no-op when no eviction is
 // due: the cadence runs on the newest time the DB itself has written,
 // so the store is touched only when eviction is due.
@@ -109,24 +109,14 @@ func (db *DB) CommitCold() error {
 		// moving it backwards would open a gap between the evicted RAM
 		// and the cold scan window.
 		if boundary > sh.coldBoundary {
-			for _, s := range sh.series {
-				s.evictBefore(boundary)
+			for _, hr := range sh.hosts {
+				hr.evictBefore(boundary)
 			}
 			sh.coldBoundary = boundary
 		}
 		sh.mu.Unlock()
 	}
 	return first
-}
-
-// evictBefore drops points with Time < t (points are time-sorted).
-func (s *series) evictBefore(t float64) {
-	i := sort.Search(len(s.points), func(k int) bool { return s.points[k].Time >= t })
-	if i == 0 {
-		return
-	}
-	n := copy(s.points, s.points[i:])
-	s.points = s.points[:n]
 }
 
 // coldWindow computes the half-open cold range [q.Start, end) for a

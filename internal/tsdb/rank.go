@@ -109,7 +109,9 @@ type Gauge struct {
 // tag filters (time range and aggregation are ignored), sorted by tag
 // tuple. It reads the RAM hot set only: any series actively reporting
 // has its newest points in RAM, which is exactly what a current-value
-// gauge wants.
+// gauge wants. A series' newest point is in the newest of its host's
+// rows that holds its column — the last row, for a series in the
+// host's current layout.
 func (db *DB) Latest(q Query) []Gauge {
 	shFirst, shLast := 0, numShards
 	if q.Host != "" {
@@ -120,11 +122,10 @@ func (db *DB) Latest(q Query) []Gauge {
 	for i := shFirst; i < shLast; i++ {
 		sh := &db.shards[i]
 		sh.mu.RLock()
-		for _, tags := range sh.matchingSeries(q) {
-			s := sh.series[tags]
-			if len(s.points) > 0 {
-				p := s.points[len(s.points)-1]
-				out = append(out, Gauge{Tags: tags, Time: p.Time, Value: p.Value})
+		for _, s := range sh.matchingSeries(q) {
+			if g, ok := s.latest(); ok {
+				g.Tags = s.tags
+				out = append(out, g)
 			}
 		}
 		sh.mu.RUnlock()
@@ -143,4 +144,19 @@ func (db *DB) Latest(q Query) []Gauge {
 		return a.Event < b.Event
 	})
 	return out
+}
+
+// latest returns the series' newest point, the last one written at its
+// newest time.
+func (s *series) latest() (Gauge, bool) {
+	if s.col < 0 {
+		return Gauge{}, false
+	}
+	hr := s.host
+	for k := len(hr.times) - 1; k >= hr.off; k-- {
+		if hr.holds(k, s.col) {
+			return Gauge{Time: hr.times[k], Value: hr.vals[k*hr.stride+s.col]}, true
+		}
+	}
+	return Gauge{}, false
 }
