@@ -783,14 +783,36 @@ func BenchmarkWireCodec(b *testing.B) {
 }
 
 // BenchmarkArchiverAppend is the listener's archive step: one op is one
-// rawfile.Archiver.Append of a reference-host snapshot (encode, one
+// rawfile.Archiver append of a reference-host snapshot (encode, one
 // write, flush) into a per-(host, day) file the archiver keeps open.
-// After each pass over the host's snapshots the store is recreated
-// outside the timer, so the files stay small.
+// v1-text-received is the listener's path for a v1 wire message: the
+// snapshot and the record lines codec.DecodeWireLines certified, which
+// a v1 file takes as they are after an encoded block head. After each
+// pass over the host's snapshots the store is recreated outside the
+// timer, so the files stay small.
 func BenchmarkArchiverAppend(b *testing.B) {
 	snaps, header := codecBenchStream(b)
-	for _, v := range []codec.Version{codec.V1Text, codec.V2Binary} {
-		b.Run(v.String(), func(b *testing.B) {
+	received := make([]model.Snapshot, len(snaps))
+	lines := make([][]byte, len(snaps))
+	for i, s := range snaps {
+		body, err := codec.EncodeWire(s, header.Registry, codec.V1Text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if received[i], _, lines[i], err = codec.DecodeWireLines(body, header.Registry); err != nil || lines[i] == nil {
+			b.Fatalf("snapshot %d: no certified lines (err %v)", i, err)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		v     codec.Version
+		lines [][]byte // nil: encode every record
+	}{
+		{"v1-text", codec.V1Text, nil},
+		{"v2-binary", codec.V2Binary, nil},
+		{"v1-text-received", codec.V1Text, lines},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			base := b.TempDir()
 			var arch *rawfile.Archiver
 			reset := func(i int) {
@@ -803,7 +825,7 @@ func BenchmarkArchiverAppend(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				st.SetCodec(v)
+				st.SetCodec(c.v)
 				arch = rawfile.NewArchiver(st, 0)
 			}
 			reset(0)
@@ -815,7 +837,12 @@ func BenchmarkArchiverAppend(b *testing.B) {
 					reset(i)
 					b.StartTimer()
 				}
-				if err := arch.Append(header.Hostname, header, snaps[i%len(snaps)]); err != nil {
+				k := i % len(snaps)
+				s, l := snaps[k], []byte(nil)
+				if c.lines != nil {
+					s, l = received[k], c.lines[k]
+				}
+				if err := arch.AppendLines(header.Hostname, header, s, l); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -228,6 +228,12 @@ func (e *binEncoder) writeFrame(typ byte, payload []byte) error {
 	return e.err
 }
 
+// WriteSnapshotLines encodes s: the v1 record lines say nothing the
+// binary frame can reuse.
+func (e *binEncoder) WriteSnapshotLines(s model.Snapshot, _ []byte) error {
+	return e.WriteSnapshot(s)
+}
+
 // Flush implements SnapshotEncoder; frames are written unbuffered, so
 // there is nothing to push.
 func (e *binEncoder) Flush() error { return e.err }

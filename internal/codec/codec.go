@@ -88,6 +88,11 @@ type SnapshotEncoder interface {
 	WriteHeader() error
 	// WriteSnapshot appends one snapshot frame.
 	WriteSnapshot(model.Snapshot) error
+	// WriteSnapshotLines appends s given its v1 text record lines as
+	// DecodeWireLines certified them (nil when it certified none). The
+	// text codec writes the block head it encodes from s, then lines
+	// as they are; the binary codec encodes s and ignores lines.
+	WriteSnapshotLines(s model.Snapshot, lines []byte) error
 	// Flush pushes buffered output to the underlying writer.
 	Flush() error
 }

@@ -46,6 +46,9 @@ func FuzzBinaryDecode(f *testing.F) {
 // error, as the reference Scanner/strings.Fields decoder — through the
 // streaming DecodeAll, the prefix Recover keeps, and DecodeWire against
 // a registry whose block the header may match and one it never matches.
+// Whenever DecodeWireLines certifies record lines, the block head
+// encoded from its snapshot plus those lines must be exactly the block
+// the encoder writes for it.
 func FuzzTextDecode(f *testing.F) {
 	stream := goldenTextStream(f)
 	wire := goldenTextWire(f)
@@ -62,6 +65,9 @@ func FuzzTextDecode(f *testing.F) {
 	f.Add(bytes.Replace(stream, []byte("$gostats 2.0"), []byte("$gostats 1.0"), 1))
 	f.Add([]byte("$gostats 2.0\n$hostname h\n!cpu a,E b\n\n% early\n1.5 -\ncpu 0 1 2\n2 x\n%trace collect:x\n"))
 	f.Add([]byte("$gostats 2.0\n!cpu a\n!cpu a\n\n"))
+	for _, c := range nonCanonicalWires(f) {
+		f.Add(c.wire)
+	}
 
 	reg := testHeader().Registry
 	other := otherRegistry(f)
@@ -87,8 +93,97 @@ func FuzzTextDecode(f *testing.F) {
 			if !reflect.DeepEqual(s, wantSnap) {
 				t.Fatalf("DecodeWire: %+v, reference %+v", s, wantSnap)
 			}
+			s, _, lines, _ := DecodeWireLines(data, r)
+			if !reflect.DeepEqual(s, wantSnap) {
+				t.Fatalf("DecodeWireLines: %+v, reference %+v", s, wantSnap)
+			}
+			if lines == nil {
+				continue
+			}
+			if r != reg {
+				t.Fatalf("lines certified under a registry the header never matches: %q", lines)
+			}
+			if got, want := append(appendTextHead(nil, s), lines...), appendTextBlock(nil, s); !bytes.Equal(got, want) {
+				t.Fatalf("head + certified lines:\n%q\nencoder writes:\n%q", got, want)
+			}
 		}
 	})
+}
+
+type namedWire struct {
+	name string
+	wire []byte
+}
+
+// nonCanonicalWires are v1 wire messages, each one edit away from the
+// fixture's, that decode to one snapshot but whose record lines are not
+// what the encoder writes for it, or whose header is not the consumer
+// registry's: DecodeWireLines must certify none of their lines.
+func nonCanonicalWires(t testing.TB) []namedWire {
+	wire := goldenTextWire(t)
+	edit := func(old, new string) []byte {
+		if !bytes.Contains(wire, []byte(old)) {
+			t.Fatalf("fixture wire lacks %q", old)
+		}
+		return bytes.Replace(wire, []byte(old), []byte(new), 1)
+	}
+	return []namedWire{
+		{"double space", edit(" 150 ", "  150 ")},
+		{"tab", edit(" 150 ", "\t150 ")},
+		{"trailing space", edit(" 192\n", " 192 \n")},
+		{"CRLF", edit(" 192\n", " 192\r\n")},
+		{"leading zero", edit(" 150 ", " 0150 ")},
+		{"NBSP instance", edit("has_space 150", "has_space\u00a0150")},
+		{"mark after records", append(bytes.Clone(wire), "% late\n"...)},
+		{"trace after records", append(bytes.Clone(wire), "%trace collect:1\n"...)},
+		{"blank line after a record", edit(" 192\n", " 192\n\n")},
+		{"foreign schema block", edit("\n\n", "\n!zz a,E\n\n")},
+	}
+}
+
+// TestWireLinesCertified checks DecodeWireLines on canonical messages
+// — the fixture and the encoder's message for every fixture snapshot —
+// and on each non-canonical edit of the fixture, which must still
+// decode but certify nothing.
+func TestWireLinesCertified(t *testing.T) {
+	reg := testHeader().Registry
+	canonical := [][]byte{goldenTextWire(t)}
+	for _, s := range fixtureSnapshots(reg) {
+		w, err := EncodeWire(s, reg, V1Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		canonical = append(canonical, w)
+	}
+	for i, w := range canonical {
+		s, v, lines, err := DecodeWireLines(w, reg)
+		if err != nil || v != V1Text {
+			t.Fatalf("message %d: version %s, err %v", i, v, err)
+		}
+		if lines == nil {
+			t.Fatalf("message %d: no lines certified in %q", i, w)
+		}
+		if got, want := append(appendTextHead(nil, s), lines...), appendTextBlock(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("message %d: head + lines %q, block %q", i, got, want)
+		}
+		if _, _, lines, _ := DecodeWireLines(w, otherRegistry(t)); lines != nil {
+			t.Fatalf("message %d: lines certified against a registry its header does not match", i)
+		}
+	}
+	for _, c := range nonCanonicalWires(t) {
+		t.Run(c.name, func(t *testing.T) {
+			s, _, lines, err := DecodeWireLines(c.wire, reg)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if len(s.Records) == 0 {
+				t.Fatal("decoded no records")
+			}
+			if lines != nil {
+				t.Fatalf("certified %q", lines)
+			}
+		})
+	}
 }
 
 // FuzzRecover checks the one recovery rule on arbitrary bytes in either

@@ -87,10 +87,15 @@ func appendTextHeader(b []byte, h Header) []byte {
 	return append(b, '\n')
 }
 
-// appendTextBlock appends one collection block: the timestamp line
-// ("%.3f" time, sorted job ids or "-"), the optional mark and trace
-// lines, then one line per record.
+// appendTextBlock appends one collection block: its head, then one
+// line per record.
 func appendTextBlock(b []byte, s model.Snapshot) []byte {
+	return appendTextRecords(appendTextHead(b, s), s.Records)
+}
+
+// appendTextHead appends a block's head: the timestamp line ("%.3f"
+// time, sorted job ids or "-"), then the optional mark and trace lines.
+func appendTextHead(b []byte, s model.Snapshot) []byte {
 	b = strconv.AppendFloat(b, s.Time, 'f', 3, 64)
 	b = append(b, ' ')
 	if ids := s.JobIDs; len(ids) == 0 {
@@ -116,7 +121,13 @@ func appendTextBlock(b []byte, s model.Snapshot) []byte {
 		b = appendTraceLine(b, s.Trace)
 		b = append(b, '\n')
 	}
-	for _, r := range s.Records {
+	return b
+}
+
+// appendTextRecords appends one line per record: class, instance, then
+// the values in decimal, separated by single spaces.
+func appendTextRecords(b []byte, recs []model.Record) []byte {
+	for _, r := range recs {
 		b = append(b, r.Class...)
 		b = append(b, ' ')
 		b = append(b, sanitizeInstance(r.Instance)...)
@@ -155,12 +166,25 @@ func (e *textEncoder) WriteHeader() error {
 // WriteSnapshot appends one collection block (after the header, on the
 // first call).
 func (e *textEncoder) WriteSnapshot(s model.Snapshot) error {
+	return e.WriteSnapshotLines(s, nil)
+}
+
+// WriteSnapshotLines is the encoder's one entry point: the header if
+// the stream is new, then s's block head, then its record lines — lines
+// as they are when non-nil, else encoded from s.Records — in one Write.
+func (e *textEncoder) WriteSnapshotLines(s model.Snapshot, lines []byte) error {
 	b := e.buf[:0]
 	if !e.wroteHeader {
 		e.wroteHeader = true
 		b = appendTextHeader(b, e.header)
 	}
-	return e.write(appendTextBlock(b, s))
+	b = appendTextHead(b, s)
+	if lines != nil {
+		b = append(b, lines...)
+	} else {
+		b = appendTextRecords(b, s.Records)
+	}
+	return e.write(b)
 }
 
 func (e *textEncoder) write(b []byte) error {
@@ -195,6 +219,14 @@ type textParser struct {
 	ends   []int          // end offset in vals of each record's values
 	vals   []uint64
 	fields [][]byte
+	plain  bool // split's line is all ASCII, one ' ' between fields, none around them
+
+	// certify is set when the header matched the consumer's registry
+	// (decodeTextBytes' fast path). canon then tells whether the open
+	// block's record lines are canonical: byte for byte what
+	// appendTextRecords writes for the records decoded from them.
+	certify bool
+	canon   bool
 }
 
 // errorf formats a parse error at the current line.
@@ -262,7 +294,11 @@ func (p *textParser) headerLine(line []byte) (done bool, err error) {
 func (p *textParser) bodyLine(line []byte) (model.Snapshot, bool, error) {
 	var zero model.Snapshot
 	p.lineNo++
+	n := len(line)
 	line = bytes.TrimRight(line, "\r")
+	if len(p.recs) > 0 && (len(line) == 0 || line[0] == '%') {
+		p.canon = false // the encoder writes no blank, mark or trace line after a record
+	}
 	switch {
 	case len(line) == 0:
 	case bytes.HasPrefix(line, []byte(tracePrefix)):
@@ -307,6 +343,9 @@ func (p *textParser) bodyLine(line []byte) (model.Snapshot, bool, error) {
 			return zero, false, p.errorf("class %q has %d values, schema wants %d",
 				f[0], len(vals), sch.Len())
 		}
+		if !p.plain || len(line) != n {
+			p.canon = false
+		}
 		for _, v := range vals {
 			u, ok := parseDigits(v)
 			if !ok {
@@ -314,6 +353,9 @@ func (p *textParser) bodyLine(line []byte) (model.Snapshot, bool, error) {
 				if u, err = strconv.ParseUint(string(v), 10, 64); err != nil {
 					return zero, false, p.errorf("bad value %q: %w", v, err)
 				}
+			}
+			if v[0] == '0' && len(v) > 1 {
+				p.canon = false // a leading zero re-encodes without it
 			}
 			p.vals = append(p.vals, u)
 		}
@@ -368,10 +410,13 @@ var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r':
 // split returns the fields of line exactly as strings.Fields would. An
 // all-ASCII line is split in place into p's reused field slice; a line
 // with any other byte goes through strings.Fields itself (Unicode
-// spaces).
+// spaces). It sets p.plain when the line is all ASCII, starts and ends
+// with a field, and has exactly one ' ' between fields: the only
+// spacing the encoder writes. The test costs a compare per field.
 func (p *textParser) split(line []byte) [][]byte {
 	f := p.fields[:0]
-	start := -1
+	start, sep := -1, -1 // sep: where the last field's separator began
+	plain := true
 	for i, c := range line {
 		switch {
 		case c >= utf8.RuneSelf:
@@ -379,21 +424,25 @@ func (p *textParser) split(line []byte) [][]byte {
 			for _, s := range strings.Fields(string(line)) {
 				f = append(f, []byte(s))
 			}
-			p.fields = f
+			p.fields, p.plain = f, false
 			return f
 		case asciiSpace[c]:
 			if start >= 0 {
 				f = append(f, line[start:i])
-				start = -1
+				start, sep = -1, i
+				plain = plain && c == ' '
 			}
 		case start < 0:
 			start = i
+			plain = plain && i == sep+1
 		}
 	}
 	if start >= 0 {
 		f = append(f, line[start:])
+	} else {
+		plain = false // empty, or ends in a space
 	}
-	p.fields = f
+	p.fields, p.plain = f, plain
 	return f
 }
 
@@ -504,8 +553,11 @@ var textParsers = sync.Pool{New: func() any { return new(textParser) }}
 // nothing is. A non-nil reg is the consumer's registry: a header whose
 // schema lines equal reg.Block() byte for byte, followed by the blank
 // line that ends the header, decodes against reg instead of being
-// parsed into a new registry. Any other header is parsed.
-func decodeTextBytes(data []byte, reg *schema.Registry, fn func(model.Snapshot)) (h Header, keep int, err error) {
+// parsed into a new registry. Any other header is parsed. After such a
+// header, fn also gets each snapshot's record lines, the slice of data
+// that holds them, when they are canonical (appendTextRecords would
+// write them so for its records); otherwise its lines are nil.
+func decodeTextBytes(data []byte, reg *schema.Registry, fn func(s model.Snapshot, lines []byte)) (h Header, keep int, err error) {
 	p := textParsers.Get().(*textParser)
 	defer func() {
 		clear(p.recs)
@@ -523,6 +575,7 @@ func decodeTextBytes(data []byte, reg *schema.Registry, fn func(model.Snapshot))
 				string(rest[:len(block)]) == block && rest[len(block)] == '\n' {
 				p.lineNo += strings.Count(block, "\n") + 1
 				p.h.Registry = reg
+				p.certify = true
 				rest = rest[len(block)+1:]
 				break
 			}
@@ -544,6 +597,14 @@ func decodeTextBytes(data []byte, reg *schema.Registry, fn func(model.Snapshot))
 		}
 	}
 	keep = len(data) - len(rest)
+	recOff := -1 // where the open block's first record line starts
+	p.canon = p.certify
+	lines := func(end int) []byte {
+		if !p.canon || recOff < 0 {
+			return nil
+		}
+		return data[recOff:end:end]
+	}
 	for len(rest) > 0 {
 		off := len(data) - len(rest)
 		line, next, err := cutLine(rest)
@@ -559,16 +620,20 @@ func decodeTextBytes(data []byte, reg *schema.Registry, fn func(model.Snapshot))
 			s, ok = p.damaged(line)
 		}
 		if ok {
-			fn(s)
+			fn(s, lines(off))
 			keep = off // the block just closed ends where this line starts
+			p.canon, recOff = p.certify, -1
 		}
 		if err != nil {
 			return p.h, keep, err
 		}
+		if recOff < 0 && len(p.recs) > 0 {
+			recOff = off
+		}
 		rest = next
 	}
 	if s, ok := p.flush(); ok {
-		fn(s)
+		fn(s, lines(len(data)))
 	}
 	return p.h, len(data), nil
 }
@@ -603,22 +668,24 @@ func encodeWireText(s model.Snapshot, reg *schema.Registry) []byte {
 	return out
 }
 
-// decodeWireText decodes a v1 wire message: a one-snapshot text stream.
-func decodeWireText(data []byte, reg *schema.Registry) (model.Snapshot, error) {
+// decodeWireText decodes a v1 wire message, a one-snapshot text stream,
+// and returns the record lines decodeTextBytes certified for it.
+func decodeWireText(data []byte, reg *schema.Registry) (model.Snapshot, []byte, error) {
 	var s model.Snapshot
+	var lines []byte
 	n := 0
-	if _, _, err := decodeTextBytes(data, reg, func(x model.Snapshot) {
+	if _, _, err := decodeTextBytes(data, reg, func(x model.Snapshot, l []byte) {
 		if n == 0 {
-			s = x
+			s, lines = x, l
 		}
 		n++
 	}); err != nil {
-		return model.Snapshot{}, err
+		return model.Snapshot{}, nil, err
 	}
 	if n != 1 {
-		return model.Snapshot{}, fmt.Errorf("codec: wire message holds %d snapshots, want 1", n)
+		return model.Snapshot{}, nil, fmt.Errorf("codec: wire message holds %d snapshots, want 1", n)
 	}
-	return s, nil
+	return s, lines, nil
 }
 
 // tracePrefix marks the optional provenance line inside a snapshot
@@ -669,7 +736,7 @@ func parseTraceLine(line string) ([]model.StageStamp, error) {
 // parser the streaming decoder runs.
 func recoverText(data []byte) (*Stream, int, error) {
 	st := &Stream{Version: V1Text}
-	h, keep, err := decodeTextBytes(data, nil, func(s model.Snapshot) {
+	h, keep, err := decodeTextBytes(data, nil, func(s model.Snapshot, _ []byte) {
 		st.Snapshots = append(st.Snapshots, s)
 	})
 	if keep == 0 {

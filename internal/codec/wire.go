@@ -136,17 +136,28 @@ func SniffWire(data []byte) (Version, error) {
 // DecodeWire decodes one wire message against the consumer's registry,
 // reporting the codec version the producer used.
 func DecodeWire(data []byte, reg *schema.Registry) (model.Snapshot, Version, error) {
-	var zero model.Snapshot
-	v, err := SniffWire(data)
-	if err != nil {
-		return zero, VersionUnknown, err
+	s, v, _, err := DecodeWireLines(data, reg)
+	return s, v, err
+}
+
+// DecodeWireLines is DecodeWire for a consumer that archives what it
+// received. When a v1 text message's header matched reg and its record
+// lines are canonical — all ASCII, "class instance values..." with one
+// space between fields, no leading zero, and no mark, trace or blank
+// line among them — lines is the slice of data that holds them: byte
+// for byte what the text encoder writes for s.Records, so a v1 archive
+// can store them as they arrived (SnapshotEncoder.WriteSnapshotLines).
+// Otherwise lines is nil.
+func DecodeWireLines(data []byte, reg *schema.Registry) (s model.Snapshot, v Version, lines []byte, err error) {
+	if v, err = SniffWire(data); err != nil {
+		return s, VersionUnknown, nil, err
 	}
 	if v == V1Text {
-		s, err := decodeWireText(data, reg)
-		return s, V1Text, err
+		s, lines, err = decodeWireText(data, reg)
+		return s, V1Text, lines, err
 	}
-	s, err := decodeWireBinary(data, reg)
-	return s, V2Binary, err
+	s, err = decodeWireBinary(data, reg)
+	return s, V2Binary, nil, err
 }
 
 func decodeWireBinary(data []byte, reg *schema.Registry) (model.Snapshot, error) {

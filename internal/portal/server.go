@@ -100,7 +100,7 @@ func NewServer(db *reldb.DB, reg *schema.Registry, series SeriesSource) *Server 
 	}
 	s.mux.HandleFunc("/", s.instrument("/", s.handleIndex))
 	s.mux.HandleFunc("/jobs", s.instrument("/jobs", s.cacheable("/jobs", s.handleJobs)))
-	s.mux.HandleFunc("/job/", s.instrument("/job/", s.handleJobDetail))
+	s.mux.HandleFunc("/job/", s.instrument("/job/", s.limit(s.handleJobDetail)))
 	s.mux.HandleFunc("/dates", s.instrument("/dates", s.cacheable("/dates", s.handleDates)))
 	s.mux.HandleFunc("/user/", s.instrument("/user/", s.handleUser))
 	s.mux.HandleFunc("/energy", s.instrument("/energy", s.cacheable("/energy", s.handleEnergy)))

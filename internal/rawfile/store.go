@@ -524,6 +524,15 @@ func NewArchiver(st *Store, maxOpen int) *Archiver {
 
 // Append archives one snapshot under the host's header.
 func (a *Archiver) Append(host string, h Header, s model.Snapshot) error {
+	return a.AppendLines(host, h, s, nil)
+}
+
+// AppendLines is Append for a snapshot decoded from a wire message,
+// given the record lines codec.DecodeWireLines certified (nil when it
+// certified none). A v1 text file gets those received bytes after a
+// block head encoded from s, byte for byte what Append writes; a
+// binary file encodes s.
+func (a *Archiver) AppendLines(host string, h Header, s model.Snapshot, lines []byte) error {
 	day := int64(s.Time) / 86400
 	key := archKey{host, day}
 
@@ -543,7 +552,7 @@ func (a *Archiver) Append(host string, h Header, s model.Snapshot) error {
 	if err != nil {
 		return err
 	}
-	if err := af.enc.WriteSnapshot(s); err != nil {
+	if err := af.enc.WriteSnapshotLines(s, lines); err != nil {
 		af.f.Close() // before the eviction's flush: drop what the failed write buffered
 		a.files.Remove(key)
 		return err

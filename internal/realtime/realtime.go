@@ -60,12 +60,22 @@ func DefaultRules() []Rule {
 }
 
 // Monitor evaluates rules over the live stream. Safe for concurrent use.
+//
+// A rule's rate is the summed delta of its event over the class's
+// instances, divided by the time since the host's previous snapshot.
+// Per host and per rule the monitor keeps a reused map from instance to
+// the event's value in that previous snapshot — not the snapshot — so
+// folding one copies nothing and, once a host's instances are known,
+// allocates nothing. The current records fold in order; an instance
+// that appears twice counts twice against the previous value, and its
+// last occurrence is what the next snapshot sees; an instance missing
+// from a snapshot is forgotten. A snapshot that does not advance the
+// host's time raises nothing but still replaces the previous values.
 type Monitor struct {
 	mu    sync.Mutex
-	reg   *schema.Registry
-	rules []Rule
-	prev  map[string]model.Snapshot
-	seen  map[string]float64 // host -> last snapshot time
+	rules []monRule
+	hosts map[string][]eventVals // host -> per-rule previous values
+	seen  map[string]float64     // host -> last snapshot time
 
 	// Notify, if set, is invoked synchronously for every alert (the
 	// "system administrator notified immediately" hook).
@@ -74,31 +84,68 @@ type Monitor struct {
 	alerts []Alert
 }
 
+// monRule is a Rule resolved against the registry once: idx is the
+// event's column in the class's schema, or -1 when the registry lacks
+// the class or the event (the rule then never fires).
+type monRule struct {
+	Rule
+	idx int
+	def schema.EventDef
+}
+
+// eventVals holds one rule's event values per instance for one host:
+// prev from the previous snapshot, next filled by the current one, the
+// two swapped after each snapshot so neither is reallocated.
+type eventVals struct {
+	prev, next map[string]uint64
+}
+
 // NewMonitor builds a monitor for streams collected under reg.
 func NewMonitor(reg *schema.Registry, rules []Rule) *Monitor {
-	return &Monitor{
-		reg:   reg,
-		rules: rules,
-		prev:  make(map[string]model.Snapshot),
+	m := &Monitor{
+		hosts: make(map[string][]eventVals),
 		seen:  make(map[string]float64),
 	}
+	for _, r := range rules {
+		mr := monRule{Rule: r, idx: -1}
+		if sch := reg.Get(r.Class); sch != nil {
+			if mr.idx = sch.Index(r.Event); mr.idx >= 0 {
+				mr.def = sch.Events[mr.idx]
+			}
+		}
+		m.rules = append(m.rules, mr)
+	}
+	return m
 }
 
 // Process folds one snapshot and returns any alerts it raised.
 func (m *Monitor) Process(s model.Snapshot) []Alert {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	prevTime, ok := m.seen[s.Host]
 	m.seen[s.Host] = s.Time
-	prev, ok := m.prev[s.Host]
-	m.prev[s.Host] = s.Clone()
-	if !ok || s.Time <= prev.Time {
-		return nil
+	vals := m.hosts[s.Host]
+	if vals == nil {
+		vals = make([]eventVals, len(m.rules))
+		for i := range vals {
+			vals[i] = eventVals{prev: map[string]uint64{}, next: map[string]uint64{}}
+		}
+		m.hosts[s.Host] = vals
 	}
-	dt := s.Time - prev.Time
+	advancing := ok && !(s.Time <= prevTime) // not s.Time > prevTime: a NaN time advances
+	dt := s.Time - prevTime
 	var out []Alert
-	for _, r := range m.rules {
-		rate, ok := classRate(m.reg, prev, s, r.Class, r.Event, dt)
-		if !ok || rate <= r.Threshold {
+	for i := range m.rules {
+		r := &m.rules[i]
+		if r.idx < 0 {
+			continue
+		}
+		total, found := vals[i].fold(s.Records, r, advancing)
+		if !advancing || !found {
+			continue
+		}
+		rate := total / dt
+		if rate <= r.Threshold {
 			continue
 		}
 		a := Alert{Time: s.Time, Host: s.Host, JobIDs: append([]string(nil), s.JobIDs...),
@@ -110,6 +157,31 @@ func (m *Monitor) Process(s model.Snapshot) []Alert {
 		}
 	}
 	return out
+}
+
+// fold records the current snapshot's values of r's event and, when
+// the snapshot advances the host's time, sums each instance's delta
+// against its previous value, in record order. found reports whether
+// any instance had a previous value.
+func (v *eventVals) fold(recs []model.Record, r *monRule, advancing bool) (total float64, found bool) {
+	clear(v.next)
+	for _, rec := range recs {
+		if rec.Class != r.Class {
+			continue
+		}
+		if r.idx >= len(rec.Values) {
+			delete(v.next, rec.Instance) // a short record: no value to rate
+			continue
+		}
+		cur := rec.Values[r.idx]
+		v.next[rec.Instance] = cur
+		if pv, ok := v.prev[rec.Instance]; ok && advancing {
+			total += float64(schema.RolloverDelta(pv, cur, r.def))
+			found = true
+		}
+	}
+	v.prev, v.next = v.next, v.prev
+	return total, found
 }
 
 // Alerts returns a copy of every alert raised so far.
@@ -132,40 +204,6 @@ func (m *Monitor) SilentHosts(cutoff float64) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// classRate computes the event's delta rate between two snapshots,
-// summed over instances.
-func classRate(reg *schema.Registry, prev, cur model.Snapshot, c schema.Class, ev string, dt float64) (float64, bool) {
-	sch := reg.Get(c)
-	if sch == nil || dt <= 0 {
-		return 0, false
-	}
-	idx := sch.Index(ev)
-	if idx < 0 {
-		return 0, false
-	}
-	def := sch.Events[idx]
-	prevByInst := map[string][]uint64{}
-	for _, r := range prev.Records {
-		if r.Class == c {
-			prevByInst[r.Instance] = r.Values
-		}
-	}
-	total := 0.0
-	found := false
-	for _, r := range cur.Records {
-		if r.Class != c {
-			continue
-		}
-		pv, ok := prevByInst[r.Instance]
-		if !ok || idx >= len(pv) || idx >= len(r.Values) {
-			continue
-		}
-		total += float64(schema.RolloverDelta(pv[idx], r.Values[idx], def))
-		found = true
-	}
-	return total / dt, found
 }
 
 // listenMetrics are the central consumer's telemetry series.

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"time"
 
-	"gostats/internal/broker"
 	"gostats/internal/codec"
 	"gostats/internal/model"
 	"gostats/internal/pipeline"
@@ -28,6 +27,7 @@ import (
 type listenItem struct {
 	body  []byte
 	snap  model.Snapshot
+	lines []byte // the record lines the decode certified, inside body
 	wireV codec.Version
 	// done resolves exactly once with the item's terminal fate; buffered
 	// so the resolving stage never blocks on a departed submitter.
@@ -112,14 +112,14 @@ func (l *Listener) decodeStage(ctx context.Context, it *listenItem) (*listenItem
 	if sreg == nil {
 		sreg = schema.DefaultRegistry()
 	}
-	snap, wireV, err := broker.DecodeSnapshotWire(it.body, sreg)
+	snap, wireV, lines, err := codec.DecodeWireLines(it.body, sreg)
 	if err != nil {
 		// A corrupt message must not kill the consumer; drop it.
 		l.met.decodeFails.Inc()
 		it.done <- nil
 		return nil, pipeline.Skip
 	}
-	it.snap, it.wireV = snap, wireV
+	it.snap, it.lines, it.wireV = snap, lines, wireV
 	l.Trace.Stamp(&it.snap, model.StageBrokerDeliver)
 	if l.OnDecoded != nil {
 		l.OnDecoded(wireV, len(it.body))
@@ -134,8 +134,11 @@ func (l *Listener) decodeStage(ctx context.Context, it *listenItem) (*listenItem
 }
 
 // archiveStage runs the online monitor and appends the snapshot to the
-// central raw store. An archive failure is fatal: the message must nack
-// and redeliver rather than silently lose the snapshot.
+// central raw store: a v1 text file gets the record lines as they
+// arrived, when the decode certified them, after a head encoded from
+// the snapshot (which carries the deliver and archive trace stamps).
+// An archive failure is fatal: the message must nack and redeliver
+// rather than silently lose the snapshot.
 func (l *Listener) archiveStage(ctx context.Context, it *listenItem) (*listenItem, error) {
 	if l.Monitor != nil {
 		alerts := l.Monitor.Process(it.snap)
@@ -144,7 +147,7 @@ func (l *Listener) archiveStage(ctx context.Context, it *listenItem) (*listenIte
 	if l.arch != nil && l.Headers != nil {
 		l.Trace.Stamp(&it.snap, model.StageArchive)
 		t := l.met.storeSeconds.Start()
-		err := l.arch.Append(it.snap.Host, l.Headers(it.snap.Host), it.snap)
+		err := l.arch.AppendLines(it.snap.Host, l.Headers(it.snap.Host), it.snap, it.lines)
 		t.Stop()
 		if err != nil {
 			return nil, fmt.Errorf("realtime: archive %s: %w", it.snap.Host, err)

@@ -212,6 +212,58 @@ func TestAvgIsInsertionOrderIndependent(t *testing.T) {
 	}
 }
 
+// TestStatsIsInsertionOrderIndependent pins Stats' and StatsRows' Sum
+// (and so Mean) to Avg's job-id fold order, bit for bit, over the same
+// 200 fractional rows inserted forwards and backwards; Values stays in
+// result order.
+func TestStatsIsInsertionOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	rows := make([]*JobRow, 200)
+	for i := range rows {
+		rows[i] = &JobRow{JobID: fmt.Sprintf("%04d", i), Exe: "wrf.exe"}
+		rows[i].Metrics.CPUUsage = rng.Float64() * math.Pow(10, float64(rng.Intn(12)-6))
+	}
+	fwd, back := New(), New()
+	for i := range rows {
+		fwd.Insert(rows[i])
+		back.Insert(rows[len(rows)-1-i])
+	}
+	avg, err := fwd.Avg("cpu_usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, filters := range [][]Filter{nil, {F("exe", "wrf.exe")}} {
+		var means []float64
+		for _, db := range []*DB{fwd, back} {
+			st, err := db.Stats([]string{"cpu_usage"}, filters...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := db.Query(filters...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sr, err := StatsRows(res, "cpu_usage")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, fs := range []*FieldStats{st["cpu_usage"], sr["cpu_usage"]} {
+				for i, r := range res {
+					if fs.Values[i] != r.Metrics.CPUUsage {
+						t.Fatalf("Values[%d] = %v, result row %s has %v", i, fs.Values[i], r.JobID, r.Metrics.CPUUsage)
+					}
+				}
+				means = append(means, fs.Mean())
+			}
+		}
+		for _, m := range means {
+			if math.Float64bits(m) != math.Float64bits(avg) {
+				t.Fatalf("filters %v: means %v, Avg %v", filters, means, avg)
+			}
+		}
+	}
+}
+
 func TestValuesProjection(t *testing.T) {
 	db := seedDB(t)
 	vs, err := db.Values("runtime", Filter{"exe", "wrf.exe"})

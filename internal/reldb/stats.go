@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -30,8 +31,37 @@ func (s *FieldStats) Mean() float64 {
 // histogram quartet is the canonical caller. Keys in the returned map
 // are the lowercased field names.
 func (db *DB) Stats(fieldNames []string, filters ...Filter) (map[string]*FieldStats, error) {
-	getters := make([]func(*JobRow) float64, len(fieldNames))
-	accs := make([]*FieldStats, len(fieldNames))
+	nf, err := numFields(fieldNames)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := db.Query(filters...)
+	if err != nil {
+		return nil, err
+	}
+	return foldStats(rows, nf), nil
+}
+
+// StatsRows computes the same per-field sweep over an already-filtered
+// row set (e.g. the rows a handler just fetched for display), avoiding a
+// second filter scan entirely.
+func StatsRows(rows []*JobRow, fieldNames ...string) (map[string]*FieldStats, error) {
+	nf, err := numFields(fieldNames)
+	if err != nil {
+		return nil, err
+	}
+	return foldStats(rows, nf), nil
+}
+
+// numField is a resolved numeric field: its lowercased name and getter.
+type numField struct {
+	name string
+	get  func(*JobRow) float64
+}
+
+// numFields resolves field names, refusing unknown and non-numeric ones.
+func numFields(fieldNames []string) ([]numField, error) {
+	out := make([]numField, len(fieldNames))
 	for i, n := range fieldNames {
 		name := strings.ToLower(n)
 		f, ok := fields[name]
@@ -41,56 +71,23 @@ func (db *DB) Stats(fieldNames []string, filters ...Filter) (map[string]*FieldSt
 		if f.kind != kindNum {
 			return nil, fmt.Errorf("reldb: field %q is not numeric", n)
 		}
-		getters[i] = f.num
-		accs[i] = &FieldStats{Field: name}
-	}
-	rows, err := db.Query(filters...)
-	if err != nil {
-		return nil, err
-	}
-	for i := range accs {
-		accs[i].Values = make([]float64, 0, len(rows))
-	}
-	for _, r := range rows {
-		for i, get := range getters {
-			v := get(r)
-			a := accs[i]
-			if a.Count == 0 {
-				a.Min, a.Max = v, v
-			} else if v < a.Min {
-				a.Min = v
-			} else if v > a.Max {
-				a.Max = v
-			}
-			a.Count++
-			a.Sum += v
-			a.Values = append(a.Values, v)
-		}
-	}
-	out := make(map[string]*FieldStats, len(accs))
-	for _, a := range accs {
-		out[a.Field] = a
+		out[i] = numField{name, f.num}
 	}
 	return out, nil
 }
 
-// StatsRows computes the same per-field sweep over an already-filtered
-// row set (e.g. the rows a handler just fetched for display), avoiding a
-// second filter scan entirely.
-func StatsRows(rows []*JobRow, fieldNames ...string) (map[string]*FieldStats, error) {
-	out := make(map[string]*FieldStats, len(fieldNames))
-	for _, n := range fieldNames {
-		name := strings.ToLower(n)
-		f, ok := fields[name]
-		if !ok {
-			return nil, fmt.Errorf("reldb: unknown field %q", n)
-		}
-		if f.kind != kindNum {
-			return nil, fmt.Errorf("reldb: field %q is not numeric", n)
-		}
-		a := &FieldStats{Field: name, Values: make([]float64, 0, len(rows))}
+// foldStats folds each field over rows. Count, Min, Max and Values
+// follow the rows' order; Sum, and with it Mean, folds in job-id order,
+// as Avg does, so its bits do not depend on the order rows were
+// inserted or passed in.
+func foldStats(rows []*JobRow, nf []numField) map[string]*FieldStats {
+	byID := slices.Clone(rows)
+	slices.SortStableFunc(byID, func(a, b *JobRow) int { return strings.Compare(a.JobID, b.JobID) })
+	out := make(map[string]*FieldStats, len(nf))
+	for _, f := range nf {
+		a := &FieldStats{Field: f.name, Values: make([]float64, 0, len(rows))}
 		for _, r := range rows {
-			v := f.num(r)
+			v := f.get(r)
 			if a.Count == 0 {
 				a.Min, a.Max = v, v
 			} else if v < a.Min {
@@ -99,10 +96,12 @@ func StatsRows(rows []*JobRow, fieldNames ...string) (map[string]*FieldStats, er
 				a.Max = v
 			}
 			a.Count++
-			a.Sum += v
 			a.Values = append(a.Values, v)
 		}
-		out[name] = a
+		for _, r := range byID {
+			a.Sum += f.get(r)
+		}
+		out[f.name] = a
 	}
-	return out, nil
+	return out
 }
