@@ -76,13 +76,14 @@ func (s *Store) retentionLocked(sh *shardState) error {
 }
 
 // compactTierLocked downsamples the oldest run of sealed tier-t
-// segments past the tier's compaction age into one tier-(t+1) segment.
+// segments past the tier's compaction age, and below the shard's
+// compaction limit, into one tier-(t+1) segment.
 func (s *Store) compactTierLocked(sh *shardState, tier int) error {
 	after := s.opts.compactAfter(tier)
 	if after < 0 {
 		return nil
 	}
-	cutoff := sh.newest - after
+	cutoff := min(sh.newest-after, sh.compactBefore)
 	var inputs []*segInfo
 	for _, info := range sh.sealed[tier] {
 		if info.maxT >= cutoff || len(inputs) >= maxCompactInputs {

@@ -1,6 +1,7 @@
 package segstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -67,6 +68,19 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add(bseed)
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 'G', 'S', 'S', 1})
+	f.Add([]byte{0x00, 'G', 'S', 'S', 2})
+	// Format 1 and format 2 goldens, and crafted format-2 frames.
+	for name := range goldenSegments() {
+		seg, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seg)
+	}
+	for _, c := range craftedFrames() {
+		seg, _ := craftSegment(c.tier, c.entries...)
+		f.Add(seg)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, good, _ := parseSegment(data)
@@ -153,6 +167,29 @@ func FuzzIndexedFrame(f *testing.F) {
 		}
 	}
 
+	// Format-2 goldens with their own index frames, and crafted frames
+	// with an index that lists them.
+	for name, g := range goldenSegments() {
+		if g.version != segFormatVersion {
+			continue
+		}
+		seg, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		d, _, err := parseSegment(seg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload := encodeIndexPayload(d.index.series, d.index.frames)
+		f.Add(seg, payload, []byte{0xff}, int16(0), int16(32000))
+		f.Add(seg, payload, []byte{0x02}, int16(0), int16(32000))
+	}
+	for _, c := range craftedFrames() {
+		seg, payload := craftSegment(c.tier, c.entries...)
+		f.Add(seg, payload, []byte{0x01}, int16(0), int16(32000))
+	}
+
 	f.Fuzz(func(t *testing.T, data, indexPayload, wantBits []byte, lo, hi int16) {
 		sel := &frameSel{start: float64(lo) / 10, end: float64(hi) / 10}
 		for r := 0; r < 8*len(wantBits); r++ {
@@ -161,9 +198,12 @@ func FuzzIndexedFrame(f *testing.F) {
 			}
 		}
 		other, _ := parseIndexPayload(indexPayload)
-		d, _, derr := parseSegment(data)
+		d, _, _ := parseSegment(data)
 		if d == nil {
 			return
+		}
+		if other != nil {
+			other.version = d.version
 		}
 		// The sequential oracle: each accepted frame decoded standalone
 		// from its recorded context, runs joined per series.
@@ -171,7 +211,7 @@ func FuzzIndexedFrame(f *testing.F) {
 		atFrame := make(map[int64]int, len(d.frameStats))
 		joined := make([][]AggPoint, len(d.series))
 		for i, fs := range d.frameStats {
-			df, err := decodeFrame(t, data, fs, d.series, sel)
+			df, err := decodeFrame(t, data, d.version, fs, d.series, sel)
 			if err != nil {
 				t.Fatalf("frame at %d decoded sequentially but not standalone: %v", fs.off, err)
 			}
@@ -182,10 +222,9 @@ func FuzzIndexedFrame(f *testing.F) {
 			}
 		}
 		for r, pts := range joined {
-			// Damage inside a frame leaves that frame's leading entries in
-			// d.chunks but no frame stats, so the joined runs are a prefix.
-			if len(pts) > len(d.chunks[r]) || !samePoints(pts, d.chunks[r][:len(pts)]) ||
-				(derr == nil && len(pts) != len(d.chunks[r])) {
+			// A damaged frame is not applied at all, so the accepted
+			// frames hold every decoded point.
+			if !samePoints(pts, d.chunks[r]) {
 				t.Fatalf("series %d: standalone runs disagree with the sequential decode", r)
 			}
 		}
@@ -194,7 +233,7 @@ func FuzzIndexedFrame(f *testing.F) {
 				continue
 			}
 			for _, fs := range ix.frames {
-				df, err := decodeFrame(t, data, fs, ix.series, sel)
+				df, err := decodeFrame(t, data, d.version, fs, ix.series, sel)
 				if err != nil {
 					continue
 				}
@@ -216,7 +255,7 @@ func FuzzIndexedFrame(f *testing.F) {
 // unless that decode errs exactly when the full one does and keeps, of
 // each series, the full run's in-window points if sel wants the series
 // and none otherwise, flagged sorted exactly when they are.
-func decodeFrame(t *testing.T, data []byte, fs frameStat, series []Labels, sel *frameSel) (*decodedFrame, error) {
+func decodeFrame(t *testing.T, data []byte, ver uint64, fs frameStat, series []Labels, sel *frameSel) (*decodedFrame, error) {
 	t.Helper()
 	if fs.off < 0 || fs.size < 0 || fs.off > int64(len(data)) || fs.size > int64(len(data))-fs.off {
 		return nil, fmt.Errorf("frame [%d,+%d) outside the segment", fs.off, fs.size)
@@ -228,8 +267,8 @@ func decodeFrame(t *testing.T, data []byte, fs frameStat, series []Labels, sel *
 	if typ != framePoints && typ != frameBucket {
 		return nil, fmt.Errorf("frame type %q", typ)
 	}
-	df, err := decodeFrameStandalone(payload, typ, fs, series, nil)
-	part, perr := decodeFrameStandalone(payload, typ, fs, series, sel)
+	df, err := decodeFrameStandalone(payload, typ, ver, fs, series, nil)
+	part, perr := decodeFrameStandalone(payload, typ, ver, fs, series, sel)
 	if (err == nil) != (perr == nil) {
 		t.Fatalf("frame at %d: full decode error %v, selective decode error %v", fs.off, err, perr)
 	}
@@ -271,4 +310,70 @@ func samePoints(a, b []AggPoint) bool {
 		}
 	}
 	return true
+}
+
+// craftedFrame is a format-2 data frame built entry by entry, for seeds
+// the writer never produces.
+type craftedFrame struct {
+	tier    int
+	entries [][]byte
+}
+
+// craftedLabels is the one series of every crafted frame.
+var craftedLabels = Labels{Host: "fuzz", DevType: "cpu", Device: "0", Event: "user"}
+
+// v2Entry encodes one format-2 entry of series ref: the header, the
+// label strings when introduce is set, the Δms when flags has entTime,
+// and the value unless a value flag is set.
+func v2Entry(ref, flags uint64, introduce bool, dt int64, v float64) []byte {
+	b := binary.AppendUvarint(nil, ref<<entFlagBits|flags)
+	if introduce {
+		b = appendLabels(b, craftedLabels)
+	}
+	if flags&entTime != 0 {
+		b = binary.AppendVarint(b, dt)
+	}
+	if flags&(entZero|entRepeat) == 0 {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
+}
+
+// craftedFrames are format-2 frames at the edges of the entry header: a
+// first entry with no time bit, −0.0 stored as a value and a NaN payload
+// repeated (valid), then a repeat opening its series' run in the frame,
+// both value flags set, and a value flag on a bucket entry (damage).
+func craftedFrames() []craftedFrame {
+	nan := math.Float64frombits(0x7ff0_0000_0000_0bad)
+	bucket := binary.AppendUvarint(nil, entTime|entZero)
+	bucket = binary.AppendVarint(appendLabels(bucket, craftedLabels), 600000)
+	return []craftedFrame{
+		{tierRaw, [][]byte{v2Entry(0, 0, true, 0, math.Copysign(0, -1)), v2Entry(0, entTime, false, 1000, nan), v2Entry(0, entRepeat, false, 0, 0)}},
+		{tierRaw, [][]byte{v2Entry(0, entTime|entRepeat, true, 1000, 0)}},
+		{tierRaw, [][]byte{v2Entry(0, entTime, true, 1000, 2.5), v2Entry(0, entZero|entRepeat, false, 0, 0)}},
+		{tierMid, [][]byte{bucket}},
+	}
+}
+
+// craftSegment returns a format-2 segment of the tier whose one data
+// frame holds entries verbatim, and an index payload listing the frame.
+func craftSegment(tier int, entries ...[]byte) (seg, index []byte) {
+	meta := []uint64{uint64(tier), 0, 1, 1, 1, 0}
+	typ := byte(framePoints)
+	if tier != tierRaw {
+		meta[5], typ = 600000, frameBucket
+	}
+	var mp []byte
+	for _, v := range meta {
+		mp = binary.AppendUvarint(mp, v)
+	}
+	seg = framelog.Append(framelog.AppendPreamble(nil, segMagic, segFormatVersion), frameMeta, mp)
+	off := len(seg)
+	payload := binary.AppendUvarint(nil, uint64(len(entries)))
+	for _, e := range entries {
+		payload = append(payload, e...)
+	}
+	seg = framelog.Append(seg, typ, payload)
+	fs := frameStat{off: int64(off), size: int64(len(seg) - off), maxMs: 600000, refs: []uint64{0}}
+	return seg, encodeIndexPayload([]Labels{craftedLabels}, []frameStat{fs})
 }

@@ -5,42 +5,105 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"testing"
 )
 
-// The golden fixtures under testdata/ are a sealed raw segment and a
-// sealed 10-minute segment, each with its index frame, written before
-// the framing moved into internal/framelog. Writing the same entries
-// must reproduce them byte for byte, and a store must serve them.
+// The golden fixtures under testdata/ are sealed segments with their
+// index frames. raw-t0.seg and mid-t1.seg are format 1, written before
+// the framing moved into internal/framelog: a store must still serve
+// them. raw-v2-t0.seg and mid-v2-t1.seg are format 2, whose raw entries
+// elide repeated times, +0.0 and in-frame value repeats: writing the
+// same entries must reproduce them byte for byte, and a store must
+// serve them.
 
 type goldenEntry struct {
 	l Labels
 	p AggPoint
 }
 
-func goldenSegments() map[string]struct {
+type goldenSegment struct {
 	meta    Meta
+	version uint64
 	entries []goldenEntry
-} {
+}
+
+func rawPoint(t, v float64) AggPoint { return AggPoint{Time: t, Count: 1, Sum: v, Min: v, Max: v} }
+
+func goldenSegments() map[string]goldenSegment {
 	cpu := Labels{Host: "c401-101", DevType: "cpu", Device: "cpu0", Event: "user"}
 	ib := Labels{Host: "c401-101", DevType: "ib", Device: "mlx4_0/1", Event: "rx_bytes"}
 	var raw, mid []goldenEntry
 	for i := 0; i < 12; i++ {
 		v := float64(i*i) + 0.5
-		raw = append(raw, goldenEntry{cpu, AggPoint{Time: 7200 + float64(i)*60.25, Count: 1, Sum: v, Min: v, Max: v}})
-		raw = append(raw, goldenEntry{ib, AggPoint{Time: 7200 + float64(i)*60.25, Count: 1, Sum: -v, Min: -v, Max: -v}})
+		raw = append(raw, goldenEntry{cpu, rawPoint(7200+float64(i)*60.25, v)})
+		raw = append(raw, goldenEntry{ib, rawPoint(7200+float64(i)*60.25, -v)})
 	}
 	for i := 0; i < 4; i++ {
 		mid = append(mid, goldenEntry{cpu, AggPoint{Time: 600 * float64(i+1), Count: 10, Sum: 55.5 * float64(i), Min: 1, Max: 9.75}})
 	}
-	return map[string]struct {
-		meta    Meta
-		entries []goldenEntry
-	}{
-		"raw-t0.seg": {Meta{Tier: tierRaw, Shard: 0, Seq: 3, CoverLo: 3, CoverHi: 3}, raw},
-		"mid-t1.seg": {Meta{Tier: tierMid, Shard: 0, Seq: 2, CoverLo: 1, CoverHi: 1, BucketMs: 600000}, mid},
+
+	// The format-2 fixtures: rows of three series sharing a time, with
+	// +0.0, −0.0, runs of repeats (which restart at each frame, every
+	// fifth entry), a NaN with a payload repeated bit for bit, and a late
+	// point that steps the time back.
+	user := Labels{Host: "c401-102", DevType: "cpu", Device: "cpu0", Event: "user"}
+	idle := Labels{Host: "c401-102", DevType: "cpu", Device: "cpu0", Event: "idle"}
+	rx := Labels{Host: "c401-102", DevType: "ib", Device: "mlx4_0/1", Event: "rx_bytes"}
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	var raw2, mid2 []goldenEntry
+	for i := 0; i < 12; i++ {
+		tm := 9000 + float64(i)*60.25
+		u := 2.5
+		if i%4 == 0 {
+			u = 0
+		}
+		id := float64(i / 3)
+		if i%3 == 0 {
+			id = math.Copysign(0, -1)
+		}
+		r := float64(i * i)
+		if i == 5 || i == 6 {
+			r = nan
+		}
+		raw2 = append(raw2, goldenEntry{user, rawPoint(tm, u)}, goldenEntry{idle, rawPoint(tm, id)}, goldenEntry{rx, rawPoint(tm, r)})
+	}
+	raw2 = append(raw2, goldenEntry{user, rawPoint(8990, 2.5)})
+	for i := 0; i < 4; i++ {
+		tm := 600 * float64(i+1)
+		mid2 = append(mid2,
+			goldenEntry{user, AggPoint{Time: tm, Count: 10, Sum: 55.5 * float64(i), Min: 1, Max: 9.75}},
+			goldenEntry{idle, AggPoint{Time: tm, Count: 10, Sum: 0, Min: 0, Max: 0}})
+	}
+	return map[string]goldenSegment{
+		"raw-t0.seg":    {Meta{Tier: tierRaw, Shard: 0, Seq: 3, CoverLo: 3, CoverHi: 3}, segFormatV1, raw},
+		"mid-t1.seg":    {Meta{Tier: tierMid, Shard: 0, Seq: 2, CoverLo: 1, CoverHi: 1, BucketMs: 600000}, segFormatV1, mid},
+		"raw-v2-t0.seg": {Meta{Tier: tierRaw, Shard: 0, Seq: 5, CoverLo: 5, CoverHi: 5}, segFormatVersion, raw2},
+		"mid-v2-t1.seg": {Meta{Tier: tierMid, Shard: 0, Seq: 4, CoverLo: 4, CoverHi: 4, BucketMs: 600000}, segFormatVersion, mid2},
+	}
+}
+
+// writeGolden writes g's entries as a sealed segment at path, flushing a
+// frame after every fifth entry.
+func writeGolden(t testing.TB, path string, g goldenSegment) {
+	t.Helper()
+	w, err := newSegWriter(path, g.meta, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range g.entries {
+		w.add(&Ref{Labels: e.l}, e.p)
+		if i%5 == 4 {
+			if err := w.flushFrame(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := w.writeIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -52,49 +115,36 @@ func TestGoldenSegments(t *testing.T) {
 	}
 	want := make(map[Labels][]AggPoint)
 	for name, g := range goldenSegments() {
-		path := filepath.Join(t.TempDir(), name)
-		w, err := newSegWriter(path, g.meta, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, e := range g.entries {
-			w.add(&Ref{Labels: e.l}, e.p)
-			if i%5 == 4 {
-				if err := w.flushFrame(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want[e.l] = append(want[e.l], e.p)
-		}
-		if _, err := w.writeIndex(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.close(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		fixture, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, fixture) {
-			t.Fatalf("%s: writer output (%d bytes) differs from the golden fixture (%d bytes)", name, len(got), len(fixture))
+		if g.version == segFormatVersion {
+			path := filepath.Join(t.TempDir(), name)
+			writeGolden(t, path, g)
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, fixture) {
+				t.Fatalf("%s: writer output (%d bytes) differs from the golden fixture (%d bytes)", name, len(got), len(fixture))
+			}
 		}
 		d, good, derr := parseSegment(fixture)
-		if derr != nil || good != len(fixture) || d.index == nil || d.meta != g.meta {
+		if derr != nil || good != len(fixture) || d.index == nil || d.meta != g.meta || d.version != g.version {
 			t.Fatalf("%s: parse fixture: good %d of %d, index %v, meta %+v, err %v",
 				name, good, len(fixture), d != nil && d.index != nil, d, derr)
 		}
 		if err := os.WriteFile(filepath.Join(shdir, sealedName(g.meta.Tier, g.meta.Seq)), fixture, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		for _, e := range g.entries {
+			want[e.l] = append(want[e.l], e.p)
+		}
 	}
 
 	for _, pts := range want {
-		sort.Slice(pts, func(i, j int) bool { return pts[i].Time < pts[j].Time })
+		sort.SliceStable(pts, func(i, j int) bool { return pts[i].Time < pts[j].Time })
 	}
 	opts := testOpts()
 	opts.Shards = 1
@@ -110,14 +160,122 @@ func TestGoldenSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(map[Labels][]AggPoint)
-	for _, c := range chunks {
-		got[c.Labels] = c.Points
+	if len(chunks) != len(want) {
+		t.Fatalf("store served %d series, want %d", len(chunks), len(want))
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("store served %+v, want %+v", got, want)
+	for _, c := range chunks {
+		if !samePoints(c.Points, want[c.Labels]) {
+			t.Fatalf("store served %v: %+v, want %+v", c.Labels, c.Points, want[c.Labels])
+		}
 	}
 	if s.metrics().idxHits.Value() == 0 {
 		t.Fatal("golden segments were not served through their index frames")
 	}
+}
+
+// TestFormat1SegmentRecoversAndCompacts takes the format-1 raw golden
+// through what a store written by an older binary meets after an
+// upgrade: recovery of an active segment torn inside its last data
+// frame, compaction into a format-2 bucket segment, and a reopen. Every
+// point of the complete frames must come back, then their exact buckets.
+func TestFormat1SegmentRecoversAndCompacts(t *testing.T) {
+	g := goldenSegments()["raw-t0.seg"]
+	fixture, err := os.ReadFile(filepath.Join("testdata", "raw-t0.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := parseSegment(fixture)
+	if err != nil || d.version != segFormatV1 {
+		t.Fatalf("fixture: version %d, err %v", d.version, err)
+	}
+	// Tear the last data frame; its entries (every fifth-entry flush
+	// leaves four in it) are lost, the complete frames before it kept.
+	lastOff := d.frameStats[len(d.frameStats)-1].off
+	kept := g.entries[:len(g.entries)-4]
+	dir := t.TempDir()
+	shdir := filepath.Join(dir, "shard-00")
+	if err := os.MkdirAll(shdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shdir, activeName(g.meta.Seq)), fixture[:lastOff+3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := testOpts()
+	opts.Shards = 1
+	opts.CompactRawAfter = 3600
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.Close() }()
+	if st := s.Stats(); st.TornTruncated != 1 || st.RecoveredPts != uint64(len(kept)) || st.TierSegments[tierRaw] != 1 {
+		t.Fatalf("recovery: %+v, want one torn segment of %d points", st, len(kept))
+	}
+	raw := map[Labels][]AggPoint{}
+	for _, e := range kept {
+		raw[e.l] = append(raw[e.l], e.p)
+	}
+	checkScan := func(label string, want map[Labels][]AggPoint) {
+		t.Helper()
+		chunks, err := s.Scan(Filter{Host: "c401-101"}, 0, 9000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(chunks) != len(want) {
+			t.Fatalf("%s: %d series, want %d", label, len(chunks), len(want))
+		}
+		for _, c := range chunks {
+			if !samePoints(c.Points, want[c.Labels]) {
+				t.Fatalf("%s: %v: %+v, want %+v", label, c.Labels, c.Points, want[c.Labels])
+			}
+		}
+	}
+	checkScan("recovered", raw)
+
+	// A newer point puts the recovered segment past the compaction age.
+	s.Append(Point{Labels: Labels{Host: "c401-101", DevType: "cpu", Device: "cpu0", Event: "user"}, Time: 86400, Value: 1})
+	if err := s.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Compactions != 1 || st.TierSegments[tierMid] != 1 {
+		t.Fatalf("compaction: %+v", st)
+	}
+	buckets := map[Labels][]AggPoint{}
+	for l, pts := range raw {
+		for _, p := range pts {
+			bt := math.Floor(p.Time/600) * 600
+			b := buckets[l]
+			if n := len(b); n > 0 && b[n-1].Time == bt {
+				q := &b[n-1]
+				q.Count++
+				q.Sum += p.Sum
+				q.Min, q.Max = min(q.Min, p.Sum), max(q.Max, p.Sum)
+				continue
+			}
+			buckets[l] = append(b, AggPoint{Time: bt, Count: 1, Sum: p.Sum, Min: p.Sum, Max: p.Sum})
+		}
+	}
+	checkScan("compacted", buckets)
+	mids, _ := filepath.Glob(filepath.Join(shdir, "t1-*.seg"))
+	if len(mids) != 1 {
+		t.Fatalf("bucket segments %v", mids)
+	}
+	out, err := os.ReadFile(mids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, _, err := parseSegment(out); err != nil || d.version != segFormatVersion {
+		t.Fatalf("compaction output: err %v, version %d; want format %d", err, d.version, segFormatVersion)
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	checkScan("reopened", buckets)
 }

@@ -7,8 +7,9 @@
 // base entering the frame, the frame's time extent, the dictionary
 // size at frame start, and the distinct series refs the frame touches.
 // That is exactly the state a frame needs to be decoded in isolation —
-// the data frames themselves are unchanged, so segments written by
-// older binaries (no index frame) stay readable via the full-scan path.
+// a format-2 value repeat never reaches outside its frame — and the data
+// frames do not depend on it, so segments written by older binaries (no
+// index frame) stay readable via the full-scan path.
 package segstore
 
 import (
@@ -36,8 +37,9 @@ type frameStat struct {
 // segIndex is the decoded index of one segment: the full label
 // dictionary plus the frame table, and a lazily built postings list.
 type segIndex struct {
-	series []Labels
-	frames []frameStat
+	series  []Labels
+	frames  []frameStat
+	version uint64 // the segment's format version, which its entries follow
 
 	// postings maps (device type, event) to its series refs, built on
 	// first use by refsFor.
@@ -226,25 +228,27 @@ type frameSel struct {
 	start, end float64
 }
 
-// decodeFrameStandalone decodes one data frame's payload without any
-// surrounding file context, using the index's series table. dictBase is
-// the table size when the frame was written: refs below it are plain
-// back-references, the ref equal to the running table size introduces
-// its four label strings inline (they are consumed and checked against
-// the table), anything else is corruption. The kept entries are then
-// stable counting-sorted into series-major order, keyed on the index's
-// sorted, distinct refs for the frame; an entry whose series the index
-// does not list, or a listed series with no entry, means the index
-// disagrees with the frame.
+// decodeFrameStandalone decodes one data frame's payload of a format-ver
+// segment without any surrounding file context, using the index's
+// series table. dictBase is the table size when the frame was written:
+// refs below it are plain back-references, the ref equal to the running
+// table size introduces its four label strings inline (they are
+// consumed and checked against the table), anything else is corruption.
+// A value repeat is resolved against its series' previous entry in the
+// frame, and one that opens its series' run is corruption. The kept
+// entries are then stable counting-sorted into series-major order,
+// keyed on the index's sorted, distinct refs for the frame; an entry
+// whose series the index does not list, or a listed series with no
+// entry, means the index disagrees with the frame.
 //
 // A non-nil sel keeps only the entries it selects, so a frame read once
 // for one query is never laid out in full. Every entry is still parsed
 // and checked (the time deltas chain through all of them), so a
 // selective decode fails exactly when the full one does, and its runs
 // are the full decode's runs cut to the window.
-func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, series []Labels, sel *frameSel) (*decodedFrame, error) {
+func decodeFrameStandalone(payload []byte, typ byte, ver uint64, fs frameStat, series []Labels, sel *frameSel) (*decodedFrame, error) {
 	c := framelog.Cursor{B: payload}
-	n, err := c.Count(3)
+	n, err := c.Count(1)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: frame entry count: %w", err)
 	}
@@ -288,10 +292,11 @@ func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, series []Labe
 		slot = make([]int32, 0, size)
 	}
 	start := make([]int32, k+1)
+	last := make([]float64, k) // by slot: the value of its previous entry
 	prevMs := fs.firstMs
 	introduced := fs.dictBase
 	for i := 0; i < n; i++ {
-		ref, l, p, err := readEntry(&c, typ, introduced, &prevMs)
+		ref, l, p, rep, err := readEntry(&c, typ, ver, introduced, &prevMs)
 		if err != nil {
 			return nil, fmt.Errorf("segstore: frame entry %w", err)
 		}
@@ -305,12 +310,20 @@ func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, series []Labe
 			return nil, fmt.Errorf("segstore: frame series %d missing from index", ref)
 		}
 		v := slotOf[ref-lo]
-		if v > 0 {
+		opens := v > 0
+		if opens {
 			slotOf[ref-lo] = -v
 		} else {
 			v = -v
 		}
 		s := v - 1
+		if rep {
+			if opens {
+				return nil, fmt.Errorf("segstore: frame entry %d repeats a value series %d has not had in the frame", i, ref)
+			}
+			p.Sum, p.Min, p.Max = last[s], last[s], last[s]
+		}
+		last[s] = p.Sum
 		if keep != nil && (!keep[s] || p.Time < sel.start || p.Time >= sel.end) {
 			continue
 		}

@@ -170,7 +170,7 @@ func activeTarget(w *segWriter, start, end float64) (scanTarget, error) {
 	ns, nf := len(w.series), len(w.frames)
 	t := scanTarget{h: h, active: true, info: &segInfo{
 		path: w.path, tier: w.meta.Tier, seq: w.meta.Seq,
-		index: &segIndex{series: w.series[:ns:ns], frames: w.frames[:nf:nf]},
+		index: &segIndex{series: w.series[:ns:ns], frames: w.frames[:nf:nf], version: segFormatVersion},
 	}}
 	if w.nPend > 0 && w.fstat.overlaps(start, end) {
 		t.pending = w.appendPayload(make([]byte, 0, binary.MaxVarintLen64+len(w.pending)))
@@ -449,7 +449,7 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 			key := blockKey{shard: shard, tier: info.tier, seq: info.seq, off: fs.off}
 			var hit bool
 			df, hit, err = s.blocks.Get(key, func() (*decodedFrame, error) {
-				return readFrameAt(t.h.f, expTyp, *fs, ix.series, nil)
+				return readFrameAt(t.h.f, expTyp, ix, *fs, nil)
 			})
 			if hit {
 				s.met.bcHits.Inc()
@@ -457,10 +457,10 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 				s.met.bcMisses.Inc()
 			}
 		case fi == len(ix.frames):
-			df, err = decodeFrameStandalone(t.pending, expTyp, *fs, ix.series, sel)
+			df, err = decodeFrameStandalone(t.pending, expTyp, ix.version, *fs, ix.series, sel)
 			whole = true
 		default:
-			df, err = readFrameAt(t.h.f, expTyp, *fs, ix.series, sel)
+			df, err = readFrameAt(t.h.f, expTyp, ix, *fs, sel)
 			whole = true
 		}
 		if err != nil {
@@ -501,10 +501,10 @@ func cutRun(pts []AggPoint, sorted bool, start, end float64) ([]AggPoint, bool) 
 // the least index whose time is >= t.
 func timeCmp(p AggPoint, t float64) int { return cmp.Compare(p.Time, t) }
 
-// readFrameAt preads one frame and decodes it in isolation, verifying
-// the framing and checksum against what the index claims; sel narrows
-// the decode as decodeFrameStandalone describes.
-func readFrameAt(f *os.File, expTyp byte, fs frameStat, series []Labels, sel *frameSel) (*decodedFrame, error) {
+// readFrameAt preads the frame fs of ix's segment and decodes it in
+// isolation, verifying the framing and checksum against what the index
+// claims; sel narrows the decode as decodeFrameStandalone describes.
+func readFrameAt(f *os.File, expTyp byte, ix *segIndex, fs frameStat, sel *frameSel) (*decodedFrame, error) {
 	if fs.size < 6 || fs.size > maxFramePayload+16 {
 		return nil, fmt.Errorf("segstore: indexed frame size %d out of range", fs.size)
 	}
@@ -519,7 +519,7 @@ func readFrameAt(f *os.File, expTyp byte, fs frameStat, series []Labels, sel *fr
 	if typ != expTyp {
 		return nil, fmt.Errorf("segstore: frame type %q at offset %d, want %q", typ, fs.off, expTyp)
 	}
-	return decodeFrameStandalone(payload, typ, fs, series, sel)
+	return decodeFrameStandalone(payload, typ, ix.version, fs, ix.series, sel)
 }
 
 // segChunks filters a fully decoded segment: one run per matched series

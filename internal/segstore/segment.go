@@ -1,22 +1,35 @@
 // Segment file codec: the on-disk unit of the durable store. A segment
-// is an internal/framelog file (magic "\x00GSS", format version 1), so
-// crash recovery is exact at frame granularity. Frames:
+// is an internal/framelog file (magic "\x00GSS", format version 2; files
+// of format 1 are still read), so crash recovery is exact at frame
+// granularity. Frames:
 //
 //	'M' meta frame   — tier, seq, cover range, shard, bucket width
-//	'P' point frames — raw tier: (series ref, Δms, float64 value)*
-//	'B' bucket frames— downsampled tiers: (series ref, Δms, count,
+//	'P' point frames — raw tier: (entry header, [Δms], [float64 value])*
+//	'B' bucket frames— downsampled tiers: (entry header, [Δms], count,
 //	                   sum, min, max)*
 //	'I' index frame  — last frame of a sealed segment (index.go)
 //
 // Any other type, a second 'M', or an 'I' that is not the last frame is
-// damage: format 1 never wrote one, and the checksum does not cover the
-// type byte, so skipping it would silently drop the frame's points.
+// damage: no format wrote one, and the checksum does not cover the type
+// byte, so skipping it would silently drop the frame's points.
+//
+// An entry header is one uvarint, ref<<3 | flags. Flag entTime says a
+// zigzag Δms follows; without it the entry has the previous entry's
+// time, which is the norm, since every point of a row shares one time.
+// On a raw entry, entZero says the value is +0.0 and entRepeat that it
+// repeats, bit for bit, the value of its series' previous entry in the
+// same frame; the 8 value bytes follow only when neither is set. Both
+// set, a repeat opening its series' run in the frame, or a value flag on
+// a bucket entry is damage. Format 1 headers are the bare ref, always
+// followed by the Δms and the value.
 //
 // Series labels are dictionary-encoded per file (a reference equal to
 // the table size introduces the four label strings inline) and
-// timestamps are zigzag-varint millisecond deltas running across the
-// whole file — both make a valid prefix self-contained, which is what
-// lets torn-tail truncation keep every complete frame.
+// timestamps are millisecond deltas running across the whole file —
+// both make a valid prefix self-contained, which is what lets torn-tail
+// truncation keep every complete frame. A repeat reaches back only
+// within its frame, so a frame still decodes on its own from the index's
+// time base and dictionary size.
 package segstore
 
 import (
@@ -38,7 +51,17 @@ import (
 var segMagic = [4]byte{0x00, 'G', 'S', 'S'}
 
 const (
-	segFormatVersion = 1
+	// segFormatVersion is the format every new segment is written in;
+	// segFormatV1 files, whose entries carry no header flags, are read.
+	segFormatVersion = 2
+	segFormatV1      = 1
+
+	// Entry header flags, the low entFlagBits bits of an entry's first
+	// uvarint; the series ref is the rest.
+	entTime     = 1 << 0 // a zigzag Δms follows
+	entZero     = 1 << 1 // raw value +0.0
+	entRepeat   = 1 << 2 // raw value of the series' previous entry in the frame
+	entFlagBits = 3
 
 	frameMeta   = 'M'
 	framePoints = 'P'
@@ -89,6 +112,7 @@ type Meta struct {
 // segData is one fully (or prefix-) decoded segment.
 type segData struct {
 	meta    Meta
+	version uint64 // the file's format version
 	series  []Labels
 	chunks  [][]AggPoint // parallel to series
 	entries uint64       // physical entries decoded
@@ -152,6 +176,7 @@ type segWriter struct {
 	fstat   frameStat   // stats of the frame being built
 	frameNo uint64      // number of the frame being built, from 1
 	stamp   []uint64    // by ref: the last frameNo the ref appeared in
+	last    []uint64    // by ref: the value bits of its last raw entry
 	frefs   []uint64    // distinct refs in the frame being built
 }
 
@@ -195,6 +220,7 @@ func (w *segWriter) resolve(r *Ref) (id uint64, fresh bool) {
 		w.dict[r.Labels] = id
 		w.series = append(w.series, r.Labels)
 		w.stamp = append(w.stamp, 0)
+		w.last = append(w.last, 0)
 	}
 	r.epoch, r.id = w.epoch, id
 	return id, !ok
@@ -238,11 +264,13 @@ func readValue(c *framelog.Cursor, typ byte, p *AggPoint) error {
 	return nil
 }
 
-// add buffers one entry for r's series: its dictionary ref (with the
-// four label strings inline when the entry introduces the series), its
-// time delta and its value. Raw-tier segments store the single value;
-// the downsampled tiers store the full (count, sum, min, max) bucket.
-// It is the writer's only entry encoder.
+// add buffers one entry for r's series: its header (dictionary ref and
+// flags), the four label strings inline when the entry introduces the
+// series, its time delta unless the time is the previous entry's, and
+// its value. Raw-tier segments store the single value, unless it is +0.0
+// or repeats the series' previous value in this frame; the downsampled
+// tiers store the full (count, sum, min, max) bucket. It is the writer's
+// only entry encoder.
 func (w *segWriter) add(r *Ref, p AggPoint) {
 	ms := int64(math.Round(p.Time * 1000))
 	if w.nPend == 0 {
@@ -253,13 +281,28 @@ func (w *segWriter) add(r *Ref, p AggPoint) {
 		w.frefs = w.frefs[:0]
 	}
 	id, fresh := w.resolve(r)
-	w.pending = binary.AppendUvarint(w.pending, id)
-	if fresh {
-		w.pending = appendLabels(w.pending, r.Labels)
-	}
-	if w.stamp[id] != w.frameNo {
+	opens := w.stamp[id] != w.frameNo
+	if opens {
 		w.stamp[id] = w.frameNo
 		w.frefs = append(w.frefs, id)
+	}
+	var flags uint64
+	if ms != w.prevMs {
+		flags |= entTime
+	}
+	raw := w.meta.Tier == tierRaw
+	if raw {
+		bits := math.Float64bits(p.Sum)
+		if bits == 0 {
+			flags |= entZero
+		} else if !opens && w.last[id] == bits {
+			flags |= entRepeat
+		}
+		w.last[id] = bits
+	}
+	w.pending = binary.AppendUvarint(w.pending, id<<entFlagBits|flags)
+	if fresh {
+		w.pending = appendLabels(w.pending, r.Labels)
 	}
 	if ms < w.fstat.minMs {
 		w.fstat.minMs = ms
@@ -267,15 +310,18 @@ func (w *segWriter) add(r *Ref, p AggPoint) {
 	if ms > w.fstat.maxMs {
 		w.fstat.maxMs = ms
 	}
-	w.pending = binary.AppendVarint(w.pending, ms-w.prevMs)
-	w.prevMs = ms
-	if w.meta.Tier == tierRaw {
-		w.pending = binary.LittleEndian.AppendUint64(w.pending, math.Float64bits(p.Sum))
-	} else {
+	if flags&entTime != 0 {
+		w.pending = binary.AppendVarint(w.pending, ms-w.prevMs)
+		w.prevMs = ms
+	}
+	switch {
+	case !raw:
 		w.pending = binary.AppendUvarint(w.pending, p.Count)
 		w.pending = binary.LittleEndian.AppendUint64(w.pending, math.Float64bits(p.Sum))
 		w.pending = binary.LittleEndian.AppendUint64(w.pending, math.Float64bits(p.Min))
 		w.pending = binary.LittleEndian.AppendUint64(w.pending, math.Float64bits(p.Max))
+	case flags&(entZero|entRepeat) == 0:
+		w.pending = binary.LittleEndian.AppendUint64(w.pending, math.Float64bits(p.Sum))
 	}
 	w.nPend++
 	if w.entries == 0 && w.nPend == 1 {
@@ -334,7 +380,7 @@ func (w *segWriter) writeIndex() (*segIndex, error) {
 	}
 	// The index lives as long as the sealed segment: give it an
 	// exact-size copy of the dictionary, not the append-grown slice.
-	ix := &segIndex{series: slices.Clone(w.series), frames: w.frames}
+	ix := &segIndex{series: slices.Clone(w.series), frames: w.frames, version: segFormatVersion}
 	if err := w.writeFrame(frameIndex, encodeIndexPayload(ix.series, w.frames)); err != nil {
 		return nil, err
 	}
@@ -360,33 +406,52 @@ func (w *segWriter) close() error {
 	return err
 }
 
-// readEntry reads one data-frame entry: its series ref, with the inline
-// label tuple when ref == dictSize (the entry introduces a new series),
-// its time advanced from *prevMs, and its value.
-func readEntry(c *framelog.Cursor, typ byte, dictSize uint64, prevMs *int64) (ref uint64, inline *Labels, p AggPoint, err error) {
+// readEntry reads one data-frame entry of a format-ver segment: its
+// series ref, with the inline label tuple when ref == dictSize (the
+// entry introduces a new series), its time advanced from *prevMs, and
+// its value. A raw entry that repeats its series' previous value in the
+// frame comes back with rep set and the value left for the caller,
+// which tracks the frame's series, to fill in.
+func readEntry(c *framelog.Cursor, typ byte, ver, dictSize uint64, prevMs *int64) (ref uint64, inline *Labels, p AggPoint, rep bool, err error) {
 	if ref, err = c.Uvarint(); err != nil {
-		return 0, nil, p, fmt.Errorf("series: %w", err)
+		return 0, nil, p, false, fmt.Errorf("series: %w", err)
+	}
+	flags := uint64(entTime)
+	if ver != segFormatV1 {
+		ref, flags = ref>>entFlagBits, ref&(1<<entFlagBits-1)
+		switch {
+		case typ != framePoints && flags&^entTime != 0:
+			return 0, nil, p, false, fmt.Errorf("value flags %#x on a bucket entry", flags)
+		case flags&(entZero|entRepeat) == entZero|entRepeat:
+			return 0, nil, p, false, fmt.Errorf("zero and repeat flags both set")
+		}
 	}
 	if ref > dictSize {
-		return 0, nil, p, fmt.Errorf("series ref %d skips table size %d", ref, dictSize)
+		return 0, nil, p, false, fmt.Errorf("series ref %d skips table size %d", ref, dictSize)
 	}
 	if ref == dictSize {
 		l, err := readLabels(c)
 		if err != nil {
-			return 0, nil, p, fmt.Errorf("series: %w", err)
+			return 0, nil, p, false, fmt.Errorf("series: %w", err)
 		}
 		inline = &l
 	}
-	dt, err := c.Varint()
-	if err != nil {
-		return 0, nil, p, fmt.Errorf("time: %w", err)
+	if flags&entTime != 0 {
+		dt, err := c.Varint()
+		if err != nil {
+			return 0, nil, p, false, fmt.Errorf("time: %w", err)
+		}
+		*prevMs += dt
 	}
-	*prevMs += dt
 	p.Time = float64(*prevMs) / 1000
-	if err := readValue(c, typ, &p); err != nil {
-		return 0, nil, p, fmt.Errorf("value: %w", err)
+	if flags&(entZero|entRepeat) != 0 {
+		p.Count = 1
+		return ref, inline, p, flags&entRepeat != 0, nil
 	}
-	return ref, inline, p, nil
+	if err := readValue(c, typ, &p); err != nil {
+		return 0, nil, p, false, fmt.Errorf("value: %w", err)
+	}
+	return ref, inline, p, false, nil
 }
 
 // parseSegment decodes a segment. It returns the decoded prefix, the
@@ -395,11 +460,15 @@ func readEntry(c *framelog.Cursor, typ byte, dictSize uint64, prevMs *int64) (re
 // the triple differently: strict opens quarantine on any damage, active
 // recovery truncates to goodLen and keeps the prefix.
 func parseSegment(data []byte) (*segData, int, error) {
+	d := &segData{version: segFormatVersion}
 	start, pre := framelog.CheckPreamble(data, segMagic, segFormatVersion)
+	if pre == framelog.PreambleVersion {
+		d.version = segFormatV1
+		start, pre = framelog.CheckPreamble(data, segMagic, segFormatV1)
+	}
 	if pre != framelog.PreambleOK {
 		return nil, 0, fmt.Errorf("segstore: %s segment preamble", pre)
 	}
-	d := &segData{}
 	var prevMs int64
 	sawMeta := false
 	good, damage := framelog.Scan(data, start, maxFramePayload, func(f framelog.Frame) error {
@@ -434,6 +503,7 @@ func parseSegment(data []byte) (*segData, int, error) {
 			// only the pread fast path: the data frames stand on their own.
 			if sawMeta {
 				if ix, err := parseIndexPayload(f.Payload); err == nil {
+					ix.version = d.version
 					d.index = ix
 				}
 			}
@@ -475,20 +545,39 @@ func (d *segData) applyMeta(c *framelog.Cursor) error {
 	return nil
 }
 
-func (d *segData) applyData(c *framelog.Cursor, typ byte, prevMs *int64, fs *frameStat) error {
+// applyData decodes one data frame into d, whole or not at all: on
+// damage, the entries decoded before it are taken back, so d holds
+// exactly the complete frames of the valid prefix that recovery keeps.
+func (d *segData) applyData(c *framelog.Cursor, typ byte, prevMs *int64, fs *frameStat) (err error) {
 	if typ == framePoints && d.meta.Tier != tierRaw {
 		return fmt.Errorf("segstore: point frame in tier-%d segment", d.meta.Tier)
 	}
 	if typ == frameBucket && d.meta.Tier == tierRaw {
 		return fmt.Errorf("segstore: bucket frame in raw segment")
 	}
-	n, err := c.Count(3)
+	// A format-2 entry may be a lone header byte.
+	n, err := c.Count(1)
 	if err != nil {
 		return fmt.Errorf("segstore: entry count: %w", err)
 	}
-	seen := make(map[uint64]struct{}, 8)
+	// seen holds each series the frame has touched, with its chunk
+	// length before the frame.
+	seen := make(map[uint64]int, 8)
+	nSeries, entries, count, minT, maxT := len(d.series), d.entries, d.count, d.minT, d.maxT
+	defer func() {
+		if err == nil {
+			return
+		}
+		for ref, k := range seen {
+			if ref < uint64(nSeries) {
+				d.chunks[ref] = d.chunks[ref][:k]
+			}
+		}
+		d.series, d.chunks = d.series[:nSeries], d.chunks[:nSeries]
+		d.entries, d.count, d.minT, d.maxT = entries, count, minT, maxT
+	}()
 	for i := 0; i < n; i++ {
-		ref, l, p, err := readEntry(c, typ, uint64(len(d.series)), prevMs)
+		ref, l, p, rep, err := readEntry(c, typ, d.version, uint64(len(d.series)), prevMs)
 		if err != nil {
 			return fmt.Errorf("segstore: entry %w", err)
 		}
@@ -499,9 +588,19 @@ func (d *segData) applyData(c *framelog.Cursor, typ byte, prevMs *int64, fs *fra
 			d.series = append(d.series, *l)
 			d.chunks = append(d.chunks, nil)
 		}
-		if _, ok := seen[ref]; !ok {
-			seen[ref] = struct{}{}
+		_, inFrame := seen[ref]
+		if !inFrame {
+			seen[ref] = len(d.chunks[ref])
 			fs.refs = append(fs.refs, ref)
+		}
+		if rep {
+			// The series' last chunk point is its previous entry in this
+			// frame; without one the repeat has nothing to repeat.
+			if !inFrame {
+				return fmt.Errorf("segstore: entry repeats a value series %d has not had in its frame", ref)
+			}
+			v := d.chunks[ref][len(d.chunks[ref])-1].Sum
+			p.Sum, p.Min, p.Max = v, v, v
 		}
 		if i == 0 {
 			fs.minMs, fs.maxMs = *prevMs, *prevMs

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -207,12 +208,16 @@ type shardState struct {
 	nextSeq uint64
 	newest  float64 // newest point time ever appended/recovered
 	werr    error   // sticky write error; surfaced by Commit
+	// compactBefore caps compaction: it consumes only segments wholly
+	// older than this time (+Inf unless LimitCompaction lowered it).
+	compactBefore float64
 }
 
 type storeMetrics struct {
 	activeBytes  *telemetry.Gauge
 	tierBytes    [numTiers]*telemetry.Gauge
 	tierSegments [numTiers]*telemetry.Gauge
+	tierPoints   [numTiers]*telemetry.Gauge
 	appended     *telemetry.Counter
 	seals        *telemetry.Counter
 	compactions  *telemetry.Counter
@@ -287,6 +292,8 @@ func Open(dir string, opts Options) (*Store, error) {
 			"On-disk bytes of sealed segments per tier.", "tier", TierName(t))
 		s.met.tierSegments[t] = reg.Gauge("gostats_segstore_segments",
 			"Sealed segment count per tier.", "tier", TierName(t))
+		s.met.tierPoints[t] = reg.Gauge("gostats_segstore_points",
+			"Raw points represented by sealed segments per tier.", "tier", TierName(t))
 	}
 	s.met.appended = reg.Counter("gostats_segstore_appended_total",
 		"Points appended to the store.")
@@ -323,7 +330,7 @@ func Open(dir string, opts Options) (*Store, error) {
 
 	s.shards = make([]*shardState, opts.Shards)
 	for i := range s.shards {
-		sh := &shardState{dir: filepath.Join(dir, fmt.Sprintf("shard-%02d", i)), id: i}
+		sh := &shardState{dir: filepath.Join(dir, fmt.Sprintf("shard-%02d", i)), id: i, compactBefore: math.Inf(1)}
 		if err := os.MkdirAll(sh.dir, 0o755); err != nil {
 			return nil, err
 		}
@@ -507,7 +514,7 @@ func (s *Store) recoverActive(sh *shardState, path string) error {
 	sealedBytes := int64(good)
 	ix := d.index
 	if ix == nil {
-		ix = &segIndex{series: d.series, frames: d.frameStats}
+		ix = &segIndex{series: d.series, frames: d.frameStats, version: d.version}
 		n, werr := f.Write(framelog.Append(nil, frameIndex, encodeIndexPayload(ix.series, ix.frames)))
 		sealedBytes += int64(n)
 		err = werr
@@ -779,6 +786,19 @@ func (s *Store) CommitShard(shard int) error {
 	return s.commitShardLocked(sh)
 }
 
+// LimitCompaction keeps compaction in one shard from consuming any
+// segment that holds a point at or after t. A hot store that serves the
+// times from some boundary on out of its own memory sets its limit no
+// higher than that boundary, so no downsampled bucket below the
+// boundary can absorb a point the hot store also serves, whatever the
+// compaction ages.
+func (s *Store) LimitCompaction(shard int, t float64) {
+	sh := s.shards[shard]
+	sh.mu.Lock()
+	sh.compactBefore = t
+	sh.mu.Unlock()
+}
+
 // Seal force-rotates every shard's active segment. Mostly for tests and
 // clean shutdown; the normal path rotates on SegmentBytes.
 func (s *Store) Seal() error {
@@ -887,6 +907,7 @@ func (s *Store) publishGauges() {
 	for t := 0; t < numTiers; t++ {
 		s.met.tierBytes[t].Set(float64(st.TierBytes[t]))
 		s.met.tierSegments[t].Set(float64(st.TierSegments[t]))
+		s.met.tierPoints[t].Set(float64(st.TierPoints[t]))
 	}
 }
 

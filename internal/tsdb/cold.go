@@ -4,7 +4,11 @@
 // rows older than the hot window, and Do transparently merges cold segments
 // into query results — the half-open split [Start, boundary) from disk
 // and [boundary, End] from RAM means no point is ever counted twice and
-// none is ever missed.
+// none is ever missed. A downsampled bucket cannot be split at the
+// boundary, so compaction is held below it: each stripe limits its
+// shard's compaction to its previous boundary, so even a query that
+// captured that one just before an advance meets no bucket reaching
+// past it.
 package tsdb
 
 import (
@@ -35,12 +39,14 @@ func (db *DB) AttachCold(cs *segstore.Store, hotWindow float64) error {
 	// boundary starts just above the store's newest point (the cold
 	// range is half-open, so Nextafter keeps the newest point itself
 	// cold) and a restarted node serves its whole history from disk.
+	b := 0.0
 	if newest > 0 {
-		b := math.Nextafter(newest, math.MaxFloat64)
-		for i := range db.shards {
-			db.shards[i].coldBoundary = b
-		}
+		b = math.Nextafter(newest, math.MaxFloat64)
 		db.lastEvict = newest
+	}
+	for i := range db.shards {
+		db.shards[i].coldBoundary = b
+		cs.LimitCompaction(i, b)
 	}
 	return nil
 }
@@ -112,6 +118,10 @@ func (db *DB) CommitCold() error {
 			for _, hr := range sh.hosts {
 				hr.evictBefore(boundary)
 			}
+			// A query that captured the old boundary may still be reading
+			// the cold side below it, and counted RAM points above it, so
+			// compaction may reach the old boundary but not the new one.
+			cs.LimitCompaction(i, sh.coldBoundary)
 			sh.coldBoundary = boundary
 		}
 		sh.mu.Unlock()

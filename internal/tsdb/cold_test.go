@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -13,14 +14,16 @@ import (
 // compaction hard enough that most of the day lives only on disk.
 // midAfter controls when 10-minute segments compact into hourly ones —
 // pass a huge value to keep the whole day at ≤10-minute resolution.
-func coldFixture(t *testing.T, dir string, midAfter float64) (ref, db *DB, cs *segstore.Store) {
+// Raw segments of segBytes compact after half the hot window, so the
+// compaction age alone would let a bucket reach past the boundary.
+func coldFixture(t *testing.T, dir string, midAfter float64, segBytes int64) (ref, db *DB, cs *segstore.Store) {
 	t.Helper()
 	ref = New()
 	db = New()
 	var err error
 	cs, err = segstore.Open(dir, segstore.Options{
 		Shards:          32,
-		SegmentBytes:    8 << 10,
+		SegmentBytes:    segBytes,
 		CompactRawAfter: 1800,
 		CompactMidAfter: midAfter,
 		Metrics:         telemetry.NewRegistry(),
@@ -119,7 +122,7 @@ func TestColdHotQueryEquivalence(t *testing.T) {
 	// Keep the whole day at ≤10-minute resolution so 600s-downsample
 	// queries are exact; the hourly tier gets its own test below.
 	dir := t.TempDir()
-	ref, db, cs := coldFixture(t, dir, 1e9)
+	ref, db, cs := coldFixture(t, dir, 1e9, 8<<10)
 
 	// Eviction must actually have moved data out of RAM — otherwise the
 	// test only exercises the hot path twice.
@@ -178,12 +181,39 @@ func TestColdHotQueryEquivalence(t *testing.T) {
 	}
 }
 
+// TestCompactionStaysBelowColdBoundary sweeps the segment size, which
+// decides which raw segments are old enough to compact when: at none of
+// them may a 10-minute bucket below the cold boundary absorb a point RAM
+// also serves, which would count it twice in every query over it.
+func TestCompactionStaysBelowColdBoundary(t *testing.T) {
+	for _, kb := range []int64{2, 4, 8, 16} {
+		ref, db, cs := coldFixture(t, t.TempDir(), 1e9, kb<<10)
+		if cs.Stats().Compactions == 0 {
+			t.Fatalf("%d KiB segments: no compactions ran", kb)
+		}
+		for _, q := range equivalenceQueries(600) {
+			want, err := ref.Do(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := db.Do(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameResults(t, fmt.Sprintf("%d KiB segments", kb), q, want, got)
+		}
+		if err := cs.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestColdHourlyTierEquivalence compacts most of the day into the
 // hourly tier and checks hour-aligned queries stay exact across the
 // raw/10m/1h mix.
 func TestColdHourlyTierEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	ref, db, cs := coldFixture(t, dir, 4*3600)
+	ref, db, cs := coldFixture(t, dir, 4*3600, 8<<10)
 	st := cs.Stats()
 	if st.TierSegments[2] == 0 {
 		t.Fatal("fixture produced no hourly segments")
@@ -204,7 +234,7 @@ func TestColdHourlyTierEquivalence(t *testing.T) {
 
 func TestColdEvictionBoundsRAM(t *testing.T) {
 	dir := t.TempDir()
-	_, db, _ := coldFixture(t, dir, 4*3600)
+	_, db, _ := coldFixture(t, dir, 4*3600, 8<<10)
 	// With a 1h hot window over a 24h ingest, RAM must hold only a small
 	// tail of each series.
 	maxPts, maxRows := 0, 0
