@@ -15,7 +15,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -36,6 +38,7 @@ import (
 	"gostats/internal/portal"
 	"gostats/internal/preload"
 	"gostats/internal/rawfile"
+	"gostats/internal/realtime"
 	"gostats/internal/reldb"
 	"gostats/internal/schema"
 	"gostats/internal/segstore"
@@ -1330,9 +1333,10 @@ func BenchmarkSegstoreCompact(b *testing.B) {
 
 // BenchmarkPipelineStageHop measures the framework tax on one item
 // crossing a three-stage pipeline: submit, two queue hops, and the
-// per-stage bookkeeping. The completion channel mirrors how the
-// listener acks, so the number is the real per-message overhead the
-// daemons pay for staged execution.
+// per-stage bookkeeping, with the submitter waiting on a completion
+// channel for the item to clear the sink. It is the price of a staged
+// path whose caller blocks on each item, which is why the listener runs
+// its steps inline instead (BenchmarkListenerHandleBody).
 func BenchmarkPipelineStageHop(b *testing.B) {
 	type item struct{ done chan error }
 	p := pipeline.New("bench-hop", telemetry.NewRegistry())
@@ -1361,5 +1365,95 @@ func BenchmarkPipelineStageHop(b *testing.B) {
 	defer cancel()
 	if err := p.Drain(ctx); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkListenerHandleBody is listend's per-message path: v1-text
+// wire messages of the reference job's snapshots through a listener
+// with the monitor, a raw archive, a tsdb ingester over a cold segment
+// store (2 h hot window) and an assembler on its snapshot tap. One op
+// is one message. With callers=4, four goroutines call HandleBody at
+// once, each for hosts of its own, as fabric partition consumers do;
+// per message it must not be slower than one caller, since the callers
+// overlap in different steps. Each caller's stream is the job replayed
+// under a fresh job id per pass, shifted in time, and every message is
+// encoded before the timer starts.
+func BenchmarkListenerHandleBody(b *testing.B) {
+	fixtures(b)
+	pass := append([]model.Snapshot(nil), fix.run.Snapshots...)
+	sort.SliceStable(pass, func(i, j int) bool { return pass[i].Time < pass[j].Time })
+	span := pass[len(pass)-1].Time - pass[0].Time + 600
+	for _, callers := range []int{1, 4} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			bodies := make([][][]byte, callers)
+			for i := 0; i < b.N; i++ {
+				c, k := i%callers, i/callers
+				s := pass[k%len(pass)]
+				p := k / len(pass)
+				job := fmt.Sprintf("c%d-p%d", c, p)
+				s.Host = fmt.Sprintf("c%d-%s", c, s.Host)
+				s.Time += float64(p) * span
+				s.JobIDs = []string{job}
+				if s.Mark != "" {
+					s.Mark = strings.Fields(s.Mark)[0] + " " + job
+				}
+				body, err := codec.EncodeWire(s, fix.reg, codec.V1Text)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bodies[c] = append(bodies[c], body)
+			}
+			st, err := rawfile.NewStore(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			cs, err := segstore.Open(b.TempDir(), segstore.Options{
+				CompactRawAfter: -1, CompactMidAfter: -1, Metrics: telemetry.NewRegistry()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cs.Close()
+			db := tsdb.New()
+			if err := db.AttachCold(cs, 2*3600); err != nil {
+				b.Fatal(err)
+			}
+			met := telemetry.NewRegistry()
+			asm := &etl.Assembler{Registry: fix.reg, DB: reldb.New(),
+				EndGrace: etl.DefaultEndGrace, Lateness: span, Metrics: met}
+			l := &realtime.Listener{
+				Monitor:  realtime.NewMonitor(fix.reg, realtime.DefaultRules()),
+				Store:    st,
+				Registry: fix.reg,
+				Headers: func(host string) rawfile.Header {
+					return rawfile.Header{Hostname: host, Arch: "sandybridge", Registry: fix.reg}
+				},
+				Ingest:     tsdb.NewIngester(db, fix.reg),
+				Metrics:    met,
+				OnSnapshot: asm.Feed,
+			}
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, msgs := range bodies {
+				wg.Add(1)
+				go func(msgs [][]byte) {
+					defer wg.Done()
+					for _, body := range msgs {
+						if err := l.HandleBody(body); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(msgs)
+			}
+			wg.Wait()
+			b.StopTimer()
+			if err := l.Close(); err != nil {
+				b.Fatal(err)
+			}
+			if got := l.Processed(); got != b.N {
+				b.Fatalf("listener handled %d of %d messages", got, b.N)
+			}
+		})
 	}
 }

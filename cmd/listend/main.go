@@ -156,8 +156,8 @@ func main() {
 				return nil
 			case err := <-n.Err():
 				// A consumer died repeatedly against a broker the map
-				// still considers alive, or a sink error poisoned the
-				// listener pipeline — either way nothing further can be
+				// still considers alive, or a sink error made the
+				// listener fatal — either way nothing further can be
 				// archived, so exit with the error.
 				return err
 			}

@@ -80,8 +80,8 @@ type Group struct {
 	// hostMu stripes the dedup-admission + Handle critical section by
 	// host: same-host frames stay strictly ordered (the conservation
 	// audit depends on per-host order), while different hosts' frames
-	// flow through Handle — and the listener's staged pipeline behind
-	// it — concurrently.
+	// flow through Handle concurrently — behind it, in different steps
+	// of the listener.
 	hostMu [64]sync.Mutex
 
 	delivered uint64

@@ -70,7 +70,8 @@ type IngestConfig struct {
 }
 
 // Ingest is one running listend: a fabric group member feeding the
-// staged listener — decode → monitor and archive → ingest → tap.
+// listener's ordered steps — decode → monitor and archive → ingest →
+// tap.
 type Ingest struct {
 	Store    *rawfile.Store
 	Monitor  *realtime.Monitor

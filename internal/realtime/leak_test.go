@@ -12,9 +12,9 @@ import (
 )
 
 // TestListenerLifecycleJoinsWorkers pins the goroutine-hygiene
-// contract for the staged listener: a full consume → shutdown → close
-// cycle (including the internal decode/archive/ingest/assemble
-// pipeline) must leave no goroutine behind.
+// contract for the listener: a full consume → shutdown → close cycle
+// must leave no goroutine behind. The decode, archive, ingest and
+// assemble steps run on Run's goroutine, so none may outlive it.
 func TestListenerLifecycleJoinsWorkers(t *testing.T) {
 	defer leakcheck.Check(t)()
 

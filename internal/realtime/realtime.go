@@ -15,12 +15,10 @@ import (
 	"gostats/internal/broker"
 	"gostats/internal/codec"
 	"gostats/internal/model"
-	"gostats/internal/pipeline"
 	"gostats/internal/rawfile"
 	"gostats/internal/schema"
 	"gostats/internal/telemetry"
 	"gostats/internal/trace"
-	"gostats/internal/tsdb"
 )
 
 // Alert is one threshold violation observed in the live stream.
@@ -231,16 +229,22 @@ func newListenMetrics(reg *telemetry.Registry) *listenMetrics {
 	}
 }
 
+// Ingester commits one snapshot to the time-series database;
+// *tsdb.Ingester is the daemons' one.
+type Ingester interface {
+	Ingest(model.Snapshot) error
+}
+
 // Listener fans each decoded snapshot into the monitor, the central
 // store, and the time-series ingester (any of which may be nil). It is
-// the staged core of the daemon-mode "listend" process; internal/node
+// the core of the daemon-mode "listend" process; internal/node
 // composes it behind a fabric group.
 type Listener struct {
 	Cons    *broker.Consumer
 	Monitor *Monitor
 	Store   *rawfile.Store
 	Headers func(host string) rawfile.Header // required when Store is set
-	Ingest  *tsdb.Ingester
+	Ingest  Ingester
 
 	// Registry resolves classes when decoding versioned wire messages
 	// (the binary codec is dictionary-encoded against it, so the
@@ -271,12 +275,15 @@ type Listener struct {
 	initOnce  sync.Once
 	met       *listenMetrics
 	arch      *rawfile.Archiver
-	maxSeen   float64 // written only by the decode stage worker
+	maxSeen   float64 // written only inside the decode step
 
-	// The staged runtime (see stages.go): decode → archive → ingest →
-	// assemble, each a single-worker bounded stage.
-	pipe   *pipeline.Pipeline
-	intake pipeline.Inlet[*listenItem]
+	// The ordered steps (see stages.go): decode → archive → ingest →
+	// assemble, each run under its own lock on the caller's goroutine.
+	steps    [numSteps]step
+	closed   bool          // set by Close with every step locked
+	fatal    chan struct{} // closed on the first step error
+	fatalErr error         // written once, before fatal closes
+	failOnce sync.Once
 }
 
 // init resolves the metrics and archiver once, whichever entry point
@@ -295,7 +302,10 @@ func (l *Listener) init() {
 			// re-seeded by a fresh header every append.
 			l.arch = rawfile.NewArchiver(l.Store, 0)
 		}
-		l.buildPipeline(reg)
+		l.fatal = make(chan struct{})
+		for k := range l.steps {
+			l.steps[k].init(reg, listenSteps[k].name)
+		}
 	})
 }
 
@@ -310,11 +320,9 @@ func (l *Listener) Processed() int { return int(l.processed.Load()) }
 // drains one plain queue through it) until the benchmark composes the
 // node too. Each message is fully processed — archived,
 // monitored, ingested — BEFORE it is acknowledged, so a listener crash
-// mid-message costs a redelivery, never a lost snapshot. The processing
-// itself runs on the staged pipeline (stages.go); submitWait blocks
-// until the snapshot clears every sink, so the ack ordering is exactly
-// what it was when the sinks ran inline. When Run returns it drains the
-// pipeline, so everything consumed is flushed.
+// mid-message costs a redelivery, never a lost snapshot. The steps
+// (stages.go) run on Run's goroutine. When Run returns it closes the
+// listener, so everything consumed is flushed.
 func (l *Listener) Run() error {
 	l.init()
 	defer l.Close()
@@ -336,7 +344,7 @@ func (l *Listener) Run() error {
 			l.inflight.Unlock()
 			return nil
 		}
-		err = l.submitWait(body)
+		err = l.handle(body)
 		var ackErr error
 		if err == nil {
 			ackErr = l.Cons.Ack()
@@ -359,33 +367,35 @@ func (l *Listener) Run() error {
 	}
 }
 
-// Fatal is closed when the staged runtime fails fatally — a sink error
-// has poisoned the pipeline and every further HandleBody will be
-// refused. HandleBody-based transports (fabric groups) select on it to
-// exit with FatalErr instead of retrying a dead listener forever; the
-// Run path surfaces the same error through its return value.
+// Fatal is closed when a step fails — a sink error that makes every
+// further HandleBody return that error. HandleBody-based transports
+// (fabric groups) select on it to exit with FatalErr instead of
+// retrying a dead listener forever; the Run path surfaces the same
+// error through its return value.
 func (l *Listener) Fatal() <-chan struct{} {
 	l.init()
-	return l.pipe.Fatal()
+	return l.fatal
 }
 
-// FatalErr returns the error that poisoned the staged runtime, or nil.
+// FatalErr returns the first step error, or nil.
 func (l *Listener) FatalErr() error {
 	l.init()
-	return l.pipe.Err()
+	return l.failed()
 }
 
-// HandleBody fans one raw wire message into the configured sinks —
-// the entry point for transports that do their own consuming, like a
-// fabric partition group feeding one listener from many partition
-// queues. Concurrent calls for different hosts overlap in the decode
-// stage's bounded queue; the stages themselves are single-worker, so
-// the archiver, monitor, ingester, and assembler still see one snapshot
-// at a time, in intake order. The call returns once the message has
-// cleared every sink — callers ack on nil exactly as before.
+// HandleBody fans one raw wire message into the configured sinks on
+// the caller's goroutine — the entry point for transports that do their
+// own consuming, like a fabric partition group feeding one listener
+// from many partition queues. Each step runs one message at a time and
+// callers pass from step to step hand over hand, so the archiver,
+// monitor, ingester, and assembler see the snapshots in one order, the
+// order they entered decode, while concurrent calls for different
+// hosts overlap in different steps. The call returns once the message
+// has cleared every sink; callers ack on nil. After a step error it
+// returns that error, and after Close ErrClosed.
 func (l *Listener) HandleBody(body []byte) error {
 	l.init()
-	return l.submitWait(body)
+	return l.handle(body)
 }
 
 // Shutdown stops the listener gracefully: it waits for the in-flight
@@ -403,17 +413,20 @@ func (l *Listener) Shutdown() {
 	l.inflight.Unlock()
 }
 
-// Close drains the staged pipeline (flushing every queued snapshot
-// through its remaining sinks), then flushes and closes the archiver.
-// Run-based listeners do this when Run returns; HandleBody-based
-// transports (fabric groups) must call Close after stopping the group.
-// Idempotent.
+// Close waits for in-flight messages by taking the step locks in order,
+// refuses every later HandleBody with ErrClosed, then flushes and
+// closes the archiver. Run-based listeners do this when Run returns;
+// HandleBody-based transports (fabric groups) must call Close after
+// stopping the group. Idempotent.
 func (l *Listener) Close() error {
+	l.init()
 	l.inflight.Lock()
 	defer l.inflight.Unlock()
-	if l.pipe != nil {
-		l.drainPipeline()
+	for k := range l.steps {
+		l.steps[k].mu.Lock()
+		defer l.steps[k].mu.Unlock()
 	}
+	l.closed = true
 	if l.arch == nil {
 		return nil
 	}

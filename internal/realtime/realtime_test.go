@@ -351,6 +351,22 @@ func TestListenerTelemetry(t *testing.T) {
 	if _, ok := vals["gostats_listen_drain_lag_seconds"]; !ok {
 		t.Error("drain lag gauge missing")
 	}
+	// The steps' stage series: decode counts the corrupt frame it
+	// dropped, the later steps only the three snapshots.
+	for stage, want := range map[string]float64{"decode": 4, "archive": 3, "ingest": 3, "assemble": 3} {
+		series := `{pipeline="listend",stage="` + stage + `"}`
+		if got := vals["gostats_pipeline_stage_processed_total"+series]; got != want {
+			t.Errorf("%s processed = %g, want %g", stage, got, want)
+		}
+		for _, g := range []string{"depth", "inflight"} {
+			if got, ok := vals["gostats_pipeline_stage_"+g+series]; !ok || got != 0 {
+				t.Errorf("%s %s = %g (present %v), want 0 at rest", stage, g, got, ok)
+			}
+		}
+		if _, ok := vals["gostats_pipeline_stage_drain_seconds"+series]; ok {
+			t.Errorf("%s exports drain_seconds; nothing queues between steps", stage)
+		}
+	}
 }
 
 func TestListenerSkipsCorruptMessages(t *testing.T) {

@@ -1,113 +1,147 @@
-// The listener's staged runtime: consume → decode → archive → ingest →
-// assemble as an internal/pipeline graph. Every stage runs one worker —
-// the monitor, archiver, ingester, and assembler all require the
-// per-host (here: global) arrival order the broker delivers — so the
-// pipeline buys overlap between stages, not reordering within one.
+// The listener's ordered steps: decode → archive → ingest → assemble,
+// run on the calling goroutine. Each step has its own mutex, so it
+// handles one message at a time — the monitor, archiver, ingester and
+// assembler all require the per-host (here: global) arrival order the
+// broker delivers. A caller takes the mutexes hand over hand: it locks
+// step k+1 before it unlocks step k, so at most one caller ever waits
+// for a later step, nobody overtakes between steps, and every step sees
+// the messages in the order they entered decode. Concurrent callers
+// (fabric partition consumers for different hosts) still overlap, each
+// in a different step.
 //
-// At-least-once acking is preserved by construction: each wire message
-// carries a completion channel, resolved exactly once — by the assemble
-// sink on success, by a stage's dead-letter hook on failure, or by the
-// decode stage for corrupt frames — and the consumer acks only after
-// the completion resolves nil.
+// Both entry points block until their message clears the last step, so
+// queues between steps would buy no overlap the locks do not already
+// give; running the steps inline saves a goroutine handoff per step.
+//
+// At-least-once acking: a call returns nil only once every configured
+// sink accepted the snapshot, or decode dropped a corrupt frame, and
+// the consumer acks only on nil.
 package realtime
 
 import (
-	"context"
+	"errors"
 	"fmt"
-	"time"
+	"sync"
 
 	"gostats/internal/codec"
 	"gostats/internal/model"
-	"gostats/internal/pipeline"
 	"gostats/internal/schema"
 	"gostats/internal/telemetry"
 )
 
-// listenItem is one wire message moving through the listend pipeline.
+// ErrClosed refuses a message handed to a closed listener.
+var ErrClosed = errors.New("realtime: listener closed")
+
+// errCorrupt is decode's verdict on a frame that does not decode: the
+// message runs no later step and resolves nil, so it is acked away.
+var errCorrupt = errors.New("realtime: corrupt message")
+
+// listenItem is one wire message moving through the steps.
 type listenItem struct {
 	body  []byte
 	snap  model.Snapshot
 	lines []byte // the record lines the decode certified, inside body
-	wireV codec.Version
-	// done resolves exactly once with the item's terminal fate; buffered
-	// so the resolving stage never blocks on a departed submitter.
-	done chan error
 }
 
-// drainBudget bounds how long Close waits for queued snapshots to flush
-// through the archive and ingest stages before abandoning them.
-const drainBudget = 60 * time.Second
+const numSteps = 4
 
-// buildPipeline wires the listener's four stages. Called once from
-// init; callers submit through submitWait.
-func (l *Listener) buildPipeline(reg *telemetry.Registry) {
-	p := pipeline.New("listend", reg)
-	opts := func() pipeline.Options[*listenItem] {
-		return pipeline.Options[*listenItem]{
-			Queue: 64,
-			// Dead-lettered items resolve their completion with the
-			// failure so the submitter nacks; the stage's FatalOnError
-			// default also poisons the pipeline, matching the old
-			// "sink failure kills the consumer loop" contract.
-			OnFailure: func(it *listenItem, err error) { it.done <- err },
+// listenSteps are the steps every message runs, in order.
+var listenSteps = [numSteps]struct {
+	name string
+	run  func(*Listener, *listenItem) error
+}{
+	{"decode", (*Listener).decodeStep},
+	{"archive", (*Listener).archiveStep},
+	{"ingest", (*Listener).ingestStep},
+	{"assemble", (*Listener).assembleStep},
+}
+
+// step is one step's lock and its stage series, labelled
+// {pipeline="listend",stage=name} as the stage runtime labels its own.
+type step struct {
+	mu        sync.Mutex
+	depth     *telemetry.Gauge // callers waiting to enter
+	inflight  *telemetry.Gauge
+	processed *telemetry.Counter
+	failures  *telemetry.Counter
+}
+
+func (s *step) init(reg *telemetry.Registry, name string) {
+	l := []string{"pipeline", "listend", "stage", name}
+	s.depth = reg.Gauge("gostats_pipeline_stage_depth",
+		"Items queued at the stage intake (backpressure indicator).", l...)
+	s.inflight = reg.Gauge("gostats_pipeline_stage_inflight",
+		"Items currently inside stage handlers.", l...)
+	s.processed = reg.Counter("gostats_pipeline_stage_processed_total",
+		"Items the stage handled successfully (including skips).", l...)
+	s.failures = reg.Counter("gostats_pipeline_stage_failures_total",
+		"Items the stage abandoned.", l...)
+}
+
+func (s *step) lock() {
+	s.depth.Add(1)
+	s.mu.Lock()
+	s.depth.Add(-1)
+	s.inflight.Set(1)
+}
+
+func (s *step) unlock() {
+	s.inflight.Set(0)
+	s.mu.Unlock()
+}
+
+// handle runs one wire message through every step on the caller's
+// goroutine. After the first step error, every caller returns that
+// error at its next step without running it; after Close, ErrClosed.
+func (l *Listener) handle(body []byte) error {
+	it := listenItem{body: body}
+	for k := range listenSteps {
+		s := &l.steps[k]
+		s.lock()
+		if k > 0 {
+			l.steps[k-1].unlock()
+		} else if l.closed {
+			s.unlock()
+			return ErrClosed
 		}
+		if err := l.failed(); err != nil {
+			s.unlock()
+			return err
+		}
+		err := listenSteps[k].run(l, &it)
+		if err == errCorrupt {
+			s.processed.Inc()
+			s.unlock()
+			return nil
+		}
+		if err != nil {
+			s.failures.Inc()
+			l.failOnce.Do(func() {
+				l.fatalErr = err
+				close(l.fatal)
+			})
+			s.unlock()
+			return err
+		}
+		s.processed.Inc()
 	}
-	decode := pipeline.AddStage(p, "decode", opts(), l.decodeStage)
-	archive := pipeline.AddStage(p, "archive", opts(), l.archiveStage)
-	ingest := pipeline.AddStage(p, "ingest", opts(), l.ingestStage)
-	assemble := pipeline.AddSink(p, "assemble", opts(), l.assembleStage)
-	decode.To(archive)
-	archive.To(ingest)
-	ingest.To(assemble)
-	l.pipe = p
-	l.intake = decode
-	p.Start()
+	l.steps[len(l.steps)-1].unlock()
+	return nil
 }
 
-// submitWait pushes one wire message into the pipeline and blocks until
-// it is fully processed (or dead-lettered). A nil return means every
-// configured sink accepted the snapshot and the message may be acked.
-//
-// The wait also watches the pipeline context: after a fatal stage error
-// the workers exit and queued items resolve only via Drain's sweep, so
-// blocking on done alone would strand the submitter (and, in fabric
-// mode, deadlock shutdown — g.Stop joins the consumer goroutines before
-// l.Close runs the sweep). it.done is buffered, so the sweep's later
-// send never blocks on a departed submitter.
-func (l *Listener) submitWait(body []byte) error {
-	it := &listenItem{body: body, done: make(chan error, 1)}
-	if err := l.intake.Submit(l.pipe.Context(), it); err != nil {
-		return err
-	}
+// failed returns the first step error, or nil.
+func (l *Listener) failed() error {
 	select {
-	case err := <-it.done:
-		return err
-	case <-l.pipe.Context().Done():
-		// Prefer the item's own fate if it resolved concurrently with
-		// the cancel: an already-processed message should still ack.
-		select {
-		case err := <-it.done:
-			return err
-		default:
-		}
-		if err := l.pipe.Err(); err != nil {
-			return err
-		}
-		return pipeline.ErrStopped
+	case <-l.fatal:
+		return l.fatalErr
+	default:
+		return nil
 	}
 }
 
-// drainPipeline flushes and stops the staged runtime; idempotent.
-func (l *Listener) drainPipeline() {
-	ctx, cancel := context.WithTimeout(context.Background(), drainBudget)
-	defer cancel()
-	l.pipe.Drain(ctx)
-}
-
-// decodeStage decodes the wire frame, stamps provenance, and maintains
-// the consume-side counters. Corrupt frames are counted, resolved nil
-// (so the consumer acks them away), and skipped.
-func (l *Listener) decodeStage(ctx context.Context, it *listenItem) (*listenItem, error) {
+// decodeStep decodes the wire frame, stamps provenance, and maintains
+// the consume-side counters. Corrupt frames are counted and dropped.
+func (l *Listener) decodeStep(it *listenItem) error {
 	sreg := l.Registry
 	if sreg == nil {
 		sreg = schema.DefaultRegistry()
@@ -116,10 +150,9 @@ func (l *Listener) decodeStage(ctx context.Context, it *listenItem) (*listenItem
 	if err != nil {
 		// A corrupt message must not kill the consumer; drop it.
 		l.met.decodeFails.Inc()
-		it.done <- nil
-		return nil, pipeline.Skip
+		return errCorrupt
 	}
-	it.snap, it.lines, it.wireV = snap, lines, wireV
+	it.snap, it.lines = snap, lines
 	l.Trace.Stamp(&it.snap, model.StageBrokerDeliver)
 	if l.OnDecoded != nil {
 		l.OnDecoded(wireV, len(it.body))
@@ -130,16 +163,16 @@ func (l *Listener) decodeStage(ctx context.Context, it *listenItem) (*listenItem
 		l.maxSeen = it.snap.Time
 	}
 	l.met.drainLag.Set(l.maxSeen - it.snap.Time)
-	return it, nil
+	return nil
 }
 
-// archiveStage runs the online monitor and appends the snapshot to the
+// archiveStep runs the online monitor and appends the snapshot to the
 // central raw store: a v1 text file gets the record lines as they
 // arrived, when the decode certified them, after a head encoded from
 // the snapshot (which carries the deliver and archive trace stamps).
 // An archive failure is fatal: the message must nack and redeliver
 // rather than silently lose the snapshot.
-func (l *Listener) archiveStage(ctx context.Context, it *listenItem) (*listenItem, error) {
+func (l *Listener) archiveStep(it *listenItem) error {
 	if l.Monitor != nil {
 		alerts := l.Monitor.Process(it.snap)
 		l.met.alerts.Add(uint64(len(alerts)))
@@ -150,35 +183,33 @@ func (l *Listener) archiveStage(ctx context.Context, it *listenItem) (*listenIte
 		err := l.arch.AppendLines(it.snap.Host, l.Headers(it.snap.Host), it.snap, it.lines)
 		t.Stop()
 		if err != nil {
-			return nil, fmt.Errorf("realtime: archive %s: %w", it.snap.Host, err)
+			return fmt.Errorf("realtime: archive %s: %w", it.snap.Host, err)
 		}
 		l.Trace.MarkQueryable(it.snap.Host, it.snap)
 	}
-	return it, nil
+	return nil
 }
 
-// ingestStage commits the snapshot to the time-series database. The
-// Ingester is single-writer by contract, which this single-worker stage
-// now enforces structurally.
-func (l *Listener) ingestStage(ctx context.Context, it *listenItem) (*listenItem, error) {
+// ingestStep commits the snapshot to the time-series database. The
+// Ingester is single-writer by contract, which the step's lock
+// enforces.
+func (l *Listener) ingestStep(it *listenItem) error {
 	if l.Ingest != nil {
 		l.Trace.Stamp(&it.snap, model.StageStoreIngest)
 		if err := l.Ingest.Ingest(it.snap); err != nil {
 			// A cold-store write failure means the point may not be
 			// durable: fail the message so the broker redelivers.
-			return nil, fmt.Errorf("realtime: store ingest %s: %w", it.snap.Host, err)
+			return fmt.Errorf("realtime: store ingest %s: %w", it.snap.Host, err)
 		}
 		l.Trace.MarkQueryable(it.snap.Host, it.snap)
 	}
-	return it, nil
+	return nil
 }
 
-// assembleStage is the terminal tap — the live assembler / observer
-// hook — and resolves the message's completion so the consumer acks.
-func (l *Listener) assembleStage(ctx context.Context, it *listenItem) error {
+// assembleStep is the terminal tap: the live assembler or observer hook.
+func (l *Listener) assembleStep(it *listenItem) error {
 	if l.OnSnapshot != nil {
 		l.OnSnapshot(it.snap)
 	}
-	it.done <- nil
 	return nil
 }

@@ -2,9 +2,11 @@ package realtime
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -18,14 +20,12 @@ import (
 	"gostats/internal/trace"
 )
 
-// TestHandleBodyUnblocksOnFatalSinkError pins the fabric-mode shutdown
-// contract: when a sink fails fatally, every concurrent HandleBody call
-// must return an error instead of blocking on its completion channel.
-// After a fatal error the stage workers exit and queued items are only
-// resolved by Close's dead-letter sweep — but the fabric group joins
-// its consumer goroutines (which sit inside HandleBody) before Close
-// ever runs, so a HandleBody that waits on the completion alone
-// deadlocks listend forever.
+// TestHandleBodyUnblocksOnFatalSinkError pins the fatal and close
+// contract: when a sink fails, every concurrent HandleBody call must
+// return that error rather than block (the fabric group joins its
+// consumer goroutines, which sit inside HandleBody, before Close runs),
+// Fatal closes and FatalErr reports it, a later message runs no step,
+// and a message after Close is refused.
 func TestHandleBodyUnblocksOnFatalSinkError(t *testing.T) {
 	defer leakcheck.Check(t)()
 	dir := t.TempDir()
@@ -34,26 +34,35 @@ func TestHandleBodyUnblocksOnFatalSinkError(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Plant regular files where the archiver needs host directories, so
-	// every archive append fails and poisons the pipeline.
+	// every archive append fails.
 	const hosts = 8
 	for i := 0; i < hosts; i++ {
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("h%d", i)), []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
+	ing := &orderIngest{}
+	tapped := 0
+	reg := telemetry.NewRegistry()
 	l := &Listener{
-		Store:   store,
-		Headers: func(string) rawfile.Header { return rawfile.Header{} },
-		Metrics: telemetry.NewRegistry(),
+		Store:      store,
+		Headers:    func(string) rawfile.Header { return rawfile.Header{} },
+		Metrics:    reg,
+		Ingest:     ing,
+		OnSnapshot: func(model.Snapshot) { tapped++ },
+	}
+	encode := func(host string) []byte {
+		b, err := codec.EncodeWire(snapWithMDC(600, host, 10, "1"), schema.DefaultRegistry(), codec.V1Text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
 
 	var wg sync.WaitGroup
 	errs := make([]error, hosts)
 	for i := 0; i < hosts; i++ {
-		b, err := codec.EncodeWire(snapWithMDC(600, fmt.Sprintf("h%d", i), 10, "1"), schema.DefaultRegistry(), codec.V1Text)
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := encode(fmt.Sprintf("h%d", i))
 		wg.Add(1)
 		go func(i int, b []byte) {
 			defer wg.Done()
@@ -67,13 +76,150 @@ func TestHandleBodyUnblocksOnFatalSinkError(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("HandleBody callers still blocked after a fatal sink error")
 	}
+	select {
+	case <-l.Fatal():
+	default:
+		t.Fatal("Fatal not closed after an archive failure")
+	}
+	fatal := l.FatalErr()
+	if fatal == nil {
+		t.Fatal("FatalErr nil after an archive failure")
+	}
 	for i, err := range errs {
-		if err == nil {
-			t.Errorf("HandleBody %d returned nil; a failed archive must nack", i)
+		if err != fatal {
+			t.Errorf("HandleBody %d = %v, want the first failure %v", i, err, fatal)
 		}
 	}
+	vals := telemetry.ParseExposition(reg.Exposition())
+	if got := vals[`gostats_pipeline_stage_failures_total{pipeline="listend",stage="archive"}`]; got != 1 {
+		t.Errorf("archive failures = %g, want 1: the first failure stops every later step", got)
+	}
+
+	// A message for a host the archive could take runs no step now.
+	if err := l.HandleBody(encode("ok")); err != fatal {
+		t.Errorf("HandleBody after the failure = %v, want %v", err, fatal)
+	}
+	if tapped != 0 || len(ing.seen) != 0 {
+		t.Errorf("after the failure: %d snapshots tapped, %d ingested", tapped, len(ing.seen))
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ok")); !os.IsNotExist(err) {
+		t.Errorf("after the failure the archive wrote host ok (stat: %v)", err)
+	}
+
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+	if err := l.HandleBody(encode("ok")); !errors.Is(err, ErrClosed) {
+		t.Errorf("HandleBody after Close = %v, want ErrClosed", err)
+	}
+}
+
+// orderIngest records the order the ingest step hands it snapshots.
+// The step's lock serialises its calls.
+type orderIngest struct{ seen []hostTime }
+
+type hostTime struct {
+	host string
+	time float64
+}
+
+func (r *orderIngest) Ingest(s model.Snapshot) error {
+	r.seen = append(r.seen, hostTime{s.Host, s.Time})
+	runtime.Gosched()
+	return nil
+}
+
+// TestHandleBodyKeepsOneOrderAcrossSteps drives the listener from
+// eight goroutines at once, each submitting two hosts interleaved, in
+// time order. The ingest and assemble steps must see one and the same
+// global sequence — no caller overtakes another between steps — and
+// every step, the archived files included, each host's snapshots in
+// submit order.
+func TestHandleBodyKeepsOneOrderAcrossSteps(t *testing.T) {
+	const callers, perCaller = 8, 60
+	reg := schema.DefaultRegistry()
+	store, err := rawfile.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ing := &orderIngest{}
+	var assembled []hostTime
+	l := &Listener{
+		Store:    store,
+		Headers:  func(host string) rawfile.Header { return rawfile.Header{Hostname: host, Registry: reg} },
+		Registry: reg,
+		Metrics:  telemetry.NewRegistry(),
+		Ingest:   ing,
+		OnSnapshot: func(s model.Snapshot) {
+			assembled = append(assembled, hostTime{s.Host, s.Time})
+			runtime.Gosched()
+		},
+	}
+	host := func(c, i int) string { return fmt.Sprintf("h%02d", c+callers*(i%2)) }
+	bodies := make([][][]byte, callers)
+	for c := range bodies {
+		for i := 0; i < perCaller; i++ {
+			b, err := codec.EncodeWire(snapWithMDC(float64(600*(i/2+1)), host(c, i), uint64(i), "1"), reg, codec.V1Text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[c] = append(bodies[c], b)
+		}
+	}
+	var wg sync.WaitGroup
+	for c := range bodies {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i, b := range bodies[c] {
+				if err := l.HandleBody(b); err != nil {
+					t.Errorf("caller %d message %d: %v", c, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const total = callers * perCaller
+	if len(ing.seen) != total || len(assembled) != total {
+		t.Fatalf("ingested %d, assembled %d, want %d each", len(ing.seen), len(assembled), total)
+	}
+	for k := range assembled {
+		if ing.seen[k] != assembled[k] {
+			t.Fatalf("message %d: ingest saw %v, assemble %v; the steps' orders differ", k, ing.seen[k], assembled[k])
+		}
+	}
+	inSubmitOrder := func(step string, seq []hostTime) {
+		next := map[string]float64{}
+		for _, ht := range seq {
+			if want := next[ht.host] + 600; ht.time != want {
+				t.Fatalf("%s: %s@%g arrived where %s@%g was due", step, ht.host, ht.time, ht.host, want)
+			}
+			next[ht.host] = ht.time
+		}
+	}
+	inSubmitOrder("ingest", ing.seen)
+	inSubmitOrder("assemble", assembled)
+	for c := 0; c < callers; c++ {
+		for i := 0; i < 2; i++ {
+			h := host(c, i)
+			snaps, err := store.ReadHost(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := make([]hostTime, len(snaps))
+			for k, s := range snaps {
+				seq[k] = hostTime{s.Host, s.Time}
+			}
+			if len(seq) != perCaller/2 {
+				t.Fatalf("archive holds %d snapshots of %s, want %d", len(seq), h, perCaller/2)
+			}
+			inSubmitOrder("archive", seq)
+		}
 	}
 }
 
