@@ -7,7 +7,6 @@ package gostats
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -21,7 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"gostats/internal/analysis"
 	"gostats/internal/broker"
@@ -34,7 +32,6 @@ import (
 	"gostats/internal/experiments"
 	"gostats/internal/hwsim"
 	"gostats/internal/model"
-	"gostats/internal/pipeline"
 	"gostats/internal/portal"
 	"gostats/internal/preload"
 	"gostats/internal/rawfile"
@@ -1328,43 +1325,6 @@ func BenchmarkSegstoreCompact(b *testing.B) {
 		if st.TierPoints[t] > 0 {
 			b.ReportMetric(float64(st.TierBytes[t])/points, "diskB/pt-"+name)
 		}
-	}
-}
-
-// BenchmarkPipelineStageHop measures the framework tax on one item
-// crossing a three-stage pipeline: submit, two queue hops, and the
-// per-stage bookkeeping, with the submitter waiting on a completion
-// channel for the item to clear the sink. It is the price of a staged
-// path whose caller blocks on each item, which is why the listener runs
-// its steps inline instead (BenchmarkListenerHandleBody).
-func BenchmarkPipelineStageHop(b *testing.B) {
-	type item struct{ done chan error }
-	p := pipeline.New("bench-hop", telemetry.NewRegistry())
-	s1 := pipeline.AddStage(p, "a", pipeline.Options[*item]{Queue: 64},
-		func(ctx context.Context, it *item) (*item, error) { return it, nil })
-	s2 := pipeline.AddStage(p, "b", pipeline.Options[*item]{Queue: 64},
-		func(ctx context.Context, it *item) (*item, error) { return it, nil })
-	sink := pipeline.AddSink(p, "c", pipeline.Options[*item]{Queue: 64},
-		func(ctx context.Context, it *item) error { it.done <- nil; return nil })
-	s1.To(s2)
-	s2.To(sink)
-	p.Start()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := &item{done: make(chan error, 1)}
-		if err := s1.Submit(context.Background(), it); err != nil {
-			b.Fatal(err)
-		}
-		if err := <-it.done; err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := p.Drain(ctx); err != nil {
-		b.Fatal(err)
 	}
 }
 

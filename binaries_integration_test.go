@@ -24,17 +24,8 @@ import (
 // journal (twice: the rerun over an unchanged store must leave the file
 // byte-identical), and the portal serving that job back over HTTP.
 func TestDeployedBinariesEndToEnd(t *testing.T) {
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "bin")
-	build := exec.Command(goBin, "build", "-o", bin+string(filepath.Separator),
-		"./cmd/brokerd", "./cmd/tacc_statsd", "./cmd/listend", "./cmd/jobetl", "./cmd/portal")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildCmds(t, dir, "brokerd", "tacc_statsd", "listend", "jobetl", "portal")
 
 	brokerAddr, opsAddr, portalAddr := freeAddr(t), freeAddr(t), freeAddr(t)
 	central := filepath.Join(dir, "central")
@@ -69,6 +60,7 @@ func TestDeployedBinariesEndToEnd(t *testing.T) {
 	}
 
 	var tables [2][]byte
+	var err error
 	for i := range tables {
 		etl := exec.Command(filepath.Join(bin, "jobetl"), "-store", central, "-out", journal)
 		if out, err := etl.CombinedOutput(); err != nil {
@@ -91,6 +83,66 @@ func TestDeployedBinariesEndToEnd(t *testing.T) {
 	if _, code := fetch("http://" + portalAddr + "/job/4001"); code != http.StatusOK {
 		t.Fatalf("GET /job/4001 = %d, want 200", code)
 	}
+}
+
+// TestDeployedStatsdDrainsOnSIGTERM signals a running tacc_statsd: it
+// must finish the collection in flight, exit 0 saying it drained, and
+// every collection it logged as published must reach the listener.
+func TestDeployedStatsdDrainsOnSIGTERM(t *testing.T) {
+	dir := t.TempDir()
+	bin := buildCmds(t, dir, "brokerd", "tacc_statsd", "listend")
+	brokerAddr, opsAddr := freeAddr(t), freeAddr(t)
+
+	startDaemon(t, filepath.Join(bin, "brokerd"), "-listen", brokerAddr)
+	waitDial(t, brokerAddr)
+	startDaemon(t, filepath.Join(bin, "listend"),
+		"-brokers", brokerAddr, "-store", filepath.Join(dir, "central"), "-telemetry", opsAddr)
+	waitDial(t, opsAddr)
+	archived := func() float64 {
+		body, code := fetch("http://" + opsAddr + "/metrics")
+		if code != http.StatusOK {
+			return -1
+		}
+		return telemetry.ParseExposition(body)["gostats_listen_snapshots_total"]
+	}
+
+	statsd, statsdOut := startDaemon(t, filepath.Join(bin, "tacc_statsd"),
+		"-brokers", brokerAddr, "-ticks", "0", "-speedup", "12000")
+	waitFor(t, "listend to archive 2 snapshots", func() bool { return archived() >= 2 })
+	if err := statsd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := statsd.Wait(); err != nil {
+		t.Fatalf("tacc_statsd exited with %v after SIGTERM\n%s", err, statsdOut)
+	}
+	out := statsdOut.String()
+	if !strings.Contains(out, "drained cleanly") {
+		t.Fatalf("tacc_statsd did not report a clean drain:\n%s", out)
+	}
+	published := float64(strings.Count(out, "published collection"))
+	waitFor(t, "listend to archive every published collection", func() bool { return archived() >= published })
+	if got := archived(); got != published {
+		t.Fatalf("listend archived %v snapshots, tacc_statsd logged %v published:\n%s", got, published, out)
+	}
+}
+
+// buildCmds builds the named cmd/ binaries into dir/bin and returns that
+// directory; it skips the test without a go toolchain.
+func buildCmds(t *testing.T, dir string, cmds ...string) string {
+	t.Helper()
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	bin := filepath.Join(dir, "bin")
+	args := []string{"build", "-o", bin + string(filepath.Separator)}
+	for _, c := range cmds {
+		args = append(args, "./cmd/"+c)
+	}
+	if out, err := exec.Command(goBin, args...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }
 
 // startDaemon launches a daemon whose output is captured; it is killed when

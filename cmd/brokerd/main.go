@@ -31,8 +31,8 @@ import (
 	"time"
 
 	"gostats/internal/broker"
+	"gostats/internal/daemon"
 	"gostats/internal/fabric"
-	"gostats/internal/pipeline"
 	"gostats/internal/telemetry"
 )
 
@@ -103,7 +103,7 @@ func main() {
 
 	// The shared daemon lifecycle: wait for SIGINT/SIGTERM, then close
 	// the server (which joins every connection goroutine).
-	if _, err := (pipeline.Daemon{}).Run(); err != nil {
+	if _, err := daemon.Run(nil, nil); err != nil {
 		log.Fatalf("brokerd: %v", err)
 	}
 	fmt.Println("brokerd: shutting down")

@@ -54,9 +54,9 @@ import (
 	"gostats/internal/broker"
 	"gostats/internal/chip"
 	"gostats/internal/codec"
+	"gostats/internal/daemon"
 	"gostats/internal/fabric"
 	"gostats/internal/node"
-	"gostats/internal/pipeline"
 	"gostats/internal/realtime"
 	"gostats/internal/segstore"
 	"gostats/internal/telemetry"
@@ -149,26 +149,23 @@ func main() {
 	log.Printf("listend: group member %d/%d consuming %d partitions across %d brokers into %s (map v%d)",
 		*groupIndex, *groupCount, m.Partitions, len(m.Brokers), *storeDir, m.Version)
 
-	_, derr := pipeline.Daemon{
-		Body: func(ctx context.Context) error {
-			select {
-			case <-ctx.Done():
-				return nil
-			case err := <-n.Err():
-				// A consumer died repeatedly against a broker the map
-				// still considers alive, or a sink error made the
-				// listener fatal — either way nothing further can be
-				// archived, so exit with the error.
-				return err
-			}
-		},
-		Stop: func(s os.Signal) {
-			log.Printf("listend: %s: finishing in-flight messages and shutting down", s)
-			if ops != nil {
-				ops.SetHealth("broker", fmt.Errorf("shutting down on %s", s))
-			}
-		},
-	}.Run()
+	_, derr := daemon.Run(func(ctx context.Context) error {
+		select {
+		case <-ctx.Done():
+			return nil
+		case err := <-n.Err():
+			// A consumer died repeatedly against a broker the map
+			// still considers alive, or a sink error made the
+			// listener fatal — either way nothing further can be
+			// archived, so exit with the error.
+			return err
+		}
+	}, func(s os.Signal) {
+		log.Printf("listend: %s: finishing in-flight messages and shutting down", s)
+		if ops != nil {
+			ops.SetHealth("broker", fmt.Errorf("shutting down on %s", s))
+		}
+	})
 	cerr := n.Close()
 	st := n.Stats()
 	if derr != nil {

@@ -30,7 +30,8 @@
 // snapshot is dropped after the publish retry rounds are exhausted.
 //
 // The transport is one node.Agent; this file parses flags, handles
-// signals and runs the node-side stages (sample → encode → publish).
+// signals and runs the collection loop: sleep, advance the node,
+// collect and publish.
 //
 // With -telemetry set, the daemon serves its own ops endpoint: /metrics
 // (collection cost, publish latency, redials), /healthz (collector and
@@ -51,24 +52,14 @@ import (
 	"gostats/internal/chip"
 	"gostats/internal/codec"
 	"gostats/internal/collect"
+	"gostats/internal/daemon"
 	"gostats/internal/fabric"
 	"gostats/internal/hwsim"
-	"gostats/internal/model"
 	"gostats/internal/node"
-	"gostats/internal/pipeline"
 	"gostats/internal/spool"
 	"gostats/internal/telemetry"
 	"gostats/internal/workload"
 )
-
-// tick is one sampling interval moving through the node pipeline:
-// sample fills snap, encode fills body, publish ships it.
-type tick struct {
-	i            int
-	now, elapsed float64
-	snap         model.Snapshot
-	body         []byte
-}
 
 func pickModel(name, owner string) (workload.Model, error) {
 	switch name {
@@ -170,69 +161,14 @@ func main() {
 		jobs = []string{*job}
 	}
 
-	// The Fig 2 node-side pipeline, staged: a tick-clock source feeds
-	// sample → encode → publish. Every stage is single-worker (the
-	// node model and the publisher's per-host ordering are sequential
-	// by contract); the bounded queues let a slow broker overlap with
-	// at most a few intervals of lookahead before backpressure holds
-	// the clock. A failed encode or publish loses that sample — the
-	// original deployment's failure envelope — never the daemon.
-	p := pipeline.New("node", telemetry.Default())
-	sample := pipeline.AddStage(p, "sample", pipeline.Options[*tick]{Queue: 4},
-		func(ctx context.Context, t *tick) (*tick, error) {
-			d := hwsim.IdleDemand()
-			if wmodel != nil {
-				d = wmodel.Demand(t.elapsed, runtime, 0, 1, rng)
-			}
-			hw.Advance(*interval, d)
-			t.snap, _ = col.Collect(t.now, jobs, "")
-			return t, nil
-		})
-	encode := pipeline.AddStage(p, "encode", pipeline.Options[*tick]{
-		Queue: 4,
-		Mode:  pipeline.DropOnError,
-		OnFailure: func(t *tick, err error) {
-			if ops != nil {
-				ops.SetHealth("publisher", err)
-			}
-			log.Printf("tacc_statsd: collect: publish from %s: %v (sample lost — exhausted attempts and no spool accepted it)", *host, err)
-		},
-	}, func(ctx context.Context, t *tick) (*tick, error) {
-		body, err := agent.Encode(&t.snap)
-		if err != nil {
-			return nil, err
-		}
-		t.body = body
-		return t, nil
-	})
-	publish := pipeline.AddSink(p, "publish", pipeline.Options[*tick]{
-		Queue: 4,
-		Mode:  pipeline.DropOnError,
-		OnFailure: func(t *tick, err error) {
-			if ops != nil {
-				ops.SetHealth("publisher", err)
-			}
-			log.Printf("tacc_statsd: collect: publish from %s: %v (sample lost — exhausted attempts and no spool accepted it)", *host, err)
-		},
-	}, func(ctx context.Context, t *tick) error {
-		if err := agent.PublishEncoded(t.snap, t.body); err != nil {
-			return err
-		}
-		if ops != nil {
-			ops.SetHealth("publisher", nil)
-		}
-		log.Printf("tacc_statsd: published collection %d at t=%.0f", t.i+1, t.now)
-		return nil
-	})
-	sample.To(encode)
-	encode.To(publish)
-
-	ticksDone := make(chan struct{})
-	p.AddSource("tick-clock", func(ctx context.Context) error {
-		defer close(ticksDone)
-		now, elapsed := 0.0, 0.0
+	// The Fig 2 daemon loop: sleep the (compressed) interval, advance
+	// the node, collect and publish. Sample times stay on the interval
+	// grid however long a publish takes. A failed publish loses that
+	// sample — the original deployment's failure envelope — never the
+	// daemon; with a spool the sample waits on disk instead.
+	da := collect.NewDaemonAgent(col, agent)
+	collectLoop := func(ctx context.Context) error {
 		for i := 0; *ticks == 0 || i < *ticks; i++ {
-			// The real daemon sleeps; we sleep the compressed interval.
 			if *speedup > 0 {
 				select {
 				case <-time.After(time.Duration(*interval / *speedup * float64(time.Second))):
@@ -242,38 +178,32 @@ func main() {
 			} else if ctx.Err() != nil {
 				return nil
 			}
-			t := &tick{i: i, now: now + *interval, elapsed: elapsed}
-			now += *interval
-			elapsed += *interval
-			if err := sample.Submit(ctx, t); err != nil {
-				return nil // pipeline stopping; the drain handles the rest
+			elapsed := float64(i) * *interval
+			d := hwsim.IdleDemand()
+			if wmodel != nil {
+				d = wmodel.Demand(elapsed, runtime, 0, 1, rng)
 			}
+			hw.Advance(*interval, d)
+			now := elapsed + *interval
+			if err := da.Tick(now, jobs, ""); err != nil {
+				if ops != nil {
+					ops.SetHealth("publisher", err)
+				}
+				log.Printf("tacc_statsd: %v (sample lost — exhausted attempts and no spool accepted it)", err)
+				continue
+			}
+			if ops != nil {
+				ops.SetHealth("publisher", nil)
+			}
+			log.Printf("tacc_statsd: published collection %d at t=%.0f", i+1, now)
 		}
 		return nil
-	})
+	}
 
 	log.Printf("tacc_statsd: %s publishing to %s every %.0f simulated seconds", *host, target, *interval)
-	p.Start()
-	sig, err := pipeline.Daemon{
-		Body: func(ctx context.Context) error {
-			select {
-			case <-ticksDone:
-				return nil
-			case <-p.Fatal():
-				return p.Err()
-			case <-ctx.Done():
-				return nil
-			}
-		},
-		Stop: func(s os.Signal) {
-			log.Printf("tacc_statsd: %v received, draining", s)
-		},
-	}.Run()
-	dctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	if derr := p.Drain(dctx); derr != nil && err == nil {
-		err = derr
-	}
+	sig, err := daemon.Run(collectLoop, func(s os.Signal) {
+		log.Printf("tacc_statsd: %v received, finishing the collection in flight", s)
+	})
 	if cerr := agent.Close(); cerr != nil && err == nil {
 		err = cerr
 	}

@@ -217,8 +217,9 @@ type PublisherFunc func(s model.Snapshot) error
 // Publish implements Publisher.
 func (f PublisherFunc) Publish(s model.Snapshot) error { return f(s) }
 
-// DaemonAgent is the Fig 2 pipeline on one node: tacc_statsd collecting
-// on a sleep cadence and publishing each snapshot immediately.
+// DaemonAgent is the Fig 2 daemon on one node: tacc_statsd's loop calls
+// Tick once per interval, so each snapshot is published as soon as it
+// is collected.
 type DaemonAgent struct {
 	Col *Collector
 	Pub Publisher

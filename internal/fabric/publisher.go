@@ -310,24 +310,11 @@ func (p *Publisher) adoptNewer(c *broker.Client) {
 // a backlog is still replaying, so per-host ordering holds — is
 // spooled instead of dropped.
 func (p *Publisher) Publish(s model.Snapshot) error {
-	body, err := p.Encode(&s)
+	p.Trace.Stamp(&s, model.StagePublish)
+	body, err := broker.EncodeSnapshotWire(s, p.Registry, p.Codec)
 	if err != nil {
 		return err
 	}
-	return p.PublishEncoded(s, body)
-}
-
-// Encode stamps the publish hop and encodes the snapshot for the wire —
-// the encode half of Publish, split out so a staged sampling pipeline
-// can run encoding and delivery as separate stages.
-func (p *Publisher) Encode(s *model.Snapshot) ([]byte, error) {
-	p.Trace.Stamp(s, model.StagePublish)
-	return broker.EncodeSnapshotWire(*s, p.Registry, p.Codec)
-}
-
-// PublishEncoded delivers a snapshot already encoded by Encode, with
-// Publish's full replication, spool-ordering, and fallback behaviour.
-func (p *Publisher) PublishEncoded(s model.Snapshot, body []byte) error {
 	host, seq := s.Host, SeqOf(s)
 	p.mu.Lock()
 	if p.sp != nil && p.sp.Depth() > 0 {
@@ -335,7 +322,7 @@ func (p *Publisher) PublishEncoded(s model.Snapshot, body []byte) error {
 		// today's routing so the replay can tell if it moved.
 		m := p.view.Snapshot()
 		_, owners := m.OwnersOfHost(host)
-		err := p.spoolLocked(s, host, seq, ownersFingerprint(owners))
+		err = p.spoolLocked(s, host, seq, ownersFingerprint(owners))
 		p.mu.Unlock()
 		p.wakeDrainer()
 		return err
@@ -359,7 +346,7 @@ func (p *Publisher) PublishEncoded(s model.Snapshot, body []byte) error {
 		p.mu.Unlock()
 		return perr
 	}
-	err := p.spoolLocked(s, host, seq, firstFP)
+	err = p.spoolLocked(s, host, seq, firstFP)
 	// Wake outside the lock (wakeDrainer re-acquires it), synchronously:
 	// the old `go p.wakeDrainer()` here left an unjoined goroutine
 	// behind every spooled publish.

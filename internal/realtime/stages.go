@@ -57,7 +57,7 @@ var listenSteps = [numSteps]struct {
 }
 
 // step is one step's lock and its stage series, labelled
-// {pipeline="listend",stage=name} as the stage runtime labels its own.
+// {pipeline="listend",stage=name}.
 type step struct {
 	mu        sync.Mutex
 	depth     *telemetry.Gauge // callers waiting to enter

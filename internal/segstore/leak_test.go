@@ -9,8 +9,8 @@ import (
 )
 
 // TestStartBackgroundCloseJoins pins the goroutine-hygiene contract for
-// background compaction, now a rate-limited pipeline stage: Close must
-// drain the ticker source and the compact worker before sealing.
+// background compaction: Close must stop the ticker and join the
+// compaction goroutine before sealing.
 func TestStartBackgroundCloseJoins(t *testing.T) {
 	defer leakcheck.Check(t)()
 	s, err := Open(t.TempDir(), Options{Metrics: telemetry.NewRegistry()})
@@ -22,7 +22,7 @@ func TestStartBackgroundCloseJoins(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// Idempotent: a second Close with the pipeline gone must not hang.
+	// Idempotent: a second Close with the loop gone must not hang.
 	if err := s.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}

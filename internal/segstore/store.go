@@ -11,7 +11,6 @@
 package segstore
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"math"
@@ -26,7 +25,6 @@ import (
 	"gostats/internal/framelog"
 	"gostats/internal/fsutil"
 	"gostats/internal/lru"
-	"gostats/internal/pipeline"
 	"gostats/internal/telemetry"
 )
 
@@ -221,6 +219,7 @@ type storeMetrics struct {
 	appended     *telemetry.Counter
 	seals        *telemetry.Counter
 	compactions  *telemetry.Counter
+	compactFails *telemetry.Counter
 	recovered    *telemetry.Counter
 	truncated    *telemetry.Counter
 	quarantined  *telemetry.Counter
@@ -266,7 +265,9 @@ type Store struct {
 	statMu sync.Mutex
 	stats  Stats
 
-	bg *pipeline.Pipeline // background compaction (StartBackground)
+	// bgStop and bgDone are background compaction's stop signal and
+	// exit notice (StartBackground); nil when it is not running.
+	bgStop, bgDone chan struct{}
 
 	// sealFault, set only by tests, fails the named seal step.
 	sealFault func(step string) error
@@ -301,6 +302,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		"Active segments sealed (rotation, recovery, or close).")
 	s.met.compactions = reg.Counter("gostats_segstore_compactions_total",
 		"Compaction passes that produced a downsampled segment.")
+	s.met.compactFails = reg.Counter("gostats_segstore_compaction_failures_total",
+		"Background compaction passes that returned an error.")
 	s.met.recovered = reg.Counter("gostats_segstore_recovered_points_total",
 		"Points recovered from existing segments at open.")
 	s.met.truncated = reg.Counter("gostats_segstore_torn_truncations_total",
@@ -913,54 +916,48 @@ func (s *Store) publishGauges() {
 
 // StartBackground runs compaction + retention every interval until
 // Close. Safe to skip for batch workloads that call Compact directly.
-//
-// It runs as a two-node pipeline: a ticker source rate-limits a
-// single-worker compact sink through a depth-1 queue via TrySubmit, so
-// a compaction running longer than the interval sheds ticks instead of
-// queuing a burst of back-to-back compactions — and the stage's depth/
-// drain telemetry rides along for free.
+// A pass longer than the interval is followed by at most one more
+// right away, never a burst: the ticker drops the ticks its reader
+// misses. A failed pass is logged and counted, and the loop goes on.
 func (s *Store) StartBackground(interval time.Duration) {
-	if s.bg != nil {
+	s.startCompaction(interval, s.Compact)
+}
+
+// startCompaction runs pass on a ticker in one goroutine until Close.
+func (s *Store) startCompaction(interval time.Duration, pass func() error) {
+	if s.bgStop != nil {
 		return
 	}
-	p := pipeline.New("segstore", s.opts.Metrics)
-	compact := pipeline.AddSink(p, "compact",
-		pipeline.Options[struct{}]{
-			Queue: 1,
-			Mode:  pipeline.DropOnError,
-			OnFailure: func(_ struct{}, err error) {
-				s.opts.Logf("segstore: background compaction: %v", err)
-			},
-		},
-		func(ctx context.Context, _ struct{}) error { return s.Compact() },
-	)
-	p.AddSource("compact-clock", func(ctx context.Context) error {
+	stop, done := make(chan struct{}), make(chan struct{})
+	s.bgStop, s.bgDone = stop, done
+	go func() {
+		defer close(done)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
 			select {
-			case <-ctx.Done():
-				return nil
+			case <-stop:
+				return
 			case <-t.C:
-				compact.TrySubmit(struct{}{})
+			}
+			if err := pass(); err != nil {
+				s.met.compactFails.Inc()
+				s.opts.Logf("segstore: background compaction: %v", err)
 			}
 		}
-	})
-	s.bg = p
-	p.Start()
+	}()
 }
 
-// Close stops background compaction (draining any in-flight pass, so
-// no compaction runs concurrently with the seal), flushes and seals
+// Close stops background compaction (waiting out any in-flight pass,
+// so no compaction runs concurrently with the seal), flushes and seals
 // every active segment, leaves the store fully durable on disk, and
 // drops the file cache's handles: once no scan holds one, the store
 // has no fd open.
 func (s *Store) Close() error {
-	if s.bg != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		s.bg.Drain(ctx)
-		cancel()
-		s.bg = nil
+	if s.bgStop != nil {
+		close(s.bgStop)
+		<-s.bgDone
+		s.bgStop, s.bgDone = nil, nil
 	}
 	err := s.Seal()
 	s.files.Drain(s.dropHandle)

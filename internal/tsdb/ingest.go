@@ -17,8 +17,8 @@ import (
 // one host row with no per-point label lookup. The layout is re-keyed
 // by (class, instance) only when a host's records change.
 //
-// Not safe for concurrent use; the daemon-mode consumer is a single
-// goroutine, matching the real pipeline.
+// Not safe for concurrent use; the listener's ingest step takes one
+// message at a time under its own lock.
 type Ingester struct {
 	db    *DB
 	reg   *schema.Registry
