@@ -1,10 +1,6 @@
 GO ?= go
 
-## BENCH_PR numbers this PR's benchmark record; bench diffs it against
-## the latest earlier BENCH_PR*.json automatically.
-BENCH_PR ?= 10
-
-.PHONY: check vet vuln staticcheck fmt nogob build perfbench test race chaos watchparity apiload bench benchsmoke fuzzsmoke loc
+.PHONY: check vet vuln staticcheck fmt nogob build perfbench test race chaos watchparity apiload benchsmoke fuzzsmoke loc
 
 ## check: everything CI runs — vet, vuln scan, static analysis, formatting, the no-gob gate, build, benchmark harness build, chaos smoke, tests under -race, watch parity audit, api load smoke, fuzz smoke, benchmark smoke
 check: vet vuln staticcheck fmt nogob build perfbench chaos race watchparity apiload fuzzsmoke benchsmoke
@@ -126,13 +122,6 @@ apiload:
 	grep -E '^simcluster api-load:' "$$dir/run.log"; \
 	[ "$$rc" -eq 0 ] || tail -5 "$$dir/run.log"; \
 	rm -rf "$$dir"; exit $$rc
-
-## bench: run the root benchmark suite, record it machine-readably in
-## BENCH_PR$(BENCH_PR).json (name, ns/op, B/op, allocs/op), and diff
-## against the newest earlier PR's baseline to surface regressions.
-bench:
-	$(GO) test -bench=. -benchmem -run='^$$' . | tee BENCH_PR$(BENCH_PR).txt
-	$(GO) run ./cmd/benchjson -o BENCH_PR$(BENCH_PR).json -baseline auto < BENCH_PR$(BENCH_PR).txt
 
 ## benchsmoke: every benchmark runs once (-short skips the long suite) —
 ## catches benchmarks that break without paying for full measurement.

@@ -144,16 +144,17 @@ func BenchmarkCronPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	col := collect.New(n)
-	agent, err := collect.NewCronAgent(col, b.TempDir())
+	logger, err := rawfile.NewNodeLogger(b.TempDir(), col.Header())
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer agent.Close()
+	defer logger.Close()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n.Advance(600, hwsim.Demand{CPUUserFrac: 0.8, IPC: 1.2})
-		if err := agent.Tick(float64(i)*600, []string{"1"}, ""); err != nil {
+		snap, _ := col.Collect(float64(i)*600, []string{"1"}, "")
+		if err := logger.Log(snap); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -180,31 +180,6 @@ const (
 // JobMark renders a job-lifecycle mark line ("begin 4001").
 func JobMark(kind, jobID string) string { return kind + " " + jobID }
 
-// CronAgent is the Fig 1 pipeline on one node: collections append to the
-// node-local spool, which a daily sync copies to the central store.
-type CronAgent struct {
-	Col    *Collector
-	Logger *rawfile.NodeLogger
-}
-
-// NewCronAgent builds a cron-mode agent spooling into dir.
-func NewCronAgent(col *Collector, dir string) (*CronAgent, error) {
-	l, err := rawfile.NewNodeLogger(dir, col.Header())
-	if err != nil {
-		return nil, err
-	}
-	return &CronAgent{Col: col, Logger: l}, nil
-}
-
-// Tick collects and appends to the node-local log.
-func (a *CronAgent) Tick(now float64, jobIDs []string, mark string) error {
-	snap, _ := a.Col.Collect(now, jobIDs, mark)
-	return a.Logger.Log(snap)
-}
-
-// Close flushes the node-local log.
-func (a *CronAgent) Close() error { return a.Logger.Close() }
-
 // Publisher is anything that can move a snapshot off the node in real
 // time — in production the message broker client, in tests a channel.
 type Publisher interface {

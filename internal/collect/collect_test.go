@@ -93,20 +93,26 @@ func TestCollectCopiesJobIDs(t *testing.T) {
 	}
 }
 
+// TestCronAgentEndToEnd is the Fig 1 pipeline on one node: collections
+// append to the node-local log, which the daily sync copies to the
+// central store.
 func TestCronAgentEndToEnd(t *testing.T) {
 	c := testCollector(t)
 	spool := t.TempDir()
-	a, err := NewCronAgent(c, spool)
+	l, err := rawfile.NewNodeLogger(spool, c.Header())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Tick(100, []string{"9"}, JobMark(MarkBegin, "9")); err != nil {
-		t.Fatal(err)
+	for _, tick := range []struct {
+		now  float64
+		mark string
+	}{{100, JobMark(MarkBegin, "9")}, {700, ""}} {
+		snap, _ := c.Collect(tick.now, []string{"9"}, tick.mark)
+		if err := l.Log(snap); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := a.Tick(700, []string{"9"}, ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Close(); err != nil {
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"gostats/internal/cluster"
 	"gostats/internal/collect"
 	"gostats/internal/hwsim"
+	"gostats/internal/model"
 	"gostats/internal/rawfile"
 	"gostats/internal/reldb"
 	"gostats/internal/workload"
@@ -120,23 +121,26 @@ func TestIngestStoreJoinsMetadata(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := collect.New(n)
-	agent, err := collect.NewCronAgent(col, t.TempDir()+"/spool")
+	logger, err := rawfile.NewNodeLogger(t.TempDir()+"/spool", col.Header())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := agent.Tick(1000, []string{"55"}, collect.JobMark(collect.MarkBegin, "55")); err != nil {
-		t.Fatal(err)
+	tick := func(now float64, mark string) {
+		t.Helper()
+		snap, _ := col.Collect(now, []string{"55"}, mark)
+		if err := logger.Log(snap); err != nil {
+			t.Fatal(err)
+		}
 	}
+	tick(1000, collect.JobMark(collect.MarkBegin, "55"))
 	n.Advance(600, hwsim.Demand{CPUUserFrac: 0.7, IPC: 1})
-	if err := agent.Tick(1600, []string{"55"}, ""); err != nil {
-		t.Fatal(err)
-	}
+	tick(1600, "")
 	n.Advance(600, hwsim.Demand{CPUUserFrac: 0.7, IPC: 1})
-	if err := agent.Tick(2200, []string{"55"}, collect.JobMark(collect.MarkEnd, "55")); err != nil {
+	tick(2200, collect.JobMark(collect.MarkEnd, "55"))
+	if err := logger.Close(); err != nil {
 		t.Fatal(err)
 	}
-	agent.Close()
-	if err := st.SyncFrom("c401-101", agent.Logger.Dir()); err != nil {
+	if err := st.SyncFrom("c401-101", logger.Dir()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -172,8 +176,13 @@ func TestIngestStoreWithoutMetadata(t *testing.T) {
 	s1, _ := col.Collect(0, []string{"9"}, "")
 	n.Advance(600, hwsim.Demand{CPUUserFrac: 0.5, IPC: 1})
 	s2, _ := col.Collect(600, []string{"9"}, "")
-	h := col.Header()
-	if err := st.AppendHost("c1", h, s1, s2); err != nil {
+	arch := rawfile.NewArchiver(st, 0)
+	for _, s := range []model.Snapshot{s1, s2} {
+		if err := arch.Append("c1", col.Header(), s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := arch.Close(); err != nil {
 		t.Fatal(err)
 	}
 	db := reldb.New()

@@ -13,6 +13,7 @@ import (
 
 	"gostats/internal/broker"
 	"gostats/internal/chip"
+	"gostats/internal/codec"
 	"gostats/internal/model"
 	"gostats/internal/rawfile"
 	"gostats/internal/schema"
@@ -561,6 +562,85 @@ func TestSpoolReplayKeepsHostAttribution(t *testing.T) {
 	}
 	if st := g.Stats(); st.Deduped != 0 {
 		t.Errorf("dedup dropped %d frames; replays collided across hosts: %+v", st.Deduped, st)
+	}
+}
+
+// TestUnencodableSnapshotBehindBacklog publishes, while a spool backlog
+// is pending, a snapshot the binary codec cannot encode: the spool
+// refuses it, so that publish fails and is counted dropped, and the
+// good snapshots before and after it spool and replay in order.
+func TestUnencodableSnapshotBehindBacklog(t *testing.T) {
+	tc := startCluster(t, 1, 8, 1)
+	reg := telemetry.NewRegistry()
+	var refuse atomic.Bool
+	refuse.Store(true)
+	pool := NewClientPool(fastPolicy())
+	pool.Dialer = func(addr string) (net.Conn, error) {
+		if refuse.Load() {
+			return nil, errors.New("connection refused")
+		}
+		return net.DialTimeout("tcp", addr, time.Second)
+	}
+	defer pool.Close()
+
+	schemas := chip.StampedeNode().Registry()
+	var mu sync.Mutex
+	var handled []float64
+	g := NewGroup(tc.view)
+	g.Metrics = reg
+	g.Handle = func(body []byte) error {
+		s, _, err := broker.DecodeSnapshotWire(body, schemas)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		handled = append(handled, s.Time)
+		mu.Unlock()
+		return nil
+	}
+	g.Start()
+	defer g.Stop()
+
+	const host = "nid00001"
+	h := rawfile.Header{Hostname: host, Arch: "sandybridge", Registry: schemas}
+	sp, err := spool.Open(t.TempDir(), h, spool.Options{Metrics: reg, Codec: codec.V2Binary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sp.Close() })
+	pub := NewPublisher(tc.view, pool)
+	pub.Metrics = reg
+	pub.Codec, pub.Registry = codec.V2Binary, schemas
+	pub.AttachSpool(sp)
+	defer pub.Close()
+
+	bad := fabricSnap(host, 101)
+	bad.Records = append(bad.Records, model.Record{Class: "nosuch", Instance: "0", Values: []uint64{1}})
+	if err := pub.Publish(fabricSnap(host, 100)); err != nil {
+		t.Fatalf("publish with spool attached should not error: %v", err)
+	}
+	if err := pub.Publish(bad); err == nil {
+		t.Fatal("unencodable snapshot published")
+	}
+	if err := pub.Publish(fabricSnap(host, 102)); err != nil {
+		t.Fatalf("publish after the unencodable snapshot: %v", err)
+	}
+	if st := pub.Stats(); st.Spooled != 2 || st.Dropped != 1 {
+		t.Fatalf("want 2 spooled and 1 dropped, got %+v", st)
+	}
+
+	refuse.Store(false)
+	deadline := time.Now().Add(5 * time.Second)
+	for pub.Stats().Replayed < 2 || g.Stats().Handled < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("replay incomplete: group %+v, publisher %+v", g.Stats(), pub.Stats())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if got := fmt.Sprint(handled); got != "[100 102]" {
+		t.Errorf("replayed %s, want [100 102] in order", got)
 	}
 }
 

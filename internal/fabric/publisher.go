@@ -48,7 +48,7 @@ func newPublisherMetrics(reg *telemetry.Registry) *publisherMetrics {
 		rerouted: reg.Counter("gostats_spool_replay_rerouted_total",
 			"Spooled snapshots whose replay went to a different owner set than the one they were spooled against (the owner died and the partition moved)."),
 		dropped: reg.Counter("gostats_publish_dropped_total",
-			"Snapshots dropped after exhausting publish attempts with no spool.",
+			"Snapshots lost for good: publish failed with no spool, or the spool refused the snapshot, or a spooled snapshot no longer encodes for the wire.",
 			"queue", "fabric"),
 		bytesOnWire: reg.Counter("gostats_publish_bytes_total",
 			"Encoded snapshot bytes delivered to brokers (each replica copy counted).",
@@ -308,13 +308,10 @@ func (p *Publisher) adoptNewer(c *broker.Client) {
 // daemon never blocks a collection cycle on a dead broker. With one, a
 // snapshot that cannot reach full replication — or that arrives while
 // a backlog is still replaying, so per-host ordering holds — is
-// spooled instead of dropped.
+// spooled instead of dropped. The wire body is encoded only for the
+// network attempt; a spooled snapshot is encoded by the spool.
 func (p *Publisher) Publish(s model.Snapshot) error {
 	p.Trace.Stamp(&s, model.StagePublish)
-	body, err := broker.EncodeSnapshotWire(s, p.Registry, p.Codec)
-	if err != nil {
-		return err
-	}
 	host, seq := s.Host, SeqOf(s)
 	p.mu.Lock()
 	if p.sp != nil && p.sp.Depth() > 0 {
@@ -322,12 +319,16 @@ func (p *Publisher) Publish(s model.Snapshot) error {
 		// today's routing so the replay can tell if it moved.
 		m := p.view.Snapshot()
 		_, owners := m.OwnersOfHost(host)
-		err = p.spoolLocked(s, host, seq, ownersFingerprint(owners))
+		err := p.spoolLocked(s, host, seq, ownersFingerprint(owners))
 		p.mu.Unlock()
 		p.wakeDrainer()
 		return err
 	}
 	p.mu.Unlock()
+	body, err := broker.EncodeSnapshotWire(s, p.Registry, p.Codec)
+	if err != nil {
+		return err
+	}
 	// The replicated publish blocks on network confirms; it must not
 	// hold p.mu (the drainer and stats would stall behind it).
 	_, firstFP, perr := p.publishReplicated(body, host, seq)
@@ -363,7 +364,7 @@ func (p *Publisher) spoolLocked(s model.Snapshot, host string, seq uint64, fp st
 	if err := p.sp.Append(s); err != nil {
 		p.dropped++
 		p.metrics().dropped.Inc()
-		return fmt.Errorf("fabric: publish failed and spool append failed: %w", err)
+		return fmt.Errorf("fabric: spool append failed: %w", err)
 	}
 	p.spoolMeta[dedupKey{host: host, seq: seq}] = fp
 	p.spooled++

@@ -90,7 +90,7 @@ func (s *Server) handleV1Jobs(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := reldb.QueryOpts{OrderBy: r.URL.Query().Get("order_by"), Offset: offset, Limit: limit}
-	rows, err := s.DB.QueryOrdered(opts, filters...)
+	rows, err := opts.Page(all)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

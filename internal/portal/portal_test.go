@@ -416,24 +416,26 @@ func TestStoreSeries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agent, err := collect.NewCronAgent(collect.New(n), t.TempDir()+"/"+host)
+		col := collect.New(n)
+		logger, err := rawfile.NewNodeLogger(t.TempDir()+"/"+host, col.Header())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := agent.Tick(100, []string{"77"}, collect.JobMark(collect.MarkBegin, "77")); err != nil {
-			t.Fatal(err)
+		tick := func(now float64, jobs []string, mark string) {
+			t.Helper()
+			snap, _ := col.Collect(now, jobs, mark)
+			if err := logger.Log(snap); err != nil {
+				t.Fatal(err)
+			}
 		}
+		tick(100, []string{"77"}, collect.JobMark(collect.MarkBegin, "77"))
 		n.Advance(600, hwsim.Demand{CPUUserFrac: 0.5, IPC: 1})
-		if err := agent.Tick(700, []string{"77"}, collect.JobMark(collect.MarkEnd, "77")); err != nil {
+		tick(700, []string{"77"}, collect.JobMark(collect.MarkEnd, "77"))
+		tick(1300, nil, "")
+		if err := logger.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := agent.Tick(1300, nil, ""); err != nil {
-			t.Fatal(err)
-		}
-		if err := agent.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.SyncFrom(host, agent.Logger.Dir()); err != nil {
+		if err := st.SyncFrom(host, logger.Dir()); err != nil {
 			t.Fatal(err)
 		}
 	}

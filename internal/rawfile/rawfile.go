@@ -1,6 +1,8 @@
 // Package rawfile is the on-disk raw stats archive layer: node loggers,
 // the central store, and the archiver that the daemon-mode consumer
-// writes through.
+// writes through. Every raw-stream file — these and the daemon spool's
+// segments — is written by one Appender, which owns opening, appending,
+// failing and closing it.
 //
 // The snapshot encodings themselves live in internal/codec: the
 // line-oriented text format (codec v1) and the framed binary codec v2.

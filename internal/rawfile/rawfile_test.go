@@ -2,7 +2,6 @@ package rawfile
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -305,7 +304,8 @@ func TestNodeDeathLosesUnsyncedData(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Node dies before the daily rsync: spool destroyed.
-	if err := l.Destroy(); err != nil {
+	l.Close()
+	if err := os.RemoveAll(spool); err != nil {
 		t.Fatal(err)
 	}
 	st, _ := NewStore(central)
@@ -317,19 +317,24 @@ func TestNodeDeathLosesUnsyncedData(t *testing.T) {
 	}
 }
 
-func TestStoreAppendHost(t *testing.T) {
+func TestArchiverAppendsAcrossDays(t *testing.T) {
 	central := t.TempDir()
 	st, err := NewStore(central)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := testHeader()
-	// Appends across calls and days.
-	if err := st.AppendHost("c401-101", h, testSnapshot(100, "1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AppendHost("c401-101", h, testSnapshot(200, "1"), testSnapshot(90000, "1")); err != nil {
-		t.Fatal(err)
+	// Appends across archivers and days.
+	for _, times := range [][]float64{{100}, {200, 90000}} {
+		a := NewArchiver(st, 0)
+		for _, tm := range times {
+			if err := a.Append("c401-101", h, testSnapshot(tm, "1")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	snaps, err := st.ReadHost("c401-101")
 	if err != nil {
@@ -363,7 +368,7 @@ func writeDay(t *testing.T, dir string, v codec.Version, snaps []model.Snapshot)
 			t.Fatal(err)
 		}
 	}
-	path := filepath.Join(dir, h.Hostname, fmt.Sprintf("%d.raw", int64(snaps[0].Time)/86400*86400))
+	path := dayFile(filepath.Join(dir, h.Hostname), int64(snaps[0].Time)/86400)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -482,8 +487,9 @@ func TestArchiverEvictionBeyondCapKeepsWriting(t *testing.T) {
 	}
 }
 
-// writers are the two archive write paths, each opening the day file as
-// a fresh writer would.
+// writers are the two raw-file write paths — the central archive and
+// the node log writing into the host's directory — each opening the day
+// file as a fresh writer would.
 var writers = map[string]func(st *Store, h Header, s model.Snapshot) error{
 	"Archiver": func(st *Store, h Header, s model.Snapshot) error {
 		a := NewArchiver(st, 0)
@@ -492,8 +498,16 @@ var writers = map[string]func(st *Store, h Header, s model.Snapshot) error{
 		}
 		return a.Close()
 	},
-	"AppendHost": func(st *Store, h Header, s model.Snapshot) error {
-		return st.AppendHost(h.Hostname, h, s)
+	"NodeLogger": func(st *Store, h Header, s model.Snapshot) error {
+		l, err := NewNodeLogger(filepath.Join(st.Root(), h.Hostname), h)
+		if err != nil {
+			return err
+		}
+		l.SetCodec(st.Codec())
+		if err := l.Log(s); err != nil {
+			return err
+		}
+		return l.Close()
 	},
 }
 

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,74 +16,6 @@ import (
 	"gostats/internal/model"
 )
 
-// trimmedFiles remembers the archive files a writer has opened. The
-// first open of a file trims a torn tail; only a crash tears one, and
-// a crash ends the process that was writing, so each file is scanned
-// at most once per process however often a bounded cache reopens it.
-type trimmedFiles struct {
-	mu   sync.Mutex
-	done map[string]bool
-}
-
-// openEncoder opens path for appending in version v: an existing
-// non-empty file is continued in the codec it already holds (sniffed
-// from its first bytes), so mixed-version archives stay consistent; a
-// new file starts in v.
-func (t *trimmedFiles) openEncoder(path string, h Header, v codec.Version) (*os.File, codec.SnapshotEncoder, error) {
-	if err := t.trimOnce(path); err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	var prefix [8]byte
-	n, rerr := f.ReadAt(prefix[:], 0)
-	if rerr != nil && rerr != io.EOF {
-		f.Close()
-		return nil, nil, rerr
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	var enc codec.SnapshotEncoder
-	if n == 0 {
-		enc, err = codec.NewEncoder(f, h, v)
-	} else {
-		existing, serr := codec.Sniff(prefix[:n])
-		if serr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("rawfile: %s: %w", path, serr)
-		}
-		enc, err = codec.NewContinuation(f, h, existing)
-	}
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return f, enc, nil
-}
-
-// trimOnce trims path (Trim) the first time this writer opens it: a
-// crash mid-append leaves part of a snapshot on disk, and every
-// snapshot appended after it would be unreadable.
-func (t *trimmedFiles) trimOnce(path string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.done[path] {
-		return nil
-	}
-	if _, _, err := Trim(path); err != nil {
-		return err
-	}
-	if t.done == nil {
-		t.done = make(map[string]bool)
-	}
-	t.done[path] = true
-	return nil
-}
-
 // NodeLogger is the cron-mode node-local log: snapshots append to a file
 // named by the day it was rotated in, under a per-node spool directory.
 // This reproduces the Fig 1 pipeline stage where data lives only on the
@@ -93,10 +24,9 @@ type NodeLogger struct {
 	dir    string
 	header Header
 	codec  codec.Version
-	day    int64 // current rotation day (unix days)
-	f      *os.File
-	w      codec.SnapshotEncoder
-	files  trimmedFiles
+	day    int64     // the open file's day (unix days)
+	app    *Appender // nil until the first Log, and after Close
+	files  Files
 }
 
 // NewNodeLogger creates (if needed) the spool directory and returns a
@@ -105,7 +35,7 @@ func NewNodeLogger(dir string, h Header) (*NodeLogger, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &NodeLogger{dir: dir, header: h, codec: codec.V1Text, day: math.MinInt64}, nil
+	return &NodeLogger{dir: dir, header: h, codec: codec.V1Text}, nil
 }
 
 // SetCodec selects the codec for files the logger creates. Files that
@@ -115,53 +45,33 @@ func (l *NodeLogger) SetCodec(v codec.Version) { l.codec = v }
 // Dir returns the logger's spool directory.
 func (l *NodeLogger) Dir() string { return l.dir }
 
-// fileForDay names the log file for a unix day.
-func (l *NodeLogger) fileForDay(day int64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%d.raw", day*86400))
-}
-
 // Log appends a snapshot, rotating to a new file when the simulated day
 // changes (cron's daily logrotate). Reopening an existing day file — a
 // collector restart mid-day — continues it rather than writing a second
 // header into the middle.
 func (l *NodeLogger) Log(s model.Snapshot) error {
 	day := int64(s.Time) / 86400
-	if day != l.day {
+	if l.app == nil || day != l.day {
 		if err := l.Close(); err != nil {
 			return err
 		}
-		f, enc, err := l.files.openEncoder(l.fileForDay(day), l.header, l.codec)
+		app, err := l.files.Open(dayFile(l.dir, day), l.header, l.codec)
 		if err != nil {
 			return err
 		}
-		l.f = f
-		l.w = enc
-		l.day = day
+		l.app, l.day = app, day
 	}
-	return l.w.WriteSnapshot(s)
+	return l.app.Append(s, nil)
 }
 
-// Close flushes and closes the current log file.
+// Close closes the current log file.
 func (l *NodeLogger) Close() error {
-	if l.f == nil {
+	if l.app == nil {
 		return nil
 	}
-	if err := l.w.Flush(); err != nil {
-		l.f.Close()
-		return err
-	}
-	err := l.f.Close()
-	l.f, l.w = nil, nil
-	l.day = math.MinInt64
+	err := l.app.Close()
+	l.app = nil
 	return err
-}
-
-// Destroy removes the node's entire spool — the data-loss event when a
-// node dies before its daily rsync (the failure mode the daemon mode was
-// built to eliminate).
-func (l *NodeLogger) Destroy() error {
-	l.Close()
-	return os.RemoveAll(l.dir)
 }
 
 // Store is the central shared-filesystem archive: one subdirectory per
@@ -169,7 +79,7 @@ func (l *NodeLogger) Destroy() error {
 type Store struct {
 	root  string
 	codec codec.Version
-	files trimmedFiles
+	files Files
 }
 
 // NewStore creates (if needed) and opens a central store rooted at dir.
@@ -260,6 +170,12 @@ func (s *Store) Hosts() ([]string, error) {
 	return hosts, nil
 }
 
+// dayFile names the raw file holding the snapshots of one unix day
+// under dir: the day's first second, so names sort by day.
+func dayFile(dir string, day int64) string {
+	return filepath.Join(dir, fmt.Sprintf("%d.raw", day*86400))
+}
+
 // hostFiles lists a host's archive files in day order (file names are
 // the rotation day's unix seconds, so they sort numerically).
 func (s *Store) hostFiles(host string) ([]string, error) {
@@ -311,42 +227,6 @@ func (s *Store) ReadHost(host string) ([]model.Snapshot, error) {
 	}
 	sort.SliceStable(snaps, func(i, j int) bool { return snaps[i].Time < snaps[j].Time })
 	return snaps, nil
-}
-
-// AppendHost appends snapshots directly into a host's archive file —
-// the path the daemon-mode consumer uses (no node spool involved).
-func (s *Store) AppendHost(host string, h Header, snaps ...model.Snapshot) error {
-	dir, err := s.HostDir(host)
-	if err != nil {
-		return err
-	}
-	// Group by simulated day so each day's file gets exactly one header.
-	byDay := map[int64][]model.Snapshot{}
-	for _, snap := range snaps {
-		day := int64(snap.Time) / 86400
-		byDay[day] = append(byDay[day], snap)
-	}
-	for day, group := range byDay {
-		path := filepath.Join(dir, fmt.Sprintf("%d.raw", day*86400))
-		f, enc, err := s.files.openEncoder(path, h, s.codec)
-		if err != nil {
-			return err
-		}
-		for _, snap := range group {
-			if err := enc.WriteSnapshot(snap); err != nil {
-				f.Close()
-				return err
-			}
-		}
-		if err := enc.Flush(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // hostIter streams one host's archive in file order, holding one
@@ -479,37 +359,24 @@ func (s *Store) Walk(fn func(model.Snapshot) error) (recovered int, err error) {
 }
 
 // Archiver appends snapshots to the store through a bounded cache of
-// open per-(host, day) encoders, so a streaming consumer (listend)
+// open per-(host, day) appenders, so a streaming consumer (listend)
 // archives each snapshot without reopening its file — and, for the
 // binary codec, without restarting delta/dictionary state — on every
-// append. Appends are flushed to the OS before returning, matching the
-// durability of the open-write-close path it replaces.
+// append. Appends reach the OS before returning, matching the
+// durability of an open-write-close path.
 type Archiver struct {
 	st *Store
 
-	// mu serializes appends. The cache evicts (flushes and closes) a
-	// file only while opening another inside Append, so a file is never
-	// closed while it is being written.
+	// mu serializes appends. The cache evicts (closes) a file only while
+	// opening another inside Append, so a file is never closed while it
+	// is being written.
 	mu    sync.Mutex
-	files *lru.Cache[archKey, *archFile]
+	files *lru.Cache[archKey, *Appender]
 }
 
 type archKey struct {
 	host string
 	day  int64
-}
-
-type archFile struct {
-	f   *os.File
-	enc codec.SnapshotEncoder
-}
-
-func (af *archFile) close() error {
-	err := af.enc.Flush()
-	if cerr := af.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // NewArchiver returns an archiver over st holding at most maxOpen files
@@ -519,7 +386,7 @@ func NewArchiver(st *Store, maxOpen int) *Archiver {
 		maxOpen = 64
 	}
 	return &Archiver{st: st, files: lru.New(int64(maxOpen), nil,
-		func(_ archKey, af *archFile) { af.close() })}
+		func(_ archKey, app *Appender) { app.Close() })}
 }
 
 // Append archives one snapshot under the host's header.
@@ -534,39 +401,29 @@ func (a *Archiver) Append(host string, h Header, s model.Snapshot) error {
 // binary file encodes s.
 func (a *Archiver) AppendLines(host string, h Header, s model.Snapshot, lines []byte) error {
 	day := int64(s.Time) / 86400
-	key := archKey{host, day}
 
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	af, _, err := a.files.Get(key, func() (*archFile, error) {
+	app, _, err := a.files.Get(archKey{host, day}, func() (*Appender, error) {
 		dir, err := a.st.HostDir(host)
 		if err != nil {
 			return nil, err
 		}
-		f, enc, err := a.st.files.openEncoder(filepath.Join(dir, fmt.Sprintf("%d.raw", day*86400)), h, a.st.codec)
-		if err != nil {
-			return nil, err
-		}
-		return &archFile{f: f, enc: enc}, nil
+		return a.st.files.Open(dayFile(dir, day), h, a.st.codec)
 	})
 	if err != nil {
 		return err
 	}
-	if err := af.enc.WriteSnapshotLines(s, lines); err != nil {
-		af.f.Close() // before the eviction's flush: drop what the failed write buffered
-		a.files.Remove(key)
-		return err
-	}
-	return af.enc.Flush()
+	return app.Append(s, lines)
 }
 
-// Close flushes and closes every cached file, returning the first error.
+// Close closes every cached file, returning the first error.
 func (a *Archiver) Close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var first error
-	a.files.Drain(func(_ archKey, af *archFile) {
-		if err := af.close(); err != nil && first == nil {
+	a.files.Drain(func(_ archKey, app *Appender) {
+		if err := app.Close(); err != nil && first == nil {
 			first = err
 		}
 	})

@@ -258,12 +258,19 @@ type QueryOpts struct {
 	Limit int
 }
 
-// QueryOrdered runs Query and then applies ordering, offset and limit.
+// QueryOrdered runs Query and then applies ordering, offset and limit
+// (QueryOpts.Page).
 func (db *DB) QueryOrdered(opts QueryOpts, filters ...Filter) ([]*JobRow, error) {
 	rows, err := db.Query(filters...)
 	if err != nil {
 		return nil, err
 	}
+	return opts.Page(rows)
+}
+
+// Page orders rows in place by opts.OrderBy and returns the page that
+// Offset and Limit select from them.
+func (opts QueryOpts) Page(rows []*JobRow) ([]*JobRow, error) {
 	if opts.OrderBy != "" {
 		name := strings.ToLower(opts.OrderBy)
 		desc := false

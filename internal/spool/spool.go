@@ -19,7 +19,9 @@
 //     (highest-seq) segment, which rotates at SegmentBytes.
 //   - Every append is flushed to the OS before returning (optionally
 //     fsync'd with Options.Sync), so a daemon crash loses at most the
-//     snapshot being written, never an acknowledged one.
+//     snapshot being written, never an acknowledged one. A failed
+//     append leaves the segment as it was and the next one continues
+//     it (rawfile.Appender), so one bad write never wedges the spool.
 //   - Open performs a recovery scan: each segment is cut back to its
 //     whole snapshots before the first damage (rawfile.Trim), and a
 //     segment left with none is dropped.
@@ -36,7 +38,6 @@ package spool
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -143,18 +144,6 @@ type segment struct {
 	draining bool             // under a Drain callback; eviction must skip it
 }
 
-// countWriter tracks bytes written through to the segment file.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // Spool is a durable snapshot buffer. Safe for concurrent use; Append
 // and Drain may run from different goroutines.
 type Spool struct {
@@ -163,10 +152,9 @@ type Spool struct {
 	opts   Options
 
 	mu      sync.Mutex
-	segs    []*segment // ascending seq; the active segment, if open, is last
-	f       *os.File   // active segment file
-	cw      *countWriter
-	w       codec.SnapshotEncoder
+	segs    []*segment        // ascending seq; the active segment, if open, is last
+	active  *rawfile.Appender // the active segment's file, nil when none is open
+	files   rawfile.Files
 	nextSeq int
 	newest  float64 // newest snapshot time ever appended
 	closed  bool
@@ -270,42 +258,36 @@ func (s *Spool) Dir() string { return s.dir }
 // openActiveLocked starts a fresh active segment.
 func (s *Spool) openActiveLocked() error {
 	seg := &segment{seq: s.nextSeq, path: segPath(s.dir, s.nextSeq)}
+	a, err := s.files.Open(seg.path, s.header, s.opts.Codec)
+	if err != nil {
+		return err
+	}
 	s.nextSeq++
-	f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	cw := &countWriter{w: f}
-	enc, err := codec.NewEncoder(cw, s.header, s.opts.Codec)
-	if err != nil {
-		f.Close()
-		os.Remove(seg.path)
-		s.nextSeq--
-		return err
-	}
-	s.f = f
-	s.cw = cw
-	s.w = enc
+	s.active = a
 	s.segs = append(s.segs, seg)
 	return nil
 }
 
-// closeActiveLocked seals the active segment; it stays replayable.
+// closeActiveLocked seals the active segment; it stays replayable. A
+// segment that never took a snapshot (its appends all failed) is
+// deleted instead.
 func (s *Spool) closeActiveLocked() error {
-	if s.f == nil {
+	seg := s.activeLocked()
+	if seg == nil {
 		return nil
 	}
-	err := s.w.Flush()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
+	err := s.active.Close()
+	s.active = nil
+	if seg.snaps == 0 {
+		os.Remove(seg.path)
+		s.removeSegLocked(seg)
 	}
-	s.f, s.cw, s.w = nil, nil, nil
 	return err
 }
 
 // activeLocked returns the active segment, or nil when none is open.
 func (s *Spool) activeLocked() *segment {
-	if s.f == nil || len(s.segs) == 0 {
+	if s.active == nil {
 		return nil
 	}
 	return s.segs[len(s.segs)-1]
@@ -328,16 +310,18 @@ func (s *Spool) Append(snap model.Snapshot) error {
 	if s.closed {
 		return fmt.Errorf("spool: append to closed spool %s", s.dir)
 	}
-	if s.f == nil {
+	if s.active == nil {
 		if err := s.openActiveLocked(); err != nil {
 			return err
 		}
 	}
-	if err := s.w.WriteSnapshot(snap); err != nil {
+	// A failed append leaves the segment as it was, so the next one
+	// continues it (rawfile.Appender.Append).
+	if err := s.active.Append(snap, nil); err != nil {
 		return err
 	}
 	if s.opts.Sync {
-		if err := s.f.Sync(); err != nil {
+		if err := s.active.Sync(); err != nil {
 			return err
 		}
 	}
@@ -347,14 +331,14 @@ func (s *Spool) Append(snap model.Snapshot) error {
 	}
 	seg.snaps++
 	seg.maxTime = snap.Time
-	seg.bytes = s.cw.n
+	seg.bytes = s.active.Size()
 	seg.cache = nil // appended past any loaded view
 	if snap.Time > s.newest {
 		s.newest = snap.Time
 	}
 	s.appended++
 	s.met.appended.Inc()
-	if s.cw.n >= s.opts.SegmentBytes {
+	if seg.bytes >= s.opts.SegmentBytes {
 		if err := s.closeActiveLocked(); err != nil {
 			return err
 		}

@@ -447,3 +447,48 @@ func TestDrainAfterTornWrite(t *testing.T) {
 		s.Close()
 	}
 }
+
+// TestUnencodableSnapshotDoesNotWedge gives a binary spool snapshots its
+// codec cannot encode, first on a fresh segment and then mid-segment:
+// each such append fails, the good ones after it still append, and
+// Drain replays exactly the good ones. A segment whose appends all
+// failed leaves nothing for the next Open to recover.
+func TestUnencodableSnapshotDoesNotWedge(t *testing.T) {
+	bad := func(t float64) model.Snapshot {
+		s := testSnap(t)
+		s.Records = append(s.Records, model.Record{Class: "nosuch", Instance: "0", Values: []uint64{1}})
+		return s
+	}
+	dir := t.TempDir()
+	opts := testOpts()
+	opts.Codec = codec.V2Binary
+	s, err := Open(dir, testHeader(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, snap := range []model.Snapshot{bad(100), testSnap(200), bad(300), testSnap(400)} {
+		if err := s.Append(snap); (err != nil) != (i%2 == 0) {
+			t.Fatalf("append %d (t=%g): err %v", i, snap.Time, err)
+		}
+	}
+	if st := s.Stats(); st.Appended != 2 || st.Depth != 2 {
+		t.Fatalf("stats after appends = %+v, want 2 appended, depth 2", st)
+	}
+	if got := drainAll(t, s); fmt.Sprint(got) != "[200 400]" {
+		t.Fatalf("drained %v, want [200 400]", got)
+	}
+	if err := s.Append(bad(500)); err == nil {
+		t.Fatal("unencodable append succeeded")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := Open(dir, testHeader(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if st := reopened.Stats(); st.Segments != 0 || st.Truncated != 0 {
+		t.Errorf("reopened after a failed-only segment: %+v, want no segments and no truncations", st)
+	}
+}
