@@ -583,3 +583,39 @@ func TestRegistryBlocksReparse(t *testing.T) {
 		}
 	}
 }
+
+// TestTextEncoderRefusesUnreadableRecords: a record the text parser
+// would reject (unknown class, wrong value count) fails the write with
+// nothing written, and the encoder keeps taking good snapshots.
+func TestTextEncoderRefusesUnreadableRecords(t *testing.T) {
+	h := testHeader()
+	good := fixtureSnapshots(h.Registry)[0]
+	unknown := good.Clone()
+	unknown.Records = append(unknown.Records, model.Record{Class: "nosuch", Instance: "0", Values: []uint64{1}})
+	short := good.Clone()
+	short.Records[0].Values = short.Records[0].Values[:2]
+	var buf bytes.Buffer
+	enc, err := NewEncoder(&buf, h, V1Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		s    model.Snapshot
+		want string
+	}{{unknown, `codec: record for unknown class "nosuch"`}, {short, "schema wants"}} {
+		before := buf.Len()
+		if err := enc.WriteSnapshot(c.s); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("WriteSnapshot: err %v, want %q", err, c.want)
+		}
+		if buf.Len() != before {
+			t.Fatalf("refused snapshot wrote %d bytes", buf.Len()-before)
+		}
+	}
+	if err := enc.WriteSnapshot(good); err != nil {
+		t.Fatal(err)
+	}
+	st, err := DecodeAll(bytes.NewReader(buf.Bytes()))
+	if err != nil || len(st.Snapshots) != 1 {
+		t.Fatalf("decoded %+v, err %v", st, err)
+	}
+}

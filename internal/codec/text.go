@@ -172,7 +172,16 @@ func (e *textEncoder) WriteSnapshot(s model.Snapshot) error {
 // WriteSnapshotLines is the encoder's one entry point: the header if
 // the stream is new, then s's block head, then its record lines — lines
 // as they are when non-nil, else encoded from s.Records — in one Write.
+// Records it would have to encode are checked first against the
+// header's registry, as every reader checks them: a record of a class
+// the registry lacks, or with a value count its schema does not have,
+// fails the call before any byte is written.
 func (e *textEncoder) WriteSnapshotLines(s model.Snapshot, lines []byte) error {
+	if lines == nil {
+		if err := checkTextRecords(e.header.Registry, s.Records); err != nil {
+			return err
+		}
+	}
 	b := e.buf[:0]
 	if !e.wroteHeader {
 		e.wroteHeader = true
@@ -185,6 +194,24 @@ func (e *textEncoder) WriteSnapshotLines(s model.Snapshot, lines []byte) error {
 		b = appendTextRecords(b, s.Records)
 	}
 	return e.write(b)
+}
+
+// checkTextRecords returns the error the text parser would meet on the
+// first record of recs that reg cannot describe.
+func checkTextRecords(reg *schema.Registry, recs []model.Record) error {
+	for _, r := range recs {
+		var sch *schema.Schema
+		if reg != nil {
+			sch = reg.Get(r.Class)
+		}
+		if sch == nil {
+			return fmt.Errorf("codec: record for unknown class %q", r.Class)
+		}
+		if len(r.Values) != sch.Len() {
+			return fmt.Errorf("codec: class %q has %d values, schema wants %d", r.Class, len(r.Values), sch.Len())
+		}
+	}
+	return nil
 }
 
 func (e *textEncoder) write(b []byte) error {

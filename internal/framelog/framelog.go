@@ -352,16 +352,23 @@ func (c *Cursor) Count(minBytes int) (int, error) {
 
 // Str reads a uvarint-length-prefixed string.
 func (c *Cursor) Str() (string, error) {
+	b, err := c.Bytes()
+	return string(b), err
+}
+
+// Bytes reads a uvarint-length-prefixed string as a view of the
+// payload, so a caller that only compares it allocates nothing.
+func (c *Cursor) Bytes() ([]byte, error) {
 	n, err := c.Uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(c.Len()) {
-		return "", fmt.Errorf("string length %d exceeds frame size", n)
+		return nil, fmt.Errorf("string length %d exceeds frame size", n)
 	}
-	s := string(c.B[c.Off : c.Off+int(n)])
+	b := c.B[c.Off : c.Off+int(n)]
 	c.Off += int(n)
-	return s, nil
+	return b, nil
 }
 
 // Float reads a little-endian IEEE-754 float64.

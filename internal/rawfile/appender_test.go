@@ -227,6 +227,38 @@ func TestUnencodableSnapshotDoesNotWedge(t *testing.T) {
 	}
 }
 
+// TestTextRefusesUnreadableRecords gives each text writer snapshots
+// that no text reader accepts: a record of a class missing from the
+// header's registry, and a record with the wrong value count. Each such
+// append must fail without writing a byte, so the day file stays whole
+// and the snapshot after it is read back.
+func TestTextRefusesUnreadableRecords(t *testing.T) {
+	short := testSnapshot(1451606400 + 900)
+	short.Records[2].Values = short.Records[2].Values[:1]
+	for name, open := range dayWriters {
+		st, err := NewStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SetCodec(codec.V1Text)
+		w := open(t, st)
+		for i, s := range []model.Snapshot{
+			testSnapshot(1451606400), unknownClass(1451606400 + 600), short, testSnapshot(1451606400 + 1200),
+		} {
+			err := w.append(s)
+			if bad := i == 1 || i == 2; bad != (err != nil) {
+				t.Fatalf("%s: append %d: err %v", name, i, err)
+			}
+		}
+		if err := w.close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := readBack(t, st.Root()), []float64{0, 1200}; !slices.Equal(got, want) {
+			t.Errorf("%s: read %v, want %v", name, got, want)
+		}
+	}
+}
+
 // TestNodeLogAndArchiveWriteSameBytes writes the same snapshots through
 // a node log (cron mode) and the central archiver (daemon mode): the day
 // files must be byte-identical in both codecs.

@@ -242,7 +242,7 @@ func (s *Store) compactTierLocked(sh *shardState, tier int) error {
 		path: final, tier: tier + 1, seq: seq,
 		coverLo: used[0].seq, coverHi: used[len(used)-1].seq,
 		minT: w.minT, maxT: w.maxT,
-		bytes: w.bytes, entries: w.entries, count: w.count,
+		bytes: w.bytes, indexBytes: w.indexBytes, entries: w.entries, count: w.count,
 		index: ix,
 	})
 	sort.Slice(sh.sealed[tier+1], func(i, j int) bool { return sh.sealed[tier+1][i].seq < sh.sealed[tier+1][j].seq })

@@ -69,7 +69,8 @@ func FuzzSegmentDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 'G', 'S', 'S', 1})
 	f.Add([]byte{0x00, 'G', 'S', 'S', 2})
-	// Format 1 and format 2 goldens, and crafted format-2 frames.
+	// The goldens of every format, crafted frames, and crafted format-3
+	// segments whose index frame no reader can use.
 	for name := range goldenSegments() {
 		seg, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
@@ -78,8 +79,12 @@ func FuzzSegmentDecode(f *testing.F) {
 		f.Add(seg)
 	}
 	for _, c := range craftedFrames() {
-		seg, _ := craftSegment(c.tier, c.entries...)
+		seg, _ := craftSegment(c)
 		f.Add(seg)
+	}
+	f.Add([]byte{0x00, 'G', 'S', 'S', 3})
+	for _, bad := range badIndexes() {
+		f.Add(framelog.Append(bad.seg, frameIndex, bad.index))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -153,7 +158,7 @@ func FuzzIndexedFrame(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		payload := encodeIndexPayload(ix.series, ix.frames)
+		payload := encodeIndexPayload(ix)
 		all, one := []byte{0xff}, []byte{0x04}
 		f.Add(seg, payload, all, int16(0), int16(32000))
 		f.Add(seg, payload, one, int16(6030), int16(6075))
@@ -167,10 +172,11 @@ func FuzzIndexedFrame(f *testing.F) {
 		}
 	}
 
-	// Format-2 goldens with their own index frames, and crafted frames
-	// with an index that lists them.
+	// Format-2 and format-3 goldens with their own index frames, crafted
+	// frames with an index that lists them, and crafted format-3 index
+	// payloads no reader can use.
 	for name, g := range goldenSegments() {
-		if g.version != segFormatVersion {
+		if g.version == segFormatV1 {
 			continue
 		}
 		seg, err := os.ReadFile(filepath.Join("testdata", name))
@@ -181,13 +187,16 @@ func FuzzIndexedFrame(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		payload := encodeIndexPayload(d.index.series, d.index.frames)
+		payload := encodeIndexPayload(d.index)
 		f.Add(seg, payload, []byte{0xff}, int16(0), int16(32000))
 		f.Add(seg, payload, []byte{0x02}, int16(0), int16(32000))
 	}
 	for _, c := range craftedFrames() {
-		seg, payload := craftSegment(c.tier, c.entries...)
+		seg, payload := craftSegment(c)
 		f.Add(seg, payload, []byte{0x01}, int16(0), int16(32000))
+	}
+	for _, bad := range badIndexes() {
+		f.Add(bad.seg, bad.index, []byte{0x03}, int16(0), int16(32000))
 	}
 
 	f.Fuzz(func(t *testing.T, data, indexPayload, wantBits []byte, lo, hi int16) {
@@ -197,21 +206,18 @@ func FuzzIndexedFrame(f *testing.F) {
 				sel.want = append(sel.want, uint32(r))
 			}
 		}
-		other, _ := parseIndexPayload(indexPayload)
 		d, _, _ := parseSegment(data)
 		if d == nil {
 			return
 		}
-		if other != nil {
-			other.version = d.version
-		}
+		other, _ := parseIndexPayload(indexPayload, d.version, int64(len(data)))
 		// The sequential oracle: each accepted frame decoded standalone
 		// from its recorded context, runs joined per series.
 		seqFrames := make([]*decodedFrame, len(d.frameStats))
 		atFrame := make(map[int64]int, len(d.frameStats))
 		joined := make([][]AggPoint, len(d.series))
 		for i, fs := range d.frameStats {
-			df, err := decodeFrame(t, data, d.version, fs, d.series, sel)
+			df, err := decodeFrame(t, data, fs, &d.segDict, sel)
 			if err != nil {
 				t.Fatalf("frame at %d decoded sequentially but not standalone: %v", fs.off, err)
 			}
@@ -233,7 +239,7 @@ func FuzzIndexedFrame(f *testing.F) {
 				continue
 			}
 			for _, fs := range ix.frames {
-				df, err := decodeFrame(t, data, d.version, fs, ix.series, sel)
+				df, err := decodeFrame(t, data, fs, &ix.segDict, sel)
 				if err != nil {
 					continue
 				}
@@ -255,7 +261,7 @@ func FuzzIndexedFrame(f *testing.F) {
 // unless that decode errs exactly when the full one does and keeps, of
 // each series, the full run's in-window points if sel wants the series
 // and none otherwise, flagged sorted exactly when they are.
-func decodeFrame(t *testing.T, data []byte, ver uint64, fs frameStat, series []Labels, sel *frameSel) (*decodedFrame, error) {
+func decodeFrame(t *testing.T, data []byte, fs frameStat, dict *segDict, sel *frameSel) (*decodedFrame, error) {
 	t.Helper()
 	if fs.off < 0 || fs.size < 0 || fs.off > int64(len(data)) || fs.size > int64(len(data))-fs.off {
 		return nil, fmt.Errorf("frame [%d,+%d) outside the segment", fs.off, fs.size)
@@ -267,8 +273,8 @@ func decodeFrame(t *testing.T, data []byte, ver uint64, fs frameStat, series []L
 	if typ != framePoints && typ != frameBucket {
 		return nil, fmt.Errorf("frame type %q", typ)
 	}
-	df, err := decodeFrameStandalone(payload, typ, ver, fs, series, nil)
-	part, perr := decodeFrameStandalone(payload, typ, ver, fs, series, sel)
+	df, err := decodeFrameStandalone(payload, typ, fs, dict, nil)
+	part, perr := decodeFrameStandalone(payload, typ, fs, dict, sel)
 	if (err == nil) != (perr == nil) {
 		t.Fatalf("frame at %d: full decode error %v, selective decode error %v", fs.off, err, perr)
 	}
@@ -312,24 +318,29 @@ func samePoints(a, b []AggPoint) bool {
 	return true
 }
 
-// craftedFrame is a format-2 data frame built entry by entry, for seeds
-// the writer never produces.
+// craftedFrame is a data frame of a format-ver segment built entry by
+// entry, for seeds the writer never produces; its index lists series.
 type craftedFrame struct {
+	ver     uint64
 	tier    int
+	series  []Labels
 	entries [][]byte
 }
 
-// craftedLabels is the one series of every crafted frame.
-var craftedLabels = Labels{Host: "fuzz", DevType: "cpu", Device: "0", Event: "user"}
+// craftedLabels is the first series of every crafted frame, and
+// craftedSystem shares all but its event.
+var (
+	craftedLabels = Labels{Host: "fuzz", DevType: "cpu", Device: "0", Event: "user"}
+	craftedSystem = Labels{Host: "fuzz", DevType: "cpu", Device: "0", Event: "system"}
+)
 
-// v2Entry encodes one format-2 entry of series ref: the header, the
-// label strings when introduce is set, the Δms when flags has entTime,
-// and the value unless a value flag is set.
-func v2Entry(ref, flags uint64, introduce bool, dt int64, v float64) []byte {
+// craftedEntry encodes one format-2 or format-3 entry of series ref:
+// the header, intro (the encoded labels of an introduction, else nil),
+// the Δms when flags has entTime, and the value unless a value flag is
+// set.
+func craftedEntry(ref, flags uint64, intro []byte, dt int64, v float64) []byte {
 	b := binary.AppendUvarint(nil, ref<<entFlagBits|flags)
-	if introduce {
-		b = appendLabels(b, craftedLabels)
-	}
+	b = append(b, intro...)
 	if flags&entTime != 0 {
 		b = binary.AppendVarint(b, dt)
 	}
@@ -339,41 +350,157 @@ func v2Entry(ref, flags uint64, introduce bool, dt int64, v float64) []byte {
 	return b
 }
 
-// craftedFrames are format-2 frames at the edges of the entry header: a
-// first entry with no time bit, −0.0 stored as a value and a NaN payload
-// repeated (valid), then a repeat opening its series' run in the frame,
-// both value flags set, and a value flag on a bucket entry (damage).
+// labelCodes encodes format-3 label codes: each a table position + 1,
+// or 0 for an inline string, the next of strs.
+func labelCodes(cs [numFields]uint64, strs ...string) []byte {
+	var b []byte
+	for _, c := range cs {
+		b = binary.AppendUvarint(b, c)
+		if c == 0 {
+			b = framelog.AppendString(b, strs[0])
+			strs = strs[1:]
+		}
+	}
+	return b
+}
+
+// craftedFrames are frames at the edges of the entry header and the
+// label codes. Format 2: a first entry with no time bit, −0.0 stored as
+// a value and a NaN payload repeated (valid), then a repeat opening its
+// series' run in the frame, both value flags set, and a value flag on a
+// bucket entry (damage). Format 3: a second series sharing three of the
+// first one's strings (valid), then a label index past the end of its
+// table, a frame ending inside an inline string, and an introduction
+// whose codes name other strings than the index's labels (damage to a
+// standalone decode).
 func craftedFrames() []craftedFrame {
 	nan := math.Float64frombits(0x7ff0_0000_0000_0bad)
+	v2 := appendLabels(nil, craftedLabels)
 	bucket := binary.AppendUvarint(nil, entTime|entZero)
-	bucket = binary.AppendVarint(appendLabels(bucket, craftedLabels), 600000)
+	bucket = binary.AppendVarint(append(bucket, v2...), 600000)
+	first := labelCodes([numFields]uint64{}, "fuzz", "cpu", "0", "user")
+	one := []Labels{craftedLabels}
+	two := []Labels{craftedLabels, craftedSystem}
 	return []craftedFrame{
-		{tierRaw, [][]byte{v2Entry(0, 0, true, 0, math.Copysign(0, -1)), v2Entry(0, entTime, false, 1000, nan), v2Entry(0, entRepeat, false, 0, 0)}},
-		{tierRaw, [][]byte{v2Entry(0, entTime|entRepeat, true, 1000, 0)}},
-		{tierRaw, [][]byte{v2Entry(0, entTime, true, 1000, 2.5), v2Entry(0, entZero|entRepeat, false, 0, 0)}},
-		{tierMid, [][]byte{bucket}},
+		{segFormatV2, tierRaw, one, [][]byte{craftedEntry(0, 0, v2, 0, math.Copysign(0, -1)), craftedEntry(0, entTime, nil, 1000, nan), craftedEntry(0, entRepeat, nil, 0, 0)}},
+		{segFormatV2, tierRaw, one, [][]byte{craftedEntry(0, entTime|entRepeat, v2, 1000, 0)}},
+		{segFormatV2, tierRaw, one, [][]byte{craftedEntry(0, entTime, v2, 1000, 2.5), craftedEntry(0, entZero|entRepeat, nil, 0, 0)}},
+		{segFormatV2, tierMid, one, [][]byte{bucket}},
+		{segFormatVersion, tierRaw, two, [][]byte{craftedEntry(0, entTime, first, 1000, 2.5), craftedEntry(1, 0, labelCodes([numFields]uint64{1, 1, 1, 0}, "system"), 0, 1), craftedEntry(1, entRepeat, nil, 0, 0)}},
+		{segFormatVersion, tierRaw, two, [][]byte{craftedEntry(0, entTime, first, 1000, 2.5), craftedEntry(1, 0, labelCodes([numFields]uint64{1, 1, 1, 3}), 0, 1)}},
+		{segFormatVersion, tierRaw, one, [][]byte{append([]byte{entTime}, first[:len(first)-2]...)}},
+		{segFormatVersion, tierRaw, two, [][]byte{craftedEntry(0, entTime, first, 1000, 2.5), craftedEntry(1, 0, labelCodes([numFields]uint64{1, 1, 1, 1}), 0, 1)}},
 	}
 }
 
-// craftSegment returns a format-2 segment of the tier whose one data
-// frame holds entries verbatim, and an index payload listing the frame.
-func craftSegment(tier int, entries ...[]byte) (seg, index []byte) {
-	meta := []uint64{uint64(tier), 0, 1, 1, 1, 0}
+// craftSegment returns a segment of c's format and tier whose one data
+// frame holds c's entries verbatim, and an index payload listing the
+// frame with every series of c.
+func craftSegment(c craftedFrame) (seg, index []byte) {
+	meta := []uint64{uint64(c.tier), 0, 1, 1, 1, 0}
 	typ := byte(framePoints)
-	if tier != tierRaw {
+	if c.tier != tierRaw {
 		meta[5], typ = 600000, frameBucket
 	}
 	var mp []byte
 	for _, v := range meta {
 		mp = binary.AppendUvarint(mp, v)
 	}
-	seg = framelog.Append(framelog.AppendPreamble(nil, segMagic, segFormatVersion), frameMeta, mp)
+	seg = framelog.Append(framelog.AppendPreamble(nil, segMagic, c.ver), frameMeta, mp)
 	off := len(seg)
-	payload := binary.AppendUvarint(nil, uint64(len(entries)))
-	for _, e := range entries {
+	payload := binary.AppendUvarint(nil, uint64(len(c.entries)))
+	for _, e := range c.entries {
 		payload = append(payload, e...)
 	}
 	seg = framelog.Append(seg, typ, payload)
-	fs := frameStat{off: int64(off), size: int64(len(seg) - off), maxMs: 600000, refs: []uint64{0}}
-	return seg, encodeIndexPayload([]Labels{craftedLabels}, []frameStat{fs})
+	fs := frameStat{off: int64(off), size: int64(len(seg) - off), maxMs: 600000}
+	for i := range c.series {
+		fs.refs = append(fs.refs, uint64(i))
+	}
+	return seg, encodeIndexPayload(&segIndex{segDict: craftedDict(c), frames: []frameStat{fs}})
+}
+
+// craftedDict is the dictionary of c's segment, with the string tables
+// its series fill in order.
+func craftedDict(c craftedFrame) segDict {
+	lc := newLabelCoder()
+	for _, l := range c.series {
+		lc.appendLabels(nil, l)
+	}
+	return segDict{version: c.ver, series: c.series, tables: lc.tables}
+}
+
+// badIndex is a valid format-3 segment without its index frame, and an
+// index payload for it that no reader may use.
+type badIndex struct{ seg, index []byte }
+
+// badIndexes are format-3 index payloads that must fail to parse: a ref
+// run past the end of the series table, a series label index past the
+// end of its table, a frame past the end of the data, and a truncated
+// table string.
+func badIndexes() []badIndex {
+	c := craftedFrames()[4]
+	seg, good := craftSegment(c)
+	dict := craftedDict(c)
+	overrun := frameStat{off: int64(len(seg) - 10), size: 10, maxMs: 600000, refs: []uint64{0, 1, 2}}
+	past := frameStat{off: int64(len(seg) - 10), size: 11, maxMs: 600000, refs: []uint64{0}}
+	// One string per table, and one series whose event index is 1.
+	var label []byte
+	for f := 0; f < numFields; f++ {
+		label = framelog.AppendString(binary.AppendUvarint(label, 1), "x")
+	}
+	label = append(label, 1, 0, 0, 0, 1, 0)
+	return []badIndex{
+		{seg, encodeIndexPayload(&segIndex{segDict: dict, frames: []frameStat{overrun}})},
+		{seg, label},
+		{seg, encodeIndexPayload(&segIndex{segDict: dict, frames: []frameStat{past}})},
+		{seg, good[:5]},
+	}
+}
+
+// TestFormat3DamageIsReported: the damaged crafted format-3 frames fail
+// the standalone decode (and, but for a mismatch only the index can
+// show, the sequential parse), and the crafted bad index payloads fail
+// to parse, so a store keeps such a segment, serving it by full scans.
+func TestFormat3DamageIsReported(t *testing.T) {
+	for i, c := range craftedFrames() {
+		if c.ver != segFormatVersion {
+			continue
+		}
+		seg, payload := craftSegment(c)
+		d, _, perr := parseSegment(seg)
+		ix, err := parseIndexPayload(payload, c.ver, int64(len(seg)))
+		if err != nil {
+			t.Fatalf("crafted frame %d: index: %v", i, err)
+		}
+		_, derr := decodeFrame(t, seg, ix.frames[0], &ix.segDict, &frameSel{end: 1e9})
+		valid, mismatch := i == 4, i == 7
+		if (derr == nil) != valid || (perr == nil) != (valid || mismatch) || d == nil {
+			t.Fatalf("crafted frame %d: sequential err %v, standalone err %v", i, perr, derr)
+		}
+	}
+	for i, bad := range badIndexes() {
+		if _, err := parseIndexPayload(bad.index, segFormatVersion, int64(len(bad.seg))); err == nil {
+			t.Fatalf("bad index %d parsed", i)
+		}
+		dir := t.TempDir()
+		shdir := filepath.Join(dir, "shard-00")
+		if err := os.MkdirAll(shdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(shdir, sealedName(tierRaw, 1)), framelog.Append(bad.seg, frameIndex, bad.index), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		opts := testOpts()
+		opts.Shards = 1
+		s, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chunks, err := s.Scan(Filter{}, 0, math.Inf(1))
+		if err != nil || len(chunks) != 2 || s.Stats().Quarantined != 0 || s.metrics().idxFullscans.Value() == 0 {
+			t.Fatalf("bad index %d: %d series, err %v, stats %+v, fullscans %d", i, len(chunks), err, s.Stats(), s.metrics().idxFullscans.Value())
+		}
+		s.Close()
+	}
 }

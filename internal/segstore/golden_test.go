@@ -11,11 +11,12 @@ import (
 
 // The golden fixtures under testdata/ are sealed segments with their
 // index frames. raw-t0.seg and mid-t1.seg are format 1, written before
-// the framing moved into internal/framelog: a store must still serve
-// them. raw-v2-t0.seg and mid-v2-t1.seg are format 2, whose raw entries
-// elide repeated times, +0.0 and in-frame value repeats: writing the
-// same entries must reproduce them byte for byte, and a store must
-// serve them.
+// the framing moved into internal/framelog; raw-v2-t0.seg and
+// mid-v2-t1.seg are format 2, whose raw entries elide repeated times,
+// +0.0 and in-frame value repeats. A store must still serve them all.
+// raw-v3-t0.seg and mid-v3-t1.seg are format 3, whose labels are coded
+// through per-field string tables: writing the same entries must
+// reproduce them byte for byte, and a store must serve them.
 
 type goldenEntry struct {
 	l Labels
@@ -75,11 +76,46 @@ func goldenSegments() map[string]goldenSegment {
 			goldenEntry{user, AggPoint{Time: tm, Count: 10, Sum: 55.5 * float64(i), Min: 1, Max: 9.75}},
 			goldenEntry{idle, AggPoint{Time: tm, Count: 10, Sum: 0, Min: 0, Max: 0}})
 	}
+
+	// The format-3 fixtures: a host's cpu series sharing their device
+	// type and devices, and process series in the style of the ps class
+	// (device pid/owner/exe) entering in later frames, each sharing the
+	// host, the device type and, per process, the device.
+	cpuOf := func(dev, ev string) Labels { return Labels{Host: "c401-103", DevType: "cpu", Device: dev, Event: ev} }
+	ps := func(proc, ev string) Labels { return Labels{Host: "c401-103", DevType: "ps", Device: proc, Event: ev} }
+	var raw3, mid3 []goldenEntry
+	for i := 0; i < 9; i++ {
+		tm := 12000 + float64(i)*600
+		u := 1.25 * float64(i)
+		if i%3 == 0 {
+			u = 0
+		}
+		raw3 = append(raw3, goldenEntry{cpuOf("cpu0", "user"), rawPoint(tm, u)},
+			goldenEntry{cpuOf("cpu0", "idle"), rawPoint(tm, 7.5)}, goldenEntry{cpuOf("cpu1", "user"), rawPoint(tm, float64(i))})
+		if i >= 3 {
+			raw3 = append(raw3, goldenEntry{ps("4242/alice/wrf.exe", "rss"), rawPoint(tm, 1e6+float64(i))},
+				goldenEntry{ps("4242/alice/wrf.exe", "utime"), rawPoint(tm, 0.5*float64(i))})
+		}
+		if i >= 6 {
+			raw3 = append(raw3, goldenEntry{ps("4243/bob/vasp", "rss"), rawPoint(tm, 2e6)},
+				goldenEntry{ps("4243/bob/vasp", "utime"), rawPoint(tm, 0.25*float64(i))})
+		}
+	}
+	for i := 0; i < 4; i++ {
+		tm := 600 * float64(i+1)
+		mid3 = append(mid3, goldenEntry{cpuOf("cpu0", "user"), AggPoint{Time: tm, Count: 10, Sum: 12.5 * float64(i), Min: 0, Max: 2.5}},
+			goldenEntry{cpuOf("cpu1", "user"), AggPoint{Time: tm, Count: 10, Sum: 3, Min: 0.25, Max: 0.5}})
+		if i >= 2 {
+			mid3 = append(mid3, goldenEntry{ps("4242/alice/wrf.exe", "rss"), AggPoint{Time: tm, Count: 10, Sum: 1e7, Min: 1e6, Max: 1e6}})
+		}
+	}
 	return map[string]goldenSegment{
 		"raw-t0.seg":    {Meta{Tier: tierRaw, Shard: 0, Seq: 3, CoverLo: 3, CoverHi: 3}, segFormatV1, raw},
 		"mid-t1.seg":    {Meta{Tier: tierMid, Shard: 0, Seq: 2, CoverLo: 1, CoverHi: 1, BucketMs: 600000}, segFormatV1, mid},
-		"raw-v2-t0.seg": {Meta{Tier: tierRaw, Shard: 0, Seq: 5, CoverLo: 5, CoverHi: 5}, segFormatVersion, raw2},
-		"mid-v2-t1.seg": {Meta{Tier: tierMid, Shard: 0, Seq: 4, CoverLo: 4, CoverHi: 4, BucketMs: 600000}, segFormatVersion, mid2},
+		"raw-v2-t0.seg": {Meta{Tier: tierRaw, Shard: 0, Seq: 5, CoverLo: 5, CoverHi: 5}, segFormatV2, raw2},
+		"mid-v2-t1.seg": {Meta{Tier: tierMid, Shard: 0, Seq: 4, CoverLo: 4, CoverHi: 4, BucketMs: 600000}, segFormatV2, mid2},
+		"raw-v3-t0.seg": {Meta{Tier: tierRaw, Shard: 0, Seq: 7, CoverLo: 7, CoverHi: 7}, segFormatVersion, raw3},
+		"mid-v3-t1.seg": {Meta{Tier: tierMid, Shard: 0, Seq: 6, CoverLo: 6, CoverHi: 6, BucketMs: 600000}, segFormatVersion, mid3},
 	}
 }
 
@@ -176,22 +212,35 @@ func TestGoldenSegments(t *testing.T) {
 // TestFormat1SegmentRecoversAndCompacts takes the format-1 raw golden
 // through what a store written by an older binary meets after an
 // upgrade: recovery of an active segment torn inside its last data
-// frame, compaction into a format-2 bucket segment, and a reopen. Every
-// point of the complete frames must come back, then their exact buckets.
+// frame, compaction into a current-format bucket segment, and a reopen.
+// Every point of the complete frames must come back, then their exact
+// buckets.
 func TestFormat1SegmentRecoversAndCompacts(t *testing.T) {
-	g := goldenSegments()["raw-t0.seg"]
-	fixture, err := os.ReadFile(filepath.Join("testdata", "raw-t0.seg"))
+	oldSegmentRecoversAndCompacts(t, "raw-t0.seg")
+}
+
+// TestFormat2SegmentRecoversAndCompacts does the same with the format-2
+// raw golden, whose NaN values must also reach their buckets as
+// compaction folds them.
+func TestFormat2SegmentRecoversAndCompacts(t *testing.T) {
+	oldSegmentRecoversAndCompacts(t, "raw-v2-t0.seg")
+}
+
+func oldSegmentRecoversAndCompacts(t *testing.T, name string) {
+	g := goldenSegments()[name]
+	fixture, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
 	d, _, err := parseSegment(fixture)
-	if err != nil || d.version != segFormatV1 {
+	if err != nil || d.version != g.version {
 		t.Fatalf("fixture: version %d, err %v", d.version, err)
 	}
-	// Tear the last data frame; its entries (every fifth-entry flush
-	// leaves four in it) are lost, the complete frames before it kept.
+	// Tear the last data frame; its entries (writeGolden flushes after
+	// every fifth) are lost, the complete frames before it kept.
 	lastOff := d.frameStats[len(d.frameStats)-1].off
-	kept := g.entries[:len(g.entries)-4]
+	kept := g.entries[:(len(g.entries)-1)/5*5]
+	host := g.entries[0].l.Host
 	dir := t.TempDir()
 	shdir := filepath.Join(dir, "shard-00")
 	if err := os.MkdirAll(shdir, 0o755); err != nil {
@@ -217,7 +266,7 @@ func TestFormat1SegmentRecoversAndCompacts(t *testing.T) {
 	}
 	checkScan := func(label string, want map[Labels][]AggPoint) {
 		t.Helper()
-		chunks, err := s.Scan(Filter{Host: "c401-101"}, 0, 9000)
+		chunks, err := s.Scan(Filter{Host: host}, 0, 86400)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +282,7 @@ func TestFormat1SegmentRecoversAndCompacts(t *testing.T) {
 	checkScan("recovered", raw)
 
 	// A newer point puts the recovered segment past the compaction age.
-	s.Append(Point{Labels: Labels{Host: "c401-101", DevType: "cpu", Device: "cpu0", Event: "user"}, Time: 86400, Value: 1})
+	s.Append(Point{Labels: Labels{Host: host, DevType: "cpu", Device: "cpu0", Event: "user"}, Time: 86400, Value: 1})
 	if err := s.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +292,7 @@ func TestFormat1SegmentRecoversAndCompacts(t *testing.T) {
 	if st := s.Stats(); st.Compactions != 1 || st.TierSegments[tierMid] != 1 {
 		t.Fatalf("compaction: %+v", st)
 	}
+	// Buckets fold as compaction does: a NaN never replaces a min or max.
 	buckets := map[Labels][]AggPoint{}
 	for l, pts := range raw {
 		for _, p := range pts {
@@ -252,7 +302,12 @@ func TestFormat1SegmentRecoversAndCompacts(t *testing.T) {
 				q := &b[n-1]
 				q.Count++
 				q.Sum += p.Sum
-				q.Min, q.Max = min(q.Min, p.Sum), max(q.Max, p.Sum)
+				if p.Sum < q.Min {
+					q.Min = p.Sum
+				}
+				if p.Sum > q.Max {
+					q.Max = p.Sum
+				}
 				continue
 			}
 			buckets[l] = append(b, AggPoint{Time: bt, Count: 1, Sum: p.Sum, Min: p.Sum, Max: p.Sum})

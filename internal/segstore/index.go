@@ -7,9 +7,27 @@
 // base entering the frame, the frame's time extent, the dictionary
 // size at frame start, and the distinct series refs the frame touches.
 // That is exactly the state a frame needs to be decoded in isolation —
-// a format-2 value repeat never reaches outside its frame — and the data
-// frames do not depend on it, so segments written by older binaries (no
-// index frame) stay readable via the full-scan path.
+// a value repeat never reaches outside its frame — and the data frames
+// do not depend on it, so segments written by older binaries (no index
+// frame) stay readable via the full-scan path.
+//
+// A format-3 index payload is
+//
+//	4 × (uvarint n, n × string)      the host, device type, device and
+//	                                 event tables, in introduction order
+//	uvarint series, series × 4 × uvarint   each series' table positions
+//	uvarint frames, then per frame:
+//	  uvarint off − previous frame's end, uvarint size
+//	  varint  firstMs − previous frame's maxMs, varint minMs − firstMs,
+//	  uvarint maxMs − minMs
+//	  uvarint dictBase − previous frame's dictBase
+//	  uvarint runs, runs × (uvarint gap, uvarint length − 1)
+//
+// where a frame's ascending refs are runs of consecutive refs, each run
+// starting gap refs past the previous run's end (past 0 for the first).
+// Formats 1 and 2 write the dictionary as four strings per series, then
+// per frame off, size, firstMs, minMs and maxMs absolute, dictBase, and
+// the ref count and ref deltas.
 package segstore
 
 import (
@@ -35,11 +53,11 @@ type frameStat struct {
 }
 
 // segIndex is the decoded index of one segment: the full label
-// dictionary plus the frame table, and a lazily built postings list.
+// dictionary (with the segment's format and string tables) plus the
+// frame table, and a lazily built postings list.
 type segIndex struct {
-	series  []Labels
-	frames  []frameStat
-	version uint64 // the segment's format version, which its entries follow
+	segDict
+	frames []frameStat
 
 	// postings maps (device type, event) to its series refs, built on
 	// first use by refsFor.
@@ -101,8 +119,201 @@ func (ix *segIndex) buildPostings() {
 	}
 }
 
-// encodeIndexPayload renders the index frame payload.
-func encodeIndexPayload(series []Labels, frames []frameStat) []byte {
+// encodeIndexPayload renders ix as an index frame payload in the
+// format of ix's segment.
+func encodeIndexPayload(ix *segIndex) []byte {
+	if ix.version != segFormatVersion {
+		return encodeIndexV2(ix.series, ix.frames)
+	}
+	b := make([]byte, 0, 64+len(ix.series)*5+len(ix.frames)*20)
+	var pos [numFields]map[string]uint64
+	for f, tab := range ix.tables {
+		pos[f] = make(map[string]uint64, len(tab))
+		b = binary.AppendUvarint(b, uint64(len(tab)))
+		for i, s := range tab {
+			pos[f][s] = uint64(i)
+			b = framelog.AppendString(b, s)
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(ix.series)))
+	for i := range ix.series {
+		for f := 0; f < numFields; f++ {
+			b = binary.AppendUvarint(b, pos[f][ix.series[i].field(f)])
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(ix.frames)))
+	var end, maxMs int64
+	var base uint64
+	for i := range ix.frames {
+		fs := &ix.frames[i]
+		b = binary.AppendUvarint(b, uint64(fs.off-end))
+		b = binary.AppendUvarint(b, uint64(fs.size))
+		b = binary.AppendVarint(b, fs.firstMs-maxMs)
+		b = binary.AppendVarint(b, fs.minMs-fs.firstMs)
+		b = binary.AppendUvarint(b, uint64(fs.maxMs-fs.minMs))
+		b = binary.AppendUvarint(b, fs.dictBase-base)
+		b = appendRuns(b, fs.refs)
+		end, maxMs, base = fs.off+fs.size, fs.maxMs, fs.dictBase
+	}
+	return b
+}
+
+// appendRuns appends ascending, distinct refs as their count of runs of
+// consecutive refs, then each run's gap from the previous run's end and
+// its length − 1.
+func appendRuns(b []byte, refs []uint64) []byte {
+	runs := 0
+	for i, r := range refs {
+		if i == 0 || r != refs[i-1]+1 {
+			runs++
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(runs))
+	var end uint64
+	for i := 0; i < len(refs); {
+		j := i + 1
+		for j < len(refs) && refs[j] == refs[j-1]+1 {
+			j++
+		}
+		b = binary.AppendUvarint(b, refs[i]-end)
+		b = binary.AppendUvarint(b, uint64(j-i-1))
+		end = refs[j-1] + 1
+		i = j
+	}
+	return b
+}
+
+// parseIndexPayload decodes an index frame payload of a format-ver
+// segment whose data frames all end by byte limit (the index frame's
+// offset). Errors mean the payload is not a usable index (the caller
+// degrades to a full scan); they never invalidate the segment's data
+// frames.
+func parseIndexPayload(payload []byte, ver uint64, limit int64) (*segIndex, error) {
+	if ver != segFormatVersion {
+		ix, err := parseIndexV2(payload)
+		if ix != nil {
+			ix.version = ver
+		}
+		return ix, err
+	}
+	c := framelog.Cursor{B: payload}
+	ix := &segIndex{segDict: segDict{version: ver}}
+	for f := range ix.tables {
+		n, err := c.Count(1)
+		if err != nil {
+			return nil, fmt.Errorf("segstore: index table %d size: %w", f, err)
+		}
+		tab := make([]string, n)
+		for i := range tab {
+			if tab[i], err = c.Str(); err != nil {
+				return nil, fmt.Errorf("segstore: index table %d: %w", f, err)
+			}
+		}
+		ix.tables[f] = tab
+	}
+	nSeries, err := c.Count(numFields)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: index series count: %w", err)
+	}
+	if nSeries > maxSeriesTable {
+		return nil, fmt.Errorf("segstore: index series table overflow")
+	}
+	// Every label is a string of the tables, so each distinct string is
+	// held once however many series share it.
+	ix.series = make([]Labels, nSeries)
+	for i := range ix.series {
+		for f, tab := range ix.tables {
+			k, err := c.Uvarint()
+			if err != nil {
+				return nil, fmt.Errorf("segstore: index series %d: %w", i, err)
+			}
+			if k >= uint64(len(tab)) {
+				return nil, fmt.Errorf("segstore: index series %d label %d index %d past the end of its table of %d", i, f, k, len(tab))
+			}
+			ix.series[i].setField(f, tab[k])
+		}
+	}
+	nFrames, err := c.Count(7)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: index frame count: %w", err)
+	}
+	ix.frames = make([]frameStat, nFrames)
+	// runs holds every frame's (first ref, length) pairs, frame i's from
+	// runs[2*at[i]]; they are expanded into one array of refs at the end.
+	var runs []uint64
+	at := make([]int, nFrames+1)
+	var end, maxMs int64
+	var base uint64
+	total := 0
+	for i := range ix.frames {
+		fs := &ix.frames[i]
+		var v [6]uint64
+		for j := range v {
+			if v[j], err = c.Uvarint(); err != nil {
+				return nil, fmt.Errorf("segstore: index frame %d: %w", i, err)
+			}
+		}
+		// A frame lies past the previous one and before the index, and a
+		// frame of k refs holds at least k entries, each at least a byte:
+		// the refs of every frame together never outnumber limit.
+		if v[0] > uint64(limit-end) || v[1] > uint64(limit-end)-v[0] {
+			return nil, fmt.Errorf("segstore: index frame %d extends past the data", i)
+		}
+		fs.off = end + int64(v[0])
+		fs.size = int64(v[1])
+		fs.firstMs = maxMs + unzigzag(v[2])
+		fs.minMs = fs.firstMs + unzigzag(v[3])
+		fs.maxMs = fs.minMs + int64(v[4])
+		if v[5] > uint64(nSeries)-base {
+			return nil, fmt.Errorf("segstore: index frame %d dict base exceeds series table %d", i, nSeries)
+		}
+		fs.dictBase = base + v[5]
+		nRuns, err := c.Count(2)
+		if err != nil {
+			return nil, fmt.Errorf("segstore: index frame %d refs: %w", i, err)
+		}
+		var next uint64 // the end of the previous run
+		refs := 0
+		for j := 0; j < nRuns; j++ {
+			gap, err := c.Uvarint()
+			var n uint64
+			if err == nil {
+				n, err = c.Uvarint()
+			}
+			if err != nil {
+				return nil, fmt.Errorf("segstore: index frame %d refs: %w", i, err)
+			}
+			if gap > uint64(nSeries)-next || n >= uint64(nSeries)-next-gap {
+				return nil, fmt.Errorf("segstore: index frame %d ref run overruns series table %d", i, nSeries)
+			}
+			if refs += int(n + 1); int64(refs) > fs.size {
+				return nil, fmt.Errorf("segstore: index frame %d lists more series than its %d bytes hold", i, fs.size)
+			}
+			runs = append(runs, next+gap, n+1)
+			next += gap + n + 1
+		}
+		total += refs
+		at[i+1] = len(runs) / 2
+		end, maxMs, base = fs.off+fs.size, fs.maxMs, fs.dictBase
+	}
+	all := make([]uint64, 0, total)
+	for i := range ix.frames {
+		lo := len(all)
+		for r := at[i]; r < at[i+1]; r++ {
+			for ref, n := runs[2*r], runs[2*r+1]; n > 0; ref, n = ref+1, n-1 {
+				all = append(all, ref)
+			}
+		}
+		ix.frames[i].refs = all[lo:len(all):len(all)]
+	}
+	return ix, nil
+}
+
+// unzigzag decodes a zigzag varint read as a uvarint.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// encodeIndexV2 renders a format-1 or format-2 index payload.
+func encodeIndexV2(series []Labels, frames []frameStat) []byte {
 	b := make([]byte, 0, 64+len(series)*32+len(frames)*24)
 	b = binary.AppendUvarint(b, uint64(len(series)))
 	for _, l := range series {
@@ -128,10 +339,8 @@ func encodeIndexPayload(series []Labels, frames []frameStat) []byte {
 	return b
 }
 
-// parseIndexPayload decodes an index frame payload. Errors mean the
-// payload is not a usable index (the caller degrades to a full scan);
-// they never invalidate the segment's data frames.
-func parseIndexPayload(payload []byte) (*segIndex, error) {
+// parseIndexV2 decodes a format-1 or format-2 index payload.
+func parseIndexV2(payload []byte) (*segIndex, error) {
 	c := framelog.Cursor{B: payload}
 	nSeries, err := c.Count(4)
 	if err != nil {
@@ -140,7 +349,7 @@ func parseIndexPayload(payload []byte) (*segIndex, error) {
 	if nSeries > maxSeriesTable {
 		return nil, fmt.Errorf("segstore: index series table overflow")
 	}
-	ix := &segIndex{series: make([]Labels, nSeries)}
+	ix := &segIndex{segDict: segDict{series: make([]Labels, nSeries)}}
 	for i := range ix.series {
 		if ix.series[i], err = readLabels(&c); err != nil {
 			return nil, fmt.Errorf("segstore: index series: %w", err)
@@ -228,12 +437,13 @@ type frameSel struct {
 	start, end float64
 }
 
-// decodeFrameStandalone decodes one data frame's payload of a format-ver
-// segment without any surrounding file context, using the index's
-// series table. dictBase is the table size when the frame was written:
-// refs below it are plain back-references, the ref equal to the running
-// table size introduces its four label strings inline (they are
-// consumed and checked against the table), anything else is corruption.
+// decodeFrameStandalone decodes one data frame's payload without any
+// surrounding file context, using the series and string tables of dict,
+// which also gives the segment's format. dictBase is the series table
+// size when the frame was written: refs below it are plain
+// back-references, the ref equal to the running table size introduces
+// its labels inline (they are consumed and checked against the series
+// table), anything else is corruption.
 // A value repeat is resolved against its series' previous entry in the
 // frame, and one that opens its series' run is corruption. The kept
 // entries are then stable counting-sorted into series-major order,
@@ -246,9 +456,9 @@ type frameSel struct {
 // and checked (the time deltas chain through all of them), so a
 // selective decode fails exactly when the full one does, and its runs
 // are the full decode's runs cut to the window.
-func decodeFrameStandalone(payload []byte, typ byte, ver uint64, fs frameStat, series []Labels, sel *frameSel) (*decodedFrame, error) {
-	c := framelog.Cursor{B: payload}
-	n, err := c.Count(1)
+func decodeFrameStandalone(payload []byte, typ byte, fs frameStat, dict *segDict, sel *frameSel) (*decodedFrame, error) {
+	e := entryDecoder{c: framelog.Cursor{B: payload}, typ: typ, dict: dict, size: fs.dictBase, prevMs: fs.firstMs}
+	n, err := e.c.Count(1)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: frame entry count: %w", err)
 	}
@@ -260,8 +470,8 @@ func decodeFrameStandalone(payload []byte, typ byte, ver uint64, fs frameStat, s
 	// once the frame has shown an entry of the ref, and 0 for a ref the
 	// index does not list. Refs are bounded by the series table.
 	lo, hi := fs.refs[0], fs.refs[k-1]
-	if hi >= uint64(len(series)) {
-		return nil, fmt.Errorf("segstore: index ref %d exceeds series table %d", hi, len(series))
+	if hi >= uint64(len(dict.series)) {
+		return nil, fmt.Errorf("segstore: index ref %d exceeds series table %d", hi, len(dict.series))
 	}
 	slotOf := make([]int32, hi-lo+1)
 	for i, r := range fs.refs {
@@ -293,18 +503,10 @@ func decodeFrameStandalone(payload []byte, typ byte, ver uint64, fs frameStat, s
 	}
 	start := make([]int32, k+1)
 	last := make([]float64, k) // by slot: the value of its previous entry
-	prevMs := fs.firstMs
-	introduced := fs.dictBase
 	for i := 0; i < n; i++ {
-		ref, l, p, rep, err := readEntry(&c, typ, ver, introduced, &prevMs)
+		ref, _, p, rep, err := e.next()
 		if err != nil {
 			return nil, fmt.Errorf("segstore: frame entry %w", err)
-		}
-		if l != nil {
-			if ref >= uint64(len(series)) || *l != series[ref] {
-				return nil, fmt.Errorf("segstore: frame inline series %d disagrees with index", ref)
-			}
-			introduced++
 		}
 		if ref < lo || ref > hi || slotOf[ref-lo] == 0 {
 			return nil, fmt.Errorf("segstore: frame series %d missing from index", ref)
@@ -333,8 +535,8 @@ func decodeFrameStandalone(payload []byte, typ byte, ver uint64, fs frameStat, s
 		ent = append(ent, p)
 		start[s+1]++
 	}
-	if c.Len() != 0 {
-		return nil, fmt.Errorf("segstore: %d trailing bytes in frame", c.Len())
+	if e.c.Len() != 0 {
+		return nil, fmt.Errorf("segstore: %d trailing bytes in frame", e.c.Len())
 	}
 	df := &decodedFrame{refs: fs.refs, start: start, unsorted: make([]bool, k)}
 	for i, r := range fs.refs {

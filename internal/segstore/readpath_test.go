@@ -529,26 +529,22 @@ func TestSeriesMajorDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		df, err := decodeFrameStandalone(payload, typ, ix.version, fs, ix.series, nil)
+		df, err := decodeFrameStandalone(payload, typ, fs, &ix.segDict, nil)
 		if err != nil {
 			t.Fatalf("frame at %d: %v", fs.off, err)
 		}
 		// The entry-order decode, regrouped by ref.
-		c := framelog.Cursor{B: payload}
-		n, _ := c.Count(1)
+		e := entryDecoder{c: framelog.Cursor{B: payload}, typ: typ, dict: &ix.segDict, size: fs.dictBase, prevMs: fs.firstMs}
+		n, _ := e.c.Count(1)
 		byRef := map[uint64][]AggPoint{}
-		prevMs, dict := fs.firstMs, fs.dictBase
 		for i := 0; i < n; i++ {
-			ref, l, p, rep, err := readEntry(&c, typ, ix.version, dict, &prevMs)
+			ref, _, p, rep, err := e.next()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if rep {
 				v := byRef[ref][len(byRef[ref])-1].Sum
 				p.Sum, p.Min, p.Max = v, v, v
-			}
-			if l != nil {
-				dict++
 			}
 			byRef[ref] = append(byRef[ref], p)
 		}

@@ -10,8 +10,8 @@
 // cache's reference, so a scan never loses a segment that is unlinked
 // mid-read. The active segment is captured as its writer's running
 // index: an fd on the file, opened per read, length-capped views of
-// the dictionary and frame table (the writer only appends past their
-// ends), and a copy of the pending frame's entries. A read never
+// the dictionary, string tables and frame table (the writer only
+// appends past their ends), and a copy of the pending frame's entries. A read never
 // flushes, so the bytes on disk depend only on the write stream.
 //
 // The captured segments are decoded by a fixed set of workers pulling
@@ -168,10 +168,11 @@ func activeTarget(w *segWriter, start, end float64) (scanTarget, error) {
 	h := &segFile{f: fh}
 	h.refs.Store(1)
 	ns, nf := len(w.series), len(w.frames)
-	t := scanTarget{h: h, active: true, info: &segInfo{
-		path: w.path, tier: w.meta.Tier, seq: w.meta.Seq,
-		index: &segIndex{series: w.series[:ns:ns], frames: w.frames[:nf:nf], version: segFormatVersion},
-	}}
+	ix := &segIndex{segDict: segDict{version: segFormatVersion, series: w.series[:ns:ns]}, frames: w.frames[:nf:nf]}
+	for f, tab := range w.codes.tables {
+		ix.tables[f] = tab[:len(tab):len(tab)]
+	}
+	t := scanTarget{h: h, active: true, info: &segInfo{path: w.path, tier: w.meta.Tier, seq: w.meta.Seq, index: ix}}
 	if w.nPend > 0 && w.fstat.overlaps(start, end) {
 		t.pending = w.appendPayload(make([]byte, 0, binary.MaxVarintLen64+len(w.pending)))
 		t.pfs = w.fstat
@@ -457,7 +458,7 @@ func (s *Store) scanIndexed(shard int, t scanTarget, f Filter, start, end float6
 				s.met.bcMisses.Inc()
 			}
 		case fi == len(ix.frames):
-			df, err = decodeFrameStandalone(t.pending, expTyp, ix.version, *fs, ix.series, sel)
+			df, err = decodeFrameStandalone(t.pending, expTyp, *fs, &ix.segDict, sel)
 			whole = true
 		default:
 			df, err = readFrameAt(t.h.f, expTyp, ix, *fs, sel)
@@ -519,7 +520,7 @@ func readFrameAt(f *os.File, expTyp byte, ix *segIndex, fs frameStat, sel *frame
 	if typ != expTyp {
 		return nil, fmt.Errorf("segstore: frame type %q at offset %d, want %q", typ, fs.off, expTyp)
 	}
-	return decodeFrameStandalone(payload, typ, ix.version, fs, ix.series, sel)
+	return decodeFrameStandalone(payload, typ, fs, &ix.segDict, sel)
 }
 
 // segChunks filters a fully decoded segment: one run per matched series

@@ -1,7 +1,7 @@
 // Segment file codec: the on-disk unit of the durable store. A segment
-// is an internal/framelog file (magic "\x00GSS", format version 2; files
-// of format 1 are still read), so crash recovery is exact at frame
-// granularity. Frames:
+// is an internal/framelog file (magic "\x00GSS", format version 3; files
+// of formats 1 and 2 are still read), so crash recovery is exact at
+// frame granularity. Frames:
 //
 //	'M' meta frame   — tier, seq, cover range, shard, bucket width
 //	'P' point frames — raw tier: (entry header, [Δms], [float64 value])*
@@ -23,13 +23,19 @@
 // a bucket entry is damage. Format 1 headers are the bare ref, always
 // followed by the Δms and the value.
 //
-// Series labels are dictionary-encoded per file (a reference equal to
-// the table size introduces the four label strings inline) and
-// timestamps are millisecond deltas running across the whole file —
-// both make a valid prefix self-contained, which is what lets torn-tail
-// truncation keep every complete frame. A repeat reaches back only
-// within its frame, so a frame still decodes on its own from the index's
-// time base and dictionary size.
+// Series labels are dictionary-encoded per file: a reference equal to
+// the table size introduces the series' four labels inline. Format 3
+// codes each label through a per-file, per-field string table (host,
+// device type, device, event) that grows in introduction order: a
+// uvarint 0 followed by the string for a string's first use, else 1 +
+// its position in the table. Formats 1 and 2 write the four strings.
+// Timestamps are millisecond deltas running across the whole file. All
+// of this makes a valid prefix self-contained, which is what lets
+// torn-tail truncation keep every complete frame. A repeat reaches back
+// only within its frame, and an introduction is checked against the
+// dictionary's labels rather than against the table as it stood, so a
+// frame still decodes on its own from the index's time base, dictionary
+// size, series and tables.
 package segstore
 
 import (
@@ -51,9 +57,11 @@ import (
 var segMagic = [4]byte{0x00, 'G', 'S', 'S'}
 
 const (
-	// segFormatVersion is the format every new segment is written in;
-	// segFormatV1 files, whose entries carry no header flags, are read.
-	segFormatVersion = 2
+	// segFormatVersion is the format every new segment is written in.
+	// segFormatV2 files, whose labels are inline strings, and segFormatV1
+	// files, whose entries also carry no header flags, are read.
+	segFormatVersion = 3
+	segFormatV2      = 2
 	segFormatV1      = 1
 
 	// Entry header flags, the low entFlagBits bits of an entry's first
@@ -73,6 +81,10 @@ const (
 	maxFramePayload = 1 << 26
 	// maxSeriesTable bounds the per-file label dictionary.
 	maxSeriesTable = 1 << 20
+
+	// numFields is the number of label fields, each with its own string
+	// table in a format-3 segment.
+	numFields = 4
 )
 
 // Labels is the tag tuple of one series — the same (host, device type,
@@ -82,6 +94,43 @@ type Labels struct {
 	DevType string
 	Device  string
 	Event   string
+}
+
+// field returns label field f, in table order: host, device type,
+// device, event.
+func (l *Labels) field(f int) string {
+	switch f {
+	case 0:
+		return l.Host
+	case 1:
+		return l.DevType
+	case 2:
+		return l.Device
+	}
+	return l.Event
+}
+
+// setField sets label field f, in the order field reads them.
+func (l *Labels) setField(f int, s string) {
+	switch f {
+	case 0:
+		l.Host = s
+	case 1:
+		l.DevType = s
+	case 2:
+		l.Device = s
+	default:
+		l.Event = s
+	}
+}
+
+// segDict is what a reader knows of a segment's labels: the format its
+// entries follow, the series by ref and, from format 3 on, the per-field
+// string tables the labels are coded through.
+type segDict struct {
+	version uint64
+	series  []Labels
+	tables  [numFields][]string
 }
 
 // AggPoint is one stored sample: a raw point (Count 1, Sum == Min ==
@@ -111,9 +160,8 @@ type Meta struct {
 
 // segData is one fully (or prefix-) decoded segment.
 type segData struct {
+	segDict // the file's format, series and string tables
 	meta    Meta
-	version uint64 // the file's format version
-	series  []Labels
 	chunks  [][]AggPoint // parallel to series
 	entries uint64       // physical entries decoded
 	count   uint64       // logical raw points represented (sum of Count)
@@ -123,6 +171,7 @@ type segData struct {
 
 	frameStats []frameStat // per data frame, for rebuilding an index
 	index      *segIndex   // decoded 'I' frame, when present and valid
+	indexBytes int64       // on-disk size of a checksum-valid 'I' frame
 	// indexTail marks damage confined to a final index frame: the data
 	// prefix is intact, so the caller may keep the segment (without an
 	// index) instead of quarantining it.
@@ -159,7 +208,8 @@ type segWriter struct {
 	epoch uint64
 
 	dict    map[Labels]uint64
-	series  []Labels // dictionary by ref
+	series  []Labels   // dictionary by ref
+	codes   labelCoder // the per-field string tables labels are coded through
 	prevMs  int64
 	pending []byte // entries of the frame being built
 	nPend   int
@@ -178,6 +228,8 @@ type segWriter struct {
 	stamp   []uint64    // by ref: the last frameNo the ref appeared in
 	last    []uint64    // by ref: the value bits of its last raw entry
 	frefs   []uint64    // distinct refs in the frame being built
+
+	indexBytes int64 // on-disk size of the index frame, once written
 }
 
 // newSegWriter creates path and writes the preamble and meta frame.
@@ -192,6 +244,7 @@ func newSegWriter(path string, meta Meta, sync bool) (*segWriter, error) {
 		f: f, path: path, meta: meta, bytes: int64(n),
 		epoch: writerEpochs.Add(1),
 		dict:  make(map[Labels]uint64),
+		codes: newLabelCoder(),
 	}
 	mp := make([]byte, 0, 32)
 	mp = binary.AppendUvarint(mp, uint64(meta.Tier))
@@ -226,7 +279,41 @@ func (w *segWriter) resolve(r *Ref) (id uint64, fresh bool) {
 	return id, !ok
 }
 
-// appendLabels appends a label tuple as its four strings.
+// labelCoder holds a format-3 writer's per-field string tables, each in
+// introduction order, with every string's position in its table.
+type labelCoder struct {
+	tables [numFields][]string
+	pos    [numFields]map[string]uint64
+}
+
+func newLabelCoder() labelCoder {
+	var lc labelCoder
+	for f := range lc.pos {
+		lc.pos[f] = make(map[string]uint64)
+	}
+	return lc
+}
+
+// appendLabels appends the format-3 introduction of l: per field, 1 +
+// the string's position in its table, or 0 and the string inline when
+// the table does not hold it yet, which adds it there. It is the only
+// label encoder of data frames, at four map lookups per new series.
+func (lc *labelCoder) appendLabels(b []byte, l Labels) []byte {
+	for f := 0; f < numFields; f++ {
+		s := l.field(f)
+		if i, ok := lc.pos[f][s]; ok {
+			b = binary.AppendUvarint(b, i+1)
+			continue
+		}
+		lc.pos[f][s] = uint64(len(lc.tables[f]))
+		lc.tables[f] = append(lc.tables[f], s)
+		b = framelog.AppendString(append(b, 0), s)
+	}
+	return b
+}
+
+// appendLabels appends a label tuple as its four strings: the format-1
+// and format-2 introduction, and their index's dictionary.
 func appendLabels(b []byte, l Labels) []byte {
 	for _, s := range [...]string{l.Host, l.DevType, l.Device, l.Event} {
 		b = framelog.AppendString(b, s)
@@ -265,7 +352,7 @@ func readValue(c *framelog.Cursor, typ byte, p *AggPoint) error {
 }
 
 // add buffers one entry for r's series: its header (dictionary ref and
-// flags), the four label strings inline when the entry introduces the
+// flags), the four label codes inline when the entry introduces the
 // series, its time delta unless the time is the previous entry's, and
 // its value. Raw-tier segments store the single value, unless it is +0.0
 // or repeats the series' previous value in this frame; the downsampled
@@ -302,7 +389,7 @@ func (w *segWriter) add(r *Ref, p AggPoint) {
 	}
 	w.pending = binary.AppendUvarint(w.pending, id<<entFlagBits|flags)
 	if fresh {
-		w.pending = appendLabels(w.pending, r.Labels)
+		w.pending = w.codes.appendLabels(w.pending, r.Labels)
 	}
 	if ms < w.fstat.minMs {
 		w.fstat.minMs = ms
@@ -378,12 +465,17 @@ func (w *segWriter) writeIndex() (*segIndex, error) {
 	if err := w.flushFrame(); err != nil {
 		return nil, err
 	}
-	// The index lives as long as the sealed segment: give it an
-	// exact-size copy of the dictionary, not the append-grown slice.
-	ix := &segIndex{series: slices.Clone(w.series), frames: w.frames, version: segFormatVersion}
-	if err := w.writeFrame(frameIndex, encodeIndexPayload(ix.series, w.frames)); err != nil {
+	// The index lives as long as the sealed segment: give it exact-size
+	// copies of the dictionary and tables, not the append-grown slices.
+	ix := &segIndex{segDict: segDict{version: segFormatVersion, series: slices.Clone(w.series)}, frames: w.frames}
+	for f, tab := range w.codes.tables {
+		ix.tables[f] = slices.Clone(tab)
+	}
+	off := w.bytes
+	if err := w.writeFrame(frameIndex, encodeIndexPayload(ix)); err != nil {
 		return nil, err
 	}
+	w.indexBytes = w.bytes - off
 	return ix, nil
 }
 
@@ -406,52 +498,116 @@ func (w *segWriter) close() error {
 	return err
 }
 
-// readEntry reads one data-frame entry of a format-ver segment: its
-// series ref, with the inline label tuple when ref == dictSize (the
-// entry introduces a new series), its time advanced from *prevMs, and
-// its value. A raw entry that repeats its series' previous value in the
-// frame comes back with rep set and the value left for the caller,
-// which tracks the frame's series, to fill in.
-func readEntry(c *framelog.Cursor, typ byte, ver, dictSize uint64, prevMs *int64) (ref uint64, inline *Labels, p AggPoint, rep bool, err error) {
+// entryDecoder reads the data-frame entries of a segment whose labels
+// dict describes. A sequential parse (grow set) builds each introduced
+// series' labels in intro, adding a format-3 introduction's new strings
+// to dict's tables; a standalone decode instead checks every label of
+// an introduction against the dictionary's series, allocating nothing.
+type entryDecoder struct {
+	c      framelog.Cursor
+	typ    byte
+	dict   *segDict
+	grow   bool
+	size   uint64 // series introduced so far: the ref a new one takes
+	prevMs int64  // the running time base
+	intro  Labels // the labels of the last introduction, when grow
+}
+
+// next reads one entry: its series ref, whether the entry introduced the
+// series (with its labels, which are consumed and checked), its time
+// advanced from the running base, and its value. A raw entry that
+// repeats its series' previous value in the frame comes back with rep
+// set and the value left for the caller, which tracks the frame's
+// series, to fill in.
+func (e *entryDecoder) next() (ref uint64, introduced bool, p AggPoint, rep bool, err error) {
+	c := &e.c
 	if ref, err = c.Uvarint(); err != nil {
-		return 0, nil, p, false, fmt.Errorf("series: %w", err)
+		return 0, false, p, false, fmt.Errorf("series: %w", err)
 	}
 	flags := uint64(entTime)
-	if ver != segFormatV1 {
+	if e.dict.version != segFormatV1 {
 		ref, flags = ref>>entFlagBits, ref&(1<<entFlagBits-1)
 		switch {
-		case typ != framePoints && flags&^entTime != 0:
-			return 0, nil, p, false, fmt.Errorf("value flags %#x on a bucket entry", flags)
+		case e.typ != framePoints && flags&^entTime != 0:
+			return 0, false, p, false, fmt.Errorf("value flags %#x on a bucket entry", flags)
 		case flags&(entZero|entRepeat) == entZero|entRepeat:
-			return 0, nil, p, false, fmt.Errorf("zero and repeat flags both set")
+			return 0, false, p, false, fmt.Errorf("zero and repeat flags both set")
 		}
 	}
-	if ref > dictSize {
-		return 0, nil, p, false, fmt.Errorf("series ref %d skips table size %d", ref, dictSize)
+	if ref > e.size {
+		return 0, false, p, false, fmt.Errorf("series ref %d skips table size %d", ref, e.size)
 	}
-	if ref == dictSize {
-		l, err := readLabels(c)
-		if err != nil {
-			return 0, nil, p, false, fmt.Errorf("series: %w", err)
+	if ref == e.size {
+		if err := e.readIntro(ref); err != nil {
+			return 0, false, p, false, fmt.Errorf("series %d: %w", ref, err)
 		}
-		inline = &l
+		e.size++
+		introduced = true
 	}
 	if flags&entTime != 0 {
 		dt, err := c.Varint()
 		if err != nil {
-			return 0, nil, p, false, fmt.Errorf("time: %w", err)
+			return 0, false, p, false, fmt.Errorf("time: %w", err)
 		}
-		*prevMs += dt
+		e.prevMs += dt
 	}
-	p.Time = float64(*prevMs) / 1000
+	p.Time = float64(e.prevMs) / 1000
 	if flags&(entZero|entRepeat) != 0 {
 		p.Count = 1
-		return ref, inline, p, flags&entRepeat != 0, nil
+		return ref, introduced, p, flags&entRepeat != 0, nil
 	}
-	if err := readValue(c, typ, &p); err != nil {
-		return 0, nil, p, false, fmt.Errorf("value: %w", err)
+	if err := readValue(c, e.typ, &p); err != nil {
+		return 0, false, p, false, fmt.Errorf("value: %w", err)
 	}
-	return ref, inline, p, false, nil
+	return ref, introduced, p, false, nil
+}
+
+// readIntro reads the labels of an entry that introduces series ref:
+// per field a code into the field's table (format 3) or the string.
+func (e *entryDecoder) readIntro(ref uint64) error {
+	var want *Labels
+	if !e.grow {
+		if ref >= uint64(len(e.dict.series)) {
+			return fmt.Errorf("inline series outside the dictionary of %d", len(e.dict.series))
+		}
+		want = &e.dict.series[ref]
+	}
+	for f := 0; f < numFields; f++ {
+		if e.dict.version == segFormatVersion {
+			code, err := e.c.Uvarint()
+			if err != nil {
+				return err
+			}
+			if code > 0 {
+				tab := e.dict.tables[f]
+				if code > uint64(len(tab)) {
+					return fmt.Errorf("label %d index %d past the end of its table of %d", f, code-1, len(tab))
+				}
+				if s := tab[code-1]; e.grow {
+					e.intro.setField(f, s)
+				} else if s != want.field(f) {
+					return fmt.Errorf("inline labels disagree with the dictionary")
+				}
+				continue
+			}
+		}
+		b, err := e.c.Bytes()
+		if err != nil {
+			return err
+		}
+		if !e.grow {
+			if string(b) != want.field(f) {
+				return fmt.Errorf("inline labels disagree with the dictionary")
+			}
+			continue
+		}
+		s := string(b)
+		if e.dict.version == segFormatVersion {
+			e.dict.tables[f] = append(e.dict.tables[f], s)
+		}
+		e.intro.setField(f, s)
+	}
+	return nil
 }
 
 // parseSegment decodes a segment. It returns the decoded prefix, the
@@ -460,11 +616,14 @@ func readEntry(c *framelog.Cursor, typ byte, ver, dictSize uint64, prevMs *int64
 // the triple differently: strict opens quarantine on any damage, active
 // recovery truncates to goodLen and keeps the prefix.
 func parseSegment(data []byte) (*segData, int, error) {
-	d := &segData{version: segFormatVersion}
-	start, pre := framelog.CheckPreamble(data, segMagic, segFormatVersion)
-	if pre == framelog.PreambleVersion {
-		d.version = segFormatV1
-		start, pre = framelog.CheckPreamble(data, segMagic, segFormatV1)
+	d := &segData{}
+	var start int
+	pre := framelog.PreambleVersion
+	for _, v := range [...]uint64{segFormatVersion, segFormatV2, segFormatV1} {
+		if start, pre = framelog.CheckPreamble(data, segMagic, v); pre != framelog.PreambleVersion {
+			d.version = v
+			break
+		}
 	}
 	if pre != framelog.PreambleOK {
 		return nil, 0, fmt.Errorf("segstore: %s segment preamble", pre)
@@ -472,13 +631,12 @@ func parseSegment(data []byte) (*segData, int, error) {
 	var prevMs int64
 	sawMeta := false
 	good, damage := framelog.Scan(data, start, maxFramePayload, func(f framelog.Frame) error {
-		c := framelog.Cursor{B: f.Payload}
 		switch f.Type {
 		case frameMeta:
 			if sawMeta {
 				return fmt.Errorf("segstore: second meta frame at offset %d", f.Off)
 			}
-			if err := d.applyMeta(&c); err != nil {
+			if err := d.applyMeta(&framelog.Cursor{B: f.Payload}); err != nil {
 				return err
 			}
 			sawMeta = true
@@ -488,7 +646,7 @@ func parseSegment(data []byte) (*segData, int, error) {
 				return fmt.Errorf("segstore: data frame before meta frame")
 			}
 			fs := frameStat{off: int64(f.Off), size: int64(f.End - f.Off), firstMs: prevMs, dictBase: uint64(len(d.series))}
-			if err := d.applyData(&c, f.Type, &prevMs, &fs); err != nil {
+			if err := d.applyData(f.Payload, f.Type, &prevMs, &fs); err != nil {
 				return err
 			}
 			if len(fs.refs) > 0 {
@@ -501,9 +659,9 @@ func parseSegment(data []byte) (*segData, int, error) {
 			}
 			// A CRC-valid index frame whose payload fails to decode costs
 			// only the pread fast path: the data frames stand on their own.
+			d.indexBytes = int64(f.End - f.Off)
 			if sawMeta {
-				if ix, err := parseIndexPayload(f.Payload); err == nil {
-					ix.version = d.version
+				if ix, err := parseIndexPayload(f.Payload, d.version, int64(f.Off)); err == nil {
 					d.index = ix
 				}
 			}
@@ -546,17 +704,19 @@ func (d *segData) applyMeta(c *framelog.Cursor) error {
 }
 
 // applyData decodes one data frame into d, whole or not at all: on
-// damage, the entries decoded before it are taken back, so d holds
-// exactly the complete frames of the valid prefix that recovery keeps.
-func (d *segData) applyData(c *framelog.Cursor, typ byte, prevMs *int64, fs *frameStat) (err error) {
+// damage, the entries and strings decoded before it are taken back, so d
+// holds exactly the complete frames of the valid prefix that recovery
+// keeps.
+func (d *segData) applyData(payload []byte, typ byte, prevMs *int64, fs *frameStat) (err error) {
 	if typ == framePoints && d.meta.Tier != tierRaw {
 		return fmt.Errorf("segstore: point frame in tier-%d segment", d.meta.Tier)
 	}
 	if typ == frameBucket && d.meta.Tier == tierRaw {
 		return fmt.Errorf("segstore: bucket frame in raw segment")
 	}
+	e := entryDecoder{c: framelog.Cursor{B: payload}, typ: typ, dict: &d.segDict, grow: true, size: uint64(len(d.series)), prevMs: *prevMs}
 	// A format-2 entry may be a lone header byte.
-	n, err := c.Count(1)
+	n, err := e.c.Count(1)
 	if err != nil {
 		return fmt.Errorf("segstore: entry count: %w", err)
 	}
@@ -564,8 +724,13 @@ func (d *segData) applyData(c *framelog.Cursor, typ byte, prevMs *int64, fs *fra
 	// length before the frame.
 	seen := make(map[uint64]int, 8)
 	nSeries, entries, count, minT, maxT := len(d.series), d.entries, d.count, d.minT, d.maxT
+	var nStrings [numFields]int
+	for f, tab := range d.tables {
+		nStrings[f] = len(tab)
+	}
 	defer func() {
 		if err == nil {
+			*prevMs = e.prevMs
 			return
 		}
 		for ref, k := range seen {
@@ -574,18 +739,21 @@ func (d *segData) applyData(c *framelog.Cursor, typ byte, prevMs *int64, fs *fra
 			}
 		}
 		d.series, d.chunks = d.series[:nSeries], d.chunks[:nSeries]
+		for f, k := range nStrings {
+			d.tables[f] = d.tables[f][:k]
+		}
 		d.entries, d.count, d.minT, d.maxT = entries, count, minT, maxT
 	}()
 	for i := 0; i < n; i++ {
-		ref, l, p, rep, err := readEntry(c, typ, d.version, uint64(len(d.series)), prevMs)
+		ref, introduced, p, rep, err := e.next()
 		if err != nil {
 			return fmt.Errorf("segstore: entry %w", err)
 		}
-		if l != nil {
+		if introduced {
 			if len(d.series) >= maxSeriesTable {
 				return fmt.Errorf("segstore: series table overflow")
 			}
-			d.series = append(d.series, *l)
+			d.series = append(d.series, e.intro)
 			d.chunks = append(d.chunks, nil)
 		}
 		_, inFrame := seen[ref]
@@ -603,13 +771,13 @@ func (d *segData) applyData(c *framelog.Cursor, typ byte, prevMs *int64, fs *fra
 			p.Sum, p.Min, p.Max = v, v, v
 		}
 		if i == 0 {
-			fs.minMs, fs.maxMs = *prevMs, *prevMs
+			fs.minMs, fs.maxMs = e.prevMs, e.prevMs
 		} else {
-			if *prevMs < fs.minMs {
-				fs.minMs = *prevMs
+			if e.prevMs < fs.minMs {
+				fs.minMs = e.prevMs
 			}
-			if *prevMs > fs.maxMs {
-				fs.maxMs = *prevMs
+			if e.prevMs > fs.maxMs {
+				fs.maxMs = e.prevMs
 			}
 		}
 		d.chunks[ref] = append(d.chunks[ref], p)
@@ -626,8 +794,8 @@ func (d *segData) applyData(c *framelog.Cursor, typ byte, prevMs *int64, fs *fra
 		d.entries++
 		d.count += p.Count
 	}
-	if c.Len() != 0 {
-		return fmt.Errorf("segstore: %d trailing bytes in data frame", c.Len())
+	if e.c.Len() != 0 {
+		return fmt.Errorf("segstore: %d trailing bytes in data frame", e.c.Len())
 	}
 	sort.Slice(fs.refs, func(i, j int) bool { return fs.refs[i] < fs.refs[j] })
 	d.frames++

@@ -187,8 +187,11 @@ type segInfo struct {
 	minT    float64
 	maxT    float64
 	bytes   int64
-	entries uint64
-	count   uint64 // logical raw points represented
+	// indexBytes is the on-disk size of the segment's index frame (0
+	// when it has none, or one whose checksum fails).
+	indexBytes int64
+	entries    uint64
+	count      uint64 // logical raw points represented
 	// index is the decoded seal-time frame index, nil for segments
 	// sealed by older binaries or whose index frame was damaged —
 	// those are served by full scans instead.
@@ -214,6 +217,7 @@ type shardState struct {
 type storeMetrics struct {
 	activeBytes  *telemetry.Gauge
 	tierBytes    [numTiers]*telemetry.Gauge
+	tierIndex    [numTiers]*telemetry.Gauge
 	tierSegments [numTiers]*telemetry.Gauge
 	tierPoints   [numTiers]*telemetry.Gauge
 	appended     *telemetry.Counter
@@ -235,17 +239,20 @@ type storeMetrics struct {
 
 // Stats is a point-in-time snapshot of store state for audits and tests.
 type Stats struct {
-	ActiveBytes   int64
-	ActivePoints  uint64 // points in active segments (flushed + pending)
-	TierBytes     [numTiers]int64
-	TierSegments  [numTiers]int
-	TierPoints    [numTiers]uint64 // logical raw points per sealed tier
-	Seals         uint64
-	Compactions   uint64
-	RecoveredPts  uint64 // points recovered from segments at Open
-	TornTruncated uint64 // active segments truncated at a torn tail
-	Quarantined   uint64 // sealed segments renamed .bad at Open
-	Dropped       uint64 // points dropped by retention
+	ActiveBytes  int64
+	ActivePoints uint64 // points in active segments (flushed + pending)
+	TierBytes    [numTiers]int64
+	// TierIndexBytes is the part of TierBytes in the sealed segments'
+	// index frames.
+	TierIndexBytes [numTiers]int64
+	TierSegments   [numTiers]int
+	TierPoints     [numTiers]uint64 // logical raw points per sealed tier
+	Seals          uint64
+	Compactions    uint64
+	RecoveredPts   uint64 // points recovered from segments at Open
+	TornTruncated  uint64 // active segments truncated at a torn tail
+	Quarantined    uint64 // sealed segments renamed .bad at Open
+	Dropped        uint64 // points dropped by retention
 	// Loaded counts the sealed segments found intact at Open. With Seals
 	// and Compactions it is every sealed segment the store has held.
 	Loaded    uint64
@@ -291,6 +298,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	for t := 0; t < numTiers; t++ {
 		s.met.tierBytes[t] = reg.Gauge("gostats_segstore_bytes",
 			"On-disk bytes of sealed segments per tier.", "tier", TierName(t))
+		s.met.tierIndex[t] = reg.Gauge("gostats_segstore_index_bytes",
+			"On-disk bytes of sealed segments' index frames per tier (part of gostats_segstore_bytes).", "tier", TierName(t))
 		s.met.tierSegments[t] = reg.Gauge("gostats_segstore_segments",
 			"Sealed segment count per tier.", "tier", TierName(t))
 		s.met.tierPoints[t] = reg.Gauge("gostats_segstore_points",
@@ -479,7 +488,7 @@ func (s *Store) loadSealed(path string, tier int, seq uint64) (*segInfo, error) 
 		path: path, tier: tier, seq: seq,
 		coverLo: d.meta.CoverLo, coverHi: d.meta.CoverHi,
 		minT: d.minT, maxT: d.maxT,
-		bytes: int64(len(data)), entries: d.entries, count: d.count,
+		bytes: int64(len(data)), indexBytes: d.indexBytes, entries: d.entries, count: d.count,
 		index: d.index,
 	}, nil
 }
@@ -514,12 +523,13 @@ func (s *Store) recoverActive(sh *shardState, path string) error {
 	// Give the recovered segment the index frame a normal seal would have
 	// written (unless a completed one survived the crash), so recovered
 	// segments serve the same pread fast path as cleanly sealed ones.
-	sealedBytes := int64(good)
+	sealedBytes, indexBytes := int64(good), d.indexBytes
 	ix := d.index
 	if ix == nil {
-		ix = &segIndex{series: d.series, frames: d.frameStats, version: d.version}
-		n, werr := f.Write(framelog.Append(nil, frameIndex, encodeIndexPayload(ix.series, ix.frames)))
+		ix = &segIndex{segDict: d.segDict, frames: d.frameStats}
+		n, werr := f.Write(framelog.Append(nil, frameIndex, encodeIndexPayload(ix)))
 		sealedBytes += int64(n)
+		indexBytes = int64(n)
 		err = werr
 	}
 	if err == nil {
@@ -541,7 +551,7 @@ func (s *Store) recoverActive(sh *shardState, path string) error {
 		path: sealed, tier: d.meta.Tier, seq: d.meta.Seq,
 		coverLo: d.meta.CoverLo, coverHi: d.meta.CoverHi,
 		minT: d.minT, maxT: d.maxT,
-		bytes: sealedBytes, entries: d.entries, count: d.count,
+		bytes: sealedBytes, indexBytes: indexBytes, entries: d.entries, count: d.count,
 		index: ix,
 	})
 	return nil
@@ -723,7 +733,7 @@ func (s *Store) sealActiveLocked(sh *shardState) error {
 			path: sealed, tier: w.meta.Tier, seq: w.meta.Seq,
 			coverLo: w.meta.CoverLo, coverHi: w.meta.CoverHi,
 			minT: w.minT, maxT: w.maxT,
-			bytes: w.bytes, entries: w.entries, count: w.count,
+			bytes: w.bytes, indexBytes: w.indexBytes, entries: w.entries, count: w.count,
 			index: ix,
 		})
 		s.bumpSeals()
@@ -896,6 +906,7 @@ func (s *Store) Stats() Stats {
 			st.TierSegments[t] += len(sh.sealed[t])
 			for _, info := range sh.sealed[t] {
 				st.TierBytes[t] += info.bytes
+				st.TierIndexBytes[t] += info.indexBytes
 				st.TierPoints[t] += info.count
 			}
 		}
@@ -909,6 +920,7 @@ func (s *Store) publishGauges() {
 	s.met.activeBytes.Set(float64(st.ActiveBytes))
 	for t := 0; t < numTiers; t++ {
 		s.met.tierBytes[t].Set(float64(st.TierBytes[t]))
+		s.met.tierIndex[t].Set(float64(st.TierIndexBytes[t]))
 		s.met.tierSegments[t].Set(float64(st.TierSegments[t]))
 		s.met.tierPoints[t].Set(float64(st.TierPoints[t]))
 	}
