@@ -130,17 +130,15 @@ benchsmoke:
 
 ## fuzzsmoke: a few hundred iterations of each fuzz target against its
 ## seed-derived corpus — catches decoder panics without a long campaign.
+## The targets are every `func Fuzz…` in the module's test files, so a
+## new one cannot be left out.
 fuzzsmoke:
-	$(GO) test -run='^$$' -fuzz=FuzzBinaryDecode -fuzztime=300x ./internal/codec/
-	$(GO) test -run='^$$' -fuzz=FuzzTextDecode -fuzztime=300x ./internal/codec/
-	$(GO) test -run='^$$' -fuzz=FuzzRecover -fuzztime=300x ./internal/codec/
-	$(GO) test -run='^$$' -fuzz=FuzzSegmentDecode -fuzztime=300x ./internal/segstore/
-	$(GO) test -run='^$$' -fuzz=FuzzIndexedFrame -fuzztime=300x ./internal/segstore/
-	$(GO) test -run='^$$' -fuzz=FuzzScan -fuzztime=300x ./internal/framelog/
-	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=300x ./internal/reldb/
-	$(GO) test -run='^$$' -fuzz=FuzzLRU -fuzztime=300x ./internal/lru/
-	$(GO) test -run='^$$' -fuzz=FuzzBrokerFrame -fuzztime=300x ./internal/broker/
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeMap -fuzztime=300x ./internal/fabric/
+	@set -e; grep -rl --include='*_test.go' --exclude-dir=perfbench '^func Fuzz' . | sort | while read -r f; do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$f"); do \
+			echo "fuzzsmoke: $$t ($$(dirname "$$f"))"; \
+			$(GO) test -run='^$$' -fuzz="^$$t\$$" -fuzztime=300x "$$(dirname "$$f")/"; \
+		done; \
+	done
 
 ## loc: the non-blank, non-comment, non-test Go line count over cmd/,
 ## internal/ and examples/ — the size a simplicity PR reports before and

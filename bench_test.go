@@ -108,7 +108,7 @@ func BenchmarkTableIMetrics(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Compute(fix.jobData, fix.reg); err != nil {
+		if _, err := core.Compute(fix.jobData, fix.reg, core.VecWidth); err != nil {
 			b.Fatal(err)
 		}
 	}

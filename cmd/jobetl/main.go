@@ -61,7 +61,7 @@ func main() {
 	if rows, trunc := jnl.Replayed(); rows > 0 || trunc > 0 {
 		fmt.Printf("jobetl: journal replayed %d rows (%d torn frames truncated)\n", rows, trunc)
 	}
-	ids, err := etl.IngestStoreJournaled(store, cfg.Registry(), meta, db, jnl)
+	ids, err := etl.IngestStoreJournaled(store, cfg.Registry(), cfg.Desc.VecWidth, meta, db, jnl)
 	if err != nil {
 		log.Fatalf("jobetl: %v", err)
 	}

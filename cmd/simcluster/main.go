@@ -527,7 +527,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("simcluster: %v", err)
 	}
-	ids, err := etl.IngestStoreJournaled(store, chip.StampedeNode().Registry(), meta, db, jnl)
+	node := chip.StampedeNode()
+	ids, err := etl.IngestStoreJournaled(store, node.Registry(), node.Desc.VecWidth, meta, db, jnl)
 	if err != nil {
 		log.Fatalf("simcluster: %v", err)
 	}

@@ -32,7 +32,7 @@ func main() {
 	fmt.Printf("job %s ran on %d nodes, %d snapshots collected (simulated collector cost %.2f s)\n",
 		spec.JobID, len(run.Hosts), len(run.Snapshots), run.CollectCost)
 
-	s, err := core.Compute(run.JobData(), cfg.Registry())
+	s, err := core.Compute(run.JobData(), cfg.Registry(), cfg.Desc.VecWidth)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -82,24 +82,19 @@ type Summary struct {
 	MaxThreads uint64 // largest per-process thread count
 }
 
-// VecWidth is the default flops credited per vector FP instruction — the
-// 256-bit AVX double-precision width of the Sandy Bridge fleet. Jobs
-// collected on other architectures reduce with ComputeWith and the
-// width the chip layer detected.
+// VecWidth is the flops credited per vector FP instruction on the
+// 256-bit AVX double-precision Sandy Bridge fleet. Jobs collected on
+// other architectures reduce at the width the chip layer detected
+// (chip.Descriptor.VecWidth).
 const VecWidth = 4
 
-// Compute reduces a job's assembled series to its Summary using the
-// default AVX vector width. reg supplies the schemas the series were
+// Compute reduces a job's assembled series to its Summary, crediting
+// vecWidth flops per vector FP instruction (2 for SSE-era cores, 4 for
+// AVX, 8 for the Phi). reg supplies the schemas the series were
 // collected under.
-func Compute(jd *model.JobData, reg *schema.Registry) (*Summary, error) {
-	return ComputeWith(jd, reg, VecWidth)
-}
-
-// ComputeWith is Compute with an explicit per-architecture vector width
-// (2 for SSE-era cores, 4 for AVX, 8 for the Phi).
-func ComputeWith(jd *model.JobData, reg *schema.Registry, vecWidth int) (*Summary, error) {
+func Compute(jd *model.JobData, reg *schema.Registry, vecWidth int) (*Summary, error) {
 	if vecWidth <= 0 {
-		vecWidth = VecWidth
+		return nil, fmt.Errorf("core: vector width %d, want a positive flops count", vecWidth)
 	}
 	hosts := jd.HostNames()
 	if len(hosts) == 0 {

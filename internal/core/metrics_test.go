@@ -98,7 +98,7 @@ func buildJob(t *testing.T) (*model.JobData, *schema.Registry) {
 
 func TestComputeAverageAndMaxMetrics(t *testing.T) {
 	jd, reg := buildJob(t)
-	s, err := Compute(jd, reg)
+	s, err := Compute(jd, reg, VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestComputeCatastropheDetectsDrop(t *testing.T) {
 	for i, v := range rows {
 		hd.Append(float64(i)*600, model.Record{Class: schema.ClassCPU, Instance: "0", Values: v})
 	}
-	s, err := Compute(jd, reg)
+	s, err := Compute(jd, reg, VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestComputeRolloverCorrection(t *testing.T) {
 	hd.Append(0, model.Record{Class: schema.ClassCPU, Instance: "0", Values: []uint64{0, 0, 0, 0, 0, 0, 0}})
 	hd.Append(600, model.Record{Class: schema.ClassCPU, Instance: "0", Values: []uint64{60000, 0, 0, 0, 0, 0, 0}})
 
-	s, err := Compute(jd, reg)
+	s, err := Compute(jd, reg, VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestComputeCounterResetYieldsZeroNotGarbage(t *testing.T) {
 	hd.Append(600, model.Record{Class: schema.ClassIB, Instance: "p1", Values: []uint64{100, 0, 0, 0}})
 	hd.Append(0, model.Record{Class: schema.ClassCPU, Instance: "0", Values: []uint64{0, 0, 0, 0, 0, 0, 0}})
 	hd.Append(600, model.Record{Class: schema.ClassCPU, Instance: "0", Values: []uint64{60000, 0, 0, 0, 0, 0, 0}})
-	s, err := Compute(jd, reg)
+	s, err := Compute(jd, reg, VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,13 +258,20 @@ func TestComputeCounterResetYieldsZeroNotGarbage(t *testing.T) {
 
 func TestComputeErrors(t *testing.T) {
 	reg := schema.DefaultRegistry()
-	if _, err := Compute(model.NewJobData("x"), reg); err == nil {
+	if _, err := Compute(model.NewJobData("x"), reg, VecWidth); err == nil {
 		t.Error("empty job accepted")
 	}
 	jd := model.NewJobData("y")
 	jd.Host("a").Append(0, model.Record{Class: schema.ClassCPU, Instance: "0", Values: make([]uint64, 7)})
-	if _, err := Compute(jd, reg); err == nil {
+	if _, err := Compute(jd, reg, VecWidth); err == nil {
 		t.Error("single-sample job accepted")
+	}
+	jd.Host("a").Append(600, model.Record{Class: schema.ClassCPU, Instance: "0", Values: []uint64{48000, 0, 0, 12000, 0, 0, 0}})
+	if _, err := Compute(jd, reg, VecWidth); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compute(jd, reg, 0); err == nil {
+		t.Error("zero vector width accepted")
 	}
 }
 
@@ -275,7 +282,7 @@ func TestComputeMissingDevicesYieldZero(t *testing.T) {
 	hd := jd.Host("a")
 	hd.Append(0, model.Record{Class: schema.ClassCPU, Instance: "0", Values: make([]uint64, 7)})
 	hd.Append(600, model.Record{Class: schema.ClassCPU, Instance: "0", Values: []uint64{48000, 0, 0, 12000, 0, 0, 0}})
-	s, err := Compute(jd, reg)
+	s, err := Compute(jd, reg, VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +310,7 @@ func TestComputeEndToEndFromSimulatedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Compute(run.JobData(), chip.StampedeNode().Registry())
+	s, err := Compute(run.JobData(), chip.StampedeNode().Registry(), VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +368,7 @@ func TestComputeIdleNodesJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Compute(run.JobData(), chip.StampedeNode().Registry())
+	s, err := Compute(run.JobData(), chip.StampedeNode().Registry(), VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,11 +448,11 @@ func TestComputeWithArchVectorWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := workload.VectorizedCompute("u1", "old.x", 0.6)
-	sWrong, err := Compute(run.JobData(), node.Registry()) // assumes AVX width 4
+	sWrong, err := Compute(run.JobData(), node.Registry(), VecWidth) // the AVX width
 	if err != nil {
 		t.Fatal(err)
 	}
-	sRight, err := ComputeWith(run.JobData(), node.Registry(), cfg.VecWidth)
+	sRight, err := Compute(run.JobData(), node.Registry(), cfg.VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func TestQuickMetricBounds(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		hosts := int(hostsRaw)%6 + 1
 		samples := int(samplesRaw)%10 + 2
-		s, err := Compute(randomJob(rng, hosts, samples), reg)
+		s, err := Compute(randomJob(rng, hosts, samples), reg, VecWidth)
 		if err != nil {
 			return false
 		}
@@ -81,7 +81,7 @@ func TestQuickHostPermutationInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		jd := randomJob(rng, 4, 5)
-		s1, err := Compute(jd, reg)
+		s1, err := Compute(jd, reg, VecWidth)
 		if err != nil {
 			return false
 		}
@@ -91,7 +91,7 @@ func TestQuickHostPermutationInvariance(t *testing.T) {
 		for i := len(names) - 1; i >= 0; i-- {
 			rev.Hosts[names[i]] = jd.Hosts[names[i]]
 		}
-		s2, err := Compute(rev, reg)
+		s2, err := Compute(rev, reg, VecWidth)
 		if err != nil {
 			return false
 		}
@@ -126,11 +126,11 @@ func TestQuickRateLinearity(t *testing.T) {
 				}
 			}
 		}
-		s1, err := Compute(jd, reg)
+		s1, err := Compute(jd, reg, VecWidth)
 		if err != nil {
 			return false
 		}
-		s2, err := Compute(doubled, reg)
+		s2, err := Compute(doubled, reg, VecWidth)
 		if err != nil {
 			return false
 		}
@@ -155,7 +155,7 @@ func TestQuickIdleHostMonotonicity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		jd := randomJob(rng, 3, 4)
-		s1, err := Compute(jd, reg)
+		s1, err := Compute(jd, reg, VecWidth)
 		if err != nil {
 			return false
 		}
@@ -169,7 +169,7 @@ func TestQuickIdleHostMonotonicity(t *testing.T) {
 			ih.Append(float64(i)*600, model.Record{Class: schema.ClassCPU, Instance: "0",
 				Values: []uint64{0, 0, 0, uint64(i) * 60000, 0, 0, 0}})
 		}
-		s2, err := Compute(withIdle, reg)
+		s2, err := Compute(withIdle, reg, VecWidth)
 		if err != nil {
 			return false
 		}

@@ -50,7 +50,7 @@ func newETLMetrics(reg *telemetry.Registry) *etlMetrics {
 // metrics at the architecture's vector width (chip.Descriptor.VecWidth;
 // core.VecWidth is the AVX default).
 func BuildRow(run *cluster.JobRun, reg *schema.Registry, vecWidth int) (*reldb.JobRow, error) {
-	sum, err := core.ComputeWith(run.JobData(), reg, vecWidth)
+	sum, err := core.Compute(run.JobData(), reg, vecWidth)
 	if err != nil {
 		return nil, err
 	}
@@ -180,18 +180,20 @@ func MetaFromSpec(s workload.Spec) Meta {
 // materialized whole; memory scales with in-flight jobs, not with the
 // store.
 func IngestStore(st *rawfile.Store, reg *schema.Registry, meta map[string]Meta, db *reldb.DB) ([]string, error) {
-	return IngestStoreJournaled(st, reg, meta, db, nil)
+	return IngestStoreJournaled(st, reg, core.VecWidth, meta, db, nil)
 }
 
-// IngestStoreJournaled is IngestStore with a crash-safe journal: every
-// finalized row is appended to jnl the moment it exists, so a killed
-// run resumes from the journal instead of starting over. A nil jnl
-// degrades to the plain batch path.
-func IngestStoreJournaled(st *rawfile.Store, reg *schema.Registry, meta map[string]Meta, db *reldb.DB, jnl *reldb.Journal) ([]string, error) {
+// IngestStoreJournaled is IngestStore for a fleet whose cores credit
+// vecWidth flops per vector FP instruction (chip.Descriptor.VecWidth;
+// IngestStore assumes the AVX fleet's core.VecWidth), with a crash-safe
+// journal: every finalized row is appended to jnl the moment it exists,
+// so a killed run resumes from the journal instead of starting over. A
+// nil jnl degrades to the plain batch path.
+func IngestStoreJournaled(st *rawfile.Store, reg *schema.Registry, vecWidth int, meta map[string]Meta, db *reldb.DB, jnl *reldb.Journal) ([]string, error) {
 	met := newETLMetrics(telemetry.Default())
 	timer := met.batchSeconds.Start()
 	defer timer.Stop()
-	a := &Assembler{Registry: reg, Meta: meta, DB: db, Journal: jnl, EndGrace: DefaultEndGrace}
+	a := &Assembler{Registry: reg, Meta: meta, DB: db, Journal: jnl, EndGrace: DefaultEndGrace, vecWidth: vecWidth}
 	if _, err := st.Walk(func(s model.Snapshot) error {
 		a.Feed(s)
 		return nil

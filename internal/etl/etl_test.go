@@ -210,3 +210,46 @@ func TestDefaultNodeConfig(t *testing.T) {
 		t.Error("normal queue not routed to stampede node")
 	}
 }
+
+// TestIngestStoreCreditsFleetVecWidth archives a job run on Nehalem
+// (SSE, two flops per vector instruction) to a raw store and ingests it
+// as jobetl -arch nehalem does: the row's Flops must be the ones
+// BuildRow gives the same run at the fleet's width, not the AVX ones.
+func TestIngestStoreCreditsFleetVecWidth(t *testing.T) {
+	cfg, err := chip.Fleet("nehalem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := cfg.Registry()
+	s := spec("61", 2, 1800)
+	s.Model = workload.Steady{Label: "v", P: workload.VectorizedCompute("u1", "old.x", 0.6)}
+	run, err := cluster.RunJob(s, cfg, 600, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := BuildRow(run, reg, cfg.Desc.VecWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := rawfile.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch := rawfile.NewArchiver(st, 0)
+	for _, snap := range run.Snapshots {
+		if err := arch.Append(snap.Host, rawfile.Header{Hostname: snap.Host, Arch: string(cfg.Desc.Arch), Registry: reg}, snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := arch.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db := reldb.New()
+	if ids, err := IngestStoreJournaled(st, reg, cfg.Desc.VecWidth, nil, db, nil); err != nil || len(ids) != 1 {
+		t.Fatalf("ingested %v, err %v", ids, err)
+	}
+	got := db.Get("61").Metrics.Flops
+	if got == 0 || got != want.Metrics.Flops {
+		t.Fatalf("ingested Flops %g, BuildRow at width %d gives %g", got, cfg.Desc.VecWidth, want.Metrics.Flops)
+	}
+}

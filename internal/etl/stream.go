@@ -83,6 +83,11 @@ type Assembler struct {
 	// Metrics selects the telemetry registry; nil uses Default().
 	Metrics *telemetry.Registry
 
+	// vecWidth is the flops credited per vector FP instruction; zero
+	// means core.VecWidth, the AVX fleet's. The batch ETL sets the
+	// fleet's own width.
+	vecWidth int
+
 	jobs      map[string]*jobState
 	done      map[string]bool // finalized ids: late arrivals must not resurrect them
 	watermark float64
@@ -199,7 +204,11 @@ func (a *Assembler) sweep() {
 // mark is missing. Finalize and Running both build rows here. Jobs too
 // thin to reduce (a single sample) return core's error.
 func (a *Assembler) row(id string, js *jobState) (*reldb.JobRow, error) {
-	sum, err := core.Compute(js.jd, a.Registry)
+	width := a.vecWidth
+	if width == 0 {
+		width = core.VecWidth
+	}
+	sum, err := core.Compute(js.jd, a.Registry, width)
 	if err != nil {
 		return nil, err
 	}

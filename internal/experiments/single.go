@@ -41,7 +41,7 @@ func TableI(sc Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := core.Compute(run.JobData(), cfg.Registry())
+	s, err := core.Compute(run.JobData(), cfg.Registry(), cfg.Desc.VecWidth)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +155,7 @@ func JobTimeseries(sc Scale) (*Result, error) {
 	// Observation 1: metadata (and what little Lustre traffic exists)
 	// comes from one node. Compare per-node mean MDC-driven traffic via
 	// the CPU panel spread and the storm job's metric summary.
-	sum, err := core.Compute(run.JobData(), cfg.Registry())
+	sum, err := core.Compute(run.JobData(), cfg.Registry(), cfg.Desc.VecWidth)
 	if err != nil {
 		return nil, err
 	}

@@ -126,7 +126,7 @@ func TestEngineInterferenceEmerges(t *testing.T) {
 		for _, s := range victimSnaps {
 			jd.AddSnapshot(s)
 		}
-		sum, err := core.Compute(jd, chip.StampedeNode().Registry())
+		sum, err := core.Compute(jd, chip.StampedeNode().Registry(), core.VecWidth)
 		if err != nil {
 			t.Fatal(err)
 		}

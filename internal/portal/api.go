@@ -47,7 +47,7 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return n, nil
 }
 
-// v1JobRow is the job shape served by the v1 job routes.
+// v1JobRow is the job shape served by /api/jobs and the v1 job routes.
 type v1JobRow struct {
 	JobID    string  `json:"jobid"`
 	User     string  `json:"user"`

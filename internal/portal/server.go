@@ -421,17 +421,9 @@ func (s *Server) handleAPIJobs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	type apiRow struct {
-		JobID    string  `json:"jobid"`
-		User     string  `json:"user"`
-		Exe      string  `json:"exe"`
-		Nodes    int     `json:"nodes"`
-		RunTime  float64 `json:"runtime"`
-		CPUUsage float64 `json:"cpu_usage"`
-	}
-	out := make([]apiRow, len(rows))
+	out := make([]v1JobRow, len(rows))
 	for i, row := range rows {
-		out[i] = apiRow{row.JobID, row.User, row.Exe, row.Nodes, row.RunTime(), row.Metrics.CPUUsage}
+		out[i] = v1Row(row)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(out)

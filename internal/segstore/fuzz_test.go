@@ -114,9 +114,10 @@ func FuzzSegmentDecode(f *testing.F) {
 // (parseSegment) accepted must also decode standalone from the context
 // parseSegment recorded for it, and the frames' series runs, joined in
 // file order, must be exactly the points parseSegment read. Then the
-// segment's own index, and the second input parsed as an index
-// payload, are applied to the segment's bytes: every frame they list is
-// decoded in isolation. Nothing may panic, and a listed frame whose
+// segment's index (its own, or the one rebuilt from its frames), and,
+// for a format-3 segment, the second input parsed as an index payload,
+// are applied to the segment's bytes: every frame they list is decoded
+// in isolation. Nothing may panic, and a listed frame whose
 // index entry matches the sequential decode's must decode identically.
 // Every frame is also decoded selectively, for the refs whose bits are
 // set in wantBits and the window [lo/10, hi/10) seconds: it must fail
@@ -172,22 +173,23 @@ func FuzzIndexedFrame(f *testing.F) {
 		}
 	}
 
-	// Format-2 and format-3 goldens with their own index frames, crafted
-	// frames with an index that lists them, and crafted format-3 index
-	// payloads no reader can use.
+	// The goldens of every format (a format-3 one with its own index
+	// payload, the others read through their rebuilt indexes), crafted
+	// frames with, in format 3, an index that lists them, and crafted
+	// format-3 index payloads no reader can use.
 	for name, g := range goldenSegments() {
-		if g.version == segFormatV1 {
-			continue
-		}
 		seg, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
 		}
-		d, _, err := parseSegment(seg)
-		if err != nil {
-			f.Fatal(err)
+		var payload []byte
+		if g.version == segFormatVersion {
+			d, _, err := parseSegment(seg)
+			if err != nil {
+				f.Fatal(err)
+			}
+			payload = encodeIndexPayload(d.index)
 		}
-		payload := encodeIndexPayload(d.index)
 		f.Add(seg, payload, []byte{0xff}, int16(0), int16(32000))
 		f.Add(seg, payload, []byte{0x02}, int16(0), int16(32000))
 	}
@@ -210,7 +212,11 @@ func FuzzIndexedFrame(f *testing.F) {
 		if d == nil {
 			return
 		}
-		other, _ := parseIndexPayload(indexPayload, d.version, int64(len(data)))
+		// Only a format-3 segment's index frame is ever parsed.
+		var other *segIndex
+		if d.version == segFormatVersion {
+			other, _ = parseIndexPayload(indexPayload, int64(len(data)))
+		}
 		// The sequential oracle: each accepted frame decoded standalone
 		// from its recorded context, runs joined per series.
 		seqFrames := make([]*decodedFrame, len(d.frameStats))
@@ -334,6 +340,15 @@ var (
 	craftedSystem = Labels{Host: "fuzz", DevType: "cpu", Device: "0", Event: "system"}
 )
 
+// v2Labels encodes a format-2 introduction: the four label strings.
+func v2Labels(l Labels) []byte {
+	var b []byte
+	for f := 0; f < numFields; f++ {
+		b = framelog.AppendString(b, l.field(f))
+	}
+	return b
+}
+
 // craftedEntry encodes one format-2 or format-3 entry of series ref:
 // the header, intro (the encoded labels of an introduction, else nil),
 // the Δms when flags has entTime, and the value unless a value flag is
@@ -375,7 +390,7 @@ func labelCodes(cs [numFields]uint64, strs ...string) []byte {
 // standalone decode).
 func craftedFrames() []craftedFrame {
 	nan := math.Float64frombits(0x7ff0_0000_0000_0bad)
-	v2 := appendLabels(nil, craftedLabels)
+	v2 := v2Labels(craftedLabels)
 	bucket := binary.AppendUvarint(nil, entTime|entZero)
 	bucket = binary.AppendVarint(append(bucket, v2...), 600000)
 	first := labelCodes([numFields]uint64{}, "fuzz", "cpu", "0", "user")
@@ -394,8 +409,9 @@ func craftedFrames() []craftedFrame {
 }
 
 // craftSegment returns a segment of c's format and tier whose one data
-// frame holds c's entries verbatim, and an index payload listing the
-// frame with every series of c.
+// frame holds c's entries verbatim and, for format 3, an index payload
+// listing the frame with every series of c (nil for older formats,
+// whose index frames are never read).
 func craftSegment(c craftedFrame) (seg, index []byte) {
 	meta := []uint64{uint64(c.tier), 0, 1, 1, 1, 0}
 	typ := byte(framePoints)
@@ -416,6 +432,9 @@ func craftSegment(c craftedFrame) (seg, index []byte) {
 	fs := frameStat{off: int64(off), size: int64(len(seg) - off), maxMs: 600000}
 	for i := range c.series {
 		fs.refs = append(fs.refs, uint64(i))
+	}
+	if c.ver != segFormatVersion {
+		return seg, nil
 	}
 	return seg, encodeIndexPayload(&segIndex{segDict: craftedDict(c), frames: []frameStat{fs}})
 }
@@ -461,15 +480,33 @@ func badIndexes() []badIndex {
 // TestFormat3DamageIsReported: the damaged crafted format-3 frames fail
 // the standalone decode (and, but for a mismatch only the index can
 // show, the sequential parse), and the crafted bad index payloads fail
-// to parse, so a store keeps such a segment, serving it by full scans.
+// to parse. A store keeps a segment with such an index frame and serves
+// it through the index rebuilt from its data frames; one whose index
+// decodes but disagrees with its frame degrades to a full scan when it
+// is read.
 func TestFormat3DamageIsReported(t *testing.T) {
+	// serve opens a store of the one sealed segment seg and checks a
+	// scan of it returns the full parse's series, with fullscans
+	// degrades. Crafted frame 7 introduces its second series with the
+	// first one's labels, so its two refs join as one series.
+	serve := func(name string, seg []byte, series int, fullscans uint64) {
+		t.Helper()
+		s := oneSegmentStore(t, sealedName(tierRaw, 1), seg)
+		defer s.Close()
+		chunks, err := s.Scan(Filter{}, 0, math.Inf(1))
+		hits, fs := s.metrics().idxHits.Value(), s.metrics().idxFullscans.Value()
+		if err != nil || len(chunks) != series || !sameChunks(chunks, parsedScan(t, s, Filter{}, 0, math.Inf(1))) ||
+			s.Stats().Quarantined != 0 || hits != 1-fullscans || fs != fullscans {
+			t.Fatalf("%s: %d series, err %v, stats %+v, index hits %d, fullscans %d (want %d)", name, len(chunks), err, s.Stats(), hits, fs, fullscans)
+		}
+	}
 	for i, c := range craftedFrames() {
 		if c.ver != segFormatVersion {
 			continue
 		}
 		seg, payload := craftSegment(c)
 		d, _, perr := parseSegment(seg)
-		ix, err := parseIndexPayload(payload, c.ver, int64(len(seg)))
+		ix, err := parseIndexPayload(payload, int64(len(seg)))
 		if err != nil {
 			t.Fatalf("crafted frame %d: index: %v", i, err)
 		}
@@ -478,29 +515,14 @@ func TestFormat3DamageIsReported(t *testing.T) {
 		if (derr == nil) != valid || (perr == nil) != (valid || mismatch) || d == nil {
 			t.Fatalf("crafted frame %d: sequential err %v, standalone err %v", i, perr, derr)
 		}
+		if mismatch {
+			serve(fmt.Sprintf("crafted frame %d", i), framelog.Append(seg, frameIndex, payload), 1, 1)
+		}
 	}
 	for i, bad := range badIndexes() {
-		if _, err := parseIndexPayload(bad.index, segFormatVersion, int64(len(bad.seg))); err == nil {
+		if _, err := parseIndexPayload(bad.index, int64(len(bad.seg))); err == nil {
 			t.Fatalf("bad index %d parsed", i)
 		}
-		dir := t.TempDir()
-		shdir := filepath.Join(dir, "shard-00")
-		if err := os.MkdirAll(shdir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(shdir, sealedName(tierRaw, 1)), framelog.Append(bad.seg, frameIndex, bad.index), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		opts := testOpts()
-		opts.Shards = 1
-		s, err := Open(dir, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		chunks, err := s.Scan(Filter{}, 0, math.Inf(1))
-		if err != nil || len(chunks) != 2 || s.Stats().Quarantined != 0 || s.metrics().idxFullscans.Value() == 0 {
-			t.Fatalf("bad index %d: %d series, err %v, stats %+v, fullscans %d", i, len(chunks), err, s.Stats(), s.metrics().idxFullscans.Value())
-		}
-		s.Close()
+		serve(fmt.Sprintf("bad index %d", i), framelog.Append(bad.seg, frameIndex, bad.index), 2, 0)
 	}
 }

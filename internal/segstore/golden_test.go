@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"gostats/internal/framelog"
 )
 
 // The golden fixtures under testdata/ are sealed segments with their
@@ -333,4 +335,157 @@ func oldSegmentRecoversAndCompacts(t *testing.T, name string) {
 		t.Fatal(err)
 	}
 	checkScan("reopened", buckets)
+}
+
+// oneSegmentStore opens a one-shard store whose directory holds data as
+// the file name.
+func oneSegmentStore(t *testing.T, name string, data []byte) *Store {
+	t.Helper()
+	dir := t.TempDir()
+	shdir := filepath.Join(dir, "shard-00")
+	if err := os.MkdirAll(shdir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(shdir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return openOneShard(t, dir)
+}
+
+func openOneShard(t *testing.T, dir string) *Store {
+	t.Helper()
+	opts := testOpts()
+	opts.Shards = 1
+	s, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// reopen closes a one-shard store and opens its directory again.
+func reopen(t *testing.T, s *Store) *Store {
+	t.Helper()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return openOneShard(t, filepath.Dir(s.shards[0].dir))
+}
+
+// TestOldFormatGoldensServedByIndex reopens the format-1 and format-2
+// goldens, as written and stripped of their index frames (the layout of
+// binaries that wrote none), and reads every series through the index
+// rebuilt at open: each scan an index hit, equal to a full parse.
+func TestOldFormatGoldensServedByIndex(t *testing.T) {
+	for name, g := range goldenSegments() {
+		if g.version == segFormatVersion {
+			continue
+		}
+		fixture, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := walkSegFrames(t, fixture)
+		last := frames[len(frames)-1]
+		if last.typ != frameIndex {
+			t.Fatalf("%s: final frame is %q, want index", name, last.typ)
+		}
+		for _, data := range [][]byte{fixture, fixture[:last.off]} {
+			s := oneSegmentStore(t, sealedName(g.meta.Tier, g.meta.Seq), data)
+			if info := s.shards[0].sealed[g.meta.Tier]; len(info) != 1 || info[0].index == nil {
+				t.Fatalf("%s (%d bytes): sealed %v, want one indexed segment", name, len(data), info)
+			}
+			filters := []Filter{{}}
+			for _, e := range g.entries {
+				filters = append(filters, Filter(e.l))
+			}
+			for _, f := range filters {
+				got, err := s.Scan(f, 0, math.Inf(1))
+				if err != nil || len(got) == 0 || !sameChunks(got, parsedScan(t, s, f, 0, math.Inf(1))) {
+					t.Fatalf("%s (%d bytes) %+v: %d series, err %v; want the full parse's", name, len(data), f, len(got), err)
+				}
+			}
+			servedByIndex(t, s)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestOldFormatRecoveryWritesNoIndex recovers a format-1 and a format-2
+// active segment torn inside their last data frame: the sealed file is
+// exactly the complete frames, with no index frame, and both at
+// recovery and after the next open the segment is read through its
+// rebuilt index.
+func TestOldFormatRecoveryWritesNoIndex(t *testing.T) {
+	for _, name := range []string{"raw-t0.seg", "raw-v2-t0.seg"} {
+		g := goldenSegments()[name]
+		fixture, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _, err := parseSegment(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastOff := d.frameStats[len(d.frameStats)-1].off
+		s := oneSegmentStore(t, activeName(g.meta.Seq), fixture[:lastOff+3])
+		want := map[Labels][]AggPoint{}
+		for _, e := range g.entries[:(len(g.entries)-1)/5*5] {
+			want[e.l] = append(want[e.l], e.p)
+		}
+		check := func(when string) {
+			t.Helper()
+			chunks, err := s.Scan(Filter{}, 0, math.Inf(1))
+			if err != nil || len(chunks) != len(want) {
+				t.Fatalf("%s %s: %d series, err %v; want %d", name, when, len(chunks), err, len(want))
+			}
+			for _, c := range chunks {
+				if !samePoints(c.Points, want[c.Labels]) {
+					t.Fatalf("%s %s: %v: %+v, want %+v", name, when, c.Labels, c.Points, want[c.Labels])
+				}
+			}
+			servedByIndex(t, s)
+		}
+		check("recovered")
+		sealed, err := os.ReadFile(filepath.Join(s.shards[0].dir, sealedName(g.meta.Tier, g.meta.Seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sealed, fixture[:lastOff]) || s.Stats().TierIndexBytes[tierRaw] != 0 {
+			t.Fatalf("%s: sealed %d bytes (index %d), want the %d bytes of complete data frames and no index frame",
+				name, len(sealed), s.Stats().TierIndexBytes[tierRaw], lastOff)
+		}
+		s = reopen(t, s)
+		check("reopened")
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecoveredActiveKeepsItsIndexFrame recovers a format-3 active
+// segment that ends in a checksum-valid index frame no reader can
+// decode: recovery must append no second index frame (which would leave
+// the first one short of the end, damage that quarantines the segment
+// at the next open), and both opens must serve it through its rebuilt
+// index.
+func TestRecoveredActiveKeepsItsIndexFrame(t *testing.T) {
+	bad := badIndexes()[1]
+	seg := framelog.Append(bad.seg, frameIndex, bad.index)
+	s := oneSegmentStore(t, activeName(1), seg)
+	for open := 1; open <= 2; open++ {
+		chunks, err := s.Scan(Filter{}, 0, math.Inf(1))
+		if err != nil || len(chunks) != 2 || s.Stats().Quarantined != 0 {
+			t.Fatalf("open %d: %d series, err %v, stats %+v", open, len(chunks), err, s.Stats())
+		}
+		servedByIndex(t, s)
+		got, err := os.ReadFile(filepath.Join(s.shards[0].dir, sealedName(tierRaw, 1)))
+		if err != nil || !bytes.Equal(got, seg) {
+			t.Fatalf("open %d: sealed file %d bytes (err %v), want the recovered %d unchanged", open, len(got), err, len(seg))
+		}
+		s = reopen(t, s)
+	}
+	s.Close()
 }

@@ -8,8 +8,10 @@
 // size at frame start, and the distinct series refs the frame touches.
 // That is exactly the state a frame needs to be decoded in isolation —
 // a value repeat never reaches outside its frame — and the data frames
-// do not depend on it, so segments written by older binaries (no index
-// frame) stay readable via the full-scan path.
+// do not depend on it. Only format-3 segments' index frames are read:
+// every other sealed segment (format 1 or 2, written with no index
+// frame, or with one that is torn or does not decode) gets the same
+// index rebuilt from the data frames when the store opens it.
 //
 // A format-3 index payload is
 //
@@ -25,9 +27,6 @@
 //
 // where a frame's ascending refs are runs of consecutive refs, each run
 // starting gap refs past the previous run's end (past 0 for the first).
-// Formats 1 and 2 write the dictionary as four strings per series, then
-// per frame off, size, firstMs, minMs and maxMs absolute, dictBase, and
-// the ref count and ref deltas.
 package segstore
 
 import (
@@ -119,12 +118,8 @@ func (ix *segIndex) buildPostings() {
 	}
 }
 
-// encodeIndexPayload renders ix as an index frame payload in the
-// format of ix's segment.
+// encodeIndexPayload renders ix as a format-3 index frame payload.
 func encodeIndexPayload(ix *segIndex) []byte {
-	if ix.version != segFormatVersion {
-		return encodeIndexV2(ix.series, ix.frames)
-	}
 	b := make([]byte, 0, 64+len(ix.series)*5+len(ix.frames)*20)
 	var pos [numFields]map[string]uint64
 	for f, tab := range ix.tables {
@@ -183,21 +178,14 @@ func appendRuns(b []byte, refs []uint64) []byte {
 	return b
 }
 
-// parseIndexPayload decodes an index frame payload of a format-ver
+// parseIndexPayload decodes the index frame payload of a format-3
 // segment whose data frames all end by byte limit (the index frame's
 // offset). Errors mean the payload is not a usable index (the caller
-// degrades to a full scan); they never invalidate the segment's data
-// frames.
-func parseIndexPayload(payload []byte, ver uint64, limit int64) (*segIndex, error) {
-	if ver != segFormatVersion {
-		ix, err := parseIndexV2(payload)
-		if ix != nil {
-			ix.version = ver
-		}
-		return ix, err
-	}
+// rebuilds one from the data frames); they never invalidate the
+// segment's data frames.
+func parseIndexPayload(payload []byte, limit int64) (*segIndex, error) {
 	c := framelog.Cursor{B: payload}
-	ix := &segIndex{segDict: segDict{version: ver}}
+	ix := &segIndex{segDict: segDict{version: segFormatVersion}}
 	for f := range ix.tables {
 		n, err := c.Count(1)
 		if err != nil {
@@ -311,101 +299,6 @@ func parseIndexPayload(payload []byte, ver uint64, limit int64) (*segIndex, erro
 
 // unzigzag decodes a zigzag varint read as a uvarint.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
-
-// encodeIndexV2 renders a format-1 or format-2 index payload.
-func encodeIndexV2(series []Labels, frames []frameStat) []byte {
-	b := make([]byte, 0, 64+len(series)*32+len(frames)*24)
-	b = binary.AppendUvarint(b, uint64(len(series)))
-	for _, l := range series {
-		b = appendLabels(b, l)
-	}
-	b = binary.AppendUvarint(b, uint64(len(frames)))
-	for i := range frames {
-		fs := &frames[i]
-		b = binary.AppendUvarint(b, uint64(fs.off))
-		b = binary.AppendUvarint(b, uint64(fs.size))
-		b = binary.AppendVarint(b, fs.firstMs)
-		b = binary.AppendVarint(b, fs.minMs)
-		b = binary.AppendVarint(b, fs.maxMs)
-		b = binary.AppendUvarint(b, fs.dictBase)
-		b = binary.AppendUvarint(b, uint64(len(fs.refs)))
-		prev := uint64(0)
-		for _, r := range fs.refs {
-			// Refs are ascending, so deltas stay small.
-			b = binary.AppendUvarint(b, r-prev)
-			prev = r
-		}
-	}
-	return b
-}
-
-// parseIndexV2 decodes a format-1 or format-2 index payload.
-func parseIndexV2(payload []byte) (*segIndex, error) {
-	c := framelog.Cursor{B: payload}
-	nSeries, err := c.Count(4)
-	if err != nil {
-		return nil, fmt.Errorf("segstore: index series count: %w", err)
-	}
-	if nSeries > maxSeriesTable {
-		return nil, fmt.Errorf("segstore: index series table overflow")
-	}
-	ix := &segIndex{segDict: segDict{series: make([]Labels, nSeries)}}
-	for i := range ix.series {
-		if ix.series[i], err = readLabels(&c); err != nil {
-			return nil, fmt.Errorf("segstore: index series: %w", err)
-		}
-	}
-	nFrames, err := c.Count(7)
-	if err != nil {
-		return nil, fmt.Errorf("segstore: index frame count: %w", err)
-	}
-	ix.frames = make([]frameStat, nFrames)
-	for i := 0; i < nFrames; i++ {
-		fs := &ix.frames[i]
-		var u uint64
-		if u, err = c.Uvarint(); err == nil {
-			fs.off = int64(u)
-			u, err = c.Uvarint()
-		}
-		if err == nil {
-			fs.size = int64(u)
-			fs.firstMs, err = c.Varint()
-		}
-		if err == nil {
-			fs.minMs, err = c.Varint()
-		}
-		if err == nil {
-			fs.maxMs, err = c.Varint()
-		}
-		if err == nil {
-			fs.dictBase, err = c.Uvarint()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("segstore: index frame %d: %w", i, err)
-		}
-		nRefs, err := c.Count(1)
-		if err != nil {
-			return nil, fmt.Errorf("segstore: index frame %d refs: %w", i, err)
-		}
-		fs.refs = make([]uint64, nRefs)
-		prev := uint64(0)
-		for j := 0; j < nRefs; j++ {
-			d, err := c.Uvarint()
-			if err != nil {
-				return nil, fmt.Errorf("segstore: index frame %d refs: %w", i, err)
-			}
-			prev += d
-			if prev >= uint64(nSeries) {
-				return nil, fmt.Errorf("segstore: index frame %d ref %d exceeds series table %d", i, prev, nSeries)
-			}
-			fs.refs[j] = prev
-		}
-		if fs.dictBase > uint64(nSeries) {
-			return nil, fmt.Errorf("segstore: index frame %d dict base %d exceeds series table %d", i, fs.dictBase, nSeries)
-		}
-	}
-	return ix, nil
-}
 
 // decodedFrame is one data frame decoded in isolation and laid out
 // series-major: refs holds the frame's distinct series refs ascending

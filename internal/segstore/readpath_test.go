@@ -119,10 +119,73 @@ func rescanAndCompare(t *testing.T, dir string, want []SeriesChunk) *Store {
 	return s
 }
 
+// parsedStore is the oracle of the indexed read path: each of a
+// store's sealed segments parsed whole, per shard in the order
+// ScanShard joins them.
+type parsedStore [][]*segData
+
+func parseStore(t *testing.T, s *Store) parsedStore {
+	t.Helper()
+	p := make(parsedStore, len(s.shards))
+	for i, sh := range s.shards {
+		for tier := numTiers - 1; tier >= 0; tier-- {
+			for _, info := range sh.sealed[tier] {
+				data, err := os.ReadFile(info.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, _, derr := parseSegment(data)
+				if derr != nil && (d == nil || !d.indexTail) {
+					t.Fatalf("%s: %v", filepath.Base(info.path), derr)
+				}
+				p[i] = append(p[i], d)
+			}
+		}
+	}
+	return p
+}
+
+// scan returns what Scan would, from the parsed segments.
+func (p parsedStore) scan(f Filter, start, end float64) []SeriesChunk {
+	var out []SeriesChunk
+	for _, segs := range p {
+		parts := make([]segRuns, len(segs))
+		for i, d := range segs {
+			parts[i] = segChunks(d, f, start, end)
+		}
+		for _, r := range joinRuns(parts) {
+			out = append(out, SeriesChunk{Labels: r.Labels, Points: slices.Concat(r.Runs...)})
+		}
+	}
+	sortChunks(out)
+	return out
+}
+
+// parsedScan is parseStore(t, s).scan(f, start, end).
+func parsedScan(t *testing.T, s *Store, f Filter, start, end float64) []SeriesChunk {
+	t.Helper()
+	return parseStore(t, s).scan(f, start, end)
+}
+
+// sameChunks compares scan results, their points bit for bit.
+func sameChunks(a, b []SeriesChunk) bool {
+	return slices.EqualFunc(a, b, func(x, y SeriesChunk) bool {
+		return x.Labels == y.Labels && samePoints(x.Points, y.Points)
+	})
+}
+
+// servedByIndex fails t unless every scan of s so far was an index hit.
+func servedByIndex(t *testing.T, s *Store) {
+	t.Helper()
+	if hits, fs := s.metrics().idxHits.Value(), s.metrics().idxFullscans.Value(); hits == 0 || fs != 0 {
+		t.Fatalf("index hits %d, fullscans %d; want every read through an index", hits, fs)
+	}
+}
+
 // TestUnindexedSegmentsReadable strips the trailing index frame from
 // every sealed segment — exactly the layout older binaries wrote — and
-// checks the store reads them back byte-for-byte identically via full
-// scans, with nothing quarantined.
+// checks the store reads them back byte-for-byte identically through
+// indexes rebuilt at open, with nothing quarantined.
 func TestUnindexedSegmentsReadable(t *testing.T) {
 	dir := t.TempDir()
 	want := indexedFixture(t, dir)
@@ -142,18 +205,13 @@ func TestUnindexedSegmentsReadable(t *testing.T) {
 	}
 	s := rescanAndCompare(t, dir, want)
 	defer s.Close()
-	if s.metrics().idxHits.Value() != 0 {
-		t.Fatal("indexed path hit on segments with no index frame")
-	}
-	if s.metrics().idxFullscans.Value() == 0 {
-		t.Fatal("full-scan counter never advanced")
-	}
+	servedByIndex(t, s)
 }
 
 // TestCorruptedIndexDegradesToFullScan flips a byte inside every sealed
 // segment's index frame: the data prefix is intact, so reopening must
 // keep every segment (quarantine-free) and serve identical results
-// through full scans.
+// through indexes rebuilt from the data frames.
 func TestCorruptedIndexDegradesToFullScan(t *testing.T) {
 	dir := t.TempDir()
 	want := indexedFixture(t, dir)
@@ -174,9 +232,7 @@ func TestCorruptedIndexDegradesToFullScan(t *testing.T) {
 	}
 	s := rescanAndCompare(t, dir, want)
 	defer s.Close()
-	if s.metrics().idxFullscans.Value() == 0 {
-		t.Fatal("full-scan counter never advanced")
-	}
+	servedByIndex(t, s)
 }
 
 // diffFixture fills a store from seed and seals every shard: eight
@@ -334,9 +390,10 @@ func windowsOn(frames []frameStat, rng *rand.Rand) [][2]float64 {
 }
 
 // TestIndexedScanEquivalence is a seeded differential between the
-// indexed pread path and the whole-file scan: a store and an
-// index-stripped copy of it must return identical chunks — the same
-// points in the same order, equal times included — for filters that
+// indexed pread path and a whole-file parse: a store, and an
+// index-stripped copy of it read through indexes rebuilt at open, must
+// return the parse's chunks — the same points in the same order, equal
+// times included — for filters that
 // take the postings list, each single label, host+event and the
 // wildcard, over windows that start and end exactly on frame extents,
 // on raw-only and compacted bucket-tier data.
@@ -368,17 +425,15 @@ func TestIndexedScanEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer ixStore.Close()
-				fsStore, err := Open(stripped, Options{Shards: 4, Metrics: telemetry.NewRegistry()})
+				rbStore, err := Open(stripped, Options{Shards: 4, Metrics: telemetry.NewRegistry()})
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer fsStore.Close()
+				defer rbStore.Close()
 				// The postings lists are built on first use, here by
 				// several scans at once.
-				want, err := fsStore.Scan(filters[1], 0, math.Inf(1))
-				if err != nil {
-					t.Fatal(err)
-				}
+				parsed := parseStore(t, ixStore)
+				want := parsed.scan(filters[1], 0, math.Inf(1))
 				var wg sync.WaitGroup
 				for g := 0; g < 4; g++ {
 					wg.Add(1)
@@ -400,16 +455,17 @@ func TestIndexedScanEquivalence(t *testing.T) {
 				points := 0
 				for _, w := range windows {
 					for _, f := range filters {
-						want, err := fsStore.Scan(f, w[0], w[1])
-						if err != nil {
-							t.Fatalf("full scan %+v: %v", f, err)
-						}
+						want := parsed.scan(f, w[0], w[1])
 						got, err := ixStore.Scan(f, w[0], w[1])
 						if err != nil {
 							t.Fatalf("indexed scan %+v: %v", f, err)
 						}
-						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("indexed scan %+v [%g,%g) differs from full scan", f, w[0], w[1])
+						rebuilt, err := rbStore.Scan(f, w[0], w[1])
+						if err != nil {
+							t.Fatalf("rebuilt-index scan %+v: %v", f, err)
+						}
+						if !reflect.DeepEqual(want, got) || !reflect.DeepEqual(want, rebuilt) {
+							t.Fatalf("indexed scan %+v [%g,%g) differs from the whole-file parse", f, w[0], w[1])
 						}
 						for _, c := range got {
 							points += len(c.Points)
@@ -419,12 +475,8 @@ func TestIndexedScanEquivalence(t *testing.T) {
 				if points == 0 {
 					t.Fatal("no query returned any points")
 				}
-				if ixStore.metrics().idxHits.Value() == 0 {
-					t.Fatal("indexed store never used its indexes")
-				}
-				if ixStore.metrics().idxFullscans.Value() != 0 {
-					t.Fatal("indexed store fell back to full scans")
-				}
+				servedByIndex(t, ixStore)
+				servedByIndex(t, rbStore)
 			})
 		}
 	}

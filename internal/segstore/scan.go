@@ -26,11 +26,10 @@
 // shared block cache, and a scan borrows the wanted series' runs from
 // the cached frame without copying them; the active segment's frames
 // and its pending entries are decoded per read, keeping only the
-// wanted series' in-window points. Sealed segments without a usable
-// index (sealed by older binaries, or with a damaged index frame) fall
-// back to the whole-file scan, and any error on a sealed segment's
-// indexed path also degrades to the full scan rather than failing the
-// query.
+// wanted series' in-window points. Every segment has an index (one
+// rebuilt at open for a sealed segment without a usable index frame);
+// an error on a sealed segment's indexed path degrades to a whole-file
+// scan rather than failing the query.
 package segstore
 
 import (
@@ -364,22 +363,20 @@ type wantRun struct {
 	pts    []AggPoint
 }
 
-// scanSegment reads one segment's matching points: the indexed pread
-// path when possible, the whole-file scan of a sealed segment otherwise.
+// scanSegment reads one segment's matching points through its index,
+// degrading to a whole-file scan of a sealed segment whose index fails
+// at read time.
 func (s *Store) scanSegment(shard int, t scanTarget, f Filter, start, end float64) (segRuns, error) {
-	if t.info.index != nil {
-		part, err := s.scanIndexed(shard, t, f, start, end)
-		if err == nil {
-			s.met.idxHits.Inc()
-			return part, nil
-		}
-		if t.active {
-			// The writer's index is the only way into the active segment.
-			return segRuns{}, fmt.Errorf("segstore: active segment %s: %w", filepath.Base(t.info.path), err)
-		}
-		// Index unusable at read time: degrade to the full scan below.
-		s.opts.Logf("segstore: %s: indexed read failed (%v); degrading to full scan", filepath.Base(t.info.path), err)
+	part, err := s.scanIndexed(shard, t, f, start, end)
+	if err == nil {
+		s.met.idxHits.Inc()
+		return part, nil
 	}
+	if t.active {
+		// The writer's index is the only way into the active segment.
+		return segRuns{}, fmt.Errorf("segstore: active segment %s: %w", filepath.Base(t.info.path), err)
+	}
+	s.opts.Logf("segstore: %s: indexed read failed (%v); degrading to full scan", filepath.Base(t.info.path), err)
 	s.met.idxFullscans.Inc()
 	st, err := t.h.f.Stat()
 	if err != nil {

@@ -169,12 +169,14 @@ type segData struct {
 	minT    float64
 	maxT    float64
 
-	frameStats []frameStat // per data frame, for rebuilding an index
-	index      *segIndex   // decoded 'I' frame, when present and valid
-	indexBytes int64       // on-disk size of a checksum-valid 'I' frame
+	frameStats []frameStat // per data frame holding an entry
+	// index is the segment's format-3 'I' frame when that decodes, else
+	// one rebuilt from the decoded data frames; never nil.
+	index      *segIndex
+	indexBytes int64 // on-disk size of a checksum-valid 'I' frame
 	// indexTail marks damage confined to a final index frame: the data
-	// prefix is intact, so the caller may keep the segment (without an
-	// index) instead of quarantining it.
+	// prefix is intact, so the caller may keep the segment (with its
+	// rebuilt index) instead of quarantining it.
 	indexTail bool
 }
 
@@ -310,25 +312,6 @@ func (lc *labelCoder) appendLabels(b []byte, l Labels) []byte {
 		b = framelog.AppendString(append(b, 0), s)
 	}
 	return b
-}
-
-// appendLabels appends a label tuple as its four strings: the format-1
-// and format-2 introduction, and their index's dictionary.
-func appendLabels(b []byte, l Labels) []byte {
-	for _, s := range [...]string{l.Host, l.DevType, l.Device, l.Event} {
-		b = framelog.AppendString(b, s)
-	}
-	return b
-}
-
-// readLabels reads a label tuple written by appendLabels.
-func readLabels(c *framelog.Cursor) (l Labels, err error) {
-	for _, s := range [...]*string{&l.Host, &l.DevType, &l.Device, &l.Event} {
-		if *s, err = c.Str(); err != nil {
-			return Labels{}, err
-		}
-	}
-	return l, nil
 }
 
 // readValue reads one entry's value into p: a raw point's float64, or a
@@ -610,11 +593,12 @@ func (e *entryDecoder) readIntro(ref uint64) error {
 	return nil
 }
 
-// parseSegment decodes a segment. It returns the decoded prefix, the
-// byte length of the valid prefix (preamble plus every complete frame),
-// and the damage error (nil when the whole file decoded). Callers use
-// the triple differently: strict opens quarantine on any damage, active
-// recovery truncates to goodLen and keeps the prefix.
+// parseSegment decodes a segment. It returns the decoded prefix with
+// its index, the byte length of the valid prefix (preamble plus every
+// complete frame), and the damage error (nil when the whole file
+// decoded). Callers use the triple differently: strict opens quarantine
+// on any damage, active recovery truncates to goodLen and keeps the
+// prefix.
 func parseSegment(data []byte) (*segData, int, error) {
 	d := &segData{}
 	var start int
@@ -657,11 +641,12 @@ func parseSegment(data []byte) (*segData, int, error) {
 			if f.End != len(data) {
 				return fmt.Errorf("segstore: index frame at offset %d is not the last frame", f.Off)
 			}
-			// A CRC-valid index frame whose payload fails to decode costs
-			// only the pread fast path: the data frames stand on their own.
+			// A CRC-valid index frame whose payload fails to decode, or
+			// one of an older format, is rebuilt below: the data frames
+			// stand on their own.
 			d.indexBytes = int64(f.End - f.Off)
-			if sawMeta {
-				if ix, err := parseIndexPayload(f.Payload, d.version, int64(f.Off)); err == nil {
+			if sawMeta && d.version == segFormatVersion {
+				if ix, err := parseIndexPayload(f.Payload, int64(f.Off)); err == nil {
 					d.index = ix
 				}
 			}
@@ -680,6 +665,9 @@ func parseSegment(data []byte) (*segData, int, error) {
 			damage = fmt.Errorf("segstore: segment has no meta frame")
 		}
 		return nil, start, damage
+	}
+	if d.index == nil {
+		d.index = &segIndex{segDict: d.segDict, frames: d.frameStats}
 	}
 	return d, good, damage
 }

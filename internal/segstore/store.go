@@ -192,9 +192,8 @@ type segInfo struct {
 	indexBytes int64
 	entries    uint64
 	count      uint64 // logical raw points represented
-	// index is the decoded seal-time frame index, nil for segments
-	// sealed by older binaries or whose index frame was damaged —
-	// those are served by full scans instead.
+	// index is the segment's frame index: its own index frame, or one
+	// rebuilt from its data frames when it has no usable one. Never nil.
 	index *segIndex
 }
 
@@ -461,8 +460,8 @@ func (s *Store) recoverShard(sh *shardState) error {
 
 // loadSealed strictly verifies one sealed segment end to end. Damage
 // confined to a trailing index frame is not fatal: the data prefix is
-// intact, so the segment is kept (index-less, served by full scans)
-// instead of quarantining readable points.
+// intact, so the segment is kept, with the index rebuilt from its data
+// frames, instead of quarantining readable points.
 func (s *Store) loadSealed(path string, tier int, seq uint64) (*segInfo, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -476,8 +475,7 @@ func (s *Store) loadSealed(path string, tier int, seq uint64) (*segInfo, error) 
 		if d == nil || !d.indexTail {
 			return nil, derr
 		}
-		s.opts.Logf("segstore: %s: index frame damaged (%v); serving segment via full scans", filepath.Base(path), derr)
-		d.index = nil
+		s.opts.Logf("segstore: %s: index frame damaged (%v); serving segment through an index rebuilt from its data", filepath.Base(path), derr)
 	}
 	if d.meta.Tier != tier || d.meta.Seq != seq {
 		return nil, fmt.Errorf("segstore: meta (tier %d seq %d) disagrees with name %s",
@@ -520,14 +518,13 @@ func (s *Store) recoverActive(sh *shardState, path string) error {
 	if err != nil {
 		return err
 	}
-	// Give the recovered segment the index frame a normal seal would have
-	// written (unless a completed one survived the crash), so recovered
-	// segments serve the same pread fast path as cleanly sealed ones.
+	// Give a format-3 segment the index frame a normal seal would have
+	// written, unless a complete one survived the crash. An older
+	// format's segment is sealed with none: every open rebuilds its
+	// index, as it does the one parseSegment built here.
 	sealedBytes, indexBytes := int64(good), d.indexBytes
-	ix := d.index
-	if ix == nil {
-		ix = &segIndex{segDict: d.segDict, frames: d.frameStats}
-		n, werr := f.Write(framelog.Append(nil, frameIndex, encodeIndexPayload(ix)))
+	if d.version == segFormatVersion && indexBytes == 0 {
+		n, werr := f.Write(framelog.Append(nil, frameIndex, encodeIndexPayload(d.index)))
 		sealedBytes += int64(n)
 		indexBytes = int64(n)
 		err = werr
@@ -552,7 +549,7 @@ func (s *Store) recoverActive(sh *shardState, path string) error {
 		coverLo: d.meta.CoverLo, coverHi: d.meta.CoverHi,
 		minT: d.minT, maxT: d.maxT,
 		bytes: sealedBytes, indexBytes: indexBytes, entries: d.entries, count: d.count,
-		index: ix,
+		index: d.index,
 	})
 	return nil
 }
