@@ -265,7 +265,7 @@ func BenchmarkJobDetail(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		js, err := core.TimeSeries(fix.jobData, fix.reg)
+		js, err := core.TimeSeries(fix.jobData, fix.reg, core.VecWidth)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1414,6 +1414,71 @@ func BenchmarkListenerHandleBody(b *testing.B) {
 			}
 			if got := l.Processed(); got != b.N {
 				b.Fatalf("listener handled %d of %d messages", got, b.N)
+			}
+		})
+	}
+}
+
+// ---- Streaming Table I ----
+
+// BenchmarkAssemblerFeed measures the live assembler folding one
+// Stampede snapshot into an in-flight job: the steady-state cost a
+// listener pays per snapshot before any row is due. A ring of 64
+// collections is replayed at ever later times.
+func BenchmarkAssemblerFeed(b *testing.B) {
+	fixtures(b)
+	n, err := hwsim.NewNode("c401-101", fix.cfg, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	col := collect.New(n)
+	ring := make([]model.Snapshot, 64)
+	for i := range ring {
+		n.Advance(600, hwsim.Demand{CPUUserFrac: 0.8, IPC: 1.2, LoadRate: 1e9, L1HitFrac: 0.9, MDCReqRate: 20})
+		ring[i], _ = col.Collect(float64(i)*600, []string{"feed"}, "")
+	}
+	a := &etl.Assembler{Registry: fix.reg, EndGrace: etl.DefaultEndGrace, Metrics: telemetry.NewRegistry()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := ring[i%len(ring)]
+		s.Time = float64(i) * 600
+		a.Feed(s)
+	}
+	b.StopTimer()
+	if a.Pending() != 1 {
+		b.Fatalf("pending = %d, want the one in-flight job", a.Pending())
+	}
+}
+
+// BenchmarkAssemblerRunning measures the online watcher's read of an
+// in-flight job: Assembler.Running on a 4-node job that has collected
+// 36 (six hours) or 576 (four days) samples per host. Reduction state
+// does not grow with samples, so the two should cost about the same.
+func BenchmarkAssemblerRunning(b *testing.B) {
+	fixtures(b)
+	for _, samples := range []int{36, 576} {
+		b.Run(fmt.Sprintf("samples=%d", samples), func(b *testing.B) {
+			spec := workload.Spec{
+				JobID: "running", User: "u001", Exe: "wrf.exe", Queue: "normal",
+				Nodes: 4, Wayness: 16, Runtime: float64(samples) * 600,
+				Status: workload.StatusCompleted,
+				Model:  workload.Steady{Label: "wrf", P: workload.WRFProfile("u001")},
+			}
+			run, err := cluster.RunJob(spec, fix.cfg, 600, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a := &etl.Assembler{Registry: fix.reg, EndGrace: etl.DefaultEndGrace, Metrics: telemetry.NewRegistry()}
+			for _, s := range run.Snapshots[:len(run.Snapshots)-spec.Nodes] { // all but the end marks
+				a.Feed(s)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if row, ok := a.Running("running"); !ok || row == nil {
+					b.Fatal("job not running")
+				}
 			}
 		})
 	}

@@ -50,7 +50,7 @@ func main() {
 	fmt.Printf("  PkgWatts       %8.1f W per node (RAPL)\n", s.PkgWatts)
 
 	// The Fig 5 panels are one call away (the portal renders them as SVG).
-	js, err := core.TimeSeries(run.JobData(), cfg.Registry())
+	js, err := core.TimeSeries(run.JobData(), cfg.Registry(), cfg.Desc.VecWidth)
 	if err != nil {
 		log.Fatal(err)
 	}

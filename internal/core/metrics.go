@@ -91,16 +91,34 @@ const VecWidth = 4
 // Compute reduces a job's assembled series to its Summary, crediting
 // vecWidth flops per vector FP instruction (2 for SSE-era cores, 4 for
 // AVX, 8 for the Phi). reg supplies the schemas the series were
-// collected under.
+// collected under. It feeds jd through a Reducer, one collection sweep
+// per host at a time, and returns its Result.
 func Compute(jd *model.JobData, reg *schema.Registry, vecWidth int) (*Summary, error) {
+	r := NewReducer(jd.JobID, reg)
+	r.addJobData(jd)
+	return r.Result(vecWidth)
+}
+
+func checkVecWidth(vecWidth int) error {
 	if vecWidth <= 0 {
-		return nil, fmt.Errorf("core: vector width %d, want a positive flops count", vecWidth)
+		return fmt.Errorf("core: vector width %d, want a positive flops count", vecWidth)
 	}
-	hosts := jd.HostNames()
+	return nil
+}
+
+// Result reduces everything fed so far to the job's Summary, crediting
+// vecWidth flops per vector FP instruction. Hosts fold in name order.
+// A job with no host, or a host without two samples of any series,
+// gives ErrInsufficient.
+func (r *Reducer) Result(vecWidth int) (*Summary, error) {
+	if err := checkVecWidth(vecWidth); err != nil {
+		return nil, err
+	}
+	hosts := r.Hosts()
 	if len(hosts) == 0 {
-		return nil, fmt.Errorf("%w %s: no hosts", ErrInsufficient, jd.JobID)
+		return nil, fmt.Errorf("%w %s: no hosts", ErrInsufficient, r.jobID)
 	}
-	s := &Summary{JobID: jd.JobID, Nodes: len(hosts)}
+	s := &Summary{JobID: r.jobID, Nodes: len(hosts)}
 
 	var (
 		cpuUsages []float64 // per-node CPU_Usage for idle metric
@@ -119,14 +137,12 @@ func Compute(jd *model.JobData, reg *schema.Registry, vecWidth int) (*Summary, e
 	catTotal := newIntervalSum()
 
 	for _, host := range hosts {
-		hd := jd.Hosts[host]
-		dur := hostDuration(hd)
+		h := r.hosts[host]
+		dur := h.duration()
 		if dur <= 0 {
-			return nil, fmt.Errorf("%w %s: host %s", ErrInsufficient, jd.JobID, host)
+			return nil, fmt.Errorf("%w %s: host %s", ErrInsufficient, r.jobID, host)
 		}
 		durSum += dur
-		h := newHostReducer(hd, reg)
-
 		// --- Lustre ---
 		mdcReqs := h.rate(schema.ClassMDC, schema.EvMDCReqs)
 		avg.add("mdcreqs", mdcReqs)
@@ -195,30 +211,19 @@ func Compute(jd *model.JobData, reg *schema.Registry, vecWidth int) (*Summary, e
 		avg.add("mic", mu)
 
 		// --- Maximum metrics: per-interval node series ---
-		maxMDC.addHost(h.intervalRates(schema.ClassMDC, schema.EvMDCReqs))
-		maxLnet.addHost(sumSeries(
-			h.intervalRates(schema.ClassLnet, schema.EvLnetRxBytes),
-			h.intervalRates(schema.ClassLnet, schema.EvLnetTxBytes)))
-		ibSeries := sumSeries(
-			h.intervalRates(schema.ClassIB, schema.EvIBRxBytes),
-			h.intervalRates(schema.ClassIB, schema.EvIBTxBytes))
-		lnetSeries := sumSeries(
-			h.intervalRates(schema.ClassLnet, schema.EvLnetRxBytes),
-			h.intervalRates(schema.ClassLnet, schema.EvLnetTxBytes))
-		maxIB.addHost(subSeriesClamped(ibSeries, lnetSeries))
-		maxMem.addHost(h.gaugeSeries(schema.ClassMem, schema.EvMemUsed))
-
-		userSeries := h.intervalRates(schema.ClassCPU, schema.EvCPUUser)
-		catUser.addHost(userSeries)
-		catTotal.addHost(h.cpuTotalIntervalRates())
+		maxMDC.addHost(h.mdc)
+		maxLnet.addHost(h.lnet)
+		maxIB.addHost(subSeriesClamped(h.ib, h.lnet))
+		maxMem.addHost(h.mem)
+		catUser.addHost(h.cpuUser)
+		catTotal.addHost(h.cpuTotal)
 
 		// --- Process table extremes ---
-		hwm, threads := h.processExtremes()
-		if hwm > s.MaxVmHWM {
-			s.MaxVmHWM = hwm
+		if h.maxHWM > s.MaxVmHWM {
+			s.MaxVmHWM = h.maxHWM
 		}
-		if threads > s.MaxThreads {
-			s.MaxThreads = threads
+		if h.maxThreads > s.MaxThreads {
+			s.MaxThreads = h.maxThreads
 		}
 	}
 
@@ -343,13 +348,11 @@ type intervalSum struct {
 func newIntervalSum() *intervalSum { return &intervalSum{} }
 
 func (is *intervalSum) addHost(rates []float64) {
-	for i, r := range rates {
-		if i < len(is.sums) {
-			is.sums[i] += r
-		} else {
-			is.sums = append(is.sums, r)
-		}
+	n := min(len(rates), len(is.sums))
+	for i, r := range rates[:n] {
+		is.sums[i] += r
 	}
+	is.sums = append(is.sums, rates[n:]...)
 }
 
 func (is *intervalSum) max() float64 {
@@ -360,20 +363,6 @@ func (is *intervalSum) max() float64 {
 		}
 	}
 	return m
-}
-
-// sumSeries adds two per-interval series element-wise (shorter length
-// wins).
-func sumSeries(a, b []float64) []float64 {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = a[i] + b[i]
-	}
-	return out
 }
 
 // subSeriesClamped subtracts b from a element-wise, clamping at zero.

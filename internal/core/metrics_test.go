@@ -388,7 +388,7 @@ func TestTimeSeriesPanels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, err := TimeSeries(run.JobData(), chip.StampedeNode().Registry())
+	js, err := TimeSeries(run.JobData(), chip.StampedeNode().Registry(), VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func TestTimeSeriesPanels(t *testing.T) {
 			}
 		}
 	}
-	if _, err := TimeSeries(model.NewJobData("empty"), chip.StampedeNode().Registry()); err == nil {
+	if _, err := TimeSeries(model.NewJobData("empty"), chip.StampedeNode().Registry(), VecWidth); err == nil {
 		t.Error("empty job accepted by TimeSeries")
 	}
 }
@@ -473,23 +473,82 @@ func TestComputeWithArchVectorWidth(t *testing.T) {
 // TestRateSumsInstancesInNameOrder pins the order rate folds a class's
 // instances in. One delta of 2^60 beside eight of 128 sums to 2^60 when
 // the large one comes first (each 128 is half an ulp and rounds away)
-// and to 2^60+1024 when it comes last, so a fold in map order returns
-// different bits from call to call.
+// and to 2^60+1024 when it comes last, so a fold in arrival or map order
+// returns different bits from run to run.
 func TestRateSumsInstancesInNameOrder(t *testing.T) {
-	hd := model.NewJobData("order").Host("h")
 	deltas := map[string]uint64{"a-big": 1 << 60}
 	for i := 0; i < 8; i++ {
 		deltas[fmt.Sprintf("s%d", i)] = 128
 	}
-	for inst, d := range deltas {
-		hd.Append(0, model.Record{Class: schema.ClassMDC, Instance: inst, Values: []uint64{0, 0}})
-		hd.Append(1, model.Record{Class: schema.ClassMDC, Instance: inst, Values: []uint64{d, 0}})
-	}
-	h := newHostReducer(hd, schema.DefaultRegistry())
 	want := float64(1 << 60)
 	for i := 0; i < 30; i++ {
-		if got := h.rate(schema.ClassMDC, schema.EvMDCReqs); got != want {
-			t.Fatalf("call %d: rate = %v, want %v (instances folded out of name order)", i, got, want)
+		r := NewReducer("order", schema.DefaultRegistry())
+		var first, second []model.Record
+		for inst, d := range deltas { // map order: records arrive shuffled
+			first = append(first, model.Record{Class: schema.ClassMDC, Instance: inst, Values: []uint64{0, 0}})
+			second = append(second, model.Record{Class: schema.ClassMDC, Instance: inst, Values: []uint64{d, 0}})
+		}
+		r.Add(model.Snapshot{Host: "h", Time: 0, Records: first})
+		r.Add(model.Snapshot{Host: "h", Time: 1, Records: second})
+		if got := r.hosts["h"].rate(schema.ClassMDC, schema.EvMDCReqs); got != want {
+			t.Fatalf("run %d: rate = %v, want %v (instances folded out of name order)", i, got, want)
+		}
+	}
+}
+
+// TestTimeSeriesCreditsNodeVecWidth: a Nehalem (SSE, width 2) job's
+// Gigaflops panel is (scalar + 2·vector)/1e9 per node and interval, the
+// rates summed over the node's cores in name order — not the AVX
+// fleet's width 4.
+func TestTimeSeriesCreditsNodeVecWidth(t *testing.T) {
+	cfg, err := chip.Fleet("nehalem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workload.Spec{
+		JobID: "sse", User: "u1", Exe: "old.x", Queue: "normal",
+		Nodes: 2, Runtime: 3000, Status: workload.StatusCompleted,
+		Model: workload.Steady{Label: "v", P: workload.VectorizedCompute("u1", "old.x", 0.6)},
+	}
+	run, err := cluster.RunJob(spec, cfg, 600, 37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jd, reg := run.JobData(), cfg.Registry()
+	if _, err := TimeSeries(jd, reg, 0); err == nil {
+		t.Error("TimeSeries accepted vector width 0")
+	}
+	js, err := TimeSeries(jd, reg, cfg.Desc.VecWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pmc := reg.Get(schema.ClassPMC)
+	iS, iV := pmc.MustIndex(schema.EvPMCFPScalar), pmc.MustIndex(schema.EvPMCFPVector)
+	gf := js.Panels[0]
+	for _, ns := range gf.Nodes {
+		hd := jd.Hosts[ns.Host]
+		var scalar, vector []float64
+		for _, inst := range hd.Instances(schema.ClassPMC) {
+			smp := hd.Series[schema.ClassPMC][inst].Samples
+			for k := 1; k < len(smp); k++ {
+				dt := smp[k].Time - smp[k-1].Time
+				s := float64(schema.RolloverDelta(smp[k-1].Values[iS], smp[k].Values[iS], pmc.Events[iS])) / dt
+				v := float64(schema.RolloverDelta(smp[k-1].Values[iV], smp[k].Values[iV], pmc.Events[iV])) / dt
+				if k-1 < len(scalar) {
+					scalar[k-1] += s
+					vector[k-1] += v
+				} else {
+					scalar, vector = append(scalar, s), append(vector, v)
+				}
+			}
+		}
+		if len(ns.Values) != len(scalar) || len(scalar) == 0 {
+			t.Fatalf("host %s: %d panel values, %d intervals", ns.Host, len(ns.Values), len(scalar))
+		}
+		for k, got := range ns.Values {
+			if want := (scalar[k] + 2*vector[k]) / 1e9; got != want {
+				t.Errorf("host %s interval %d: %v GF/s, want (scalar + 2·vector)/1e9 = %v", ns.Host, k, got, want)
+			}
 		}
 	}
 }

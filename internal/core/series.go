@@ -30,8 +30,12 @@ type JobSeries struct {
 // TimeSeries derives the Fig 5 panels from assembled job data:
 // Gigaflops, memory bandwidth (GB/s), memory usage (GB), Lustre
 // filesystem bandwidth (MB/s), internode Infiniband traffic (MB/s), and
-// CPU user fraction — per node, per sampling interval.
-func TimeSeries(jd *model.JobData, reg *schema.Registry) (*JobSeries, error) {
+// CPU user fraction — per node, per sampling interval. The Gigaflops
+// panel credits vecWidth flops per vector FP instruction, as Compute.
+func TimeSeries(jd *model.JobData, reg *schema.Registry, vecWidth int) (*JobSeries, error) {
+	if err := checkVecWidth(vecWidth); err != nil {
+		return nil, err
+	}
 	hosts := jd.HostNames()
 	if len(hosts) == 0 {
 		return nil, ErrInsufficient
@@ -46,7 +50,7 @@ func TimeSeries(jd *model.JobData, reg *schema.Registry) (*JobSeries, error) {
 			vector := h.intervalRates(schema.ClassPMC, schema.EvPMCFPVector)
 			out := make([]float64, min(len(scalar), len(vector)))
 			for i := range out {
-				out[i] = (scalar[i] + VecWidth*vector[i]) / 1e9
+				out[i] = (scalar[i] + float64(vecWidth)*vector[i]) / 1e9
 			}
 			return out
 		}},
@@ -140,4 +144,127 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// hostReducer reads one host's assembled series for the Fig 5 panels:
+// per-interval rates and gauge series, all schema-aware.
+type hostReducer struct {
+	hd  *model.HostData
+	reg *schema.Registry
+}
+
+func newHostReducer(hd *model.HostData, reg *schema.Registry) *hostReducer {
+	return &hostReducer{hd: hd, reg: reg}
+}
+
+// eventDef resolves the schema definition for class/event, returning the
+// column index too. ok is false when the class or event is unknown (the
+// device is absent on this node).
+func (h *hostReducer) eventDef(c schema.Class, ev string) (schema.EventDef, int, bool) {
+	sch := h.reg.Get(c)
+	if sch == nil {
+		return schema.EventDef{}, 0, false
+	}
+	i := sch.Index(ev)
+	if i < 0 {
+		return schema.EventDef{}, 0, false
+	}
+	return sch.Events[i], i, true
+}
+
+// intervalRates returns, for each sampling interval, the event's delta
+// rate summed over the class's instances. Interval boundaries follow the
+// first instance's timestamps (all instances of one host are sampled in
+// the same sweep).
+func (h *hostReducer) intervalRates(c schema.Class, ev string) []float64 {
+	def, idx, ok := h.eventDef(c, ev)
+	if !ok {
+		return nil
+	}
+	byInst := h.hd.Series[c]
+	var out []float64
+	for _, inst := range h.hd.Instances(c) {
+		s := byInst[inst]
+		for i := 1; i < len(s.Samples); i++ {
+			dt := s.Samples[i].Time - s.Samples[i-1].Time
+			if dt <= 0 {
+				continue
+			}
+			r := float64(schema.RolloverDelta(
+				s.Samples[i-1].Values[idx], s.Samples[i].Values[idx], def)) / dt
+			k := i - 1
+			if k < len(out) {
+				out[k] += r
+			} else {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
+// gaugeSeries returns the gauge's per-sample value summed over
+// instances, one entry per collection.
+func (h *hostReducer) gaugeSeries(c schema.Class, ev string) []float64 {
+	_, idx, ok := h.eventDef(c, ev)
+	if !ok {
+		return nil
+	}
+	byInst := h.hd.Series[c]
+	var out []float64
+	for _, inst := range h.hd.Instances(c) {
+		s := byInst[inst]
+		for i, smp := range s.Samples {
+			v := float64(smp.Values[idx])
+			if i < len(out) {
+				out[i] += v
+			} else {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
+// cpuTotalIntervalRates is the per-interval rate of all cpu jiffy
+// columns summed.
+func (h *hostReducer) cpuTotalIntervalRates() []float64 {
+	sch := h.reg.Get(schema.ClassCPU)
+	if sch == nil {
+		return nil
+	}
+	var out []float64
+	for _, e := range sch.Events {
+		if e.Kind != schema.Event {
+			continue
+		}
+		out = sumOrExtend(out, h.intervalRates(schema.ClassCPU, e.Name))
+	}
+	return out
+}
+
+// sumOrExtend element-wise adds src into dst, growing dst as needed.
+func sumOrExtend(dst, src []float64) []float64 {
+	for i, v := range src {
+		if i < len(dst) {
+			dst[i] += v
+		} else {
+			dst = append(dst, v)
+		}
+	}
+	return dst
+}
+
+// sumSeries adds two per-interval series element-wise (shorter length
+// wins).
+func sumSeries(a, b []float64) []float64 {
+	n := len(a)
+	if len(b) < n {
+		n = len(b)
+	}
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		out[i] = a[i] + b[i]
+	}
+	return out
 }

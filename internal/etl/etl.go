@@ -27,6 +27,7 @@ type etlMetrics struct {
 	rowsIngested *telemetry.Counter
 	jobsSkipped  *telemetry.Counter
 	lateDrops    *telemetry.Counter
+	inflight     *telemetry.Gauge
 	batchSeconds *telemetry.Histogram
 }
 
@@ -40,6 +41,8 @@ func newETLMetrics(reg *telemetry.Registry) *etlMetrics {
 			"Jobs too thin to reduce (single sample) dropped at finalize."),
 		lateDrops: reg.Counter("gostats_etl_late_drops_total",
 			"Samples or marks arriving after their job finalized, dropped. Non-zero means delivery skew exceeded the lateness window."),
+		inflight: reg.Gauge("gostats_etl_jobs_inflight",
+			"Jobs being reduced whose rows are not yet finalized: the sum of Assembler.Pending over the process's assemblers."),
 		batchSeconds: reg.Histogram("gostats_etl_batch_seconds",
 			"Wall time of one store-ingest batch (map + reduce + insert).",
 			[]float64{0.01, 0.05, 0.1, 0.5, 1, 5, 15, 60, 300}),
@@ -50,7 +53,11 @@ func newETLMetrics(reg *telemetry.Registry) *etlMetrics {
 // metrics at the architecture's vector width (chip.Descriptor.VecWidth;
 // core.VecWidth is the AVX default).
 func BuildRow(run *cluster.JobRun, reg *schema.Registry, vecWidth int) (*reldb.JobRow, error) {
-	sum, err := core.Compute(run.JobData(), reg, vecWidth)
+	red := core.NewReducer(run.Spec.JobID, reg)
+	for _, s := range run.Snapshots {
+		red.Add(s)
+	}
+	sum, err := red.Result(vecWidth)
 	if err != nil {
 		return nil, err
 	}

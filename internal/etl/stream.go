@@ -98,9 +98,10 @@ type Assembler struct {
 	met       *etlMetrics
 }
 
-// jobState is one in-flight job's accumulation.
+// jobState is one in-flight job's accumulation: a reducer, not its
+// samples.
 type jobState struct {
-	jd        *model.JobData
+	red       *core.Reducer
 	begin     float64
 	end       float64
 	haveBegin bool
@@ -131,9 +132,10 @@ func (a *Assembler) job(id string) *jobState {
 			a.met.lateDrops.Inc()
 			return nil
 		}
-		js = &jobState{jd: model.NewJobData(id)}
+		js = &jobState{red: core.NewReducer(id, a.Registry)}
 		a.jobs[id] = js
 		a.met.jobsMapped.Inc()
+		a.met.inflight.Add(1)
 	}
 	return js
 }
@@ -149,7 +151,7 @@ func (a *Assembler) Feed(s model.Snapshot) {
 	a.Trace.Stamp(&s, model.StageAssemble)
 	for _, id := range s.JobIDs {
 		if js := a.job(id); js != nil {
-			js.jd.AddSnapshot(s)
+			js.red.Add(s)
 		}
 	}
 	switch kind, id := jobMark(s.Mark); kind {
@@ -208,15 +210,15 @@ func (a *Assembler) row(id string, js *jobState) (*reldb.JobRow, error) {
 	if width == 0 {
 		width = core.VecWidth
 	}
-	sum, err := core.Compute(js.jd, a.Registry, width)
+	sum, err := js.red.Result(width)
 	if err != nil {
 		return nil, err
 	}
-	row := &reldb.JobRow{JobID: id, Hosts: js.jd.HostNames(), Metrics: *sum}
+	row := &reldb.JobRow{JobID: id, Hosts: js.red.Hosts(), Metrics: *sum}
 	if js.haveBegin && js.haveEnd {
 		row.StartTime, row.EndTime = js.begin, js.end
 	} else {
-		row.StartTime, row.EndTime = observedSpan(js.jd)
+		row.StartTime, row.EndTime = js.red.Span()
 	}
 	if md, ok := a.Meta[id]; ok {
 		row.User, row.Account, row.Exe, row.JobName = md.User, md.Account, md.Exe, md.JobName
@@ -228,34 +230,9 @@ func (a *Assembler) row(id string, js *jobState) (*reldb.JobRow, error) {
 		row.Status = "RUNNING"
 	}
 	if row.Nodes == 0 {
-		row.Nodes = len(js.jd.Hosts)
+		row.Nodes = len(row.Hosts)
 	}
 	return row, nil
-}
-
-// observedSpan returns the earliest and latest sample times across a
-// job's hosts.
-func observedSpan(jd *model.JobData) (first, last float64) {
-	started := false
-	for _, hd := range jd.Hosts {
-		for _, byInst := range hd.Series {
-			for _, s := range byInst {
-				if len(s.Samples) == 0 {
-					continue
-				}
-				f := s.Samples[0].Time
-				l := s.Samples[len(s.Samples)-1].Time
-				if !started || f < first {
-					first = f
-				}
-				if !started || l > last {
-					last = l
-				}
-				started = true
-			}
-		}
-	}
-	return first, last
 }
 
 // Running builds the provisional row of a job still running —
@@ -280,6 +257,7 @@ func (a *Assembler) finalize(id string) {
 	js := a.jobs[id]
 	delete(a.jobs, id)
 	a.done[id] = true
+	a.met.inflight.Add(-1)
 	row, err := a.row(id, js)
 	if err != nil {
 		a.skipped++

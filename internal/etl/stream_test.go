@@ -89,6 +89,27 @@ func TestAssemblerFinalizesOnEndMark(t *testing.T) {
 	}
 }
 
+// The in-flight gauge follows Pending through creation, finalize and
+// Flush.
+func TestAssemblerInflightGauge(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	a := &Assembler{Registry: chip.StampedeNode().Registry(), EndGrace: 600, Metrics: reg}
+	gauge := reg.Gauge("gostats_etl_jobs_inflight", "")
+	for i, s := range streamFixture(t) {
+		a.Feed(s)
+		if got := gauge.Value(); got != float64(a.Pending()) {
+			t.Fatalf("snapshot %d: gauge %v, pending %d", i, got, a.Pending())
+		}
+	}
+	if a.Pending() != 1 {
+		t.Fatalf("pending = %d, want job 8 in flight", a.Pending())
+	}
+	a.Flush()
+	if got := gauge.Value(); got != 0 {
+		t.Errorf("after Flush gauge = %v, want 0", got)
+	}
+}
+
 // Feeding the assembler snapshot-by-snapshot must produce the same rows
 // as the one-shot batch ingest over the same data.
 func TestAssemblerMatchesBatchIngest(t *testing.T) {

@@ -148,7 +148,7 @@ func JobTimeseries(sc Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	js, err := core.TimeSeries(run.JobData(), cfg.Registry())
+	js, err := core.TimeSeries(run.JobData(), cfg.Registry(), cfg.Desc.VecWidth)
 	if err != nil {
 		return nil, err
 	}

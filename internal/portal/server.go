@@ -310,7 +310,11 @@ func (s *Server) handleJobDetail(w http.ResponseWriter, r *http.Request) {
 	var panels []template.HTML
 	if s.Series != nil {
 		if jd, err := s.Series(id); err == nil && jd != nil {
-			if js, err := core.TimeSeries(jd, s.Reg); err == nil {
+			// The AVX fleet's width: which architecture collected a job
+			// is known to the archive's $arch header, but Store.Walk
+			// does not pass it on, so a Nehalem or Phi job's Gigaflops
+			// panel is credited at core.VecWidth.
+			if js, err := core.TimeSeries(jd, s.Reg, core.VecWidth); err == nil {
 				for _, p := range js.Panels {
 					panels = append(panels, template.HTML(PanelSVG(p)))
 				}
