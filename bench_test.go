@@ -51,9 +51,8 @@ var fix struct {
 	cfg     chip.NodeConfig
 	reg     *schema.Registry
 	run     *cluster.JobRun // reference 4-node job
-	jobData *model.JobData
-	fleetDB *reldb.DB // 250-job population
-	wrfDB   *reldb.DB // WRF window population
+	fleetDB *reldb.DB       // 250-job population
+	wrfDB   *reldb.DB       // WRF window population
 	tsdb    *tsdb.DB
 }
 
@@ -73,7 +72,6 @@ func fixtures(b *testing.B) {
 			panic(err)
 		}
 		fix.run = run
-		fix.jobData = run.JobData()
 
 		fleet := workload.GenerateFleet(workload.FleetOpts{Seed: 3, Jobs: 250, SpanSec: 90 * 86400})
 		db, _, err := etl.RunFleetMixed(fleet, 600, 3, 0)
@@ -102,13 +100,17 @@ func fixtures(b *testing.B) {
 // ---- E1: Table I ----
 
 // BenchmarkTableIMetrics measures the metric engine reducing a 4-node,
-// 4-hour job to its full Table I summary.
+// 4-hour job's snapshots to its full Table I summary.
 func BenchmarkTableIMetrics(b *testing.B) {
 	fixtures(b)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Compute(fix.jobData, fix.reg, core.VecWidth); err != nil {
+		red := core.NewReducer(fix.run.Spec.JobID, fix.reg)
+		for _, s := range fix.run.Snapshots {
+			red.Add(s)
+		}
+		if _, err := red.Result(core.VecWidth); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -258,14 +260,18 @@ func BenchmarkHistogramQuery(b *testing.B) {
 
 // ---- E7: job detail page ----
 
-// BenchmarkJobDetail measures assembling the six Fig 5 panels and
-// rendering them to SVG.
+// BenchmarkJobDetail measures reducing the reference job's snapshots to
+// the six Fig 5 panels and rendering them to SVG.
 func BenchmarkJobDetail(b *testing.B) {
 	fixtures(b)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		js, err := core.TimeSeries(fix.jobData, fix.reg, core.VecWidth)
+		red := core.NewReducer(fix.run.Spec.JobID, fix.reg)
+		for _, s := range fix.run.Snapshots {
+			red.Add(s)
+		}
+		js, err := red.Panels(core.VecWidth)
 		if err != nil {
 			b.Fatal(err)
 		}

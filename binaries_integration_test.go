@@ -80,8 +80,13 @@ func TestDeployedBinariesEndToEnd(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, `"4001"`) {
 		t.Fatalf("GET /api/v1/jobs = %d, want job 4001 in:\n%s", code, body)
 	}
-	if _, code := fetch("http://" + portalAddr + "/job/4001"); code != http.StatusOK {
+	body, code = fetch("http://" + portalAddr + "/job/4001")
+	if code != http.StatusOK {
 		t.Fatalf("GET /job/4001 = %d, want 200", code)
+	}
+	// The page carries the six Fig 5 panels, reduced from the store.
+	if n := strings.Count(body, "<svg"); n != 6 {
+		t.Fatalf("GET /job/4001 has %d <svg> panels, want the 6 of Fig 5", n)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Quickstart: monitor one job on a simulated node end to end — collect
-// with prolog/epilog plus interval sampling, assemble the per-job series,
-// compute every Table I metric, and print the summary.
+// with prolog/epilog plus interval sampling, reduce the job's snapshots
+// to every Table I metric and the Fig 5 panels, and print the summary.
 //
 //	go run ./examples/quickstart
 package main
@@ -32,7 +32,11 @@ func main() {
 	fmt.Printf("job %s ran on %d nodes, %d snapshots collected (simulated collector cost %.2f s)\n",
 		spec.JobID, len(run.Hosts), len(run.Snapshots), run.CollectCost)
 
-	s, err := core.Compute(run.JobData(), cfg.Registry(), cfg.Desc.VecWidth)
+	red := core.NewReducer(spec.JobID, cfg.Registry())
+	for _, snap := range run.Snapshots {
+		red.Add(snap)
+	}
+	s, err := red.Result(cfg.Desc.VecWidth)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,8 +53,9 @@ func main() {
 	fmt.Printf("  idle           %8.3f    catastrophe %8.3f\n", s.Idle, s.Catastrophe)
 	fmt.Printf("  PkgWatts       %8.1f W per node (RAPL)\n", s.PkgWatts)
 
-	// The Fig 5 panels are one call away (the portal renders them as SVG).
-	js, err := core.TimeSeries(run.JobData(), cfg.Registry(), cfg.Desc.VecWidth)
+	// The Fig 5 panels come from the same reducer (the portal renders
+	// them as SVG).
+	js, err := red.Panels(cfg.Desc.VecWidth)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,13 +69,22 @@ func TestRunJobShortJobStillGetsTwoPoints(t *testing.T) {
 		t.Fatalf("snapshots = %d, want 4", got)
 	}
 	// Counters must still have advanced between the two points.
-	jd := run.JobData()
-	for _, host := range jd.HostNames() {
-		ser := jd.Hosts[host].Series[schema.ClassCPU]["0"]
-		if len(ser.Samples) != 2 {
-			t.Fatalf("cpu samples = %d", len(ser.Samples))
+	user := map[string][]uint64{} // host -> cpu 0 user jiffies per sample
+	for _, s := range run.Snapshots {
+		for _, rec := range s.RecordsOf(schema.ClassCPU) {
+			if rec.Instance == "0" {
+				user[s.Host] = append(user[s.Host], rec.Values[0])
+			}
 		}
-		if ser.Samples[1].Values[0] <= ser.Samples[0].Values[0] {
+	}
+	if len(user) != 2 {
+		t.Fatalf("cpu series on %d hosts, want 2", len(user))
+	}
+	for host, u := range user {
+		if len(u) != 2 {
+			t.Fatalf("host %s: cpu samples = %d", host, len(u))
+		}
+		if u[1] <= u[0] {
 			t.Error("user jiffies did not advance over the job")
 		}
 	}

@@ -114,13 +114,3 @@ func RunJob(spec workload.Spec, cfg chip.NodeConfig, interval float64, seed int6
 	collectAll(run.EndTime, collect.JobMark(collect.MarkEnd, spec.JobID))
 	return run, nil
 }
-
-// JobData assembles the run's snapshots into the per-job series layout
-// the metric engine consumes.
-func (r *JobRun) JobData() *model.JobData {
-	jd := model.NewJobData(r.Spec.JobID)
-	for _, s := range r.Snapshots {
-		jd.AddSnapshot(s)
-	}
-	return jd
-}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math"
 
-	"gostats/internal/model"
 	"gostats/internal/schema"
 )
 
@@ -87,17 +86,6 @@ type Summary struct {
 // other architectures reduce at the width the chip layer detected
 // (chip.Descriptor.VecWidth).
 const VecWidth = 4
-
-// Compute reduces a job's assembled series to its Summary, crediting
-// vecWidth flops per vector FP instruction (2 for SSE-era cores, 4 for
-// AVX, 8 for the Phi). reg supplies the schemas the series were
-// collected under. It feeds jd through a Reducer, one collection sweep
-// per host at a time, and returns its Result.
-func Compute(jd *model.JobData, reg *schema.Registry, vecWidth int) (*Summary, error) {
-	r := NewReducer(jd.JobID, reg)
-	r.addJobData(jd)
-	return r.Result(vecWidth)
-}
 
 func checkVecWidth(vecWidth int) error {
 	if vecWidth <= 0 {
@@ -311,7 +299,7 @@ func catastrophe(user, total []float64) float64 {
 	return minOverMax(usages)
 }
 
-// means is a tiny named-accumulator map used by Compute.
+// means is a tiny named-accumulator map used by Result.
 type means struct {
 	sum map[string]float64
 	n   map[string]int

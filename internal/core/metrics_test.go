@@ -12,19 +12,32 @@ import (
 	"gostats/internal/workload"
 )
 
+// feed returns a Reducer for job id fed snaps in order.
+func feed(id string, reg *schema.Registry, snaps []model.Snapshot) *Reducer {
+	r := NewReducer(id, reg)
+	for _, s := range snaps {
+		r.Add(s)
+	}
+	return r
+}
+
 // buildJob constructs a hand-made two-node job with exactly known counter
 // series so metric arithmetic can be verified against paper definitions.
 //
 // Timeline: samples at t = 0, 600, 1200 (duration 1200 s).
-func buildJob(t *testing.T) (*model.JobData, *schema.Registry) {
+func buildJob(t *testing.T) ([]model.Snapshot, *schema.Registry) {
 	t.Helper()
 	reg := schema.DefaultRegistry()
-	jd := model.NewJobData("42")
+	hosts := map[string][]model.Snapshot{}
 
+	// addSeries puts value row i of one instance into the host's
+	// collection at t = 600·i.
 	addSeries := func(host string, c schema.Class, inst string, vals [][]uint64) {
-		hd := jd.Host(host)
+		for len(hosts[host]) < len(vals) {
+			hosts[host] = append(hosts[host], model.Snapshot{Time: float64(len(hosts[host])) * 600, Host: host})
+		}
 		for i, v := range vals {
-			hd.Append(float64(i)*600, model.Record{Class: c, Instance: inst, Values: v})
+			hosts[host][i].Records = append(hosts[host][i].Records, model.Record{Class: c, Instance: inst, Values: v})
 		}
 	}
 
@@ -93,12 +106,12 @@ func buildJob(t *testing.T) (*model.JobData, *schema.Registry) {
 		{0, 0, 0, 0}, {0, 0, 0, 0}, {0, 0, 0, 0},
 	})
 
-	return jd, reg
+	return append(hosts["a"], hosts["b"]...), reg
 }
 
 func TestComputeAverageAndMaxMetrics(t *testing.T) {
-	jd, reg := buildJob(t)
-	s, err := Compute(jd, reg, VecWidth)
+	snaps, reg := buildJob(t)
+	s, err := feed("42", reg, snaps).Result(VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,18 +199,16 @@ func close(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestComputeCatastropheDetectsDrop(t *testing.T) {
 	reg := schema.DefaultRegistry()
-	jd := model.NewJobData("9")
-	hd := jd.Host("a")
 	// Interval 1: user 54000/60000; interval 2: user 6000/60000 (drop).
 	rows := [][]uint64{
 		{0, 0, 0, 0, 0, 0, 0},
 		{54000, 0, 0, 6000, 0, 0, 0},
 		{60000, 0, 0, 60000, 0, 0, 0},
 	}
-	for i, v := range rows {
-		hd.Append(float64(i)*600, model.Record{Class: schema.ClassCPU, Instance: "0", Values: v})
-	}
-	s, err := Compute(jd, reg, VecWidth)
+	snaps := craft("a", []float64{0, 600, 1200}, func(k int) []model.Record {
+		return []model.Record{{Class: schema.ClassCPU, Instance: "0", Values: rows[k]}}
+	})
+	s, err := feed("9", reg, snaps).Result(VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,21 +224,18 @@ func TestComputeCatastropheDetectsDrop(t *testing.T) {
 
 func TestComputeRolloverCorrection(t *testing.T) {
 	reg := schema.DefaultRegistry()
-	jd := model.NewJobData("7")
-	hd := jd.Host("a")
 	// 48-bit PMC cycles counter rolls over between samples; the decoded
 	// delta must be small, not ~2^48.
 	start := uint64(1<<48) - 1000
-	row := func(cyc, ins uint64) []uint64 {
-		return []uint64{cyc, ins, 0, 0, 1, 0, 0, 0}
-	}
-	hd.Append(0, model.Record{Class: schema.ClassPMC, Instance: "0", Values: row(start, 0)})
-	hd.Append(600, model.Record{Class: schema.ClassPMC, Instance: "0", Values: row(2000, 1000)})
+	pmc := [][]uint64{{start, 0, 0, 0, 1, 0, 0, 0}, {2000, 1000, 0, 0, 1, 0, 0, 0}}
 	// cpu series to establish duration and usage.
-	hd.Append(0, model.Record{Class: schema.ClassCPU, Instance: "0", Values: []uint64{0, 0, 0, 0, 0, 0, 0}})
-	hd.Append(600, model.Record{Class: schema.ClassCPU, Instance: "0", Values: []uint64{60000, 0, 0, 0, 0, 0, 0}})
+	cpu := [][]uint64{{0, 0, 0, 0, 0, 0, 0}, {60000, 0, 0, 0, 0, 0, 0}}
+	snaps := craft("a", []float64{0, 600}, func(k int) []model.Record {
+		return []model.Record{{Class: schema.ClassPMC, Instance: "0", Values: pmc[k]},
+			{Class: schema.ClassCPU, Instance: "0", Values: cpu[k]}}
+	})
 
-	s, err := Compute(jd, reg, VecWidth)
+	s, err := feed("7", reg, snaps).Result(VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,14 +248,13 @@ func TestComputeRolloverCorrection(t *testing.T) {
 
 func TestComputeCounterResetYieldsZeroNotGarbage(t *testing.T) {
 	reg := schema.DefaultRegistry()
-	jd := model.NewJobData("8")
-	hd := jd.Host("a")
 	// 64-bit IB counter goes backwards (node reboot / reset).
-	hd.Append(0, model.Record{Class: schema.ClassIB, Instance: "p1", Values: []uint64{5000, 0, 0, 0}})
-	hd.Append(600, model.Record{Class: schema.ClassIB, Instance: "p1", Values: []uint64{100, 0, 0, 0}})
-	hd.Append(0, model.Record{Class: schema.ClassCPU, Instance: "0", Values: []uint64{0, 0, 0, 0, 0, 0, 0}})
-	hd.Append(600, model.Record{Class: schema.ClassCPU, Instance: "0", Values: []uint64{60000, 0, 0, 0, 0, 0, 0}})
-	s, err := Compute(jd, reg, VecWidth)
+	ib := []uint64{5000, 100}
+	snaps := craft("a", []float64{0, 600}, func(k int) []model.Record {
+		return []model.Record{{Class: schema.ClassIB, Instance: "p1", Values: []uint64{ib[k], 0, 0, 0}},
+			cpuRec("0", uint64(k)*60000, 0)}
+	})
+	s, err := feed("8", reg, snaps).Result(VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,19 +265,19 @@ func TestComputeCounterResetYieldsZeroNotGarbage(t *testing.T) {
 
 func TestComputeErrors(t *testing.T) {
 	reg := schema.DefaultRegistry()
-	if _, err := Compute(model.NewJobData("x"), reg, VecWidth); err == nil {
+	if _, err := NewReducer("x", reg).Result(VecWidth); err == nil {
 		t.Error("empty job accepted")
 	}
-	jd := model.NewJobData("y")
-	jd.Host("a").Append(0, model.Record{Class: schema.ClassCPU, Instance: "0", Values: make([]uint64, 7)})
-	if _, err := Compute(jd, reg, VecWidth); err == nil {
+	r := NewReducer("y", reg)
+	r.Add(model.Snapshot{Time: 0, Host: "a", Records: []model.Record{cpuRec("0", 0, 0)}})
+	if _, err := r.Result(VecWidth); err == nil {
 		t.Error("single-sample job accepted")
 	}
-	jd.Host("a").Append(600, model.Record{Class: schema.ClassCPU, Instance: "0", Values: []uint64{48000, 0, 0, 12000, 0, 0, 0}})
-	if _, err := Compute(jd, reg, VecWidth); err != nil {
+	r.Add(model.Snapshot{Time: 600, Host: "a", Records: []model.Record{cpuRec("0", 48000, 12000)}})
+	if _, err := r.Result(VecWidth); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compute(jd, reg, 0); err == nil {
+	if _, err := r.Result(0); err == nil {
 		t.Error("zero vector width accepted")
 	}
 }
@@ -278,11 +285,10 @@ func TestComputeErrors(t *testing.T) {
 func TestComputeMissingDevicesYieldZero(t *testing.T) {
 	// A node without Lustre/IB/Phi produces zero metrics, not NaN or error.
 	reg := schema.DefaultRegistry()
-	jd := model.NewJobData("z")
-	hd := jd.Host("a")
-	hd.Append(0, model.Record{Class: schema.ClassCPU, Instance: "0", Values: make([]uint64, 7)})
-	hd.Append(600, model.Record{Class: schema.ClassCPU, Instance: "0", Values: []uint64{48000, 0, 0, 12000, 0, 0, 0}})
-	s, err := Compute(jd, reg, VecWidth)
+	snaps := craft("a", []float64{0, 600}, func(k int) []model.Record {
+		return []model.Record{cpuRec("0", uint64(k)*48000, uint64(k)*12000)}
+	})
+	s, err := feed("z", reg, snaps).Result(VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +316,7 @@ func TestComputeEndToEndFromSimulatedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Compute(run.JobData(), chip.StampedeNode().Registry(), VecWidth)
+	s, err := feed(spec.JobID, chip.StampedeNode().Registry(), run.Snapshots).Result(VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +374,7 @@ func TestComputeIdleNodesJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Compute(run.JobData(), chip.StampedeNode().Registry(), VecWidth)
+	s, err := feed(spec.JobID, chip.StampedeNode().Registry(), run.Snapshots).Result(VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +394,7 @@ func TestTimeSeriesPanels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, err := TimeSeries(run.JobData(), chip.StampedeNode().Registry(), VecWidth)
+	js, err := feed(spec.JobID, chip.StampedeNode().Registry(), run.Snapshots).Panels(VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,8 +426,8 @@ func TestTimeSeriesPanels(t *testing.T) {
 			}
 		}
 	}
-	if _, err := TimeSeries(model.NewJobData("empty"), chip.StampedeNode().Registry(), VecWidth); err == nil {
-		t.Error("empty job accepted by TimeSeries")
+	if _, err := NewReducer("empty", chip.StampedeNode().Registry()).Panels(VecWidth); err == nil {
+		t.Error("empty job accepted by Panels")
 	}
 }
 
@@ -448,11 +454,12 @@ func TestComputeWithArchVectorWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := workload.VectorizedCompute("u1", "old.x", 0.6)
-	sWrong, err := Compute(run.JobData(), node.Registry(), VecWidth) // the AVX width
+	r := feed(spec.JobID, node.Registry(), run.Snapshots)
+	sWrong, err := r.Result(VecWidth) // the AVX width
 	if err != nil {
 		t.Fatal(err)
 	}
-	sRight, err := Compute(run.JobData(), node.Registry(), cfg.VecWidth)
+	sRight, err := r.Result(cfg.VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,11 +521,16 @@ func TestTimeSeriesCreditsNodeVecWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jd, reg := run.JobData(), cfg.Registry()
-	if _, err := TimeSeries(jd, reg, 0); err == nil {
-		t.Error("TimeSeries accepted vector width 0")
+	reg := cfg.Registry()
+	r, jd := NewReducer(spec.JobID, reg), refNewJobData(spec.JobID)
+	for _, s := range run.Snapshots {
+		r.Add(s)
+		jd.AddSnapshot(s)
 	}
-	js, err := TimeSeries(jd, reg, cfg.Desc.VecWidth)
+	if _, err := r.Panels(0); err == nil {
+		t.Error("Panels accepted vector width 0")
+	}
+	js, err := r.Panels(cfg.Desc.VecWidth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -550,5 +562,83 @@ func TestTimeSeriesCreditsNodeVecWidth(t *testing.T) {
 				t.Errorf("host %s interval %d: %v GF/s, want (scalar + 2·vector)/1e9 = %v", ns.Host, k, got, want)
 			}
 		}
+	}
+}
+
+// TestPanelsAgreeWithRowOnRepeatedFirstSweep: a job's page and its row
+// come from one reduction. A 2-node WRF job has its first sweep repeated
+// at the same instant on each node, as the cluster engine's begin-mark
+// and interval sweeps are at every job start. Its panels keep strictly
+// increasing Times with one value per time on every node line (no t=0
+// point from the zero-length interval), they equal the unrepeated
+// run's panels bit for bit, and the Lustre panel's largest node-summed
+// interval is the row's LnetMaxBW.
+func TestPanelsAgreeWithRowOnRepeatedFirstSweep(t *testing.T) {
+	spec := workload.Spec{
+		JobID: "rep", User: "u1", Exe: "wrf.exe", Queue: "normal",
+		Nodes: 2, Runtime: 3000, Status: workload.StatusCompleted,
+		Model: workload.Steady{Label: "wrf", P: workload.WRFProfile("u1")},
+	}
+	cfg := chip.StampedeNode()
+	run, err := cluster.RunJob(spec, cfg, 600, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snaps []model.Snapshot
+	repeated := map[string]bool{}
+	for _, s := range run.Snapshots {
+		snaps = append(snaps, s)
+		if !repeated[s.Host] {
+			repeated[s.Host] = true
+			snaps = append(snaps, s.Clone())
+		}
+	}
+	r := feed(spec.JobID, cfg.Registry(), snaps)
+	row, err := r.Result(cfg.Desc.VecWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	js, err := r.Panels(cfg.Desc.VecWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range js.Panels {
+		if len(p.Times) < 2 {
+			t.Fatalf("panel %q: %d times", p.Name, len(p.Times))
+		}
+		for i := 1; i < len(p.Times); i++ {
+			if p.Times[i] <= p.Times[i-1] {
+				t.Errorf("panel %q: time %d is %v after %v", p.Name, i, p.Times[i], p.Times[i-1])
+			}
+		}
+		for _, ns := range p.Nodes {
+			if len(ns.Values) != len(p.Times) {
+				t.Fatalf("panel %q host %s: %d values for %d times", p.Name, ns.Host, len(ns.Values), len(p.Times))
+			}
+		}
+	}
+	once, err := feed(spec.JobID, cfg.Registry(), run.Snapshots).Panels(cfg.Desc.VecWidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPanels(t, "repeated first sweep vs once", js, once)
+	lustre := js.Panels[3]
+	peak := 0.0
+	for i := range lustre.Times {
+		sum := 0.0
+		for _, ns := range lustre.Nodes {
+			sum += ns.Values[i]
+		}
+		peak = math.Max(peak, sum)
+	}
+	// Each host's interval is divided by 1e6 before the node sum and the
+	// row's sum is divided after it: three roundings against one, so the
+	// two stay within 4 ulp.
+	want := row.LnetMaxBW / 1e6
+	if want <= 0 {
+		t.Fatalf("LnetMaxBW = %v, want Lustre traffic", row.LnetMaxBW)
+	}
+	if d := int64(math.Float64bits(peak)) - int64(math.Float64bits(want)); d < -4 || d > 4 {
+		t.Errorf("largest node-summed Lustre interval %v MB/s, row LnetMaxBW/1e6 = %v (%d ulp apart)", peak, want, d)
 	}
 }

@@ -1,25 +1,118 @@
 package core
 
-// The oracle: the batch reduction as it stood before Reducer, frozen
-// verbatim but for names. refCompute reads a job's whole series, one
-// series at a time; the Reducer must reproduce its bits from the same
-// data fed one snapshot at a time. Do not edit refCompute to follow the
-// Reducer: a change in the Table I arithmetic is a change to both, made
-// on purpose and declared.
+// The oracle: the batch reductions as they stood before Reducer, frozen
+// verbatim but for names, over the assembled per-job series they read
+// (refJobData, once the pipeline's own JobData). refCompute (Table I)
+// and refTimeSeries (the Fig 5 panels) read a job's whole series, one
+// series at a time; the Reducer must reproduce their bits from the same
+// data fed one snapshot at a time. Do not edit them to follow the
+// Reducer: a change in the Table I or panel arithmetic is a change to
+// both, made on purpose and declared.
 
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"gostats/internal/model"
 	"gostats/internal/schema"
 )
 
+// refSample is one timestamped value vector in a per-job, per-host,
+// per-instance series.
+type refSample struct {
+	Time   float64
+	Values []uint64
+}
+
+// refSeries is an ordered-by-time list of samples for one device instance.
+type refSeries struct {
+	Class    schema.Class
+	Instance string
+	Samples  []refSample
+}
+
+// Duration returns the time span covered by the series (0 for fewer than
+// two samples).
+func (s *refSeries) Duration() float64 {
+	if len(s.Samples) < 2 {
+		return 0
+	}
+	return s.Samples[len(s.Samples)-1].Time - s.Samples[0].Time
+}
+
+// refHostData holds every series collected for one host during one job.
+type refHostData struct {
+	Host   string
+	Series map[schema.Class]map[string]*refSeries // class -> instance -> series
+}
+
+// Append adds one record at the given time to the host's series.
+func (h *refHostData) Append(t float64, r model.Record) {
+	byInst := h.Series[r.Class]
+	if byInst == nil {
+		byInst = make(map[string]*refSeries)
+		h.Series[r.Class] = byInst
+	}
+	s := byInst[r.Instance]
+	if s == nil {
+		s = &refSeries{Class: r.Class, Instance: r.Instance}
+		byInst[r.Instance] = s
+	}
+	v := make([]uint64, len(r.Values))
+	copy(v, r.Values)
+	s.Samples = append(s.Samples, refSample{Time: t, Values: v})
+}
+
+// Instances returns the sorted instance names present for a class.
+func (h *refHostData) Instances(c schema.Class) []string {
+	byInst := h.Series[c]
+	names := make([]string, 0, len(byInst))
+	for n := range byInst {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// refJobData is the fully assembled per-job dataset: one refHostData per
+// node the job ran on.
+type refJobData struct {
+	JobID string
+	Hosts map[string]*refHostData
+}
+
+func refNewJobData(id string) *refJobData {
+	return &refJobData{JobID: id, Hosts: make(map[string]*refHostData)}
+}
+
+// HostNames returns the job's hosts in sorted order.
+func (j *refJobData) HostNames() []string {
+	names := make([]string, 0, len(j.Hosts))
+	for n := range j.Hosts {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// AddSnapshot folds a snapshot into the job's per-host series.
+func (j *refJobData) AddSnapshot(s model.Snapshot) {
+	h := j.Hosts[s.Host]
+	if h == nil {
+		h = &refHostData{Host: s.Host, Series: make(map[schema.Class]map[string]*refSeries)}
+		j.Hosts[s.Host] = h
+	}
+	for _, r := range s.Records {
+		h.Append(s.Time, r)
+	}
+}
+
 // refCompute reduces a job's assembled series to its Summary, crediting
 // vecWidth flops per vector FP instruction (2 for SSE-era cores, 4 for
 // AVX, 8 for the Phi). reg supplies the schemas the series were
 // collected under.
-func refCompute(jd *model.JobData, reg *schema.Registry, vecWidth int) (*Summary, error) {
+func refCompute(jd *refJobData, reg *schema.Registry, vecWidth int) (*Summary, error) {
 	if vecWidth <= 0 {
 		return nil, fmt.Errorf("core: vector width %d, want a positive flops count", vecWidth)
 	}
@@ -322,17 +415,129 @@ func refSubSeriesClamped(a, b []float64) []float64 {
 // refHostReducer performs the per-host counter reductions: total ARC rates,
 // per-interval rates, and gauge series, all schema-aware.
 type refHostReducer struct {
-	hd  *model.HostData
+	hd  *refHostData
 	reg *schema.Registry
 }
 
-func refNewHostReducer(hd *model.HostData, reg *schema.Registry) *refHostReducer {
+func refNewHostReducer(hd *refHostData, reg *schema.Registry) *refHostReducer {
 	return &refHostReducer{hd: hd, reg: reg}
+}
+
+// refTimeSeries derives the Fig 5 panels from assembled job data:
+// Gigaflops, memory bandwidth (GB/s), memory usage (GB), Lustre
+// filesystem bandwidth (MB/s), internode Infiniband traffic (MB/s), and
+// CPU user fraction — per node, per sampling interval. The Gigaflops
+// panel credits vecWidth flops per vector FP instruction, as refCompute.
+func refTimeSeries(jd *refJobData, reg *schema.Registry, vecWidth int) (*JobSeries, error) {
+	if vecWidth <= 0 {
+		return nil, fmt.Errorf("core: vector width %d, want a positive flops count", vecWidth)
+	}
+	hosts := jd.HostNames()
+	if len(hosts) == 0 {
+		return nil, ErrInsufficient
+	}
+	js := &JobSeries{JobID: jd.JobID}
+	panels := []struct {
+		name, unit string
+		f          func(h *refHostReducer) []float64
+	}{
+		{"Gigaflops", "GF/s", func(h *refHostReducer) []float64 {
+			scalar := h.intervalRates(schema.ClassPMC, schema.EvPMCFPScalar)
+			vector := h.intervalRates(schema.ClassPMC, schema.EvPMCFPVector)
+			out := make([]float64, min(len(scalar), len(vector)))
+			for i := range out {
+				out[i] = (scalar[i] + float64(vecWidth)*vector[i]) / 1e9
+			}
+			return out
+		}},
+		{"Memory Bandwidth", "GB/s", func(h *refHostReducer) []float64 {
+			rd := h.intervalRates(schema.ClassIMC, schema.EvIMCCASReads)
+			wr := h.intervalRates(schema.ClassIMC, schema.EvIMCCASWrites)
+			out := make([]float64, min(len(rd), len(wr)))
+			for i := range out {
+				out[i] = 64 * (rd[i] + wr[i]) / 1e9
+			}
+			return out
+		}},
+		{"Memory Usage", "GB", func(h *refHostReducer) []float64 {
+			g := h.gaugeSeries(schema.ClassMem, schema.EvMemUsed)
+			out := make([]float64, 0, len(g))
+			// Gauge series has one entry per sample; panels are
+			// per-interval, so drop the first sample to align.
+			for i, v := range g {
+				if i == 0 {
+					continue
+				}
+				out = append(out, v/(1<<30))
+			}
+			return out
+		}},
+		{"Lustre Bandwidth", "MB/s", func(h *refHostReducer) []float64 {
+			rx := h.intervalRates(schema.ClassLnet, schema.EvLnetRxBytes)
+			tx := h.intervalRates(schema.ClassLnet, schema.EvLnetTxBytes)
+			out := make([]float64, min(len(rx), len(tx)))
+			for i := range out {
+				out[i] = (rx[i] + tx[i]) / 1e6
+			}
+			return out
+		}},
+		{"Internode IB (MPI)", "MB/s", func(h *refHostReducer) []float64 {
+			ib := refSumSeries(
+				h.intervalRates(schema.ClassIB, schema.EvIBRxBytes),
+				h.intervalRates(schema.ClassIB, schema.EvIBTxBytes))
+			lnet := refSumSeries(
+				h.intervalRates(schema.ClassLnet, schema.EvLnetRxBytes),
+				h.intervalRates(schema.ClassLnet, schema.EvLnetTxBytes))
+			mpi := refSubSeriesClamped(ib, lnet)
+			for i := range mpi {
+				mpi[i] /= 1e6
+			}
+			return mpi
+		}},
+		{"CPU User Fraction", "", func(h *refHostReducer) []float64 {
+			user := h.intervalRates(schema.ClassCPU, schema.EvCPUUser)
+			total := h.cpuTotalIntervalRates()
+			out := make([]float64, min(len(user), len(total)))
+			for i := range out {
+				if total[i] > 0 {
+					out[i] = user[i] / total[i]
+				}
+			}
+			return out
+		}},
+	}
+
+	times := refSampleTimes(jd.Hosts[hosts[0]])
+	for _, p := range panels {
+		panel := Panel{Name: p.name, Unit: p.unit, Times: times}
+		for _, host := range hosts {
+			h := refNewHostReducer(jd.Hosts[host], reg)
+			panel.Nodes = append(panel.Nodes, NodeSeries{Host: host, Values: p.f(h)})
+		}
+		js.Panels = append(js.Panels, panel)
+	}
+	return js, nil
+}
+
+// refSampleTimes extracts the host's interval end times from its cpu series.
+func refSampleTimes(hd *refHostData) []float64 {
+	byInst := hd.Series[schema.ClassCPU]
+	for _, s := range byInst {
+		out := make([]float64, 0, len(s.Samples))
+		for i, smp := range s.Samples {
+			if i == 0 {
+				continue
+			}
+			out = append(out, smp.Time)
+		}
+		return out
+	}
+	return nil
 }
 
 // refHostDuration returns the host's observation span, taken from its
 // longest series (prolog to epilog).
-func refHostDuration(hd *model.HostData) float64 {
+func refHostDuration(hd *refHostData) float64 {
 	best := 0.0
 	for _, byInst := range hd.Series {
 		for _, s := range byInst {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -9,13 +10,14 @@ import (
 	"gostats/internal/schema"
 )
 
-// randomJob builds a JobData with hosts of random (monotone) counter
-// series, exercising the metric engine over arbitrary-but-valid inputs.
-func randomJob(rng *rand.Rand, hosts, samples int) *model.JobData {
-	jd := model.NewJobData("prop")
+// randomJob builds a job of hosts with random (monotone) counter
+// series, exercising the metric engine over arbitrary-but-valid inputs:
+// one stream of snapshots per host.
+func randomJob(rng *rand.Rand, hosts, samples int) [][]model.Snapshot {
+	var job [][]model.Snapshot
 	for h := 0; h < hosts; h++ {
 		host := string(rune('a' + h))
-		hd := jd.Host(host)
+		var snaps []model.Snapshot
 		// cpu: user/system/idle jiffy streams.
 		var user, sys, idle uint64
 		userRate := uint64(rng.Intn(50000) + 1)
@@ -25,19 +27,19 @@ func randomJob(rng *rand.Rand, hosts, samples int) *model.JobData {
 		var reqs, wait uint64
 		reqRate := uint64(rng.Intn(100000))
 		for i := 0; i < samples; i++ {
-			t := float64(i) * 600
-			hd.Append(t, model.Record{Class: schema.ClassCPU, Instance: "0",
-				Values: []uint64{user, 0, sys, idle, 0, 0, 0}})
-			hd.Append(t, model.Record{Class: schema.ClassMDC, Instance: "m0",
-				Values: []uint64{reqs, wait}})
+			snaps = append(snaps, model.Snapshot{Time: float64(i) * 600, Host: host, Records: []model.Record{
+				{Class: schema.ClassCPU, Instance: "0", Values: []uint64{user, 0, sys, idle, 0, 0, 0}},
+				{Class: schema.ClassMDC, Instance: "m0", Values: []uint64{reqs, wait}},
+			}})
 			user += userRate
 			sys += sysRate
 			idle += idleRate
 			reqs += reqRate
 			wait += reqRate * 100
 		}
+		job = append(job, snaps)
 	}
-	return jd
+	return job
 }
 
 // Property: metric bounds hold for any valid input — usage fractions and
@@ -48,7 +50,7 @@ func TestQuickMetricBounds(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		hosts := int(hostsRaw)%6 + 1
 		samples := int(samplesRaw)%10 + 2
-		s, err := Compute(randomJob(rng, hosts, samples), reg, VecWidth)
+		s, err := feed("prop", reg, slices.Concat(randomJob(rng, hosts, samples)...)).Result(VecWidth)
 		if err != nil {
 			return false
 		}
@@ -75,23 +77,20 @@ func TestQuickMetricBounds(t *testing.T) {
 	}
 }
 
-// Property: host order does not matter — Compute is a set reduction.
+// Property: host order does not matter — the reduction is a set
+// reduction.
 func TestQuickHostPermutationInvariance(t *testing.T) {
 	reg := schema.DefaultRegistry()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		jd := randomJob(rng, 4, 5)
-		s1, err := Compute(jd, reg, VecWidth)
+		job := randomJob(rng, 4, 5)
+		s1, err := feed("prop", reg, slices.Concat(job...)).Result(VecWidth)
 		if err != nil {
 			return false
 		}
-		// Rebuild with hosts inserted in reverse order.
-		rev := model.NewJobData("prop")
-		names := jd.HostNames()
-		for i := len(names) - 1; i >= 0; i-- {
-			rev.Hosts[names[i]] = jd.Hosts[names[i]]
-		}
-		s2, err := Compute(rev, reg, VecWidth)
+		// Feed the hosts in reverse order.
+		slices.Reverse(job)
+		s2, err := feed("prop", reg, slices.Concat(job...)).Result(VecWidth)
 		if err != nil {
 			return false
 		}
@@ -109,28 +108,26 @@ func TestQuickRateLinearity(t *testing.T) {
 	reg := schema.DefaultRegistry()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		jd := randomJob(rng, 2, 4)
-		doubled := model.NewJobData("prop")
-		for host, hd := range jd.Hosts {
-			dh := doubled.Host(host)
-			for _, byInst := range hd.Series {
-				for _, ser := range byInst {
-					for _, smp := range ser.Samples {
-						vals := make([]uint64, len(smp.Values))
-						for i, v := range smp.Values {
-							vals[i] = 2 * v
-						}
-						dh.Append(smp.Time, model.Record{
-							Class: ser.Class, Instance: ser.Instance, Values: vals})
+		job := randomJob(rng, 2, 4)
+		var doubled [][]model.Snapshot
+		for _, snaps := range job {
+			var dh []model.Snapshot
+			for _, s := range snaps {
+				d := s.Clone()
+				for _, rec := range d.Records {
+					for i := range rec.Values {
+						rec.Values[i] *= 2
 					}
 				}
+				dh = append(dh, d)
 			}
+			doubled = append(doubled, dh)
 		}
-		s1, err := Compute(jd, reg, VecWidth)
+		s1, err := feed("prop", reg, slices.Concat(job...)).Result(VecWidth)
 		if err != nil {
 			return false
 		}
-		s2, err := Compute(doubled, reg, VecWidth)
+		s2, err := feed("prop", reg, slices.Concat(doubled...)).Result(VecWidth)
 		if err != nil {
 			return false
 		}
@@ -154,22 +151,18 @@ func TestQuickIdleHostMonotonicity(t *testing.T) {
 	reg := schema.DefaultRegistry()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		jd := randomJob(rng, 3, 4)
-		s1, err := Compute(jd, reg, VecWidth)
+		job := randomJob(rng, 3, 4)
+		s1, err := feed("prop", reg, slices.Concat(job...)).Result(VecWidth)
 		if err != nil {
 			return false
 		}
-		// Clone plus an idle host (idle jiffies only).
-		withIdle := model.NewJobData("prop")
-		for host, hd := range jd.Hosts {
-			withIdle.Hosts[host] = hd
-		}
-		ih := withIdle.Host("zz-idle")
+		// The same hosts plus an idle host (idle jiffies only).
+		var idle []model.Snapshot
 		for i := 0; i < 4; i++ {
-			ih.Append(float64(i)*600, model.Record{Class: schema.ClassCPU, Instance: "0",
-				Values: []uint64{0, 0, 0, uint64(i) * 60000, 0, 0, 0}})
+			idle = append(idle, model.Snapshot{Time: float64(i) * 600, Host: "zz-idle", Records: []model.Record{
+				{Class: schema.ClassCPU, Instance: "0", Values: []uint64{0, 0, 0, uint64(i) * 60000, 0, 0, 0}}}})
 		}
-		s2, err := Compute(withIdle, reg, VecWidth)
+		s2, err := feed("prop", reg, slices.Concat(append(job, idle)...)).Result(VecWidth)
 		if err != nil {
 			return false
 		}

@@ -8,24 +8,27 @@ import (
 	"gostats/internal/schema"
 )
 
-// Reducer reduces one job to its Summary as the job's snapshots arrive,
-// holding no samples. Per (host, class, instance) it keeps the first and
-// last sample time, the previous values and the running rollover-aware
-// delta sum of each event column; per host it keeps the interval-indexed
-// series the Maximum and catastrophe metrics take their peaks from
-// (metadata reqs, Lnet, IB, memory used, cpu user, cpu total) and the
+// Reducer reduces one job to its Summary and its Fig 5 panels as the
+// job's snapshots arrive, holding no samples. Per (host, class,
+// instance) it keeps the first and last sample time, the previous
+// values and the running rollover-aware delta sum of each event column;
+// per host it keeps the interval-indexed series the Maximum and
+// catastrophe metrics take their peaks from (metadata reqs, Lnet, IB,
+// memory used, cpu user, cpu total), the ones only the panels read
+// (scalar and vector flops, IMC CAS reads+writes, the memory gauge at
+// each interval's end, the cpu intervals' end times) and the
 // process-table extremes. State is O(hosts × (series + intervals)),
 // whatever the job's length.
 //
-// Result reproduces the batch reduction's bits: hosts fold in name
-// order and each class's instances in name order, as the batch
+// Result and Panels reproduce the batch reduction's bits: hosts fold in
+// name order and each class's instances in name order, as the batch
 // reduction folds its series. Two kinds of stream align intervals by
 // time where the batch reduction aligned them by each instance's own
 // sample index, and may move the interval-indexed fields (MetaDataRate,
-// LnetMaxBW, InternodeIBMaxBW, MemUsage, Catastrophe): a host whose time
-// repeats or goes backwards, and an instance missing from some snapshot
-// that carries its class (one that joins mid-job). Every other field
-// stays bit-identical.
+// LnetMaxBW, InternodeIBMaxBW, MemUsage, Catastrophe) and the panels: a
+// host whose time repeats or goes backwards, and an instance missing
+// from some snapshot that carries its class (one that joins mid-job).
+// Every other field stays bit-identical.
 //
 // Not safe for concurrent use.
 type Reducer struct {
@@ -53,51 +56,6 @@ func (r *Reducer) host(name string) *hostReduce {
 		r.hosts[name] = h
 	}
 	return h
-}
-
-// addJobData feeds jd host by host, regrouping each host's samples into
-// the collection sweeps they came from: each step takes the earliest
-// next sample over the host's series, with every series whose next
-// sample has that time. A series gives at most one sample per sweep, and
-// its samples go in its own order.
-func (r *Reducer) addJobData(jd *model.JobData) {
-	var recs []model.Record
-	for _, name := range jd.HostNames() {
-		hd, h := jd.Hosts[name], r.host(name)
-		classes := make([]schema.Class, 0, len(hd.Series))
-		for c := range hd.Series {
-			classes = append(classes, c)
-		}
-		slices.Sort(classes)
-		var keys []recKey
-		var series []*model.Series
-		for _, c := range classes {
-			for _, inst := range hd.Instances(c) {
-				keys, series = append(keys, recKey{c, inst}), append(series, hd.Series[c][inst])
-			}
-		}
-		next := make([]int, len(series))
-		for {
-			m := -1
-			for i, s := range series {
-				if next[i] < len(s.Samples) && (m < 0 || s.Samples[next[i]].Time < series[m].Samples[next[m]].Time) {
-					m = i
-				}
-			}
-			if m < 0 {
-				break
-			}
-			t := series[m].Samples[next[m]].Time
-			recs = recs[:0]
-			for i, s := range series {
-				if k := next[i]; k < len(s.Samples) && (i == m || s.Samples[k].Time == t) {
-					recs = append(recs, model.Record{Class: keys[i].class, Instance: keys[i].instance, Values: s.Samples[k].Values})
-					next[i]++
-				}
-			}
-			h.add(r.reg, t, recs)
-		}
-	}
 }
 
 // Hosts returns the job's hosts in sorted order.
@@ -171,8 +129,12 @@ type hostReduce struct {
 	touched []*classReduce // classes with an interval series in this snapshot
 
 	// One entry per sampling interval of the class: node rates summed
-	// over instances, Lnet and IB rx+tx; mem has one entry per sample.
+	// over instances, Lnet and IB rx+tx, IMC CAS reads+writes; mem has
+	// one entry per sample and memEnd one per interval of the mem
+	// class, the gauge of the snapshot that closes it; ends holds the
+	// end times of the cpu intervals.
 	mdc, lnet, ib, mem, cpuUser, cpuTotal []float64
+	fpScalar, fpVector, cas, memEnd, ends []float64
 
 	maxHWM, maxThreads uint64
 }
@@ -185,10 +147,13 @@ type classReduce struct {
 
 	events []int // event-kind columns (kindDeltas)
 	// ivl names the interval series the class feeds (MDC, Lnet, IB,
-	// CPU, Mem), empty for none; colA and colB are the columns that
-	// series or the ps extremes read, -1 when absent.
+	// CPU, PMC, IMC, Mem), empty for none; colA and colB are the columns
+	// that series or the ps extremes read, -1 when absent. rated lists
+	// the columns the series read, which alone get a per-interval rate:
+	// colA and colB, or every event column of cpu.
 	ivl        schema.Class
 	colA, colB int
+	rated      []int
 	seq        uint64    // the last snapshot that carried the class
 	rates      []float64 // per column: one interval's rate, summed over instances
 }
@@ -203,8 +168,8 @@ type instReduce struct {
 	sums        []float64 // per column: rollover-aware delta sum
 
 	// The instance's share of snapshot seq's interval: its rate per
-	// column when stepped (it had a sample before, earlier in time), or
-	// its memory-used gauge.
+	// rated column when stepped (it had a sample before, earlier in
+	// time), or its memory-used gauge.
 	seq     uint64
 	stepped bool
 	rates   []float64
@@ -245,6 +210,10 @@ func newClassReduce(reg *schema.Registry, c schema.Class) *classReduce {
 			a, b = schema.EvLnetRxBytes, schema.EvLnetTxBytes
 		case schema.ClassIB:
 			a, b = schema.EvIBRxBytes, schema.EvIBTxBytes
+		case schema.ClassPMC:
+			a, b = schema.EvPMCFPScalar, schema.EvPMCFPVector
+		case schema.ClassIMC:
+			a, b = schema.EvIMCCASReads, schema.EvIMCCASWrites
 		case schema.ClassCPU:
 			a = schema.EvCPUUser
 		}
@@ -254,6 +223,11 @@ func newClassReduce(reg *schema.Registry, c schema.Class) *classReduce {
 				cr.colB = idx(b)
 			}
 			cr.rates = make([]float64, len(cr.sch.Events))
+			for _, e := range cr.events {
+				if c == schema.ClassCPU || e == cr.colA || e == cr.colB {
+					cr.rated = append(cr.rated, e)
+				}
+			}
 		}
 	}
 	return cr
@@ -315,7 +289,11 @@ func (h *hostReduce) add(reg *schema.Registry, t float64, recs []model.Record) {
 			case kindMem:
 				if c.colA >= 0 {
 					h.touch(c)
-					in.seq, in.val = h.seq, float64(vals[c.colA])
+					if in.seq != h.seq {
+						in.seq, in.stepped = h.seq, false
+					}
+					in.val = float64(vals[c.colA])
+					in.stepped = in.stepped || in.n > 0 && t > in.last
 				}
 			case kindPS:
 				if c.colA >= 0 && vals[c.colA] > h.maxHWM {
@@ -329,7 +307,7 @@ func (h *hostReduce) add(reg *schema.Registry, t float64, recs []model.Record) {
 		in.observe(t)
 	}
 	for _, c := range h.touched {
-		h.step(c)
+		h.step(c, t)
 	}
 }
 
@@ -354,8 +332,9 @@ func (h *hostReduce) touch(c *classReduce) {
 
 // foldDeltas adds the instance's deltas since its previous sample to
 // its sums and, for a class that feeds an interval series, notes its
-// rate over the interval: the first of the snapshot's records of the
-// instance that comes later in time than its previous sample.
+// rates over the interval in the rated columns: the first of the
+// snapshot's records of the instance that comes later in time than its
+// previous sample.
 func (h *hostReduce) foldDeltas(in *instReduce, t float64, vals []uint64) {
 	c := in.c
 	if c.ivl != "" {
@@ -365,32 +344,44 @@ func (h *hostReduce) foldDeltas(in *instReduce, t float64, vals []uint64) {
 		}
 	}
 	if in.n > 0 && len(in.prev) == len(vals) {
-		dt := t - in.last
-		step := c.ivl != "" && dt > 0 && !in.stepped
 		for _, e := range c.events {
-			d := float64(schema.RolloverDelta(in.prev[e], vals[e], c.sch.Events[e]))
-			in.sums[e] += d
-			if step {
-				in.rates[e] = d / dt
-			}
+			in.sums[e] += c.delta(in.prev, vals, e)
 		}
-		in.stepped = in.stepped || step
+		if dt := t - in.last; c.ivl != "" && dt > 0 && !in.stepped {
+			for _, e := range c.rated {
+				in.rates[e] = c.delta(in.prev, vals, e) / dt
+			}
+			in.stepped = true
+		}
 	}
 	in.prev = append(in.prev[:0], vals...)
 }
 
-// step appends the current snapshot's entry to c's interval series:
-// the instances' shares summed in name order. A counter class with no
-// instance stepped adds no interval.
-func (h *hostReduce) step(c *classReduce) {
+// delta is column e's rollover-aware increase from prev to cur.
+func (c *classReduce) delta(prev, cur []uint64, e int) float64 {
+	if p, v := prev[e], cur[e]; v >= p {
+		return float64(v - p)
+	}
+	return float64(schema.RolloverDelta(prev[e], cur[e], c.sch.Events[e]))
+}
+
+// step appends the current snapshot's entry, taken at t, to c's
+// interval series: the instances' shares summed in name order. A class
+// with no instance stepped adds no interval; the mem class still adds
+// its per-sample entry.
+func (h *hostReduce) step(c *classReduce, t float64) {
 	if c.kind == kindMem {
-		sum := 0.0
+		sum, stepped := 0.0, false
 		for _, in := range c.insts {
 			if in.seq == h.seq {
 				sum += in.val
+				stepped = stepped || in.stepped
 			}
 		}
 		h.mem = append(h.mem, sum)
+		if stepped {
+			h.memEnd = append(h.memEnd, sum)
+		}
 		return
 	}
 	clear(c.rates)
@@ -400,7 +391,7 @@ func (h *hostReduce) step(c *classReduce) {
 			continue
 		}
 		stepped = true
-		for _, e := range c.events {
+		for _, e := range c.rated {
 			c.rates[e] += in.rates[e]
 		}
 	}
@@ -419,13 +410,22 @@ func (h *hostReduce) step(c *classReduce) {
 		if c.colB >= 0 {
 			h.ib = append(h.ib, r[c.colA]+r[c.colB])
 		}
+	case schema.ClassPMC:
+		if c.colB >= 0 {
+			h.fpScalar, h.fpVector = append(h.fpScalar, r[c.colA]), append(h.fpVector, r[c.colB])
+		}
+	case schema.ClassIMC:
+		if c.colB >= 0 {
+			h.cas = append(h.cas, r[c.colA]+r[c.colB])
+		}
 	case schema.ClassCPU:
 		h.cpuUser = append(h.cpuUser, r[c.colA])
 		total := 0.0
-		for _, e := range c.events {
+		for _, e := range c.rated {
 			total += r[e]
 		}
 		h.cpuTotal = append(h.cpuTotal, total)
+		h.ends = append(h.ends, t)
 	}
 }
 

@@ -27,12 +27,19 @@ var intervalFields = map[string]bool{
 	"MemUsage": true, "Catastrophe": true,
 }
 
-// aligned reports whether every interval class of every host has all
-// its instances sampled at the same, strictly increasing times — the
-// streams on which time and per-instance index give the same intervals.
-func aligned(jd *model.JobData) bool {
+// The classes whose interval series Result reads, and those Panels reads.
+var (
+	summaryClasses = []schema.Class{schema.ClassMDC, schema.ClassLnet, schema.ClassIB, schema.ClassMem, schema.ClassCPU}
+	panelClasses   = []schema.Class{schema.ClassMDC, schema.ClassLnet, schema.ClassIB, schema.ClassMem, schema.ClassCPU, schema.ClassPMC, schema.ClassIMC}
+)
+
+// aligned reports whether each of the given classes of every host has
+// all its instances sampled at the same, strictly increasing times —
+// the streams on which time and per-instance index give the same
+// intervals.
+func aligned(jd *refJobData, classes []schema.Class) bool {
 	for _, hd := range jd.Hosts {
-		for _, c := range []schema.Class{schema.ClassMDC, schema.ClassLnet, schema.ClassIB, schema.ClassMem, schema.ClassCPU} {
+		for _, c := range classes {
 			var times []float64
 			for i, inst := range hd.Instances(c) {
 				s := hd.Series[c][inst]
@@ -70,7 +77,7 @@ type bounds struct{ lo, hi float64 }
 // lands in some interval, so a peak is at least the largest term and
 // at most the sum over (host, instance, column) of each one's largest
 // term. IB−Lnet is clamped at zero, and Catastrophe is a ratio in [0, 1].
-func intervalEnvelope(jd *model.JobData, reg *schema.Registry) map[string]bounds {
+func intervalEnvelope(jd *refJobData, reg *schema.Registry) map[string]bounds {
 	env := map[string]bounds{"Catastrophe": {0, 1}}
 	fold := func(field string, c schema.Class, gauge bool, evs ...string) {
 		b := env[field]
@@ -120,9 +127,9 @@ func intervalEnvelope(jd *model.JobData, reg *schema.Registry) map[string]bounds
 // field by field: every field bit for bit on an aligned stream; on any
 // other stream every field but the interval-indexed ones bit for bit,
 // and those inside intervalEnvelope.
-func checkSummary(t *testing.T, label string, jd *model.JobData, reg *schema.Registry, got, want *Summary) {
+func checkSummary(t *testing.T, label string, jd *refJobData, reg *schema.Registry, got, want *Summary) {
 	t.Helper()
-	exact := aligned(jd)
+	exact := aligned(jd, summaryClasses)
 	var env map[string]bounds
 	if !exact {
 		env = intervalEnvelope(jd, reg)
@@ -154,31 +161,78 @@ func checkSummary(t *testing.T, label string, jd *model.JobData, reg *schema.Reg
 	}
 }
 
-// checkStream reduces one job's snapshots three ways — a Reducer fed
-// the stream, Compute over the assembled JobData, and the oracle — and
-// requires the first two to match the oracle.
-func checkStream(t *testing.T, label, id string, snaps []model.Snapshot, reg *schema.Registry, width int) {
+// checkPanels compares got against want (the oracle's panels, or
+// another reduction's), every time and value bit for bit.
+func checkPanels(t *testing.T, label string, got, want *JobSeries) {
 	t.Helper()
-	jd := model.NewJobData(id)
+	same := func(what string, g, w []float64) {
+		t.Helper()
+		if len(g) != len(w) {
+			t.Errorf("%s: %s has %d points, want %d", label, what, len(g), len(w))
+			return
+		}
+		for i := range w {
+			if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+				t.Errorf("%s: %s[%d] = %v, want %v", label, what, i, g[i], w[i])
+				return
+			}
+		}
+	}
+	if got.JobID != want.JobID || len(got.Panels) != len(want.Panels) {
+		t.Fatalf("%s: job %q with %d panels, want %q with %d", label, got.JobID, len(got.Panels), want.JobID, len(want.Panels))
+	}
+	for i, w := range want.Panels {
+		g := got.Panels[i]
+		if g.Name != w.Name || g.Unit != w.Unit || len(g.Nodes) != len(w.Nodes) {
+			t.Errorf("%s: panel %d is %q (%s) with %d nodes, want %q (%s) with %d", label, i, g.Name, g.Unit, len(g.Nodes), w.Name, w.Unit, len(w.Nodes))
+			continue
+		}
+		same(w.Name+" times", g.Times, w.Times)
+		for k, wn := range w.Nodes {
+			if g.Nodes[k].Host != wn.Host {
+				t.Errorf("%s: %s node %d is %s, want %s", label, w.Name, k, g.Nodes[k].Host, wn.Host)
+				continue
+			}
+			same(w.Name+" "+wn.Host, g.Nodes[k].Values, wn.Values)
+		}
+	}
+}
+
+// checkStream reduces one job's snapshots two ways — a Reducer fed the
+// stream and the oracle over the assembled series — and requires the
+// Reducer's Summary to match the oracle's, and on a panel-aligned
+// stream its panels too. It reports whether the stream was
+// panel-aligned.
+func checkStream(t *testing.T, label, id string, snaps []model.Snapshot, reg *schema.Registry, width int) (panelAligned bool) {
+	t.Helper()
+	jd := refNewJobData(id)
 	r := NewReducer(id, reg)
 	for _, s := range snaps {
 		jd.AddSnapshot(s)
 		r.Add(s)
 	}
 	want, werr := refCompute(jd, reg, width)
-	for path, reduce := range map[string]func() (*Summary, error){
-		"stream":  func() (*Summary, error) { return r.Result(width) },
-		"jobdata": func() (*Summary, error) { return Compute(jd, reg, width) },
-	} {
-		got, err := reduce()
-		if werr != nil || err != nil {
-			if fmt.Sprint(err) != fmt.Sprint(werr) {
-				t.Errorf("%s %s: error %v, oracle %v", label, path, err, werr)
-			}
-			continue
+	got, err := r.Result(width)
+	if werr != nil || err != nil {
+		if fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Errorf("%s: error %v, oracle %v", label, err, werr)
 		}
-		checkSummary(t, label+" "+path, jd, reg, got, want)
+	} else {
+		checkSummary(t, label, jd, reg, got, want)
 	}
+	if !aligned(jd, panelClasses) {
+		return false
+	}
+	wantJS, werr := refTimeSeries(jd, reg, width)
+	gotJS, err := r.Panels(width)
+	if werr != nil || err != nil {
+		if !errors.Is(err, ErrInsufficient) || !errors.Is(werr, ErrInsufficient) {
+			t.Errorf("%s: panels error %v, oracle %v", label, err, werr)
+		}
+		return true
+	}
+	checkPanels(t, label, gotJS, wantJS)
+	return true
 }
 
 // oracleNodes are the node types the oracle check runs every model on.
@@ -223,7 +277,9 @@ func oracleModels() []workload.Model {
 
 // TestReducerMatchesBatchOracle runs every workload model through the
 // cluster on every node type, plus a generated fleet and shared nodes,
-// and requires the Reducer's Summary to equal the oracle's bit for bit.
+// and requires the Reducer's Summary and panels to equal the oracle's
+// bit for bit. Every model stream must be panel-aligned, so the panel
+// comparison never passes by being skipped.
 func TestReducerMatchesBatchOracle(t *testing.T) {
 	for name, cfg := range oracleNodes(t) {
 		reg := cfg.Registry()
@@ -237,7 +293,9 @@ func TestReducerMatchesBatchOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s: %v", name, m.Name(), err)
 				}
-				checkStream(t, name+" "+m.Name(), spec.JobID, run.Snapshots, reg, cfg.Desc.VecWidth)
+				if !checkStream(t, name+" "+m.Name(), spec.JobID, run.Snapshots, reg, cfg.Desc.VecWidth) {
+					t.Errorf("%s %s: stream not panel-aligned, panels unchecked", name, m.Name())
+				}
 			}
 		}
 	}
@@ -381,11 +439,11 @@ func TestReducerCraftedStreams(t *testing.T) {
 	// The stream cases that break alignment must be recognized as such:
 	// otherwise the check above would have held them to exact bits.
 	for _, name := range []string{"instance joins mid-job", "repeated timestamps"} {
-		jd := model.NewJobData("x")
+		jd := refNewJobData("x")
 		for _, s := range cases[name] {
 			jd.AddSnapshot(s)
 		}
-		if aligned(jd) {
+		if aligned(jd, summaryClasses) {
 			t.Errorf("%s: stream counted as aligned", name)
 		}
 	}
@@ -408,7 +466,7 @@ func TestReducerAlignsIntervalsByTime(t *testing.T) {
 	snaps := craft("a", []float64{0, 0, 600, 1200}, func(k int) []model.Record {
 		return []model.Record{cpuRec("0", uint64(k)*30000, uint64(k)*30000), mdcRec("m0", m0[k]), mdcRec("m1", m1[k])}
 	})
-	jd := model.NewJobData("x")
+	jd := refNewJobData("x")
 	r := NewReducer("x", reg)
 	for _, s := range snaps {
 		jd.AddSnapshot(s)

@@ -41,7 +41,11 @@ func TableI(sc Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := core.Compute(run.JobData(), cfg.Registry(), cfg.Desc.VecWidth)
+	red := core.NewReducer(run.Spec.JobID, cfg.Registry())
+	for _, snap := range run.Snapshots {
+		red.Add(snap)
+	}
+	s, err := red.Result(cfg.Desc.VecWidth)
 	if err != nil {
 		return nil, err
 	}
@@ -148,14 +152,18 @@ func JobTimeseries(sc Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	js, err := core.TimeSeries(run.JobData(), cfg.Registry(), cfg.Desc.VecWidth)
+	red := core.NewReducer(spec.JobID, cfg.Registry())
+	for _, snap := range run.Snapshots {
+		red.Add(snap)
+	}
+	js, err := red.Panels(cfg.Desc.VecWidth)
 	if err != nil {
 		return nil, err
 	}
 	// Observation 1: metadata (and what little Lustre traffic exists)
 	// comes from one node. Compare per-node mean MDC-driven traffic via
 	// the CPU panel spread and the storm job's metric summary.
-	sum, err := core.Compute(run.JobData(), cfg.Registry(), cfg.Desc.VecWidth)
+	sum, err := red.Result(cfg.Desc.VecWidth)
 	if err != nil {
 		return nil, err
 	}

@@ -122,11 +122,11 @@ func TestEngineInterferenceEmerges(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Reduce the victim's MDCWait metric.
-		jd := model.NewJobData("victim")
+		red := core.NewReducer("victim", chip.StampedeNode().Registry())
 		for _, s := range victimSnaps {
-			jd.AddSnapshot(s)
+			red.Add(s)
 		}
-		sum, err := core.Compute(jd, chip.StampedeNode().Registry(), core.VecWidth)
+		sum, err := red.Result(core.VecWidth)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -150,105 +150,3 @@ func (s Snapshot) HasJob(id string) bool {
 	}
 	return false
 }
-
-// Sample is one timestamped value vector in a per-job, per-host,
-// per-instance series (the unit the metric engine consumes).
-type Sample struct {
-	Time   float64
-	Values []uint64
-}
-
-// Series is an ordered-by-time list of samples for one device instance.
-type Series struct {
-	Class    schema.Class
-	Instance string
-	Samples  []Sample
-}
-
-// Duration returns the time span covered by the series (0 for fewer than
-// two samples).
-func (s *Series) Duration() float64 {
-	if len(s.Samples) < 2 {
-		return 0
-	}
-	return s.Samples[len(s.Samples)-1].Time - s.Samples[0].Time
-}
-
-// HostData holds every series collected for one host during one job.
-type HostData struct {
-	Host   string
-	Series map[schema.Class]map[string]*Series // class -> instance -> series
-}
-
-// NewHostData returns an empty HostData for host.
-func NewHostData(host string) *HostData {
-	return &HostData{Host: host, Series: make(map[schema.Class]map[string]*Series)}
-}
-
-// Append adds one record at the given time to the host's series.
-func (h *HostData) Append(t float64, r Record) {
-	byInst := h.Series[r.Class]
-	if byInst == nil {
-		byInst = make(map[string]*Series)
-		h.Series[r.Class] = byInst
-	}
-	s := byInst[r.Instance]
-	if s == nil {
-		s = &Series{Class: r.Class, Instance: r.Instance}
-		byInst[r.Instance] = s
-	}
-	v := make([]uint64, len(r.Values))
-	copy(v, r.Values)
-	s.Samples = append(s.Samples, Sample{Time: t, Values: v})
-}
-
-// Instances returns the sorted instance names present for a class.
-func (h *HostData) Instances(c schema.Class) []string {
-	byInst := h.Series[c]
-	names := make([]string, 0, len(byInst))
-	for n := range byInst {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// JobData is the fully assembled per-job dataset: one HostData per node
-// the job ran on.
-type JobData struct {
-	JobID string
-	Hosts map[string]*HostData
-}
-
-// NewJobData returns an empty JobData for the job id.
-func NewJobData(id string) *JobData {
-	return &JobData{JobID: id, Hosts: make(map[string]*HostData)}
-}
-
-// Host returns (creating if needed) the HostData for host.
-func (j *JobData) Host(host string) *HostData {
-	h := j.Hosts[host]
-	if h == nil {
-		h = NewHostData(host)
-		j.Hosts[host] = h
-	}
-	return h
-}
-
-// HostNames returns the job's hosts in sorted order.
-func (j *JobData) HostNames() []string {
-	names := make([]string, 0, len(j.Hosts))
-	for n := range j.Hosts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// AddSnapshot folds a snapshot into the job's per-host series.
-func (j *JobData) AddSnapshot(s Snapshot) {
-	h := j.Host(s.Host)
-	for _, r := range s.Records {
-		h.Append(s.Time, r)
-	}
-}

@@ -61,78 +61,3 @@ func TestHasJob(t *testing.T) {
 		t.Error("HasJob wrong")
 	}
 }
-
-func TestSeriesDuration(t *testing.T) {
-	s := &Series{}
-	if s.Duration() != 0 {
-		t.Error("empty series duration != 0")
-	}
-	s.Samples = []Sample{{Time: 10}}
-	if s.Duration() != 0 {
-		t.Error("single-sample duration != 0")
-	}
-	s.Samples = append(s.Samples, Sample{Time: 25})
-	if s.Duration() != 15 {
-		t.Errorf("duration = %g", s.Duration())
-	}
-}
-
-func TestHostDataAppendCopiesValues(t *testing.T) {
-	h := NewHostData("n1")
-	vals := []uint64{1, 2}
-	h.Append(1, Record{Class: schema.ClassCPU, Instance: "0", Values: vals})
-	vals[0] = 99
-	got := h.Series[schema.ClassCPU]["0"].Samples[0].Values[0]
-	if got == 99 {
-		t.Error("Append aliases caller storage")
-	}
-}
-
-func TestHostDataInstancesSorted(t *testing.T) {
-	h := NewHostData("n1")
-	for _, inst := range []string{"3", "1", "2"} {
-		h.Append(0, Record{Class: schema.ClassCPU, Instance: inst, Values: []uint64{0}})
-	}
-	insts := h.Instances(schema.ClassCPU)
-	want := []string{"1", "2", "3"}
-	for i := range want {
-		if insts[i] != want[i] {
-			t.Fatalf("instances = %v", insts)
-		}
-	}
-	if got := h.Instances(schema.ClassIB); len(got) != 0 {
-		t.Errorf("missing class instances = %v", got)
-	}
-}
-
-func TestJobDataAssembly(t *testing.T) {
-	j := NewJobData("9001")
-	s1 := snap()
-	s2 := snap()
-	s2.Time = 200
-	s2.Host = "c401-102"
-	j.AddSnapshot(s1)
-	j.AddSnapshot(s2)
-	j.AddSnapshot(Snapshot{Time: 300, Host: "c401-101", Records: s1.Records})
-
-	names := j.HostNames()
-	if len(names) != 2 || names[0] != "c401-101" || names[1] != "c401-102" {
-		t.Fatalf("hosts = %v", names)
-	}
-	ser := j.Hosts["c401-101"].Series[schema.ClassCPU]["0"]
-	if len(ser.Samples) != 2 {
-		t.Fatalf("sample count = %d", len(ser.Samples))
-	}
-	if ser.Samples[0].Time != 100 || ser.Samples[1].Time != 300 {
-		t.Errorf("times = %g, %g", ser.Samples[0].Time, ser.Samples[1].Time)
-	}
-}
-
-func TestJobDataHostIdempotent(t *testing.T) {
-	j := NewJobData("1")
-	a := j.Host("n1")
-	b := j.Host("n1")
-	if a != b {
-		t.Error("Host created duplicate HostData")
-	}
-}

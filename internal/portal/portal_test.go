@@ -17,7 +17,6 @@ import (
 	"gostats/internal/model"
 	"gostats/internal/rawfile"
 	"gostats/internal/reldb"
-	"gostats/internal/schema"
 	"gostats/internal/stats"
 	"gostats/internal/telemetry"
 	"gostats/internal/trace"
@@ -31,7 +30,7 @@ func buildPortal(t *testing.T) (*Server, string) {
 	t.Helper()
 	cfg := chip.StampedeNode()
 	db := reldb.New()
-	seriesData := map[string]*model.JobData{}
+	seriesData := map[string][]model.Snapshot{}
 
 	mk := func(id, user, exe string, nodes int, runtime float64, m workload.Model) {
 		spec := workload.Spec{
@@ -48,14 +47,17 @@ func buildPortal(t *testing.T) (*Server, string) {
 			t.Fatal(err)
 		}
 		db.Insert(row)
-		seriesData[id] = run.JobData()
+		seriesData[id] = run.Snapshots
 	}
 	mk("100", "u042", "wrf.exe", 2, 3000, workload.PathologicalWRF("u042"))
 	mk("101", "u100", "wrf.exe", 4, 3000, workload.Steady{Label: "wrf", P: workload.WRFProfile("u100")})
 	mk("102", "u101", "namd2", 2, 1800, workload.Steady{Label: "v", P: workload.VectorizedCompute("u101", "namd2", 0.8)})
 
-	s := NewServer(db, cfg.Registry(), func(id string) (*model.JobData, error) {
-		return seriesData[id], nil
+	s := NewServer(db, cfg.Registry(), func(id string, add func(model.Snapshot)) error {
+		for _, snap := range seriesData[id] {
+			add(snap)
+		}
+		return nil
 	})
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
@@ -440,19 +442,24 @@ func TestStoreSeries(t *testing.T) {
 		}
 	}
 	series := StoreSeries(st)
-	jd, err := series("77")
-	if err != nil {
-		t.Fatal(err)
+	fed := func(id string) map[string][]float64 { // host -> snapshot times
+		t.Helper()
+		times := map[string][]float64{}
+		if err := series(id, func(s model.Snapshot) { times[s.Host] = append(times[s.Host], s.Time) }); err != nil {
+			t.Fatal(err)
+		}
+		return times
 	}
-	if jd == nil || len(jd.Hosts) != 2 {
-		t.Fatalf("job 77 series = %+v", jd)
+	times := fed("77")
+	if len(times) != 2 {
+		t.Fatalf("job 77 fed %d hosts, want 2: %v", len(times), times)
 	}
-	for host, hd := range jd.Hosts {
-		if n := len(hd.Series[schema.ClassCPU]["0"].Samples); n != 2 {
-			t.Errorf("host %s: %d cpu samples, want 2 (unlabeled tick excluded)", host, n)
+	for host, ts := range times {
+		if len(ts) != 2 || ts[0] != 100 || ts[1] != 700 {
+			t.Errorf("host %s: snapshots at %v, want [100 700] (unlabeled tick excluded)", host, ts)
 		}
 	}
-	if jd, err := series("78"); err != nil || jd != nil {
-		t.Errorf("unknown job = %+v, %v; want nil", jd, err)
+	if times := fed("78"); len(times) != 0 {
+		t.Errorf("unknown job fed %v; want nothing", times)
 	}
 }

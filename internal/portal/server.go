@@ -30,29 +30,23 @@ import (
 	"gostats/internal/xalt"
 )
 
-// SeriesSource resolves the assembled per-host series of a job for the
-// detail page plots; nil means plots are unavailable (metadata only).
-type SeriesSource func(jobID string) (*model.JobData, error)
+// SeriesSource feeds a job's snapshots, each host's in its collection
+// order, to add for the detail page plots; nil means plots are
+// unavailable (metadata only).
+type SeriesSource func(jobID string, add func(model.Snapshot)) error
 
-// StoreSeries resolves a job's series from a central raw store: one
-// lenient Store.Walk folding every snapshot labeled with the job id (a
-// shared node's snapshots count for each of its jobs). A job with no
-// archived samples resolves to nil.
+// StoreSeries feeds a job's snapshots from a central raw store: one
+// lenient Store.Walk passing on every snapshot labeled with the job id
+// (a shared node's snapshots count for each of its jobs).
 func StoreSeries(st *rawfile.Store) SeriesSource {
-	return func(jobID string) (*model.JobData, error) {
-		jd := model.NewJobData(jobID)
-		if _, err := st.Walk(func(s model.Snapshot) error {
+	return func(jobID string, add func(model.Snapshot)) error {
+		_, err := st.Walk(func(s model.Snapshot) error {
 			if slices.Contains(s.JobIDs, jobID) {
-				jd.AddSnapshot(s)
+				add(s)
 			}
 			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if len(jd.Hosts) == 0 {
-			return nil, nil
-		}
-		return jd, nil
+		})
+		return err
 	}
 }
 
@@ -306,15 +300,17 @@ func (s *Server) handleJobDetail(w http.ResponseWriter, r *http.Request) {
 	for _, f := range s.Flags {
 		checks = append(checks, check{f.Name, f.Desc, !f.Test(row)})
 	}
-	// Fig 5 panels when series data is available.
+	// Fig 5 panels when series data is available; a job with no
+	// archived samples has none.
 	var panels []template.HTML
 	if s.Series != nil {
-		if jd, err := s.Series(id); err == nil && jd != nil {
+		red := core.NewReducer(id, s.Reg)
+		if err := s.Series(id, red.Add); err == nil {
 			// The AVX fleet's width: which architecture collected a job
 			// is known to the archive's $arch header, but Store.Walk
 			// does not pass it on, so a Nehalem or Phi job's Gigaflops
 			// panel is credited at core.VecWidth.
-			if js, err := core.TimeSeries(jd, s.Reg, core.VecWidth); err == nil {
+			if js, err := red.Panels(core.VecWidth); err == nil {
 				for _, p := range js.Panels {
 					panels = append(panels, template.HTML(PanelSVG(p)))
 				}
