@@ -945,7 +945,7 @@ func coldBenchFill(b *testing.B, db *tsdb.DB, hosts, span, step int) {
 	if err := db.CommitCold(); err != nil {
 		b.Fatal(err)
 	}
-	if err := db.FlushCold(); err != nil {
+	if err := db.Cold().Commit(); err != nil {
 		b.Fatal(err)
 	}
 }

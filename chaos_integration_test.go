@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
 	"gostats/internal/broker"
 	"gostats/internal/chip"
 	"gostats/internal/collect"
-	"gostats/internal/fabric"
 	"gostats/internal/faultnet"
 	"gostats/internal/hwsim"
 	"gostats/internal/model"
 	"gostats/internal/node"
+	"gostats/internal/simfleet"
 	"gostats/internal/telemetry"
 	"gostats/internal/trace"
 )
@@ -38,16 +37,6 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 	// outage ends and the spools drain.
 	rec := trace.NewRecorder(reg)
 
-	srv := broker.NewServer()
-	srv.Metrics = reg
-	srv.IdleTimeout = 10 * time.Second
-	srv.AckTimeout = 5 * time.Second
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
 	// All node traffic crosses one fault domain that also tears
 	// connections mid-frame on a deterministic schedule.
 	fnet := faultnet.New(faultnet.Faults{Seed: 11, ResetAfterBytes: 4 << 10})
@@ -60,18 +49,17 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 		BreakerMaxWindow: 100 * time.Millisecond,
 	}
 
-	// The standalone broker runs as a fabric of one: its map built from
-	// the address alone, exactly as the daemons bootstrap it. Every node
-	// agent shares the view; each dials its own connection through the
-	// fault domain.
-	m, err := fabric.Bootstrap([]string{addr})
+	// The standalone broker runs as a fabric of one. Every node agent
+	// shares the view; each dials its own connection through the fault
+	// domain.
+	fab, err := simfleet.NewFabric(1, 0, 0, pol, reg, fnet.Dialer(func(a string) (net.Conn, error) {
+		return net.DialTimeout("tcp", a, time.Second)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	view := fabric.NewView(m, pol, reg)
-	dialer := fnet.Dialer(func(a string) (net.Conn, error) {
-		return net.DialTimeout("tcp", a, time.Second)
-	})
+	defer fab.Close()
+	led := simfleet.NewLedger(fab)
 
 	cfg := chip.StampedeNode()
 	const (
@@ -84,7 +72,6 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 	type nodeRT struct {
 		daemon *collect.DaemonAgent
 		node   *hwsim.Node
-		agent  *node.Agent
 	}
 	nodes := make([]*nodeRT, nNodes)
 	spoolRoot := t.TempDir()
@@ -97,53 +84,29 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 		col := collect.New(hw)
 		col.Metrics = reg
 		col.Trace = rec
-		agent, err := node.NewAgent(view, node.AgentConfig{
+		pub, err := led.NewPublisher(node.AgentConfig{
 			Header:   col.Header(),
 			SpoolDir: filepath.Join(spoolRoot, host),
 			Trace:    rec,
-			Dialer:   dialer,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = &nodeRT{daemon: collect.NewDaemonAgent(col, agent), node: hw, agent: agent}
-		defer agent.Close()
+		nodes[i] = &nodeRT{daemon: collect.NewDaemonAgent(col, pub), node: hw}
 	}
 
-	// Central consumer group, recording everything it archives.
-	var mu sync.Mutex
-	collected := map[string]bool{}
-	lastSeen := map[string]float64{}
-	duplicates := 0
-	var disorder []string
-	ing, err := node.NewIngest(view, node.IngestConfig{
-		StoreDir: t.TempDir(),
-		Fleet:    cfg,
-		Trace:    rec,
-		OnSnapshot: func(s model.Snapshot) {
-			mu.Lock()
-			defer mu.Unlock()
-			k := fmt.Sprintf("%s@%.3f", s.Host, s.Time)
-			if collected[k] {
-				duplicates++ // confirmed-publish retries may duplicate
-				return
-			}
-			collected[k] = true
-			// First deliveries must stay time-ordered per host: nodes
-			// publish in order and spool replay is FIFO.
-			if last, ok := lastSeen[s.Host]; ok && s.Time < last {
-				disorder = append(disorder, fmt.Sprintf("%s: %.0f after %.0f", s.Host, s.Time, last))
-			} else {
-				lastSeen[s.Host] = s.Time
-			}
-		},
+	// Central consumer group, booking everything it archives.
+	ing, err := node.NewIngest(fab.View, node.IngestConfig{
+		StoreDir:   t.TempDir(),
+		Fleet:      cfg,
+		Trace:      rec,
+		OnSnapshot: led.Archive,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ing.Close() // idempotent; joins the consumers if an assertion fails first
 
-	emitted := map[string]bool{}
 	now := 0.0
 	for tick := 0; tick < ticks; tick++ {
 		if tick == outageStart {
@@ -160,57 +123,17 @@ func TestChaosBrokerOutageConservesSnapshots(t *testing.T) {
 			if err := rt.daemon.Tick(now, []string{"42"}, ""); err != nil {
 				t.Fatalf("tick %d: %v", tick, err)
 			}
-			emitted[fmt.Sprintf("%s@%.3f", rt.node.Host(), now)] = true
 		}
 	}
 
-	// Broker is back: every spool must drain.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		depth := 0
-		for _, rt := range nodes {
-			depth += rt.agent.Spool.Depth()
-		}
-		if depth == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("spools never drained, %d snapshots stranded", depth)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Broker is back: every spool must drain and the listener archive
+	// every distinct snapshot, in order per host.
+	if err := led.WaitCaughtUp(ing, 20*time.Second); err != nil {
+		t.Fatal(err)
 	}
-	// And the listener must archive every distinct snapshot.
-	for {
-		mu.Lock()
-		got := len(collected)
-		mu.Unlock()
-		if got >= len(emitted) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("archived %d of %d snapshots before timeout", got, len(emitted))
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	for k := range emitted {
-		if !collected[k] {
-			t.Errorf("snapshot %s lost", k)
-		}
-	}
-	if len(disorder) > 0 {
-		t.Errorf("per-host delivery order violated: %v", disorder)
-	}
-	var st fabric.PublisherStats
-	for _, rt := range nodes {
-		ps := rt.agent.Stats()
-		st.Published += ps.Published
-		st.Redials += ps.Redials
-		st.Dropped += ps.Dropped
-		st.Spooled += ps.Spooled
-		st.Replayed += ps.Replayed
+	st := led.PublisherStats()
+	if c, err := led.Report(); err != nil || c.Emitted != nNodes*ticks {
+		t.Errorf("%s: %v", c, err)
 	}
 	if st.Dropped != 0 {
 		t.Errorf("transport dropped %d snapshots: %+v", st.Dropped, st)

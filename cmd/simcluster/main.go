@@ -8,7 +8,7 @@
 //	simcluster [-mode cron|daemon] [-nodes 16] [-days 1] [-out ./simout]
 //	           [-codec text|binary] [-telemetry 127.0.0.1:0]
 //	           [-chaos] [-chaos-outage 1230]
-//	           [-portal-load 0] [-portal-requests 2000]
+//	           [-portal-readers 0] [-portal-requests 2000]
 //
 // -codec selects the snapshot encoding end to end: the wire messages
 // nodes publish, the node spools, and the central archive files. The
@@ -16,21 +16,19 @@
 // the same stream costs in each codec, so the text/binary trade is
 // visible without rerunning.
 //
-// With -portal-load N > 0, after the ETL builds the job table the run
-// serves an in-process portal over it and drives N concurrent readers
-// through a mixed /jobs query workload (-portal-requests total),
-// reporting throughput, p50/p95 latency, and the query cache's hit
-// ratio — the read-path capacity check matching the write-path
-// overhead summary below.
-//
-// With -portal-readers N > 0, the run instead (or additionally) drives
-// N concurrent clients through the versioned /api/v1 query API —
-// paginated job lists, top-N rankings, time-range metric queries,
-// gauges — in-process via ServeHTTP, so N can reach tens of thousands
-// without socket limits. Each reader carries its own X-Client-ID and
-// every tenth shares one, so the per-client token-bucket limiter fires
-// visibly; the report adds the 429 count and, with -data-dir, the
-// segment index and block-cache counters from the cold-read path.
+// With -portal-readers N > 0, after the ETL builds the job table the
+// run serves an in-process portal over it and drives N concurrent
+// clients (-portal-requests total) through its pages and the versioned
+// /api/v1 query API — the /jobs list with its filtered variants, /dates,
+// /energy, paginated job lists, top-N rankings, time-range metric
+// queries, gauges — in-process via ServeHTTP, so N can reach tens of
+// thousands without socket limits. It reports throughput, p50/p95
+// latency and the query cache's hit ratio: the read-path capacity check
+// matching the write-path overhead summary below. Each reader carries
+// its own X-Client-ID and every tenth shares one, so the per-client
+// token-bucket limiter fires visibly; the report adds the 429 count
+// and, with -data-dir, the segment index and block-cache counters from
+// the cold-read path. With -watch it also probes the run's /api/lag.
 //
 // Unless disabled with -telemetry off, the run serves its own ops
 // endpoint (/metrics, /healthz, /debug/pprof) and, at exit, scrapes it
@@ -43,10 +41,10 @@
 // (its own fabric publisher, connection pool and durable on-disk spool)
 // and the central side is one node.Ingest, a partition-group listener
 // that deduplicates by (host, sequence) before archiving. At exit every
-// daemon run audits conservation per host — every snapshot a node
-// emitted was archived centrally under that node or still sits in its
-// spool, and nothing duplicated past dedup — and any loss or
-// misattribution exits non-zero.
+// daemon run audits conservation per host with the internal/simfleet
+// ledger — every snapshot a node emitted was archived centrally under
+// that node or still sits in its spool, and nothing duplicated past
+// dedup — and any loss or misattribution exits non-zero.
 //
 // -chaos runs a fabric of one broker through a fault-injecting network:
 // pooled connections are torn mid-frame on a seeded schedule and a hard
@@ -125,6 +123,7 @@ import (
 	"gostats/internal/reldb"
 	"gostats/internal/schema"
 	"gostats/internal/segstore"
+	"gostats/internal/simfleet"
 	"gostats/internal/telemetry"
 	"gostats/internal/trace"
 	"gostats/internal/tsdb"
@@ -166,12 +165,10 @@ func main() {
 		"snapshot codec for wire, spools, and archive: text (v1) or binary (v2)")
 	telemetryAddr := flag.String("telemetry", "127.0.0.1:0",
 		`ops endpoint address ("off" to disable)`)
-	portalLoad := flag.Int("portal-load", 0,
-		"concurrent portal readers to drive after ETL (0 = off)")
 	portalRequests := flag.Int("portal-requests", 2000,
-		"total portal requests across all -portal-load or -portal-readers readers")
+		"total portal requests across all -portal-readers readers")
 	portalReaders := flag.Int("portal-readers", 0,
-		"concurrent /api/v1 readers to drive after ETL against the versioned query API (0 = off)")
+		"concurrent portal readers to drive after ETL through the portal pages and the versioned /api/v1 query API (0 = off)")
 	watchMode := flag.Bool("watch", false,
 		"daemon mode only: trace provenance end to end and run the online job watcher on a live assembler, auditing that it finalizes each job exactly once and that its flags match the post-hoc ETL")
 	watchMinParity := flag.Float64("watch-min-parity", 0.95,
@@ -266,15 +263,15 @@ func main() {
 		return acctW.Append(acct.FromSpec(spec, start, end, hosts))
 	}
 
-	var ledger *wireLedger
+	var wires *wireLedger
 	var rec *trace.Recorder
 	var watcher *watch.Watcher
 	var liveAsm *etl.Assembler
 	var watchEvents *os.File
-	var srvs []*broker.Server
-	var view *fabric.View
+	var fab *simfleet.Fabric
+	var led *simfleet.Ledger
+	var fnet *faultnet.Network // nil without -chaos
 	var ing *node.Ingest
-	var audit *transportAudit
 	var victimAddr string
 	switch *mode {
 	case "cron":
@@ -325,99 +322,71 @@ func main() {
 			}
 			watcher.Attach(liveAsm)
 		}
-		// A static-membership fabric, of one broker unless -brokers says
-		// otherwise — the daemons likewise run a lone brokerd as a fabric
-		// of one: every broker serves the same versioned partition map,
-		// publishers confirm against every replica owner, and one shared
-		// View rebalances publisher and consumer routing together when a
-		// broker dies.
-		addrs := make([]string, *fabricBrokers)
-		srvs = make([]*broker.Server, *fabricBrokers)
-		for i := range srvs {
-			srvs[i] = broker.NewServer()
-			if *chaos {
-				// Exercise the server-side deadline plumbing under faults.
-				srvs[i].IdleTimeout = 30 * time.Second
-				srvs[i].AckTimeout = 10 * time.Second
-				srvs[i].WriteTimeout = 10 * time.Second
-			}
-			a, err := srvs[i].Listen("127.0.0.1:0")
-			if err != nil {
-				log.Fatalf("simcluster: %v", err)
-			}
-			addrs[i] = a
-		}
-		m := fabric.NewMap(addrs, *fabricPartitions, *fabricReplication)
-		view = fabric.NewView(m, chaosPolicy(), telemetry.Default())
-		for _, s := range srvs {
-			s.MapProvider = view.Provider()
-		}
-		if rec != nil {
-			rec.PartitionOf = m.PartitionOf
-		}
-		audit = &transportAudit{
-			strictOrder: len(addrs) == 1,
-			emitted:     map[string]bool{},
-			collected:   map[string]bool{},
-			lastSeen:    map[string]float64{},
-		}
+		// A fabric of one broker unless -brokers says otherwise — the
+		// daemons likewise run a lone brokerd as a fabric of one.
 		var dialer func(string) (net.Conn, error)
 		if *chaos {
-			// The outage window is driven by simulated snapshot time so
-			// it scales with -days: it opens just before the third
-			// collection round and covers -chaos-outage sim-seconds.
 			faults := faultnet.Faults{Seed: *seed, ResetAfterBytes: 32 << 10}
-			audit.net = faultnet.New(faults)
-			audit.start, audit.end = 900, 900+*chaosOutage
-			dialer = audit.net.Dialer(func(a string) (net.Conn, error) {
+			fnet = faultnet.New(faults)
+			dialer = fnet.Dialer(func(a string) (net.Conn, error) {
 				return net.DialTimeout("tcp", a, 2*time.Second)
 			})
-			fmt.Printf("simcluster chaos: faults %s, outage t=[%.0f,%.0f)\n",
-				faults, audit.start, audit.end)
+			// The outage window is driven by simulated time so it scales
+			// with -days: it opens before the first collection round
+			// reaching t=900 and covers -chaos-outage sim-seconds.
+			start, end := 900.0, 900+*chaosOutage
+			fmt.Printf("simcluster chaos: faults %s, outage t=[%.0f,%.0f)\n", faults, start, end)
+			eng.OnTick = func(now float64) error {
+				next := now + collectInterval
+				if next >= start && next < end && !fnet.OutageActive() {
+					fnet.StartOutage()
+					fmt.Printf("simcluster chaos: broker outage begins at t=%.0f\n", next)
+				} else if next >= end && fnet.OutageActive() {
+					fnet.StopOutage()
+					fmt.Printf("simcluster chaos: broker outage ends at t=%.0f\n", next)
+				}
+				return nil
+			}
 		}
+		fab, err = simfleet.NewFabric(*fabricBrokers, *fabricPartitions, *fabricReplication,
+			chaosPolicy(), telemetry.Default(), dialer)
+		if err != nil {
+			log.Fatalf("simcluster: %v", err)
+		}
+		if rec != nil {
+			rec.PartitionOf = fab.Map.PartitionOf
+		}
+		led = simfleet.NewLedger(fab)
 		fmt.Printf("simcluster fabric: %d brokers, %d partitions, replication %d\n",
-			len(addrs), *fabricPartitions, *fabricReplication)
+			*fabricBrokers, *fabricPartitions, *fabricReplication)
 		// One agent — publisher, connection pool and durable spool — per
 		// node, exactly as each node daemon runs.
 		eng.NewSink = func(n *hwsim.Node, col *collect.Collector) (cluster.Sink, error) {
 			col.Trace = rec
-			agent, err := node.NewAgent(view, node.AgentConfig{
+			return led.NewPublisher(node.AgentConfig{
 				Header:   col.Header(),
 				Codec:    runCodec,
 				SpoolDir: filepath.Join(*out, "nodespool", n.Host()),
 				Trace:    rec,
-				Dialer:   dialer,
 			})
-			if err != nil {
-				return nil, err
-			}
-			audit.track(agent)
-			return auditSink{audit: audit, agent: agent}, nil
 		}
 		if *chaosKillBroker {
-			// The victim is the broker owning the most partitions as
-			// primary — the worst single loss the map allows.
-			counts := m.PrimaryCount()
-			victimIdx := 0
-			for i, a := range addrs {
-				if victimAddr == "" || counts[a] > counts[victimAddr] {
-					victimIdx, victimAddr = i, a
-				}
-			}
+			victim := fab.Busiest()
+			victimAddr = fab.Addrs[victim]
 			fmt.Printf("simcluster chaos: will kill broker %s (primary for %d partitions) at t=%.0f\n",
-				victimAddr, counts[victimAddr], *chaosKillAt)
+				victimAddr, fab.Map.PrimaryCount()[victimAddr], *chaosKillAt)
 			killed := false
 			eng.OnTick = func(now float64) error {
 				if !killed && now >= *chaosKillAt {
 					killed = true
 					fmt.Printf("simcluster chaos: killing broker %s at t=%.0f\n", victimAddr, now)
-					return srvs[victimIdx].Close()
+					return fab.Kill(victim)
 				}
 				return nil
 			}
 		}
-		ledger = &wireLedger{reg: reg}
-		ing, err = node.NewIngest(view, node.IngestConfig{
+		wires = &wireLedger{reg: reg}
+		ing, err = node.NewIngest(fab.View, node.IngestConfig{
 			StoreDir: store.Root(),
 			Codec:    runCodec,
 			Fleet:    chip.StampedeNode(),
@@ -430,8 +399,8 @@ func main() {
 			Notify:    func(a realtime.Alert) { fmt.Printf("ALERT %s\n", a) },
 			Trace:     rec,
 			OnSnapshot: func(s model.Snapshot) {
-				ledger.sample(s)
-				audit.collect(s)
+				wires.sample(s)
+				led.Archive(s)
 				if liveAsm != nil {
 					liveAsm.Feed(s)
 				}
@@ -460,12 +429,14 @@ func main() {
 	if err := eng.Run(span); err != nil {
 		log.Fatalf("simcluster: %v", err)
 	}
-	if audit != nil {
+	if led != nil {
 		// Let the node drainers replay what the outage or kill stranded,
 		// and the group archive every emitted snapshot, before eng.Close
 		// stops the publishers; anything still spooled after the timeout
 		// is accounted for in the conservation report.
-		audit.waitCaughtUp(120 * time.Second)
+		if err := led.WaitCaughtUp(ing, 120*time.Second); err != nil {
+			fmt.Printf("simcluster fabric: %v\n", err)
+		}
 	}
 	wall := time.Since(runStart).Seconds()
 	if err := eng.Close(); err != nil {
@@ -484,15 +455,13 @@ func main() {
 		if err := ing.Stop(); err != nil {
 			log.Fatalf("simcluster: ingest stop: %v", err)
 		}
-		ledger.print()
-		for _, s := range srvs {
-			s.Close()
-		}
-		view.Close()
+		wires.print()
 		gst := ing.Stats()
 		fmt.Printf("simcluster fabric: %d snapshots archived through %d brokers in %.2fs wall = %.0f snap/s\n",
-			gst.Handled, len(srvs), wall, float64(gst.Handled)/wall)
-		if err := audit.report(gst, view.Version(), victimAddr, runCodec); err != nil {
+			gst.Handled, len(fab.Servers), wall, float64(gst.Handled)/wall)
+		err := reportFabric(led, fnet, gst, fab.View.Version(), victimAddr, runCodec)
+		fab.Close()
+		if err != nil {
 			log.Fatalf("simcluster: %v", err)
 		}
 		if rec != nil && *chaos {
@@ -554,11 +523,6 @@ func main() {
 			log.Fatalf("simcluster: %v", err)
 		}
 	}
-	if *portalLoad > 0 {
-		if err := runPortalLoad(db, rec, *portalLoad, *portalRequests); err != nil {
-			log.Fatalf("simcluster: portal load: %v", err)
-		}
-	}
 	// The /api/v1 load runs while the segment store is still open so
 	// cold time-range queries exercise the indexed read path.
 	if *portalReaders > 0 {
@@ -566,7 +530,7 @@ func main() {
 		if ing != nil {
 			tdb = ing.TSDB
 		}
-		if err := runAPILoad(db, tdb, *portalReaders, *portalRequests, span); err != nil {
+		if err := runAPILoad(db, tdb, rec, *portalReaders, *portalRequests, span); err != nil {
 			log.Fatalf("simcluster: api load: %v", err)
 		}
 	}
@@ -736,11 +700,12 @@ func assertFreshnessRecovered(rec *trace.Recorder, hosts []string, boundSec floa
 	return nil
 }
 
-// portalLoadMix is the read workload the -portal-load readers cycle
-// through: the job list with histograms, filtered variants, the JSON
-// API, and the aggregate pages — the same per-route mix the portal's
-// query cache is keyed on.
-var portalLoadMix = [...]string{
+// apiJobMix is the job-table side of the -portal-readers workload: the
+// job list pages with histograms and their filtered variants, the
+// aggregate pages, the JSON list, and /api/v1's paginated lists,
+// ordered pages and bounded-heap rankings — the same per-route mix the
+// portal's query cache is keyed on.
+var apiJobMix = [...]string{
 	"/jobs",
 	"/jobs?status=COMPLETED",
 	"/jobs?field1=runtime&op1=gte&val1=600",
@@ -748,117 +713,6 @@ var portalLoadMix = [...]string{
 	"/api/jobs?field1=runtime&op1=gte&val1=600",
 	"/dates",
 	"/energy",
-}
-
-// runPortalLoad serves an in-process portal over the freshly built job
-// table and drives `readers` concurrent clients through `total` requests
-// of the mixed workload, then reports throughput, latency percentiles,
-// and cache effectiveness from the portal's own telemetry. With a trace
-// recorder (a -watch run), the portal also serves the run's live lag
-// summary on /api/lag.
-func runPortalLoad(db *reldb.DB, rec *trace.Recorder, readers, total int) error {
-	if total <= 0 {
-		return fmt.Errorf("-portal-requests must be positive, got %d", total)
-	}
-	reg := telemetry.NewRegistry()
-	ps := portal.NewServer(db, chip.StampedeNode().Registry(), nil)
-	ps.Metrics = reg
-	ps.Lag = rec
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	hs := &http.Server{Handler: ps}
-	go hs.Serve(ln)
-	defer hs.Close()
-	base := "http://" + ln.Addr().String()
-
-	durs := make([]time.Duration, total)
-	var next atomic.Int64
-	var firstErr atomic.Value
-	var wg sync.WaitGroup
-	start := time.Now()
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= total {
-					return
-				}
-				t0 := time.Now()
-				resp, err := http.Get(base + portalLoadMix[i%len(portalLoadMix)])
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					firstErr.CompareAndSwap(nil,
-						fmt.Errorf("%s: status %d", portalLoadMix[i%len(portalLoadMix)], resp.StatusCode))
-					return
-				}
-				durs[i] = time.Since(t0)
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if err, _ := firstErr.Load().(error); err != nil {
-		return err
-	}
-
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	pct := func(p float64) time.Duration { return durs[int(p*float64(total-1))] }
-	vals := telemetry.ParseExposition(reg.Exposition())
-	var hits, misses float64
-	for name, v := range vals {
-		if strings.HasPrefix(name, "gostats_portal_cache_hits_total") {
-			hits += v
-		} else if strings.HasPrefix(name, "gostats_portal_cache_misses_total") {
-			misses += v
-		}
-	}
-	fmt.Printf("simcluster portal-load: %d requests, %d readers in %.2fs = %.0f req/s\n",
-		total, readers, elapsed.Seconds(), float64(total)/elapsed.Seconds())
-	fmt.Printf("simcluster portal-load: latency p50=%s p95=%s max=%s\n",
-		pct(0.50), pct(0.95), durs[total-1])
-	if hits+misses > 0 {
-		fmt.Printf("simcluster portal-load: cache hits=%.0f misses=%.0f (%.1f%% hit ratio)\n",
-			hits, misses, 100*hits/(hits+misses))
-	}
-	if rec != nil {
-		resp, err := http.Get(base + "/api/lag")
-		if err != nil {
-			return fmt.Errorf("/api/lag: %w", err)
-		}
-		var sum trace.LagSummary
-		err = json.NewDecoder(resp.Body).Decode(&sum)
-		resp.Body.Close()
-		if err != nil {
-			return fmt.Errorf("/api/lag: %w", err)
-		}
-		fmt.Printf("simcluster portal-load: /api/lag serves %d pipeline stages, %d hosts, %d partitions\n",
-			len(sum.Stages), len(sum.Hosts), len(sum.Partitions))
-		if len(sum.Partitions) > 0 {
-			worst := sum.Partitions[0]
-			for _, p := range sum.Partitions {
-				if p.MaxFreshnessSeconds > worst.MaxFreshnessSeconds {
-					worst = p
-				}
-			}
-			fmt.Printf("simcluster portal-load: stalest partition p%03d: %d hosts, max freshness %.2f s\n",
-				worst.Partition, worst.Hosts, worst.MaxFreshnessSeconds)
-		}
-	}
-	return nil
-}
-
-// apiJobMix is the job-table side of the -portal-readers workload:
-// paginated lists, ordered pages, and bounded-heap rankings.
-var apiJobMix = [...]string{
 	"/api/v1/jobs?limit=50",
 	"/api/v1/jobs?order_by=-runtime&limit=20",
 	"/api/v1/jobs?order_by=starttime&offset=20&limit=20",
@@ -896,15 +750,17 @@ func (w *nullRecorder) Write(p []byte) (int, error) {
 }
 
 // runAPILoad drives `readers` concurrent clients through `total`
-// requests of the mixed /api/v1 workload against an in-process portal
-// over the freshly built job table and the run's live tsdb. Requests go
+// requests of the mixed portal and /api/v1 workload against an
+// in-process portal over the freshly built job table and the run's live
+// tsdb, then, with a trace recorder (a -watch run), probes the portal's
+// /api/lag summary of the run once. Requests go
 // straight through ServeHTTP — no sockets — so reader concurrency is
 // bounded by goroutines, not file descriptors. Each reader carries its
 // own X-Client-ID; every tenth reader shares one id so the token-bucket
 // limiter demonstrably fires under the pile-up. 429s are counted, never
 // fatal, and (because the limiter wraps outside the cache) never
 // populate or evict cache entries.
-func runAPILoad(db *reldb.DB, tdb *tsdb.DB, readers, total int, span float64) error {
+func runAPILoad(db *reldb.DB, tdb *tsdb.DB, rec *trace.Recorder, readers, total int, span float64) error {
 	if total <= 0 {
 		return fmt.Errorf("-portal-requests must be positive, got %d", total)
 	}
@@ -912,6 +768,7 @@ func runAPILoad(db *reldb.DB, tdb *tsdb.DB, readers, total int, span float64) er
 	ps := portal.NewServer(db, chip.StampedeNode().Registry(), nil)
 	ps.Metrics = reg
 	ps.TSDB = tdb
+	ps.Lag = rec
 	ps.Limiter = portal.NewLimiter(200, 50)
 	mix := append([]string(nil), apiJobMix[:]...)
 	if tdb != nil {
@@ -1004,6 +861,29 @@ func runAPILoad(db *reldb.DB, tdb *tsdb.DB, readers, total int, span float64) er
 		if st.FileOpens > held {
 			return fmt.Errorf("%d sealed-segment opens for %d sealed segments held", st.FileOpens, held)
 		}
+	}
+	if rec == nil {
+		return nil
+	}
+	req := httptest.NewRequest(http.MethodGet, "/api/lag", nil)
+	req.Header.Set("X-Client-ID", "lag-probe")
+	w := httptest.NewRecorder()
+	ps.ServeHTTP(w, req)
+	var sum trace.LagSummary
+	if err := json.NewDecoder(w.Body).Decode(&sum); err != nil || w.Code != http.StatusOK {
+		return fmt.Errorf("/api/lag: status %d: %v", w.Code, err)
+	}
+	fmt.Printf("simcluster api-load: /api/lag serves %d pipeline stages, %d hosts, %d partitions\n",
+		len(sum.Stages), len(sum.Hosts), len(sum.Partitions))
+	if len(sum.Partitions) > 0 {
+		worst := sum.Partitions[0]
+		for _, p := range sum.Partitions {
+			if p.MaxFreshnessSeconds > worst.MaxFreshnessSeconds {
+				worst = p
+			}
+		}
+		fmt.Printf("simcluster api-load: stalest partition p%03d: %d hosts, max freshness %.2f s\n",
+			worst.Partition, worst.Hosts, worst.MaxFreshnessSeconds)
 	}
 	return nil
 }
@@ -1118,183 +998,14 @@ func chaosPolicy() broker.Policy {
 	return pol
 }
 
-// snapKey identifies one snapshot for conservation accounting. Confirmed
-// publishes can duplicate a snapshot but never change it, so identity by
-// (host, time, mark) is exact.
-func snapKey(s model.Snapshot) string {
-	return fmt.Sprintf("%s@%.3f#%s", s.Host, s.Time, s.Mark)
-}
-
-// transportAudit is the conservation ledger of a fabric run, and under
-// -chaos its fault schedule: every snapshot a node emits is booked on
-// the way into its publisher, every first archive on the way out of the
-// deduplicating consumer group, and whatever an outage or broker kill
-// stranded must still sit in that node's spool. Because the group
-// dedups by (host, sequence) before the listener runs, a duplicate
-// reaching collect is a dedup failure, not a tolerated retry.
-type transportAudit struct {
-	net         *faultnet.Network // nil without -chaos
-	start, end  float64           // outage window in simulated seconds
-	strictOrder bool              // one owner per partition: per-host order must hold
-
-	mu         sync.Mutex
-	started    bool
-	stopped    bool
-	emitted    map[string]bool
-	collected  map[string]bool
-	lastSeen   map[string]float64 // per-host max first-occurrence time
-	duplicates int
-	disorder   []string
-	agents     []*node.Agent
-}
-
-func (a *transportAudit) track(agent *node.Agent) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.agents = append(a.agents, agent)
-}
-
-// observe runs before each node publish: it books the snapshot as
-// emitted and drives the outage gate off simulated time, so the window
-// hits the same collection rounds regardless of wall-clock speed.
-func (a *transportAudit) observe(s model.Snapshot) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.emitted[snapKey(s)] = true
-	if a.net == nil {
-		return
-	}
-	if !a.started && s.Time >= a.start {
-		a.started = true
-		a.net.StartOutage()
-		fmt.Printf("simcluster chaos: broker outage begins at t=%.0f\n", s.Time)
-	}
-	if a.started && !a.stopped && s.Time >= a.end {
-		a.stopped = true
-		a.net.StopOutage()
-		fmt.Printf("simcluster chaos: broker outage ends at t=%.0f\n", s.Time)
-	}
-}
-
-// collect books one archived snapshot. Only first occurrences take part
-// in the per-host ordering check: nodes publish in time order and spool
-// replay is FIFO, so through one owner per partition first deliveries
-// arrive non-decreasing per host. Replica owners drain in parallel, so
-// with replication inversions are reported but tolerated.
-func (a *transportAudit) collect(s model.Snapshot) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	k := snapKey(s)
-	if a.collected[k] {
-		a.duplicates++
-		return
-	}
-	a.collected[k] = true
-	if last, ok := a.lastSeen[s.Host]; ok && s.Time < last {
-		a.disorder = append(a.disorder,
-			fmt.Sprintf("%s: t=%.0f delivered after t=%.0f", s.Host, s.Time, last))
-	} else {
-		a.lastSeen[s.Host] = s.Time
-	}
-}
-
-// waitCaughtUp blocks until every node spool is empty and every emitted
-// snapshot is archived, or the timeout passes (the shortfall is then
-// the report's to explain).
-func (a *transportAudit) waitCaughtUp(timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		a.mu.Lock()
-		done := len(a.collected) >= len(a.emitted)
-		for _, ag := range a.agents {
-			done = done && ag.Spool.Depth() == 0
-		}
-		a.mu.Unlock()
-		if done {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// report enumerates what the spools still hold, checks conservation per
-// host — emitted == archived + still spooled, every archive filed under
-// the host that emitted it — plus zero duplicates past dedup, ordering
-// where it must hold, and (after a broker kill) a rebalanced map. It
-// prints the ledgers and returns an error on any violation. The
-// publishers must be stopped (their drainers idle); report closes the
-// agents once their spools are read.
-func (a *transportAudit) report(gst fabric.GroupStats, mapVersion uint64, victim string, wire codec.Version) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	spoolResident := map[string]bool{}
-	for _, ag := range a.agents {
-		_, err := ag.Spool.Drain(func(s model.Snapshot) error {
-			spoolResident[snapKey(s)] = true
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("fabric: reading spool remainder: %w", err)
-		}
-		if err := ag.Close(); err != nil {
-			return fmt.Errorf("fabric: closing agent: %w", err)
-		}
-	}
-	var st fabric.PublisherStats
-	for _, ag := range a.agents {
-		ps := ag.Stats()
-		st.Published += ps.Published
-		st.Redials += ps.Redials
-		st.Spooled += ps.Spooled
-		st.Replayed += ps.Replayed
-		st.Rerouted += ps.Rerouted
-		st.Dropped += ps.Dropped
-		st.BytesOnWire += ps.BytesOnWire
-	}
-
-	// Attribution: per host, what it emitted against what arrived filed
-	// under it. An archive no node emitted is data filed under the wrong
-	// host.
-	type tally struct{ emitted, archived, spooled, foreign int }
-	hosts := map[string]*tally{}
-	hostOf := func(k string) *tally {
-		h := k[:strings.LastIndexByte(k, '@')]
-		if hosts[h] == nil {
-			hosts[h] = &tally{}
-		}
-		return hosts[h]
-	}
-	var missing []string
-	for k := range a.emitted {
-		t := hostOf(k)
-		t.emitted++
-		switch {
-		case a.collected[k]:
-			t.archived++
-		case spoolResident[k]:
-			t.spooled++
-		default:
-			missing = append(missing, k)
-		}
-	}
-	for k := range a.collected {
-		if !a.emitted[k] {
-			hostOf(k).foreign++
-		}
-	}
-	var off []string
-	for h, t := range hosts {
-		if t.archived+t.spooled != t.emitted || t.foreign > 0 {
-			off = append(off, fmt.Sprintf("%s (emitted %d, archived %d, spooled %d, misfiled %d)",
-				h, t.emitted, t.archived, t.spooled, t.foreign))
-		}
-	}
-	sort.Strings(missing)
-	sort.Strings(off)
-
-	fmt.Printf("simcluster fabric: emitted=%d archived=%d spool_remaining=%d dup_past_dedup=%d missing=%d hosts=%d hosts_off=%d order_inversions=%d\n",
-		len(a.emitted), len(a.collected), len(spoolResident), a.duplicates, len(missing),
-		len(hosts), len(off), len(a.disorder))
+// reportFabric prints the run's conservation ledger, publisher and
+// group counters, and fault tally, and returns the ledger's verdict; after
+// a broker kill it also requires a rebalanced map. The engine must be
+// closed (every publisher's drainer stopped) and the ingest stopped.
+func reportFabric(led *simfleet.Ledger, fnet *faultnet.Network, gst fabric.GroupStats, mapVersion uint64, victim string, wire codec.Version) error {
+	c, err := led.Report()
+	st := led.PublisherStats()
+	fmt.Printf("simcluster fabric: %s\n", c)
 	delivered := st.Published + st.Replayed
 	perSnap := 0.0
 	if delivered > 0 {
@@ -1304,25 +1015,11 @@ func (a *transportAudit) report(gst fabric.GroupStats, mapVersion uint64, victim
 		st.Published, st.Redials, st.Spooled, st.Replayed, st.Rerouted, st.Dropped, st.BytesOnWire, perSnap, wire)
 	fmt.Printf("simcluster fabric: group delivered=%d handled=%d deduped=%d consumer_restarts=%d\n",
 		gst.Delivered, gst.Handled, gst.Deduped, gst.Restarts)
-	if a.net != nil {
-		fmt.Printf("simcluster chaos: faults %+v\n", a.net.Stats())
+	if fnet != nil {
+		fmt.Printf("simcluster chaos: faults %+v\n", fnet.Stats())
 	}
-	if len(off) > 0 {
-		n := len(off)
-		if n > 5 {
-			off = off[:5]
-		}
-		return fmt.Errorf("fabric: attribution off on %d hosts: %s", n, strings.Join(off, "; "))
-	}
-	if len(missing) > 0 {
-		n := len(missing)
-		if n > 10 {
-			missing = missing[:10]
-		}
-		return fmt.Errorf("fabric: %d snapshots lost (e.g. %v)", n, missing)
-	}
-	if a.duplicates > 0 {
-		return fmt.Errorf("fabric: %d duplicate snapshots got past (host, seq) dedup", a.duplicates)
+	if err != nil {
+		return err
 	}
 	if victim != "" {
 		if mapVersion < 2 {
@@ -1330,29 +1027,10 @@ func (a *transportAudit) report(gst fabric.GroupStats, mapVersion uint64, victim
 		}
 		fmt.Printf("simcluster fabric: rebalanced off killed broker %s (map now v%d)\n", victim, mapVersion)
 	}
-	if len(a.disorder) > 0 {
-		if a.strictOrder {
-			return fmt.Errorf("fabric: %d per-host ordering violations (e.g. %s)",
-				len(a.disorder), a.disorder[0])
-		}
+	if c.OrderInversions > 0 {
 		fmt.Printf("simcluster fabric: %d per-host order inversions tolerated across replicated delivery (e.g. %s)\n",
-			len(a.disorder), a.disorder[0])
+			c.OrderInversions, c.FirstInversion)
 	}
 	fmt.Printf("simcluster fabric: conservation holds — every host's snapshots archived under it or still in its spool\n")
 	return nil
 }
-
-// auditSink books each snapshot with the ledger and hands it to the
-// node's own agent; Close stops the publisher's drainer (the spool
-// stays open for the final accounting, which closes the agent).
-type auditSink struct {
-	audit *transportAudit
-	agent *node.Agent
-}
-
-func (s auditSink) Handle(snap model.Snapshot) error {
-	s.audit.observe(snap)
-	return s.agent.Publish(snap)
-}
-
-func (s auditSink) Close() error { return s.agent.Publisher.Close() }

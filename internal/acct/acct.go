@@ -155,13 +155,3 @@ func FromSpec(s workload.Spec, start, end float64, nodeList []string) Record {
 		State: string(s.Status), NodeList: nodeList,
 	}
 }
-
-// MetaMap converts records into the ETL's metadata join table shape:
-// everything keyed by job id.
-func MetaMap(recs []Record) map[string]Record {
-	out := make(map[string]Record, len(recs))
-	for _, r := range recs {
-		out[r.JobID] = r
-	}
-	return out
-}

@@ -112,7 +112,7 @@ func osWriteFile(path string, b []byte) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-func TestFromSpecAndMetaMap(t *testing.T) {
+func TestFromSpec(t *testing.T) {
 	spec := workload.Spec{
 		JobID: "7", User: "u1", Account: "TG-u1", Exe: "a.out", JobName: "x",
 		Queue: "largemem", Nodes: 2, Wayness: 8, SubmitAt: 50,
@@ -121,10 +121,6 @@ func TestFromSpecAndMetaMap(t *testing.T) {
 	r := FromSpec(spec, 100, 400, []string{"n1", "n2"})
 	if r.State != "FAILED" || r.Queue != "largemem" || r.Start != 100 {
 		t.Errorf("record = %+v", r)
-	}
-	m := MetaMap([]Record{r})
-	if m["7"].User != "u1" {
-		t.Errorf("meta map = %+v", m)
 	}
 }
 

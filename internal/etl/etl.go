@@ -211,15 +211,6 @@ func IngestStoreJournaled(st *rawfile.Store, reg *schema.Registry, vecWidth int,
 	return a.IngestedIDs(), a.Err()
 }
 
-// DefaultNodeConfig is the node type fleets run on unless a spec says
-// otherwise.
-func DefaultNodeConfig(queue string) chip.NodeConfig {
-	if queue == "largemem" {
-		return chip.LargeMemNode()
-	}
-	return chip.StampedeNode()
-}
-
 // RunFleetMixed is RunFleet but routes largemem-queue jobs to largemem
 // nodes, as the scheduler does.
 func RunFleetMixed(specs []workload.Spec, interval float64, seed int64, workers int) (*reldb.DB, FleetStats, error) {

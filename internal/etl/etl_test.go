@@ -202,15 +202,6 @@ func TestIngestStoreWithoutMetadata(t *testing.T) {
 	}
 }
 
-func TestDefaultNodeConfig(t *testing.T) {
-	if DefaultNodeConfig("largemem").MemBytes != 1<<40 {
-		t.Error("largemem queue not routed to largemem node")
-	}
-	if DefaultNodeConfig("normal").MemBytes != 32<<30 {
-		t.Error("normal queue not routed to stampede node")
-	}
-}
-
 // TestIngestStoreCreditsFleetVecWidth archives a job run on Nehalem
 // (SSE, two flops per vector instruction) to a raw store and ingests it
 // as jobetl -arch nehalem does: the row's Flops must be the ones

@@ -10,11 +10,11 @@ import (
 	"gostats/internal/chip"
 	"gostats/internal/cluster"
 	"gostats/internal/collect"
-	"gostats/internal/fabric"
 	"gostats/internal/hwsim"
 	"gostats/internal/model"
 	"gostats/internal/node"
 	"gostats/internal/rawfile"
+	"gostats/internal/simfleet"
 	"gostats/internal/workload"
 )
 
@@ -180,8 +180,9 @@ func (s *cronSink) Close() error { return s.logger.Close() }
 // DaemonMode (E4) runs the Fig 2 pipeline: every collection published to
 // the broker and archived centrally in real time; the same node failure
 // loses nothing already collected. The broker runs as a fabric of one,
-// and both sides are composed by internal/node exactly as tacc_statsd
-// and listend compose them.
+// both sides are composed by internal/node exactly as tacc_statsd and
+// listend compose them, and the simfleet ledger audits conservation:
+// every collection archived once, under the host that collected it.
 func DaemonMode(sc Scale) (*Result, error) {
 	tmp, err := os.MkdirTemp("", "gostats-daemon")
 	if err != nil {
@@ -189,22 +190,17 @@ func DaemonMode(sc Scale) (*Result, error) {
 	}
 	defer os.RemoveAll(tmp)
 
-	srv := broker.NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
+	fab, err := simfleet.NewFabric(1, 0, 0, broker.DefaultPolicy(), nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer srv.Close()
-	m, err := fabric.Bootstrap([]string{addr})
-	if err != nil {
-		return nil, err
-	}
-	view := fabric.NewView(m, broker.DefaultPolicy(), nil)
-	defer view.Close()
+	defer fab.Close()
+	led := simfleet.NewLedger(fab)
 
-	ing, err := node.NewIngest(view, node.IngestConfig{
-		StoreDir: filepath.Join(tmp, "central"),
-		Fleet:    chip.StampedeNode(),
+	ing, err := node.NewIngest(fab.View, node.IngestConfig{
+		StoreDir:   filepath.Join(tmp, "central"),
+		Fleet:      chip.StampedeNode(),
+		OnSnapshot: led.Archive,
 	})
 	if err != nil {
 		return nil, err
@@ -215,13 +211,8 @@ func DaemonMode(sc Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	collected := 0
 	eng.NewSink = func(n *hwsim.Node, col *collect.Collector) (cluster.Sink, error) {
-		agent, err := node.NewAgent(view, node.AgentConfig{Header: col.Header()})
-		if err != nil {
-			return nil, err
-		}
-		return &daemonSink{agent: agent, onPub: func() { collected++ }}, nil
+		return led.NewPublisher(node.AgentConfig{Header: col.Header()})
 	}
 	if err := eng.Start(); err != nil {
 		return nil, err
@@ -236,61 +227,35 @@ func DaemonMode(sc Scale) (*Result, error) {
 	if err := eng.Run(sc.SimSpan); err != nil {
 		return nil, err
 	}
+	// A publish is confirmed once the broker holds it, so wait until the
+	// listener has archived everything published.
+	if err := led.WaitCaughtUp(ing, 120*time.Second); err != nil {
+		return nil, fmt.Errorf("daemon mode: %w", err)
+	}
 	if err := eng.Close(); err != nil {
 		return nil, err
-	}
-	// Drain: a publish is confirmed once the broker holds it, so wait
-	// until the listener has archived everything published.
-	deadline := time.Now().Add(120 * time.Second)
-	for ing.Stats().Handled < uint64(collected) && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
 	}
 	if err := ing.Close(); err != nil {
 		return nil, err
 	}
-
-	totalCentral := 0
-	victimCentral := 0
-	for _, host := range eng.Nodes() {
-		snaps, err := ing.Store.ReadHost(host)
-		if err != nil {
-			continue
-		}
-		totalCentral += len(snaps)
-		if host == victim {
-			victimCentral = len(snaps)
-		}
+	c, err := led.Report()
+	if err != nil {
+		return nil, fmt.Errorf("daemon mode: %s: %w", c, err)
 	}
-	lost := collected - totalCentral
+	victimCentral := 0
+	if snaps, err := ing.Store.ReadHost(victim); err == nil {
+		victimCentral = len(snaps)
+	}
 
 	res := &Result{ID: "E4", Title: "Fig 2 — daemon mode: broker pipeline, real-time"}
 	res.Rows = []Row{
-		{"collections published", "-", fmt.Sprintf("%d", collected),
+		{"collections published", "-", fmt.Sprintf("%d", c.Emitted),
 			fmt.Sprintf("%d nodes over %.1f simulated days", sc.Nodes, sc.SimSpan/86400)},
-		{"available centrally", "immediately", fmt.Sprintf("%d", totalCentral), "archived as consumed"},
+		{"available centrally", "immediately", fmt.Sprintf("%d", c.Archived), "archived as consumed"},
 		{"mean data-availability lag", "real time (seconds)", "0 s simulated", "consumer keeps up with the stream"},
-		{"snapshots lost to node failure", "none already sent", fmt.Sprintf("%d", lost),
+		{"snapshots lost to node failure", "none already sent", fmt.Sprintf("%d", c.Missing),
 			fmt.Sprintf("node %s died at 60%% of span; %d of its snapshots safe", victim, victimCentral)},
 		{"listener processed", "-", fmt.Sprintf("%d", ing.Stats().Handled), ""},
 	}
-	if lost != 0 {
-		return nil, fmt.Errorf("daemon mode: lost %d snapshots, want 0", lost)
-	}
 	return res, nil
 }
-
-// daemonSink adapts a node agent to the engine sink interface.
-type daemonSink struct {
-	agent *node.Agent
-	onPub func()
-}
-
-func (s *daemonSink) Handle(snap model.Snapshot) error {
-	if err := s.agent.Publish(snap); err != nil {
-		return err
-	}
-	s.onPub()
-	return nil
-}
-
-func (s *daemonSink) Close() error { return s.agent.Close() }

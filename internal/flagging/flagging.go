@@ -13,7 +13,6 @@ package flagging
 
 import (
 	"fmt"
-	"sort"
 
 	"gostats/internal/reldb"
 )
@@ -136,16 +135,6 @@ func Sweep(db *reldb.DB, flags []Flag, filters ...reldb.Filter) (*Report, error)
 		}
 	}
 	return rep, nil
-}
-
-// FlaggedJobs returns the flagged job ids in sorted order.
-func (r *Report) FlaggedJobs() []string {
-	ids := make([]string, 0, len(r.ByJob))
-	for id := range r.ByJob {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // Fraction reports the share of swept jobs raising the named flag.

@@ -94,8 +94,8 @@ func TestSweepAndReport(t *testing.T) {
 	if rep.Total != 3 {
 		t.Errorf("total = %d", rep.Total)
 	}
-	if got := rep.FlaggedJobs(); len(got) != 1 || got[0] != "3" {
-		t.Errorf("flagged = %v", got)
+	if len(rep.ByJob) != 1 {
+		t.Errorf("flagged = %v", rep.ByJob)
 	}
 	if len(rep.ByJob["3"]) != 2 {
 		t.Errorf("job 3 flags = %v", rep.ByJob["3"])

@@ -85,7 +85,6 @@ type Node struct {
 	hwm     map[int]uint64 // per-PID resident high water mark
 	utime   map[int]float64
 	lastDmd Demand
-	elapsed float64 // simulated seconds since boot
 }
 
 // NewNode builds a node with the given hostname and configuration. The
@@ -176,13 +175,6 @@ func (n *Node) Config() chip.NodeConfig { return n.cfg }
 // Registry returns the node's runtime-detected schema registry.
 func (n *Node) Registry() *schema.Registry { return n.reg }
 
-// Uptime returns simulated seconds since boot.
-func (n *Node) Uptime() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.elapsed
-}
-
 // jitter multiplies x by a small random factor (±amp/2) so repeated runs
 // of the same workload produce realistic, non-identical counters.
 func (n *Node) jitter(x, amp float64) float64 {
@@ -199,7 +191,6 @@ func (n *Node) Advance(dt float64, d Demand) {
 	defer n.mu.Unlock()
 	d = d.sanitize()
 	n.lastDmd = d
-	n.elapsed += dt
 	topo := n.cfg.Topo
 
 	n.advanceCPU(dt, d, topo)

@@ -109,9 +109,6 @@ func TestAdvanceZeroOrNegativeDtIsNoop(t *testing.T) {
 	if before != after {
 		t.Errorf("zero/negative dt advanced counters: %d -> %d", before, after)
 	}
-	if n.Uptime() != 10 {
-		t.Errorf("uptime = %g, want 10", n.Uptime())
-	}
 }
 
 func TestCPUJiffyAccounting(t *testing.T) {
@@ -173,9 +170,6 @@ func TestRAPL32BitRollover(t *testing.T) {
 	// Total energy actually delivered exceeds the register range, so the
 	// masked value must be less than the unmasked accumulation would be.
 	// (The bank accumulates in float64 internally; the read is masked.)
-	if n.Uptime() != 108000 {
-		t.Fatalf("uptime = %g", n.Uptime())
-	}
 }
 
 func TestMemGaugeIsInstantaneous(t *testing.T) {

@@ -126,16 +126,6 @@ func (f *Filesystem) Throttle() float64 {
 	return f.cfg.OSSBandwidth / f.ossLoad
 }
 
-// MDSUtilization reports the current load over capacity.
-func (f *Filesystem) MDSUtilization() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.cfg.MDSCapacity == 0 {
-		return 0
-	}
-	return f.mdsLoad / f.cfg.MDSCapacity
-}
-
 // PeakMDSLoad reports the highest smoothed metadata load observed.
 func (f *Filesystem) PeakMDSLoad() float64 {
 	f.mu.Lock()

@@ -10,7 +10,6 @@ package stats
 import (
 	"errors"
 	"math"
-	"sort"
 )
 
 // ErrEmpty is returned by reductions over empty inputs.
@@ -70,9 +69,6 @@ func (o *Online) Var() float64 {
 	}
 	return o.m2 / float64(o.n-1)
 }
-
-// Std reports the sample standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
 
 // Merge combines another accumulator into o (parallel Welford merge),
 // leaving other unchanged.
@@ -166,43 +162,4 @@ func Pearson(xs, ys []float64) (float64, error) {
 		return 0, errors.New("stats: zero variance")
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs using
-// linear interpolation between closest ranks. xs is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range")
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	if len(s) == 1 {
-		return s[0], nil
-	}
-	rank := p / 100 * float64(len(s)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return s[lo], nil
-	}
-	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
-}
-
-// FractionAbove reports the fraction of xs strictly greater than threshold.
-func FractionAbove(xs []float64, threshold float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x > threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }

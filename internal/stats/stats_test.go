@@ -35,7 +35,7 @@ func TestOnlineBasics(t *testing.T) {
 func TestOnlineSingleSample(t *testing.T) {
 	var o Online
 	o.Add(42)
-	if o.Var() != 0 || o.Std() != 0 {
+	if o.Var() != 0 {
 		t.Errorf("variance of single sample should be 0, got %g", o.Var())
 	}
 	if o.Min() != 42 || o.Max() != 42 {
@@ -152,57 +152,6 @@ func TestPearsonNearZeroForIndependent(t *testing.T) {
 	}
 	if math.Abs(r) > 0.05 {
 		t.Errorf("independent samples correlate too strongly: r = %g", r)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{15, 20, 35, 40, 50}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 15}, {100, 50}, {50, 35}, {25, 20}, {75, 40},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEq(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%g) = %g, want %g", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err != ErrEmpty {
-		t.Errorf("empty percentile err = %v", err)
-	}
-	if _, err := Percentile(xs, 101); err == nil {
-		t.Error("out-of-range p accepted")
-	}
-	if v, _ := Percentile([]float64{9}, 75); v != 9 {
-		t.Errorf("single-sample percentile = %g", v)
-	}
-}
-
-func TestPercentileDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	if _, err := Percentile(xs, 50); err != nil {
-		t.Fatal(err)
-	}
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("input mutated: %v", xs)
-	}
-}
-
-func TestFractionAbove(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if f := FractionAbove(xs, 2); f != 0.5 {
-		t.Errorf("FractionAbove = %g, want 0.5", f)
-	}
-	if f := FractionAbove(nil, 0); f != 0 {
-		t.Errorf("FractionAbove(nil) = %g", f)
-	}
-	if f := FractionAbove(xs, 10); f != 0 {
-		t.Errorf("FractionAbove(high) = %g", f)
 	}
 }
 

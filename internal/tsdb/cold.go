@@ -54,15 +54,6 @@ func (db *DB) AttachCold(cs *segstore.Store, hotWindow float64) error {
 // Cold returns the attached store (nil if none).
 func (db *DB) Cold() *segstore.Store { return db.cold }
 
-// FlushCold hands the store's pending frames to the OS and surfaces any
-// sticky cold-write error. Cheap enough to call at batch boundaries.
-func (db *DB) FlushCold() error {
-	if db.cold == nil {
-		return nil
-	}
-	return db.cold.Commit()
-}
-
 // CommitCold advances the hot/cold boundary: amortized to run once per
 // quarter hot-window of ingested time, it flushes each stripe's cold
 // shard and only then drops that stripe's host rows older than
