@@ -300,10 +300,11 @@ func main() {
 			// The live assembler mirrors the nightly ETL over the delivered
 			// stream and joins the submitted specs as scheduler meta; its
 			// rows go only to the watcher (the post-hoc ETL stays
-			// authoritative). Broker delivery is per-host FIFO but
-			// cross-host skew can reach a collection interval, so
-			// finalization is held back that long for lagging tails to
-			// fold in.
+			// authoritative). Broker delivery is per-host FIFO, but the
+			// skew across partition consumers has no bound: holding
+			// finalization back one collection interval folds in only
+			// the tails that lag less than that, and later arrivals are
+			// counted as late drops.
 			liveMeta := make(map[string]etl.Meta, len(specs))
 			for _, sp := range specs {
 				liveMeta[sp.JobID] = etl.MetaFromSpec(sp)

@@ -4,10 +4,11 @@
 // devices automatically at runtime (reading CPUID and probing PCI config
 // space), then programs the correct event sets for Nehalem, Westmere,
 // Sandy Bridge, Ivy Bridge and Haswell cores, and detects node topology
-// including hardware threading. This package reproduces that behaviour
-// against simulated CPUID data: given a CPUID signature it resolves an
-// architecture descriptor that names the uncore boxes present and the PMC
-// events programmable on that core, and derives the collection topology.
+// including hardware threading. This package does not detect anything:
+// the architecture is named by configuration (a daemon's -arch flag, a
+// NodeConfig), and the package resolves it to a descriptor that names
+// the uncore boxes present and the PMC events programmable on that
+// core, and derives the collection topology.
 package chip
 
 import (
@@ -29,20 +30,11 @@ const (
 	KnightsCorner Arch = "knightscorner" // Xeon Phi, monitored from the host
 )
 
-// Signature is a simulated CPUID signature: family/model identify the
-// microarchitecture exactly as on real Intel parts.
-type Signature struct {
-	Vendor string // "GenuineIntel"
-	Family int
-	Model  int
-}
-
 // Descriptor describes everything the collector needs to know about an
 // architecture: which uncore device classes exist, whether RAPL is
 // available, and the PMC schema for its cores.
 type Descriptor struct {
 	Arch        Arch
-	Signature   Signature
 	HasUncore   bool // discrete IMC/QPI boxes in PCI config space
 	HasRAPL     bool
 	HasDRAMRAPL bool // DRAM plane energy (server parts from SNB-EP on)
@@ -58,15 +50,14 @@ type Descriptor struct {
 	VecWidth int
 }
 
-// knownChips is the detection table, keyed by family/model the way the
-// real tool keys its msr setup. Family 6 models follow Intel's SDM.
+// knownChips is the architecture table.
 var knownChips = []Descriptor{
-	{Arch: Nehalem, Signature: Signature{"GenuineIntel", 6, 0x1A}, HasUncore: false, HasRAPL: false, CountersPerCore: 4, VecWidth: 2},
-	{Arch: Westmere, Signature: Signature{"GenuineIntel", 6, 0x2C}, HasUncore: false, HasRAPL: false, CountersPerCore: 4, VecWidth: 2},
-	{Arch: SandyBridge, Signature: Signature{"GenuineIntel", 6, 0x2D}, HasUncore: true, HasRAPL: true, HasDRAMRAPL: true, CountersPerCore: 8, VecWidth: 4},
-	{Arch: IvyBridge, Signature: Signature{"GenuineIntel", 6, 0x3E}, HasUncore: true, HasRAPL: true, HasDRAMRAPL: true, CountersPerCore: 8, VecWidth: 4},
-	{Arch: Haswell, Signature: Signature{"GenuineIntel", 6, 0x3F}, HasUncore: true, HasRAPL: true, HasDRAMRAPL: true, CountersPerCore: 8, VecWidth: 4},
-	{Arch: KnightsCorner, Signature: Signature{"GenuineIntel", 11, 0x01}, HasUncore: false, HasRAPL: false, CountersPerCore: 2, VecWidth: 8},
+	{Arch: Nehalem, HasUncore: false, HasRAPL: false, CountersPerCore: 4, VecWidth: 2},
+	{Arch: Westmere, HasUncore: false, HasRAPL: false, CountersPerCore: 4, VecWidth: 2},
+	{Arch: SandyBridge, HasUncore: true, HasRAPL: true, HasDRAMRAPL: true, CountersPerCore: 8, VecWidth: 4},
+	{Arch: IvyBridge, HasUncore: true, HasRAPL: true, HasDRAMRAPL: true, CountersPerCore: 8, VecWidth: 4},
+	{Arch: Haswell, HasUncore: true, HasRAPL: true, HasDRAMRAPL: true, CountersPerCore: 8, VecWidth: 4},
+	{Arch: KnightsCorner, HasUncore: false, HasRAPL: false, CountersPerCore: 2, VecWidth: 8},
 }
 
 // pmcFor picks the PMC event set the architecture's counters can hold:
@@ -77,20 +68,6 @@ func pmcFor(d Descriptor) *schema.Schema {
 		return schema.PMCSchemaLimited()
 	}
 	return schema.PMCSchema()
-}
-
-// Detect resolves a CPUID signature to an architecture descriptor,
-// mirroring tacc_stats' runtime architecture identification. Unknown
-// signatures return an error so deployments on unexpected hardware fail
-// loudly instead of collecting garbage.
-func Detect(sig Signature) (Descriptor, error) {
-	for _, d := range knownChips {
-		if d.Signature == sig {
-			d.PMC = pmcFor(d)
-			return d, nil
-		}
-	}
-	return Descriptor{}, fmt.Errorf("chip: unsupported cpuid signature %+v", sig)
 }
 
 // ByArch returns the descriptor for a named architecture.
@@ -104,7 +81,7 @@ func ByArch(a Arch) (Descriptor, error) {
 	return Descriptor{}, fmt.Errorf("chip: unknown architecture %q", a)
 }
 
-// mustArch is ByArch for an architecture in the detection table.
+// mustArch is ByArch for an architecture in the table.
 func mustArch(a Arch) Descriptor {
 	d, err := ByArch(a)
 	if err != nil {
@@ -113,7 +90,7 @@ func mustArch(a Arch) Descriptor {
 	return d
 }
 
-// Archs lists the supported architectures in detection-table order.
+// Archs lists the supported architectures in table order.
 func Archs() []Arch {
 	out := make([]Arch, len(knownChips))
 	for i, d := range knownChips {
@@ -164,17 +141,9 @@ func (t Topology) CollectCPUs() []int {
 	return cpus
 }
 
-// SocketOf maps a logical CPU id to its socket index under the standard
-// Linux enumeration (cores first across sockets in blocks, thread
-// siblings offset by PhysicalCores).
-func (t Topology) SocketOf(cpu int) int {
-	core := cpu % t.PhysicalCores()
-	return core / t.CoresPerSocket
-}
-
 // NodeConfig ties an architecture to a topology plus the three build-time
 // options the paper says remain (Infiniband, Xeon Phi, Lustre support).
-// Everything else is runtime-detected.
+// Everything else follows from the architecture.
 type NodeConfig struct {
 	Desc      Descriptor
 	Topo      Topology

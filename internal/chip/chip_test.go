@@ -6,38 +6,6 @@ import (
 	"gostats/internal/schema"
 )
 
-func TestDetectKnownSignatures(t *testing.T) {
-	cases := []struct {
-		sig  Signature
-		want Arch
-	}{
-		{Signature{"GenuineIntel", 6, 0x1A}, Nehalem},
-		{Signature{"GenuineIntel", 6, 0x2C}, Westmere},
-		{Signature{"GenuineIntel", 6, 0x2D}, SandyBridge},
-		{Signature{"GenuineIntel", 6, 0x3E}, IvyBridge},
-		{Signature{"GenuineIntel", 6, 0x3F}, Haswell},
-		{Signature{"GenuineIntel", 11, 0x01}, KnightsCorner},
-	}
-	for _, c := range cases {
-		d, err := Detect(c.sig)
-		if err != nil {
-			t.Fatalf("Detect(%+v): %v", c.sig, err)
-		}
-		if d.Arch != c.want {
-			t.Errorf("Detect(%+v) = %s, want %s", c.sig, d.Arch, c.want)
-		}
-		if d.PMC == nil {
-			t.Errorf("%s: PMC schema nil", d.Arch)
-		}
-	}
-}
-
-func TestDetectUnknownSignature(t *testing.T) {
-	if _, err := Detect(Signature{"AuthenticAMD", 15, 1}); err == nil {
-		t.Error("unknown signature accepted")
-	}
-}
-
 func TestByArch(t *testing.T) {
 	d, err := ByArch(Haswell)
 	if err != nil {
@@ -112,24 +80,6 @@ func TestCollectCPUsOnePerPhysicalCore(t *testing.T) {
 			t.Errorf("cpu id %d duplicated", c)
 		}
 		seen[c] = true
-	}
-}
-
-func TestSocketOf(t *testing.T) {
-	topo := Topology{Sockets: 2, CoresPerSocket: 8, ThreadsPerCore: 2}
-	if s := topo.SocketOf(0); s != 0 {
-		t.Errorf("SocketOf(0) = %d", s)
-	}
-	if s := topo.SocketOf(8); s != 1 {
-		t.Errorf("SocketOf(8) = %d", s)
-	}
-	// Sibling thread of cpu 0 is cpu 16 and belongs to socket 0.
-	if s := topo.SocketOf(16); s != 0 {
-		t.Errorf("SocketOf(16) = %d", s)
-	}
-	// Sibling thread of cpu 8 is cpu 24, socket 1.
-	if s := topo.SocketOf(24); s != 1 {
-		t.Errorf("SocketOf(24) = %d", s)
 	}
 }
 

@@ -44,12 +44,11 @@ type nodeRT struct {
 
 // activeJob is a running job inside the engine.
 type activeJob struct {
-	spec      workload.Spec
-	rng       *rand.Rand
-	start     float64
-	end       float64
-	nodes     []*nodeRT
-	suspended bool
+	spec  workload.Spec
+	rng   *rand.Rand
+	start float64
+	end   float64
+	nodes []*nodeRT
 }
 
 // Engine steps a persistent cluster through simulated time.
@@ -142,25 +141,6 @@ func (e *Engine) Nodes() []string {
 		out[i] = rt.node.Host()
 	}
 	return out
-}
-
-// SuspendJob stops a running job's workload (its nodes go idle while it
-// keeps its reservation) — the §VI-B automated response to a problem job
-// "before it creates system-wide slowdowns". Returns false if the job is
-// not running.
-func (e *Engine) SuspendJob(id string) bool {
-	job, ok := e.active[id]
-	if !ok {
-		return false
-	}
-	job.suspended = true
-	return true
-}
-
-// Suspended reports whether a running job is suspended.
-func (e *Engine) Suspended(id string) bool {
-	job, ok := e.active[id]
-	return ok && job.suspended
 }
 
 // FailNode marks a node dead: it stops advancing, collecting and
@@ -297,10 +277,7 @@ func (e *Engine) Step() error {
 			if rt.failed {
 				continue
 			}
-			d := hwsim.IdleDemand()
-			if !job.suspended {
-				d = job.spec.Model.Demand(elapsed, job.spec.Runtime, rt.jobIdx, len(job.nodes), job.rng)
-			}
+			d := job.spec.Model.Demand(elapsed, job.spec.Runtime, rt.jobIdx, len(job.nodes), job.rng)
 			plan = append(plan, pending{rt, d})
 		}
 	}
@@ -382,10 +359,7 @@ func (e *Engine) advanceJob(job *activeJob, dt float64) {
 		if rt.failed {
 			continue
 		}
-		d := hwsim.IdleDemand()
-		if !job.suspended {
-			d = job.spec.Model.Demand(elapsed, job.spec.Runtime, rt.jobIdx, len(job.nodes), job.rng)
-		}
+		d := job.spec.Model.Demand(elapsed, job.spec.Runtime, rt.jobIdx, len(job.nodes), job.rng)
 		if e.FS != nil {
 			if d.MDCWaitUs < wait {
 				d.MDCWaitUs = wait

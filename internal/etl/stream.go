@@ -33,8 +33,8 @@ const DefaultEndGrace = 600
 //
 // The trigger is evaluated against stream time, not wall time, so a
 // historical replay behaves identically to a live tail, and it is held
-// back by the Lateness window so cross-host delivery skew cannot
-// truncate a job. A finalized job stays finalized: its id is tombstoned,
+// back by the Lateness window so cross-host delivery skew within that
+// window cannot truncate a job. A finalized job stays finalized: its id is tombstoned,
 // and any sample or mark that still arrives for it is dropped and
 // counted rather than starting a second, truncated row. Flush finalizes
 // everything left (batch end-of-input).
@@ -59,13 +59,13 @@ type Assembler struct {
 	// first snapshot after the mark.
 	EndGrace float64
 	// Lateness holds the finalize trigger back by this many stream
-	// seconds past the watermark. Live broker delivery is only
-	// approximately time-ordered — per-host FIFO, but cross-host skew of
-	// up to about a collection interval — and a job finalized before a
-	// lagging host's tail samples arrive would be reduced over a
-	// truncated series. Set it to one collection interval for live
-	// streams; zero is correct for time-ordered input (Store.Walk, tests).
-	// Arrivals later than the window are dropped (LateDrops).
+	// seconds past the watermark. Live broker delivery is per-host FIFO
+	// only: the skew across hosts (across partition consumers) has no
+	// bound, so no window covers every arrival, and a job finalized
+	// before a lagging host's tail samples arrive is reduced over a
+	// truncated series. Simulated live streams set one collection
+	// interval; zero is correct for time-ordered input (Store.Walk,
+	// tests). Arrivals later than the window are dropped (LateDrops).
 	Lateness float64
 
 	// OnRow, if set, observes every finalized row (tests, metrics).
@@ -317,5 +317,7 @@ func (a *Assembler) IngestedIDs() []string {
 func (a *Assembler) Skipped() int { return a.skipped }
 
 // LateDrops reports samples and marks dropped because their job had
-// already finalized; non-zero means delivery skew exceeded Lateness.
+// already finalized: arrivals whose host lagged the stream by more than
+// Lateness. Live streams count them routinely, since cross-host skew
+// has no bound.
 func (a *Assembler) LateDrops() int { return a.late }

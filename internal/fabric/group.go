@@ -103,6 +103,7 @@ type partConsumer struct {
 	stop chan struct{} // closed to retire the consumer
 	mu   sync.Mutex
 	cons *broker.Consumer // live connection, closed on stop to unblock Next
+	busy bool             // a delivered frame is being handled and acked
 }
 
 // NewGroup builds a consumer group member over view.
@@ -197,7 +198,9 @@ func (g *Group) reconcile(m Map) {
 }
 
 // retire stops a consumer: closing stop ends its loop, closing the live
-// connection unblocks a pending Next.
+// connection unblocks a pending Next. A consumer mid-frame keeps its
+// connection until the frame is handled and acked, so a stop never
+// leaves a handled frame unacked for the next member to handle again.
 func (pc *partConsumer) retire() {
 	pc.mu.Lock()
 	select {
@@ -205,11 +208,26 @@ func (pc *partConsumer) retire() {
 	default:
 		close(pc.stop)
 	}
-	if pc.cons != nil {
+	if pc.cons != nil && !pc.busy {
 		pc.cons.Close()
 		pc.cons = nil
 	}
 	pc.mu.Unlock()
+}
+
+// setBusy marks a frame in or out of hand and reports whether the
+// consumer is still live; a retired consumer is never marked busy.
+func (pc *partConsumer) setBusy(busy bool) bool {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	select {
+	case <-pc.stop:
+		pc.busy = false
+		return false
+	default:
+		pc.busy = busy
+		return true
+	}
 }
 
 // dial opens a consumer subscription to k's queue on k's broker.
@@ -299,7 +317,8 @@ func (g *Group) consumeLoop(k consumerKey, pc *partConsumer) {
 
 // drainConsumer pumps one live connection until it errors or the
 // consumer is retired. A handled message resets the failure streak via
-// the return path (nil error only on retirement).
+// the return path (nil error only on retirement). A frame read after
+// retirement is left unacked, so the broker requeues it.
 func (g *Group) drainConsumer(k consumerKey, pc *partConsumer, cons *broker.Consumer) error {
 	for {
 		msg, err := cons.NextMsgNoAck()
@@ -311,43 +330,51 @@ func (g *Group) drainConsumer(k consumerKey, pc *partConsumer, cons *broker.Cons
 			}
 			return err
 		}
-		g.recordDelivery(k)
-		dedup := g.dedupTable()
-		// Admission and handling share a per-host critical section so a
-		// replica copy racing in on another consumer cannot pass the
-		// dedup check while the first copy's handler is still running,
-		// and so the copy of seq n+1 cannot enter Handle before seq n
-		// has cleared it (per-host order); a failed handle withdraws the
-		// admission so the broker's redelivery (the frame was not acked)
-		// is handled, not deduped away. Different hosts take different
-		// stripes and handle concurrently.
-		hm := g.hostLock(msg.Host)
-		hm.Lock()
-		if dedup.Seen(msg.Host, msg.Seq) {
-			hm.Unlock()
-			g.dropsCounter().Inc()
-			if err := cons.Ack(); err != nil {
-				return err
-			}
-			continue
+		if !pc.setBusy(true) {
+			return nil
 		}
-		herr := g.Handle(msg.Body)
-		if herr != nil {
-			dedup.Forget(msg.Host, msg.Seq)
-			hm.Unlock()
-			return fmt.Errorf("handler: %w", herr)
-		}
-		hm.Unlock()
-		g.mu.Lock()
-		g.handled++
-		g.mu.Unlock()
-		if err := cons.Ack(); err != nil {
+		err = g.deliver(k, cons, msg)
+		if retired := !pc.setBusy(false); err != nil || retired {
 			return err
 		}
-		if br := g.view.Breaker(k.addr); br != nil {
-			br.Success()
-		}
 	}
+}
+
+// deliver admits one frame past dedup, hands it to Handle and acks it.
+func (g *Group) deliver(k consumerKey, cons *broker.Consumer, msg broker.Msg) error {
+	g.recordDelivery(k)
+	dedup := g.dedupTable()
+	// Admission and handling share a per-host critical section so a
+	// replica copy racing in on another consumer cannot pass the
+	// dedup check while the first copy's handler is still running,
+	// and so the copy of seq n+1 cannot enter Handle before seq n
+	// has cleared it (per-host order); a failed handle withdraws the
+	// admission so the broker's redelivery (the frame was not acked)
+	// is handled, not deduped away. Different hosts take different
+	// stripes and handle concurrently.
+	hm := g.hostLock(msg.Host)
+	hm.Lock()
+	if dedup.Seen(msg.Host, msg.Seq) {
+		hm.Unlock()
+		g.dropsCounter().Inc()
+		return cons.Ack()
+	}
+	if err := g.Handle(msg.Body); err != nil {
+		dedup.Forget(msg.Host, msg.Seq)
+		hm.Unlock()
+		return fmt.Errorf("handler: %w", err)
+	}
+	hm.Unlock()
+	g.mu.Lock()
+	g.handled++
+	g.mu.Unlock()
+	if err := cons.Ack(); err != nil {
+		return err
+	}
+	if br := g.view.Breaker(k.addr); br != nil {
+		br.Success()
+	}
+	return nil
 }
 
 // hostLock maps a host to its admission-ordering stripe.

@@ -271,6 +271,116 @@ func TestTwoIngestMembersSplitTheFleet(t *testing.T) {
 	}
 }
 
+// TestStopAcksHandledAndLeavesTheRestQueued is listend's stop path
+// (SIGTERM → Close → Stop) with a backlog: Stop lands while a snapshot
+// is mid-handle and more are prefetched behind it. Every snapshot the
+// member handled is archived and acked, the unhandled rest stays on the
+// broker, and a second member started afterwards archives exactly that
+// rest — nothing lost, nothing archived twice.
+func TestStopAcksHandledAndLeavesTheRestQueued(t *testing.T) {
+	srv := broker.NewServer()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	m, err := fabric.Bootstrap([]string{addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := fabric.NewView(m, broker.DefaultPolicy(), telemetry.NewRegistry())
+	defer view.Close()
+	cfg := chip.StampedeNode()
+	h := newHost(t, view, "c401-101", cfg)
+	queue := fabric.PartitionQueue(m.PartitionOf("c401-101"))
+
+	const n, stopAt = 12, 4
+	var emitted []string
+	for i := 1; i <= n; i++ {
+		emitted = append(emitted, tick(t, []*host{h}, float64(i)*600)...)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.QueueDepth(queue) < n && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if d := srv.QueueDepth(queue); d != n {
+		t.Fatalf("queued %d of %d snapshots before ingest started", d, n)
+	}
+
+	// The stopAt-th snapshot blocks in the tap until Stop is under way.
+	reached, release := make(chan struct{}), make(chan struct{})
+	var tapped int
+	first, err := NewIngest(view, IngestConfig{StoreDir: t.TempDir(), Fleet: cfg,
+		OnSnapshot: func(model.Snapshot) {
+			if tapped++; tapped == stopAt {
+				close(reached)
+				<-release
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-reached
+	stopped := make(chan error, 1)
+	go func() { stopped <- first.Stop() }()
+	// The assertions below hold in either order; the pause makes Stop
+	// retire the consumer while the snapshot is still in hand, the case
+	// a stop path must get right.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	if err := <-stopped; err != nil {
+		t.Fatal(err)
+	}
+
+	handled := int(first.Stats().Handled)
+	if handled < stopAt || handled >= n {
+		t.Fatalf("first member handled %d snapshots, want %d..%d", handled, stopAt, n-1)
+	}
+	// The broker decodes the last ack and requeues the prefetched rest
+	// asynchronously once the consumer's connection closes; poll for both.
+	deadline = time.Now().Add(5 * time.Second)
+	for (int(srv.QueueCounts(queue).Acked) != handled || srv.QueueDepth(queue) != n-handled) &&
+		time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if acked := int(srv.QueueCounts(queue).Acked); acked != handled {
+		t.Errorf("acked %d, handled %d", acked, handled)
+	}
+	if d := srv.QueueDepth(queue); d != n-handled {
+		t.Errorf("left %d queued, want %d", d, n-handled)
+	}
+
+	next, err := NewIngest(view, IngestConfig{StoreDir: t.TempDir(), Fleet: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitHandled(t, n-handled, next)
+	if err := next.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	archived := map[string]int{}
+	for i, ing := range []*Ingest{first, next} {
+		snaps, err := ing.Store.ReadHost("c401-101")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{handled, n - handled}[i]; len(snaps) != want {
+			t.Errorf("member %d archived %d snapshots, want %d", i, len(snaps), want)
+		}
+		for _, s := range snaps {
+			archived[key(s.Host, s.Time)]++
+		}
+	}
+	for _, k := range emitted {
+		if archived[k] != 1 {
+			t.Errorf("snapshot %s archived %d times, want exactly once", k, archived[k])
+		}
+	}
+}
+
 // TestNodeLifecycleJoinsWorkers: an ingest node with a segment store and
 // an agent with a spool join every goroutine they start — consumers,
 // listener stages, background compaction, the fatal-error watcher, the

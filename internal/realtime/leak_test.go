@@ -12,8 +12,8 @@ import (
 )
 
 // TestListenerLifecycleJoinsWorkers pins the goroutine-hygiene
-// contract for the listener: a full consume → shutdown → close cycle
-// must leave no goroutine behind. The decode, archive, ingest and
+// contract for the listener: a full consume → broker close → close
+// cycle must leave no goroutine behind. The decode, archive, ingest and
 // assemble steps run on Run's goroutine, so none may outlive it.
 func TestListenerLifecycleJoinsWorkers(t *testing.T) {
 	defer leakcheck.Check(t)()
@@ -50,7 +50,10 @@ func TestListenerLifecycleJoinsWorkers(t *testing.T) {
 	if l.Processed() < 1 {
 		t.Fatal("listener never consumed the published snapshot")
 	}
-	l.Shutdown()
+	// Closing the broker ends Run at io.EOF, as the benchmark stops it.
+	if err := srv.Close(); err != nil {
+		t.Fatalf("server close: %v", err)
+	}
 	if err := <-runDone; err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -58,7 +61,4 @@ func TestListenerLifecycleJoinsWorkers(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	pub.Close()
-	if err := srv.Close(); err != nil {
-		t.Fatalf("server close: %v", err)
-	}
 }

@@ -8,7 +8,6 @@ package realtime
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -78,8 +77,6 @@ type Monitor struct {
 	// Notify, if set, is invoked synchronously for every alert (the
 	// "system administrator notified immediately" hook).
 	Notify func(Alert)
-
-	alerts []Alert
 }
 
 // monRule is a Rule resolved against the registry once: idx is the
@@ -149,7 +146,6 @@ func (m *Monitor) Process(s model.Snapshot) []Alert {
 		a := Alert{Time: s.Time, Host: s.Host, JobIDs: append([]string(nil), s.JobIDs...),
 			Rule: r.Name, Value: rate, Threshold: r.Threshold}
 		out = append(out, a)
-		m.alerts = append(m.alerts, a)
 		if m.Notify != nil {
 			m.Notify(a)
 		}
@@ -180,28 +176,6 @@ func (v *eventVals) fold(recs []model.Record, r *monRule, advancing bool) (total
 	}
 	v.prev, v.next = v.next, v.prev
 	return total, found
-}
-
-// Alerts returns a copy of every alert raised so far.
-func (m *Monitor) Alerts() []Alert {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Alert(nil), m.alerts...)
-}
-
-// SilentHosts returns hosts not heard from since the cutoff — the
-// node-death detector cron mode fundamentally cannot provide same-day.
-func (m *Monitor) SilentHosts(cutoff float64) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for h, t := range m.seen {
-		if t < cutoff {
-			out = append(out, h)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // listenMetrics are the central consumer's telemetry series.
@@ -270,8 +244,6 @@ type Listener struct {
 	Trace *trace.Recorder
 
 	processed atomic.Int64
-	stopping  atomic.Bool
-	inflight  sync.Mutex // held while one message is processed and acked
 	initOnce  sync.Once
 	met       *listenMetrics
 	arch      *rawfile.Archiver
@@ -313,16 +285,17 @@ func (l *Listener) init() {
 // to call while Run is executing.
 func (l *Listener) Processed() int { return int(l.processed.Load()) }
 
-// Run consumes Cons until the broker closes (io.EOF), Shutdown is
-// called, or a fatal error occurs. It is not how the daemons consume —
-// they run a fabric group over HandleBody, composed by internal/node —
-// and stays only as the benchmark's serial-ack entry point (perfbench
-// drains one plain queue through it) until the benchmark composes the
-// node too. Each message is fully processed — archived,
-// monitored, ingested — BEFORE it is acknowledged, so a listener crash
-// mid-message costs a redelivery, never a lost snapshot. The steps
-// (stages.go) run on Run's goroutine. When Run returns it closes the
-// listener, so everything consumed is flushed.
+// Run consumes Cons until the broker closes (io.EOF) or a fatal error
+// occurs; closing the broker is how its caller stops it. It is not how
+// the daemons consume — they run a fabric group over HandleBody,
+// composed by internal/node — and stays only as the benchmark's
+// serial-ack entry point (perfbench drains one plain queue through it)
+// until the benchmark composes the node too. Each message is fully
+// processed — archived, monitored, ingested — BEFORE it is
+// acknowledged, so a listener crash mid-message costs a redelivery,
+// never a lost snapshot. The steps (stages.go) run on Run's goroutine.
+// When Run returns it closes the listener, so everything consumed is
+// flushed.
 func (l *Listener) Run() error {
 	l.init()
 	defer l.Close()
@@ -332,37 +305,15 @@ func (l *Listener) Run() error {
 			return nil
 		}
 		if err != nil {
-			if l.stopping.Load() {
-				return nil // Shutdown closed the connection under us
-			}
 			return err
 		}
-		l.inflight.Lock()
-		if l.stopping.Load() {
-			// Read ahead of a Shutdown that has since closed the
-			// connection: left unacked, it is redelivered.
-			l.inflight.Unlock()
-			return nil
-		}
-		err = l.handle(body)
-		var ackErr error
-		if err == nil {
-			ackErr = l.Cons.Ack()
-		}
-		l.inflight.Unlock()
-		if err != nil {
+		if err := l.handle(body); err != nil {
 			// Not acked: the message redelivers once we disconnect, so a
 			// sink failure never loses the snapshot.
 			return err
 		}
-		if l.stopping.Load() {
-			// Ack failures while stopping mean the shutdown path closed
-			// the connection first; the message was processed and will be
-			// redelivered — at-least-once, not lost.
-			return nil
-		}
-		if ackErr != nil {
-			return ackErr
+		if err := l.Cons.Ack(); err != nil {
+			return err
 		}
 	}
 }
@@ -398,21 +349,6 @@ func (l *Listener) HandleBody(body []byte) error {
 	return l.handle(body)
 }
 
-// Shutdown stops the listener gracefully: it waits for the in-flight
-// message (if any) to finish processing and be acknowledged, then closes
-// the broker connection so a blocked Run returns nil. The store is
-// written synchronously per message, so when Run returns everything
-// consumed is durably archived. Safe to call from a signal handler
-// goroutine.
-func (l *Listener) Shutdown() {
-	l.stopping.Store(true)
-	l.inflight.Lock()
-	if l.Cons != nil {
-		l.Cons.Close()
-	}
-	l.inflight.Unlock()
-}
-
 // Close waits for in-flight messages by taking the step locks in order,
 // refuses every later HandleBody with ErrClosed, then flushes and
 // closes the archiver. Run-based listeners do this when Run returns;
@@ -420,8 +356,6 @@ func (l *Listener) Shutdown() {
 // stopping the group. Idempotent.
 func (l *Listener) Close() error {
 	l.init()
-	l.inflight.Lock()
-	defer l.inflight.Unlock()
 	for k := range l.steps {
 		l.steps[k].mu.Lock()
 		defer l.steps[k].mu.Unlock()

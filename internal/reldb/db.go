@@ -181,44 +181,6 @@ func (db *DB) Avg(fieldName string, filters ...Filter) (float64, error) {
 	return sum / float64(len(rows)), nil
 }
 
-// Max aggregates the maximum of a numeric field over the filtered rows.
-func (db *DB) Max(fieldName string, filters ...Filter) (float64, error) {
-	rows, err := db.Query(filters...)
-	if err != nil {
-		return 0, err
-	}
-	best := 0.0
-	for i, r := range rows {
-		v, err := Value(r, fieldName)
-		if err != nil {
-			return 0, err
-		}
-		if i == 0 || v > best {
-			best = v
-		}
-	}
-	return best, nil
-}
-
-// Min aggregates the minimum of a numeric field over the filtered rows.
-func (db *DB) Min(fieldName string, filters ...Filter) (float64, error) {
-	rows, err := db.Query(filters...)
-	if err != nil {
-		return 0, err
-	}
-	best := 0.0
-	for i, r := range rows {
-		v, err := Value(r, fieldName)
-		if err != nil {
-			return 0, err
-		}
-		if i == 0 || v < best {
-			best = v
-		}
-	}
-	return best, nil
-}
-
 // Values projects a numeric field over the filtered rows (for
 // correlation studies and histograms).
 func (db *DB) Values(fieldName string, filters ...Filter) ([]float64, error) {

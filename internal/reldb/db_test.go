@@ -163,14 +163,6 @@ func TestAggregates(t *testing.T) {
 	if err != nil || n != 2 {
 		t.Errorf("count = %d, %v", n, err)
 	}
-	mx, err := db.Max("metadatarate")
-	if err != nil || mx != 500000 {
-		t.Errorf("max = %g, %v", mx, err)
-	}
-	mn, err := db.Min("cpu_usage")
-	if err != nil || mn != 0.4 {
-		t.Errorf("min = %g, %v", mn, err)
-	}
 	// Empty selection.
 	avg, err = db.Avg("cpu_usage", Filter{"user", "ghost"})
 	if err != nil || avg != 0 {
@@ -291,10 +283,6 @@ func TestIndexStaysFreshAfterInsert(t *testing.T) {
 }
 
 func TestFieldsListing(t *testing.T) {
-	all := Fields()
-	if len(all) < 30 {
-		t.Errorf("only %d fields registered", len(all))
-	}
 	nums := NumericFields()
 	for _, n := range []string{"metadatarate", "cpu_usage", "vecpercent", "mic_usage", "idle", "catastrophe"} {
 		found := false

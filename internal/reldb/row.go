@@ -120,17 +120,6 @@ var fields = map[string]field{
 	"mic_usage":   {kind: kindNum, num: func(r *JobRow) float64 { return r.Metrics.MICUsage }},
 }
 
-// Fields lists every queryable field name, sorted (the portal's Search
-// field dropdown).
-func Fields() []string {
-	out := make([]string, 0, len(fields))
-	for k := range fields {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NumericFields lists the numeric (metric) field names, sorted.
 func NumericFields() []string {
 	var out []string

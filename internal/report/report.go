@@ -22,9 +22,13 @@ type Advice struct {
 	Suggestion string
 }
 
-// Recommend derives targeted advice from a job's metrics (and its XALT
-// environment record when available).
-func Recommend(r *reldb.JobRow, x *xalt.Record) []Advice {
+// Recommend derives targeted advice for a job: one entry for each
+// screening flag raised (the names flagging.Evaluate returns) that has
+// advice, so the advice always agrees with the checks under whatever
+// thresholds they ran, plus two advice-only rules read from the metrics
+// (a file open/close loop, unvectorized floating point, the latter
+// sharpened by the job's XALT record when available).
+func Recommend(r *reldb.JobRow, raised map[string]bool, x *xalt.Record) []Advice {
 	m := r.Metrics
 	var out []Advice
 	if m.LLiteOpenClose > 100 {
@@ -34,28 +38,28 @@ func Recommend(r *reldb.JobRow, x *xalt.Record) []Advice {
 			Suggestion: "open files once and hold the descriptor, or stage inputs to /tmp at job start",
 		})
 	}
-	if m.MetaDataRate > 10000 {
+	if raised["high_metadata_rate"] {
 		out = append(out, Advice{
 			Issue:      "metadata server abuse",
 			Evidence:   fmt.Sprintf("peak %.4g metadata requests/s", m.MetaDataRate),
 			Suggestion: "avoid redundant stat/open operations; use collective I/O and tune Lustre stripe counts",
 		})
 	}
-	if m.GigEBW > 10e6 {
+	if raised["gige_mpi"] {
 		out = append(out, Advice{
 			Issue:      "MPI over Ethernet",
 			Evidence:   fmt.Sprintf("%.4g B/s on the GigE interface", m.GigEBW),
 			Suggestion: "rebuild against the system MPI so traffic uses the Infiniband fabric",
 		})
 	}
-	if r.Queue == "largemem" && m.MemUsage < 64*float64(1<<30) {
+	if raised["largemem_waste"] {
 		out = append(out, Advice{
 			Issue:      "largemem queue misuse",
 			Evidence:   fmt.Sprintf("peak memory %.1f GB on 1 TB nodes", m.MemUsage/(1<<30)),
 			Suggestion: "submit to the normal queue; largemem nodes are scarce",
 		})
 	}
-	if r.Nodes > 1 && m.Idle < 0.01 {
+	if raised["idle_nodes"] {
 		out = append(out, Advice{
 			Issue:      "idle reserved nodes",
 			Evidence:   fmt.Sprintf("idle metric %.3g across %d nodes", m.Idle, r.Nodes),
@@ -74,14 +78,14 @@ func Recommend(r *reldb.JobRow, x *xalt.Record) []Advice {
 		}
 		out = append(out, a)
 	}
-	if m.CPI > 1.5 {
+	if raised["high_cpi"] {
 		out = append(out, Advice{
 			Issue:      "high cycles per instruction",
 			Evidence:   fmt.Sprintf("CPI %.2f", m.CPI),
 			Suggestion: "profile memory layout and I/O patterns; the cores are stalling",
 		})
 	}
-	if m.CPUUsage > 0.02 && m.Catastrophe < 0.05 {
+	if raised["usage_swing"] {
 		a := Advice{
 			Issue:      "sudden performance change",
 			Evidence:   fmt.Sprintf("catastrophe metric %.3g", m.Catastrophe),
@@ -155,7 +159,7 @@ func Job(r *reldb.JobRow, flags []flagging.Flag, x *xalt.Record) string {
 		fmt.Fprintf(&b, "  [%s] %-20s %s\n", mark, f.Name, f.Desc)
 	}
 
-	advice := Recommend(r, x)
+	advice := Recommend(r, raised, x)
 	if len(advice) > 0 {
 		b.WriteString("\n-- targeted advice --\n")
 		for i, a := range advice {

@@ -26,8 +26,17 @@ func cleanRow() *reldb.JobRow {
 	}
 }
 
+// raisedBy is the set of default flags the job raises.
+func raisedBy(r *reldb.JobRow) map[string]bool {
+	raised := map[string]bool{}
+	for _, name := range flagging.Evaluate(flagging.Default(flagging.DefaultThresholds()), r) {
+		raised[name] = true
+	}
+	return raised
+}
+
 func TestRecommendCleanJobIsQuiet(t *testing.T) {
-	if got := Recommend(cleanRow(), nil); len(got) != 0 {
+	if got := Recommend(cleanRow(), raisedBy(cleanRow()), nil); len(got) != 0 {
 		t.Errorf("clean job advised: %+v", got)
 	}
 }
@@ -49,7 +58,7 @@ func TestRecommendRules(t *testing.T) {
 	for _, c := range cases {
 		r := cleanRow()
 		c.tweak(r)
-		got := Recommend(r, nil)
+		got := Recommend(r, raisedBy(r), nil)
 		found := false
 		for _, a := range got {
 			if a.Issue == c.issue {
@@ -69,7 +78,7 @@ func TestRecommendUsesXALTForVectorization(t *testing.T) {
 	r := cleanRow()
 	r.Metrics.VecPercent = 0.001
 	x := xalt.Capture(r.JobID, r.Exe, r.User, false, 1)
-	got := Recommend(r, &x)
+	got := Recommend(r, raisedBy(r), &x)
 	found := false
 	for _, a := range got {
 		if a.Issue == "unvectorized floating point" {
@@ -91,7 +100,7 @@ func TestRecommendFailedJobAdvice(t *testing.T) {
 	r := cleanRow()
 	r.Status = "FAILED"
 	r.Metrics.Catastrophe = 0.01
-	got := Recommend(r, nil)
+	got := Recommend(r, raisedBy(r), nil)
 	ok := false
 	for _, a := range got {
 		if strings.Contains(a.Suggestion, "died mid-run") {
@@ -124,6 +133,28 @@ func TestJobReportSections(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("report missing %q", want)
+		}
+	}
+}
+
+// TestJobAdviceFollowsThresholds: the advice comes from the checks
+// that ran, so a lowered metadata limit both fails the check and
+// advises on it, and a raised one does neither.
+func TestJobAdviceFollowsThresholds(t *testing.T) {
+	r := cleanRow()
+	r.Metrics.MetaDataRate = 1000
+	for _, c := range []struct {
+		limit  float64
+		raised bool
+	}{{500, true}, {10000, false}} {
+		th := flagging.DefaultThresholds()
+		th.MetaDataRate = c.limit
+		text := Job(r, flagging.Default(th), nil)
+		failed := strings.Contains(text, "[FAIL] high_metadata_rate")
+		advised := strings.Contains(text, "metadata server abuse")
+		if failed != c.raised || advised != c.raised {
+			t.Errorf("limit %g at 1000 req/s: FAIL line %v, advice %v, want both %v\n%s",
+				c.limit, failed, advised, c.raised, text)
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package stats provides the small numerical toolkit used throughout
-// gostats: online (single-pass) moment accumulation, Pearson correlation,
+// gostats: online (single-pass) mean accumulation, Pearson correlation,
 // histograms, and order statistics.
 //
 // Everything here is allocation-light on the hot paths because the ETL
@@ -15,39 +15,21 @@ import (
 // ErrEmpty is returned by reductions over empty inputs.
 var ErrEmpty = errors.New("stats: empty input")
 
-// Online accumulates count, mean and variance in a single pass using
-// Welford's algorithm. The zero value is ready to use.
+// Online accumulates count, mean and maximum in a single pass. The
+// zero value is ready to use.
 type Online struct {
 	n    int
 	mean float64
-	m2   float64
-	min  float64
 	max  float64
 }
 
 // Add folds x into the accumulator.
 func (o *Online) Add(x float64) {
-	if o.n == 0 {
-		o.min, o.max = x, x
-	} else {
-		if x < o.min {
-			o.min = x
-		}
-		if x > o.max {
-			o.max = x
-		}
+	if o.n == 0 || x > o.max {
+		o.max = x
 	}
 	o.n++
-	d := x - o.mean
-	o.mean += d / float64(o.n)
-	o.m2 += d * (x - o.mean)
-}
-
-// AddAll folds every value of xs into the accumulator.
-func (o *Online) AddAll(xs []float64) {
-	for _, x := range xs {
-		o.Add(x)
-	}
+	o.mean += (x - o.mean) / float64(o.n)
 }
 
 // N reports the number of samples seen.
@@ -56,42 +38,8 @@ func (o *Online) N() int { return o.n }
 // Mean reports the running mean, or 0 with no samples.
 func (o *Online) Mean() float64 { return o.mean }
 
-// Min reports the smallest sample seen, or 0 with no samples.
-func (o *Online) Min() float64 { return o.min }
-
 // Max reports the largest sample seen, or 0 with no samples.
 func (o *Online) Max() float64 { return o.max }
-
-// Var reports the unbiased sample variance (n-1 denominator).
-func (o *Online) Var() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// Merge combines another accumulator into o (parallel Welford merge),
-// leaving other unchanged.
-func (o *Online) Merge(other *Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = *other
-		return
-	}
-	n := o.n + other.n
-	d := other.mean - o.mean
-	mean := o.mean + d*float64(other.n)/float64(n)
-	m2 := o.m2 + other.m2 + d*d*float64(o.n)*float64(other.n)/float64(n)
-	if other.min < o.min {
-		o.min = other.min
-	}
-	if other.max > o.max {
-		o.max = other.max
-	}
-	o.n, o.mean, o.m2 = n, mean, m2
-}
 
 // Mean returns the arithmetic mean of xs.
 func Mean(xs []float64) (float64, error) {

@@ -166,32 +166,3 @@ func Capture(jobID, exe, user string, vectorized bool, seed int64) Record {
 	}
 	return rec
 }
-
-// ISAStudy relates build ISA to measured vectorization: for each ISA it
-// reports the number of jobs and their mean VecPercent (supplied by the
-// caller per job id). This is the §V-A "not compiled with the most
-// advanced vector instruction set" examination.
-func (db *DB) ISAStudy(vecOf func(jobID string) (float64, bool)) map[string]ISAGroup {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := map[string]ISAGroup{}
-	for id, r := range db.recs {
-		v, ok := vecOf(id)
-		if !ok {
-			continue
-		}
-		g := out[r.VecISA]
-		g.Jobs++
-		g.sum += v
-		g.Mean = g.sum / float64(g.Jobs)
-		out[r.VecISA] = g
-	}
-	return out
-}
-
-// ISAGroup is one instruction set's aggregate in an ISAStudy.
-type ISAGroup struct {
-	Jobs int
-	Mean float64
-	sum  float64
-}

@@ -87,34 +87,3 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Error("missing file loaded")
 	}
 }
-
-func TestISAStudy(t *testing.T) {
-	db := NewDB()
-	// Three avx jobs with high measured vectorization, two sse2 with low.
-	vec := map[string]float64{}
-	for i, id := range []string{"a1", "a2", "a3"} {
-		db.Put(Capture(id, "vasp", "u1", true, int64(i)))
-		vec[id] = 0.7
-	}
-	for i, id := range []string{"s1", "s2"} {
-		db.Put(Capture(id, "legacy", "u2", false, int64(10+i)))
-		vec[id] = 0.02
-	}
-	// One record without metrics must be skipped.
-	db.Put(Capture("orphan", "x", "u3", true, 99))
-
-	study := db.ISAStudy(func(id string) (float64, bool) {
-		v, ok := vec[id]
-		return v, ok
-	})
-	if g := study["avx"]; g.Jobs != 3 || g.Mean < 0.69 || g.Mean > 0.71 {
-		t.Errorf("avx group = %+v", g)
-	}
-	if g := study["sse2"]; g.Jobs != 2 || g.Mean > 0.05 {
-		t.Errorf("sse2 group = %+v", g)
-	}
-	// The paper's finding: avx builds vectorize far better.
-	if study["avx"].Mean < 10*study["sse2"].Mean {
-		t.Error("ISA study does not separate the builds")
-	}
-}
